@@ -32,8 +32,7 @@
 // context aborts the run within one linear solve; the returned error
 // wraps ErrCanceled plus the context's own error, so
 // errors.Is(err, context.DeadlineExceeded) still distinguishes a
-// deadline from an explicit cancel. The context-free names are kept as
-// thin deprecated wrappers over context.Background().
+// deadline from an explicit cancel.
 package acstab
 
 import (
@@ -297,14 +296,6 @@ type StabilityReport struct {
 	tool *tool.Tool
 }
 
-// AnalyzeNode runs the "Single Node" mode at the named node.
-//
-// Deprecated: use AnalyzeNodeContext, which can be canceled and
-// deadlined. This wrapper runs with context.Background().
-func AnalyzeNode(c *Circuit, node string, opts Options) (*NodeReport, error) {
-	return AnalyzeNodeContext(context.Background(), c, node, opts)
-}
-
 // AnalyzeNodeContext runs the "Single Node" mode at the named node.
 //
 // Errors: ErrUnknownNode if the node does not exist, ErrNoConvergence
@@ -343,15 +334,6 @@ func fromNodeResult(nr *tool.NodeResult) NodeReport {
 		out.Dominant = &p
 	}
 	return out
-}
-
-// AnalyzeAllNodes runs the "All Nodes" mode: every non-ground node is
-// probed and the resonant nodes are clustered into feedback loops.
-//
-// Deprecated: use AnalyzeAllNodesContext, which can be canceled and
-// deadlined. This wrapper runs with context.Background().
-func AnalyzeAllNodes(c *Circuit, opts Options) (*StabilityReport, error) {
-	return AnalyzeAllNodesContext(context.Background(), c, opts)
 }
 
 // AnalyzeAllNodesContext runs the "All Nodes" mode: every non-ground

@@ -1,8 +1,8 @@
-//lint:file-ignore SA1019 this file deliberately exercises the deprecated compatibility wrappers.
 package acstab_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -25,7 +25,7 @@ func tank(zeta, fn float64) *acstab.Circuit {
 }
 
 func TestAnalyzeNodePublicAPI(t *testing.T) {
-	nr, err := acstab.AnalyzeNode(tank(0.25, 2e6), "t", acstab.DefaultOptions())
+	nr, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.25, 2e6), "t", acstab.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAnalyzeAllNodesAndReports(t *testing.T) {
 		c.AddL("L"+n, n, "0", l)
 		c.AddC("C"+n, n, "0", cap)
 	}
-	rep, err := acstab.AnalyzeAllNodes(c, acstab.DefaultOptions())
+	rep, err := acstab.AnalyzeAllNodesContext(context.Background(), c, acstab.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ C1 out 0 159.155p
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := c.ACSweep(1e3, 1e9, 40)
+	ac, err := c.ACSweepContext(context.Background(), 1e3, 1e9, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTransientPublicAPI(t *testing.T) {
 	c.AddVStep("V1", "in", "0", 0, 1, 0)
 	c.AddR("R1", "in", "out", 1e3)
 	c.AddC("C1", "out", "0", 1e-6)
-	tr, err := c.Transient(5e-3, 1e-6)
+	tr, err := c.TransientContext(context.Background(), 5e-3, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestMarginsBaseline(t *testing.T) {
 	// Second pole at 1 kHz.
 	c.AddR("RP", "buf", "out", 1e3)
 	c.AddC("CP", "out", "0", 159.155e-9)
-	ac, err := c.ACSweep(0.01, 1e7, 40)
+	ac, err := c.ACSweepContext(context.Background(), 0.01, 1e7, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,10 @@ func TestMarginsBaseline(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := acstab.AnalyzeNode(tank(0.3, 1e6), "t", acstab.Options{FStart: 10, FStop: 1}); err == nil {
+	if _, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.3, 1e6), "t", acstab.Options{FStart: 10, FStop: 1}); err == nil {
 		t.Error("expected range error")
 	}
-	if _, err := acstab.AnalyzeNode(tank(0.3, 1e6), "nosuch", acstab.DefaultOptions()); err == nil {
+	if _, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.3, 1e6), "nosuch", acstab.DefaultOptions()); err == nil {
 		t.Error("expected node error")
 	}
 	if _, err := acstab.ParseNetlist(""); err == nil {
@@ -242,7 +242,7 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestPolesPublicAPI(t *testing.T) {
-	ps, err := tank(0.25, 2e6).Poles(1e3, 1e9)
+	ps, err := tank(0.25, 2e6).PolesContext(context.Background(), 1e3, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestFacadeBuilderDevices(t *testing.T) {
 }
 
 func TestWaveformStringAndSamples(t *testing.T) {
-	nr, err := acstab.AnalyzeNode(tank(0.3, 1e6), "t", acstab.DefaultOptions())
+	nr, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.3, 1e6), "t", acstab.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +352,12 @@ C1 t 0 1n
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acstab.AnalyzeNode(c, "t", acstab.DefaultOptions())
+	a, err := acstab.AnalyzeNodeContext(context.Background(), c, "t", acstab.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetParam("rq", 3180)
-	b, err := acstab.AnalyzeNode(c, "t", acstab.DefaultOptions())
+	b, err := acstab.AnalyzeNodeContext(context.Background(), c, "t", acstab.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestParseNetlistFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr, err := acstab.AnalyzeNode(c, "t", acstab.DefaultOptions())
+	nr, err := acstab.AnalyzeNodeContext(context.Background(), c, "t", acstab.DefaultOptions())
 	if err != nil || nr.Dominant == nil {
 		t.Fatalf("analysis through FS deck: %v", err)
 	}

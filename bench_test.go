@@ -153,28 +153,6 @@ func BenchmarkFig5BiasAnnotation(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkAblationPerNodeVsShared compares the paper's one-AC-run-per-
-// node flow against the shared-factorization fast path (A1 in DESIGN.md).
-func BenchmarkAblationPerNodeVsShared(b *testing.B) {
-	run := func(b *testing.B, naive bool) {
-		opts := tool.DefaultOptions()
-		opts.Naive = naive
-		opts.Workers = 1
-		tl, err := tool.New(circuits.FullCircuit(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tl.AllNodes(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("naive-per-node", func(b *testing.B) { run(b, true) })
-	b.Run("shared-factorization", func(b *testing.B) { run(b, false) })
-}
-
 // BenchmarkAblationDenseVsSparse locates the dense/sparse crossover on RC
 // ladders of growing size (A2).
 func BenchmarkAblationDenseVsSparse(b *testing.B) {
@@ -977,48 +955,19 @@ func TestSeedCircuitAccuracyGate(t *testing.T) {
 	}
 }
 
-// benchAllNodesAdaptiveNoBatch mirrors the adaptive arm with the K-lane
-// frequency batch forced off (serial refactor per frequency), isolating
-// the batched refill's share of the win.
-func benchAllNodesAdaptiveNoBatch(b *testing.B, loops int) {
-	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
-	opts := tool.DefaultOptions()
-	opts.Workers = 1
-	opts.CoarsePointsPerDecade = benchCoarsePPD
-	aopts := analysis.DefaultOptions()
-	aopts.Matrix = analysis.MatrixSparse
-	aopts.FreqBatch = 1
-	opts.Analysis = &aopts
-	tl, err := tool.New(ckt, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tl.AllNodes(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEmitGridBenchSummary writes a BENCH_grid.json summary of the
-// adaptive-grid + frequency-batched sweep engine when ACSTAB_BENCH_JSON
-// names an output file. Three rows on the 32-loop resonator field (forced
-// sparse, one worker):
+// adaptive-grid sweep engine when ACSTAB_BENCH_JSON names an output file.
+// Two rows on the 32-loop resonator field (forced sparse, one worker):
 //
-//   - AllNodesScaling32SparseUniform: the dense uniform grid (batched
-//     refactorization still on — it is the analysis default).
+//   - AllNodesScaling32SparseUniform: the dense uniform grid.
 //   - AllNodesScaling32SparseAdaptive: the two-level adaptive grid, the
 //     configuration BenchmarkAllNodesScaling's headline arms run.
-//   - AllNodesScaling32SparseAdaptiveNoBatch: adaptive with the K-lane
-//     batch forced off, so the artifact splits the win between the grid
-//     and the batched refill.
 //
 // A traced (untimed) adaptive run rides along for the acceptance
 // assertions: the points-solved ratio — (node, frequency) pairs the
 // adaptive sweep solved over what the dense grid would have solved — must
-// stay below 0.5, the adaptive run must find the same loop count as the
-// uniform run, and the batched refactor path must actually have engaged.
+// stay below 0.5, and the adaptive run must find the same loop count as
+// the uniform run.
 func TestEmitGridBenchSummary(t *testing.T) {
 	path := os.Getenv("ACSTAB_BENCH_JSON")
 	if path == "" {
@@ -1084,9 +1033,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 	if ratio >= 0.5 {
 		t.Errorf("points-solved ratio %.3f, want < 0.5: the adaptive grid stopped paying for itself", ratio)
 	}
-	if tr.Counters["ac_batch_lanes"] == 0 {
-		t.Error("batched refactorization never engaged during the adaptive sweep")
-	}
 
 	ops := []struct {
 		name string
@@ -1094,7 +1040,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 	}{
 		{"AllNodesScaling32SparseUniform", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixSparse, 0) }},
 		{"AllNodesScaling32SparseAdaptive", func(b *testing.B) { benchAllNodesScaling(b, 32, analysis.MatrixSparse, benchCoarsePPD) }},
-		{"AllNodesScaling32SparseAdaptiveNoBatch", func(b *testing.B) { benchAllNodesAdaptiveNoBatch(b, 32) }},
 	}
 	var rows []benchSummaryRow
 	results := make([]testing.BenchmarkResult, len(ops))
@@ -1121,8 +1066,6 @@ func TestEmitGridBenchSummary(t *testing.T) {
 		"adaptive_refined_points": tr.Counters["adaptive_refined_points"],
 		"adaptive_solve_pairs":    pairs,
 		"adaptive_dense_pairs":    dense,
-		"ac_batch_blocks":         tr.Counters["ac_batch_blocks"],
-		"ac_batch_lanes":          tr.Counters["ac_batch_lanes"],
 	}
 	out := struct {
 		Rows              []benchSummaryRow `json:"rows"`

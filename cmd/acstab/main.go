@@ -65,12 +65,10 @@ func runWith(args []string, out, errOut io.Writer) error {
 		coarsePPD = fs.Int("coarse-ppd", 0, "adaptive sweep: coarse pass resolution in points per decade (0 = adaptive off, dense uniform grid)")
 		refinePPD = fs.Int("refine-ppd", 0, "adaptive sweep: refinement resolution cap in points per decade (0 = -ppd)")
 		refineThr = fs.Float64("refine-threshold", 0, "adaptive sweep: |P| level that marks an interval resonant (0 = default 0.5)")
-		freqBatch = fs.Int("freq-batch", 0, "frequencies refactored per batched refill block (0 = default 8, 1 = serial)")
 		format    = fs.String("format", "text", "all-nodes output: text, csv, json")
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
 		workers   = fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs)")
-		naive     = fs.Bool("naive", false, "one AC run per node (paper's original flow)")
 		loopTol   = fs.Float64("loop-tol", 0.12, "relative tolerance for loop clustering")
 		resTol    = fs.Float64("residual-tol", 0, "scale-relative residual above which a solve is refined (0 = default 1e-9, negative disables the numerics observatory)")
 		skip      = fs.String("skip", "", "comma-separated node-name substrings to skip")
@@ -182,14 +180,10 @@ func runWith(args []string, out, errOut io.Writer) error {
 	opts.RefinePointsPerDecade = *refinePPD
 	opts.RefineThreshold = *refineThr
 	opts.Workers = *workers
-	opts.Naive = *naive
 	opts.LoopTol = *loopTol
-	if *resTol != 0 || *freqBatch != 0 {
+	if *resTol != 0 {
 		aopts := analysis.DefaultOptions()
-		if *resTol != 0 {
-			aopts.ResidualThreshold = *resTol
-		}
-		aopts.FreqBatch = *freqBatch
+		aopts.ResidualThreshold = *resTol
 		opts.Analysis = &aopts
 	}
 	if *skip != "" {
@@ -470,7 +464,6 @@ func runRemote(ctx context.Context, out io.Writer, url, src string, opts tool.Op
 			RefineThreshold:       opts.RefineThreshold,
 			LoopTol:               opts.LoopTol,
 			Workers:               opts.Workers,
-			Naive:                 opts.Naive,
 			SkipNodes:             opts.SkipNodes,
 		},
 	}, trace)
@@ -549,7 +542,6 @@ func runCorners(ctx context.Context, out io.Writer, remote, src string, opts too
 				RefineThreshold:       opts.RefineThreshold,
 				LoopTol:               opts.LoopTol,
 				Workers:               opts.Workers,
-				Naive:                 opts.Naive,
 				SkipNodes:             opts.SkipNodes,
 			},
 			Variants: variants,

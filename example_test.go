@@ -1,7 +1,7 @@
-//lint:file-ignore SA1019 this file deliberately exercises the deprecated compatibility wrappers.
 package acstab_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,7 +10,7 @@ import (
 
 // The paper's single-node flow: probe one node of a closed-loop circuit
 // and read the resonance parameters off the stability plot.
-func ExampleAnalyzeNode() {
+func ExampleAnalyzeNodeContext() {
 	ckt, err := acstab.ParseNetlist(`resonant tank
 R1 t 0 318
 L1 t 0 25.33u
@@ -19,7 +19,7 @@ C1 t 0 1n
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := acstab.AnalyzeNode(ckt, "t", acstab.DefaultOptions())
+	res, err := acstab.AnalyzeNodeContext(context.Background(), ckt, "t", acstab.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ C1 t 0 1n
 
 // The all-nodes flow groups resonant nodes into feedback loops, like the
 // paper's Table 2.
-func ExampleAnalyzeAllNodes() {
+func ExampleAnalyzeAllNodesContext() {
 	ckt, err := acstab.ParseNetlist(`two tanks
 R1 a 0 318
 L1 a 0 25.33u
@@ -47,7 +47,7 @@ C2 b 0 0.1n
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := acstab.AnalyzeAllNodes(ckt, acstab.DefaultOptions())
+	rep, err := acstab.AnalyzeAllNodesContext(context.Background(), ckt, acstab.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

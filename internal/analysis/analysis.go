@@ -48,12 +48,6 @@ var (
 	mACDiagSolves    = obs.GetCounter("acstab_ac_diag_solves_total")
 	mACDiagRows      = obs.GetCounter("acstab_ac_diag_rows_visited_total")
 	mACDiagFallbacks = obs.GetCounter("acstab_ac_diag_fallbacks_total")
-	// Frequency-batched refactorization: blocks refilled through the
-	// K-lane NumericBatch and the frequencies (lanes) those blocks carried.
-	// lanes/blocks is the realized batch width — partial tail blocks and
-	// serial fallbacks pull it below the configured K.
-	mACBatchBlocks = obs.GetCounter("acstab_ac_batch_blocks_total")
-	mACBatchLanes  = obs.GetCounter("acstab_ac_batch_lanes_total")
 	// Numerical-health observatory: per-point scale-relative residuals and
 	// pivot-growth factors land in log-scale histograms (the default obs
 	// buckets are duration-oriented, so these carry explicit decade
@@ -86,14 +80,6 @@ const (
 	defResidualThreshold  = 1e-9
 	defResidualProbeEvery = 16
 	defCondSamples        = 2
-	// defFreqBatch is the default diag-sweep refill block width. Eight
-	// lanes amortize the symbolic index-array streaming (the refill's
-	// memory traffic is dominated by lptr/lsrc/uptr/ucol, read once per
-	// block instead of once per frequency) without outgrowing L2 on the
-	// value arrays; maxFreqBatch caps explicit requests before the SoA
-	// block stops fitting cache and the win inverts.
-	defFreqBatch = 8
-	maxFreqBatch = 32
 )
 
 // Options tunes the solvers.
@@ -129,13 +115,6 @@ type Options struct {
 	// take per sweep, evenly spaced. 0 selects the default (2); negative
 	// disables condition sampling.
 	CondSamples int
-	// FreqBatch is the number of frequency points whose sparse
-	// refactorizations are refilled together in one pass over the frozen
-	// elimination pattern (diagonal sweeps only). Per lane the batched
-	// refill is bitwise identical to the serial one, so this is a pure
-	// throughput knob. 0 selects the default (8); 1 or any negative value
-	// forces the serial per-frequency path; values above 32 are clamped.
-	FreqBatch int
 }
 
 // MatrixMode selects the AC linear solver.
@@ -176,12 +155,11 @@ type Sim struct {
 	ac     *acShared
 	acInit sync.Once
 
-	// ws caches this Sim's numeric workspaces (Numeric, Vals, the K-lane
-	// batch) across sweep calls: an adaptive run issues many small
-	// refinement sweeps on the same Sim, and reallocating the lane-strided
-	// batch arrays per call would put megabytes per run back on the
-	// garbage collector. The busy flag hands the workspace to at most one
-	// concurrent sweep; others allocate privately. Forks start empty.
+	// ws caches this Sim's numeric workspaces (Numeric, Vals) across sweep
+	// calls: an adaptive run issues several refinement sweeps on the same
+	// Sim, and each would otherwise reallocate the factor arrays. The busy
+	// flag hands the workspace to at most one concurrent sweep; others
+	// allocate privately. Forks start empty.
 	ws     *acWorkspace
 	wsBusy atomic.Bool
 }
@@ -189,13 +167,9 @@ type Sim struct {
 // acWorkspace is the reusable per-Sim numeric state of the sparse AC
 // path. Everything in it is rebuilt when the symbolic analysis changes.
 type acWorkspace struct {
-	sym   *sparse.Symbolic
-	num   *sparse.Numeric
-	vals  *sparse.Vals
-	nb    *sparse.NumericBatch
-	bvals []*sparse.Vals
-	lane  [][]complex128 // bvals[j].Values(), cached
-	diagB []complex128
+	sym  *sparse.Symbolic
+	num  *sparse.Numeric
+	vals *sparse.Vals
 }
 
 // acquireWorkspace hands out the Sim's cached workspace for one sweep
@@ -534,7 +508,8 @@ func (s *Sim) SourceCurrent(op *mna.OpPoint, elem string) (float64, error) {
 	return op.X[br], nil
 }
 
-// complexSolverFor builds the AC matrix+solver pair sized for the system.
+// useSparse reports whether AC sweeps run on the sparse solver: forced by
+// Options.Matrix, or in auto mode when the system exceeds SparseThreshold.
 func (s *Sim) useSparse() bool {
 	switch s.Opt.Matrix {
 	case MatrixDense:
@@ -612,26 +587,16 @@ type acFactorizer struct {
 	op     *mna.OpPoint
 	sparse bool
 
-	// Sparse two-phase path. curVals aliases the stamped CSR values the
-	// current refactor-path factorization was built from (fz.vals for the
-	// serial path, one batch lane for extracted probes) — the residual and
-	// condition estimators must read the matrix that was actually factored.
-	pat     *sparse.Pattern
-	sym     *sparse.Symbolic
-	num     *sparse.Numeric
-	vals    *sparse.Vals
-	curVals []complex128
-	smat    *sparse.Matrix // full-factorization fallback matrix, lazy
+	// Sparse two-phase path. vals holds the stamped CSR values the current
+	// refactor-path factorization was built from; the residual and
+	// condition estimators read them.
+	pat  *sparse.Pattern
+	sym  *sparse.Symbolic
+	num  *sparse.Numeric
+	vals *sparse.Vals
+	smat *sparse.Matrix // full-factorization fallback matrix, lazy
 
-	// Frequency-batched refill state (ImpedanceDiagSweep only), built by
-	// ensureBatch: the K-lane numeric workspace, one stamped Vals per lane
-	// with its value slice cached, and the lane-strided diagonal output.
-	nb    *sparse.NumericBatch
-	bvals []*sparse.Vals
-	lane  [][]complex128
-	diagB []complex128
-
-	// ws is the Sim-cached workspace backing num/vals/nb when this sweep
+	// ws is the Sim-cached workspace backing num/vals when this sweep
 	// won the CAS handoff; flush releases it. Nil when another sweep held
 	// it and this factorizer allocated privately.
 	ws *acWorkspace
@@ -675,11 +640,6 @@ type acFactorizer struct {
 	diagSolves    int64
 	diagRows      int64
 	diagFallbacks int64
-
-	// Frequency-batch tallies: refill blocks executed and lanes they
-	// carried (lanes/blocks = achieved mean batch width).
-	batchBlocks int64
-	batchLanes  int64
 
 	// kind names the solver path the most recent at() call took, the
 	// slow-point context tag: "dense", "refactor" (pivot-free numeric
@@ -783,7 +743,6 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 		} else if err := fz.num.Refactor(fz.vals.Values()); err == nil {
 			fz.refactors++
 			fz.kind = solveKindRefactor
-			fz.curVals = fz.vals.Values()
 			if fz.resThreshold > 0 {
 				g := fz.num.PivotGrowth()
 				mACPivotGrowth.Observe(g)
@@ -850,7 +809,7 @@ func (fz *acFactorizer) pointResidual(x, b []complex128) (eta float64, ok bool) 
 	case fz.kind == solveKindDense:
 		eta, err = fz.dm.ResidualInf(x, b, fz.r)
 	case fz.kind == solveKindRefactor:
-		eta, err = fz.pat.ResidualInf(fz.curVals, x, b, fz.r)
+		eta, err = fz.pat.ResidualInf(fz.vals.Values(), x, b, fz.r)
 	case fz.rmat != nil:
 		eta, err = fz.rmat.ResidualInf(x, b, fz.r)
 	default:
@@ -972,43 +931,29 @@ func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 	}
 }
 
-// condSampleDue reports whether sweep point k of n is one of the
-// condSamples evenly spaced condition-estimate sites and budget remains.
-// Split from condSampleAt so the batched sweep can decide *before* paying
-// for a lane extraction.
-func (fz *acFactorizer) condSampleDue(k, n int) bool {
-	if fz.condBudget <= 0 || fz.condSamples <= 0 {
-		return false
+// condSampleAt takes one Hager/Higham 1-norm condition estimate when k is
+// one of condSamples evenly spaced points of an n-point sweep and budget
+// remains. Estimates need the refactor-path factorization (the CSR values
+// feed ‖A‖₁ and the conjugate-transpose solve walks the frozen fill
+// pattern).
+func (fz *acFactorizer) condSampleAt(k, n int) {
+	if fz.kind != solveKindRefactor || fz.num == nil || fz.condBudget <= 0 || fz.condSamples <= 0 {
+		return
 	}
 	stride := n / fz.condSamples
 	if stride < 1 {
 		stride = 1
 	}
-	return k%stride == 0
-}
-
-// condSampleAt takes one Hager/Higham 1-norm condition estimate when k is
-// one of condSamples evenly spaced points of an n-point sweep. Estimates
-// need the refactor-path factorization (the CSR values feed ‖A‖₁ and the
-// conjugate-transpose solve walks the frozen fill pattern).
-func (fz *acFactorizer) condSampleAt(k, n int) {
-	if fz.kind != solveKindRefactor || fz.num == nil || !fz.condSampleDue(k, n) {
+	if k%stride != 0 {
 		return
 	}
-	fz.condSample()
-}
-
-// condSample runs one estimate against the current refactor-path
-// factorization (fz.num over fz.curVals); callers have already gated on
-// condSampleDue and the solver path.
-func (fz *acFactorizer) condSample() {
 	fz.condBudget--
 	if fz.cv == nil {
 		nn := fz.s.Sys.NumUnknowns()
 		fz.cv = make([]complex128, nn)
 		fz.cz = make([]complex128, nn)
 	}
-	est, err := fz.num.CondEst1(fz.curVals, fz.cv, fz.cz)
+	est, err := fz.num.CondEst1(fz.vals.Values(), fz.cv, fz.cz)
 	if err != nil || est <= 0 {
 		return
 	}
@@ -1096,12 +1041,6 @@ func (fz *acFactorizer) flush() {
 		fz.s.Trace.Add("ac_diag_rows_visited", fz.diagRows)
 		fz.s.Trace.Add("ac_diag_fallbacks", fz.diagFallbacks)
 	}
-	if fz.batchBlocks != 0 {
-		mACBatchBlocks.Add(fz.batchBlocks)
-		mACBatchLanes.Add(fz.batchLanes)
-		fz.s.Trace.Add("ac_batch_blocks", fz.batchBlocks)
-		fz.s.Trace.Add("ac_batch_lanes", fz.batchLanes)
-	}
 	if fz.resPoints != 0 || fz.refines != 0 || fz.breaches != 0 {
 		mACRefinements.Add(fz.refines)
 		mACResidualBreaches.Add(fz.breaches)
@@ -1125,7 +1064,6 @@ func (fz *acFactorizer) flush() {
 	}
 	fz.fulls, fz.refactors, fz.solves = 0, 0, 0
 	fz.diagSolves, fz.diagRows, fz.diagFallbacks = 0, 0, 0
-	fz.batchBlocks, fz.batchLanes = 0, 0
 	if fz.ws != nil {
 		fz.ws = nil
 		fz.s.releaseWorkspace()
@@ -1183,10 +1121,10 @@ func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResu
 // ImpedanceMatrixColumns computes driving-point impedances: for every
 // frequency it factors the AC matrix once and back-substitutes one RHS per
 // requested node (unit current injection), returning Z[nodeIdxInList][freq].
-// This is the shared-factorization fast path of the all-nodes stability
-// sweep; the naive alternative (one full AC analysis per node) is kept in
-// the tool package for the ablation benchmark. In sparse mode the
-// factorization itself is the two-phase kind: the pivot order and fill
+// Every column is a full solution, so callers that need off-diagonal
+// entries (loop-gain extraction) use it; driving-point sweeps go through
+// ImpedanceDiagSweep, which delegates here in dense mode. In sparse mode
+// the factorization itself is the two-phase kind: the pivot order and fill
 // pattern come from the Sim-shared symbolic analysis and each frequency
 // only refills preallocated numeric arrays, so the steady-state loop body
 // performs no allocations at all. A canceled ctx aborts between frequency
@@ -1259,12 +1197,7 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // frequency costs O(Σ|reach(k)|) rows instead of N full substitutions.
 // The reach sets are computed once per sweep (cached on the Sim-shared
 // symbolic state, so forked workers build them once) and the steady-state
-// loop body is allocation-free. Frequencies are processed in K-lane
-// blocks (Options.FreqBatch): one pass over the frozen symbolic index
-// arrays refills K factorizations at once, cutting the refill's dominant
-// memory traffic — the index-array streaming — by the batch width while
-// keeping each lane's arithmetic bitwise identical to a serial refill.
-// Frequencies that leave the refactor path
+// loop body is allocation-free. Frequencies that leave the refactor path
 // — a collapsed pivot falling back to a full factorization, or pattern
 // drift invalidating the symbolic analysis mid-sweep — fall back to full
 // per-node SolveInto for that point and count against
@@ -1272,217 +1205,6 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // exploit and delegates wholesale to ImpedanceMatrixColumns. Callers that
 // need off-diagonal entries (loop-gain extraction) must keep using
 // ImpedanceMatrixColumns.
-// freqBatchK resolves the Options.FreqBatch knob to the effective diag
-// sweep refill block width.
-func (s *Sim) freqBatchK() int {
-	k := s.Opt.FreqBatch
-	switch {
-	case k == 0:
-		return defFreqBatch
-	case k <= 1:
-		return 1
-	case k > maxFreqBatch:
-		return maxFreqBatch
-	}
-	return k
-}
-
-// ensureBatch sizes the K-lane refill workspace for a diagonal sweep over
-// `nodes` injection nodes, reusing the Sim-cached arrays when this sweep
-// holds the workspace. The reuse matters for adaptive runs: they issue
-// dozens of short refinement sweeps per analysis, and rebuilding K Vals
-// plus the lane-strided factor block on every one would spend more time
-// in the allocator than in the solver.
-func (fz *acFactorizer) ensureBatch(K, nodes int) {
-	if ws := fz.ws; ws != nil {
-		fz.nb, fz.bvals, fz.lane, fz.diagB = ws.nb, ws.bvals, ws.lane, ws.diagB
-		defer func() {
-			ws.nb, ws.bvals, ws.lane, ws.diagB = fz.nb, fz.bvals, fz.lane, fz.diagB
-		}()
-	}
-	if fz.nb == nil || fz.nb.K() < K {
-		fz.nb = fz.sym.NewNumericBatch(K)
-	}
-	for len(fz.bvals) < K {
-		v := fz.pat.NewVals()
-		fz.bvals = append(fz.bvals, v)
-		fz.lane = append(fz.lane, v.Values())
-	}
-	if need := nodes * fz.nb.K(); cap(fz.diagB) < need {
-		fz.diagB = make([]complex128, need)
-	} else {
-		fz.diagB = fz.diagB[:need]
-	}
-}
-
-// diagBatchSweep is the frequency-batched stage of ImpedanceDiagSweep: it
-// processes freqs in K-lane blocks — stamp K matrices, refill all K
-// factorizations in one pass over the frozen symbolic index arrays, run
-// the K-wide reach-restricted diagonal kernel — and fills out[...][k] for
-// every frequency it completes. Per lane the arithmetic is bitwise
-// identical to the serial path, so results, probes, and the repair ladder
-// are unchanged; only the memory-access schedule differs. It returns the
-// index of the first unprocessed frequency: len(freqs) normally, or the
-// block where pattern drift invalidated the symbolic analysis, in which
-// case the caller's serial loop finishes the sweep from there.
-func (fz *acFactorizer) diagBatchSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int, out [][]complex128, plan *sparse.DiagPlan, slow *slowTracker, K int, b, x []complex128) (int, error) {
-	s := fz.s
-	fz.ensureBatch(K, len(nodeIdx))
-	nb := fz.nb
-	KB := nb.K()
-	var kinds [maxFreqBatch]string
-	for base := 0; base < len(freqs); base += K {
-		if err := acerr.Ctx(ctx); err != nil {
-			return base, err
-		}
-		m := len(freqs) - base
-		if m > K {
-			m = K
-		}
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		// Stamp the block's lanes. Drift on any lane means the stamp
-		// structure no longer matches the frozen pattern: invalidate and
-		// hand the rest of the sweep (from this block's first frequency)
-		// to the serial full-factorization loop.
-		for j := 0; j < m; j++ {
-			v := fz.bvals[j]
-			v.Begin()
-			s.Sys.StampAC(v, nil, 2*math.Pi*freqs[base+j], op)
-			if v.Drift() {
-				mACPatternDrift.Inc()
-				s.Trace.Add("ac_pattern_drift", 1)
-				s.acShared().invalidate()
-				fz.sym = nil
-				fz.kind = solveKindPatternDrift
-				return base, nil
-			}
-		}
-		if err := nb.Refactor(fz.lane[:m]); err != nil {
-			return base, fmt.Errorf("analysis: impedance batch at %g Hz: %w", freqs[base], err)
-		}
-		fz.batchBlocks++
-		fz.batchLanes += int64(m)
-		if err := nb.SolveDiagLanesInto(fz.diagB, plan); err != nil {
-			return base, fmt.Errorf("analysis: impedance batch at %g Hz: %w", freqs[base], err)
-		}
-		for j := 0; j < m; j++ {
-			k := base + j
-			f := freqs[k]
-			omega := 2 * math.Pi * f
-			if !nb.LaneOK(j) {
-				// Collapsed pivot under the frozen order: retry this one
-				// frequency with a fresh pivot search, exactly like the
-				// serial refactor fallback.
-				mACRefactorFallbacks.Inc()
-				s.Trace.Add("ac_refactor_fallbacks", 1)
-				fz.kind = solveKindRefactorFallback
-				lu, err := fz.fullAt(omega, nil)
-				if err != nil {
-					return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-				}
-				fz.diagFallbacks++
-				slv := cSolver(lu)
-				for i, idx := range nodeIdx {
-					b[idx] = 1
-					serr := slv.SolveInto(x, b)
-					if serr != nil {
-						b[idx] = 0
-						return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, serr)
-					}
-					if i == 0 {
-						slv2, verr := fz.verify(slv, omega, f, x, b, false)
-						if verr != nil {
-							b[idx] = 0
-							return k, verr
-						}
-						slv = slv2
-					}
-					b[idx] = 0
-					out[i][k] = x[idx]
-				}
-				fz.solves += int64(len(nodeIdx))
-				kinds[j] = fz.kind
-				continue
-			}
-			for i := range nodeIdx {
-				out[i][k] = fz.diagB[i*KB+j]
-			}
-			fz.refactors++
-			fz.diagSolves++
-			fz.diagRows += plan.RowsPerSolve()
-			kinds[j] = solveKindDiag
-			if fz.resThreshold > 0 {
-				g := nb.LaneGrowth(j)
-				mACPivotGrowth.Observe(g)
-				if g > fz.growthMax {
-					fz.growthMax = g
-				}
-			}
-			// Sampled residual probe and condition estimates both need this
-			// lane's factors in serial layout; one extraction serves both.
-			probe := fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0
-			cond := fz.condSampleDue(k, len(freqs))
-			if probe || cond {
-				if err := nb.ExtractLane(fz.num, j); err != nil {
-					return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-				}
-				fz.kind = solveKindRefactor
-				fz.curVals = fz.lane[j]
-				if probe {
-					// Same probe as the serial diag loop: one full solve for
-					// the first node, verified; the kernel and the full solve
-					// perform bitwise-identical arithmetic on this lane's
-					// factorization, so overwriting the kernel's value with
-					// the probe's is exact.
-					idx0 := nodeIdx[0]
-					b[idx0] = 1
-					perr := fz.num.SolveInto(x, b)
-					if perr != nil {
-						b[idx0] = 0
-						return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, perr)
-					}
-					slv2, verr := fz.verify(fz.num, omega, f, x, b, false)
-					b[idx0] = 0
-					if verr != nil {
-						return k, verr
-					}
-					out[0][k] = x[idx0]
-					if slv2 != cSolver(fz.num) {
-						// The ladder escalated to a fresh full factorization:
-						// redo the whole point on the new solver with full
-						// substitutions.
-						kinds[j] = fz.kind
-						fz.diagFallbacks++
-						for i, idx := range nodeIdx {
-							b[idx] = 1
-							serr := slv2.SolveInto(x, b)
-							b[idx] = 0
-							if serr != nil {
-								return k, fmt.Errorf("analysis: impedance at %g Hz: %w", f, serr)
-							}
-							out[i][k] = x[idx]
-						}
-					}
-				}
-				if cond && fz.kind == solveKindRefactor {
-					fz.condSample()
-				}
-			}
-			fz.solves += int64(len(nodeIdx))
-		}
-		if slow != nil {
-			per := time.Since(t0) / time.Duration(m)
-			for j := 0; j < m; j++ {
-				slow.note(freqs[base+j], per, kinds[j])
-			}
-		}
-	}
-	return len(freqs), nil
-}
-
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	if !s.useSparse() {
 		return s.ImpedanceMatrixColumns(ctx, freqs, op, nodeIdx)
@@ -1512,18 +1234,7 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 	diag := make([]complex128, len(nodeIdx))
 	b := make([]complex128, n)
 	x := make([]complex128, n)
-	start := 0
-	if plan != nil {
-		if K := s.freqBatchK(); K > 1 {
-			k0, err := fz.diagBatchSweep(ctx, freqs, op, nodeIdx, out, plan, slow, K, b, x)
-			if err != nil {
-				return nil, err
-			}
-			start = k0
-		}
-	}
-	for k := start; k < len(freqs); k++ {
-		f := freqs[k]
+	for k, f := range freqs {
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}

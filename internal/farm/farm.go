@@ -128,7 +128,6 @@ type RequestOptions struct {
 	RefineThreshold       float64  `json:"refine_threshold,omitempty"`
 	LoopTol               float64  `json:"loop_tol,omitempty"`
 	Workers               int      `json:"workers,omitempty"`
-	Naive                 bool     `json:"naive,omitempty"`
 	SkipNodes             []string `json:"skip_nodes,omitempty"`
 	OnlyNodes             []string `json:"only_nodes,omitempty"`
 	OnlySubckt            string   `json:"only_subckt,omitempty"`

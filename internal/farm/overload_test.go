@@ -108,17 +108,24 @@ func TestClientDoesNotRetryRejections(t *testing.T) {
 	}
 }
 
+// TestWireVersionAndUnknownFields is the v1 DecodeRequest rejection
+// table. The removed "naive" option stays rejected as an unknown field: a
+// client still sending it gets a typed 400, not a silently ignored knob.
 func TestWireVersionAndUnknownFields(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
-	code, body := postJSON(t, srv, `{"v": 2, "netlist": "x"}`)
-	if code != http.StatusBadRequest || !strings.Contains(body, CodeUnsupportedVersion) {
-		t.Errorf("future version: status %d, body %q", code, body)
-	}
-	code, body = postJSON(t, srv, `{"netlist": "x", "bogus_field": 1}`)
-	if code != http.StatusBadRequest || !strings.Contains(body, CodeBadJSON) {
-		t.Errorf("unknown field: status %d, body %q", code, body)
+	for _, tc := range []struct {
+		name, body, wantCode string
+	}{
+		{"future version", `{"v": 2, "netlist": "x"}`, CodeUnsupportedVersion},
+		{"unknown field", `{"netlist": "x", "bogus_field": 1}`, CodeBadJSON},
+		{"removed naive option", `{"v": 1, "netlist": "x", "options": {"naive": true}}`, CodeBadJSON},
+	} {
+		code, body := postJSON(t, srv, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(body, `"code":"`+tc.wantCode+`"`) {
+			t.Errorf("%s: status %d, body %q, want 400 %s", tc.name, code, body, tc.wantCode)
+		}
 	}
 }
 

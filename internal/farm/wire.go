@@ -95,15 +95,9 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 		}
 		opts.RefineThreshold = o.RefineThreshold
 	}
-	if opts.CoarsePointsPerDecade > 0 {
-		if o.Naive {
-			return opts, &FieldError{Field: "coarse_points_per_decade",
-				Reason: "adaptive sweeps and naive mode are mutually exclusive"}
-		}
-		if opts.RefinePointsPerDecade > 0 && opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
-			return opts, &FieldError{Field: "refine_points_per_decade",
-				Reason: fmt.Sprintf("must be >= coarse_points_per_decade (%d)", opts.CoarsePointsPerDecade)}
-		}
+	if opts.CoarsePointsPerDecade > 0 && opts.RefinePointsPerDecade > 0 && opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
+		return opts, &FieldError{Field: "refine_points_per_decade",
+			Reason: fmt.Sprintf("must be >= coarse_points_per_decade (%d)", opts.CoarsePointsPerDecade)}
 	}
 	if o.LoopTol < 0 {
 		return opts, &FieldError{Field: "loop_tol", Reason: "must be >= 0 (0 = server default)"}
@@ -122,7 +116,6 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	if max := MaxWireWorkers(); opts.Workers > max {
 		opts.Workers = max
 	}
-	opts.Naive = o.Naive
 	opts.SkipNodes = o.SkipNodes
 	opts.OnlyNodes = o.OnlyNodes
 	opts.OnlySubckt = o.OnlySubckt

@@ -17,12 +17,12 @@ func TestNormalizeDefaults(t *testing.T) {
 	// Explicit values pass through (Workers: 1 is under the wire cap on
 	// any machine).
 	opts, err = (RequestOptions{FStartHz: 10, FStopHz: 1e6, PointsPerDecade: 7,
-		Workers: 1, Naive: true, SkipNodes: []string{"x"}}).Normalize()
+		Workers: 1, SkipNodes: []string{"x"}}).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.FStart != 10 || opts.FStop != 1e6 || opts.PointsPerDecade != 7 ||
-		opts.Workers != 1 || !opts.Naive || len(opts.SkipNodes) != 1 {
+		opts.Workers != 1 || len(opts.SkipNodes) != 1 {
 		t.Errorf("explicit options mangled: %+v", opts)
 	}
 }

@@ -332,8 +332,8 @@ func Annotate(w io.Writer, ckt *netlist.Circuit, rep *tool.Report) error {
 func Diagnostic(w io.Writer, circuitTitle string, opts tool.Options, runErr error) error {
 	fmt.Fprintln(w, "acstab diagnostic report")
 	fmt.Fprintf(w, "circuit: %s\n", circuitTitle)
-	fmt.Fprintf(w, "sweep: %s .. %s, %d pts/dec, workers=%d naive=%v\n",
-		hz(opts.FStart), hz(opts.FStop), opts.PointsPerDecade, opts.Workers, opts.Naive)
+	fmt.Fprintf(w, "sweep: %s .. %s, %d pts/dec, workers=%d\n",
+		hz(opts.FStart), hz(opts.FStop), opts.PointsPerDecade, opts.Workers)
 	if runErr != nil {
 		fmt.Fprintf(w, "status: FAILED\nerror: %v\n", runErr)
 	} else {

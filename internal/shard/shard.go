@@ -435,7 +435,6 @@ func (c *Coordinator) shardRequest(src, traceID string, opts tool.Options, nodes
 			RefineThreshold:       opts.RefineThreshold,
 			LoopTol:               opts.LoopTol,
 			Workers:               opts.Workers,
-			Naive:                 opts.Naive,
 			OnlyNodes:             nodes,
 		},
 	}

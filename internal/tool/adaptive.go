@@ -14,19 +14,16 @@ package tool
 // per-node independent — depends only on the node itself. Each round, all
 // nodes that want more resolution are swept together over the union of
 // their wanted frequencies, so every new frequency is stamped and
-// refactored once per round (K lanes at a time underneath) and the fixed
-// per-sweep cost — reach-plan construction, workspace setup — is paid per
-// round, not per distinct want-list. A node may get solved at a few
+// refactored once per round and the fixed per-sweep cost — reach-plan
+// construction, workspace setup — is paid per round, not per distinct
+// want-list. A node may get solved at a few
 // frequencies it did not ask for; those values are dropped, which is safe
 // because solutions are per-(node, frequency) independent.
 
 import (
 	"context"
-	"errors"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"acstab/internal/acerr"
 	"acstab/internal/analysis"
@@ -70,8 +67,12 @@ func (t *Tool) refineOptions() stab.RefineOptions {
 
 // maxRefineRounds is how many bisection rounds the coarse-to-cap ratio
 // can need: log2(cap/coarse) halvings plus slack for the threshold tier
-// discovering new hot intervals as peaks sharpen.
+// discovering new hot intervals as peaks sharpen. It is 0 unless adaptive
+// grids are on.
 func (t *Tool) maxRefineRounds() int {
+	if !t.adaptive() {
+		return 0
+	}
 	r := 2
 	for ppd := t.Opts.CoarsePointsPerDecade; ppd < t.Opts.RefinePointsPerDecade; ppd *= 2 {
 		r++
@@ -168,49 +169,43 @@ func (g *nodeGrid) merge(r refiner, vals []complex128) {
 	g.freqs, g.zs, g.u, g.lnm = outF, outZ, outU, outL
 }
 
-// adaptiveColumns runs the two-level sweep for the given node indices and
-// returns each node's final frequency grid and impedance column. It also
-// publishes the adaptive trace counters:
+// refine runs up to maxRounds bisection rounds over the first-pass samples
+// of the nodes idx, replacing each refined node's freqs[i] and cols[i],
+// and returns the distinct frequencies it factored (the sum of the rounds'
+// unions). It also publishes the adaptive trace counters:
 //
 //	adaptive_rounds         refinement rounds executed
 //	adaptive_refined_points (node, frequency) points added by refinement
 //	adaptive_solve_pairs    total (node, frequency) points solved
 //	adaptive_dense_pairs    what the dense uniform sweep would have solved
-func (t *Tool) adaptiveColumns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]float64, [][]complex128, error) {
-	coarse := num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, t.Opts.CoarsePointsPerDecade)
-	sp := obs.StartPhase(t.Opts.Trace, "coarse_sweep")
-	cols, err := t.parallelColumns(ctx, coarse, op, idx)
-	sp.End()
-	if err != nil {
-		return nil, nil, err
+func (t *Tool) refine(ctx context.Context, op *mna.OpPoint, idx []int, maxRounds int, freqs [][]float64, cols [][]complex128) (int64, error) {
+	if len(idx) == 0 {
+		return 0, nil
 	}
-	coarseU := make([]float64, len(coarse))
-	for i, f := range coarse {
-		coarseU[i] = math.Log(f)
+	sp := obs.StartPhase(t.Opts.Trace, "refine_sweep")
+	defer sp.End()
+	// Every node starts on the one first-pass grid, so its log shadow is
+	// computed once and shared until a merge gives a node its own arrays.
+	grid := freqs[0]
+	u := make([]float64, len(grid))
+	for j, f := range grid {
+		u[j] = math.Log(f)
 	}
 	grids := make([]nodeGrid, len(idx))
-	for i := range idx {
-		lnm := make([]float64, len(coarse))
+	for i := range grids {
+		lnm := make([]float64, len(grid))
 		for j, z := range cols[i] {
 			lnm[j] = stab.LogMag(math.Hypot(real(z), imag(z)))
 		}
-		grids[i] = nodeGrid{
-			freqs: append([]float64(nil), coarse...),
-			zs:    cols[i],
-			u:     coarseU,
-			lnm:   lnm,
-		}
+		grids[i] = nodeGrid{freqs: grid, zs: cols[i], u: u, lnm: lnm}
 	}
-	solvePairs := int64(len(coarse)) * int64(len(idx))
-	var rounds, refined int64
+	solvePairs := int64(len(grid)) * int64(len(idx))
+	var points, rounds, refined int64
 
 	ropt := t.refineOptions()
-	maxRounds := t.maxRefineRounds()
-	sp = obs.StartPhase(t.Opts.Trace, "refine_sweep")
-	defer sp.End()
 	for round := 0; round < maxRounds; round++ {
 		if err := acerr.Ctx(ctx); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		// Per-node refinement decisions; every node that wants more
 		// resolution joins this round's union sweep.
@@ -228,16 +223,33 @@ func (t *Tool) adaptiveColumns(ctx context.Context, op *mna.OpPoint, idx []int) 
 			break
 		}
 		rounds++
+		// One sweep per worker chunk of refining nodes over the whole
+		// union, so the reach plan and workspace are built once per round
+		// per worker, not once per distinct want-list.
 		union := unionFreqs(refiners)
+		points += int64(len(union))
 		solvePairs += int64(len(union)) * int64(len(refiners))
-		if err := t.solveRound(ctx, op, idx, refiners, union, grids); err != nil {
-			return nil, nil, err
+		err := t.fanOut(ctx, len(refiners), func(ctx context.Context, sim *analysis.Sim, lo, hi int) error {
+			chunk := refiners[lo:hi]
+			nodes := make([]int, len(chunk))
+			for ci, r := range chunk {
+				nodes[ci] = idx[r.i]
+			}
+			sub, err := sim.ImpedanceDiagSweep(ctx, union, op, nodes)
+			if err != nil {
+				return err
+			}
+			for ci, r := range chunk {
+				grids[r.i].merge(r, subsetVals(union, sub[ci], r.want))
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
-	freqs := make([][]float64, len(idx))
 	for i := range grids {
-		freqs[i] = grids[i].freqs
-		cols[i] = grids[i].zs
+		freqs[i], cols[i] = grids[i].freqs, grids[i].zs
 	}
 
 	tr := t.Opts.Trace
@@ -248,72 +260,5 @@ func (t *Tool) adaptiveColumns(ctx context.Context, op *mna.OpPoint, idx []int) 
 	tr.Add("adaptive_dense_pairs", densePairs)
 	mAdaptiveRounds.Add(rounds)
 	mAdaptiveRefined.Add(refined)
-	return freqs, cols, nil
-}
-
-// solveRound sweeps one refinement round: all refining nodes over the
-// union frequency list, chunked across the worker pool by node the same
-// way the dense sweep is, then each node's wanted subset merged into its
-// arrays. One sweep per worker-chunk means the reach plan and the K-lane
-// batch workspace are built once per round per worker, not once per
-// distinct want-list.
-func (t *Tool) solveRound(ctx context.Context, op *mna.OpPoint, idx []int, refiners []refiner, union []float64, grids []nodeGrid) error {
-	solve := func(sim *analysis.Sim, chunk []refiner) error {
-		nodes := make([]int, len(chunk))
-		for ci, r := range chunk {
-			nodes[ci] = idx[r.i]
-		}
-		sub, err := sim.ImpedanceDiagSweep(ctx, union, op, nodes)
-		if err != nil {
-			return err
-		}
-		for ci, r := range chunk {
-			grids[r.i].merge(r, subsetVals(union, sub[ci], r.want))
-		}
-		return nil
-	}
-	workers := t.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(refiners) {
-		workers = len(refiners)
-	}
-	if workers <= 1 {
-		mWorkersBusy.Inc()
-		defer mWorkersBusy.Dec()
-		return solve(t.Sim, refiners)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(refiners)/workers, (w+1)*len(refiners)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []refiner) {
-			defer wg.Done()
-			mWorkersBusy.Inc()
-			defer mWorkersBusy.Dec()
-			if err := acerr.Ctx(ctx); err != nil {
-				return
-			}
-			if err := solve(t.Sim.Fork(), chunk); err != nil {
-				errCh <- err
-				cancel()
-			}
-		}(refiners[lo:hi])
-	}
-	wg.Wait()
-	close(errCh)
-	var firstErr error
-	for err := range errCh {
-		if firstErr == nil || (errors.Is(firstErr, acerr.ErrCanceled) && !errors.Is(err, acerr.ErrCanceled)) {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return points, nil
 }

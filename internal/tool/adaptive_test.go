@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,7 +49,11 @@ func randomTankLadder(rng *rand.Rand, k int) (*netlist.Circuit, []float64, []flo
 // randomized RLC ladders, an adaptive run must (a) find the same loops as
 // the dense uniform sweep, (b) land each loop's fn and zeta within the
 // method's own tolerance, and (c) solve strictly fewer (node, frequency)
-// pairs than the dense grid would.
+// pairs than the dense grid would. Both runs' sweep_freq_points count
+// distinct frequencies factored: the uniform run its one grid, the
+// adaptive run the coarse grid plus each round's union — at least every
+// frequency any node's final grid holds, at most the coarse grid plus
+// every refined point.
 func TestAdaptiveMatchesDenseQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,6 +63,7 @@ func TestAdaptiveMatchesDenseQuick(t *testing.T) {
 		dense := DefaultOptions()
 		dense.FStart, dense.FStop = 1e3, 1e9
 		dense.Workers = 1
+		dense.Trace = obs.StartRun("dense-quick")
 		dt, err := New(ckt, dense)
 		if err != nil {
 			return false
@@ -69,6 +75,7 @@ func TestAdaptiveMatchesDenseQuick(t *testing.T) {
 
 		adaptive := dense
 		adaptive.CoarsePointsPerDecade = 8
+		adaptive.Workers = 2 // both passes split across the fan-out
 		adaptive.Trace = obs.StartRun("adaptive-quick")
 		at, err := New(ckt, adaptive)
 		if err != nil {
@@ -94,7 +101,35 @@ func TestAdaptiveMatchesDenseQuick(t *testing.T) {
 				return false
 			}
 		}
+		dtr := dense.Trace.Trace()
+		grid := num.LogGridPPD(dense.FStart, dense.FStop, dense.PointsPerDecade)
+		if n := dtr.Counters["sweep_freq_points"]; n != int64(len(grid)) {
+			t.Logf("seed %d: uniform sweep_freq_points %d, want the %d-point grid", seed, n, len(grid))
+			return false
+		}
+		for k := range dtr.Counters {
+			if strings.HasPrefix(k, "adaptive_") {
+				t.Logf("seed %d: uniform run published %s", seed, k)
+				return false
+			}
+		}
+
 		tr := adaptive.Trace.Trace()
+		coarse := num.LogGridPPD(adaptive.FStart, adaptive.FStop, adaptive.CoarsePointsPerDecade)
+		distinct := map[float64]bool{}
+		for _, nr := range arep.Nodes {
+			if nr.Impedance != nil {
+				for _, f := range nr.Impedance.X {
+					distinct[f] = true
+				}
+			}
+		}
+		points := tr.Counters["sweep_freq_points"]
+		if points < int64(len(distinct)) || points > int64(len(coarse))+tr.Counters["adaptive_refined_points"] {
+			t.Logf("seed %d: adaptive sweep_freq_points %d outside [%d distinct, %d coarse + %d refined]",
+				seed, points, len(distinct), len(coarse), tr.Counters["adaptive_refined_points"])
+			return false
+		}
 		pairs := tr.Counters["adaptive_solve_pairs"]
 		densePairs := tr.Counters["adaptive_dense_pairs"]
 		if pairs <= 0 || densePairs <= 0 || pairs >= densePairs {
@@ -128,6 +163,7 @@ func TestAdaptiveSingleNode(t *testing.T) {
 
 	adaptive := dense
 	adaptive.CoarsePointsPerDecade = 8
+	adaptive.Trace = obs.StartRun("adaptive-single")
 	at, err := New(ckt, adaptive)
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +187,11 @@ func TestAdaptiveSingleNode(t *testing.T) {
 	aw, dw := an.Impedance, dn.Impedance
 	if aw.Len() >= dw.Len() {
 		t.Errorf("adaptive grid has %d points, dense %d — no reduction", aw.Len(), dw.Len())
+	}
+	// One node's rounds each factor exactly that node's new points, so the
+	// distinct frequencies factored are exactly its final grid.
+	if n := adaptive.Trace.Trace().Counters["sweep_freq_points"]; n != int64(aw.Len()) {
+		t.Errorf("sweep_freq_points = %d, want the node's %d-point final grid", n, aw.Len())
 	}
 	// Spacing near the resonance must reach the dense resolution while the
 	// flat regions stay coarse.
@@ -178,8 +219,8 @@ func TestAdaptiveSingleNode(t *testing.T) {
 
 // TestAdaptiveOptionValidation pins the satellite flag-validation
 // contract: negative grid knobs, refine caps below the coarse resolution
-// or above the unbounded-refinement guard, and naive+adaptive are all
-// rejected at Tool construction.
+// or above the unbounded-refinement guard are all rejected at Tool
+// construction.
 func TestAdaptiveOptionValidation(t *testing.T) {
 	base := DefaultOptions()
 	cases := []struct {
@@ -196,10 +237,6 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 		{"unbounded refine", func(o *Options) {
 			o.CoarsePointsPerDecade = 8
 			o.RefinePointsPerDecade = 20000
-		}},
-		{"naive adaptive", func(o *Options) {
-			o.CoarsePointsPerDecade = 8
-			o.Naive = true
 		}},
 	}
 	ckt, _, _ := randomTankLadder(rand.New(rand.NewSource(1)), 1)

@@ -158,9 +158,6 @@ func withRunDefaults(opts Options) (Options, error) {
 		return opts, fmt.Errorf("tool: refine threshold must be >= 0 (0 = default %g), got %g", defRefineThreshold, opts.RefineThreshold)
 	}
 	if opts.CoarsePointsPerDecade > 0 {
-		if opts.Naive {
-			return opts, fmt.Errorf("tool: adaptive grids and -naive are mutually exclusive (the naive ablation sweeps the dense uniform grid)")
-		}
 		if opts.RefinePointsPerDecade == 0 {
 			opts.RefinePointsPerDecade = opts.PointsPerDecade
 		}

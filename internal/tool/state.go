@@ -21,7 +21,6 @@ type State struct {
 	PointsPerDecade int                `json:"points_per_decade"`
 	LoopTol         float64            `json:"loop_tol"`
 	Workers         int                `json:"workers"`
-	Naive           bool               `json:"naive,omitempty"`
 	SkipNodes       []string           `json:"skip_nodes,omitempty"`
 	TempC           *float64           `json:"temp_c,omitempty"`
 	Variables       map[string]float64 `json:"variables,omitempty"`
@@ -40,7 +39,6 @@ func CaptureState(ckt *netlist.Circuit, opts Options) *State {
 		PointsPerDecade: opts.PointsPerDecade,
 		LoopTol:         opts.LoopTol,
 		Workers:         opts.Workers,
-		Naive:           opts.Naive,
 		SkipNodes:       append([]string(nil), opts.SkipNodes...),
 	}
 	if ckt != nil {
@@ -91,7 +89,6 @@ func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 		opts.LoopTol = s.LoopTol
 	}
 	opts.Workers = s.Workers
-	opts.Naive = s.Naive
 	if len(s.SkipNodes) > 0 {
 		opts.SkipNodes = append([]string(nil), s.SkipNodes...)
 	}

@@ -55,6 +55,24 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateLegacyNaiveFieldLoads pins state-file compatibility: files
+// saved while the tool still had a naive per-node sweep mode carry
+// "naive": true, and they must keep loading now that the mode is gone.
+func TestStateLegacyNaiveFieldLoads(t *testing.T) {
+	st, err := LoadState(strings.NewReader(`{"version": 1, "fstart_hz": 1e4, "fstop_hz": 1e8,
+		"points_per_decade": 25, "loop_tol": 0.1, "workers": 2, "naive": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	if err := st.Apply(nil, &opts, false); err != nil {
+		t.Fatal(err)
+	}
+	if opts.FStart != 1e4 || opts.FStop != 1e8 || opts.PointsPerDecade != 25 || opts.Workers != 2 {
+		t.Errorf("options not restored: %+v", opts)
+	}
+}
+
 func TestStateVariableOverrideReevaluates(t *testing.T) {
 	c, _ := netlist.Parse(paramTank)
 	st := CaptureState(c, DefaultOptions())

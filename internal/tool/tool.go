@@ -61,13 +61,9 @@ type Options struct {
 	Stab            stab.Options
 	// LoopTol is the relative frequency tolerance for loop clustering.
 	LoopTol float64
-	// Workers sets the parallel worker count for the all-nodes sweep
-	// (0 = GOMAXPROCS, 1 = serial).
+	// Workers sets the parallel sweep worker count (0 = GOMAXPROCS,
+	// 1 = serial).
 	Workers int
-	// Naive forces one independent AC sweep per node (the paper's
-	// original flow) instead of sharing one factorization per frequency
-	// across all injection nodes. Kept for the ablation benchmark.
-	Naive bool
 	// AutoZeroAC disables pre-existing AC stimuli before the run
 	// (default true, matching the tool's feature list).
 	AutoZeroAC bool
@@ -191,11 +187,6 @@ func (t *Tool) ensureOP(ctx context.Context) (*mna.OpPoint, error) {
 	return t.op, nil
 }
 
-// Grid returns the frequency grid of this run.
-func (t *Tool) Grid() []float64 {
-	return num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, t.Opts.PointsPerDecade)
-}
-
 // drivenThreshold is the |Z| below which a node counts as driven by an
 // ideal source and is skipped.
 const drivenThreshold = 1e-9
@@ -218,33 +209,13 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 		return nil, err
 	}
 	mSingleNodeRuns.Inc()
-	if t.adaptive() {
-		// The adaptive engine produces the same driving-point values the
-		// full-column sweep would (the diag kernel is bitwise-identical to
-		// full substitutions on the shared factorization), on a per-node
-		// grid focused around this node's resonances.
-		perNode, cols, aerr := t.adaptiveColumns(ctx, op, []int{idx})
-		if aerr != nil {
-			return nil, aerr
-		}
-		mSweepNodes.Inc()
-		mSweepPoints.Add(int64(len(perNode[0])))
-		sp := obs.StartPhase(t.Opts.Trace, "stability")
-		defer sp.End()
-		return t.analyzeColumn(strings.ToLower(node), perNode[0], cols[0])
-	}
-	freqs := t.Grid()
-	sp := obs.StartPhase(t.Opts.Trace, "sweep")
-	cols, err := t.Sim.ImpedanceMatrixColumns(ctx, freqs, op, []int{idx})
-	sp.End()
+	freqs, cols, err := t.columns(ctx, op, []int{idx})
 	if err != nil {
 		return nil, err
 	}
-	mSweepNodes.Inc()
-	mSweepPoints.Add(int64(len(freqs)))
-	sp = obs.StartPhase(t.Opts.Trace, "stability")
+	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	defer sp.End()
-	return t.analyzeColumn(strings.ToLower(node), freqs, cols[0])
+	return t.analyzeColumn(strings.ToLower(node), freqs[0], cols[0])
 }
 
 // analyzeColumn converts one impedance column into a NodeResult.
@@ -353,8 +324,8 @@ func (t *Tool) subcktNodes(prefix string) map[string]bool {
 
 // AllNodes runs the "All Nodes" mode: every non-ground node is probed and
 // the results clustered into loops. The sweep shares one matrix
-// factorization per frequency across all nodes and distributes frequency
-// points over a worker pool unless Options.Naive is set.
+// factorization per frequency across all nodes and distributes the work
+// over the sweep worker pool.
 //
 // A canceled (or deadline-expired) ctx aborts the run within one linear
 // solve: the operating-point Newton loop, every sweep worker, and the
@@ -367,41 +338,9 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	}
 	mAllNodesRuns.Inc()
 	idx, names := t.nodeList()
-	mSweepNodes.Add(int64(len(idx)))
-	t.Opts.Trace.Add("sweep_nodes", int64(len(idx)))
-
-	// nodeFreqs returns node i's frequency grid: per-node on the adaptive
-	// path, the shared dense grid otherwise.
-	var cols [][]complex128
-	var nodeFreqs func(i int) []float64
-	if t.adaptive() {
-		var perNode [][]float64
-		perNode, cols, err = t.adaptiveColumns(ctx, op, idx)
-		if err != nil {
-			return nil, err
-		}
-		var pts int64
-		for _, f := range perNode {
-			pts += int64(len(f))
-		}
-		mSweepPoints.Add(pts)
-		t.Opts.Trace.Add("sweep_freq_points", pts)
-		nodeFreqs = func(i int) []float64 { return perNode[i] }
-	} else {
-		freqs := t.Grid()
-		mSweepPoints.Add(int64(len(freqs)))
-		t.Opts.Trace.Add("sweep_freq_points", int64(len(freqs)))
-		sp := obs.StartPhase(t.Opts.Trace, "sweep")
-		if t.Opts.Naive {
-			cols, err = t.naiveColumns(ctx, freqs, op, idx)
-		} else {
-			cols, err = t.parallelColumns(ctx, freqs, op, idx)
-		}
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		nodeFreqs = func(int) []float64 { return freqs }
+	freqs, cols, err := t.columns(ctx, op, idx)
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &Report{
@@ -416,7 +355,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 			sp.End()
 			return nil, err
 		}
-		nr, err := t.analyzeColumn(name, nodeFreqs(i), cols[i])
+		nr, err := t.analyzeColumn(name, freqs[i], cols[i])
 		if err != nil {
 			sp.End()
 			return nil, err
@@ -436,100 +375,135 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// parallelColumns computes impedance columns with frequency points
-// distributed across workers; within each frequency one factorization
-// serves every injection node. The first worker failure cancels the
-// remaining workers so a dying run releases its CPUs promptly.
-func (t *Tool) parallelColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
-	workers := t.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// columns is the one sweep driver behind SingleNode and AllNodes. Its
+// first pass sweeps every node over the user's grid — PointsPerDecade, or
+// CoarsePointsPerDecade when adaptive grids are on — and then
+// maxRefineRounds() refinement rounds (0 unless adaptive) bisect each
+// node's resonant intervals. It returns each node's frequency grid and
+// impedance column; without refinement every node's grid aliases the one
+// first-pass slice.
+//
+// It publishes the sweep volume: sweep_nodes, and sweep_freq_points, the
+// distinct frequencies factored (the first-pass grid plus each refinement
+// round's union).
+func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]float64, [][]complex128, error) {
+	mSweepNodes.Add(int64(len(idx)))
+	t.Opts.Trace.Add("sweep_nodes", int64(len(idx)))
+	ppd, phase := t.Opts.PointsPerDecade, "sweep"
+	if t.adaptive() {
+		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
 	}
-	if workers > len(freqs) {
-		workers = len(freqs)
+	grid := num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, ppd)
+	sp := obs.StartPhase(t.Opts.Trace, phase)
+	cols, err := t.sweepGrid(ctx, grid, op, idx)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	cols := make([][]complex128, len(idx))
-	for i := range cols {
-		cols[i] = make([]complex128, len(freqs))
+	freqs := make([][]float64, len(idx))
+	for i := range freqs {
+		freqs[i] = grid
 	}
+	points := int64(len(grid))
+	if rounds := t.maxRefineRounds(); rounds > 0 {
+		refined, err := t.refine(ctx, op, idx, rounds, freqs, cols)
+		if err != nil {
+			return nil, nil, err
+		}
+		points += refined
+	}
+	mSweepPoints.Add(points)
+	t.Opts.Trace.Add("sweep_freq_points", points)
+	return freqs, cols, nil
+}
+
+// sweepGrid computes every node's impedance column over one frequency
+// grid, with the frequencies chunked across the worker pool; within each
+// frequency one factorization serves every injection node. A serial sweep
+// returns the solver's columns as they are; only a split sweep allocates
+// the output it stitches the chunks into.
+func (t *Tool) sweepGrid(ctx context.Context, grid []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
+	var cols [][]complex128
+	if t.workers(len(grid)) > 1 {
+		cols = make([][]complex128, len(idx))
+		for i := range cols {
+			cols[i] = make([]complex128, len(grid))
+		}
+	}
+	err := t.fanOut(ctx, len(grid), func(ctx context.Context, sim *analysis.Sim, lo, hi int) error {
+		sub, err := sim.ImpedanceDiagSweep(ctx, grid[lo:hi], op, idx)
+		if err != nil {
+			return err
+		}
+		if cols == nil {
+			cols = sub
+			return nil
+		}
+		for i := range idx {
+			copy(cols[i][lo:hi], sub[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cols, nil
+}
+
+// workers is the sweep worker count for n units of work: Options.Workers
+// (0 = GOMAXPROCS), capped at n.
+func (t *Tool) workers(n int) int {
+	w := t.Opts.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > n {
+		w = n
+	}
+	return w
+}
+
+// fanOut splits [0, n) into one contiguous chunk per worker and runs work
+// on each. A single worker runs inline on t.Sim. Otherwise every chunk
+// gets its own goroutine and its own Sim fork: the sweep owns per-call
+// numeric workspaces, while Fork shares the read-only compiled system, the
+// concurrency-safe trace, and the symbolic analysis cache — and with it
+// the diag-kernel reach sets — so the pivot order, fill pattern, and plans
+// are computed once and reused by every worker. The first failure cancels
+// the remaining workers so a dying run releases its CPUs promptly, and the
+// root cause is reported: a real solver failure beats the secondary
+// cancellation errors it induced in sibling workers.
+func (t *Tool) fanOut(ctx context.Context, n int, work func(ctx context.Context, sim *analysis.Sim, lo, hi int) error) error {
+	workers := t.workers(n)
 	if workers <= 1 {
 		mWorkersBusy.Inc()
-		got, err := t.Sim.ImpedanceDiagSweep(ctx, freqs, op, idx)
-		mWorkersBusy.Dec()
-		if err != nil {
-			return nil, err
-		}
-		return got, nil
+		defer mWorkersBusy.Dec()
+		return work(ctx, t.Sim, 0, n)
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
-	chunk := (len(freqs) + workers - 1) / workers
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(freqs) {
-			hi = len(freqs)
-		}
-		if lo >= hi {
-			continue
-		}
+		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			mWorkersBusy.Inc()
 			defer mWorkersBusy.Dec()
-			// Each worker needs its own Sim wrapper: the impedance sweep
-			// owns per-sweep numeric workspaces, and the shared System is
-			// read-only during AC stamping. Fork shares the symbolic
-			// analysis cache — and with it the diag-kernel reach sets — so
-			// the pivot order, fill pattern, and plan are computed once and
-			// reused read-only by every worker. The trace is shared:
-			// obs.Run is concurrency-safe. Only driving-point entries are
-			// consumed here, so the diagonal sweep applies.
-			sim := t.Sim.Fork()
-			sub, err := sim.ImpedanceDiagSweep(ctx, freqs[lo:hi], op, idx)
-			if err != nil {
+			if err := work(wctx, t.Sim.Fork(), lo, hi); err != nil {
 				errCh <- err
 				cancel()
-				return
 			}
-			for i := range idx {
-				copy(cols[i][lo:hi], sub[i])
-			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	close(errCh)
-	// Report the root cause: a real solver failure beats the secondary
-	// cancellation errors it induced in sibling workers.
 	var firstErr error
 	for err := range errCh {
 		if firstErr == nil || (errors.Is(firstErr, acerr.ErrCanceled) && !errors.Is(err, acerr.ErrCanceled)) {
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return cols, nil
-}
-
-// naiveColumns mimics the paper's original flow: one complete AC sweep per
-// node, each refactoring the matrix at every frequency. The single worker
-// toggles the busy gauge just like the parallel path, so -naive runs
-// report their activity in /statusz instead of a constant zero.
-func (t *Tool) naiveColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
-	mWorkersBusy.Inc()
-	defer mWorkersBusy.Dec()
-	cols := make([][]complex128, len(idx))
-	for i, nodeIdx := range idx {
-		got, err := t.Sim.ImpedanceDiagSweep(ctx, freqs, op, []int{nodeIdx})
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = got[0]
-	}
-	return cols, nil
+	return firstErr
 }

@@ -4,31 +4,89 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
+	"acstab/internal/analysis"
 	"acstab/internal/circuits"
 	"acstab/internal/netlist"
 	"acstab/internal/num"
+	"acstab/internal/obs"
 )
 
+// TestSingleNodeSecondOrder runs Single Node mode on a second-order tank
+// under every AC solver selection. SingleNode sweeps through the diagonal
+// kernel (ImpedanceDiagSweep); its |Z| must match the full-column
+// ImpedanceMatrixColumns sweep of the same node to 1e-12 relative, and
+// its trace must count one node over the uniform grid with no adaptive
+// counters.
 func TestSingleNodeSecondOrder(t *testing.T) {
-	tl, err := New(circuits.SecondOrder(0.3, 1e6), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr, err := tl.SingleNode(context.Background(), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nr.Skipped || nr.Best == nil {
-		t.Fatalf("result: %+v", nr)
-	}
-	if !num.ApproxEqual(nr.Best.Freq, 1e6, 0.03, 0) ||
-		!num.ApproxEqual(nr.Best.Zeta, 0.3, 0.05, 0) {
-		t.Errorf("peak %+v", nr.Best)
-	}
-	if nr.Impedance == nil || nr.Stab == nil {
-		t.Error("missing waveforms")
+	for _, tc := range []struct {
+		name string
+		mode analysis.MatrixMode
+	}{
+		{"default", analysis.MatrixAuto},
+		{"forced dense", analysis.MatrixDense},
+		{"forced sparse", analysis.MatrixSparse},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Trace = obs.StartRun("single-node")
+			aopts := analysis.DefaultOptions()
+			aopts.Matrix = tc.mode
+			opts.Analysis = &aopts
+			tl, err := New(circuits.SecondOrder(0.3, 1e6), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nr, err := tl.SingleNode(context.Background(), "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nr.Skipped || nr.Best == nil {
+				t.Fatalf("result: %+v", nr)
+			}
+			if !num.ApproxEqual(nr.Best.Freq, 1e6, 0.03, 0) ||
+				!num.ApproxEqual(nr.Best.Zeta, 0.3, 0.05, 0) {
+				t.Errorf("peak %+v", nr.Best)
+			}
+			if nr.Impedance == nil || nr.Stab == nil {
+				t.Fatal("missing waveforms")
+			}
+
+			grid := num.LogGridPPD(opts.FStart, opts.FStop, opts.PointsPerDecade)
+			k, _ := tl.Sys.NodeOf("t")
+			op, err := tl.ensureOP(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := tl.Sim.ImpedanceMatrixColumns(context.Background(), grid, op, []int{k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nr.Impedance.Len() != len(grid) {
+				t.Fatalf("single-node grid has %d points, want %d", nr.Impedance.Len(), len(grid))
+			}
+			for i, z := range ref[0] {
+				want := cmplx.Abs(z)
+				if got := real(nr.Impedance.Y[i]); math.Abs(got-want) > 1e-12*want {
+					t.Fatalf("|Z| at %g Hz = %.17g, full-column sweep %.17g", grid[i], got, want)
+				}
+			}
+
+			tr := opts.Trace.Trace()
+			if n := tr.Counters["sweep_nodes"]; n != 1 {
+				t.Errorf("sweep_nodes = %d, want 1", n)
+			}
+			if n := tr.Counters["sweep_freq_points"]; n != int64(len(grid)) {
+				t.Errorf("sweep_freq_points = %d, want the %d-point grid", n, len(grid))
+			}
+			for k := range tr.Counters {
+				if strings.HasPrefix(k, "adaptive_") {
+					t.Errorf("uniform run published %s", k)
+				}
+			}
+		})
 	}
 }
 
@@ -171,31 +229,67 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("node %s peaks differ: %+v vs %+v", a.Node, a.Best, b.Best)
 		}
 	}
+
+	// The serial sweep hands the solver's columns straight through: it
+	// allocates no more than one ImpedanceDiagSweep call plus a few
+	// constant-size objects (grid, per-node grid headers, the fan-out
+	// closure), never a second len(nodes)×len(grid) output.
+	const slack = 8
+	if len(serial.Nodes) <= slack {
+		t.Fatalf("only %d nodes: a per-node output copy would hide inside the slack", len(serial.Nodes))
+	}
+	opts := DefaultOptions()
+	opts.Workers = 1
+	tl, err := New(circuits.FullCircuit(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	op, err := tl.ensureOP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, _ := tl.nodeList()
+	grid := num.LogGridPPD(opts.FStart, opts.FStop, opts.PointsPerDecade)
+	sweep := testing.AllocsPerRun(5, func() {
+		if _, err := tl.Sim.ImpedanceDiagSweep(ctx, grid, op, idx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	driver := testing.AllocsPerRun(5, func() {
+		if _, _, err := tl.columns(ctx, op, idx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if driver > sweep+slack {
+		t.Errorf("serial all-nodes sweep allocates %v times, ImpedanceDiagSweep alone %v", driver, sweep)
+	}
 }
 
+// TestNaiveMatchesShared checks the paper's original flow — one
+// independent sweep per node, here one Single Node run each — against
+// the all-nodes sweep that shares one factorization per frequency across
+// every node: each node's peak must come out the same either way.
 func TestNaiveMatchesShared(t *testing.T) {
-	mk := func(naive bool) *Report {
-		opts := DefaultOptions()
-		opts.Naive = naive
-		opts.PointsPerDecade = 20 // keep the naive run quick
-		tl, err := New(circuits.BiasCircuit(circuits.BiasDefaults()), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := tl.AllNodes(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	opts := DefaultOptions()
+	opts.PointsPerDecade = 20 // keep the per-node runs quick
+	tl, err := New(circuits.BiasCircuit(circuits.BiasDefaults()), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shared := mk(false)
-	naive := mk(true)
-	for i := range shared.Nodes {
-		a, b := shared.Nodes[i], naive.Nodes[i]
-		if a.Best == nil != (b.Best == nil) {
+	shared, err := tl.AllNodes(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range shared.Nodes {
+		b, err := tl.SingleNode(context.Background(), a.Node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Skipped != b.Skipped || a.Best == nil != (b.Best == nil) {
 			t.Fatalf("node %s best mismatch", a.Node)
 		}
-		if a.Best != nil && cmplx.Abs(complex(a.Best.Value-b.Best.Value, 0)) > 1e-9 {
+		if a.Best != nil && math.Abs(a.Best.Value-b.Best.Value) > 1e-9 {
 			t.Fatalf("node %s: %g vs %g", a.Node, a.Best.Value, b.Best.Value)
 		}
 	}

@@ -53,15 +53,6 @@ type ACResult struct {
 	res *analysis.ACResult
 }
 
-// ACSweep runs a small-signal sweep from fstart to fstop (Hz) at ppd
-// points per decade, using the circuit's AC sources as excitation.
-//
-// Deprecated: use ACSweepContext, which can be canceled and deadlined.
-// This wrapper runs with context.Background().
-func (c *Circuit) ACSweep(fstart, fstop float64, ppd int) (*ACResult, error) {
-	return c.ACSweepContext(context.Background(), fstart, fstop, ppd)
-}
-
 // ACSweepContext runs a small-signal sweep from fstart to fstop (Hz) at
 // ppd points per decade, using the circuit's AC sources as excitation.
 //
@@ -153,15 +144,6 @@ type TranResult struct {
 	res *analysis.TranResult
 }
 
-// Transient runs a fixed-step transient simulation to tstop with step
-// tstep, driven by the circuit's time-dependent sources.
-//
-// Deprecated: use TransientContext, which can be canceled and
-// deadlined. This wrapper runs with context.Background().
-func (c *Circuit) Transient(tstop, tstep float64) (*TranResult, error) {
-	return c.TransientContext(context.Background(), tstop, tstep)
-}
-
 // TransientContext runs a fixed-step transient simulation to tstop with
 // step tstep, driven by the circuit's time-dependent sources.
 //
@@ -246,15 +228,6 @@ type Pole struct {
 	FreqHz float64
 	// Zeta is the damping ratio (1 for real poles, negative for RHP).
 	Zeta float64
-}
-
-// Poles computes the exact natural frequencies of the circuit
-// linearized at its operating point, restricted to [minHz, maxHz].
-//
-// Deprecated: use PolesContext, which can be canceled and deadlined.
-// This wrapper runs with context.Background().
-func (c *Circuit) Poles(minHz, maxHz float64) ([]Pole, error) {
-	return c.PolesContext(context.Background(), minHz, maxHz)
 }
 
 // PolesContext computes the exact natural frequencies of the circuit
