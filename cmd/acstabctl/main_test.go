@@ -77,8 +77,11 @@ func TestTopSmoke(t *testing.T) {
 	a, _, fl := twoWorkers(t)
 	postRun(t, a)
 
+	// n = 0 lists every merged counter: the smoke test checks that the
+	// farm's counters render, not where one of them ranks among the
+	// solver counters a run bumps.
 	var out bytes.Buffer
-	if err := runTop(context.Background(), &out, fl, 10); err != nil {
+	if err := runTop(context.Background(), &out, fl, 0); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()

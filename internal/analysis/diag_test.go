@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"acstab/internal/circuits"
 	"acstab/internal/netlist"
 	"acstab/internal/obs"
 	"acstab/internal/sparse"
@@ -76,6 +77,61 @@ func TestImpedanceDiagSweepProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDefaultPathSparseEquivalence: under DefaultOptions every paper
+// circuit, from the 2-unknown tank to the 64-unknown resonator field,
+// sweeps on the sparse two-phase path — one symbolic build, then pivot-free
+// refactorizations — and its driving-point diagonal matches the
+// forced-dense oracle to the same 1e-9 scale-relative tolerance as
+// TestImpedanceDiagSweepProperty.
+func TestDefaultPathSparseEquivalence(t *testing.T) {
+	freqs := sweepFreqs(40)
+	for _, tc := range []struct {
+		name string
+		ckt  *netlist.Circuit
+		n    int // MNA unknowns; 0 = not pinned
+	}{
+		{"tank", circuits.SecondOrder(0.3, 1e6), 2},
+		{"fig4-buffer", circuits.OpAmpBuffer(circuits.OpAmpDefaults()), 7},
+		{"bias-cell", circuits.BiasCircuit(circuits.BiasDefaults()), 10},
+		{"table2-full", circuits.FullCircuit(), 17},
+		{"transistor-opamp", circuits.TransistorOpAmp(), 0},
+		{"field-32", circuits.ResonatorField(32, 1e6, 0.25), 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := compile(t, tc.ckt)
+			if n := s.Sys.NumUnknowns(); tc.n != 0 && n != tc.n {
+				t.Fatalf("%d unknowns, want %d", n, tc.n)
+			}
+			op := mustOP(t, s)
+			idx := allNodeIdx(s)
+			s.Trace = obs.StartRun("default-path")
+			z, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.Trace.Trace().Counters
+			if c["ac_refactorizations"] == 0 || c["ac_symbolic_builds"] != 1 {
+				t.Errorf("default path: ac_refactorizations=%d ac_symbolic_builds=%d, want >0 and 1",
+					c["ac_refactorizations"], c["ac_symbolic_builds"])
+			}
+			oracle := New(s.Sys)
+			oracle.Opt.Matrix = MatrixDense
+			zd, err := oracle.ImpedanceDiagSweep(context.Background(), freqs, op, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range idx {
+				for k := range freqs {
+					mag := math.Max(cmplx.Abs(zd[i][k]), 1e-12)
+					if d := cmplx.Abs(zd[i][k] - z[i][k]); d > 1e-9*mag {
+						t.Fatalf("node %d f=%g Hz: |dz| = %g vs |z| = %g", i, freqs[k], d, mag)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"acstab/internal/analysis"
 	"acstab/internal/netlist"
 	"acstab/internal/obs"
 	"acstab/internal/tool"
@@ -203,23 +202,9 @@ func TestCacheChecksumInvalidation(t *testing.T) {
 	key := KeyFor(tankNetlist, nil)
 	var calls atomic.Int32
 
-	// The tank is below the auto sparse threshold; force the sparse solver
-	// so the sweep builds the symbolic analysis whose checksum the cache
-	// validates.
-	aopt := analysis.DefaultOptions()
-	aopt.Matrix = analysis.MatrixSparse
-	opts := tool.DefaultOptions()
-	opts.Analysis = &aopt
-	compile := func() (*tool.Compiled, error) {
-		calls.Add(1)
-		ckt, err := netlist.Parse(tankNetlist)
-		if err != nil {
-			return nil, err
-		}
-		return tool.Compile(ckt, opts)
-	}
-
-	comp, _, err := c.Get(ctx, key, compile)
+	// The default options sweep on the sparse path, so the first sweep
+	// builds the symbolic analysis whose checksum the cache validates.
+	comp, _, err := c.Get(ctx, key, compileTank(&calls, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +263,56 @@ func TestCacheChecksumInvalidation(t *testing.T) {
 	}
 	if d := mCacheMisses.Value() - miss0; d != 1 {
 		t.Errorf("misses delta = %d, want 1 (the recompile)", d)
+	}
+}
+
+// TestCacheParamVariantsRevalidate: parameter variants of one netlist are
+// distinct entries with one stamp structure. After a default-options
+// sweep warms each, every later hit must revalidate as not stale — a
+// value change is not pattern drift — and all must share one checksum.
+func TestCacheParamVariantsRevalidate(t *testing.T) {
+	const variants = 16
+	c := NewCache(variants)
+	ctx := context.Background()
+	inv0 := mCacheInvalidations.Value()
+	var sig0 uint64
+	for v := 0; v < variants; v++ {
+		vars := map[string]float64{"rq": 300 + float64(v)}
+		key := KeyFor(tankNetlist, vars)
+		var calls atomic.Int32
+		comp, hit, err := c.Get(ctx, key, compileTank(&calls, vars))
+		if err != nil || hit {
+			t.Fatalf("variant %d: first Get hit=%v err=%v", v, hit, err)
+		}
+		tl, err := tool.NewFromCompiled(comp, tool.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tl.AllNodes(ctx); err != nil {
+			t.Fatalf("variant %d: %v", v, err)
+		}
+		sig, warm := comp.ACChecksum()
+		if !warm {
+			t.Fatalf("variant %d: default-path sweep left the entry cold", v)
+		}
+		if v == 0 {
+			sig0 = sig
+		} else if sig != sig0 {
+			t.Errorf("variant %d: checksum %x, want %x (same structure)", v, sig, sig0)
+		}
+		// The first warm hit records the checksum, the second checks it.
+		for i := 0; i < 2; i++ {
+			got, hit, err := c.Get(ctx, key, compileTank(&calls, vars))
+			if err != nil || !hit || got != comp {
+				t.Fatalf("variant %d hit %d: hit=%v same=%v err=%v", v, i, hit, got == comp, err)
+			}
+		}
+		if calls.Load() != 1 {
+			t.Errorf("variant %d compiled %d times, want 1", v, calls.Load())
+		}
+	}
+	if d := mCacheInvalidations.Value() - inv0; d != 0 {
+		t.Errorf("invalidations delta = %d, want 0", d)
 	}
 }
 

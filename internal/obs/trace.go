@@ -229,7 +229,7 @@ func (s *Span) End() {
 		return
 	}
 	dur := time.Since(s.start)
-	GetHistogram(`acstab_phase_duration_seconds{phase="` + s.phase + `"}`).Observe(dur.Seconds())
+	phaseHistogram(s.phase).Observe(dur.Seconds())
 	r := s.run
 	if r == nil {
 		return
@@ -245,6 +245,27 @@ func (s *Span) End() {
 		StartNS:    s.start.Sub(r.start).Nanoseconds(),
 		DurationNS: dur.Nanoseconds(),
 	})
+}
+
+// phaseHists caches each phase's duration histogram in the Default
+// registry, so closing a span costs neither a name concatenation nor a
+// registry lookup.
+var phaseHists = struct {
+	sync.Mutex
+	m map[string]*Histogram
+}{m: map[string]*Histogram{}}
+
+// phaseHistogram returns the `acstab_phase_duration_seconds{phase=...}`
+// histogram for phase.
+func phaseHistogram(phase string) *Histogram {
+	phaseHists.Lock()
+	defer phaseHists.Unlock()
+	h, ok := phaseHists.m[phase]
+	if !ok {
+		h = GetHistogram(`acstab_phase_duration_seconds{phase="` + phase + `"}`)
+		phaseHists.m[phase] = h
+	}
+	return h
 }
 
 // Trace snapshots the run. It can be called before Finish; the duration

@@ -169,6 +169,30 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpanEndAllocFree: closing an untraced span observes the cached
+// per-phase histogram — the same one the registry exposes — without
+// building its name or allocating at all.
+func TestSpanEndAllocFree(t *testing.T) {
+	const runs = 100
+	h := GetHistogram(`acstab_phase_duration_seconds{phase="alloc_phase"}`)
+	before := h.Count()
+	spans := make([]*Span, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range spans {
+		spans[i] = StartPhase(nil, "alloc_phase")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		spans[i].End()
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Span.End allocates %v times per call, want 0", allocs)
+	}
+	if got := h.Count() - before; got != runs+1 {
+		t.Errorf("histogram observed %d spans, want %d", got, runs+1)
+	}
+}
+
 func TestAddSlowPointsWorstK(t *testing.T) {
 	r := StartRun("slow")
 	for i := 0; i < 3*MaxSlowPoints; i++ {

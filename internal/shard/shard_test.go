@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"acstab/internal/circuits"
 	"acstab/internal/farm"
 	"acstab/internal/netlist"
+	"acstab/internal/num"
 	"acstab/internal/obs"
 	"acstab/internal/report"
 	"acstab/internal/tool"
@@ -161,6 +163,91 @@ func TestShardedAdaptiveMatchesUnsharded(t *testing.T) {
 			t.Errorf("loops=%d workers=%d shards=%d: adaptive json report differs\n--- sharded ---\n%s\n--- local ---\n%s",
 				tc.loops, tc.workers, tc.shards, gj, wj)
 		}
+	}
+}
+
+// TestSharedFrequencyAxis: a node's Impedance and Stab.Plot waves take
+// the sweep grid as their X axis without copying it, so every node swept
+// only on the first-pass grid shares one array. Nothing downstream may
+// write to it: after rendering every format, parsing the JSON back, a
+// sharded run of the same circuit and, with adaptive grids, the
+// refinement rounds, every axis must still hold its original values and
+// the sharded reports must still match the local one byte for byte.
+func TestSharedFrequencyAxis(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		coarsePPD int
+	}{{"uniform", 0}, {"adaptive", 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A resistive bystander node has a flat stability plot, so even
+			// an adaptive run keeps it on the first-pass grid.
+			ckt := circuits.ResonatorField(3, 1e6, 0.25)
+			ckt.AddR("RBY", "by", "0", 1e3)
+			src := netlist.Format(ckt)
+			opts := testOpts()
+			opts.Workers = 2 // the first pass and the refinement rounds fan out
+			opts.CoarsePointsPerDecade = tc.coarsePPD
+			ppd := opts.PointsPerDecade
+			if tc.coarsePPD > 0 {
+				ppd = tc.coarsePPD
+			}
+			grid := num.LogGridPPD(opts.FStart, opts.FStop, ppd)
+			rep := localReport(t, src, opts)
+
+			var shared []float64 // the first-pass grid as the waves hold it
+			axes := map[string][]float64{}
+			refined := 0
+			for _, nr := range rep.Nodes {
+				if nr.Skipped {
+					continue
+				}
+				x := nr.Impedance.X
+				if &nr.Stab.Plot.X[0] != &x[0] || len(nr.Stab.Plot.X) != len(x) {
+					t.Fatalf("node %s: stability plot does not alias the impedance axis", nr.Node)
+				}
+				axes[nr.Node] = slices.Clone(x)
+				if len(x) != len(grid) {
+					refined++
+					continue
+				}
+				if shared == nil {
+					shared = x
+				} else if &x[0] != &shared[0] {
+					t.Fatalf("node %s: first-pass axis is a copy, not the shared grid", nr.Node)
+				}
+			}
+			if shared == nil || !slices.Equal(shared, grid) {
+				t.Fatalf("no node holds the %d-point first-pass grid", len(grid))
+			}
+			if tc.coarsePPD > 0 && refined == 0 {
+				t.Fatal("adaptive run refined no node")
+			}
+
+			wt, wc, wj := renderAll(t, rep)
+			if _, err := report.ParseJSON(strings.NewReader(wj)); err != nil {
+				t.Fatal(err)
+			}
+			coord, err := New(Config{Workers: startWorkers(t, 2), Log: obs.NewEventLogger(nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := coord.AllNodes(context.Background(), src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gt, gc, gj := renderAll(t, got); gt != wt || gc != wc || gj != wj {
+				t.Error("sharded reports differ from the local run")
+			}
+
+			if !slices.Equal(shared, grid) {
+				t.Error("the shared first-pass grid was written to")
+			}
+			for _, nr := range rep.Nodes {
+				if want, ok := axes[nr.Node]; ok && !slices.Equal(nr.Impedance.X, want) {
+					t.Errorf("node %s: frequency axis was written to", nr.Node)
+				}
+			}
+		})
 	}
 }
 

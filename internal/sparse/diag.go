@@ -15,7 +15,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DiagPlan is the frozen road map of a batched diagonal extraction: for a
@@ -71,23 +71,26 @@ func (s *Symbolic) DiagPlan(nodes []int) (*DiagPlan, error) {
 		fptr:  make([]int32, len(nodes)+1),
 		bptr:  make([]int32, len(nodes)+1),
 	}
+	// All index scratch comes from one allocation.
+	scratch := make([]int32, 4*n+1+len(s.lsrc))
+	stepOf, scratch := scratch[:n], scratch[n:]
+	tptr, scratch := scratch[:n+1], scratch[n+1:]
+	next, scratch := scratch[:n], scratch[n:]
+	seen, tadj := scratch[:n], scratch[n:]
 	// stepOf: original row index -> elimination step. The injected RHS e_k
 	// permutes to a single 1 at the step that eliminated row k.
-	stepOf := make([]int32, n)
 	for k, r := range s.perm {
 		stepOf[r] = int32(k)
 	}
 	// Transpose the L pattern (stored by target row) into source-step ->
 	// target-steps adjacency, the edge direction a forward reach follows.
-	tptr := make([]int32, n+1)
 	for _, src := range s.lsrc {
 		tptr[src+1]++
 	}
 	for i := 0; i < n; i++ {
 		tptr[i+1] += tptr[i]
 	}
-	tadj := make([]int32, len(s.lsrc))
-	next := append([]int32(nil), tptr[:n]...)
+	copy(next, tptr[:n])
 	for t := 0; t < n; t++ {
 		for idx := s.lptr[t]; idx < s.lptr[t+1]; idx++ {
 			src := s.lsrc[idx]
@@ -97,7 +100,6 @@ func (s *Symbolic) DiagPlan(nodes []int) (*DiagPlan, error) {
 	}
 	// Per-node DFS with an epoch-stamped visited array so the scratch is
 	// shared across nodes without clearing.
-	seen := make([]int32, n)
 	stack := make([]int32, 0, 64)
 	epoch := int32(0)
 	reach := func(start int32, ptr []int32, adj []int32, out []int32) []int32 {
@@ -129,15 +131,15 @@ func (s *Symbolic) DiagPlan(nodes []int) (*DiagPlan, error) {
 		// order (every L edge goes from a lower to a higher step).
 		from := len(p.fstep)
 		p.fstep = reach(stepOf[node], tptr, tadj, p.fstep)
-		fs := p.fstep[from:]
-		sort.Slice(fs, func(a, b int) bool { return fs[a] < fs[b] })
+		slices.Sort(p.fstep[from:])
 		p.fptr[i+1] = int32(len(p.fstep))
 		// Backward reach from column node via the U pattern; descending so
 		// every dependency (a higher column) is solved first.
 		from = len(p.bstep)
 		p.bstep = reach(int32(node), s.uptr, s.ucol, p.bstep)
 		bs := p.bstep[from:]
-		sort.Slice(bs, func(a, b int) bool { return bs[a] > bs[b] })
+		slices.Sort(bs)
+		slices.Reverse(bs)
 		p.bptr[i+1] = int32(len(p.bstep))
 	}
 	return p, nil

@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 )
 
 // FNV-1a parameters for the structural checksum of a stamp-call stream.
@@ -99,29 +99,24 @@ func (r *Recorder) Add(i, j int, v complex128) {
 func (r *Recorder) Compile() *Pattern {
 	n := r.n
 	p := &Pattern{n: n, seq: make([]int32, len(r.calls)), sig: fnvOffset}
-	// Dedup positions and sort them row-major for the CSR layout.
-	keys := append([]int64(nil), r.calls...)
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	uniq := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			uniq = append(uniq, k)
-		}
-	}
+	// Dedup positions and sort them row-major for the CSR layout; a call's
+	// slot is then its key's rank among the unique keys.
+	uniq := slices.Clone(r.calls)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
 	p.rowPtr = make([]int32, n+1)
 	p.col = make([]int32, len(uniq))
-	slotOf := make(map[int64]int32, len(uniq))
 	for s, k := range uniq {
 		i, j := int(k/int64(n)), int(k%int64(n))
 		p.rowPtr[i+1]++
 		p.col[s] = int32(j)
-		slotOf[k] = int32(s)
 	}
 	for i := 0; i < n; i++ {
 		p.rowPtr[i+1] += p.rowPtr[i]
 	}
 	for t, k := range r.calls {
-		p.seq[t] = slotOf[k]
+		s, _ := slices.BinarySearch(uniq, k)
+		p.seq[t] = int32(s)
 		p.sig = (p.sig ^ uint64(k)) * fnvPrime
 	}
 	return p
@@ -210,16 +205,23 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 	if len(vals) != len(p.col) {
 		return nil, fmt.Errorf("sparse: values length %d, want %d", len(vals), len(p.col))
 	}
-	// Working rows as maps (one-time cost; the numeric phase never sees
-	// them). Structural entries are kept even when numerically zero.
-	work := make([]map[int32]complex128, n)
-	colScale := make([]float64, n)
-	rowScale := make([]float64, n)
+	// Working rows as unordered (column, value) slices, one-time cost (the
+	// numeric phase never sees them). Every row starts as a capacity-capped
+	// window of one shared copy of the pattern, so only a row that takes
+	// fill reallocates. Structural entries are kept even when numerically
+	// zero.
+	nnz := len(p.col)
+	colBuf := append(make([]int32, 0, nnz), p.col...)
+	valBuf := append(make([]complex128, 0, nnz), vals...)
+	wcol := make([][]int32, n)
+	wval := make([][]complex128, n)
+	scales := make([]float64, 2*n)
+	colScale, rowScale := scales[:n], scales[n:]
 	for i := 0; i < n; i++ {
-		row := make(map[int32]complex128, p.rowPtr[i+1]-p.rowPtr[i])
-		for idx := p.rowPtr[i]; idx < p.rowPtr[i+1]; idx++ {
+		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
+		wcol[i], wval[i] = colBuf[lo:hi:hi], valBuf[lo:hi:hi]
+		for idx := lo; idx < hi; idx++ {
 			c := p.col[idx]
-			row[c] = vals[idx]
 			a := cmplx.Abs(vals[idx])
 			if a > colScale[c] {
 				colScale[c] = a
@@ -228,34 +230,51 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 				rowScale[i] = a
 			}
 		}
-		work[i] = row
 	}
+	ptrs := make([]int32, 3*n+2)
 	sym := &Symbolic{
 		pat:  p,
 		n:    n,
-		perm: make([]int32, n),
-		lptr: make([]int32, n+1),
-		uptr: make([]int32, n+1),
+		perm: ptrs[:n:n],
+		lptr: ptrs[n : 2*n+1 : 2*n+1],
+		uptr: ptrs[2*n+1:],
+		// Fill only adds to the pattern, so its U part is a fair first
+		// guess at the final size.
+		ucol: make([]int32, 0, nnz),
 	}
-	// lrows[k] collects the source steps updating the row eliminated at
-	// step k; filled while rows are still identified by original index.
+	// lrows[i] collects the source steps updating original row i, in
+	// ascending step order; it is complete once row i becomes a pivot.
 	lrows := make([][]int32, n)
 	eliminated := make([]bool, n)
-	stepOf := make([]int32, n) // original row -> elimination step
+	// pos scatters the target row's columns to their slice positions
+	// during an update; -1 everywhere between updates.
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	// cand lists this step's rows holding the pivot column (ascending) and
+	// where in each row that entry sits.
+	type candidate struct{ row, at int32 }
+	cand := make([]candidate, 0, n)
 	for k := 0; k < n; k++ {
 		col := int32(k)
-		best := -1
-		bestLen := 0
-		maxMag := 0.0
-		maxRow := -1
+		cand = cand[:0]
 		for i := 0; i < n; i++ {
 			if eliminated[i] {
 				continue
 			}
-			if v, ok := work[i][col]; ok {
-				if a := cmplx.Abs(v); a > maxMag {
-					maxMag, maxRow = a, i
+			for t, c := range wcol[i] {
+				if c == col {
+					cand = append(cand, candidate{int32(i), int32(t)})
+					break
 				}
+			}
+		}
+		maxMag := 0.0
+		maxRow := -1
+		for _, cd := range cand {
+			if a := cmplx.Abs(wval[cd.row][cd.at]); a > maxMag {
+				maxMag, maxRow = a, int(cd.row)
 			}
 		}
 		// Same min(column, pivot row) scale rule as Factor: see singularTol.
@@ -266,24 +285,20 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 		if maxMag <= singularTol*scale {
 			return nil, fmt.Errorf("%w (column %d)", ErrSingular, col)
 		}
-		for i := 0; i < n; i++ {
-			if eliminated[i] {
+		best := candidate{row: -1}
+		for _, cd := range cand {
+			if cmplx.Abs(wval[cd.row][cd.at]) < pivotThreshold*maxMag {
 				continue
 			}
-			v, ok := work[i][col]
-			if !ok || cmplx.Abs(v) < pivotThreshold*maxMag {
-				continue
-			}
-			if best == -1 || len(work[i]) < bestLen {
-				best, bestLen = i, len(work[i])
+			if best.row == -1 || len(wcol[cd.row]) < len(wcol[best.row]) {
+				best = cd
 			}
 		}
-		piv := best
+		piv := best.row
 		eliminated[piv] = true
-		sym.perm[k] = int32(piv)
-		stepOf[piv] = int32(k)
-		pivRow := work[piv]
-		pd := pivRow[col]
+		sym.perm[k] = piv
+		pivCol, pivVal := wcol[piv], wval[piv]
+		pd := pivVal[best.at]
 		if pd == 0 {
 			// Structural entry with a cancelled value: elimination still
 			// needs the position, but the analysis values cannot divide by
@@ -292,44 +307,54 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 			// numerically dead at the analysis frequency.
 			return nil, fmt.Errorf("%w (column %d)", ErrSingular, col)
 		}
-		for i := 0; i < n; i++ {
-			if eliminated[i] {
+		for _, cd := range cand {
+			i := cd.row
+			if i == piv {
 				continue
 			}
-			v, ok := work[i][col]
-			if !ok {
-				continue
+			rc, rv := wcol[i], wval[i]
+			mult := rv[cd.at] / pd
+			// Drop the eliminated entry (row order is irrelevant).
+			last := len(rc) - 1
+			rc[cd.at], rv[cd.at] = rc[last], rv[last]
+			rc, rv = rc[:last], rv[:last]
+			for t, c := range rc {
+				pos[c] = int32(t)
 			}
-			mult := v / pd
-			delete(work[i], col)
-			for c, pv := range pivRow {
+			for t, c := range pivCol {
 				if c == col {
 					continue
 				}
 				// Keep fill positions even when the update cancels, so the
-				// recorded pattern is valid for every value set.
-				work[i][c] = work[i][c] - mult*pv
+				// recorded pattern is valid for every value set. A new
+				// position is written as 0 - mult*pv, the same arithmetic as
+				// updating an explicit zero.
+				if at := pos[c]; at >= 0 {
+					rv[at] = rv[at] - mult*pivVal[t]
+				} else {
+					rc = append(rc, c)
+					rv = append(rv, 0-mult*pivVal[t])
+				}
 			}
+			for _, c := range rc {
+				pos[c] = -1
+			}
+			wcol[i], wval[i] = rc, rv
 			lrows[i] = append(lrows[i], int32(k))
 		}
-		// Freeze the surviving columns as the U row of step k.
-		ur := make([]int32, 0, len(pivRow)-1)
-		for c := range pivRow {
+		// The pivot row's L sources are final: freeze them, then its
+		// surviving columns as the U row of step k.
+		sym.lptr[k+1] = sym.lptr[k] + int32(len(lrows[piv]))
+		sym.lsrc = append(sym.lsrc, lrows[piv]...)
+		lrows[piv] = nil
+		u0 := len(sym.ucol)
+		for _, c := range pivCol {
 			if c != col {
-				ur = append(ur, c)
+				sym.ucol = append(sym.ucol, c)
 			}
 		}
-		sort.Slice(ur, func(a, b int) bool { return ur[a] < ur[b] })
-		sym.uptr[k+1] = sym.uptr[k] + int32(len(ur))
-		sym.ucol = append(sym.ucol, ur...)
-	}
-	// Regroup the L pattern by elimination step of the target row. Source
-	// steps were appended in ascending order, which is exactly the order
-	// the numeric refactorization must apply them in.
-	for k := 0; k < n; k++ {
-		lr := lrows[sym.perm[k]]
-		sym.lptr[k+1] = sym.lptr[k] + int32(len(lr))
-		sym.lsrc = append(sym.lsrc, lr...)
+		slices.Sort(sym.ucol[u0:])
+		sym.uptr[k+1] = int32(len(sym.ucol))
 	}
 	return sym, nil
 }
@@ -360,14 +385,17 @@ type Numeric struct {
 	growth float64
 }
 
-// NewNumeric allocates the numeric storage for the pattern.
+// NewNumeric allocates the numeric storage for the pattern, all value
+// arrays in one block.
 func (s *Symbolic) NewNumeric() *Numeric {
+	nl, nu := len(s.lsrc), len(s.ucol)
+	buf := make([]complex128, nl+nu+2*s.n)
 	return &Numeric{
 		sym:   s,
-		lval:  make([]complex128, len(s.lsrc)),
-		uval:  make([]complex128, len(s.ucol)),
-		udinv: make([]complex128, s.n),
-		w:     make([]complex128, s.n),
+		lval:  buf[:nl:nl],
+		uval:  buf[nl : nl+nu : nl+nu],
+		udinv: buf[nl+nu : nl+nu+s.n : nl+nu+s.n],
+		w:     buf[nl+nu+s.n:],
 	}
 }
 

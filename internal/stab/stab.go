@@ -121,7 +121,7 @@ type Peak struct {
 
 // Result is the stability analysis of one response magnitude.
 type Result struct {
-	// Plot is P(ω) sampled on the input grid.
+	// Plot is P(ω) sampled on the input grid; its X aliases the input's.
 	Plot *wave.Wave
 	// Peaks holds every detected peak, sorted by frequency.
 	Peaks []Peak
@@ -132,6 +132,8 @@ type Result struct {
 // Plot computes the stability-plot waveform P from a response magnitude
 // waveform (|T| versus frequency on a log grid). Non-positive magnitudes
 // are clamped to the smallest positive double before taking logs.
+// The plot takes mag.X as its own X axis (shared, not copied), so neither
+// wave may have its axis modified afterwards.
 func Plot(mag *wave.Wave, opts Options) (*wave.Wave, error) {
 	n := mag.Len()
 	if n < 5 {
@@ -181,7 +183,7 @@ func Plot(mag *wave.Wave, opts Options) (*wave.Wave, error) {
 	default:
 		return nil, fmt.Errorf("stab: unsupported stencil %d (want 3 or 5)", opts.Stencil)
 	}
-	w := wave.NewReal("stabplot("+mag.Name+")", append([]float64(nil), mag.X...), p)
+	w := wave.NewReal("stabplot("+mag.Name+")", mag.X, p)
 	w.XUnit = mag.XUnit
 	w.YUnit = ""
 	w.LogX = true

@@ -218,7 +218,10 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 	return t.analyzeColumn(strings.ToLower(node), freqs[0], cols[0])
 }
 
-// analyzeColumn converts one impedance column into a NodeResult.
+// analyzeColumn converts one impedance column into a NodeResult. The
+// result's Impedance and Stab.Plot waves take freqs as their X axis
+// without copying it: a node's grid is shared with every other node swept
+// on it and is read-only from here on.
 func (t *Tool) analyzeColumn(node string, freqs []float64, col []complex128) (*NodeResult, error) {
 	res := &NodeResult{Node: node}
 	maxMag := 0.0
@@ -235,7 +238,7 @@ func (t *Tool) analyzeColumn(node string, freqs []float64, col []complex128) (*N
 		res.SkipReason = "driven node (zero driving-point impedance)"
 		return res, nil
 	}
-	zw := wave.NewReal("z("+node+")", append([]float64(nil), freqs...), mags)
+	zw := wave.NewReal("z("+node+")", freqs, mags)
 	zw.XUnit = "Hz"
 	zw.YUnit = "Ohm"
 	zw.LogX = true
@@ -394,6 +397,9 @@ func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]flo
 		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
 	}
 	grid := num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, ppd)
+	// Every sweep of this run, on any worker, refactors under the pivot
+	// order chosen at the grid's first frequency.
+	t.Sim.PinACAnalysis(grid[0])
 	sp := obs.StartPhase(t.Opts.Trace, phase)
 	cols, err := t.sweepGrid(ctx, grid, op, idx)
 	sp.End()

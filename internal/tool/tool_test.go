@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 )
 
 // TestSingleNodeSecondOrder runs Single Node mode on a second-order tank
-// under every AC solver selection. SingleNode sweeps through the diagonal
+// under every AC solver selection: the default (the sparse refill plus
+// diagonal kernel at every system size) and both forced modes. SingleNode sweeps through the diagonal
 // kernel (ImpedanceDiagSweep); its |Z| must match the full-column
 // ImpedanceMatrixColumns sweep of the same node to 1e-12 relative, and
 // its trace must count one node over the uniform grid with no adaptive
@@ -263,6 +265,39 @@ func TestParallelMatchesSerial(t *testing.T) {
 	})
 	if driver > sweep+slack {
 		t.Errorf("serial all-nodes sweep allocates %v times, ImpedanceDiagSweep alone %v", driver, sweep)
+	}
+}
+
+// TestParallelBitwiseSerial: a sweep split across workers refactors every
+// chunk under the pivot order pinned at the grid's first frequency, so its
+// impedances are bitwise those of the serial sweep no matter which worker
+// reaches the shared symbolic analysis first.
+func TestParallelBitwiseSerial(t *testing.T) {
+	run := func(workers int) *Report {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		tl, err := New(circuits.ResonatorField(8, 1e6, 0.25), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tl.AllNodes(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 3, 4, 2, 3, 4} {
+		par := run(workers)
+		for i, a := range serial.Nodes {
+			b := par.Nodes[i]
+			if a.Node != b.Node || (a.Impedance == nil) != (b.Impedance == nil) {
+				t.Fatalf("workers=%d: node %d rows differ", workers, i)
+			}
+			if a.Impedance != nil && !slices.Equal(a.Impedance.Y, b.Impedance.Y) {
+				t.Fatalf("workers=%d node %s: impedance differs from the serial sweep", workers, a.Node)
+			}
+		}
 	}
 }
 
