@@ -48,8 +48,13 @@ func TestAnalyzeAllNodesCancelMidRun(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
+	// A dense sweep keeps the uncanceled run (about 0.2 s on a 2-vCPU
+	// Xeon VM) far longer than the 10 ms cancel delay; at the default 40
+	// points per decade this ladder finishes before the cancel lands.
+	opts := acstab.DefaultOptions()
+	opts.PointsPerDecade = 2000
 	start := time.Now()
-	_, err := acstab.AnalyzeAllNodesContext(ctx, ladder(60), acstab.DefaultOptions())
+	_, err := acstab.AnalyzeAllNodesContext(ctx, ladder(60), opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, acstab.ErrCanceled) {
 		t.Fatalf("mid-run cancel: err = %v, want ErrCanceled", err)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,5 +36,29 @@ func TestReproOnly(t *testing.T) {
 	}
 	if !strings.Contains(s, "-28") && !strings.Contains(s, "-29") {
 		t.Errorf("fig4 peak missing:\n%s", s)
+	}
+}
+
+// TestReproGolden pins the full repro output byte for byte. Solver and
+// stability-plot changes that claim bitwise-identical results must leave
+// it unchanged; a change that moves a number on purpose regenerates it
+// with `go run ./cmd/repro > cmd/repro/testdata/repro.golden` and says why.
+func TestReproGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "repro.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(&out, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("repro output differs from testdata/repro.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("repro output has %d lines, testdata/repro.golden %d", len(gl), len(wl))
 	}
 }

@@ -177,22 +177,31 @@ type acWorkspace struct {
 	sym  *sparse.Symbolic
 	num  *sparse.Numeric
 	vals *sparse.Vals
+	aff  *sparse.Affine
+}
+
+// newWorkspace allocates the numeric state for sym, adopting b's value
+// array and affine recording when non-nil (the ones the symbolic analysis
+// itself was built from).
+func newWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic, b *symbolicBuild) *acWorkspace {
+	ws := &acWorkspace{sym: sym, num: sym.NewNumeric()}
+	if b != nil {
+		ws.vals, ws.aff = b.vals, b.aff
+	} else {
+		ws.vals, ws.aff = pat.NewVals(), pat.NewAffine()
+	}
+	return ws
 }
 
 // acquireWorkspace hands out the Sim's cached workspace for one sweep
 // (release via releaseWorkspace), rebuilding it if the symbolic analysis
-// moved; a rebuild adopts vals when non-nil (the value array the analysis
-// itself was stamped into). Returns nil when another sweep on this Sim
-// holds it.
-func (s *Sim) acquireWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic, vals *sparse.Vals) *acWorkspace {
+// moved. Returns nil when another sweep on this Sim holds it.
+func (s *Sim) acquireWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic, b *symbolicBuild) *acWorkspace {
 	if !s.wsBusy.CompareAndSwap(false, true) {
 		return nil
 	}
 	if s.ws == nil || s.ws.sym != sym {
-		if vals == nil {
-			vals = pat.NewVals()
-		}
-		s.ws = &acWorkspace{sym: sym, num: sym.NewNumeric(), vals: vals}
+		s.ws = newWorkspace(pat, sym, b)
 	}
 	return s.ws
 }
@@ -333,13 +342,23 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// symbolicBuild is what a fresh symbolic analysis leaves behind for the
+// sweep that triggered it: the affine recording of the stamp pass it was
+// built from (at the sweep's operating point) and the value array it
+// analyzed.
+type symbolicBuild struct {
+	vals *sparse.Vals
+	aff  *sparse.Affine
+}
+
 // ensureSymbolic returns the shared pattern and symbolic analysis,
 // building them on first use from one stamped frequency point: the pinned
 // frequency if the Sim has one, else omega (op supplies the operating
-// point the numeric values are linearized at). A build also returns the
-// value array it stamped the analysis into, for the caller's workspace to
-// adopt; a reuse returns nil vals.
-func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *sparse.Symbolic, *sparse.Vals, error) {
+// point the numeric values are linearized at). A build records the stamps
+// once as an Affine split and fills the analysis values from it, then
+// returns both for the caller's workspace to adopt; a reuse returns a nil
+// build.
+func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *sparse.Symbolic, *symbolicBuild, error) {
 	if s.acOmega != 0 {
 		omega = s.acOmega
 	}
@@ -354,15 +373,17 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
 	s.Sys.StampAC(rec, nil, omega, op)
 	pat := rec.Compile()
-	vals := pat.NewVals()
-	vals.Begin()
-	s.Sys.StampAC(vals, nil, omega, op)
-	if vals.Drift() {
+	aff := pat.NewAffine()
+	aff.Begin()
+	s.Sys.StampAC(aff, aff.RHS(), 1, op)
+	if aff.Drift() {
 		// Two back-to-back stamps disagreeing structurally means the
 		// stamping is not deterministic; the two-phase path cannot be used.
 		mACPatternDrift.Inc()
 		return nil, nil, nil, fmt.Errorf("analysis: non-deterministic AC stamp pattern")
 	}
+	vals := pat.NewVals()
+	aff.FillInto(vals.Values(), omega)
 	sym, err := pat.Analyze(vals.Values())
 	if err != nil {
 		return nil, nil, nil, err
@@ -372,7 +393,7 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 	mACFactorizations.Inc() // the analysis pass is a full factorization
 	s.Trace.Add("ac_symbolic_builds", 1)
 	s.Trace.Add("ac_factorizations", 1)
-	return pat, sym, vals, nil
+	return pat, sym, &symbolicBuild{vals: vals, aff: aff}, nil
 }
 
 // ErrNoConvergence is returned when every DC homotopy fails. It is the
@@ -606,11 +627,13 @@ type cSolver interface {
 
 // acFactorizer produces a ready-to-solve factorization of the AC system
 // at each frequency of a sweep. In sparse mode it reuses the Sim-shared
-// symbolic analysis and owns the per-worker numeric workspaces, so the
-// steady-state factorize+solve cycle is pivot-free, map-free, and
-// allocation-free; the structural-checksum and collapsed-pivot guards
-// fall back to a full map-based factorization for the offending
-// frequency. In dense mode the factorization storage is reused across
+// symbolic analysis and owns the per-worker numeric workspaces, stamps the
+// circuit once per sweep into an affine G + jωC recording, and fills every
+// point from it, so the steady-state fill+factorize+solve cycle is
+// stamp-free, pivot-free, map-free, and allocation-free. The structural
+// checksum of that one stamp pass sends the whole sweep, and the
+// collapsed-pivot guard the offending frequency, to a full map-based
+// factorization. In dense mode the factorization storage is reused across
 // frequencies. Counter deltas accumulate locally and are published by
 // flush (deferred by the callers), keeping atomics off the inner loop.
 type acFactorizer struct {
@@ -618,14 +641,20 @@ type acFactorizer struct {
 	op     *mna.OpPoint
 	sparse bool
 
-	// Sparse two-phase path. vals holds the stamped CSR values the current
-	// refactor-path factorization was built from; the residual and
-	// condition estimators read them.
+	// Sparse two-phase path. aff is the sweep's one stamp pass, split into
+	// G + jωC; vals holds the CSR values filled from it that the current
+	// refactor-path factorization was built from, which the residual and
+	// condition estimators read.
 	pat  *sparse.Pattern
 	sym  *sparse.Symbolic
 	num  *sparse.Numeric
 	vals *sparse.Vals
+	aff  *sparse.Affine
 	smat *sparse.Matrix // full-factorization fallback matrix, lazy
+
+	// drifted tags the first point after the sweep-start stamp pass found
+	// pattern drift with solveKindPatternDrift.
+	drifted bool
 
 	// ws is the Sim-cached workspace backing num/vals when this sweep
 	// won the CAS handoff; flush releases it. Nil when another sweep held
@@ -676,8 +705,8 @@ type acFactorizer struct {
 	// slow-point context tag: "dense", "refactor" (pivot-free numeric
 	// refill), "full" (map-based factorization), "refactor_fallback" (the
 	// refill hit a collapsed pivot and this point fell back to a full
-	// factorization), or "pattern_drift" (the frozen pattern was
-	// invalidated mid-sweep).
+	// factorization), or "pattern_drift" (the sweep-start stamp pass
+	// invalidated the frozen pattern; first point only).
 	kind string
 }
 
@@ -725,16 +754,17 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 		fz.health = make([]obs.SlowPoint, 0, obs.MaxHealthPoints)
 	}
 	if fz.sparse {
-		if pat, sym, vals, err := s.ensureSymbolic(omega0, op); err == nil {
+		if pat, sym, build, err := s.ensureSymbolic(omega0, op); err == nil {
 			fz.pat, fz.sym = pat, sym
-			if ws := s.acquireWorkspace(pat, sym, vals); ws != nil {
+			ws := s.acquireWorkspace(pat, sym, build)
+			if ws != nil {
 				fz.ws = ws
-				fz.num, fz.vals = ws.num, ws.vals
 			} else {
-				if vals == nil {
-					vals = pat.NewVals()
-				}
-				fz.num, fz.vals = sym.NewNumeric(), vals
+				ws = newWorkspace(pat, sym, build)
+			}
+			fz.num, fz.vals, fz.aff = ws.num, ws.vals, ws.aff
+			if build == nil {
+				fz.recordAffine()
 			}
 		}
 	} else {
@@ -743,9 +773,29 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 	return fz
 }
 
-// at stamps and factors the AC system at omega, returning a solver valid
-// until the next call. When b is non-nil it is stamped with the RHS
-// excitation; the caller must pass it zeroed.
+// recordAffine runs the sweep's one stamp pass (at ω = 1, into the affine
+// recorder) that every refactor-path point then fills its values from.
+// The pass carries the structural checksum: when the stamp stream no
+// longer matches the shared pattern, the shared analysis is dropped for
+// future sweeps and this one runs out on full factorizations.
+func (fz *acFactorizer) recordAffine() {
+	s := fz.s
+	fz.aff.Begin()
+	s.Sys.StampAC(fz.aff, fz.aff.RHS(), 1, fz.op)
+	if fz.aff.Drift() {
+		mACPatternDrift.Inc()
+		s.Trace.Add("ac_pattern_drift", 1)
+		s.acShared().invalidate()
+		fz.sym = nil
+		fz.drifted = true
+	}
+}
+
+// at factors the AC system at omega, returning a solver valid until the
+// next call. The refactor path fills the values from the sweep's affine
+// recording; the dense path and the full-factorization fallbacks stamp
+// them. When b is non-nil it receives the RHS excitation; the caller must
+// pass it zeroed.
 func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 	s := fz.s
 	if !fz.sparse {
@@ -761,19 +811,16 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 		return clu, nil
 	}
 	fz.kind = solveKindFull
+	if fz.drifted {
+		fz.kind = solveKindPatternDrift
+		fz.drifted = false
+	}
 	if fz.sym != nil {
-		fz.vals.Begin()
-		s.Sys.StampAC(fz.vals, b, omega, fz.op)
-		if fz.vals.Drift() {
-			// The stamp structure changed under the cached pattern: drop
-			// the cache for future sweeps and run out this one on full
-			// factorizations.
-			mACPatternDrift.Inc()
-			s.Trace.Add("ac_pattern_drift", 1)
-			s.acShared().invalidate()
-			fz.sym = nil
-			fz.kind = solveKindPatternDrift
-		} else if err := fz.num.Refactor(fz.vals.Values()); err == nil {
+		fz.aff.FillInto(fz.vals.Values(), omega)
+		if b != nil {
+			copy(b, fz.aff.RHS())
+		}
+		if err := fz.num.Refactor(fz.vals.Values()); err == nil {
 			fz.refactors++
 			fz.kind = solveKindRefactor
 			if fz.resThreshold > 0 {
@@ -1232,7 +1279,7 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // symbolic state, so forked workers build them once) and the steady-state
 // loop body is allocation-free. Frequencies that leave the refactor path
 // — a collapsed pivot falling back to a full factorization, or pattern
-// drift invalidating the symbolic analysis mid-sweep — fall back to full
+// drift found by the sweep-start stamp pass — fall back to full
 // per-node SolveInto for that point and count against
 // acstab_ac_diag_fallbacks_total. Dense mode has no elimination DAG to
 // exploit and delegates wholesale to ImpedanceMatrixColumns. Callers that

@@ -260,6 +260,26 @@ func driftLadder(withExtra bool) *netlist.Circuit {
 	return c
 }
 
+// driftSymbolic returns the pattern and symbolic analysis of
+// driftLadder(true), analyzed at omega0: installed on a driftLadder(false)
+// Sim, its checksum no longer matches that Sim's stamp stream.
+func driftSymbolic(t *testing.T, omega0 float64) (*sparse.Pattern, *sparse.Symbolic) {
+	t.Helper()
+	other := compile(t, driftLadder(true))
+	opOther := mustOP(t, other)
+	rec := sparse.NewRecorder(other.Sys.NumUnknowns())
+	other.Sys.StampAC(rec, nil, omega0, opOther)
+	pat := rec.Compile()
+	v := pat.NewVals()
+	v.Begin()
+	other.Sys.StampAC(v, nil, omega0, opOther)
+	sym, err := pat.Analyze(v.Values())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pat, sym
+}
+
 // TestImpedanceDiagPatternDrift forces the pattern-drift path: the sweep
 // starts under a symbolic analysis recorded from a different stamp stream
 // (same node set, one extra element), so the first stamped frequency
@@ -270,21 +290,9 @@ func TestImpedanceDiagPatternDrift(t *testing.T) {
 	freqs := sweepFreqs(10)
 	s := compile(t, driftLadder(false))
 	op := mustOP(t, s)
-	other := compile(t, driftLadder(true))
-	if other.Sys.NumUnknowns() != s.Sys.NumUnknowns() {
+	pat, sym := driftSymbolic(t, 2*math.Pi*freqs[0])
+	if pat.N() != s.Sys.NumUnknowns() {
 		t.Fatal("drift fixture changed the unknown count")
-	}
-	opOther := mustOP(t, other)
-	omega0 := 2 * math.Pi * freqs[0]
-	rec := sparse.NewRecorder(other.Sys.NumUnknowns())
-	other.Sys.StampAC(rec, nil, omega0, opOther)
-	pat := rec.Compile()
-	v := pat.NewVals()
-	v.Begin()
-	other.Sys.StampAC(v, nil, omega0, opOther)
-	sym, err := pat.Analyze(v.Values())
-	if err != nil {
-		t.Fatal(err)
 	}
 	s.Opt.Matrix = MatrixSparse
 	installSymbolic(s, pat, sym)

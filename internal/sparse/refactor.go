@@ -9,6 +9,8 @@ package sparse
 //     freezes it into a Pattern: a CSR layout plus a per-call slot table,
 //     so every later stamping pass writes straight into a flat value
 //     array (Vals) with no maps and no allocations.
+//   - Affine (affine.go) records one pass at ω = 1 as the split G + jωC,
+//     from which a sweep fills Vals at any ω without stamping again.
 //   - Pattern.Analyze runs the threshold/Markowitz pivot search once and
 //     records the elimination order and the exact fill-in pattern of L
 //     and U as index arrays (Symbolic).
@@ -20,8 +22,8 @@ package sparse
 //
 // Reusing a pivot order chosen at one frequency at another is safe for
 // the diagonally dominant MNA systems this repo sweeps, but it is guarded
-// anyway: Vals carries an order-sensitive structural checksum (pattern
-// drift falls back to a full factorization) and Refactor rejects pivots
+// anyway: Vals and Affine carry an order-sensitive structural checksum
+// (pattern drift falls back to a full factorization) and Refactor rejects pivots
 // that collapse relative to their row scale (numeric drift falls back the
 // same way).
 

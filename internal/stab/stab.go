@@ -20,7 +20,7 @@ package stab
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"acstab/internal/num"
 	"acstab/internal/sos"
@@ -133,87 +133,143 @@ type Result struct {
 // waveform (|T| versus frequency on a log grid). Non-positive magnitudes
 // are clamped to the smallest positive double before taking logs.
 // The plot takes mag.X as its own X axis (shared, not copied), so neither
-// wave may have its axis modified afterwards.
+// wave may have its axis modified afterwards. It is a one-shot Analyzer;
+// callers plotting many columns reuse one.
 func Plot(mag *wave.Wave, opts Options) (*wave.Wave, error) {
-	n := mag.Len()
-	if n < 5 {
-		return nil, fmt.Errorf("stab: need at least 5 frequency points, have %d", n)
-	}
-	ln := make([]float64, n)
-	u := make([]float64, n)
-	for i := 0; i < n; i++ {
-		m := real(mag.Y[i])
-		if m <= 0 {
-			m = math.SmallestNonzeroFloat64
-		}
-		ln[i] = math.Log(m)
-		if mag.X[i] <= 0 {
-			return nil, fmt.Errorf("stab: non-positive frequency at index %d", i)
-		}
-		u[i] = math.Log(mag.X[i])
-	}
-	p := make([]float64, n)
-	stencil := opts.Stencil
-	if stencil == 0 {
-		stencil = 3
-		if logUniform(u) && n >= 7 {
-			stencil = 5
-		}
-	}
-	switch stencil {
-	case 3:
-		for i := 1; i < n-1; i++ {
-			h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
-			p[i] = 2 * (h1*ln[i-1] - (h0+h1)*ln[i] + h0*ln[i+1]) / (h0 * h1 * (h0 + h1))
-		}
-		p[0], p[n-1] = p[1], p[n-2]
-	case 5:
-		if !logUniform(u) {
-			return nil, fmt.Errorf("stab: 5-point stencil needs a uniform log grid")
-		}
-		h := u[1] - u[0]
-		for i := 2; i < n-2; i++ {
-			p[i] = (-ln[i-2] + 16*ln[i-1] - 30*ln[i] + 16*ln[i+1] - ln[i+2]) / (12 * h * h)
-		}
-		// Fall back to 3-point at the first/last interior points.
-		for _, i := range []int{1, n - 2} {
-			p[i] = (ln[i-1] - 2*ln[i] + ln[i+1]) / (h * h)
-		}
-		p[0], p[n-1] = p[1], p[n-2]
-	default:
-		return nil, fmt.Errorf("stab: unsupported stencil %d (want 3 or 5)", opts.Stencil)
-	}
-	w := wave.NewReal("stabplot("+mag.Name+")", mag.X, p)
-	w.XUnit = mag.XUnit
-	w.YUnit = ""
-	w.LogX = true
-	return w, nil
+	return NewAnalyzer(opts).Plot(mag)
 }
 
 // Analyze computes the stability plot of a response magnitude and detects
 // and classifies its peaks. opts is taken literally: a zero (or negative)
 // MinPeakDepth disables the min/max filter rather than being replaced by
-// the default — callers wanting defaults start from DefaultOptions.
+// the default — callers wanting defaults start from DefaultOptions. It is
+// a one-shot Analyzer; callers analyzing many columns reuse one.
 func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
+	return NewAnalyzer(opts).Analyze(mag)
+}
+
+// Analyzer runs Plot and Analyze over many magnitude columns that share a
+// few frequency grids, as an all-nodes run's nodes share the sweep grid.
+// It caches the last grid's log axis ln(x) and the stencil chosen for it,
+// keyed by the identity of the X slice (its first element and length), and
+// reuses one ln|T| scratch array, so a warm call allocates only its
+// output. Results are bitwise identical to the one-shot functions. Grids
+// are read-only once shared (see Plot); the cache holds the slice, so its
+// array cannot be freed and reused at the same address. An Analyzer is
+// not safe for concurrent use.
+type Analyzer struct {
+	opts Options
+
+	// The cached grid: x itself, u = ln(x), the first index with a
+	// non-positive frequency (-1 if none), whether u is uniform, and the
+	// stencil opts resolves to on it.
+	x       []float64
+	u       []float64
+	badX    int
+	uniform bool
+	stencil int
+
+	ln []float64 // ln|T| scratch
+}
+
+// NewAnalyzer returns an Analyzer applying opts to every column.
+func NewAnalyzer(opts Options) *Analyzer {
+	return &Analyzer{opts: opts}
+}
+
+// axis makes x the cached grid, recomputing its log axis unless x is the
+// slice cached last.
+func (a *Analyzer) axis(x []float64) {
+	n := len(x)
+	if n == len(a.x) && n > 0 && &x[0] == &a.x[0] {
+		return
+	}
+	a.x = x
+	a.u = slices.Grow(a.u[:0], n)[:n]
+	a.badX = -1
+	for i, f := range x {
+		if f <= 0 && a.badX < 0 {
+			a.badX = i
+		}
+		a.u[i] = math.Log(f)
+	}
+	a.uniform = logUniform(a.u)
+	a.stencil = a.opts.Stencil
+	if a.stencil == 0 {
+		a.stencil = 3
+		if a.uniform && n >= 7 {
+			a.stencil = 5
+		}
+	}
+}
+
+// Plot is the package-level Plot under the Analyzer's options.
+func (a *Analyzer) Plot(mag *wave.Wave) (*wave.Wave, error) {
+	n := mag.Len()
+	if n < 5 {
+		return nil, fmt.Errorf("stab: need at least 5 frequency points, have %d", n)
+	}
+	a.axis(mag.X)
+	if a.badX >= 0 {
+		return nil, fmt.Errorf("stab: non-positive frequency at index %d", a.badX)
+	}
+	switch a.stencil {
+	case 3:
+	case 5:
+		if !a.uniform {
+			return nil, fmt.Errorf("stab: 5-point stencil needs a uniform log grid")
+		}
+	default:
+		return nil, fmt.Errorf("stab: unsupported stencil %d (want 3 or 5)", a.opts.Stencil)
+	}
+	u := a.u
+	ln := slices.Grow(a.ln[:0], n)[:n]
+	a.ln = ln
+	for i := 0; i < n; i++ {
+		ln[i] = LogMag(real(mag.Y[i]))
+	}
+	p := make([]complex128, n)
+	if a.stencil == 3 {
+		for i := 1; i < n-1; i++ {
+			h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
+			p[i] = complex(2*(h1*ln[i-1]-(h0+h1)*ln[i]+h0*ln[i+1])/(h0*h1*(h0+h1)), 0)
+		}
+	} else {
+		h := u[1] - u[0]
+		for i := 2; i < n-2; i++ {
+			p[i] = complex((-ln[i-2]+16*ln[i-1]-30*ln[i]+16*ln[i+1]-ln[i+2])/(12*h*h), 0)
+		}
+		// Fall back to 3-point at the first/last interior points.
+		for _, i := range [2]int{1, n - 2} {
+			p[i] = complex((ln[i-1]-2*ln[i]+ln[i+1])/(h*h), 0)
+		}
+	}
+	p[0], p[n-1] = p[1], p[n-2]
+	w := wave.New("stabplot("+mag.Name+")", mag.X, p)
+	w.XUnit = mag.XUnit
+	w.LogX = true
+	return w, nil
+}
+
+// Analyze is the package-level Analyze under the Analyzer's options.
+func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
+	opts := a.opts
 	switch opts.Stencil {
 	case 0, 3, 5:
 	default:
 		return nil, fmt.Errorf("stab: unsupported stencil %d (want 0, 3 or 5)", opts.Stencil)
 	}
-	plot, err := Plot(mag, opts)
+	plot, err := a.Plot(mag)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Plot: plot}
 	n := plot.Len()
-	p := plot.Real()
-	u := make([]float64, n)
-	for i, x := range plot.X {
-		u[i] = math.Log(x)
-	}
+	p := plot.Y
+	u := a.u // plot.X is mag.X, the cached grid
 
 	addPeak := func(i int, isMax bool) {
-		val := p[i]
+		val := real(p[i])
 		freq := plot.X[i]
 		// Parabolic refinement in (u, P) through the three samples around
 		// the extremum, with the actual (possibly non-uniform) spacing:
@@ -223,7 +279,7 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 		// classic uniform ones.
 		if i > 0 && i < n-1 {
 			h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
-			dl, dr := p[i-1]-p[i], p[i+1]-p[i]
+			dl, dr := real(p[i-1])-real(p[i]), real(p[i+1])-real(p[i])
 			den := h0 * h1 * (h0 + h1)
 			if den != 0 {
 				c := (h0*dr + h1*dl) / den
@@ -231,7 +287,7 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 					b := (h0*h0*dr - h1*h1*dl) / den
 					du := num.Clamp(-b/(2*c), -h0, h1)
 					freq = math.Exp(u[i] + du)
-					val = p[i] - b*b/(4*c)
+					val = real(p[i]) - b*b/(4*c)
 				}
 			}
 		}
@@ -257,27 +313,26 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 	}
 
 	for i := 1; i < n-1; i++ {
-		if p[i] < 0 && p[i] <= p[i-1] && p[i] < p[i+1] {
+		pi, pl, pr := real(p[i]), real(p[i-1]), real(p[i+1])
+		if pi < 0 && pi <= pl && pi < pr {
 			addPeak(i, false)
 		}
-		if p[i] > 0 && p[i] >= p[i-1] && p[i] > p[i+1] {
+		if pi > 0 && pi >= pl && pi > pr {
 			addPeak(i, true)
 		}
 	}
 	// High-edge extreme that never turned around inside the range. (The
 	// low edge is covered by the main loop: p[0] duplicates p[1], so the
 	// "<= previous" test passes at i=1.)
-	if n >= 3 && p[n-2] < 0 && p[n-2] < p[n-3] {
+	if n >= 3 && real(p[n-2]) < 0 && real(p[n-2]) < real(p[n-3]) {
 		addPeak(n-2, false)
 	}
-	sort.Slice(res.Peaks, func(a, b int) bool { return res.Peaks[a].Freq < res.Peaks[b].Freq })
+	slices.SortFunc(res.Peaks, byFreq)
 	if opts.MaxPeaks > 0 && len(res.Peaks) > opts.MaxPeaks {
 		// Keep the deepest |Value| peaks.
-		sort.Slice(res.Peaks, func(a, b int) bool {
-			return math.Abs(res.Peaks[a].Value) > math.Abs(res.Peaks[b].Value)
-		})
+		slices.SortFunc(res.Peaks, byDepth)
 		res.Peaks = res.Peaks[:opts.MaxPeaks]
-		sort.Slice(res.Peaks, func(a, b int) bool { return res.Peaks[a].Freq < res.Peaks[b].Freq })
+		slices.SortFunc(res.Peaks, byFreq)
 	}
 	for i := range res.Peaks {
 		pk := &res.Peaks[i]
@@ -289,6 +344,30 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// byFreq orders peaks by ascending frequency and byDepth by descending
+// |Value|. Each is negative exactly where the strict "less" comparison is
+// true, so slices.SortFunc visits the same comparisons as sort.Slice.
+func byFreq(a, b Peak) int {
+	switch {
+	case a.Freq < b.Freq:
+		return -1
+	case a.Freq > b.Freq:
+		return 1
+	}
+	return 0
+}
+
+func byDepth(a, b Peak) int {
+	da, db := math.Abs(a.Value), math.Abs(b.Value)
+	switch {
+	case da > db:
+		return -1
+	case da < db:
+		return 1
+	}
+	return 0
 }
 
 // logUniform reports whether the log-frequency grid u is uniform enough

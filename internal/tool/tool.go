@@ -215,20 +215,22 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	defer sp.End()
-	return t.analyzeColumn(strings.ToLower(node), freqs[0], cols[0])
+	return t.analyzeColumn(stab.NewAnalyzer(t.Opts.Stab), strings.ToLower(node), freqs[0], cols[0])
 }
 
-// analyzeColumn converts one impedance column into a NodeResult. The
-// result's Impedance and Stab.Plot waves take freqs as their X axis
-// without copying it: a node's grid is shared with every other node swept
-// on it and is read-only from here on.
-func (t *Tool) analyzeColumn(node string, freqs []float64, col []complex128) (*NodeResult, error) {
+// analyzeColumn converts one impedance column into a NodeResult, using
+// an, which carries the run's stability options. The result's Impedance
+// and Stab.Plot waves take freqs as their X axis without copying it: a
+// node's grid is shared with every other node swept on it and is
+// read-only from here on, which also lets an reuse the grid's log axis
+// from node to node.
+func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, col []complex128) (*NodeResult, error) {
 	res := &NodeResult{Node: node}
 	maxMag := 0.0
-	mags := make([]float64, len(col))
+	mags := make([]complex128, len(col))
 	for i, z := range col {
 		m := math.Hypot(real(z), imag(z))
-		mags[i] = m
+		mags[i] = complex(m, 0)
 		if m > maxMag {
 			maxMag = m
 		}
@@ -238,12 +240,12 @@ func (t *Tool) analyzeColumn(node string, freqs []float64, col []complex128) (*N
 		res.SkipReason = "driven node (zero driving-point impedance)"
 		return res, nil
 	}
-	zw := wave.NewReal("z("+node+")", freqs, mags)
+	zw := wave.New("z("+node+")", freqs, mags)
 	zw.XUnit = "Hz"
 	zw.YUnit = "Ohm"
 	zw.LogX = true
 	res.Impedance = zw
-	sr, err := stab.Analyze(zw, t.Opts.Stab)
+	sr, err := an.Analyze(zw)
 	if err != nil {
 		return nil, fmt.Errorf("tool: node %s: %w", node, err)
 	}
@@ -353,12 +355,13 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	var peaks []stab.NodePeak
+	an := stab.NewAnalyzer(t.Opts.Stab)
 	for i, name := range names {
 		if err := acerr.Ctx(ctx); err != nil {
 			sp.End()
 			return nil, err
 		}
-		nr, err := t.analyzeColumn(name, freqs[i], cols[i])
+		nr, err := t.analyzeColumn(an, name, freqs[i], cols[i])
 		if err != nil {
 			sp.End()
 			return nil, err
