@@ -753,8 +753,8 @@ C1 t 0 1n
 }
 
 // benchAllNodesNumerics mirrors benchAllNodesScaling with the
-// numerical-health observatory explicitly on (defaults) or off (all three
-// knobs negative), so the two arms differ only in residual telemetry.
+// numerical-health observatory explicitly on (defaults) or off (a negative
+// ResidualThreshold), so the two arms differ only in residual telemetry.
 func benchAllNodesNumerics(b *testing.B, loops int, mode analysis.MatrixMode, numerics bool) {
 	ckt := circuits.ResonatorField(loops, 1e5, 0.35)
 	opts := tool.DefaultOptions()
@@ -763,8 +763,6 @@ func benchAllNodesNumerics(b *testing.B, loops int, mode analysis.MatrixMode, nu
 	aopts.Matrix = mode
 	if !numerics {
 		aopts.ResidualThreshold = -1
-		aopts.ResidualProbeEvery = -1
-		aopts.CondSamples = -1
 	}
 	opts.Analysis = &aopts
 	tl, err := tool.New(ckt, opts)
@@ -825,8 +823,6 @@ func TestEmitNumericsBenchSummary(t *testing.T) {
 		aopts.Matrix = analysis.MatrixSparse
 		if !numerics {
 			aopts.ResidualThreshold = -1
-			aopts.ResidualProbeEvery = -1
-			aopts.CondSamples = -1
 		}
 		opts.Analysis = &aopts
 		tl, err := tool.New(ckt, opts)

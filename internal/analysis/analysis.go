@@ -34,7 +34,7 @@ var (
 	// Two-phase sparse solver telemetry: how often the per-frequency hot
 	// path got away with a pivot-free numeric refactorization, how often
 	// the symbolic analysis was built versus reused across workers, and
-	// how often the guards bounced a sweep back to a full factorization.
+	// how often the guards bounced a point to a fresh factorization.
 	mACRefactorizations  = obs.GetCounter("acstab_ac_refactorizations_total")
 	mACSymbolicBuilds    = obs.GetCounter("acstab_ac_symbolic_builds_total")
 	mACSymbolicReuses    = obs.GetCounter("acstab_ac_symbolic_reuses_total")
@@ -74,8 +74,12 @@ func decadeBounds(lo, hi int) []float64 {
 // scale-relative, so a 1e-9 threshold (matching the CI accuracy gate and
 // the solver property tests) never triggers refinement on a well-behaved
 // sweep — the observatory is pure telemetry until something actually
-// degrades. The diag-kernel probe stride keeps the full-solve residual
-// probe under the <5% sweep-overhead budget.
+// degrades. Every defResidualProbeEvery-th point of a diagonal-only sweep
+// runs one full solve so its residual can be measured (the batched kernel
+// produces only Z_kk and has no full solution vector to verify); that
+// stride keeps the probe under the <5% sweep-overhead budget. Each sweep
+// takes defCondSamples evenly spaced Hager/Higham 1-norm condition
+// estimates.
 const (
 	defResidualThreshold  = 1e-9
 	defResidualProbeEvery = 16
@@ -106,18 +110,9 @@ type Options struct {
 	// ‖A·x−b‖∞/(‖A‖∞‖x‖∞+‖b‖∞) above which a frequency point triggers the
 	// refinement escalation ladder. 0 selects the built-in default (1e-9);
 	// a negative value disables the numerical-health observatory entirely
-	// (no residual SpMV, no refinement, no telemetry).
+	// (no residual SpMV, no refinement, no residual probes, no condition
+	// samples, no telemetry).
 	ResidualThreshold float64
-	// ResidualProbeEvery is the diag-kernel probe stride: every Nth
-	// frequency point of a diagonal-only sweep runs one full solve so its
-	// residual can be measured (the batched kernel produces only Z_kk and
-	// has no full solution vector to verify). 0 selects the default (16);
-	// negative disables probing.
-	ResidualProbeEvery int
-	// CondSamples is how many Hager/Higham 1-norm condition estimates to
-	// take per sweep, evenly spaced. 0 selects the default (2); negative
-	// disables condition sampling.
-	CondSamples int
 }
 
 // MatrixMode selects the AC linear solver.
@@ -351,25 +346,12 @@ type symbolicBuild struct {
 	aff  *sparse.Affine
 }
 
-// ensureSymbolic returns the shared pattern and symbolic analysis,
-// building them on first use from one stamped frequency point: the pinned
-// frequency if the Sim has one, else omega (op supplies the operating
-// point the numeric values are linearized at). A build records the stamps
-// once as an Affine split and fills the analysis values from it, then
-// returns both for the caller's workspace to adopt; a reuse returns a nil
-// build.
-func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *sparse.Symbolic, *symbolicBuild, error) {
-	if s.acOmega != 0 {
-		omega = s.acOmega
-	}
-	sh := s.acShared()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.sym != nil && (s.acOmega == 0 || sh.omega == omega) {
-		mACSymbolicReuses.Inc()
-		s.Trace.Add("ac_symbolic_reuses", 1)
-		return sh.pat, sh.sym, nil, nil
-	}
+// analyzeAt runs the record → compile → analyze steps of a fresh sparse
+// factorization at omega (op supplies the operating point the values are
+// linearized at): it records the AC stamp pattern, stamps the circuit once
+// more as the affine split G + jωC, fills the values at omega from that
+// recording and chooses a pivot order on them.
+func (s *Sim) analyzeAt(omega float64, op *mna.OpPoint) (*sparse.Pattern, *sparse.Symbolic, *symbolicBuild, error) {
 	rec := sparse.NewRecorder(s.Sys.NumUnknowns())
 	s.Sys.StampAC(rec, nil, omega, op)
 	pat := rec.Compile()
@@ -388,12 +370,36 @@ func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	return pat, sym, &symbolicBuild{vals: vals, aff: aff}, nil
+}
+
+// ensureSymbolic returns the shared pattern and symbolic analysis,
+// building them on first use with analyzeAt at the pinned frequency if the
+// Sim has one, else at omega. A build returns the affine recording and
+// value array it analyzed for the caller's workspace to adopt; a reuse
+// returns a nil build.
+func (s *Sim) ensureSymbolic(omega float64, op *mna.OpPoint) (*sparse.Pattern, *sparse.Symbolic, *symbolicBuild, error) {
+	if s.acOmega != 0 {
+		omega = s.acOmega
+	}
+	sh := s.acShared()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.sym != nil && (s.acOmega == 0 || sh.omega == omega) {
+		mACSymbolicReuses.Inc()
+		s.Trace.Add("ac_symbolic_reuses", 1)
+		return sh.pat, sh.sym, nil, nil
+	}
+	pat, sym, build, err := s.analyzeAt(omega, op)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	sh.pat, sh.sym, sh.omega = pat, sym, omega
 	mACSymbolicBuilds.Inc()
 	mACFactorizations.Inc() // the analysis pass is a full factorization
 	s.Trace.Add("ac_symbolic_builds", 1)
 	s.Trace.Add("ac_factorizations", 1)
-	return pat, sym, &symbolicBuild{vals: vals, aff: aff}, nil
+	return pat, sym, build, nil
 }
 
 // ErrNoConvergence is returned when every DC homotopy fails. It is the
@@ -619,7 +625,7 @@ func (r *ACResult) BranchWave(elem string) (*wave.Wave, error) {
 }
 
 // cSolver is a ready factorization of one frequency point's AC matrix.
-// All implementations (sparse.Numeric, sparse.LU, linalg.CLU) solve into
+// Both implementations (sparse.Numeric, linalg.CLU) solve into
 // caller-owned storage without allocating.
 type cSolver interface {
 	SolveInto(x, b []complex128) error
@@ -632,9 +638,9 @@ type cSolver interface {
 // point from it, so the steady-state fill+factorize+solve cycle is
 // stamp-free, pivot-free, map-free, and allocation-free. The structural
 // checksum of that one stamp pass sends the whole sweep, and the
-// collapsed-pivot guard the offending frequency, to a full map-based
-// factorization. In dense mode the factorization storage is reused across
-// frequencies. Counter deltas accumulate locally and are published by
+// collapsed-pivot guard the offending frequency, to a fresh factorization
+// of the point (fullAt). In dense mode the factorization storage is reused
+// across frequencies. Counter deltas accumulate locally and are published by
 // flush (deferred by the callers), keeping atomics off the inner loop.
 type acFactorizer struct {
 	s      *Sim
@@ -643,14 +649,20 @@ type acFactorizer struct {
 
 	// Sparse two-phase path. aff is the sweep's one stamp pass, split into
 	// G + jωC; vals holds the CSR values filled from it that the current
-	// refactor-path factorization was built from, which the residual and
-	// condition estimators read.
+	// refactor-path factorization was built from, which the condition
+	// estimator reads.
 	pat  *sparse.Pattern
 	sym  *sparse.Symbolic
 	num  *sparse.Numeric
 	vals *sparse.Vals
 	aff  *sparse.Affine
-	smat *sparse.Matrix // full-factorization fallback matrix, lazy
+
+	// cpat and cvals are the pattern and CSR values of the matrix the
+	// current sparse solver was factored from: the shared ones on the
+	// refactor path, a fresh factorization's own after a fallback. The
+	// residual check reads them.
+	cpat  *sparse.Pattern
+	cvals []complex128
 
 	// drifted tags the first point after the sweep-start stamp pass found
 	// pattern drift with solveKindPatternDrift.
@@ -666,14 +678,10 @@ type acFactorizer struct {
 	clu *linalg.CLU
 
 	// Numerical-health observatory state (per sweep). resThreshold <= 0
-	// disables the whole residual path (no extra SpMV, no scratch); rmat
-	// is the pre-Factor clone of the fallback matrix (Factor consumes its
-	// argument, so the residual needs its own copy of the stamped values).
+	// disables the whole residual path (no extra SpMV, no scratch, no
+	// condition samples).
 	resThreshold float64
-	probeEvery   int
-	condSamples  int
 	condBudget   int
-	rmat         *sparse.Matrix
 	r, d         []complex128 // residual + refinement-correction scratch, lazy
 	cv, cz       []complex128 // condition-estimate scratch, lazy
 
@@ -703,10 +711,11 @@ type acFactorizer struct {
 
 	// kind names the solver path the most recent at() call took, the
 	// slow-point context tag: "dense", "refactor" (pivot-free numeric
-	// refill), "full" (map-based factorization), "refactor_fallback" (the
-	// refill hit a collapsed pivot and this point fell back to a full
-	// factorization), or "pattern_drift" (the sweep-start stamp pass
-	// invalidated the frozen pattern; first point only).
+	// refill), "full" (a fresh factorization of the point, when the sweep
+	// has no usable symbolic analysis), "refactor_fallback" (the refill hit
+	// a collapsed pivot and this point fell back to a fresh factorization),
+	// or "pattern_drift" (the sweep-start stamp pass invalidated the frozen
+	// pattern; first point only).
 	kind string
 }
 
@@ -722,13 +731,13 @@ const (
 	// substitutions.
 	solveKindDiag = "diag"
 	// solveKindResidualEscalation tags points where a residual breach
-	// escalated past in-place refinement to a fresh full factorization.
+	// escalated past in-place refinement to a fresh factorization.
 	solveKindResidualEscalation = "residual_escalation"
 )
 
 // newACFactorizer prepares the per-sweep solver state. A failed symbolic
-// build is not fatal: the sweep degrades to one full factorization per
-// frequency (the pre-split behavior) and each point reports its own error.
+// build is not fatal: the sweep degrades to one fresh factorization per
+// frequency and each point reports its own error.
 func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 	fz := &acFactorizer{s: s, op: op, sparse: s.useSparse()}
 	switch {
@@ -738,19 +747,7 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 		fz.resThreshold = defResidualThreshold
 	}
 	if fz.resThreshold > 0 {
-		switch {
-		case s.Opt.ResidualProbeEvery > 0:
-			fz.probeEvery = s.Opt.ResidualProbeEvery
-		case s.Opt.ResidualProbeEvery == 0:
-			fz.probeEvery = defResidualProbeEvery
-		}
-		switch {
-		case s.Opt.CondSamples > 0:
-			fz.condSamples = s.Opt.CondSamples
-		case s.Opt.CondSamples == 0:
-			fz.condSamples = defCondSamples
-		}
-		fz.condBudget = fz.condSamples
+		fz.condBudget = defCondSamples
 		fz.health = make([]obs.SlowPoint, 0, obs.MaxHealthPoints)
 	}
 	if fz.sparse {
@@ -777,7 +774,7 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 // recorder) that every refactor-path point then fills its values from.
 // The pass carries the structural checksum: when the stamp stream no
 // longer matches the shared pattern, the shared analysis is dropped for
-// future sweeps and this one runs out on full factorizations.
+// future sweeps and this one runs out on fresh factorizations.
 func (fz *acFactorizer) recordAffine() {
 	s := fz.s
 	fz.aff.Begin()
@@ -793,9 +790,9 @@ func (fz *acFactorizer) recordAffine() {
 
 // at factors the AC system at omega, returning a solver valid until the
 // next call. The refactor path fills the values from the sweep's affine
-// recording; the dense path and the full-factorization fallbacks stamp
-// them. When b is non-nil it receives the RHS excitation; the caller must
-// pass it zeroed.
+// recording, a fresh-factorization fallback from its own; the dense path
+// stamps them. When b is non-nil it receives the RHS excitation; the
+// caller must pass it zeroed.
 func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 	s := fz.s
 	if !fz.sparse {
@@ -823,6 +820,7 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 		if err := fz.num.Refactor(fz.vals.Values()); err == nil {
 			fz.refactors++
 			fz.kind = solveKindRefactor
+			fz.cpat, fz.cvals = fz.pat, fz.vals.Values()
 			if fz.resThreshold > 0 {
 				g := fz.num.PivotGrowth()
 				mACPivotGrowth.Observe(g)
@@ -842,67 +840,59 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 	return fz.fullAt(omega, b)
 }
 
-// fullAt stamps the AC system into the map-based fallback matrix and runs
-// a full factorization with a fresh pivot search — the path taken when the
-// two-phase guards bounce a point and when the residual ladder escalates
-// past refinement. When b is non-nil it is re-zeroed and stamped with the
-// RHS excitation (the refactor attempt may already have stamped it). With
-// the observatory on, the stamped matrix is cloned before sparse.Factor
-// consumes it so the point's residual remains computable.
+// fullAt runs a fresh two-phase factorization of the point at omega:
+// analyzeAt on the point's own values, then a Numeric filled from those
+// same values with no collapsed-pivot guard on the order just chosen. It
+// serves the collapsed-pivot fallback, the residual ladder's escalation,
+// pattern drift and a failed sweep-start symbolic build. When b is non-nil
+// it receives the RHS excitation. The point's pattern and values stay
+// behind in cpat/cvals for the residual check.
 func (fz *acFactorizer) fullAt(omega float64, b []complex128) (cSolver, error) {
-	s := fz.s
-	if fz.smat == nil {
-		fz.smat = sparse.New(s.Sys.NumUnknowns())
-	} else {
-		fz.smat.Zero()
-	}
-	if b != nil {
-		for i := range b {
-			b[i] = 0
-		}
-	}
-	s.Sys.StampAC(fz.smat, b, omega, fz.op)
-	if fz.resThreshold > 0 {
-		fz.rmat = fz.smat.Clone()
-	}
-	lu, err := sparse.Factor(fz.smat)
+	pat, sym, build, err := fz.s.analyzeAt(omega, fz.op)
 	if err != nil {
 		return nil, err
 	}
+	if b != nil {
+		copy(b, build.aff.RHS())
+	}
+	num := sym.NewNumeric()
+	if err := num.Factor(build.vals.Values()); err != nil {
+		return nil, err
+	}
+	fz.cpat, fz.cvals = pat, build.vals.Values()
 	fz.fulls++
-	return lu, nil
+	return num, nil
 }
 
 // pointResidual computes the scale-relative backward error of the solve
 // (x, b) the current solver path just produced, leaving the residual
-// vector in fz.r for a possible refinement step. ok reports whether a
-// matrix snapshot was available for the path (the full-factor fallback
-// only keeps one when the observatory is on).
-func (fz *acFactorizer) pointResidual(x, b []complex128) (eta float64, ok bool) {
+// vector in fz.r for a possible refinement step. The vector lengths are
+// fixed by construction, so a residual error is a bug; it reads as an
+// unverifiable +Inf residual rather than a healthy one.
+func (fz *acFactorizer) pointResidual(x, b []complex128) float64 {
 	if fz.r == nil {
 		n := fz.s.Sys.NumUnknowns()
 		buf := make([]complex128, 2*n)
 		fz.r, fz.d = buf[:n:n], buf[n:]
 	}
+	var eta float64
 	var err error
-	switch {
-	case fz.kind == solveKindDense:
+	if fz.kind == solveKindDense {
 		eta, err = fz.dm.ResidualInf(x, b, fz.r)
-	case fz.kind == solveKindRefactor:
-		eta, err = fz.pat.ResidualInf(fz.vals.Values(), x, b, fz.r)
-	case fz.rmat != nil:
-		eta, err = fz.rmat.ResidualInf(x, b, fz.r)
-	default:
-		return 0, false
+	} else {
+		eta, err = fz.cpat.ResidualInf(fz.cvals, x, b, fz.r)
 	}
-	return eta, err == nil
+	if err != nil {
+		return math.Inf(1)
+	}
+	return eta
 }
 
 // verify runs the residual check and refinement-escalation ladder on one
 // representative solve of the current frequency point: slv·x = b with b
 // still holding the right-hand side it was solved against. On a breach it
 // (1) refines x once reusing the existing factorization, (2) escalates to
-// a fresh full factorization plus one more refinement (refactor path
+// a fresh factorization plus one more refinement (refactor path
 // only; restampRHS selects whether b is re-stamped as the circuit's AC
 // excitation or preserved as a caller-managed injection vector), and
 // (3) reports an error wrapping acerr.ErrAccuracy if even that leaves the
@@ -913,10 +903,7 @@ func (fz *acFactorizer) verify(slv cSolver, omega, freqHz float64, x, b []comple
 	if fz.resThreshold <= 0 {
 		return slv, nil
 	}
-	eta, ok := fz.pointResidual(x, b)
-	if !ok {
-		return slv, nil
-	}
+	eta := fz.pointResidual(x, b)
 	if eta > fz.resThreshold {
 		fz.breaches++
 		// Step 1: one refinement with the existing factorization (fz.r
@@ -926,14 +913,12 @@ func (fz *acFactorizer) verify(slv cSolver, omega, freqHz float64, x, b []comple
 				x[i] += fz.d[i]
 			}
 			fz.refines++
-			if e, ok := fz.pointResidual(x, b); ok {
-				eta = e
-			}
+			eta = fz.pointResidual(x, b)
 		}
-		// Step 2: a fresh full factorization with its own pivot search,
-		// then refine once more on it. Only the refactor path escalates —
-		// the other sparse paths already came from a full factorization
-		// and the dense factorization is as good as dense gets.
+		// Step 2: a fresh factorization with its own pivot search, then
+		// refine once more on it. Only the refactor path escalates — the
+		// other sparse paths already came from a fresh factorization and
+		// the dense factorization is as good as dense gets.
 		if eta > fz.resThreshold && fz.kind == solveKindRefactor {
 			var rb []complex128
 			if restampRHS {
@@ -943,18 +928,14 @@ func (fz *acFactorizer) verify(slv cSolver, omega, freqHz float64, x, b []comple
 				fz.kind = solveKindResidualEscalation
 				slv = lu
 				if err := slv.SolveInto(x, b); err == nil {
-					if e, ok := fz.pointResidual(x, b); ok {
-						eta = e
-					}
+					eta = fz.pointResidual(x, b)
 					if eta > fz.resThreshold {
 						if err := slv.SolveInto(fz.d, fz.r); err == nil {
 							for i := range x {
 								x[i] += fz.d[i]
 							}
 							fz.refines++
-							if e, ok := fz.pointResidual(x, b); ok {
-								eta = e
-							}
+							eta = fz.pointResidual(x, b)
 						}
 					}
 				}
@@ -1012,15 +993,15 @@ func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 }
 
 // condSampleAt takes one Hager/Higham 1-norm condition estimate when k is
-// one of condSamples evenly spaced points of an n-point sweep and budget
-// remains. Estimates need the refactor-path factorization (the CSR values
+// one of defCondSamples evenly spaced points of an n-point sweep and
+// budget remains (none does with the observatory off). Estimates need the refactor-path factorization (the CSR values
 // feed ‖A‖₁ and the conjugate-transpose solve walks the frozen fill
 // pattern).
 func (fz *acFactorizer) condSampleAt(k, n int) {
-	if fz.kind != solveKindRefactor || fz.num == nil || fz.condBudget <= 0 || fz.condSamples <= 0 {
+	if fz.kind != solveKindRefactor || fz.condBudget <= 0 {
 		return
 	}
-	stride := n / fz.condSamples
+	stride := n / defCondSamples
 	if stride < 1 {
 		stride = 1
 	}
@@ -1201,8 +1182,7 @@ func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResu
 // ImpedanceMatrixColumns computes driving-point impedances: for every
 // frequency it factors the AC matrix once and back-substitutes one RHS per
 // requested node (unit current injection), returning Z[nodeIdxInList][freq].
-// Every column is a full solution, so callers that need off-diagonal
-// entries (loop-gain extraction) use it; driving-point sweeps go through
+// Every column is a full solution; driving-point sweeps go through
 // ImpedanceDiagSweep, which delegates here in dense mode. In sparse mode
 // the factorization itself is the two-phase kind: the pivot order and fill
 // pattern come from the Sim-shared symbolic analysis and each frequency
@@ -1278,12 +1258,12 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // The reach sets are computed once per sweep (cached on the Sim-shared
 // symbolic state, so forked workers build them once) and the steady-state
 // loop body is allocation-free. Frequencies that leave the refactor path
-// — a collapsed pivot falling back to a full factorization, or pattern
+// — a collapsed pivot falling back to a fresh factorization, or pattern
 // drift found by the sweep-start stamp pass — fall back to full
 // per-node SolveInto for that point and count against
-// acstab_ac_diag_fallbacks_total. Dense mode has no elimination DAG to
-// exploit and delegates wholesale to ImpedanceMatrixColumns. Callers that
-// need off-diagonal entries (loop-gain extraction) must keep using
+// acstab_ac_diag_fallbacks_total: a fresh factorization has its own pivot
+// order, which the shared plan does not describe. Dense mode has no
+// elimination DAG to exploit and delegates wholesale to
 // ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	if !s.useSparse() {
@@ -1328,9 +1308,10 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 		}
 		kind := fz.kind
-		if num, ok := slv.(*sparse.Numeric); ok && plan != nil {
+		if fz.kind == solveKindRefactor && plan != nil {
 			// Refactor succeeded under the frozen pivot order, so the plan's
 			// reach sets describe exactly this factorization.
+			num := fz.num
 			if err := num.SolveDiagInto(diag, plan); err != nil {
 				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 			}
@@ -1341,12 +1322,13 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			fz.diagRows += plan.RowsPerSolve()
 			kind = solveKindDiag
 			// Sampled residual probe: the batched kernel produces only the
-			// Z_kk values, so every probeEvery-th frequency runs one full
-			// solve for the first node and verifies it. The kernel and the
-			// full solve perform bitwise-identical arithmetic on the shared
-			// factorization (both skip zero multipliers), so overwriting the
-			// kernel's value with the probe's is exact, not a perturbation.
-			if fz.resThreshold > 0 && fz.probeEvery > 0 && k%fz.probeEvery == 0 {
+			// Z_kk values, so every defResidualProbeEvery-th frequency runs
+			// one full solve for the first node and verifies it. The kernel
+			// and the full solve perform bitwise-identical arithmetic on the
+			// shared factorization (both skip zero multipliers), so
+			// overwriting the kernel's value with the probe's is exact, not
+			// a perturbation.
+			if fz.resThreshold > 0 && k%defResidualProbeEvery == 0 {
 				idx0 := nodeIdx[0]
 				b[idx0] = 1
 				perr := num.SolveInto(x, b)
@@ -1361,7 +1343,7 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 				}
 				out[0][k] = x[idx0]
 				if slv2 != cSolver(num) {
-					// The ladder escalated to a fresh full factorization:
+					// The ladder escalated to a fresh factorization:
 					// the kernel's values for this frequency came from the
 					// degraded one, so redo the whole point on the new
 					// solver with full substitutions.
@@ -1410,22 +1392,4 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 		}
 	}
 	return out, nil
-}
-
-// Impedance computes the driving-point impedance of one node across
-// frequency (unit AC current injection, reading the same node's voltage).
-func (s *Sim) Impedance(ctx context.Context, freqs []float64, op *mna.OpPoint, node string) (*wave.Wave, error) {
-	idx, ok := s.Sys.NodeOf(node)
-	if !ok || idx < 0 {
-		return nil, fmt.Errorf("analysis: cannot probe node %q: %w", node, acerr.ErrUnknownNode)
-	}
-	z, err := s.ImpedanceMatrixColumns(ctx, freqs, op, []int{idx})
-	if err != nil {
-		return nil, err
-	}
-	w := wave.New("z("+node+")", append([]float64(nil), freqs...), z[0])
-	w.XUnit = "Hz"
-	w.YUnit = "Ohm"
-	w.LogX = true
-	return w, nil
 }

@@ -241,6 +241,110 @@ func TestImpedanceDiagRefactorFallback(t *testing.T) {
 	}
 }
 
+// TestRefactorFallbackAtOnePoint runs each sparse sweep entry under a
+// doctored pivot order whose column-zq pivot is the admittance jωC of a
+// 1 fF island capacitor. That pivot clears the refill's collapsed-pivot
+// guard at every frequency of the sweep but the lowest, where it falls
+// below 1e-12 of its row: exactly one point falls back to a fresh
+// factorization. That point must carry the refactor_fallback tag, and
+// every point must agree with the forced-dense oracle to 1e-9. In the diag
+// sweep this catches the shared reach plan being applied to the
+// fallback's own factorization, whose pivot order it does not describe.
+func TestRefactorFallbackAtOnePoint(t *testing.T) {
+	ctx := context.Background()
+	freqs := []float64{0.01, 1e7, 1e8, 1e9}
+	island := func() *Sim {
+		c := fallbackIslandCircuit(8)
+		c.AddC("CZ2", "zp", "zq", 1e-15)
+		return compile(t, c)
+	}
+	// columns turns an AC result into the per-unknown rows the impedance
+	// sweeps return.
+	columns := func(r *ACResult) [][]complex128 {
+		out := make([][]complex128, len(r.Sol[0]))
+		for i := range out {
+			out[i] = make([]complex128, len(r.Sol))
+			for k := range r.Sol {
+				out[i][k] = r.Sol[k][i]
+			}
+		}
+		return out
+	}
+	oracle := island()
+	oracle.Opt.Matrix = MatrixDense
+	opD := mustOP(t, oracle)
+	idx := allNodeIdx(oracle)
+	wantZ, err := oracle.ImpedanceMatrixColumns(ctx, freqs, opD, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAC, err := oracle.AC(ctx, freqs, opD)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		want [][]complex128
+		run  func(s *Sim) ([][]complex128, error)
+	}{
+		{"ImpedanceDiagSweep", wantZ, func(s *Sim) ([][]complex128, error) {
+			return s.ImpedanceDiagSweep(ctx, freqs, mustOP(t, s), idx)
+		}},
+		{"ImpedanceMatrixColumns", wantZ, func(s *Sim) ([][]complex128, error) {
+			return s.ImpedanceMatrixColumns(ctx, freqs, mustOP(t, s), idx)
+		}},
+		{"AC", columns(wantAC), func(s *Sim) ([][]complex128, error) {
+			r, err := s.AC(ctx, freqs, mustOP(t, s))
+			if err != nil {
+				return nil, err
+			}
+			return columns(r), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := island()
+			s.Opt.Matrix = MatrixSparse
+			pat, sym := marginalPivotSymbolic(t, s, 2*math.Pi*freqs[len(freqs)-1])
+			installSymbolic(s, pat, sym)
+			run := obs.StartRun("fallback-one-point")
+			s.Trace = run
+			falls0 := mACRefactorFallbacks.Value()
+			got, err := tc.run(s)
+			run.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := mACRefactorFallbacks.Value() - falls0; d != 1 {
+				t.Errorf("refactor fallbacks = %d, want 1 (only %g Hz collapses)", d, freqs[0])
+			}
+			tagged := false
+			for _, p := range run.Trace().SlowPoints {
+				if p.FreqHz == freqs[0] && p.Detail != "residual" {
+					tagged = true
+					if p.Detail != solveKindRefactorFallback {
+						t.Errorf("%g Hz solver path = %q, want %q", freqs[0], p.Detail, solveKindRefactorFallback)
+					}
+				}
+			}
+			if !tagged {
+				t.Errorf("no slow point captured at %g Hz", freqs[0])
+			}
+			for k := range freqs {
+				scale := 0.0
+				for i := range tc.want {
+					scale = math.Max(scale, cmplx.Abs(tc.want[i][k]))
+				}
+				for i := range tc.want {
+					if d := cmplx.Abs(got[i][k] - tc.want[i][k]); d > 1e-9*scale {
+						t.Fatalf("row %d f=%g Hz: |d| = %g vs scale %g", i, freqs[k], d, scale)
+					}
+				}
+			}
+		})
+	}
+}
+
 // driftLadder builds the deterministic ladder the pattern-drift test uses;
 // withExtra adds one more resistor between existing nodes, which changes
 // the stamp stream but not the node set.

@@ -40,7 +40,7 @@ func measureAll(t *testing.T, p OpAmpParams) (fc, pm, f180, fn, peak, os float64
 	if err != nil {
 		return
 	}
-	zw, err := s2.Impedance(context.Background(), num.LogGridPPD(1e4, 1e8, 60), op2, "output")
+	zw, err := impedance(s2, num.LogGridPPD(1e4, 1e8, 60), op2, "output")
 	if err != nil {
 		return
 	}

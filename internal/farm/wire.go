@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 
@@ -159,13 +160,20 @@ func wireErrorFrom(err error) *WireError {
 	return we
 }
 
-// decodeStrict parses one JSON document rejecting unknown fields, so
-// schema drift (a misspelled option, a v3 field) surfaces as a 400
-// instead of a silently ignored knob.
+// decodeStrict parses exactly one JSON document rejecting unknown fields,
+// so schema drift (a misspelled option, a v3 field) surfaces as a 400
+// instead of a silently ignored knob. Anything but whitespace after the
+// document is rejected too: a body is one request, not a stream.
 func decodeStrict(body []byte, into any) *WireError {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = fmt.Errorf("trailing data after the JSON document")
+		}
+	}
+	if err != nil {
 		return &WireError{Status: http.StatusBadRequest,
 			Detail: ErrorDetail{Code: CodeBadJSON, Message: fmt.Sprintf("bad request JSON: %v", err)}}
 	}

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,44 @@ func TestNormalizeFieldErrors(t *testing.T) {
 		we := wireErrorFrom(err)
 		if we.Status != 400 || we.Detail.Code != CodeBadOption || we.Detail.Field != tc.field {
 			t.Errorf("%s: wire error %+v", tc.name, we)
+		}
+	}
+}
+
+// TestDecodeRejectsTrailingData: both wire decoders take exactly one JSON
+// document per body. Trailing whitespace is fine; trailing junk or a
+// second document is a 400 bad_json.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	decoders := []struct {
+		name string
+		doc  string
+		dec  func([]byte) *WireError
+	}{
+		{"DecodeRequest", `{"netlist": "x"}`, func(b []byte) *WireError {
+			_, _, we := DecodeRequest(b)
+			return we
+		}},
+		{"DecodeBatchRequest", `{"v": 2, "netlist": "x", "variants": [{}]}`, func(b []byte) *WireError {
+			_, _, we := DecodeBatchRequest(b)
+			return we
+		}},
+	}
+	for _, d := range decoders {
+		for _, tail := range []string{"", "\n", " \t\r\n"} {
+			if we := d.dec([]byte(d.doc + tail)); we != nil {
+				t.Errorf("%s: body with tail %q rejected: %v", d.name, tail, we)
+			}
+		}
+		for _, tail := range []string{" junk", `{"v":99}`, d.doc, "]", "0", `"x"`} {
+			we := d.dec([]byte(d.doc + tail))
+			if we == nil {
+				t.Errorf("%s: trailing %q accepted", d.name, tail)
+				continue
+			}
+			if we.Status != http.StatusBadRequest || we.Detail.Code != CodeBadJSON {
+				t.Errorf("%s: trailing %q: status %d code %q, want 400 %s",
+					d.name, tail, we.Status, we.Detail.Code, CodeBadJSON)
+			}
 		}
 	}
 }

@@ -469,15 +469,6 @@ func (f *CLU) SolveColumn(k, idx int) (complex128, error) {
 	return x[idx], nil
 }
 
-// CSolveDense factors m and solves m x = b in one call.
-func CSolveDense(m *CMatrix, b []complex128) ([]complex128, error) {
-	f, err := CFactor(m)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
 // MulVec computes y = m * x for a real matrix.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	y := make([]float64, m.N)

@@ -130,11 +130,20 @@ func TestSolveRoundTripQuick(t *testing.T) {
 	}
 }
 
+// csolve factors m and solves m x = b in one call.
+func csolve(m *CMatrix, b []complex128) ([]complex128, error) {
+	f, err := CFactor(m)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
+}
+
 func TestCSolveKnown(t *testing.T) {
 	// (1+j) x = 2 -> x = 1-j
 	m := NewCMatrix(1)
 	m.Set(0, 0, complex(1, 1))
-	x, err := CSolveDense(m, []complex128{2})
+	x, err := csolve(m, []complex128{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +158,7 @@ func TestCSolvePivot(t *testing.T) {
 	m.Set(0, 1, complex(0, 1))
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 0)
-	x, err := CSolveDense(m, []complex128{complex(0, 2), 5})
+	x, err := csolve(m, []complex128{complex(0, 2), 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestCSolveRoundTripQuick(t *testing.T) {
 			x[i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
 		b := m.MulVec(x)
-		y, err := CSolveDense(m, b)
+		y, err := csolve(m, b)
 		if err != nil {
 			return false
 		}

@@ -155,7 +155,7 @@ func TestStampACCapacitor(t *testing.T) {
 	b := make([]complex128, n)
 	omega := 1000.0 // 1/(RC) = 1000 rad/s
 	sys.StampAC(m, b, omega, op)
-	x, err := linalg.CSolveDense(m, b)
+	x, err := csolve(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestStampACPhasorSource(t *testing.T) {
 	m := linalg.NewCMatrix(n)
 	b := make([]complex128, n)
 	sys.StampAC(m, b, 1e3, op)
-	x, err := linalg.CSolveDense(m, b)
+	x, err := csolve(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestLinearizeBJTConsistency(t *testing.T) {
 	brB, _ := sys.BranchOf("vb")
 	brC, _ := sys.BranchOf("vc")
 	bb[brB] = 1
-	sol, err := linalg.CSolveDense(m, bb)
+	sol, err := csolve(m, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestStampACControlledSourcesAndDevices(t *testing.T) {
 	m := linalg.NewCMatrix(n)
 	b := make([]complex128, n)
 	sys.StampAC(m, b, 2*math.Pi*1e6, op)
-	sol, err := linalg.CSolveDense(m, b)
+	sol, err := csolve(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,4 +526,13 @@ func TestSetSourceDC(t *testing.T) {
 	if math.Abs(got[ib]-2) > 1e-9 {
 		t.Errorf("v(b) = %g, want 2", got[ib])
 	}
+}
+
+// csolve factors m and solves m x = b in one call.
+func csolve(m *linalg.CMatrix, b []complex128) ([]complex128, error) {
+	f, err := linalg.CFactor(m)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
 }

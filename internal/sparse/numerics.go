@@ -234,37 +234,3 @@ func (nm *Numeric) CondEst1(vals []complex128, v, z []complex128) (float64, erro
 	}
 	return anorm * est, nil
 }
-
-// ResidualInf fills r = b − A·x for the map-based matrix (the full-factor
-// fallback path) and returns the same scale-relative backward error
-// Pattern.ResidualInf reports, so refactor-path and fallback-path points
-// quote comparable health numbers.
-func (m *Matrix) ResidualInf(x, b, r []complex128) (float64, error) {
-	n := m.n
-	if len(x) != n || len(b) != n || len(r) != n {
-		return 0, fmt.Errorf("sparse: residual vector lengths %d/%d/%d, want %d", len(x), len(b), len(r), n)
-	}
-	var anorm, xnorm, bnorm, rnorm float64
-	for i := 0; i < n; i++ {
-		acc := b[i]
-		rowSum := 0.0
-		for j, v := range m.rows[i] {
-			acc -= v * x[j]
-			rowSum += cabs1(v)
-		}
-		r[i] = acc
-		if rowSum > anorm {
-			anorm = rowSum
-		}
-		if a := cabs1(acc); a > rnorm {
-			rnorm = a
-		}
-		if a := cabs1(b[i]); a > bnorm {
-			bnorm = a
-		}
-		if a := cabs1(x[i]); a > xnorm {
-			xnorm = a
-		}
-	}
-	return scaleRel(rnorm, anorm*xnorm+bnorm), nil
-}

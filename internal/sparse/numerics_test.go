@@ -4,6 +4,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"acstab/internal/linalg"
 )
 
 // setupLadder compiles an n-node ladder and returns its refactored
@@ -46,11 +48,9 @@ func TestResidualInf(t *testing.T) {
 	if eta <= 0 || eta > 1e-12 {
 		t.Errorf("healthy solve residual = %g, want (0, 1e-12]", eta)
 	}
-	// r must be the actual residual: recompute one component by hand.
-	m := New(n)
-	replay(m, ladderStamp(n, 1e6))
+	// r must be the actual residual: recompute it from the dense form.
 	r2 := make([]complex128, n)
-	eta2, err := m.ResidualInf(x, b, r2)
+	eta2, err := denseOf(n, ladderStamp(n, 1e6)).ResidualInf(x, b, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestResidualInf(t *testing.T) {
 	// rounding — both must still be at noise level for a healthy solve.
 	for i := range r {
 		if cabs(r[i]-r2[i]) > 1e-14 {
-			t.Fatalf("pattern and map residual vectors disagree at %d: %v vs %v", i, r[i], r2[i])
+			t.Fatalf("pattern and dense residual vectors disagree at %d: %v vs %v", i, r[i], r2[i])
 		}
 	}
 	if eta2 <= 0 || eta2 > 1e-12 {
-		t.Errorf("map-form backward error = %g, want (0, 1e-12]", eta2)
+		t.Errorf("dense-form backward error = %g, want (0, 1e-12]", eta2)
 	}
 
 	// Corrupt the solution: the backward error must see it.
@@ -76,11 +76,11 @@ func TestResidualInf(t *testing.T) {
 // documented rule — all-zero system is perfect, nonzero residual over a
 // zero scale is +Inf.
 func TestResidualInfZeroSystem(t *testing.T) {
-	m := New(2)
+	pat, vals := compile(2, nil)
 	x := make([]complex128, 2)
 	b := make([]complex128, 2)
 	r := make([]complex128, 2)
-	eta, err := m.ResidualInf(x, b, r)
+	eta, err := pat.ResidualInf(vals.Values(), x, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestResidualInfZeroSystem(t *testing.T) {
 		t.Errorf("all-zero system residual = %g, want 0", eta)
 	}
 	b[0] = 1 // r = b ≠ 0 but A and x are zero, so bnorm > 0 → finite
-	if eta, _ = m.ResidualInf(x, b, r); eta != 1 {
+	if eta, _ = pat.ResidualInf(vals.Values(), x, b, r); eta != 1 {
 		t.Errorf("zero-matrix nonzero-b residual = %g, want 1", eta)
 	}
 }
@@ -154,8 +154,8 @@ func TestSolveConjTransInto(t *testing.T) {
 	if err := num.SolveConjTransInto(x, b); err != nil {
 		t.Fatal(err)
 	}
-	// Build Aᴴ explicitly in map form and check its residual for (x, b).
-	mh := New(n)
+	// Build Aᴴ explicitly in dense form and check its residual for (x, b).
+	mh := linalg.NewCMatrix(n)
 	for _, c := range ladderStamp(n, 1e7) {
 		mh.Add(c.j, c.i, cmplx.Conj(c.v))
 	}
@@ -192,12 +192,11 @@ func TestCondEst1(t *testing.T) {
 	// Exact κ₁ from explicit inversion via n unit solves.
 	anorm := 0.0
 	cols := make([][]complex128, n)
-	m := New(n)
-	replay(m, ladderStamp(n, 1e6))
+	m := denseOf(n, ladderStamp(n, 1e6))
 	for j := 0; j < n; j++ {
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			sum += cabs1(m.rows[i][j])
+			sum += cabs1(m.At(i, j))
 		}
 		if sum > anorm {
 			anorm = sum

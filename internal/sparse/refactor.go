@@ -1,9 +1,9 @@
-package sparse
-
-// Two-phase factorization: the sparsity pattern of an AC sweep's matrix
-// (the union of the G and C stamps) is identical at every frequency, so
-// the pivot-order search and fill-in analysis need to run only once per
-// sweep. This file implements that split:
+// Package sparse implements the sparse complex LU solver of the AC sweeps.
+//
+// The sparsity pattern of an AC sweep's matrix (the union of the G and C
+// stamps) is identical at every frequency, so the factorization is split
+// in two phases and the pivot-order search and fill-in analysis run only
+// once per sweep:
 //
 //   - Recorder captures the (i,j) call stream of one stamping pass and
 //     freezes it into a Pattern: a CSR layout plus a per-call slot table,
@@ -19,20 +19,55 @@ package sparse
 //     Gilbert–Peierls pass) and Numeric.SolveInto back-substitutes in
 //     place. Both are allocation-free, which keeps the per-frequency
 //     inner loop of the all-nodes sweep out of the garbage collector.
+//     Numeric.Factor is the same fill on the values the pivot order was
+//     just chosen from: Analyze followed by Factor is a complete fresh
+//     factorization.
 //
 // Reusing a pivot order chosen at one frequency at another is safe for
 // the diagonally dominant MNA systems this repo sweeps, but it is guarded
 // anyway: Vals and Affine carry an order-sensitive structural checksum
-// (pattern drift falls back to a full factorization) and Refactor rejects pivots
-// that collapse relative to their row scale (numeric drift falls back the
-// same way).
+// (pattern drift falls back to a fresh factorization) and Refactor rejects
+// pivots that collapse relative to their row scale (numeric drift falls
+// back the same way).
+package sparse
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
 	"slices"
+
+	"acstab/internal/acerr"
 )
+
+// ErrSingular is returned when no usable pivot exists. It wraps
+// acerr.ErrSingularMatrix so the condition is recognizable across the
+// public API boundary via errors.Is.
+var ErrSingular = fmt.Errorf("sparse: %w", acerr.ErrSingularMatrix)
+
+// pivotThreshold is the relative-magnitude threshold for accepting a pivot
+// candidate. Sparsity is used only as a tie-break among candidates whose
+// magnitude is within this factor of the column maximum. Small thresholds
+// (the classic Sparse 1.3 default of 0.1) permit elimination multipliers up
+// to 1/threshold, which compounds across deep ladder/chain networks into
+// catastrophic growth (observed: ~6.6 per stage on an 80-stage RC ladder).
+// Keeping the threshold near 1 makes the factorization behave like partial
+// pivoting — multipliers stay near 1 and diagonally dominant MNA systems
+// factor with essentially no element growth — while still letting the
+// sparser of two equal-magnitude candidates win.
+const pivotThreshold = 0.99
+
+// singularTol is the relative pivot threshold for declaring a matrix
+// numerically singular: a pivot column whose best remaining candidate is
+// below this fraction of its scale cannot produce meaningful solution
+// digits in a float64 factorization. The scale is min(column max, pivot
+// row max) over the *original* matrix — a pivot must be collapsed
+// relative to both its own column and its own row to count as singular.
+// Either test alone misfires on honestly ill-scaled MNA systems: a ±1
+// voltage-source pivot is perfectly usable even when a transistor
+// conductance elsewhere in the column dwarfs it, and a lone gmin
+// conductance is fine despite being tiny in absolute terms.
+const singularTol = 1e-13
 
 // FNV-1a parameters for the structural checksum of a stamp-call stream.
 const (
@@ -163,7 +198,7 @@ func (v *Vals) Add(i, j int, val complex128) {
 // Drift reports whether the stamping pass since Begin deviated
 // structurally (different call count or call stream) from the pattern.
 // When it does, the values are meaningless and the caller must fall back
-// to a full map-based factorization.
+// to a fresh factorization of a newly recorded pattern.
 func (v *Vals) Drift() bool {
 	return v.t != len(v.p.seq) || v.sig != v.p.sig
 }
@@ -192,16 +227,16 @@ type Symbolic struct {
 }
 
 // FillIn returns the number of L multipliers plus U entries (diagonal
-// included), the same measure LU.FillIn reports.
+// included), a measure of factorization fill.
 func (s *Symbolic) FillIn() int { return len(s.lsrc) + len(s.ucol) + s.n }
 
 // Analyze runs the one-time pivot search and fill analysis on the pattern
 // with the given values (one stamped frequency point of the sweep). The
 // pivot choice is numeric — threshold partial pivoting with the Markowitz
-// sparsity tie-break, exactly like Factor — but the recorded elimination
-// order and fill pattern are value-independent: fill positions are kept
-// even when a value happens to cancel, so the pattern is closed under the
-// elimination at every other frequency.
+// sparsity tie-break (see pivotThreshold and singularTol) — but the
+// recorded elimination order and fill pattern are value-independent: fill
+// positions are kept even when a value happens to cancel, so the pattern
+// is closed under the elimination at every other frequency.
 func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 	n := p.n
 	if len(vals) != len(p.col) {
@@ -279,7 +314,7 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 				maxMag, maxRow = a, int(cd.row)
 			}
 		}
-		// Same min(column, pivot row) scale rule as Factor: see singularTol.
+		// The min(column, pivot row) scale rule: see singularTol.
 		scale := colScale[col]
 		if maxRow >= 0 && rowScale[maxRow] < scale {
 			scale = rowScale[maxRow]
@@ -365,7 +400,7 @@ func (p *Pattern) Analyze(vals []complex128) (*Symbolic, error) {
 // this fraction of its row's input magnitude. The pivot order was chosen
 // at a different frequency; when the values at the current frequency make
 // that order numerically unusable, Refactor reports ErrSingular and the
-// caller falls back to a full factorization with a fresh pivot search.
+// caller falls back to a fresh factorization (Analyze, then Factor).
 const refactorPivTol = 1e-12
 
 // Numeric is a numeric factorization over a fixed Symbolic pattern. All
@@ -406,8 +441,23 @@ func (s *Symbolic) NewNumeric() *Numeric {
 // no pivot search, no maps, no allocations: one Gilbert–Peierls pass per
 // row over the precomputed fill pattern. On a pivot failure the numeric
 // state is invalid and the error wraps acerr.ErrSingularMatrix; the
-// caller should refactor from scratch with Factor.
+// caller should analyze the values afresh and Factor them.
 func (nm *Numeric) Refactor(vals []complex128) error {
+	return nm.fill(vals, refactorPivTol)
+}
+
+// Factor fills the factorization from the values its Symbolic was just
+// analyzed on, completing a fresh two-phase factorization. It is Refactor
+// without the collapsed-pivot guard: Analyze already chose every pivot on
+// these values, so Factor accepts exactly what Analyze accepted and fails
+// only on a pivot that rounds to zero or overflows.
+func (nm *Numeric) Factor(vals []complex128) error {
+	return nm.fill(vals, 0)
+}
+
+// fill is the Gilbert–Peierls refill behind Refactor and Factor. It
+// rejects a pivot not above pivTol times its row's input magnitude.
+func (nm *Numeric) fill(vals []complex128, pivTol float64) error {
 	sym, p := nm.sym, nm.sym.pat
 	if len(vals) != len(p.col) {
 		return fmt.Errorf("sparse: values length %d, want %d", len(vals), len(p.col))
@@ -443,7 +493,7 @@ func (nm *Numeric) Refactor(vals []complex128) error {
 			w[c] = 0
 		}
 		ad := cmplx.Abs(d)
-		if !(ad > refactorPivTol*scale) || math.IsInf(ad, 0) {
+		if !(ad > pivTol*scale) || math.IsInf(ad, 0) {
 			// !(x > y) also catches NaN. Scrub the scatter row so the next
 			// Refactor starts from the all-zero invariant.
 			for i := range w {

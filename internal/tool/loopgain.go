@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"acstab/internal/acerr"
 	"acstab/internal/analysis"
-	"acstab/internal/linalg"
 	"acstab/internal/mna"
 	"acstab/internal/netlist"
 	"acstab/internal/num"
-	"acstab/internal/sparse"
 	"acstab/internal/wave"
 )
 
@@ -23,8 +20,9 @@ import (
 // the stability-plot method.
 //
 // The element must be a VCCS (G element) whose transconductance carries
-// the loop; its output is replaced by a unit AC current and the voltage
-// returned at its control terminals is measured:
+// the loop; its output is replaced by a unit AC current source and the
+// voltage returned at its control terminals is measured with an ordinary
+// AC sweep:
 //
 //	T(ω) = -gm * v_ctrl(ω)
 //
@@ -53,7 +51,8 @@ func ReturnRatio(ctx context.Context, ckt *netlist.Circuit, elem string, freqs [
 	gm := target.Value
 	nodes := target.Nodes
 
-	// Remove the probed source.
+	// Replace the probed source by a unit AC current between its output
+	// nodes: what the VCCS output would drive.
 	pruned := netlist.NewCircuit(flat.Title)
 	pruned.Temp = flat.Temp
 	for k, v := range flat.Params {
@@ -72,6 +71,11 @@ func ReturnRatio(ctx context.Context, ckt *netlist.Circuit, elem string, freqs [
 		}
 		pruned.Add(e)
 	}
+	probe := "i" + ln
+	for flat.Element(probe) != nil {
+		probe += "_"
+	}
+	pruned.AddI(probe, nodes[0], nodes[1], netlist.SourceSpec{ACMag: 1})
 	sys, err := mna.Compile(pruned)
 	if err != nil {
 		return nil, err
@@ -81,66 +85,23 @@ func ReturnRatio(ctx context.Context, ckt *netlist.Circuit, elem string, freqs [
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, 4)
-	for i, n := range nodes {
-		j, ok := sys.NodeOf(n)
-		if !ok {
-			return nil, fmt.Errorf("tool: probe node %q vanished", n)
-		}
-		idx[i] = j
+	ac, err := sim.AC(ctx, freqs, op)
+	if err != nil {
+		return nil, fmt.Errorf("tool: return ratio: %w", err)
 	}
-	np, nn, cp, cn := idx[0], idx[1], idx[2], idx[3]
-
-	n := sys.NumUnknowns()
+	vp, err := ac.NodeWave(nodes[2])
+	if err != nil {
+		return nil, err
+	}
+	vn, err := ac.NodeWave(nodes[3])
+	if err != nil {
+		return nil, err
+	}
 	y := make([]complex128, len(freqs))
-	useSparse := n > 64
-	var dm *linalg.CMatrix
-	var sm *sparse.Matrix
-	if useSparse {
-		sm = sparse.New(n)
-	} else {
-		dm = linalg.NewCMatrix(n)
+	for k := range y {
+		y[k] = -complex(gm, 0) * (vp.Y[k] - vn.Y[k])
 	}
-	b := make([]complex128, n)
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		omega := 2 * 3.141592653589793 * f
-		for i := range b {
-			b[i] = 0
-		}
-		// Unit replacement current: what the VCCS output would drive.
-		if np >= 0 {
-			b[np] -= 1
-		}
-		if nn >= 0 {
-			b[nn] += 1
-		}
-		var x []complex128
-		var err error
-		if useSparse {
-			sm.Zero()
-			sys.StampAC(sm, nil, omega, op)
-			x, err = sparse.Solve(sm, b)
-		} else {
-			dm.Zero()
-			sys.StampAC(dm, nil, omega, op)
-			x, err = linalg.CSolveDense(dm, b)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tool: return ratio at %g Hz: %w", f, err)
-		}
-		var vc complex128
-		if cp >= 0 {
-			vc += x[cp]
-		}
-		if cn >= 0 {
-			vc -= x[cn]
-		}
-		y[k] = -complex(gm, 0) * vc
-	}
-	w := wave.New("T("+strings.ToLower(elem)+")", append([]float64(nil), freqs...), y)
+	w := wave.New("T("+ln+")", append([]float64(nil), freqs...), y)
 	w.XUnit = "Hz"
 	w.LogX = true
 	return w, nil
