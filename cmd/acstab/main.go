@@ -591,8 +591,14 @@ func parseCorners(path string) ([]farm.Variant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("-corners: %v", err)
 	}
+	return parseCornersText(path, string(b))
+}
+
+// parseCornersText parses the text of a corners file; name attributes
+// errors to the file.
+func parseCornersText(name, text string) ([]farm.Variant, error) {
 	var out []farm.Variant
-	for ln, line := range strings.Split(string(b), "\n") {
+	for ln, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "*") {
 			continue
@@ -608,15 +614,15 @@ func parseCorners(path string) ([]farm.Variant, error) {
 		}
 		vars := map[string]float64{}
 		for _, f := range rest {
-			name, vs, ok := strings.Cut(f, "=")
-			if !ok || name == "" {
-				return nil, fmt.Errorf("-corners %s:%d: want name=value, got %q", path, ln+1, f)
+			vname, vs, ok := strings.Cut(f, "=")
+			if !ok || vname == "" {
+				return nil, fmt.Errorf("-corners %s:%d: want name=value, got %q", name, ln+1, f)
 			}
 			val, err := num.ParseValue(vs)
 			if err != nil {
-				return nil, fmt.Errorf("-corners %s:%d: %s: %v", path, ln+1, f, err)
+				return nil, fmt.Errorf("-corners %s:%d: %s: %v", name, ln+1, f, err)
 			}
-			vars[strings.ToLower(name)] = val
+			vars[strings.ToLower(vname)] = val
 		}
 		if len(vars) > 0 {
 			v.Variables = vars
@@ -624,7 +630,7 @@ func parseCorners(path string) ([]farm.Variant, error) {
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-corners %s: no corners in file", path)
+		return nil, fmt.Errorf("-corners %s: no corners in file", name)
 	}
 	return out, nil
 }

@@ -4,15 +4,13 @@
 // POST /batch (wire v2: one netlist + N variants in, an NDJSON stream of
 // per-variant results out, amortized by the worker's content-addressed
 // compile cache — size it with -cache-entries),
-// GET /healthz, GET /metrics (Prometheus text exposition; ?format=json
-// for the full-fidelity export fleet federation merges), GET /statusz
-// (JSON status snapshot with build identity and SLO scores), GET
-// /debug/runs (flight recorder: the last -recent-runs run records with
-// their traces and outcomes, filterable with ?outcome= and ?n=), and
-// GET /debug/events (the wide-event ring acstabctl tail follows). With
-// -pprof it additionally exposes the net/http/pprof handlers under
-// /debug/pprof/. Point any number of acstab clients — or a load
-// balancer, or acstabctl — at a fleet of workers.
+// GET /healthz, GET /metrics (Prometheus text exposition), GET /statusz
+// (JSON status snapshot with build identity, numerical health and cache
+// state), and GET /debug/runs (flight recorder: the last -recent-runs
+// run records with their traces and outcomes, filterable with ?outcome=
+// and ?n=). With -pprof it additionally exposes the net/http/pprof
+// handlers under /debug/pprof/. Point any number of acstab clients — or
+// a load balancer — at a fleet of workers.
 //
 // All logging is wide events: one canonical JSON object per /run request
 // on stderr, and structured lifecycle events (listening, drain_start,
@@ -26,7 +24,6 @@
 //
 //	acstabd -listen :8080 -pprof -drain-timeout 30s
 //	acstab -i circuit.cir -remote http://worker:8080
-//	acstabctl -workers http://worker:8080 status
 //	curl http://worker:8080/metrics
 package main
 
@@ -58,10 +55,6 @@ func main() {
 		"per-job deadline ceiling; a request's timeout_ms is capped at this")
 	recentRuns := flag.Int("recent-runs", obs.DefaultRecentRuns,
 		"flight-recorder depth: how many recent runs GET /debug/runs keeps")
-	sloLatency := flag.Duration("slo-latency", 30*time.Second,
-		"latency objective: a /run answered within this counts as fast for the SLO")
-	sloSuccess := flag.Float64("slo-success-target", 0.99,
-		"availability objective: the fraction of /run requests that must succeed")
 	cacheEntries := flag.Int("cache-entries", farm.DefaultCacheEntries,
 		"compiled-system cache capacity (content-addressed LRU; 0 disables caching)")
 	flag.Parse()
@@ -69,7 +62,6 @@ func main() {
 		MaxConcurrent: *maxConc,
 		MaxTimeout:    *reqTimeout,
 		RecentRuns:    *recentRuns,
-		SLO:           obs.SLOConfig{LatencyObjective: *sloLatency, SuccessTarget: *sloSuccess},
 		CacheEntries:  *cacheEntries,
 	}
 	if *cacheEntries == 0 {

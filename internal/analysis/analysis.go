@@ -51,8 +51,7 @@ var (
 	// Numerical-health observatory: per-point scale-relative residuals and
 	// pivot-growth factors land in log-scale histograms (the default obs
 	// buckets are duration-oriented, so these carry explicit decade
-	// bounds), refinement/breach volume in counters. All of it federates
-	// exactly across the fleet — counters sum, histogram buckets merge.
+	// bounds), refinement/breach volume in counters.
 	mACResidual         = obs.Default.HistogramBuckets("acstab_ac_residual", decadeBounds(-18, 0))
 	mACPivotGrowth      = obs.Default.HistogramBuckets("acstab_ac_pivot_growth", decadeBounds(-2, 12))
 	mACCondEst          = obs.Default.HistogramBuckets("acstab_ac_cond_estimate", decadeBounds(0, 18))

@@ -178,12 +178,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rec := s.rec.Begin("batch", "", nil)
 		rec.Finish("shed")
 		ev.requestID, ev.outcome, ev.status = rec.ID(), "shed", http.StatusTooManyRequests
-		// Batch sheds burn the error budget exactly like /run sheds do
-		// (farm.go scores them in its deferred outcome hook): a worker
-		// shedding every batch must not keep scoring healthy. The served
-		// items are scored per-item below, so this is the only batch-level
-		// Record call.
-		s.slo.Record(false, time.Since(start))
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		writeErr(w, http.StatusTooManyRequests, CodeOverloaded,
@@ -237,11 +231,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		s.emitBatchItemEvent(rec.ID(), req.TraceID, it)
-		// Per-item SLO: a definitively answered item (success or a
-		// client-class failure like non-convergence) is good; per-item
-		// deadlines burn the error budget like /run deadlines do.
-		good := it.Error == nil || (it.Error.Code != CodeDeadlineExceeded && it.Error.Code != CodeClientClosed)
-		s.slo.Record(good, time.Duration(it.DurationMS*float64(time.Millisecond)))
 	})
 	run.Finish()
 	if err != nil {

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -9,15 +10,19 @@ import (
 	"acstab/internal/obs"
 )
 
-// decodeEvents unmarshals every retained wide event of the logger, keeping
-// only events with the given name ("" keeps all).
-func decodeEvents(t *testing.T, log *obs.EventLogger, name string) []map[string]any {
+// decodeEvents unmarshals every wide event an EventLogger wrote to sink,
+// one JSON object per line, keeping only events with the given name (""
+// keeps all).
+func decodeEvents(t *testing.T, sink *bytes.Buffer, name string) []map[string]any {
 	t.Helper()
 	var out []map[string]any
-	for _, se := range log.Events(0, 0) {
+	for _, line := range bytes.Split(bytes.TrimSpace(sink.Bytes()), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
 		var ev map[string]any
-		if err := json.Unmarshal(se.Event, &ev); err != nil {
-			t.Fatalf("stored event is not JSON: %v\n%s", err, se.Event)
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("event line is not JSON: %v\n%s", err, line)
 		}
 		if name == "" || ev["event"] == name {
 			out = append(out, ev)
@@ -31,8 +36,8 @@ func decodeEvents(t *testing.T, log *obs.EventLogger, name string) []map[string]
 // line — carrying the outcome, wall time, sweep volume, and solver-counter
 // deltas, correlated with the flight recorder by trace_id.
 func TestRunEmitsExactlyOneWideEvent(t *testing.T) {
-	log := obs.NewEventLogger(nil)
-	srv := httptest.NewServer(NewHandler(Config{Log: log}))
+	var sink bytes.Buffer
+	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(&sink)}))
 	defer srv.Close()
 
 	code, _ := postJSON(t, srv,
@@ -41,7 +46,7 @@ func TestRunEmitsExactlyOneWideEvent(t *testing.T) {
 		t.Fatalf("run failed with %d", code)
 	}
 
-	all := decodeEvents(t, log, "")
+	all := decodeEvents(t, &sink, "")
 	if len(all) != 1 {
 		t.Fatalf("one /run request must produce exactly one event, got %d: %v", len(all), all)
 	}
@@ -101,8 +106,8 @@ func TestRunEmitsExactlyOneWideEvent(t *testing.T) {
 }
 
 func TestRunWideEventOnErrorPaths(t *testing.T) {
-	log := obs.NewEventLogger(nil)
-	srv := httptest.NewServer(NewHandler(Config{Log: log}))
+	var sink bytes.Buffer
+	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(&sink)}))
 	defer srv.Close()
 
 	// Malformed body: still exactly one canonical event, outcome bad_json.
@@ -114,7 +119,7 @@ func TestRunWideEventOnErrorPaths(t *testing.T) {
 		t.Fatalf("broken netlist should 422, got %d", code)
 	}
 
-	runs := decodeEvents(t, log, "run")
+	runs := decodeEvents(t, &sink, "run")
 	if len(runs) != 2 {
 		t.Fatalf("2 requests must produce 2 run events, got %d", len(runs))
 	}
@@ -132,8 +137,8 @@ func TestRunWideEventOnErrorPaths(t *testing.T) {
 }
 
 func TestMiddlewareEventsForNonRunRoutes(t *testing.T) {
-	log := obs.NewEventLogger(nil)
-	srv := httptest.NewServer(NewHandler(Config{Log: log}))
+	var sink bytes.Buffer
+	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(&sink)}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
@@ -141,7 +146,7 @@ func TestMiddlewareEventsForNonRunRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	https := decodeEvents(t, log, "http")
+	https := decodeEvents(t, &sink, "http")
 	if len(https) != 1 {
 		t.Fatalf("got %d http events, want 1", len(https))
 	}
@@ -151,8 +156,7 @@ func TestMiddlewareEventsForNonRunRoutes(t *testing.T) {
 }
 
 func TestDebugRunsFilters(t *testing.T) {
-	log := obs.NewEventLogger(nil)
-	srv := httptest.NewServer(NewHandler(Config{Log: log}))
+	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
 
 	good := `{"netlist":"` + strings.ReplaceAll(tankNetlist, "\n", `\n`) + `"}`
@@ -208,54 +212,109 @@ func TestDebugRunsFilters(t *testing.T) {
 	}
 }
 
-func TestDebugEventsPaging(t *testing.T) {
-	log := obs.NewEventLogger(nil)
-	srv := httptest.NewServer(NewHandler(Config{Log: log}))
+// TestNumericsSameNumbersAcrossSurfaces is the numerics consistency
+// check: one run must quote the same health numbers from every surface
+// that reports them — the run's wide event, the worker's /statusz and
+// the /debug/runs flight recorder. Metrics are process-global, so the
+// /statusz comparison is a delta around the run.
+func TestNumericsSameNumbersAcrossSurfaces(t *testing.T) {
+	var sink bytes.Buffer
+	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(&sink)}))
 	defer srv.Close()
 
-	good := `{"netlist":"` + strings.ReplaceAll(tankNetlist, "\n", `\n`) + `"}`
-	for i := 0; i < 3; i++ {
-		if code, _ := postJSON(t, srv, good); code != 200 {
-			t.Fatal("run failed")
-		}
-	}
-
-	get := func(query string) EventsPage {
+	getJSON := func(path string, v any) {
 		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + "/debug/events" + query)
+		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var page EventsPage
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 			t.Fatal(err)
 		}
-		return page
+	}
+	numCount := func() (points, refinements int64, ok bool) {
+		var st Statusz
+		getJSON("/statusz", &st)
+		if st.Numerics == nil {
+			return 0, 0, false
+		}
+		return st.Numerics.Residual.Count, st.Numerics.Refinements, true
 	}
 
-	first := get("")
-	if len(first.Events) < 3 {
-		t.Fatalf("retained %d events, want >= 3 run events", len(first.Events))
+	pointsBefore, refineBefore, _ := numCount()
+	body := `{"netlist":"` + strings.ReplaceAll(tankNetlist, "\n", `\n`) + `","trace_id":"tr-numerics-1"}`
+	if code, out := postJSON(t, srv, body); code != 200 {
+		t.Fatalf("run failed with %d: %s", code, out)
 	}
-	if first.Next != first.Events[len(first.Events)-1].Seq {
-		t.Errorf("next cursor %d != newest seq %d", first.Next, first.Events[len(first.Events)-1].Seq)
+	pointsAfter, refineAfter, ok := numCount()
+	if !ok {
+		t.Fatal("/statusz has no numerics block after a run")
 	}
-	// Resuming from the cursor sees only what happened since (the GET
-	// /debug/events above itself logged one http event).
-	second := get("?since=" + jsonNum(first.Next))
-	for _, se := range second.Events {
-		if se.Seq <= first.Next {
-			t.Errorf("cursor leak: seq %d <= since %d", se.Seq, first.Next)
+	deltaPoints := pointsAfter - pointsBefore
+	deltaRefine := refineAfter - refineBefore
+	if deltaPoints <= 0 {
+		t.Fatalf("statusz residual count delta = %d, want > 0", deltaPoints)
+	}
+
+	// Surface 1: the run's wide event.
+	var numerics map[string]any
+	for _, ev := range decodeEvents(t, &sink, "run") {
+		if ev["trace_id"] == "tr-numerics-1" {
+			solver, _ := ev["solver"].(map[string]any)
+			numerics, _ = solver["numerics"].(map[string]any)
 		}
 	}
-	if limited := get("?n=2"); len(limited.Events) != 2 {
-		t.Errorf("n=2 returned %d events", len(limited.Events))
+	if numerics == nil {
+		t.Fatal("run wide event carries no solver.numerics block")
 	}
-}
+	evPoints := int64(numerics["points"].(float64))
+	evRefine := int64(numerics["refinements"].(float64))
+	evBreaches := int64(numerics["breaches"].(float64))
+	evMaxRes, _ := numerics["max_residual"].(float64)
+	if evPoints != deltaPoints {
+		t.Errorf("event points = %d, statusz delta = %d — surfaces disagree", evPoints, deltaPoints)
+	}
+	if evRefine != deltaRefine {
+		t.Errorf("event refinements = %d, statusz delta = %d", evRefine, deltaRefine)
+	}
+	if evBreaches != 0 {
+		t.Errorf("healthy tank reported %d breaches", evBreaches)
+	}
+	if evMaxRes <= 0 || evMaxRes > 1e-9 {
+		t.Errorf("event max_residual = %g, want (0, 1e-9]", evMaxRes)
+	}
 
-// jsonNum renders an int64 for a query string.
-func jsonNum(v int64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
+	// Surface 2: the flight recorder, including the degraded filter.
+	var listing struct {
+		Runs []obs.RunSummary `json:"runs"`
+	}
+	getJSON("/debug/runs", &listing)
+	var rec *obs.RunSummary
+	for i := range listing.Runs {
+		if listing.Runs[i].TraceID == "tr-numerics-1" {
+			rec = &listing.Runs[i]
+		}
+	}
+	if rec == nil {
+		t.Fatal("run missing from /debug/runs")
+	}
+	if rec.MaxResidual != evMaxRes {
+		t.Errorf("recorder max_residual = %g, event says %g", rec.MaxResidual, evMaxRes)
+	}
+	if rec.Refinements != evRefine {
+		t.Errorf("recorder refinements = %d, event says %d", rec.Refinements, evRefine)
+	}
+	if rec.Degraded {
+		t.Error("healthy run marked degraded")
+	}
+	var degraded struct {
+		Runs []obs.RunSummary `json:"runs"`
+	}
+	getJSON("/debug/runs?health=degraded", &degraded)
+	for _, r := range degraded.Runs {
+		if r.TraceID == "tr-numerics-1" {
+			t.Error("healthy run returned by ?health=degraded")
+		}
+	}
 }

@@ -164,14 +164,9 @@ type Config struct {
 	// time). 0 selects obs.DefaultRecentRuns.
 	RecentRuns int
 	// Log is the wide-event sink: one canonical JSON event per /run
-	// request (plus "http" events for the other routes), also served at
-	// GET /debug/events for fleet tailing. Nil selects obs.StderrEvents.
+	// request (plus "http" events for the other routes). Nil selects
+	// obs.StderrEvents.
 	Log *obs.EventLogger
-	// SLO sets the worker's objective scoring (zero values select the
-	// obs.SLOConfig defaults: 30s latency objective, 99% success target,
-	// 95% latency target, 5m/1h windows). Scores are served in /statusz
-	// and as acstab_slo_* gauges.
-	SLO obs.SLOConfig
 	// CacheEntries bounds the content-addressed compiled-system cache. 0
 	// selects DefaultCacheEntries; negative disables caching (every
 	// request compiles from scratch, the pre-cache behavior).
@@ -202,13 +197,12 @@ func (c Config) withDefaults() Config {
 }
 
 // server is one worker's HTTP state: its config, admission semaphore,
-// flight recorder, wide-event log, and SLO tracker.
+// flight recorder, and wide-event log.
 type server struct {
 	cfg   Config
 	sem   chan struct{}
 	rec   *obs.Recorder
 	log   *obs.EventLogger
-	slo   *obs.SLOTracker
 	build obs.BuildInfo
 	start time.Time
 	// cache is the content-addressed compiled-system cache shared by /run
@@ -237,7 +231,6 @@ func NewHandler(cfg Config) http.Handler {
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
 	s.rec = obs.NewRecorder(s.cfg.RecentRuns)
 	s.log = s.cfg.Log
-	s.slo = obs.NewSLOTracker(s.cfg.SLO)
 	s.build = obs.RegisterBuildInfo()
 	if s.cfg.CacheEntries > 0 {
 		s.cache = NewCache(s.cfg.CacheEntries)
@@ -246,22 +239,11 @@ func NewHandler(cfg Config) http.Handler {
 	mux.HandleFunc("/healthz", handleHealthz)
 	mux.HandleFunc("/run", s.handleRun)
 	mux.HandleFunc("/batch", s.handleBatch)
-	// SLO gauges are recomputed at scrape time so a quiet worker's scores
-	// age out instead of freezing at the last request's values.
-	mux.Handle("/metrics", s.refreshSLO(obs.MetricsHandler()))
+	mux.Handle("/metrics", obs.MetricsHandler())
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/debug/runs", s.handleDebugRuns)
 	mux.HandleFunc("/debug/runs/", s.handleDebugRuns)
-	mux.HandleFunc("/debug/events", s.handleDebugEvents)
 	return obs.Middleware(mux, s.log)
-}
-
-// refreshSLO republishes the acstab_slo_* gauges before serving next.
-func (s *server) refreshSLO(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.slo.Snapshot().PublishGauges()
-		next.ServeHTTP(w, r)
-	})
 }
 
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -359,18 +341,7 @@ type runEvent struct {
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ev := &runEvent{}
-	defer func() {
-		dur := time.Since(start)
-		s.emitRunEvent(ev, dur)
-		// SLO scoring: a client that hung up (499) is excluded; client
-		// errors (4xx: bad JSON, unknown node, non-convergent circuit)
-		// count as served — the worker answered definitively — while
-		// sheds (429), deadlines (504), and 5xx burn the error budget.
-		if ev.status != 499 {
-			good := ev.status < 500 && ev.status != http.StatusTooManyRequests
-			s.slo.Record(good, dur)
-		}
-	}()
+	defer func() { s.emitRunEvent(ev, time.Since(start)) }()
 	if r.Method != http.MethodPost {
 		ev.outcome, ev.status = CodeMethodNotAllowed, http.StatusMethodNotAllowed
 		writeErr(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
@@ -629,43 +600,6 @@ func outcomeMatches(outcome, filter string) bool {
 	return outcome == filter
 }
 
-// EventsPage is the GET /debug/events response: the retained wide events
-// after the caller's cursor plus the cursor to resume from. acstabctl
-// tail polls this per worker to follow a fleet's events.
-type EventsPage struct {
-	// Next is the sequence cursor for the follow-up request's ?since=.
-	Next int64 `json:"next"`
-	// Events are the stored events, oldest first.
-	Events []obs.StoredEvent `json:"events"`
-}
-
-// handleDebugEvents serves the wide-event ring: GET /debug/events
-// returns events with sequence numbers above ?since= (0 = everything
-// retained), at most ?n= of them.
-func (s *server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	q := r.URL.Query()
-	since, _ := strconv.ParseInt(q.Get("since"), 10, 64)
-	limit, _ := strconv.Atoi(q.Get("n"))
-	evs := s.log.Events(since, limit)
-	page := EventsPage{Events: evs}
-	if len(evs) > 0 {
-		page.Next = evs[len(evs)-1].Seq
-	} else {
-		// Nothing after the cursor: advance past evictions (and clamp a
-		// stale cursor from a restarted worker) to the newest sequence.
-		page.Next = s.log.Seq()
-	}
-	if page.Events == nil {
-		page.Events = []obs.StoredEvent{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(page)
-}
-
 // classifyRunError maps a job failure to its HTTP status and error code,
 // counting aborts of the disconnect kind.
 func classifyRunError(r *http.Request, err error) (int, string) {
@@ -837,18 +771,12 @@ type Statusz struct {
 	// the cumulative hit/miss/eviction/invalidation counters. Nil when
 	// caching is disabled.
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Build identifies the binary (version, toolchain, VCS revision) so a
-	// fleet poller can tell mixed-version fleets apart.
+	// Build identifies the binary (version, toolchain, VCS revision) so
+	// workers from a partial rollout can be told apart.
 	Build obs.BuildInfo `json:"build"`
-	// SLO scores the worker against its availability and latency
-	// objectives over the configured rolling windows, with the
-	// multi-window burn-rate health verdict.
-	SLO obs.SLOSnapshot `json:"slo"`
 	// DebugRunsURL points at the worker's flight recorder (GET lists
 	// recent runs; append /<id> for one run's full trace).
 	DebugRunsURL string `json:"debug_runs_url,omitempty"`
-	// DebugEventsURL points at the worker's wide-event ring.
-	DebugEventsURL string `json:"debug_events_url,omitempty"`
 }
 
 // StatuszOverload reports the request-shedding state of the worker.
@@ -965,10 +893,7 @@ func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		st.Cache = &cs
 	}
 	st.DebugRunsURL = "/debug/runs"
-	st.DebugEventsURL = "/debug/events"
 	st.Build = s.build
-	st.SLO = s.slo.Snapshot()
-	st.SLO.PublishGauges()
 	enc.Encode(st)
 }
 

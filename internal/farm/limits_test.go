@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -98,18 +99,18 @@ func TestRunUnderLimitStillServed(t *testing.T) {
 	}
 }
 
-// TestBatchShedScoresSLO pins the fix for the unscored batch shed: a
-// /batch request shed at admission must burn the SLO error budget
-// exactly like a /run shed does. Before the fix the shed path returned
-// without recording, so a worker shedding every batch kept scoring
-// perfectly healthy.
-func TestBatchShedScoresSLO(t *testing.T) {
+// TestBatchShedAccounted pins the accounting of a /batch request shed at
+// admission: like a /run shed it answers 429, bumps the shed counter,
+// leaves a "shed" record in the flight recorder and emits exactly one
+// "batch" wide event with that outcome, so a worker shedding every batch
+// does not look idle.
+func TestBatchShedAccounted(t *testing.T) {
+	var sink bytes.Buffer
 	s := &server{cfg: Config{MaxConcurrent: 1, RetryAfter: time.Second}.withDefaults(),
-		start: time.Now()}
+		start: time.Now(), rec: obs.NewRecorder(4), log: obs.NewEventLogger(&sink)}
 	s.sem = make(chan struct{}, 1)
 	s.sem <- struct{}{} // saturate admission
-	s.slo = obs.NewSLOTracker(obs.SLOConfig{})
-	before := sloTotal(t, s)
+	shedBefore := mShed.Value()
 
 	payload, _ := json.Marshal(&BatchRequest{V: WireV2, Netlist: tankNetlist,
 		Node: "t", Variants: []Variant{{Label: "a"}}})
@@ -119,24 +120,21 @@ func TestBatchShedScoresSLO(t *testing.T) {
 		t.Fatalf("status %d, want 429", rec.Code)
 	}
 
-	after := sloTotal(t, s)
-	if after.total != before.total+1 {
-		t.Errorf("SLO total moved %d -> %d, want +1 (shed not scored)", before.total, after.total)
+	if got := mShed.Value(); got != shedBefore+1 {
+		t.Errorf("shed counter moved %d -> %d, want +1", shedBefore, got)
 	}
-	if after.good != before.good {
-		t.Errorf("SLO good moved %d -> %d, want unchanged (shed must burn budget)", before.good, after.good)
+	runs := s.rec.List()
+	if len(runs) != 1 || runs[0].Outcome != "shed" {
+		t.Errorf("flight recorder = %+v, want one shed record", runs)
 	}
-}
-
-type sloTally struct{ total, good int64 }
-
-// sloTotal sums the tracker's shortest window tallies.
-func sloTotal(t *testing.T, s *server) sloTally {
-	t.Helper()
-	snap := s.slo.Snapshot()
-	if len(snap.Windows) == 0 {
-		t.Fatal("no SLO windows")
+	evs := decodeEvents(t, &sink, "")
+	if len(evs) != 1 || evs[0]["event"] != "batch" {
+		t.Fatalf("events = %v, want exactly one batch event", evs)
 	}
-	w := snap.Windows[0]
-	return sloTally{total: w.Total, good: w.Good}
+	if evs[0]["outcome"] != "shed" || evs[0]["status"] != float64(http.StatusTooManyRequests) {
+		t.Errorf("batch event outcome/status = %v/%v, want shed/429", evs[0]["outcome"], evs[0]["status"])
+	}
+	if evs[0]["request_id"] != runs[0].ID {
+		t.Errorf("event request_id %v does not match recorder id %s", evs[0]["request_id"], runs[0].ID)
+	}
 }

@@ -40,3 +40,28 @@ func FuzzParse(f *testing.F) {
 		_ = Format(flat)
 	})
 }
+
+// FuzzEvalExpr feeds arbitrary text to the design-variable expression
+// evaluator on its own, the path every {expr} in an untrusted deck and
+// every corner override takes. It may reject its input or return a
+// non-finite value, but must not panic. Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzEvalExpr$' -fuzztime 10s ./internal/netlist
+func FuzzEvalExpr(f *testing.F) {
+	for _, expr := range []string{
+		// TestEvalExpr
+		"1+2", "a*b_x", "2^3", "2^3^2", "sqrt(16)", "min(2, 3)", "max(2, 3)",
+		"pow(2, 10)", "1k + 1", "2*pi", "-a^2", "exp(0)", "ln(exp(2))",
+		"log10(1000)", "abs(-5)", "atan(1)*4",
+		// TestEvalExprErrors
+		"", "1/0", "nosuch", "f(1)", "(1", "1+", "sqrt(1,2)",
+		// robustness_test.go fragments and decks
+		"a*", "x*1k", "1meg", "1e", "..", "1/(2*pi*rload*fc)",
+	} {
+		f.Add(expr)
+	}
+	params := map[string]float64{"a": 2, "b_x": 3, "x": 2, "rload": 2e3, "fc": 1e6}
+	f.Fuzz(func(t *testing.T, expr string) {
+		EvalExpr(expr, params) //nolint:errcheck // errors are acceptable, panics are not
+	})
+}

@@ -7,9 +7,9 @@ import (
 )
 
 // BuildInfo identifies the running binary: the module version, the Go
-// toolchain, and the VCS revision baked in by the Go linker. Federation
-// uses it to tell mixed-version fleets apart — a worker misbehaving after
-// a partial rollout is findable by revision, not just by address.
+// toolchain, and the VCS revision baked in by the Go linker. A worker
+// misbehaving after a partial rollout is findable by revision, not just
+// by address.
 type BuildInfo struct {
 	// Version is the main module version ("(devel)" for plain builds).
 	Version string `json:"version"`

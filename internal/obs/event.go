@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"sync"
@@ -13,47 +12,28 @@ import (
 // EventLogger emits wide events: one self-contained structured JSON
 // object per notable occurrence (a /run request, a drain, a final
 // metrics snapshot) instead of many small free-form log lines. The
-// canonical-event discipline is what makes fleet-level log analysis
-// possible — every field a question might need is on the one event, so
-// "show me slow shed-heavy workers" is a filter, not a join.
+// canonical-event discipline is what makes log analysis a filter rather
+// than a join — every field a question might need is on the one event,
+// so "show me slow shed-heavy runs" needs no correlation step.
 //
 // Events are rendered by the stdlib log/slog JSON handler (zero
-// dependencies) and written as one line to the sink. The logger also
-// keeps a bounded ring of recent events with monotonically increasing
-// sequence numbers, which the farm worker serves at GET /debug/events so
-// `acstabctl tail` can follow a fleet's wide events without log shipping.
+// dependencies) and written as one line to the sink.
 //
-// A nil *EventLogger is valid everywhere: Event is a no-op and Events
-// returns nothing, so event emission can be threaded unconditionally.
+// A nil *EventLogger is valid everywhere: Event is a no-op, so event
+// emission can be threaded unconditionally.
 type EventLogger struct {
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	h    slog.Handler
-	out  io.Writer
-	seq  int64
-	max  int
-	ring []StoredEvent // circular: head is the oldest of n live events
-	head int
-	n    int
-}
-
-// DefaultRecentEvents is the ring capacity NewEventLogger selects.
-const DefaultRecentEvents = 256
-
-// StoredEvent is one ring entry: the event's sequence number plus the
-// rendered JSON object (without the trailing newline).
-type StoredEvent struct {
-	Seq   int64           `json:"seq"`
-	Event json.RawMessage `json:"event"`
+	mu  sync.Mutex
+	buf bytes.Buffer
+	h   slog.Handler
+	out io.Writer
 }
 
 // NewEventLogger returns a logger writing JSON events to out (nil
-// discards; the ring still records). The JSON schema is the slog JSON
-// handler's with the message key renamed to "event" and the level key
-// dropped: {"time":...,"event":"run","request_id":...,...}.
+// discards). The JSON schema is the slog JSON handler's with the message
+// key renamed to "event" and the level key dropped:
+// {"time":...,"event":"run","request_id":...,...}.
 func NewEventLogger(out io.Writer) *EventLogger {
-	l := &EventLogger{out: out, max: DefaultRecentEvents}
-	l.ring = make([]StoredEvent, l.max)
+	l := &EventLogger{out: out}
 	l.h = slog.NewJSONHandler(&l.buf, &slog.HandlerOptions{
 		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
 			if len(groups) == 0 {
@@ -71,10 +51,10 @@ func NewEventLogger(out io.Writer) *EventLogger {
 }
 
 // Event emits one wide event named event with the given attributes. The
-// rendered line goes to the sink and the ring atomically; concurrent
-// callers never interleave bytes.
+// rendered line goes to the sink in one write; concurrent callers never
+// interleave bytes.
 func (l *EventLogger) Event(event string, attrs ...slog.Attr) {
-	if l == nil {
+	if l == nil || l.out == nil {
 		return
 	}
 	rec := slog.NewRecord(time.Now(), slog.LevelInfo, event, 0)
@@ -85,51 +65,5 @@ func (l *EventLogger) Event(event string, attrs ...slog.Attr) {
 	if err := l.h.Handle(context.Background(), rec); err != nil {
 		return
 	}
-	line := l.buf.Bytes()
-	l.seq++
-	se := StoredEvent{Seq: l.seq, Event: json.RawMessage(bytes.TrimRight(append([]byte(nil), line...), "\n"))}
-	if l.n < l.max {
-		l.ring[(l.head+l.n)%l.max] = se
-		l.n++
-	} else {
-		l.ring[l.head] = se
-		l.head = (l.head + 1) % l.max
-	}
-	if l.out != nil {
-		l.out.Write(line)
-	}
-}
-
-// Seq returns the sequence number of the newest event (0 before any).
-func (l *EventLogger) Seq() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Events returns up to limit events with sequence numbers greater than
-// since, oldest first (limit <= 0 selects everything retained). Events
-// evicted from the ring are gone; a caller whose cursor fell behind the
-// ring simply resumes from the oldest retained event.
-func (l *EventLogger) Events(since int64, limit int) []StoredEvent {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]StoredEvent, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		se := l.ring[(l.head+i)%l.max]
-		if se.Seq <= since {
-			continue
-		}
-		out = append(out, se)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
+	l.out.Write(l.buf.Bytes())
 }

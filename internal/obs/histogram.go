@@ -78,43 +78,32 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumU.Load()) }
 // linear interpolation inside the selected bucket. It returns 0 with no
 // observations.
 func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return bucketQuantile(h.bounds, counts, h.count.Load(), q)
-}
-
-// bucketQuantile is the shared quantile estimator over a bucket-count
-// vector: Histogram.Quantile on a live histogram and
-// HistogramData.Quantile on a snapshot (possibly merged across workers)
-// must agree by construction.
-func bucketQuantile(bounds []float64, counts []int64, total int64, q float64) float64 {
+	total := h.count.Load()
 	if total == 0 {
 		return 0
 	}
 	rank := q * float64(total)
 	var seen float64
-	for i := range counts {
-		n := float64(counts[i])
+	for i := range h.counts {
+		n := float64(h.counts[i].Load())
 		if n == 0 {
 			continue
 		}
 		if seen+n >= rank {
 			lo := 0.0
 			if i > 0 {
-				lo = bounds[i-1]
+				lo = h.bounds[i-1]
 			}
 			hi := lo
-			if i < len(bounds) {
-				hi = bounds[i]
+			if i < len(h.bounds) {
+				hi = h.bounds[i]
 			}
 			frac := (rank - seen) / n
 			return lo + frac*(hi-lo)
 		}
 		seen += n
 	}
-	return bounds[len(bounds)-1]
+	return h.bounds[len(h.bounds)-1]
 }
 
 // HistogramSnapshot is the JSON form of a histogram in Registry.Snapshot
@@ -135,77 +124,6 @@ func (h *Histogram) snapshotValue() any {
 		s.P50 = h.Quantile(0.50)
 		s.P90 = h.Quantile(0.90)
 		s.P99 = h.Quantile(0.99)
-	}
-	return s
-}
-
-// HistogramData is the full-fidelity wire form of a histogram: the raw
-// bucket layout and counts, not just summary quantiles. It is what
-// `/metrics?format=json` exports and what fleet federation merges —
-// summed bucket vectors reproduce exact counts and sums, and quantiles
-// of the merged data are computed from the merged buckets rather than
-// averaged from per-worker estimates.
-type HistogramData struct {
-	// Bounds are the ascending bucket upper bounds.
-	Bounds []float64 `json:"bounds"`
-	// Counts has len(Bounds)+1 entries; the last is the overflow bucket.
-	Counts []int64 `json:"counts"`
-	Count  int64   `json:"count"`
-	Sum    float64 `json:"sum"`
-}
-
-// Data snapshots the histogram's raw buckets. Counts are read
-// individually while observations may be in flight, so under concurrent
-// recording the vector is a near-point-in-time view (each bucket is
-// individually exact and monotone).
-func (h *Histogram) Data() HistogramData {
-	d := HistogramData{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    h.Sum(),
-	}
-	for i := range h.counts {
-		d.Counts[i] = h.counts[i].Load()
-	}
-	return d
-}
-
-// Merge adds o's buckets, count, and sum into d. It reports false —
-// leaving d untouched — when the bucket layouts differ; federation
-// surfaces those as unmergeable instead of producing silently wrong
-// quantiles.
-func (d *HistogramData) Merge(o HistogramData) bool {
-	if len(d.Bounds) != len(o.Bounds) || len(d.Counts) != len(o.Counts) {
-		return false
-	}
-	for i := range d.Bounds {
-		if d.Bounds[i] != o.Bounds[i] {
-			return false
-		}
-	}
-	for i := range d.Counts {
-		d.Counts[i] += o.Counts[i]
-	}
-	d.Count += o.Count
-	d.Sum += o.Sum
-	return true
-}
-
-// Quantile estimates the q-quantile from the snapshot's buckets with the
-// same interpolation as Histogram.Quantile.
-func (d HistogramData) Quantile(q float64) float64 {
-	return bucketQuantile(d.Bounds, d.Counts, d.Count, q)
-}
-
-// Summary condenses the data into the /statusz snapshot form.
-func (d HistogramData) Summary() HistogramSnapshot {
-	s := HistogramSnapshot{Count: d.Count, Sum: d.Sum}
-	if s.Count > 0 {
-		s.Avg = s.Sum / float64(s.Count)
-		s.P50 = d.Quantile(0.50)
-		s.P90 = d.Quantile(0.90)
-		s.P99 = d.Quantile(0.99)
 	}
 	return s
 }

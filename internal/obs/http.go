@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -64,8 +63,6 @@ func labelPath(p string) string {
 		return p
 	case p == "/debug/runs" || strings.HasPrefix(p, "/debug/runs/"):
 		return "/debug/runs"
-	case p == "/debug/events":
-		return "/debug/events"
 	case strings.HasPrefix(p, "/debug/pprof"):
 		return "/debug/pprof"
 	default:
@@ -120,18 +117,12 @@ func Middleware(next http.Handler, log *EventLogger) http.Handler {
 	})
 }
 
-// MetricsHandler serves the Default registry (GET only): Prometheus text
-// format by default, the full-fidelity JSON Export (raw histogram
-// buckets, the form fleet federation merges) with ?format=json.
+// MetricsHandler serves the Default registry in Prometheus text format
+// (GET only).
 func MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(Default.Export())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

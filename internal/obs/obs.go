@@ -218,39 +218,3 @@ func (r *Registry) Snapshot() map[string]any {
 	}
 	return out
 }
-
-// Export is the full-fidelity JSON form of a registry, served at
-// `/metrics?format=json` and consumed by fleet federation. Unlike
-// Snapshot it keeps raw histogram buckets, so N workers' exports can be
-// merged into exact fleet-level counts, sums, and quantiles.
-type Export struct {
-	Counters   map[string]int64         `json:"counters,omitempty"`
-	Gauges     map[string]float64       `json:"gauges,omitempty"`
-	Histograms map[string]HistogramData `json:"histograms,omitempty"`
-}
-
-// Export snapshots the registry in full fidelity.
-func (r *Registry) Export() Export {
-	r.mu.Lock()
-	ms := make(map[string]metric, len(r.metrics))
-	for name, m := range r.metrics {
-		ms[name] = m
-	}
-	r.mu.Unlock()
-	ex := Export{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramData{},
-	}
-	for name, m := range ms {
-		switch v := m.(type) {
-		case *Counter:
-			ex.Counters[name] = v.Value()
-		case *Gauge:
-			ex.Gauges[name] = v.Value()
-		case *Histogram:
-			ex.Histograms[name] = v.Data()
-		}
-	}
-	return ex
-}

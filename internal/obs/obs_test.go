@@ -156,7 +156,8 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 func TestMiddleware(t *testing.T) {
-	log := NewEventLogger(nil)
+	var sink bytes.Buffer
+	log := NewEventLogger(&sink)
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/boom" {
 			http.Error(w, "no", http.StatusTeapot)
@@ -187,13 +188,13 @@ func TestMiddleware(t *testing.T) {
 	if GetHistogram(`acstab_http_request_duration_seconds{path="other"}`).Count() < 2 {
 		t.Error("latency histogram should have observations")
 	}
-	events := log.Events(0, 0)
+	events := strings.Split(strings.TrimSpace(sink.String()), "\n")
 	if len(events) != 2 {
 		t.Errorf("expected 2 http events, got %d", len(events))
 	}
-	for _, se := range events {
-		if !strings.Contains(string(se.Event), `"event":"http"`) {
-			t.Errorf("http event missing event name: %s", se.Event)
+	for _, line := range events {
+		if !strings.Contains(line, `"event":"http"`) {
+			t.Errorf("http event missing event name: %s", line)
 		}
 	}
 }
@@ -310,6 +311,7 @@ func TestLabelPath(t *testing.T) {
 		"/debug/runs/run-000042": "/debug/runs",
 		"/debug/pprof":           "/debug/pprof",
 		"/debug/pprof/profile":   "/debug/pprof",
+		"/debug/events":          "other",
 		"/debug/runsX":           "other",
 		"/debug":                 "other",
 		"/":                      "other",

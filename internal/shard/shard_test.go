@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -251,17 +252,19 @@ func TestSharedFrequencyAxis(t *testing.T) {
 	}
 }
 
-// countEvents tallies ring events by name.
-func countEvents(log *obs.EventLogger) map[string]int {
+// countEvents tallies the wide events an EventLogger wrote to sink, one
+// JSON object per line, by name.
+func countEvents(t *testing.T, sink *bytes.Buffer) map[string]int {
+	t.Helper()
 	out := map[string]int{}
-	for _, se := range log.Events(0, 10000) {
-		s := string(se.Event)
-		if i := strings.Index(s, `"event":"`); i >= 0 {
-			s = s[i+len(`"event":"`):]
-			if j := strings.Index(s, `"`); j >= 0 {
-				out[s[:j]]++
-			}
+	for _, line := range bytes.Split(bytes.TrimSpace(sink.Bytes()), []byte("\n")) {
+		var ev struct {
+			Event string `json:"event"`
 		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("event line is not JSON: %v\n%s", err, line)
+		}
+		out[ev.Event]++
 	}
 	return out
 }
@@ -282,12 +285,12 @@ func TestShardRedispatchOnShed(t *testing.T) {
 	opts := testOpts()
 	want := localReport(t, src, opts)
 
-	log := obs.NewEventLogger(nil)
+	var sink bytes.Buffer
 	coord, err := New(Config{
 		Workers:   []string{shedder.URL, good[0]},
 		Shards:    2,
 		RetryBase: time.Millisecond,
-		Log:       log,
+		Log:       obs.NewEventLogger(&sink),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +309,7 @@ func TestShardRedispatchOnShed(t *testing.T) {
 	if gt != wt {
 		t.Errorf("report with shedding worker differs from local:\n--- sharded ---\n%s\n--- local ---\n%s", gt, wt)
 	}
-	ev := countEvents(log)
+	ev := countEvents(t, &sink)
 	if ev["shard_redispatch"] == 0 {
 		t.Errorf("no shard_redispatch events despite a shedding worker: %v", ev)
 	}
@@ -343,12 +346,12 @@ func TestShardHedgeOnHang(t *testing.T) {
 	opts := testOpts()
 	want := localReport(t, src, opts)
 
-	log := obs.NewEventLogger(nil)
+	var sink bytes.Buffer
 	coord, err := New(Config{
 		Workers:    []string{hung.URL, good[0]},
 		Shards:     1, // single shard: its primary lands on the hung worker
 		HedgeAfter: 20 * time.Millisecond,
-		Log:        log,
+		Log:        obs.NewEventLogger(&sink),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +380,7 @@ func TestShardHedgeOnHang(t *testing.T) {
 	if gt != wt || gj != wj {
 		t.Errorf("report with hung worker differs from local:\n--- sharded ---\n%s\n--- local ---\n%s", gt, wt)
 	}
-	ev := countEvents(log)
+	ev := countEvents(t, &sink)
 	if ev["shard_hedge"] != 1 {
 		t.Errorf("shard_hedge events = %d, want 1: %v", ev["shard_hedge"], ev)
 	}
