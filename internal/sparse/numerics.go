@@ -102,12 +102,20 @@ func (nm *Numeric) RefineInto(x, r, d []complex128) error {
 }
 
 // PivotGrowth returns the growth factor recorded by the last successful
-// Refactor: the maximum over elimination steps of |u_kk| relative to the
-// input magnitude of the pivot row. Values near 1 mean the elimination
+// refill: the maximum over elimination steps of |u_kk| relative to the
+// input magnitude of the pivot row, computed as sqrt(max |u_kk|²/scale²)
+// with one square root per refill (see fill), so it may differ from the
+// quotient of moduli in the last ulp. Values near 1 mean the elimination
 // amplified nothing; large values flag accumulated update growth — the
 // classic early warning that the frozen pivot order is going stale at this
 // frequency. Zero until a Refactor has run.
 func (nm *Numeric) PivotGrowth() float64 { return nm.growth }
+
+// Factors returns the value arrays of the last refill, aliased: the L
+// multipliers and U off-diagonal entries in the Symbolic's pattern order,
+// and the reciprocals of the U diagonal. Tests compare two refills with
+// it bit for bit.
+func (nm *Numeric) Factors() (l, u, udinv []complex128) { return nm.lval, nm.uval, nm.udinv }
 
 // SolveConjTransInto solves Aᴴ·x = b using the existing factorization:
 // with A = Pᵀ·L·U the conjugate transpose factors as Uᴴ (lower triangular,

@@ -10,25 +10,30 @@
 //     so every later stamping pass writes straight into a flat value
 //     array (Vals) with no maps and no allocations.
 //   - Affine (affine.go) records one pass at ω = 1 as the split G + jωC,
-//     from which a sweep fills Vals at any ω without stamping again.
+//     its imaginary coefficients grouped by slot, from which a sweep
+//     takes the values at any ω without stamping again.
 //   - Pattern.Analyze runs the threshold/Markowitz pivot search once and
 //     records the elimination order and the exact fill-in pattern of L
 //     and U as index arrays (Symbolic).
 //   - Symbolic.NewNumeric allocates the value arrays and workspaces once;
 //     Numeric.Refactor refills them for new values (a fixed-pivot-order
 //     Gilbert–Peierls pass) and Numeric.SolveInto back-substitutes in
-//     place. Both are allocation-free, which keeps the per-frequency
-//     inner loop of the all-nodes sweep out of the garbage collector.
-//     Numeric.Factor is the same fill on the values the pivot order was
-//     just chosen from: Analyze followed by Factor is a complete fresh
-//     factorization.
+//     place. Numeric.RefactorAffine is the same pass reading the values
+//     straight from an Affine recording, one pass per frequency point
+//     with no separate fill. All three are allocation-free, which keeps
+//     the per-frequency inner loop of the all-nodes sweep out of the
+//     garbage collector. Numeric.Factor is the same fill on the values
+//     the pivot order was just chosen from: Analyze followed by Factor is
+//     a complete fresh factorization.
 //
 // Reusing a pivot order chosen at one frequency at another is safe for
 // the diagonally dominant MNA systems this repo sweeps, but it is guarded
 // anyway: Vals and Affine carry an order-sensitive structural checksum
-// (pattern drift falls back to a fresh factorization) and Refactor rejects
-// pivots that collapse relative to their row scale (numeric drift falls
-// back the same way).
+// (pattern drift falls back to a fresh factorization) and the refill
+// rejects pivots that collapse relative to their row scale (numeric drift
+// falls back the same way). The refill compares squared magnitudes and
+// measures with cmplx.Abs only the rows whose squares would overflow or
+// underflow.
 package sparse
 
 import (
@@ -415,10 +420,10 @@ type Numeric struct {
 	// runtime complex-division path out of the per-node inner loop.
 	udinv []complex128
 	w     []complex128 // dense scatter row, all-zero between calls
-	// growth is the pivot-growth factor of the last successful Refactor:
-	// max over steps of |u_kk| / (input magnitude of the pivot row). Both
-	// factors are already computed by the refill loop, so tracking it is
-	// free; see PivotGrowth.
+	// growth is the pivot-growth factor of the last successful refill:
+	// max over steps of |u_kk| / (input magnitude of the pivot row). The
+	// guard already has both magnitudes, squared, so tracking it costs one
+	// division per row and one square root per refill; see PivotGrowth.
 	growth float64
 }
 
@@ -443,7 +448,22 @@ func (s *Symbolic) NewNumeric() *Numeric {
 // state is invalid and the error wraps acerr.ErrSingularMatrix; the
 // caller should analyze the values afresh and Factor them.
 func (nm *Numeric) Refactor(vals []complex128) error {
-	return nm.fill(vals, refactorPivTol)
+	return nm.fill(nil, 0, vals, refactorPivTol)
+}
+
+// RefactorAffine is Refactor on the values the affine recording aff (of
+// this factorization's pattern) takes at angular frequency omega, in one
+// pass: the refill builds each row's entries from the recording as it
+// reaches the row, scatters them and writes them into vals, a value array
+// of the pattern. On success vals holds bit for bit what
+// aff.FillInto(vals, omega) writes and the factorization is bit for bit
+// Refactor's of those values. On an error both are invalid, as for
+// Refactor.
+func (nm *Numeric) RefactorAffine(aff *Affine, omega float64, vals []complex128) error {
+	if aff.p != nm.sym.pat {
+		return fmt.Errorf("sparse: affine recording of another pattern")
+	}
+	return nm.fill(aff, omega, vals, refactorPivTol)
 }
 
 // Factor fills the factorization from the values its Symbolic was just
@@ -452,26 +472,91 @@ func (nm *Numeric) Refactor(vals []complex128) error {
 // these values, so Factor accepts exactly what Analyze accepted and fails
 // only on a pivot that rounds to zero or overflows.
 func (nm *Numeric) Factor(vals []complex128) error {
-	return nm.fill(vals, 0)
+	return nm.fill(nil, 0, vals, 0)
 }
 
-// fill is the Gilbert–Peierls refill behind Refactor and Factor. It
-// rejects a pivot not above pivTol times its row's input magnitude.
-func (nm *Numeric) fill(vals []complex128, pivTol float64) error {
+// safeSq2Min and safeSq2Max bound the squared magnitudes the refill's
+// guard compares. A sum of two squares in [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰] neither
+// overflowed nor lost digits to underflow, so comparing squares decides
+// as comparing moduli does, up to rounding. A row whose pivot or largest
+// entry falls outside (moduli beyond about 3e150 or below about 3e-151,
+// a zero, NaN or Inf) is decided by absGuard instead.
+const (
+	safeSq2Min = 0x1p-1000
+	safeSq2Max = 0x1p1000
+)
+
+// abs2 is the squared modulus re² + im², with no Hypot.
+func abs2(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
+
+// sqGuard is the collapsed-pivot guard on squared magnitudes: ad2 = |d|²
+// of the pivot, scale2 the largest squared input magnitude of its row,
+// tol2 the squared tolerance. decided is false when either square leaves
+// the safe range; the row then needs absGuard.
+func sqGuard(ad2, scale2, tol2 float64) (decided, ok bool) {
+	if !(ad2 >= safeSq2Min && ad2 <= safeSq2Max && scale2 >= safeSq2Min && scale2 <= safeSq2Max) {
+		return false, false
+	}
+	return true, ad2 > tol2*scale2
+}
+
+// absGuard is the guard on moduli, for the rows sqGuard cannot decide: d
+// passes when |d| > tol·scale and is finite, scale being the largest
+// modulus in row. It returns the row's growth |d|/scale (0 for a zero
+// scale). !(x > y) also catches NaN.
+func absGuard(d complex128, row []complex128, tol float64) (g float64, ok bool) {
+	scale := 0.0
+	for _, v := range row {
+		if a := cmplx.Abs(v); a > scale {
+			scale = a
+		}
+	}
+	ad := cmplx.Abs(d)
+	if !(ad > tol*scale) || math.IsInf(ad, 0) {
+		return 0, false
+	}
+	if scale > 0 {
+		g = ad / scale
+	}
+	return g, true
+}
+
+// fill is the Gilbert–Peierls refill behind Refactor, RefactorAffine and
+// Factor. With aff non-nil it builds each row from the recording at omega
+// and writes it into vals; otherwise it reads the row from vals. It
+// rejects a pivot not above pivTol times its row's input magnitude,
+// comparing squared magnitudes (sqGuard, falling back to absGuard), and
+// takes the one square root of the growth factor at the end.
+func (nm *Numeric) fill(aff *Affine, omega float64, vals []complex128, pivTol float64) error {
 	sym, p := nm.sym, nm.sym.pat
 	if len(vals) != len(p.col) {
 		return fmt.Errorf("sparse: values length %d, want %d", len(vals), len(p.col))
 	}
 	n := sym.n
 	w := nm.w
-	growth := 0.0
+	tol2 := pivTol * pivTol
+	// growth2 is the largest squared growth of the rows sqGuard decided,
+	// growth the largest plain growth of the rows absGuard decided.
+	growth2, growth := 0.0, 0.0
 	for k := 0; k < n; k++ {
 		row := sym.perm[k]
-		scale := 0.0
-		for idx := p.rowPtr[row]; idx < p.rowPtr[row+1]; idx++ {
-			w[p.col[idx]] = vals[idx]
-			if a := cmplx.Abs(vals[idx]); a > scale {
-				scale = a
+		lo, hi := p.rowPtr[row], p.rowPtr[row+1]
+		// The max builtin propagates a NaN square (an entry with an
+		// infinite and a NaN part), which sends the row to absGuard just
+		// as an overflowed square does.
+		scale2 := 0.0
+		if aff != nil {
+			for idx := lo; idx < hi; idx++ {
+				v := aff.at(idx, omega)
+				vals[idx] = v
+				w[p.col[idx]] = v
+				scale2 = max(scale2, abs2(v))
+			}
+		} else {
+			for idx := lo; idx < hi; idx++ {
+				v := vals[idx]
+				w[p.col[idx]] = v
+				scale2 = max(scale2, abs2(v))
 			}
 		}
 		for t := sym.lptr[k]; t < sym.lptr[k+1]; t++ {
@@ -492,24 +577,32 @@ func (nm *Numeric) fill(vals []complex128, pivTol float64) error {
 			nm.uval[ui] = w[c]
 			w[c] = 0
 		}
-		ad := cmplx.Abs(d)
-		if !(ad > pivTol*scale) || math.IsInf(ad, 0) {
-			// !(x > y) also catches NaN. Scrub the scatter row so the next
-			// Refactor starts from the all-zero invariant.
-			for i := range w {
-				w[i] = 0
+		ad2 := abs2(d)
+		if decided, ok := sqGuard(ad2, scale2, tol2); decided {
+			if !ok {
+				return nm.collapsed(k)
 			}
-			return fmt.Errorf("%w (refactor pivot %d collapsed)", ErrSingular, k)
-		}
-		if scale > 0 {
-			if g := ad / scale; g > growth {
+			if g2 := ad2 / scale2; g2 > growth2 {
+				growth2 = g2
+			}
+		} else if g, ok := absGuard(d, vals[lo:hi], pivTol); ok {
+			if g > growth {
 				growth = g
 			}
+		} else {
+			return nm.collapsed(k)
 		}
 		nm.udinv[k] = 1 / d
 	}
-	nm.growth = growth
+	nm.growth = max(math.Sqrt(growth2), growth)
 	return nil
+}
+
+// collapsed reports a rejected pivot at step k. It scrubs the scatter row
+// so the next refill starts from the all-zero invariant.
+func (nm *Numeric) collapsed(k int) error {
+	clear(nm.w)
+	return fmt.Errorf("%w (refactor pivot %d collapsed)", ErrSingular, k)
 }
 
 // SolveInto solves A x = b into the caller's x, in place: no allocations.

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"errors"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -150,6 +152,86 @@ func TestRefactorAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state restamp+refactor+solve allocated %v times per run, want 0", allocs)
 	}
+
+	aff := pat.NewAffine()
+	aff.Begin()
+	replay(aff, ladderStamp(n, 1))
+	allocs = testing.AllocsPerRun(50, func() {
+		if err := num.RefactorAffine(aff, 1e6, vals.Values()); err != nil {
+			t.Fatal(err)
+		}
+		if err := num.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state fused refill+solve allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestRefactorAffineCollapsedPivot: a pivot that collapses partway
+// through the fused refill surfaces ErrSingular (wrapping
+// acerr.ErrSingularMatrix), leaves the scatter row all-zero, and the next
+// call succeeds with the two-pass refill's values, L, U and pivot
+// reciprocals bit for bit.
+func TestRefactorAffineCollapsedPivot(t *testing.T) {
+	// A three-node RC ladder, node 3 tied to ground by a lone capacitor,
+	// node 4 hanging off node 2. The step pivoting column 3 has the pivot
+	// jωC alone, exactly zero at ω = 0, after three rows were refilled.
+	calls := []stampCall{
+		{0, 0, complex(2e-3, 1e-12)}, {0, 1, -1e-3}, {1, 0, -1e-3},
+		{1, 1, complex(2e-3, 1e-12)}, {1, 2, -1e-3}, {2, 1, -1e-3},
+		{2, 2, complex(2e-3, 1e-12)}, {2, 4, -1e-3}, {4, 2, -1e-3},
+		{3, 3, complex(0, 1e-12)},
+		{4, 4, complex(2e-3, 1e-12)},
+	}
+	const n, omega = 5, 1e6
+	rec := NewRecorder(n)
+	replay(rec, calls)
+	pat := rec.Compile()
+	aff := pat.NewAffine()
+	aff.Begin()
+	replay(aff, calls)
+	want := make([]complex128, pat.NNZ())
+	aff.FillInto(want, omega)
+	sym, err := pat.Analyze(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	num, ref := sym.NewNumeric(), sym.NewNumeric()
+	vals := make([]complex128, pat.NNZ())
+
+	err = num.RefactorAffine(aff, 0, vals)
+	if err == nil {
+		t.Fatal("fused refill accepted a zero pivot")
+	} else if !errors.Is(err, acerr.ErrSingularMatrix) {
+		t.Fatalf("error %v does not wrap ErrSingularMatrix", err)
+	}
+	for i, v := range num.w {
+		if v != 0 {
+			t.Fatalf("scatter row w[%d] = %v after the collapse, want 0", i, v)
+		}
+	}
+
+	if err := num.RefactorAffine(aff, omega, vals); err != nil {
+		t.Fatalf("fused refill after the collapse: %v", err)
+	}
+	if err := ref.Refactor(want); err != nil {
+		t.Fatal(err)
+	}
+	l1, u1, d1 := num.Factors()
+	l2, u2, d2 := ref.Factors()
+	for _, c := range []struct {
+		what      string
+		got, want []complex128
+	}{{"vals", vals, want}, {"L", l1, l2}, {"U", u1, u2}, {"udinv", d1, d2}} {
+		for i := range c.want {
+			if math.Float64bits(real(c.got[i])) != math.Float64bits(real(c.want[i])) ||
+				math.Float64bits(imag(c.got[i])) != math.Float64bits(imag(c.want[i])) {
+				t.Fatalf("%s[%d]: fused %v, two-pass %v", c.what, i, c.got[i], c.want[i])
+			}
+		}
+	}
 }
 
 // TestDriftDetection: a stamp pass that deviates from the recorded stream
@@ -286,4 +368,155 @@ func TestSymbolicSharedAcrossNumerics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// modulusGuard is the reference collapsed-pivot rule on moduli, which the
+// refill's squared guard must reproduce: the pivot d of a row passes when
+// |d| > tol·scale and |d| is finite, scale being the row's largest
+// modulus (NaN moduli ignored). It also returns the row's growth
+// |d|/scale and the ratio |d|/(tol·scale) the decision turns on.
+func modulusGuard(d complex128, row []complex128, tol float64) (ok bool, g, ratio float64) {
+	scale := 0.0
+	for _, v := range row {
+		if a := cmplx.Abs(v); a > scale {
+			scale = a
+		}
+	}
+	ad := cmplx.Abs(d)
+	if scale > 0 {
+		g = ad / scale
+	}
+	return ad > tol*scale && !math.IsInf(ad, 0), g, ad / (tol * scale)
+}
+
+// withinULP reports whether a and b differ by at most k units in the last
+// place of b.
+func withinULP(a, b float64, k int) bool {
+	if a == b {
+		return true
+	}
+	return math.Abs(a-b) <= float64(k)*(math.Nextafter(math.Abs(b), math.Inf(1))-math.Abs(b))
+}
+
+// TestSquaredPivotGuard: the refill's guard on squared magnitudes accepts
+// and rejects exactly as the modulus rule does, except where |d|/(tol·scale)
+// lies within 4 ulp of 1, and PivotGrowth matches the modulus growth within
+// 4 ulp. The rows carry entries from 1e-300 to 1e300, zero, NaN and Inf
+// pivots, pivots within a few ulp of the boundary, and rows around 1e200 and
+// 1e-170 whose squares overflow or underflow, which must take the absGuard
+// fallback.
+func TestSquaredPivotGuard(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cplx := func(mag float64) complex128 {
+		return cmplx.Rect(mag, 2*math.Pi*rng.Float64())
+	}
+	logMag := func(lo, hi float64) float64 {
+		return math.Pow(10, lo+(hi-lo)*rng.Float64())
+	}
+	const tol = refactorPivTol
+	eps := math.Nextafter(1, 2) - 1
+
+	// The 2x2 system [[a, b], [c, e]], pivoted row 0 first: step 0 tests
+	// the pivot a against its row, step 1 the pivot e − (c·(1/a))·b
+	// against [c, e], exactly the arithmetic of the refill.
+	rec := NewRecorder(2)
+	for _, ij := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+		rec.Add(ij[0], ij[1], 0)
+	}
+	pat := rec.Compile()
+	slot := func(i, j int) int { return pat.SlotOf(i, j) }
+	vals := make([]complex128, 4)
+	vals[slot(0, 0)], vals[slot(0, 1)], vals[slot(1, 0)], vals[slot(1, 1)] = 1, 0.5, 0.5, 1
+	sym, err := pat.Analyze(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sym.perm[0] != 0 {
+		t.Fatalf("analysis pivoted row %d first, want row 0", sym.perm[0])
+	}
+	num := sym.NewNumeric()
+
+	// byAbs and bySquares count the rows of the checked systems each guard
+	// decided, as the refill decides them.
+	var checked, rejected, byAbs, bySquares int
+	check := func(a, b, c, e complex128) {
+		t.Helper()
+		vals[slot(0, 0)], vals[slot(0, 1)], vals[slot(1, 0)], vals[slot(1, 1)] = a, b, c, e
+		d1 := e - c*(1/a)*b
+		ok0, g0, r0 := modulusGuard(a, []complex128{a, b}, tol)
+		ok1, g1, r1 := modulusGuard(d1, []complex128{c, e}, tol)
+		if math.Abs(r0-1) <= 4*eps || (ok0 && math.Abs(r1-1) <= 4*eps) {
+			return // within rounding of the boundary: either decision is right
+		}
+		err := num.Refactor(vals)
+		if wantOK := ok0 && ok1; (err == nil) != wantOK {
+			t.Fatalf("a=%v b=%v c=%v e=%v: refill error %v, modulus rule accepts %v (ratios %g, %g)",
+				a, b, c, e, err, wantOK, r0, r1)
+		}
+		checked++
+		rows := [][]complex128{{a, b}, {c, e}}[:1]
+		if ok0 {
+			rows = append(rows, []complex128{c, e})
+		}
+		for k, row := range rows {
+			scale2 := 0.0
+			for _, v := range row {
+				scale2 = max(scale2, abs2(v))
+			}
+			if decided, _ := sqGuard(abs2([]complex128{a, d1}[k]), scale2, tol*tol); decided {
+				bySquares++
+			} else {
+				byAbs++
+			}
+		}
+		if err != nil {
+			rejected++
+			return
+		}
+		if want := math.Max(g0, g1); !withinULP(num.PivotGrowth(), want, 4) {
+			t.Fatalf("a=%v b=%v c=%v e=%v: PivotGrowth %v, modulus growth %v", a, b, c, e, num.PivotGrowth(), want)
+		}
+	}
+
+	// Random rows over the whole range; row 0 mostly passes, so step 1
+	// sees every kind of row.
+	for i := 0; i < 20000; i++ {
+		a := cplx(logMag(-300, 300))
+		b := a * cplx(logMag(-20, 11))
+		check(a, b, cplx(logMag(-300, 300)), cplx(logMag(-300, 300)))
+	}
+	// Pivots from a few ulp to a few thousand ulp off the boundary, on
+	// scales the squares decide.
+	before := bySquares
+	for i := 0; i < 2000; i++ {
+		c := cplx(logMag(-120, 140))
+		off := float64(rng.Intn(4001)-2000) * eps
+		check(1, 0, c, cplx(cmplx.Abs(c)*tol*(1+off)))
+	}
+	if bySquares-before < 3000 {
+		t.Errorf("squares decided %d rows of the near-boundary systems, want most of ~4000", bySquares-before)
+	}
+	// Rows whose squares overflow (about 1e200) or underflow (about
+	// 1e-170): plain squares would misjudge them, so they must take the
+	// fallback.
+	before = byAbs
+	for _, m := range []float64{1e200, 1e-170} {
+		for i := 0; i < 100; i++ {
+			check(1, 0, cplx(m*logMag(-3, 3)), cplx(m*logMag(-8, 0)))
+		}
+	}
+	if byAbs-before != 200 {
+		t.Errorf("absGuard decided %d of the 200 extreme rows, want all", byAbs-before)
+	}
+	// Zero, NaN and Inf pivots, and a U entry with an infinite and a NaN
+	// part. That entry's modulus is +Inf, so the modulus rule rejects
+	// every pivot of its row; its square is NaN, which the max builtin
+	// carries into the row scale, leaving the row to absGuard. (c = 0
+	// keeps the entry out of row 1, which would otherwise reject.)
+	for _, e := range []complex128{0, complex(math.NaN(), 0), complex(0, math.Inf(1)), cmplx.Inf()} {
+		check(1, 0, 1e-3, e)
+	}
+	check(1, complex(math.Inf(1), math.NaN()), 0, 1)
+	t.Logf("%d systems checked, %d rejected; rows decided by squares %d, by absGuard %d",
+		checked, rejected, bySquares, byAbs)
 }
