@@ -788,10 +788,9 @@ func (fz *acFactorizer) recordAffine() {
 }
 
 // at factors the AC system at omega, returning a solver valid until the
-// next call. The refactor path refills straight from the sweep's affine
-// recording, writing the point's values into fz.vals in the same pass; a
-// fresh-factorization fallback fills from its own; the dense path stamps
-// them. When b is non-nil it receives the RHS excitation; the
+// next call. The refactor path fills the values from the sweep's affine
+// recording, a fresh-factorization fallback from its own; the dense path
+// stamps them. When b is non-nil it receives the RHS excitation; the
 // caller must pass it zeroed.
 func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 	s := fz.s
@@ -813,10 +812,11 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 		fz.drifted = false
 	}
 	if fz.sym != nil {
+		fz.aff.FillInto(fz.vals.Values(), omega)
 		if b != nil {
 			copy(b, fz.aff.RHS())
 		}
-		if err := fz.num.RefactorAffine(fz.aff, omega, fz.vals.Values()); err == nil {
+		if err := fz.num.Refactor(fz.vals.Values()); err == nil {
 			fz.refactors++
 			fz.kind = solveKindRefactor
 			fz.cpat, fz.cvals = fz.pat, fz.vals.Values()

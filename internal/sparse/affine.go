@@ -5,62 +5,40 @@ package sparse
 // stamping pass at ω = 1 records the whole sweep:
 //
 //   - G, the per-slot sums of the calls' real parts;
-//   - C, the calls' imaginary coefficients c (zeros skipped), grouped by
-//     slot and in call order within a slot;
+//   - C, the calls' imaginary coefficients c in call order (zeros
+//     skipped), each tagged with its slot;
 //   - the right-hand side, which no stamp makes frequency dependent.
 //
-// C is stored slot-ordered as it is recorded: the pattern fixes how many
-// calls land in each slot, so slot s owns the window c[cptr[s]:cptr[s+1]]
-// of the coefficient array and its nonzero coefficients fill
-// c[cptr[s]:cend[s]] in call order (a stable counting sort whose counts
-// the pattern supplies). Slots are row-major, so cptr[rowPtr[i]] is row
-// i's pointer into the list and a refill can read the rows in elimination
-// order (Numeric.RefactorAffine) as cheaply as FillInto reads them in
-// slot order.
-//
-// FillInto writes the matrix at any ω as complex(G[s], Σ ω·c_t) with no
-// stamping at all. The fill is bitwise identical to a Vals replay at that
-// ω, for every finite ω ≥ 0: at ω = 1 a call's value is exactly
+// FillInto then writes the matrix at any ω as complex(G[s], Σ ω·c_t) with
+// no stamping at all. The fill is bitwise identical to a Vals replay at
+// that ω, for every finite ω ≥ 0: at ω = 1 a call's value is exactly
 // complex(g, c), at ω it is exactly complex(g, ω·c) (the stamps form ω·c
 // as one rounded product), and a Vals slot accumulates the real and
 // imaginary parts independently, starting from +0, in call order — the
-// order a slot's window holds the coefficients in. A skipped zero
-// coefficient only ever added a signed zero, which cannot change a sum
-// that starts at +0.
+// order FillInto sums the ω·c products in. A skipped zero coefficient
+// only ever added a signed zero, which cannot change a sum that starts
+// at +0.
 //
 // The recording pass accumulates the same structural checksum as Vals, so
 // Drift detects a stamp stream that deviates from the pattern.
 type Affine struct {
-	p    *Pattern
-	g    []float64
-	c    []float64 // imaginary coefficients, slot s's in c[cptr[s]:cend[s]]
-	cptr []int32   // len nnz+1; slot s's window in c starts at cptr[s]
-	cend []int32   // len nnz; one past slot s's last recorded coefficient
-	rhs  []complex128
-	t    int
-	sig  uint64
+	p     *Pattern
+	g     []float64
+	terms []affineTerm
+	rhs   []complex128
+	t     int
+	sig   uint64
+}
+
+// affineTerm is one stamp call's imaginary coefficient and its slot.
+type affineTerm struct {
+	slot int32
+	c    float64
 }
 
 // NewAffine returns an empty affine recorder for the pattern.
 func (p *Pattern) NewAffine() *Affine {
-	nnz := len(p.col)
-	f := make([]float64, nnz+len(p.seq))
-	ptrs := make([]int32, 2*nnz+1)
-	a := &Affine{
-		p:    p,
-		g:    f[:nnz:nnz],
-		c:    f[nnz:],
-		cptr: ptrs[: nnz+1 : nnz+1],
-		cend: ptrs[nnz+1:],
-		rhs:  make([]complex128, p.n),
-	}
-	for _, s := range p.seq {
-		a.cptr[s+1]++
-	}
-	for s := 0; s < nnz; s++ {
-		a.cptr[s+1] += a.cptr[s]
-	}
-	return a
+	return &Affine{p: p, g: make([]float64, len(p.col)), rhs: make([]complex128, p.n)}
 }
 
 // Begin resets the recorder for a new stamping pass: the stamps go to
@@ -68,7 +46,7 @@ func (p *Pattern) NewAffine() *Affine {
 func (a *Affine) Begin() {
 	clear(a.g)
 	clear(a.rhs)
-	copy(a.cend, a.cptr)
+	a.terms = a.terms[:0]
 	a.t = 0
 	a.sig = fnvOffset
 }
@@ -81,8 +59,7 @@ func (a *Affine) Add(i, j int, val complex128) {
 		s := a.p.seq[a.t]
 		a.g[s] += real(val)
 		if c := imag(val); c != 0 {
-			a.c[a.cend[s]] = c
-			a.cend[s]++
+			a.terms = append(a.terms, affineTerm{s, c})
 		}
 	}
 	a.t++
@@ -98,22 +75,15 @@ func (a *Affine) Drift() bool {
 // It is zeroed by Begin and, once stamped, holds the excitation at every ω.
 func (a *Affine) RHS() []complex128 { return a.rhs }
 
-// at returns the value of slot s at angular frequency omega. The explicit
-// float64 conversion rounds each product on its own, as the stamps do, so
-// no platform fuses it into the running sum.
-func (a *Affine) at(s int32, omega float64) complex128 {
-	im := 0.0
-	for _, c := range a.c[a.cptr[s]:a.cend[s]] {
-		im += float64(omega * c)
-	}
-	return complex(a.g[s], im)
-}
-
 // FillInto writes the matrix values at angular frequency omega into dst,
 // a value array of the pattern (Vals.Values), overwriting it.
 func (a *Affine) FillInto(dst []complex128, omega float64) {
 	dst = dst[:len(a.g)]
-	for s := range dst {
-		dst[s] = a.at(int32(s), omega)
+	for s, g := range a.g {
+		dst[s] = complex(g, 0)
+	}
+	for _, t := range a.terms {
+		e := &dst[t.slot]
+		*e = complex(real(*e), imag(*e)+omega*t.c)
 	}
 }

@@ -111,12 +111,6 @@ func (nm *Numeric) RefineInto(x, r, d []complex128) error {
 // frequency. Zero until a Refactor has run.
 func (nm *Numeric) PivotGrowth() float64 { return nm.growth }
 
-// Factors returns the value arrays of the last refill, aliased: the L
-// multipliers and U off-diagonal entries in the Symbolic's pattern order,
-// and the reciprocals of the U diagonal. Tests compare two refills with
-// it bit for bit.
-func (nm *Numeric) Factors() (l, u, udinv []complex128) { return nm.lval, nm.uval, nm.udinv }
-
 // SolveConjTransInto solves Aᴴ·x = b using the existing factorization:
 // with A = Pᵀ·L·U the conjugate transpose factors as Uᴴ (lower triangular,
 // diagonal conj(u_kk)) then Lᴴ (unit upper triangular) then the inverse

@@ -10,21 +10,18 @@
 //     so every later stamping pass writes straight into a flat value
 //     array (Vals) with no maps and no allocations.
 //   - Affine (affine.go) records one pass at ω = 1 as the split G + jωC,
-//     its imaginary coefficients grouped by slot, from which a sweep
-//     takes the values at any ω without stamping again.
+//     from which a sweep fills Vals at any ω without stamping again.
 //   - Pattern.Analyze runs the threshold/Markowitz pivot search once and
 //     records the elimination order and the exact fill-in pattern of L
 //     and U as index arrays (Symbolic).
 //   - Symbolic.NewNumeric allocates the value arrays and workspaces once;
 //     Numeric.Refactor refills them for new values (a fixed-pivot-order
 //     Gilbert–Peierls pass) and Numeric.SolveInto back-substitutes in
-//     place. Numeric.RefactorAffine is the same pass reading the values
-//     straight from an Affine recording, one pass per frequency point
-//     with no separate fill. All three are allocation-free, which keeps
-//     the per-frequency inner loop of the all-nodes sweep out of the
-//     garbage collector. Numeric.Factor is the same fill on the values
-//     the pivot order was just chosen from: Analyze followed by Factor is
-//     a complete fresh factorization.
+//     place. Both are allocation-free, which keeps the per-frequency
+//     inner loop of the all-nodes sweep out of the garbage collector.
+//     Numeric.Factor is the same fill on the values the pivot order was
+//     just chosen from: Analyze followed by Factor is a complete fresh
+//     factorization.
 //
 // Reusing a pivot order chosen at one frequency at another is safe for
 // the diagonally dominant MNA systems this repo sweeps, but it is guarded
@@ -448,22 +445,7 @@ func (s *Symbolic) NewNumeric() *Numeric {
 // state is invalid and the error wraps acerr.ErrSingularMatrix; the
 // caller should analyze the values afresh and Factor them.
 func (nm *Numeric) Refactor(vals []complex128) error {
-	return nm.fill(nil, 0, vals, refactorPivTol)
-}
-
-// RefactorAffine is Refactor on the values the affine recording aff (of
-// this factorization's pattern) takes at angular frequency omega, in one
-// pass: the refill builds each row's entries from the recording as it
-// reaches the row, scatters them and writes them into vals, a value array
-// of the pattern. On success vals holds bit for bit what
-// aff.FillInto(vals, omega) writes and the factorization is bit for bit
-// Refactor's of those values. On an error both are invalid, as for
-// Refactor.
-func (nm *Numeric) RefactorAffine(aff *Affine, omega float64, vals []complex128) error {
-	if aff.p != nm.sym.pat {
-		return fmt.Errorf("sparse: affine recording of another pattern")
-	}
-	return nm.fill(aff, omega, vals, refactorPivTol)
+	return nm.fill(vals, refactorPivTol)
 }
 
 // Factor fills the factorization from the values its Symbolic was just
@@ -472,7 +454,7 @@ func (nm *Numeric) RefactorAffine(aff *Affine, omega float64, vals []complex128)
 // these values, so Factor accepts exactly what Analyze accepted and fails
 // only on a pivot that rounds to zero or overflows.
 func (nm *Numeric) Factor(vals []complex128) error {
-	return nm.fill(nil, 0, vals, 0)
+	return nm.fill(vals, 0)
 }
 
 // safeSq2Min and safeSq2Max bound the squared magnitudes the refill's
@@ -521,13 +503,11 @@ func absGuard(d complex128, row []complex128, tol float64) (g float64, ok bool) 
 	return g, true
 }
 
-// fill is the Gilbert–Peierls refill behind Refactor, RefactorAffine and
-// Factor. With aff non-nil it builds each row from the recording at omega
-// and writes it into vals; otherwise it reads the row from vals. It
+// fill is the Gilbert–Peierls refill behind Refactor and Factor. It
 // rejects a pivot not above pivTol times its row's input magnitude,
 // comparing squared magnitudes (sqGuard, falling back to absGuard), and
 // takes the one square root of the growth factor at the end.
-func (nm *Numeric) fill(aff *Affine, omega float64, vals []complex128, pivTol float64) error {
+func (nm *Numeric) fill(vals []complex128, pivTol float64) error {
 	sym, p := nm.sym, nm.sym.pat
 	if len(vals) != len(p.col) {
 		return fmt.Errorf("sparse: values length %d, want %d", len(vals), len(p.col))
@@ -545,19 +525,10 @@ func (nm *Numeric) fill(aff *Affine, omega float64, vals []complex128, pivTol fl
 		// infinite and a NaN part), which sends the row to absGuard just
 		// as an overflowed square does.
 		scale2 := 0.0
-		if aff != nil {
-			for idx := lo; idx < hi; idx++ {
-				v := aff.at(idx, omega)
-				vals[idx] = v
-				w[p.col[idx]] = v
-				scale2 = max(scale2, abs2(v))
-			}
-		} else {
-			for idx := lo; idx < hi; idx++ {
-				v := vals[idx]
-				w[p.col[idx]] = v
-				scale2 = max(scale2, abs2(v))
-			}
+		for idx := lo; idx < hi; idx++ {
+			v := vals[idx]
+			w[p.col[idx]] = v
+			scale2 = max(scale2, abs2(v))
 		}
 		for t := sym.lptr[k]; t < sym.lptr[k+1]; t++ {
 			s := sym.lsrc[t]

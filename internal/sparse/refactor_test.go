@@ -152,86 +152,6 @@ func TestRefactorAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state restamp+refactor+solve allocated %v times per run, want 0", allocs)
 	}
-
-	aff := pat.NewAffine()
-	aff.Begin()
-	replay(aff, ladderStamp(n, 1))
-	allocs = testing.AllocsPerRun(50, func() {
-		if err := num.RefactorAffine(aff, 1e6, vals.Values()); err != nil {
-			t.Fatal(err)
-		}
-		if err := num.SolveInto(x, b); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state fused refill+solve allocated %v times per run, want 0", allocs)
-	}
-}
-
-// TestRefactorAffineCollapsedPivot: a pivot that collapses partway
-// through the fused refill surfaces ErrSingular (wrapping
-// acerr.ErrSingularMatrix), leaves the scatter row all-zero, and the next
-// call succeeds with the two-pass refill's values, L, U and pivot
-// reciprocals bit for bit.
-func TestRefactorAffineCollapsedPivot(t *testing.T) {
-	// A three-node RC ladder, node 3 tied to ground by a lone capacitor,
-	// node 4 hanging off node 2. The step pivoting column 3 has the pivot
-	// jωC alone, exactly zero at ω = 0, after three rows were refilled.
-	calls := []stampCall{
-		{0, 0, complex(2e-3, 1e-12)}, {0, 1, -1e-3}, {1, 0, -1e-3},
-		{1, 1, complex(2e-3, 1e-12)}, {1, 2, -1e-3}, {2, 1, -1e-3},
-		{2, 2, complex(2e-3, 1e-12)}, {2, 4, -1e-3}, {4, 2, -1e-3},
-		{3, 3, complex(0, 1e-12)},
-		{4, 4, complex(2e-3, 1e-12)},
-	}
-	const n, omega = 5, 1e6
-	rec := NewRecorder(n)
-	replay(rec, calls)
-	pat := rec.Compile()
-	aff := pat.NewAffine()
-	aff.Begin()
-	replay(aff, calls)
-	want := make([]complex128, pat.NNZ())
-	aff.FillInto(want, omega)
-	sym, err := pat.Analyze(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	num, ref := sym.NewNumeric(), sym.NewNumeric()
-	vals := make([]complex128, pat.NNZ())
-
-	err = num.RefactorAffine(aff, 0, vals)
-	if err == nil {
-		t.Fatal("fused refill accepted a zero pivot")
-	} else if !errors.Is(err, acerr.ErrSingularMatrix) {
-		t.Fatalf("error %v does not wrap ErrSingularMatrix", err)
-	}
-	for i, v := range num.w {
-		if v != 0 {
-			t.Fatalf("scatter row w[%d] = %v after the collapse, want 0", i, v)
-		}
-	}
-
-	if err := num.RefactorAffine(aff, omega, vals); err != nil {
-		t.Fatalf("fused refill after the collapse: %v", err)
-	}
-	if err := ref.Refactor(want); err != nil {
-		t.Fatal(err)
-	}
-	l1, u1, d1 := num.Factors()
-	l2, u2, d2 := ref.Factors()
-	for _, c := range []struct {
-		what      string
-		got, want []complex128
-	}{{"vals", vals, want}, {"L", l1, l2}, {"U", u1, u2}, {"udinv", d1, d2}} {
-		for i := range c.want {
-			if math.Float64bits(real(c.got[i])) != math.Float64bits(real(c.want[i])) ||
-				math.Float64bits(imag(c.got[i])) != math.Float64bits(imag(c.want[i])) {
-				t.Fatalf("%s[%d]: fused %v, two-pass %v", c.what, i, c.got[i], c.want[i])
-			}
-		}
-	}
 }
 
 // TestDriftDetection: a stamp pass that deviates from the recorded stream

@@ -60,11 +60,11 @@ func newRefillSetup(b *testing.B, c *netlist.Circuit) *refillSetup {
 	return &refillSetup{aff: aff, vals: vals, num: sym.NewNumeric(), grid: grid}
 }
 
-// BenchmarkRefill times one frequency point of the sweep's refill, cycling
-// through a 40-points-per-decade grid from 1 kHz to 1 GHz: the two-pass
-// form (Affine.FillInto, then Numeric.Refactor) against the fused
-// Numeric.RefactorAffine, on the 32-loop resonator field (64 unknowns) and
-// on the Table 2 circuit. It is a quick check for kernel work, not a gate.
+// BenchmarkRefill times one frequency point of the sweep's refill,
+// Affine.FillInto then Numeric.Refactor, cycling through a
+// 40-points-per-decade grid from 1 kHz to 1 GHz, on the 32-loop resonator
+// field (64 unknowns) and on the Table 2 circuit. It is a quick check for
+// kernel work, not a gate.
 func BenchmarkRefill(b *testing.B) {
 	for _, ckt := range []struct {
 		name string
@@ -74,18 +74,10 @@ func BenchmarkRefill(b *testing.B) {
 		{"table2", circuits.FullCircuit()},
 	} {
 		st := newRefillSetup(b, ckt.c)
-		b.Run(ckt.name+"/fill+refactor", func(b *testing.B) {
+		b.Run(ckt.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				omega := st.grid[i%len(st.grid)]
-				st.aff.FillInto(st.vals, omega)
+				st.aff.FillInto(st.vals, st.grid[i%len(st.grid)])
 				if err := st.num.Refactor(st.vals); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(ckt.name+"/fused", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := st.num.RefactorAffine(st.aff, st.grid[i%len(st.grid)], st.vals); err != nil {
 					b.Fatal(err)
 				}
 			}
