@@ -415,9 +415,16 @@ type assembleFn func(a mna.RealAdder, b []float64, x []float64)
 func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]float64, error) {
 	n := s.Sys.NumUnknowns()
 	nn := s.Sys.NumNodes()
-	x := append([]float64(nil), x0...)
+	// One LU and two solution buffers serve every iteration: FactorInto
+	// re-initialises all of the LU's state, so reuse changes no arithmetic,
+	// and x and xn swap roles each step. The returned slice is one of this
+	// call's own buffers.
+	buf := make([]float64, 2*n)
+	x, xn := buf[:n:n], buf[n:]
+	copy(x, x0)
 	a := linalg.NewMatrix(n)
 	b := make([]float64, n)
+	var f *linalg.LU
 	iters := 0
 	defer func() {
 		mNewtonIterations.Add(int64(iters))
@@ -433,12 +440,11 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 			b[i] = 0
 		}
 		assemble(a, b, x)
-		f, err := linalg.Factor(a)
-		if err != nil {
+		var err error
+		if f, err = linalg.FactorInto(f, a); err != nil {
 			return nil, fmt.Errorf("analysis: singular matrix during Newton: %w", err)
 		}
-		xn, err := f.Solve(b)
-		if err != nil {
+		if err := f.SolveInto(xn, b); err != nil {
 			return nil, err
 		}
 		// Damping: bound the largest node-voltage step.
@@ -466,7 +472,7 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 				break
 			}
 		}
-		x = xn
+		x, xn = xn, x
 		if converged {
 			return x, nil
 		}
@@ -690,16 +696,19 @@ type acFactorizer struct {
 
 	// Numerics tallies, flushed with the counters: refinement steps taken,
 	// threshold breaches, points measured, the per-decade residual digest
-	// (decades obs.ResidualDecadeMin..Max), sweep maxima, and the
-	// worst-residual health points for slow-point capture.
-	refines    int64
-	breaches   int64
-	resPoints  int64
-	resDecades [obs.ResidualDecadeMax - obs.ResidualDecadeMin + 1]int64
-	resMax     float64
-	growthMax  float64
-	condMax    float64
-	health     []obs.SlowPoint
+	// (decades obs.ResidualDecadeMin..Max), the pivot-growth and residual
+	// histogram observations, sweep maxima, and the worst-residual health
+	// points for slow-point capture.
+	refines      int64
+	breaches     int64
+	resPoints    int64
+	resDecades   [obs.ResidualDecadeMax - obs.ResidualDecadeMin + 1]int64
+	growthHist   obs.Tally
+	residualHist obs.Tally
+	resMax       float64
+	growthMax    float64
+	condMax      float64
+	health       []obs.SlowPoint
 
 	// Diagonal-kernel tallies (ImpedanceDiagSweep only): batched
 	// SolveDiagInto calls, rows those calls visited, and frequencies
@@ -738,7 +747,8 @@ const (
 // build is not fatal: the sweep degrades to one fresh factorization per
 // frequency and each point reports its own error.
 func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
-	fz := &acFactorizer{s: s, op: op, sparse: s.useSparse()}
+	fz := &acFactorizer{s: s, op: op, sparse: s.useSparse(),
+		growthHist: mACPivotGrowth.Tally(), residualHist: mACResidual.Tally()}
 	switch {
 	case s.Opt.ResidualThreshold > 0:
 		fz.resThreshold = s.Opt.ResidualThreshold
@@ -822,7 +832,7 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 			fz.cpat, fz.cvals = fz.pat, fz.vals.Values()
 			if fz.resThreshold > 0 {
 				g := fz.num.PivotGrowth()
-				mACPivotGrowth.Observe(g)
+				fz.growthHist.Observe(g)
 				if g > fz.growthMax {
 					fz.growthMax = g
 				}
@@ -950,11 +960,11 @@ func (fz *acFactorizer) verify(slv cSolver, omega, freqHz float64, x, b []comple
 	return slv, nil
 }
 
-// observeResidual records one point's final backward error: histogram,
-// per-decade digest, sweep max, and the worst-residual health capture.
+// observeResidual records one point's final backward error: histogram
+// tally, per-decade digest, sweep max, and the worst-residual health capture.
 func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 	fz.resPoints++
-	mACResidual.Observe(eta)
+	fz.residualHist.Observe(eta)
 	if eta > fz.resMax {
 		fz.resMax = eta
 	}
@@ -993,9 +1003,9 @@ func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 
 // condSampleAt takes one Hager/Higham 1-norm condition estimate when k is
 // one of defCondSamples evenly spaced points of an n-point sweep and
-// budget remains (none does with the observatory off). Estimates need the refactor-path factorization (the CSR values
-// feed ‖A‖₁ and the conjugate-transpose solve walks the frozen fill
-// pattern).
+// budget remains; with the observatory off, none does. An estimate needs
+// the refactor-path factorization: its CSR values feed ‖A‖₁, and the
+// conjugate-transpose solve walks the frozen fill pattern.
 func (fz *acFactorizer) condSampleAt(k, n int) {
 	if fz.kind != solveKindRefactor || fz.condBudget <= 0 {
 		return
@@ -1085,8 +1095,10 @@ func (st *slowTracker) flush(r *obs.Run) {
 	st.min = 0
 }
 
-// flush publishes the accumulated counter deltas.
+// flush publishes the accumulated counter deltas and histogram tallies.
 func (fz *acFactorizer) flush() {
+	fz.growthHist.Flush()
+	fz.residualHist.Flush()
 	mACFactorizations.Add(fz.fulls)
 	mACRefactorizations.Add(fz.refactors)
 	mACSolves.Add(fz.solves)

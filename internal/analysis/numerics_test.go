@@ -6,9 +6,14 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"acstab/internal/acerr"
+	"acstab/internal/circuits"
+	"acstab/internal/netlist"
 	"acstab/internal/obs"
 	"acstab/internal/sparse"
 )
@@ -296,5 +301,127 @@ func TestACResidualBoundsTrueError(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNumericsHistogramTally: a sweep tallies its pivot-growth and
+// residual observations locally and publishes them at flush, leaving each
+// histogram as if every value had been observed one at a time — one growth
+// per refactorization, one residual per verified point, the same bucket
+// counts as a fresh histogram fed the values in sweep order, and a sum
+// within 1e-12 relative. The package's histograms are swapped for fresh
+// ones for the duration, so the published values are exact rather than
+// deltas against whatever earlier tests left in the process-global ones.
+func TestNumericsHistogramTally(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ckt  *netlist.Circuit
+	}{
+		{"table2", circuits.FullCircuit()},
+		{"field8", circuits.ResonatorField(8, 1e6, 0.25)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			freqs := sweepFreqs(200)
+			wantGrowth, wantRes := tallyReference(t, tc.ckt, freqs)
+
+			defer func(g, r *obs.Histogram) { mACPivotGrowth, mACResidual = g, r }(mACPivotGrowth, mACResidual)
+			gotGrowth, gotRes := obs.NewRegistry(), obs.NewRegistry()
+			mACPivotGrowth = gotGrowth.HistogramBuckets("h", decadeBounds(-2, 12))
+			mACResidual = gotRes.HistogramBuckets("h", decadeBounds(-18, 0))
+
+			s := compile(t, tc.ckt)
+			op := mustOP(t, s)
+			run := obs.StartRun("tally")
+			s.Trace = run
+			if _, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, allNodeIdx(s)); err != nil {
+				t.Fatal(err)
+			}
+			run.Finish()
+			ctr := run.Trace().Counters
+			if ctr["ac_residual_breaches"] != 0 {
+				t.Fatalf("%d residual breaches: the reference replays breach-free sweeps only", ctr["ac_residual_breaches"])
+			}
+			if got, want := mACPivotGrowth.Count(), ctr["ac_refactorizations"]; got != want || got == 0 {
+				t.Errorf("pivot growth count = %d, ac_refactorizations = %d", got, want)
+			}
+			if got, want := mACResidual.Count(), ctr["ac_residual_points"]; got != want || got == 0 {
+				t.Errorf("residual count = %d, ac_residual_points = %d", got, want)
+			}
+			sameHistogram(t, "pivot growth", gotGrowth, wantGrowth)
+			sameHistogram(t, "residual", gotRes, wantRes)
+		})
+	}
+}
+
+// tallyReference replays ImpedanceDiagSweep's observations on a fresh
+// compile of ckt, observing each value into a fresh histogram one at a
+// time: the growth of every refactor-path point, and the residual of the
+// first node's full solve at every probed or fallback point.
+func tallyReference(t *testing.T, ckt *netlist.Circuit, freqs []float64) (growth, res *obs.Registry) {
+	t.Helper()
+	growth, res = obs.NewRegistry(), obs.NewRegistry()
+	hg := growth.HistogramBuckets("h", decadeBounds(-2, 12))
+	hr := res.HistogramBuckets("h", decadeBounds(-18, 0))
+	s := compile(t, ckt)
+	op := mustOP(t, s)
+	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
+	defer fz.flush()
+	n := s.Sys.NumUnknowns()
+	b, x := make([]complex128, n), make([]complex128, n)
+	idx0 := allNodeIdx(s)[0]
+	for k, f := range freqs {
+		slv, err := fz.at(2*math.Pi*f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refactor := fz.kind == solveKindRefactor
+		if refactor {
+			hg.Observe(fz.num.PivotGrowth())
+		}
+		if refactor && k%defResidualProbeEvery != 0 {
+			continue
+		}
+		b[idx0] = 1
+		if err := slv.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		eta := fz.pointResidual(x, b)
+		b[idx0] = 0
+		if eta > fz.resThreshold {
+			t.Fatalf("residual %g above threshold at %g Hz", eta, f)
+		}
+		hr.Observe(eta)
+	}
+	return growth, res
+}
+
+// sameHistogram compares two single-histogram registries: bucket and
+// count lines exactly, sums within 1e-12 relative.
+func sameHistogram(t *testing.T, what string, got, want *obs.Registry) {
+	t.Helper()
+	lines := func(r *obs.Registry) (counts []string, sum float64) {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+			if v, ok := strings.CutPrefix(l, "h_sum "); ok {
+				var err error
+				if sum, err = strconv.ParseFloat(v, 64); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			counts = append(counts, l)
+		}
+		return counts, sum
+	}
+	gc, gs := lines(got)
+	wc, ws := lines(want)
+	if !slices.Equal(gc, wc) {
+		t.Errorf("%s buckets differ from per-value Observe:\n got %q\nwant %q", what, gc, wc)
+	}
+	if math.Abs(gs-ws) > 1e-12*math.Abs(ws) {
+		t.Errorf("%s sum = %v, per-value Observe gives %v", what, gs, ws)
 	}
 }

@@ -41,8 +41,15 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	// Binary search: bounds are ascending and short, but O(log n) keeps
-	// large custom bucket sets cheap too.
+	h.counts[h.bucket(v)].Add(1)
+	h.count.Add(1)
+	h.addSum(v)
+}
+
+// bucket returns the index of the first bucket whose upper bound is >= v,
+// or the overflow bucket. Binary search: bounds are ascending and short,
+// but O(log n) keeps large custom bucket sets cheap too.
+func (h *Histogram) bucket(v float64) int {
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -52,8 +59,11 @@ func (h *Histogram) Observe(v float64) {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
+	return lo
+}
+
+// addSum adds v to the running sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumU.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
@@ -61,6 +71,58 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// tallyBuckets is the most buckets (bounds plus the overflow bucket) a
+// Tally holds: enough for the AC residual histogram's 19 decade bounds,
+// the widest one a sweep tallies, at a fixed size so that a tally held
+// by value never allocates.
+const tallyBuckets = 20
+
+// Tally accumulates one goroutine's observations of a Histogram without
+// atomics; Flush publishes them in one step. It buckets by Observe's rule,
+// so a flushed tally leaves the bucket counts and the count exactly where
+// the same values observed one at a time would. Only the sum can differ,
+// in rounding: the tally adds its values up before the histogram's
+// running sum takes them. Held by value, a Tally allocates nothing.
+type Tally struct {
+	h      *Histogram
+	counts [tallyBuckets]int64
+	n      int64
+	sum    float64
+}
+
+// Tally returns an empty tally bound to h. It panics when h has more
+// than tallyBuckets buckets.
+func (h *Histogram) Tally() Tally {
+	if len(h.bounds)+1 > tallyBuckets {
+		panic(fmt.Sprintf("obs: a %d-bucket histogram exceeds the Tally limit of %d", len(h.bounds)+1, tallyBuckets))
+	}
+	return Tally{h: h}
+}
+
+// Observe records one value locally.
+func (t *Tally) Observe(v float64) {
+	t.counts[t.h.bucket(v)]++
+	t.n++
+	t.sum += v
+}
+
+// Flush adds the tallied observations to the histogram and empties the
+// tally. Flushing an empty tally, bound or not, does nothing.
+func (t *Tally) Flush() {
+	if t.n == 0 {
+		return
+	}
+	h := t.h
+	for i, c := range t.counts[:len(h.bounds)+1] {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.count.Add(t.n)
+	h.addSum(t.sum)
+	*t = Tally{h: h}
 }
 
 // ObserveDuration records the seconds elapsed since start.

@@ -325,3 +325,42 @@ func TestLabelPath(t *testing.T) {
 		}
 	}
 }
+
+// TestTallyMatchesObserve: a flushed Tally leaves a histogram's buckets
+// and count exactly where per-value Observe calls leave them, bucket
+// bounds and the overflow bucket included; Flush empties the tally, and a
+// histogram with more than tallyBuckets buckets cannot hand one out.
+func TestTallyMatchesObserve(t *testing.T) {
+	bounds := []float64{1e-3, 1e-2, 1e-1, 1, 10}
+	vals := []float64{0, 1e-3, 5e-3, 1e-2, 0.5, 1, 2, 10, 11, math.Inf(1), 7}
+	one := newHistogram(bounds)
+	tallied := newHistogram(bounds)
+	tally := tallied.Tally()
+	tally.Flush() // empty: a no-op
+	for _, v := range vals[:6] {
+		one.Observe(v)
+		tally.Observe(v)
+	}
+	tally.Flush()
+	for _, v := range vals[6:] {
+		one.Observe(v)
+		tally.Observe(v)
+	}
+	tally.Flush()
+	tally.Flush()
+	for i := range one.counts {
+		if g, w := tallied.counts[i].Load(), one.counts[i].Load(); g != w {
+			t.Errorf("bucket %d = %d, per-value Observe gives %d", i, g, w)
+		}
+	}
+	if tallied.Count() != one.Count() || tallied.Sum() != one.Sum() {
+		t.Errorf("count/sum = %d/%v, per-value Observe gives %d/%v", tallied.Count(), tallied.Sum(), one.Count(), one.Sum())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Tally on a histogram wider than tallyBuckets did not panic")
+		}
+	}()
+	newHistogram(make([]float64, tallyBuckets)).Tally()
+}

@@ -219,18 +219,19 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 }
 
 // analyzeColumn converts one impedance column into a NodeResult, using
-// an, which carries the run's stability options. The result's Impedance
-// and Stab.Plot waves take freqs as their X axis without copying it: a
-// node's grid is shared with every other node swept on it and is
-// read-only from here on, which also lets an reuse the grid's log axis
-// from node to node.
+// an, which carries the run's stability options. It consumes col: each
+// Z is overwritten with |Z|, and col becomes the Impedance wave's
+// samples, so the caller must not read the complex impedances again.
+// The result's Impedance and Stab.Plot waves take freqs as their X axis
+// without copying it: a node's grid is shared with every other node swept
+// on it and is read-only from here on, which also lets an reuse the grid's
+// log axis from node to node.
 func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, col []complex128) (*NodeResult, error) {
 	res := &NodeResult{Node: node}
 	maxMag := 0.0
-	mags := make([]complex128, len(col))
 	for i, z := range col {
 		m := math.Hypot(real(z), imag(z))
-		mags[i] = complex(m, 0)
+		col[i] = complex(m, 0)
 		if m > maxMag {
 			maxMag = m
 		}
@@ -240,7 +241,7 @@ func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, co
 		res.SkipReason = "driven node (zero driving-point impedance)"
 		return res, nil
 	}
-	zw := wave.New("z("+node+")", freqs, mags)
+	zw := wave.New("z("+node+")", freqs, col)
 	zw.XUnit = "Hz"
 	zw.YUnit = "Ohm"
 	zw.LogX = true

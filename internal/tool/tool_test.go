@@ -13,6 +13,7 @@ import (
 	"acstab/internal/netlist"
 	"acstab/internal/num"
 	"acstab/internal/obs"
+	"acstab/internal/stab"
 )
 
 // TestSingleNodeSecondOrder runs Single Node mode on a second-order tank
@@ -479,5 +480,64 @@ Rg a 0 1e6
 	// The scoped run still finds X1's resonance.
 	if len(rep.Loops) != 1 || !num.ApproxEqual(rep.Loops[0].Freq, 1e6, 0.05, 0) {
 		t.Errorf("loops = %+v", rep.Loops)
+	}
+}
+
+// TestAnalyzeColumnInPlace: analyzeColumn writes |Z| over the sweep's own
+// column and hands that slice to the impedance wave, so the only
+// allocations on a warm analyzer are the wave, its name, the result and
+// Analyze's own outputs — no |Z| copy.
+func TestAnalyzeColumnInPlace(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 1
+	tl, err := New(circuits.SecondOrder(0.3, 1e6), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	op, err := tl.ensureOP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := tl.Sys.NodeOf("t")
+	freqs, cols, err := tl.columns(ctx, op, []int{k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := cols[0]
+	z := slices.Clone(col)
+	an := stab.NewAnalyzer(tl.Opts.Stab)
+	nr, err := tl.analyzeColumn(an, "t", freqs[0], col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr.Skipped || nr.Impedance == nil {
+		t.Fatalf("result: %+v", nr)
+	}
+	y := nr.Impedance.Y
+	if len(y) != len(col) || &y[0] != &col[0] {
+		t.Fatal("impedance wave does not share the sweep column's backing array")
+	}
+	for i, zi := range z {
+		want := complex(math.Hypot(real(zi), imag(zi)), 0)
+		if math.Float64bits(real(y[i])) != math.Float64bits(real(want)) || imag(y[i]) != 0 {
+			t.Fatalf("sample %d = %v, want |Z| = %v", i, y[i], want)
+		}
+	}
+
+	// |Z| is real and non-negative, so re-running over the consumed column
+	// reproduces it and the warm path can be measured on the same slice.
+	analyze := testing.AllocsPerRun(20, func() {
+		if _, err := an.Analyze(nr.Impedance); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := tl.analyzeColumn(an, "t", freqs[0], col); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := analyze + 3; got > want {
+		t.Errorf("warm analyzeColumn allocated %v times, want at most %v (wave, name, result + Analyze's %v)", got, want, analyze)
 	}
 }
