@@ -41,6 +41,7 @@ import (
 	"io"
 	"io/fs"
 	"strings"
+	"sync"
 
 	"acstab/internal/acerr"
 	"acstab/internal/netlist"
@@ -314,17 +315,23 @@ func AnalyzeNodeContext(ctx context.Context, c *Circuit, node string, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	out := fromNodeResult(nr)
+	out := fromNodeResult(nr, t.Opts.Stab)
 	return &out, nil
 }
 
-func fromNodeResult(nr *tool.NodeResult) NodeReport {
+// fromNodeResult converts nr, analyzed under opts, to its public form.
+func fromNodeResult(nr *tool.NodeResult, opts stab.Options) NodeReport {
 	out := NodeReport{Node: nr.Node, Skipped: nr.Skipped, SkipReason: nr.SkipReason}
 	if nr.Impedance != nil {
 		out.Impedance = &Waveform{w: nr.Impedance}
 	}
 	if nr.Stab != nil {
-		out.StabilityPlot = &Waveform{w: nr.Stab.Plot}
+		z := nr.Impedance
+		out.StabilityPlot = &Waveform{build: func() *wave.Wave {
+			// Cannot fail: Analyze accepted z under the same options.
+			p, _ := stab.Plot(z, opts)
+			return p
+		}}
 		for _, p := range nr.Stab.Peaks {
 			out.Peaks = append(out.Peaks, fromStabPeak(p))
 		}
@@ -368,7 +375,7 @@ func AnalyzeAllNodesContext(ctx context.Context, c *Circuit, opts Options) (*Sta
 		out.Loops = append(out.Loops, ol)
 	}
 	for i := range rep.Nodes {
-		out.Nodes = append(out.Nodes, fromNodeResult(&rep.Nodes[i]))
+		out.Nodes = append(out.Nodes, fromNodeResult(&rep.Nodes[i], t.Opts.Stab))
 	}
 	return out, nil
 }
@@ -388,31 +395,45 @@ func (r *StabilityReport) WriteAnnotatedNetlist(w io.Writer) error {
 	return report.Annotate(w, r.tool.Flat, r.raw)
 }
 
-// Waveform is a sampled waveform handle.
+// Waveform is a sampled waveform handle. It is safe for concurrent use.
 type Waveform struct {
-	w *wave.Wave
+	// build, when set, computes w on first use: a stability plot is
+	// built from the node's impedance only if someone reads it.
+	build func() *wave.Wave
+	once  sync.Once
+	w     *wave.Wave
+}
+
+func (w *Waveform) wave() *wave.Wave {
+	if w.build != nil {
+		w.once.Do(func() { w.w = w.build() })
+	}
+	return w.w
 }
 
 // Samples returns copies of the x and real-valued y samples.
 func (w *Waveform) Samples() (x, y []float64) {
-	x = append([]float64(nil), w.w.X...)
-	return x, w.w.Real()
+	ww := w.wave()
+	x = append([]float64(nil), ww.X...)
+	return x, ww.Real()
 }
 
 // At returns the (interpolated) value at x.
-func (w *Waveform) At(x float64) float64 { return w.w.At(x) }
+func (w *Waveform) At(x float64) float64 { return w.wave().At(x) }
 
 // Plot renders the waveform as an ASCII chart.
 func (w *Waveform) Plot(out io.Writer, title string) error {
-	return wave.Plot(out, wave.PlotOptions{Title: title, LogX: w.w.LogX,
-		XLabel: w.w.XUnit, YLabel: w.w.YUnit}, w.w)
+	ww := w.wave()
+	return wave.Plot(out, wave.PlotOptions{Title: title, LogX: ww.LogX,
+		XLabel: ww.XUnit, YLabel: ww.YUnit}, ww)
 }
 
 // String summarizes the waveform.
 func (w *Waveform) String() string {
-	if w.w.Len() == 0 {
+	ww := w.wave()
+	if ww.Len() == 0 {
 		return "waveform(empty)"
 	}
-	return fmt.Sprintf("waveform(%s, %d pts, x %g..%g)", w.w.Name, w.w.Len(),
-		w.w.X[0], w.w.X[w.w.Len()-1])
+	return fmt.Sprintf("waveform(%s, %d pts, x %g..%g)", ww.Name, ww.Len(),
+		ww.X[0], ww.X[ww.Len()-1])
 }

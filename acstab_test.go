@@ -5,10 +5,13 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 
 	acstab "acstab"
+	"acstab/internal/stab"
+	"acstab/internal/wave"
 )
 
 // tank builds a parallel RLC with known zeta and natural frequency.
@@ -339,6 +342,63 @@ func TestWaveformStringAndSamples(t *testing.T) {
 	}
 	if v := nr.Impedance.At(x[0]); v != y[0] {
 		t.Errorf("At(first) = %g, want %g", v, y[0])
+	}
+}
+
+// TestStabilityPlotOnDemand: the stability plot a NodeReport builds on
+// first use is the one-shot stab.Plot of the node's impedance bit for bit,
+// from single-node and all-nodes runs, and reading it from several
+// goroutines at once builds it once.
+func TestStabilityPlotOnDemand(t *testing.T) {
+	ctx := context.Background()
+	single, err := acstab.AnalyzeNodeContext(ctx, tank(0.25, 2e6), "t", acstab.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := acstab.AnalyzeAllNodesContext(ctx, tank(0.3, 1e6), acstab.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromAll *acstab.NodeReport
+	for i := range rep.Nodes {
+		if rep.Nodes[i].Node == "t" {
+			fromAll = &rep.Nodes[i]
+		}
+	}
+	if fromAll == nil {
+		t.Fatal("all-nodes report has no node t")
+	}
+	for _, nr := range []*acstab.NodeReport{single, fromAll} {
+		zx, zy := nr.Impedance.Samples()
+		want, err := stab.Plot(wave.NewReal("z(t)", zx, zy), stab.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		xs := make([][]float64, 4)
+		ys := make([][]float64, 4)
+		for g := range xs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				xs[g], ys[g] = nr.StabilityPlot.Samples()
+			}(g)
+		}
+		wg.Wait()
+		for g := range xs {
+			if len(xs[g]) != len(want.X) || len(ys[g]) != len(want.Y) {
+				t.Fatalf("goroutine %d: %d/%d samples, want %d", g, len(xs[g]), len(ys[g]), len(want.X))
+			}
+			for i := range want.X {
+				if math.Float64bits(xs[g][i]) != math.Float64bits(want.X[i]) ||
+					math.Float64bits(ys[g][i]) != math.Float64bits(real(want.Y[i])) {
+					t.Fatalf("goroutine %d: sample %d = (%v, %v), want (%v, %v)", g, i, xs[g][i], ys[g][i], want.X[i], real(want.Y[i]))
+				}
+			}
+		}
+		if s := nr.StabilityPlot.String(); !strings.Contains(s, "stabplot(z(t))") {
+			t.Errorf("String() = %q", s)
+		}
 	}
 }
 

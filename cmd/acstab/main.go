@@ -38,6 +38,7 @@ import (
 	"acstab/internal/obs"
 	"acstab/internal/report"
 	"acstab/internal/shard"
+	"acstab/internal/stab"
 	"acstab/internal/tool"
 	"acstab/internal/wave"
 )
@@ -323,10 +324,14 @@ func runSingle(ctx context.Context, out io.Writer, t *tool.Tool, node string, pl
 		return nil
 	}
 	if plot {
+		p, err := stab.Plot(nr.Impedance, t.Opts.Stab)
+		if err != nil {
+			return err
+		}
 		if err := wave.Plot(out, wave.PlotOptions{
 			Title: "stability plot at " + nr.Node, LogX: true,
 			XLabel: "Hz", YLabel: "P",
-		}, nr.Stab.Plot); err != nil {
+		}, p); err != nil {
 			return err
 		}
 	}

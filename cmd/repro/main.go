@@ -23,6 +23,7 @@ import (
 	"acstab/internal/num"
 	"acstab/internal/report"
 	"acstab/internal/sos"
+	"acstab/internal/stab"
 	"acstab/internal/tool"
 	"acstab/internal/wave"
 )
@@ -166,9 +167,13 @@ func fig4(out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	p, err := stab.Plot(nr.Impedance, tl.Opts.Stab)
+	if err != nil {
+		return err
+	}
 	if err := wave.Plot(out, wave.PlotOptions{
 		Title: "Fig 4: stability plot at the output node", LogX: true, XLabel: "Hz", YLabel: "P",
-	}, nr.Stab.Plot); err != nil {
+	}, p); err != nil {
 		return err
 	}
 	b := nr.Best

@@ -18,6 +18,7 @@ import (
 	"acstab/internal/num"
 	"acstab/internal/report"
 	"acstab/internal/sos"
+	"acstab/internal/stab"
 	"acstab/internal/tool"
 	"acstab/internal/wave"
 )
@@ -236,10 +237,14 @@ func TestFig4(t *testing.T) {
 	if nr.Best == nil {
 		t.Fatal("no peak")
 	}
+	p, err := stab.Plot(nr.Impedance, tl.Opts.Stab)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	wave.Plot(&buf, wave.PlotOptions{
 		Title: "Fig 4: stability plot at output", LogX: true, XLabel: "Hz", YLabel: "P",
-	}, nr.Stab.Plot)
+	}, p)
 	t.Logf("\n%s\npeak %.2f at %.3g Hz (paper: -28.9 at 3.16 MHz); est. PM %.1f deg",
 		buf.String(), nr.Best.Value, nr.Best.Freq, nr.Best.PhaseMarginDeg)
 	if nr.Best.Value < -34 || nr.Best.Value > -24 ||

@@ -18,6 +18,7 @@ import (
 	"acstab/internal/num"
 	"acstab/internal/obs"
 	"acstab/internal/report"
+	"acstab/internal/stab"
 	"acstab/internal/tool"
 )
 
@@ -167,7 +168,7 @@ func TestShardedAdaptiveMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestSharedFrequencyAxis: a node's Impedance and Stab.Plot waves take
+// TestSharedFrequencyAxis: a node's Impedance and stability-plot waves take
 // the sweep grid as their X axis without copying it, so every node swept
 // only on the first-pass grid shares one array. Nothing downstream may
 // write to it: after rendering every format, parsing the JSON back, a
@@ -203,7 +204,11 @@ func TestSharedFrequencyAxis(t *testing.T) {
 					continue
 				}
 				x := nr.Impedance.X
-				if &nr.Stab.Plot.X[0] != &x[0] || len(nr.Stab.Plot.X) != len(x) {
+				p, err := stab.Plot(nr.Impedance, opts.Stab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &p.X[0] != &x[0] || len(p.X) != len(x) {
 					t.Fatalf("node %s: stability plot does not alias the impedance axis", nr.Node)
 				}
 				axes[nr.Node] = slices.Clone(x)

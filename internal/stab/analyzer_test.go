@@ -41,19 +41,59 @@ func refinedGrid(lo, hi float64) []float64 {
 
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// requireSameResult fails unless got and want agree bit for bit: plot
-// samples, every peak field, and which peak is dominant.
-func requireSameResult(t *testing.T, got, want *Result) {
+// requireSameWave fails unless got and want agree bit for bit: name,
+// units, LogX and every sample.
+func requireSameWave(t *testing.T, got, want *wave.Wave) {
 	t.Helper()
-	if len(got.Plot.Y) != len(want.Plot.Y) || got.Plot.Name != want.Plot.Name {
-		t.Fatalf("plot shape/name differ: %d %q vs %d %q", len(got.Plot.Y), got.Plot.Name, len(want.Plot.Y), want.Plot.Name)
+	if got == nil || want == nil {
+		t.Fatalf("plot is nil: got %v, want %v", got, want)
 	}
-	for i := range want.Plot.Y {
-		g, w := got.Plot.Y[i], want.Plot.Y[i]
+	if got.Name != want.Name || got.XUnit != want.XUnit || got.YUnit != want.YUnit || got.LogX != want.LogX {
+		t.Fatalf("plot %q %q %q %v, want %q %q %q %v", got.Name, got.XUnit, got.YUnit, got.LogX,
+			want.Name, want.XUnit, want.YUnit, want.LogX)
+	}
+	if !slices.Equal(got.X, want.X) || len(got.Y) != len(want.Y) {
+		t.Fatalf("plot axes differ: %d/%d vs %d/%d points", len(got.X), len(got.Y), len(want.X), len(want.Y))
+	}
+	for i := range want.Y {
+		g, w := got.Y[i], want.Y[i]
 		if !sameFloat(real(g), real(w)) || !sameFloat(imag(g), imag(w)) {
 			t.Fatalf("plot[%d] = %v, want %v", i, g, w)
 		}
 	}
+}
+
+// requireWarmPlot fails unless the P scratch an's last Analyze of mag
+// read its peaks from, and the wave a warm an.Plot(mag) builds from it,
+// equal the one-shot Plot of mag bit for bit, the wave's X aliasing mag.X.
+func requireWarmPlot(t *testing.T, an *Analyzer, mag *wave.Wave) {
+	t.Helper()
+	want, err := Plot(mag, an.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.p) != len(want.Y) {
+		t.Fatalf("P scratch has %d points, want %d", len(an.p), len(want.Y))
+	}
+	for i, w := range want.Y {
+		if !sameFloat(an.p[i], real(w)) || !sameFloat(imag(w), 0) {
+			t.Fatalf("P scratch[%d] = %v, want %v", i, an.p[i], w)
+		}
+	}
+	got, err := an.Plot(mag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameWave(t, got, want)
+	if &got.X[0] != &mag.X[0] || len(got.X) != len(mag.X) {
+		t.Fatal("plot X does not alias the magnitude's")
+	}
+}
+
+// requireSameResult fails unless got and want agree bit for bit: every
+// peak field, and which peak is dominant.
+func requireSameResult(t *testing.T, got, want *Result) {
+	t.Helper()
 	if len(got.Peaks) != len(want.Peaks) {
 		t.Fatalf("%d peaks, want %d", len(got.Peaks), len(want.Peaks))
 	}
@@ -92,8 +132,9 @@ func columnTFs() []ratfn.TF {
 
 // TestAnalyzerMatchesAnalyze: one warm Analyzer running column after
 // column on a shared grid returns, for each, exactly what the one-shot
-// Analyze does — on a uniform grid (auto picks 5-point), an adaptive
-// non-uniform grid (auto picks 3-point), and explicit stencils 3 and 5.
+// Analyze does, from exactly the P the one-shot Plot does — on a uniform
+// grid (auto picks 5-point), an adaptive non-uniform grid (auto picks
+// 3-point), and explicit stencils 3 and 5.
 func TestAnalyzerMatchesAnalyze(t *testing.T) {
 	uniform := num.LogGridPPD(1e3, 1e9, 40)
 	adaptive := refinedGrid(3e4, 3e6)
@@ -120,14 +161,12 @@ func TestAnalyzerMatchesAnalyze(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireWarmPlot(t, an, mag)
 					want, err := Analyze(mag, tc.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameResult(t, got, want)
-					if &got.Plot.X[0] != &tc.grid[0] {
-						t.Fatal("plot does not share the grid as X")
-					}
 				}
 			}
 			if an.stencil != tc.stencil {
@@ -164,6 +203,7 @@ func TestAnalyzerAlternatingGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireWarmPlot(t, an, mag)
 		want, err := Analyze(mag, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -215,31 +255,84 @@ func TestAnalyzerErrors(t *testing.T) {
 }
 
 // TestAnalyzerWarmAllocs pins the warm path's allocations to its output:
-// the plot wave, its samples and name, the Result, and the Peaks slice's
-// append growth — no log axis, ln|T| or plot scratch.
+// the Result and one exact-length Peaks array, or the Result alone when
+// there is no peak — no P array, plot wave, log axis, ln|T| or peak scratch.
 func TestAnalyzerWarmAllocs(t *testing.T) {
 	grid := num.LogGridPPD(1e3, 1e9, 40)
-	mag := magOn(columnTFs()[1], grid)
-	an := NewAnalyzer(DefaultOptions())
-	res, err := an.Analyze(mag)
-	if err != nil {
-		t.Fatal(err)
+	flat := make([]float64, len(grid))
+	for i := range flat {
+		flat[i] = 1
 	}
-	peakAllocs := 0
-	var grow []Peak
-	for range res.Peaks {
-		if len(grow) == cap(grow) {
-			peakAllocs++
-		}
-		grow = append(grow, Peak{})
+	for _, tc := range []struct {
+		name string
+		mag  *wave.Wave
+		want float64
+	}{
+		{"two-loops", magOn(columnTFs()[1], grid), 2},
+		{"flat", wave.NewReal("flat", grid, flat), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			an := NewAnalyzer(DefaultOptions())
+			res, err := an.Analyze(tc.mag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == 1 && res.Peaks != nil {
+				t.Fatalf("Peaks = %v, want nil", res.Peaks)
+			}
+			if tc.want == 2 && (len(res.Peaks) == 0 || cap(res.Peaks) != len(res.Peaks)) {
+				t.Fatalf("Peaks len %d cap %d, want a non-empty exact-length slice", len(res.Peaks), cap(res.Peaks))
+			}
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := an.Analyze(tc.mag); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.want {
+				t.Errorf("warm Analyze allocated %v times, want at most %v (Result and %d peaks)", got, tc.want, len(res.Peaks))
+			}
+		})
 	}
-	want := float64(4 + peakAllocs)
-	got := testing.AllocsPerRun(20, func() {
-		if _, err := an.Analyze(mag); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got > want {
-		t.Errorf("warm Analyze allocated %v times, want at most %v (output only: %d peaks)", got, want, len(res.Peaks))
+}
+
+// TestPlotOnDemandMatchesScratch: a stability plot built on demand — a
+// warm Analyzer's Plot right after its Analyze, and the one-shot Plot — is
+// the P scratch Analyze read the peaks from, bit for bit, with the
+// magnitude's X unit and its X aliased, on uniform and adaptive grids,
+// both stencils, and with the min/max filter off. Building it costs only
+// the wave, its name and its samples.
+func TestPlotOnDemandMatchesScratch(t *testing.T) {
+	uniform := num.LogGridPPD(1e3, 1e9, 40)
+	adaptive := refinedGrid(3e4, 3e6)
+	for _, tc := range []struct {
+		name string
+		grid []float64
+		opts Options
+	}{
+		{"uniform-5", uniform, DefaultOptions()},
+		{"uniform-3", uniform, Options{Stencil: 3, MinPeakDepth: 0.75}},
+		{"adaptive", adaptive, DefaultOptions()},
+		{"no-minmax-filter", uniform, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			an := NewAnalyzer(tc.opts)
+			var mag *wave.Wave
+			for _, tf := range columnTFs() {
+				mag = magOn(tf, tc.grid)
+				mag.XUnit = "Hz"
+				if _, err := an.Analyze(mag); err != nil {
+					t.Fatal(err)
+				}
+				requireWarmPlot(t, an, mag)
+			}
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := an.Plot(mag); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > 3 {
+				t.Errorf("warm Plot allocated %v times, want at most 3 (wave, name, samples)", got)
+			}
+		})
 	}
 }

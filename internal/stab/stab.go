@@ -119,11 +119,12 @@ type Peak struct {
 	OvershootPct float64
 }
 
-// Result is the stability analysis of one response magnitude.
+// Result is the stability analysis of one response magnitude: its peaks.
+// It does not hold the stability plot; callers that show P rebuild it with
+// Plot from the same magnitude and options, bit for bit the samples
+// Analyze read the peaks from.
 type Result struct {
-	// Plot is P(ω) sampled on the input grid; its X aliases the input's.
-	Plot *wave.Wave
-	// Peaks holds every detected peak, sorted by frequency.
+	// Peaks holds every detected peak, sorted by frequency (nil if none).
 	Peaks []Peak
 	// Dominant points at the deepest negative non-MinMax peak, or nil.
 	Dominant *Peak
@@ -152,11 +153,12 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 // few frequency grids, as an all-nodes run's nodes share the sweep grid.
 // It caches the last grid's log axis ln(x) and the stencil chosen for it,
 // keyed by the identity of the X slice (its first element and length), and
-// reuses one ln|T| scratch array, so a warm call allocates only its
-// output. Results are bitwise identical to the one-shot functions. Grids
-// are read-only once shared (see Plot); the cache holds the slice, so its
-// array cannot be freed and reused at the same address. An Analyzer is
-// not safe for concurrent use.
+// reuses its ln|T|, P and peak scratch arrays: a warm Analyze computes P
+// into scratch, reads the peaks from it and allocates only the Result and
+// its exact-length Peaks. Results are bitwise identical to the one-shot
+// functions. Grids are read-only once shared (see Plot); the cache holds
+// the slice, so its array cannot be freed and reused at the same address.
+// An Analyzer is not safe for concurrent use.
 type Analyzer struct {
 	opts Options
 
@@ -169,7 +171,9 @@ type Analyzer struct {
 	uniform bool
 	stencil int
 
-	ln []float64 // ln|T| scratch
+	ln    []float64 // ln|T| scratch
+	p     []float64 // P scratch
+	peaks []Peak    // peak scratch, copied out at exact length
 }
 
 // NewAnalyzer returns an Analyzer applying opts to every column.
@@ -205,6 +209,19 @@ func (a *Analyzer) axis(x []float64) {
 
 // Plot is the package-level Plot under the Analyzer's options.
 func (a *Analyzer) Plot(mag *wave.Wave) (*wave.Wave, error) {
+	p, err := a.plot(mag)
+	if err != nil {
+		return nil, err
+	}
+	w := wave.NewReal("stabplot("+mag.Name+")", mag.X, p)
+	w.XUnit = mag.XUnit
+	w.LogX = true
+	return w, nil
+}
+
+// plot computes P on mag's grid into the Analyzer's scratch, valid until
+// the next call.
+func (a *Analyzer) plot(mag *wave.Wave) ([]float64, error) {
 	n := mag.Len()
 	if n < 5 {
 		return nil, fmt.Errorf("stab: need at least 5 frequency points, have %d", n)
@@ -228,27 +245,25 @@ func (a *Analyzer) Plot(mag *wave.Wave) (*wave.Wave, error) {
 	for i := 0; i < n; i++ {
 		ln[i] = LogMag(real(mag.Y[i]))
 	}
-	p := make([]complex128, n)
+	p := slices.Grow(a.p[:0], n)[:n]
+	a.p = p
 	if a.stencil == 3 {
 		for i := 1; i < n-1; i++ {
 			h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
-			p[i] = complex(2*(h1*ln[i-1]-(h0+h1)*ln[i]+h0*ln[i+1])/(h0*h1*(h0+h1)), 0)
+			p[i] = 2 * (h1*ln[i-1] - (h0+h1)*ln[i] + h0*ln[i+1]) / (h0 * h1 * (h0 + h1))
 		}
 	} else {
 		h := u[1] - u[0]
 		for i := 2; i < n-2; i++ {
-			p[i] = complex((-ln[i-2]+16*ln[i-1]-30*ln[i]+16*ln[i+1]-ln[i+2])/(12*h*h), 0)
+			p[i] = (-ln[i-2] + 16*ln[i-1] - 30*ln[i] + 16*ln[i+1] - ln[i+2]) / (12 * h * h)
 		}
 		// Fall back to 3-point at the first/last interior points.
 		for _, i := range [2]int{1, n - 2} {
-			p[i] = complex((ln[i-1]-2*ln[i]+ln[i+1])/(h*h), 0)
+			p[i] = (ln[i-1] - 2*ln[i] + ln[i+1]) / (h * h)
 		}
 	}
 	p[0], p[n-1] = p[1], p[n-2]
-	w := wave.New("stabplot("+mag.Name+")", mag.X, p)
-	w.XUnit = mag.XUnit
-	w.LogX = true
-	return w, nil
+	return p, nil
 }
 
 // Analyze is the package-level Analyze under the Analyzer's options.
@@ -259,18 +274,17 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("stab: unsupported stencil %d (want 0, 3 or 5)", opts.Stencil)
 	}
-	plot, err := a.Plot(mag)
+	p, err := a.plot(mag)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Plot: plot}
-	n := plot.Len()
-	p := plot.Y
-	u := a.u // plot.X is mag.X, the cached grid
+	n := len(p)
+	u := a.u // the log axis of mag.X, the cached grid
+	peaks := a.peaks[:0]
 
 	addPeak := func(i int, isMax bool) {
-		val := real(p[i])
-		freq := plot.X[i]
+		val := p[i]
+		freq := mag.X[i]
 		// Parabolic refinement in (u, P) through the three samples around
 		// the extremum, with the actual (possibly non-uniform) spacing:
 		// adaptive grids mix coarse and refined intervals right at a peak,
@@ -279,7 +293,7 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 		// classic uniform ones.
 		if i > 0 && i < n-1 {
 			h0, h1 := u[i]-u[i-1], u[i+1]-u[i]
-			dl, dr := real(p[i-1])-real(p[i]), real(p[i+1])-real(p[i])
+			dl, dr := p[i-1]-p[i], p[i+1]-p[i]
 			den := h0 * h1 * (h0 + h1)
 			if den != 0 {
 				c := (h0*dr + h1*dl) / den
@@ -287,7 +301,7 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 					b := (h0*h0*dr - h1*h1*dl) / den
 					du := num.Clamp(-b/(2*c), -h0, h1)
 					freq = math.Exp(u[i] + du)
-					val = real(p[i]) - b*b/(4*c)
+					val = p[i] - b*b/(4*c)
 				}
 			}
 		}
@@ -309,11 +323,11 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 			pk.PhaseMarginDeg = math.NaN()
 			pk.OvershootPct = math.NaN()
 		}
-		res.Peaks = append(res.Peaks, pk)
+		peaks = append(peaks, pk)
 	}
 
 	for i := 1; i < n-1; i++ {
-		pi, pl, pr := real(p[i]), real(p[i-1]), real(p[i+1])
+		pi, pl, pr := p[i], p[i-1], p[i+1]
 		if pi < 0 && pi <= pl && pi < pr {
 			addPeak(i, false)
 		}
@@ -324,15 +338,21 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 	// High-edge extreme that never turned around inside the range. (The
 	// low edge is covered by the main loop: p[0] duplicates p[1], so the
 	// "<= previous" test passes at i=1.)
-	if n >= 3 && real(p[n-2]) < 0 && real(p[n-2]) < real(p[n-3]) {
+	if n >= 3 && p[n-2] < 0 && p[n-2] < p[n-3] {
 		addPeak(n-2, false)
 	}
-	slices.SortFunc(res.Peaks, byFreq)
-	if opts.MaxPeaks > 0 && len(res.Peaks) > opts.MaxPeaks {
+	a.peaks = peaks
+	slices.SortFunc(peaks, byFreq)
+	if opts.MaxPeaks > 0 && len(peaks) > opts.MaxPeaks {
 		// Keep the deepest |Value| peaks.
-		slices.SortFunc(res.Peaks, byDepth)
-		res.Peaks = res.Peaks[:opts.MaxPeaks]
-		slices.SortFunc(res.Peaks, byFreq)
+		slices.SortFunc(peaks, byDepth)
+		peaks = peaks[:opts.MaxPeaks]
+		slices.SortFunc(peaks, byFreq)
+	}
+	res := &Result{}
+	if len(peaks) > 0 {
+		res.Peaks = make([]Peak, len(peaks))
+		copy(res.Peaks, peaks)
 	}
 	for i := range res.Peaks {
 		pk := &res.Peaks[i]

@@ -222,10 +222,10 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 // an, which carries the run's stability options. It consumes col: each
 // Z is overwritten with |Z|, and col becomes the Impedance wave's
 // samples, so the caller must not read the complex impedances again.
-// The result's Impedance and Stab.Plot waves take freqs as their X axis
-// without copying it: a node's grid is shared with every other node swept
-// on it and is read-only from here on, which also lets an reuse the grid's
-// log axis from node to node.
+// The result's Impedance wave, and a stability plot stab.Plot builds from
+// it, take freqs as their X axis without copying it: a node's grid is
+// shared with every other node swept on it and is read-only from here on,
+// which also lets an reuse the grid's log axis from node to node.
 func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, col []complex128) (*NodeResult, error) {
 	res := &NodeResult{Node: node}
 	maxMag := 0.0
@@ -353,9 +353,10 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 		CircuitTitle: t.Flat.Title,
 		Temp:         t.Flat.Temp,
 		Options:      t.Opts,
+		Nodes:        make([]NodeResult, 0, len(names)),
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
-	var peaks []stab.NodePeak
+	peaks := make([]stab.NodePeak, 0, len(names))
 	an := stab.NewAnalyzer(t.Opts.Stab)
 	for i, name := range names {
 		if err := acerr.Ctx(ctx); err != nil {
