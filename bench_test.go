@@ -42,6 +42,41 @@ func benchSim(b *testing.B, c *netlist.Circuit) *analysis.Sim {
 	return analysis.New(sys)
 }
 
+// BenchmarkFrontEnd times the front end on captured deck text: Parse,
+// Flatten and mna.Compile of the 32-loop resonator field and of the
+// Table 2 circuit.
+func BenchmarkFrontEnd(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		c    *netlist.Circuit
+	}{
+		{"field-32", circuits.ResonatorField(32, 1e5, 0.35)},
+		{"table2", circuits.FullCircuit()},
+	} {
+		flat, err := netlist.Flatten(tc.c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := netlist.Format(flat)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := netlist.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				flat, err := netlist.Flatten(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := mna.Compile(flat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable1 regenerates Table 1 by simulation (11 tank circuits
 // through the single-node flow).
 func BenchmarkTable1(b *testing.B) {

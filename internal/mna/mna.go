@@ -124,56 +124,84 @@ type mosInst struct {
 }
 
 // Compile builds the MNA system from a flattened circuit. The circuit must
-// contain no subcircuit calls (use netlist.Flatten first).
+// contain no subcircuit calls (use netlist.Flatten first). Its maps and
+// instance tables are sized in one counting pass, so compiling allocates
+// per system, not per element.
 func Compile(c *netlist.Circuit) (*System, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{
-		Ckt:       c,
-		nodeIndex: map[string]int{},
-		branchOf:  map[string]int{},
-	}
-	node := func(name string) int {
-		if netlist.IsGround(name) {
-			return -1
-		}
-		if idx, ok := s.nodeIndex[name]; ok {
-			return idx
-		}
-		idx := s.numNodes
-		s.nodeIndex[name] = idx
-		s.NodeNames = append(s.NodeNames, name)
-		s.numNodes++
-		return idx
-	}
-	// First pass: assign node indices in element order for determinism.
+	// Count the instances of each kind, the branches and the node
+	// references.
+	var count [256]int
+	refs, branches := 0, 0
 	for _, e := range c.Elems {
 		if e.Type == netlist.Subcall {
 			return nil, fmt.Errorf("mna: circuit not flattened: %q", e.Name)
 		}
-		for _, n := range e.Nodes {
-			node(n)
+		count[e.Type]++
+		refs += len(e.Nodes)
+		if hasBranch(e.Type) {
+			branches++
 		}
 	}
-	// Second pass: assign branch indices.
-	nextBranch := func(name string) int {
-		br := s.numNodes + s.numBranch
-		s.branchOf[strings.ToLower(name)] = br
-		s.numBranch++
-		return br
+	// Circuits have at most about half as many nodes as elements; the
+	// map grows past that if it must.
+	nodeHint := len(c.Elems)/2 + 1
+	s := &System{
+		Ckt:       c,
+		NodeNames: make([]string, 0, nodeHint),
+		nodeIndex: make(map[string]int, nodeHint),
+		branchOf:  make(map[string]int, branches),
+		res:       make([]resInst, 0, count[netlist.Resistor]),
+		caps:      make([]capInst, 0, count[netlist.Capacitor]),
+		inds:      make([]indInst, 0, count[netlist.Inductor]),
+		vsrc:      make([]srcInst, 0, count[netlist.VSource]),
+		isrc:      make([]srcInst, 0, count[netlist.ISource]),
+		vcvs:      make([]ctrlInst, 0, count[netlist.VCVS]),
+		vccs:      make([]ctrlInst, 0, count[netlist.VCCS]),
+		cccs:      make([]ccInst, 0, count[netlist.CCCS]),
+		ccvs:      make([]ccInst, 0, count[netlist.CCVS]),
+		dios:      make([]diodeInst, 0, count[netlist.Diode]),
+		bjts:      make([]bjtInst, 0, count[netlist.BJT]),
+		moss:      make([]mosInst, 0, count[netlist.MOSFET]),
 	}
+	// First pass: assign node indices in element order for determinism,
+	// keeping each reference's index for the instance pass.
+	idx := make([]int, 0, refs)
 	for _, e := range c.Elems {
-		switch e.Type {
-		case netlist.VSource, netlist.VCVS, netlist.CCVS, netlist.Inductor:
-			nextBranch(e.Name)
+		for _, name := range e.Nodes {
+			i := -1
+			if !netlist.IsGround(name) {
+				var ok bool
+				if i, ok = s.nodeIndex[name]; !ok {
+					i = s.numNodes
+					s.nodeIndex[name] = i
+					s.NodeNames = append(s.NodeNames, name)
+					s.numNodes++
+				}
+			}
+			idx = append(idx, i)
 		}
 	}
-	// Third pass: build instances.
+	// Second pass: assign branch indices, keyed by lower-cased name like
+	// every branch lookup.
 	for _, e := range c.Elems {
-		n := make([]int, len(e.Nodes))
-		for k, nm := range e.Nodes {
-			n[k] = node(nm)
+		if hasBranch(e.Type) {
+			s.branchOf[strings.ToLower(e.Name)] = s.numNodes + s.numBranch
+			s.numBranch++
+		}
+	}
+	// Third pass: build instances. Branch elements take their branches in
+	// the order the second pass assigned them.
+	nextBr := s.numNodes
+	for _, e := range c.Elems {
+		n := idx[:len(e.Nodes):len(e.Nodes)]
+		idx = idx[len(e.Nodes):]
+		br := -1
+		if hasBranch(e.Type) {
+			br = nextBr
+			nextBr++
 		}
 		switch e.Type {
 		case netlist.Resistor:
@@ -185,13 +213,13 @@ func Compile(c *netlist.Circuit) (*System, error) {
 		case netlist.Capacitor:
 			s.caps = append(s.caps, capInst{e.Name, n[0], n[1], e.Value})
 		case netlist.Inductor:
-			s.inds = append(s.inds, indInst{e.Name, n[0], n[1], s.branchOf[e.Name], e.Value})
+			s.inds = append(s.inds, indInst{e.Name, n[0], n[1], br, e.Value})
 		case netlist.VSource:
 			spec := netlist.SourceSpec{}
 			if e.Src != nil {
 				spec = *e.Src
 			}
-			s.vsrc = append(s.vsrc, srcInst{e.Name, n[0], n[1], s.branchOf[e.Name], spec})
+			s.vsrc = append(s.vsrc, srcInst{e.Name, n[0], n[1], br, spec})
 		case netlist.ISource:
 			spec := netlist.SourceSpec{}
 			if e.Src != nil {
@@ -199,7 +227,7 @@ func Compile(c *netlist.Circuit) (*System, error) {
 			}
 			s.isrc = append(s.isrc, srcInst{e.Name, n[0], n[1], -1, spec})
 		case netlist.VCVS:
-			s.vcvs = append(s.vcvs, ctrlInst{e.Name, n[0], n[1], n[2], n[3], s.branchOf[e.Name], e.Value})
+			s.vcvs = append(s.vcvs, ctrlInst{e.Name, n[0], n[1], n[2], n[3], br, e.Value})
 		case netlist.VCCS:
 			s.vccs = append(s.vccs, ctrlInst{e.Name, n[0], n[1], n[2], n[3], -1, e.Value})
 		case netlist.CCCS, netlist.CCVS:
@@ -207,9 +235,8 @@ func Compile(c *netlist.Circuit) (*System, error) {
 			if !ok {
 				return nil, fmt.Errorf("mna: %q: controlling source %q has no branch", e.Name, e.Ctrl)
 			}
-			inst := ccInst{name: e.Name, i: n[0], j: n[1], br: -1, ctrlBr: ctrlBr, gain: e.Value}
+			inst := ccInst{name: e.Name, i: n[0], j: n[1], br: br, ctrlBr: ctrlBr, gain: e.Value}
 			if e.Type == netlist.CCVS {
-				inst.br = s.branchOf[strings.ToLower(e.Name)]
 				s.ccvs = append(s.ccvs, inst)
 			} else {
 				s.cccs = append(s.cccs, inst)
@@ -244,6 +271,15 @@ func Compile(c *netlist.Circuit) (*System, error) {
 	mLastUnknowns.Set(float64(s.NumUnknowns()))
 	mLastNonlinear.Set(float64(s.NonlinearCount()))
 	return s, nil
+}
+
+// hasBranch reports whether elements of kind t carry a branch current.
+func hasBranch(t netlist.ElemType) bool {
+	switch t {
+	case netlist.VSource, netlist.VCVS, netlist.CCVS, netlist.Inductor:
+		return true
+	}
+	return false
 }
 
 // NumNodes returns the number of non-ground nodes.

@@ -52,6 +52,33 @@ func TestCompileIndexing(t *testing.T) {
 	}
 }
 
+// TestCompileMixedCaseBranches: elements added through Circuit.Add keep
+// their mixed-case names, and each voltage-defined element must still
+// stamp into the branch BranchOf reports for it.
+func TestCompileMixedCaseBranches(t *testing.T) {
+	c := netlist.NewCircuit("mixed case")
+	c.Add(&netlist.Element{Name: "V1", Type: netlist.VSource, Nodes: []string{"a", "0"},
+		Src: &netlist.SourceSpec{DC: 1}})
+	c.Add(&netlist.Element{Name: "Rtop", Type: netlist.Resistor, Nodes: []string{"a", "b"}, Value: 1e3})
+	c.Add(&netlist.Element{Name: "Rbot", Type: netlist.Resistor, Nodes: []string{"b", "0"}, Value: 1e3})
+	sys, err := Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.NumUnknowns(); n != 3 {
+		t.Fatalf("unknowns = %d, want 3", n)
+	}
+	br, ok := sys.BranchOf("V1")
+	if !ok || br != 2 {
+		t.Fatalf("BranchOf(V1) = %d, %v; want 2, true", br, ok)
+	}
+	x := solveDC(t, sys)
+	ib, _ := sys.NodeOf("b")
+	if math.Abs(x[ib]-0.5) > 1e-12 || math.Abs(x[br]-(-0.5e-3)) > 1e-15 {
+		t.Errorf("v(b) = %g, i(V1) = %g; want 0.5 V, -0.5 mA", x[ib], x[br])
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	// Unflattened circuit rejected.
 	c := netlist.NewCircuit("x")

@@ -10,10 +10,24 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
-// Ground names recognized as the reference node.
+// IsGround reports whether node names the reference node.
 func IsGround(node string) bool {
+	if node == "0" {
+		return true
+	}
+	if node == "" {
+		return false
+	}
+	// Only names starting with g or v (or a non-ASCII byte) can fold to
+	// a ground name; the rest need no lower-cased copy.
+	switch c := node[0]; {
+	case c == 'g', c == 'G', c == 'v', c == 'V', c >= utf8.RuneSelf:
+	default:
+		return false
+	}
 	switch strings.ToLower(node) {
 	case "0", "gnd", "gnd!", "vss!":
 		return true
@@ -180,7 +194,23 @@ type Element struct {
 	ParamExprs map[string]string
 	// srcTokens holds the raw source arguments until evaluation.
 	srcTokens []string
+	// paramKeys lists the parsed ParamExprs names in source order, for
+	// deterministic error reports.
+	paramKeys []string
+	// fixed marks the evaluated parts (Value, Params, Src) whose
+	// expressions read no design variable: they hold in every scope, so
+	// Flatten copies them instead of evaluating them again.
+	fixed evalMask
 }
+
+// evalMask is a set of an element's evaluated parts.
+type evalMask uint8
+
+const (
+	fixedValue  evalMask = 1 << iota // Value from ValueExpr
+	fixedParams                      // Params from ParamExprs
+	fixedSrc                         // Src from the source arguments
+)
 
 // Param returns the instance parameter p, or def when absent.
 func (e *Element) Param(p string, def float64) float64 {
@@ -220,6 +250,8 @@ type Subckt struct {
 	ParamExprs map[string]string
 	Elems      []*Element
 	Models     map[string]*Model
+	// paramKeys lists the ParamExprs names in source order.
+	paramKeys []string
 }
 
 // Circuit is a parsed (or programmatically built) circuit.
@@ -289,17 +321,13 @@ func (c *Circuit) Add(e *Element) { c.Elems = append(c.Elems, e) }
 // Validate performs basic sanity checks: unique names, correct terminal
 // counts, models present, no dangling controlled-source references.
 func (c *Circuit) Validate() error {
-	names := map[string]bool{}
-	vsrc := map[string]bool{}
+	kinds := make(map[string]ElemType, len(c.Elems)) // lower-cased name -> type
 	for _, e := range c.Elems {
 		ln := strings.ToLower(e.Name)
-		if names[ln] {
+		if _, dup := kinds[ln]; dup {
 			return fmt.Errorf("netlist: duplicate element %q", e.Name)
 		}
-		names[ln] = true
-		if e.Type == VSource {
-			vsrc[ln] = true
-		}
+		kinds[ln] = e.Type
 		want := terminalCount(e.Type)
 		if want > 0 && len(e.Nodes) != want {
 			return fmt.Errorf("netlist: %s %q has %d nodes, want %d",
@@ -309,7 +337,7 @@ func (c *Circuit) Validate() error {
 	for _, e := range c.Elems {
 		switch e.Type {
 		case CCCS, CCVS:
-			if !vsrc[strings.ToLower(e.Ctrl)] {
+			if kinds[strings.ToLower(e.Ctrl)] != VSource {
 				return fmt.Errorf("netlist: %q references missing control source %q", e.Name, e.Ctrl)
 			}
 		case Diode, BJT, MOSFET:

@@ -18,22 +18,31 @@ import (
 // list) flow through here: netlist expressions written in terms of .param
 // names are evaluated against the variable set configured on the run.
 func EvalExpr(expr string, params map[string]float64) (float64, error) {
-	p := &exprParser{src: expr, params: params}
+	v, _, err := evalExpr(expr, params)
+	return v, err
+}
+
+// evalExpr is EvalExpr that also reports whether the expression read, or
+// looked for, a design variable: one that did not has the same value in
+// every scope.
+func evalExpr(expr string, params map[string]float64) (float64, bool, error) {
+	p := exprParser{src: expr, params: params}
 	v, err := p.expr()
 	if err != nil {
-		return 0, fmt.Errorf("netlist: expr %q: %w", expr, err)
+		return 0, p.reads, fmt.Errorf("netlist: expr %q: %w", expr, err)
 	}
 	p.space()
 	if p.pos != len(p.src) {
-		return 0, fmt.Errorf("netlist: expr %q: trailing input at %q", expr, p.src[p.pos:])
+		return 0, p.reads, fmt.Errorf("netlist: expr %q: trailing input at %q", expr, p.src[p.pos:])
 	}
-	return v, nil
+	return v, p.reads, nil
 }
 
 type exprParser struct {
 	src    string
 	pos    int
 	params map[string]float64
+	reads  bool // a parameter name was looked up
 }
 
 func (p *exprParser) space() {
@@ -210,6 +219,7 @@ func (p *exprParser) identOrCall() (float64, error) {
 		case "pi":
 			return math.Pi, nil
 		}
+		p.reads = true
 		if p.params != nil {
 			if v, ok := p.params[name]; ok {
 				return v, nil

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -12,23 +13,35 @@ import (
 // expressions are evaluated against the merged parameter scope (global
 // design variables, subckt defaults, instance overrides), and subckt-local
 // models are promoted into the flat model namespace.
+//
+// A top-level value, parameter set or source spec whose expressions read
+// no design variable was evaluated once by Parse and is copied; only
+// expressions that read one, and everything inside subckts, are
+// evaluated here. The flat elements and their node lists are carved from
+// storage sized from the top-level cards, which grows if subckts expand.
 func Flatten(c *Circuit) (*Circuit, error) {
-	flat := NewCircuit(c.Title)
-	flat.Temp = c.Temp
-	for k, v := range c.Params {
-		flat.Params[k] = v
+	nodes := 0
+	for _, e := range c.Elems {
+		nodes += len(e.Nodes)
 	}
-	for k, v := range c.Options {
-		flat.Options[k] = v
+	flat := &Circuit{
+		Title:   c.Title,
+		Elems:   make([]*Element, 0, len(c.Elems)),
+		Models:  cloneMap(c.Models),
+		Subckts: map[string]*Subckt{},
+		Params:  cloneMap(c.Params),
+		Options: cloneMap(c.Options),
+		Temp:    c.Temp,
+		NodeSet: cloneMap(c.NodeSet),
 	}
-	for k, v := range c.Models {
-		flat.Models[k] = v
-	}
-	for k, v := range c.NodeSet {
-		flat.NodeSet[k] = v
+	f := &flattener{
+		flat:  flat,
+		top:   c,
+		elems: arena[Element]{next: len(c.Elems), left: math.MaxInt},
+		strs:  arena[string]{next: nodes, left: math.MaxInt},
 	}
 	for _, e := range c.Elems {
-		if err := expand(flat, c, e, "", nil, c.Params, 0); err != nil {
+		if err := f.expand(e, "", nil, c.Params, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -37,10 +50,26 @@ func Flatten(c *Circuit) (*Circuit, error) {
 
 const maxDepth = 50
 
-// expand emits element e into flat. prefix is the instance path ("x1." or
-// ""), portMap translates subckt-internal node names, and scope is the
-// parameter environment for expression evaluation.
-func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]string, scope map[string]float64, depth int) error {
+// cloneMap copies m into a map sized for it (an empty map for nil).
+func cloneMap[V any](m map[string]V) map[string]V {
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+// flattener holds one Flatten's output and element storage.
+type flattener struct {
+	flat, top *Circuit
+	elems     arena[Element]
+	strs      arena[string]
+}
+
+// expand emits element e into the flat circuit. prefix is the instance
+// path ("x1." or ""), portMap translates subckt-internal node names, and
+// scope is the parameter environment for expression evaluation.
+func (f *flattener) expand(e *Element, prefix string, portMap map[string]string, scope map[string]float64, depth int) error {
 	if depth > maxDepth {
 		return fmt.Errorf("netlist: subckt nesting deeper than %d (recursive subckts?)", maxDepth)
 	}
@@ -60,44 +89,45 @@ func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]st
 	}
 
 	if e.Type != Subcall {
-		ne := &Element{
+		ne := &f.elems.take(1)[0]
+		*ne = Element{
 			Name:       prefix + e.Name,
 			Type:       e.Type,
 			Value:      e.Value,
 			ValueExpr:  e.ValueExpr,
 			Model:      e.Model,
-			Ctrl:       e.Ctrl,
 			ParamExprs: e.ParamExprs,
 			srcTokens:  e.srcTokens,
+			paramKeys:  e.paramKeys,
+			fixed:      e.fixed,
 		}
-		if e.Src != nil {
+		if e.Src != nil && (e.srcTokens == nil || e.fixed&fixedSrc != 0) {
 			// Deep copy so post-flatten edits (e.g. the tool's AC
-			// auto-zeroing) never mutate the source circuit.
+			// auto-zeroing) never mutate the source circuit. A spec
+			// that reads a design variable is parsed afresh below.
 			src := *e.Src
 			ne.Src = &src
 		}
-		for _, n := range e.Nodes {
-			ne.Nodes = append(ne.Nodes, mapNode(n))
+		ne.Nodes = f.strs.take(len(e.Nodes))
+		for i, n := range e.Nodes {
+			ne.Nodes[i] = mapNode(n)
 		}
 		if e.Ctrl != "" {
 			// The controlling source must live in the same subckt scope.
 			ne.Ctrl = prefix + e.Ctrl
 		}
 		if e.Params != nil {
-			ne.Params = map[string]float64{}
-			for k, v := range e.Params {
-				ne.Params[k] = v
-			}
+			ne.Params = cloneMap(e.Params)
 		}
 		if err := evalElement(ne, scope); err != nil {
 			return err
 		}
-		flat.Add(ne)
+		f.flat.Add(ne)
 		return nil
 	}
 
 	// Subcircuit call.
-	sub, ok := top.Subckts[strings.ToLower(e.Model)]
+	sub, ok := f.top.Subckts[strings.ToLower(e.Model)]
 	if !ok {
 		return fmt.Errorf("netlist: %q references missing subckt %q", e.Name, e.Model)
 	}
@@ -106,13 +136,14 @@ func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]st
 			e.Name, len(e.Nodes), sub.Name, len(sub.Ports))
 	}
 	// Build child scope: globals, then subckt defaults, then overrides.
-	child := map[string]float64{}
+	child := make(map[string]float64, len(scope)+len(sub.ParamExprs)+len(e.ParamExprs))
 	for k, v := range scope {
 		child[k] = v
 	}
 	for k, expr := range sub.ParamExprs {
 		v, err := EvalExpr(expr, scope)
 		if err != nil {
+			k, err = firstFailure(sub.ParamExprs, sub.paramKeys, scope)
 			return fmt.Errorf("netlist: subckt %s param %s: %v", sub.Name, k, err)
 		}
 		child[k] = v
@@ -121,6 +152,7 @@ func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]st
 	for k, expr := range e.ParamExprs {
 		v, err := EvalExpr(expr, scope)
 		if err != nil {
+			k, err = firstFailure(e.ParamExprs, e.paramKeys, scope)
 			return fmt.Errorf("netlist: %s param %s: %v", e.Name, k, err)
 		}
 		child[k] = v
@@ -129,21 +161,21 @@ func expand(flat, top *Circuit, e *Element, prefix string, portMap map[string]st
 		child[k] = v
 	}
 	// Port mapping: subckt port name -> caller node (already mapped).
-	pm := map[string]string{}
+	pm := make(map[string]string, len(sub.Ports))
 	for i, port := range sub.Ports {
 		pm[port] = mapNode(e.Nodes[i])
 	}
 	childPrefix := prefix + strings.ToLower(e.Name) + "."
 	// Promote subckt-local models.
 	for name, m := range sub.Models {
-		if existing, ok := flat.Models[name]; ok && existing != m {
-			flat.Models[childPrefix+name] = m
+		if existing, ok := f.flat.Models[name]; ok && existing != m {
+			f.flat.Models[childPrefix+name] = m
 		} else {
-			flat.Models[name] = m
+			f.flat.Models[name] = m
 		}
 	}
 	for _, se := range sub.Elems {
-		if err := expand(flat, top, se, childPrefix, pm, child, depth+1); err != nil {
+		if err := f.expand(se, childPrefix, pm, child, depth+1); err != nil {
 			return err
 		}
 	}

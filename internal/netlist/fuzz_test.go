@@ -5,27 +5,13 @@ import "testing"
 // FuzzParse feeds arbitrary text to the netlist parser, the entry point
 // for untrusted decks (CLI files and farm requests alike). Parse may
 // reject its input but must not panic, and neither may flattening or
-// re-formatting what it accepts. Run it with
+// re-formatting what it accepts. What it accepts must parse the same
+// twice, survive Flatten unchanged, and hold node lists that do not
+// alias each other. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/netlist
 func FuzzParse(f *testing.F) {
-	for _, src := range []string{
-		"rc lowpass\nR1 in out 1k\nC1 out 0 1u\nV1 in 0 DC 1 AC 1\n.end\n",
-		"ctrl\nV1 in 0 1\nR1 in mid 1k\nE1 e1o 0 in 0 10\nG1 g1o 0 mid 0 1m\nF1 f1o 0 V1 5\nH1 h1o 0 V1 2k\nRm mid 0 1k\n",
-		"devices\nD1 a 0 dmod\nQ1 c b e qnpn\nM1 d g s 0 nch w=10u l=1u\n.model dmod d is=1e-14\n" +
-			".model qnpn npn (is=1e-16 bf=100 vaf=50)\n.model nch nmos (vto=0.7 kp=100u lambda=0.02)\n",
-		"params\n.param rload=2k\n.param cval={1/(2*pi*rload*fc)} fc=1meg\nR1 out 0 {rload}\nC1 out 0 {cval}\n",
-		"hier\n.subckt divider in out params: rtop=1k rbot=1k\nRt in out {rtop}\nRb out 0 {rbot}\n.ends\n" +
-			"X1 a mid divider rtop=2k\nX2 mid b divider rbot=500\nV1 a 0 1\nR1 b 0 1k\n",
-		"nested\n.subckt inner a b\nR1 a b 1k\n.ends\n.subckt outer x y\nX1 x m inner\nX2 m y inner\n.ends\nXtop p q outer\n",
-		"sources\nV1 a 0 PULSE(0 1 1u 1n 1n 5u 10u)\nV2 b 0 SIN(0 1 1k)\nV3 c 0 PWL(0 0 1m 1 2m 0)\nI1 d 0 DC 1m AC 2 45\n",
-		"t\n.nodeset v(a)=1\nR1 a 0 1k\n+ \n* comment\nR2 a 0 2k ; trailing\n",
-		"t\nR1 a 0\n",
-		"t\n.subckt s a\nR1 a 0 1k\n",
-		"t\n.ends\n",
-		"t\n.model foo\n",
-		"t\nR1 a 0 {undefined_param}\n",
-	} {
+	for _, src := range parseSeeds {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -33,12 +19,40 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		parsed := dump(c)
+		again, err := Parse(src)
+		if err != nil || dump(again) != parsed {
+			t.Fatalf("a second parse of the same deck differs (err %v)", err)
+		}
 		flat, err := Flatten(c)
+		if dump(c) != parsed {
+			t.Fatal("Flatten changed its input circuit")
+		}
+		checkNodesIsolated(t, c)
 		if err != nil {
 			return
 		}
+		checkNodesIsolated(t, flat)
 		_ = Format(flat)
 	})
+}
+
+// checkNodesIsolated appends to each element's node list in turn and
+// fails if that changed any element: node lists carved from shared
+// storage must not reach into their neighbours.
+func checkNodesIsolated(t *testing.T, c *Circuit) {
+	t.Helper()
+	elems := c.Elems
+	for _, s := range c.Subckts {
+		elems = append(elems[:len(elems):len(elems)], s.Elems...)
+	}
+	before := dump(c)
+	for _, e := range elems {
+		_ = append(e.Nodes, "appended")
+		if dump(c) != before {
+			t.Fatalf("appending to %s's nodes changed another element", e.Name)
+		}
+	}
 }
 
 // FuzzEvalExpr feeds arbitrary text to the design-variable expression

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -471,5 +472,79 @@ V1 a 0 1
 	}
 	if _, err := Parse("ns\n.nodeset v(a)\n"); err == nil {
 		t.Error("expected nodeset syntax error")
+	}
+}
+
+// TestParamErrorsDeterministic: a card with several bad parameters names
+// the same one, the first in source order, on every run, whether Parse
+// (.param, element and top-level instance parameters) or Flatten (subckt
+// defaults, nested instance parameters) reports it.
+func TestParamErrorsDeterministic(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"t\n.param a={x} b={y} c={z}\nR1 n 0 1k\n", ".param a=x:"},
+		{"t\n.param c={z}\n.param b={y} a={x}\nR1 n 0 1k\n", ".param c=z:"},
+		{"t\nM1 d g s 0 nch w={x} l={y} ad={z}\n.model nch nmos\n", "m1 param w:"},
+		{"t\n.subckt s p\nR1 p 0 1k\n.ends\nX1 n s a={x} b={y} c={z}\nR2 n 0 1\n", "x1 param a:"},
+		{"t\n.subckt s p params: c={z} a={x} b={y}\nR1 p 0 1k\n.ends\nX1 n s\nR2 n 0 1\n", "subckt s param c:"},
+		{"t\n.subckt s p\n.param b={y} c={z}\nR1 p 0 1k\n.ends\nX1 n s\nR2 n 0 1\n", "subckt s param b:"},
+		{"t\n.subckt in p\nR1 p 0 {a+b+c}\n.ends\n.subckt out p\nXi p in b={y} c={z} a={x}\n.ends\n" +
+			"X1 n out\nR2 n 0 1\n", "xi param b:"},
+	}
+	for _, tc := range cases {
+		var first string
+		for run := 0; run < 50; run++ {
+			c, err := Parse(tc.src)
+			if err == nil {
+				_, err = Flatten(c)
+			}
+			if err == nil {
+				t.Fatalf("%q: no error", tc.src)
+			}
+			msg := err.Error()
+			if run == 0 {
+				first = msg
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%q: error %q, want it to name %q", tc.src, msg, tc.want)
+				}
+			} else if msg != first {
+				t.Fatalf("%q: run %d reported %q, run 0 %q", tc.src, run, msg, first)
+			}
+		}
+	}
+}
+
+// TestParseLargeDeckAllocs bounds the bytes Parse allocates on large
+// decks that hold almost no elements: one that fails on its first card
+// and one of directives with a single resistor. Parse may pay for its
+// line table, the element pointer table and one copy of the card text,
+// a few words a line, but never storage for cards it did not parse.
+func TestParseLargeDeckAllocs(t *testing.T) {
+	const lines = 200_000
+	const bytesPerLine = 64
+	decks := []struct {
+		name, src string
+		fails     bool
+	}{
+		{"bad-first-card", "t\n" + strings.Repeat("x\n", lines), true},
+		{"directives", "t\n" + strings.Repeat(".end\n", lines) + "r1 a 0 1k\n", false},
+	}
+	for _, d := range decks {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := Parse(d.src)
+		runtime.ReadMemStats(&after)
+		if (err != nil) != d.fails {
+			t.Fatalf("%s: err = %v, want failure %v", d.name, err, d.fails)
+		}
+		if !d.fails && len(c.Elems) != 1 {
+			t.Fatalf("%s: %d elements, want 1", d.name, len(c.Elems))
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d lines, %d bytes allocated (%.1f per line)", d.name, lines, alloc, float64(alloc)/lines)
+		if alloc > bytesPerLine*lines {
+			t.Errorf("%s: Parse allocated %d bytes for %d lines, want at most %d per line",
+				d.name, alloc, lines, bytesPerLine)
+		}
 	}
 }

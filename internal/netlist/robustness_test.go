@@ -62,13 +62,7 @@ func TestParseFragmentsNeverPanicQuick(t *testing.T) {
 // Property: whatever parses successfully also flattens (or errors) without
 // panicking, and a flattened circuit re-formats to parseable text.
 func TestParseFlattenFormatNeverPanicQuick(t *testing.T) {
-	srcs := []string{
-		"t\nR1 a 0 1k\n",
-		"t\n.subckt s a\nR1 a 0 1k\n.ends\nX1 n s\nR2 n 0 1\n",
-		"t\nV1 a 0 PULSE(0 1 0 1n 1n 1u 2u)\nR1 a 0 50\n",
-		"t\n.param x=2\nR1 a 0 {x*1k}\n",
-	}
-	for _, src := range srcs {
+	for _, src := range robustnessDecks {
 		c, err := Parse(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
