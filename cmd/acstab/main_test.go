@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -124,6 +125,35 @@ func TestSetOverride(t *testing.T) {
 	}
 	if err := run([]string{"-i", path, "-set", "malformed"}, &out); err == nil {
 		t.Error("malformed -set should fail")
+	}
+}
+
+// subcktDeck damps a tank through a top-level subckt instance parameter
+// written as an expression of a design variable.
+const subcktDeck = `damped tank through a subckt instance parameter
+.param y=%s
+.subckt damp a b params: rq=1k
+Rq a b {rq}
+.ends
+L1 t 0 25.33u
+C1 t 0 1n
+X1 t 0 damp rq={y*100}
+I1 0 t DC 0 AC 1
+`
+
+// TestSetOverrideReachesInstanceParams: -set re-evaluates a top-level
+// subckt instance's rq={y*100} instead of keeping the parse-time value,
+// so moving y by -set reports exactly what writing the new y does.
+func TestSetOverrideReachesInstanceParams(t *testing.T) {
+	var set, written bytes.Buffer
+	if err := run([]string{"-i", writeNetlist(t, fmt.Sprintf(subcktDeck, "2")), "-node", "t", "-set", "y=3"}, &set); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-i", writeNetlist(t, fmt.Sprintf(subcktDeck, "3")), "-node", "t"}, &written); err != nil {
+		t.Fatal(err)
+	}
+	if set.String() != written.String() {
+		t.Errorf("-set y=3 report:\n%s\nwant the y=3 deck's report:\n%s", set.String(), written.String())
 	}
 }
 

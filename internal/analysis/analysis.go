@@ -408,28 +408,57 @@ var ErrNoConvergence = acerr.ErrNoConvergence
 // assembleFn stamps the companion system at candidate x.
 type assembleFn func(a mna.RealAdder, b []float64, x []float64)
 
+// divergeRun is how many consecutive damped Newton iterations, each with
+// a larger undamped step than the one before, make a run give up as
+// diverging. Across the whole test suite (about 1.25M Newton runs: OPs,
+// homotopy stages, DC sweeps, transient steps) no run that converged
+// ever had more than 1 such iteration in a row. The transistor op-amp's
+// plain attempt has 189 in an unbroken row: its undamped steps ask for
+// 2e7 V and then ~3e9 V moves, global damping keeps the supply and input
+// nodes near 0 V, and n1m walks down 1 V per iteration until MaxIter.
+// Stopping at 5 hands that circuit to gmin stepping 194 iterations
+// sooner. Gmin and source stepping restart from the nodeset guess, never
+// from the abandoned iterate, so the operating point they produce is
+// unchanged.
+const divergeRun = 5
+
+// newtonWork is the storage every Newton run of one operating point, DC
+// sweep or transient run shares: the LU, whose own storage is the
+// Jacobian each iteration stamps into and factors in place, the RHS, and
+// the two solution buffers iterations alternate between. It is scoped to
+// that one call and never stored on a Sim, so Forks and the farm's
+// shared compiled circuits share nothing.
+type newtonWork struct {
+	lu       *linalg.LU
+	x, xn, b []float64
+}
+
+func newNewtonWork(n int) *newtonWork {
+	buf := make([]float64, 3*n)
+	return &newtonWork{lu: linalg.NewLU(n), x: buf[:n:n], xn: buf[n : 2*n : 2*n], b: buf[2*n:]}
+}
+
 // newton runs damped Newton iteration with the given assembler, starting
-// from x0. It returns the converged solution. A canceled ctx aborts
-// between iterations — one assemble+factor+solve at most after the
-// cancellation lands.
-func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]float64, error) {
-	n := s.Sys.NumUnknowns()
+// from x0, in w's storage. It returns the converged solution, which is
+// one of w's buffers: valid until the next Newton run on w, which may
+// take it as its x0. A run whose damped steps keep growing stops early
+// as diverging (see divergeRun). A canceled ctx aborts between
+// iterations — one assemble+factor+solve at most after the cancellation
+// lands.
+func (s *Sim) newton(ctx context.Context, w *newtonWork, assemble assembleFn, x0 []float64) ([]float64, error) {
 	nn := s.Sys.NumNodes()
-	// One LU and two solution buffers serve every iteration: FactorInto
-	// re-initialises all of the LU's state, so reuse changes no arithmetic,
-	// and x and xn swap roles each step. The returned slice is one of this
-	// call's own buffers.
-	buf := make([]float64, 2*n)
-	x, xn := buf[:n:n], buf[n:]
+	x, xn, b := w.x, w.xn, w.b
 	copy(x, x0)
-	a := linalg.NewMatrix(n)
-	b := make([]float64, n)
-	var f *linalg.LU
+	a := w.lu.Matrix()
 	iters := 0
 	defer func() {
 		mNewtonIterations.Add(int64(iters))
 		s.Trace.Add("newton_iterations", int64(iters))
 	}()
+	// prevdv is the previous iteration's undamped step when that iteration
+	// was damped, else 0; growing counts the damped iterations in a row
+	// whose undamped step exceeded it.
+	prevdv, growing := 0.0, 0
 	for iter := 0; iter < s.Opt.MaxIter; iter++ {
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
@@ -440,11 +469,10 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 			b[i] = 0
 		}
 		assemble(a, b, x)
-		var err error
-		if f, err = linalg.FactorInto(f, a); err != nil {
+		if err := w.lu.FactorInPlace(); err != nil {
 			return nil, fmt.Errorf("analysis: singular matrix during Newton: %w", err)
 		}
-		if err := f.SolveInto(xn, b); err != nil {
+		if err := w.lu.SolveInto(xn, b); err != nil {
 			return nil, err
 		}
 		// Damping: bound the largest node-voltage step.
@@ -455,10 +483,18 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 			}
 		}
 		if s.Opt.MaxStepV > 0 && maxdv > s.Opt.MaxStepV {
+			if prevdv > 0 && maxdv > prevdv {
+				growing++
+			} else {
+				growing = 0
+			}
+			prevdv = maxdv
 			k := s.Opt.MaxStepV / maxdv
 			for i := range xn {
 				xn[i] = x[i] + k*(xn[i]-x[i])
 			}
+		} else {
+			prevdv, growing = 0, 0
 		}
 		converged := true
 		for i := range xn {
@@ -476,6 +512,9 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 		if converged {
 			return x, nil
 		}
+		if growing >= divergeRun {
+			return nil, fmt.Errorf("%w (diverging: undamped step grew over %d damped iterations in a row)", ErrNoConvergence, divergeRun)
+		}
 	}
 	return nil, ErrNoConvergence
 }
@@ -485,26 +524,30 @@ func (s *Sim) newton(ctx context.Context, assemble assembleFn, x0 []float64) ([]
 // the Newton loops between iterations with an error wrapping
 // acerr.ErrCanceled.
 func (s *Sim) OP(ctx context.Context) (*mna.OpPoint, error) {
+	return s.op(ctx, newNewtonWork(s.Sys.NumUnknowns()))
+}
+
+// op is OP with every Newton run — the plain attempt, each gmin stage,
+// the final solve and each source step — sharing w.
+func (s *Sim) op(ctx context.Context, w *newtonWork) (*mna.OpPoint, error) {
 	mOPSolves.Inc()
 	s.Trace.Add("op_solves", 1)
-	// Initial guess: zeros, overridden by any .nodeset hints.
+	// Initial guess: zeros, overridden by any .nodeset hints. It lives
+	// outside w, so every homotopy restarts from it.
 	zero := make([]float64, s.Sys.NumUnknowns())
 	for node, v := range s.Sys.Ckt.NodeSet {
 		if idx, ok := s.Sys.NodeOf(node); ok && idx >= 0 {
 			zero[idx] = v
 		}
 	}
-	stamp := func(gshunt, srcScale float64) assembleFn {
-		return func(a mna.RealAdder, b []float64, x []float64) {
-			s.Sys.StampDC(a, b, x, mna.DCOptions{
-				Gmin:         s.Opt.Gmin,
-				SrcScale:     srcScale,
-				GminToGround: gshunt,
-			})
-		}
+	// One assembler serves every stage; each stage sets its own gmin
+	// shunt and source scale first.
+	dc := mna.DCOptions{Gmin: s.Opt.Gmin, SrcScale: 1}
+	assemble := func(a mna.RealAdder, b []float64, x []float64) {
+		s.Sys.StampDC(a, b, x, dc)
 	}
 	// Plain Newton.
-	if x, err := s.newton(ctx, stamp(0, 1), zero); err == nil {
+	if x, err := s.newton(ctx, w, assemble, zero); err == nil {
 		return s.Sys.Linearize(x, s.Opt.Gmin), nil
 	} else if cerr := acerr.Ctx(ctx); cerr != nil {
 		// Cancellation must not cascade into the homotopies.
@@ -514,18 +557,20 @@ func (s *Sim) OP(ctx context.Context) (*mna.OpPoint, error) {
 	x := zero
 	ok := true
 	for g := 1e-2; g >= 1e-13; g /= 10 {
-		xn, err := s.newton(ctx, stamp(g, 1), x)
+		dc.GminToGround = g
+		xn, err := s.newton(ctx, w, assemble, x)
 		if err != nil {
 			ok = false
 			break
 		}
 		x = xn
 	}
+	dc.GminToGround = 0
 	if cerr := acerr.Ctx(ctx); cerr != nil {
 		return nil, cerr
 	}
 	if ok {
-		if xn, err := s.newton(ctx, stamp(0, 1), x); err == nil {
+		if xn, err := s.newton(ctx, w, assemble, x); err == nil {
 			return s.Sys.Linearize(xn, s.Opt.Gmin), nil
 		}
 	}
@@ -535,7 +580,8 @@ func (s *Sim) OP(ctx context.Context) (*mna.OpPoint, error) {
 		if scale > 1 {
 			scale = 1
 		}
-		xn, err := s.newton(ctx, stamp(0, scale), x)
+		dc.SrcScale = scale
+		xn, err := s.newton(ctx, w, assemble, x)
 		if err != nil {
 			if cerr := acerr.Ctx(ctx); cerr != nil {
 				return nil, cerr

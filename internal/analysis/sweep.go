@@ -56,6 +56,7 @@ func (s *Sim) DCSweep(ctx context.Context, src string, vals []float64) (*DCSweep
 		return nil, err
 	}
 	sim := &Sim{Sys: sys, Opt: s.Opt, Trace: s.Trace}
+	w := newNewtonWork(sys.NumUnknowns())
 
 	res := &DCSweepResult{sys: s.Sys, Vals: append([]float64(nil), vals...)}
 	var warm []float64
@@ -69,7 +70,7 @@ func (s *Sim) DCSweep(ctx context.Context, src string, vals []float64) (*DCSweep
 		}
 		var op *mna.OpPoint
 		if warm != nil {
-			x, werr := sim.newton(ctx, func(a mna.RealAdder, b []float64, x []float64) {
+			x, werr := sim.newton(ctx, w, func(a mna.RealAdder, b []float64, x []float64) {
 				sys.StampDC(a, b, x, mna.DCOptions{Gmin: s.Opt.Gmin, SrcScale: 1})
 			}, warm)
 			switch {
@@ -84,7 +85,7 @@ func (s *Sim) DCSweep(ctx context.Context, src string, vals []float64) (*DCSweep
 			// the cold solve below.
 		}
 		if op == nil {
-			op, err = sim.OP(ctx)
+			op, err = sim.op(ctx, w)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: sweep %s=%g: %w", src, v, err)
 			}

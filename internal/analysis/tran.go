@@ -81,15 +81,18 @@ func (s *Sim) Tran(ctx context.Context, spec TranSpec) (*TranResult, error) {
 			sys.StampTranSources(b, t)
 		}
 	}
+	// One Newton workspace serves the initial point and every timestep;
+	// x is always one of its buffers, consumed before the next solve.
+	w := newNewtonWork(sys.NumUnknowns())
 	x0 := make([]float64, sys.NumUnknowns())
-	x, err := s.newton(ctx, assembleAt(0), x0)
+	x, err := s.newton(ctx, w, assembleAt(0), x0)
 	if err != nil {
 		// Fall back: use the DC OP as the starting guess.
-		op, operr := s.OP(ctx)
+		op, operr := s.op(ctx, w)
 		if operr != nil {
 			return nil, fmt.Errorf("analysis: transient initial point: %w", err)
 		}
-		x, err = s.newton(ctx, assembleAt(0), op.X)
+		x, err = s.newton(ctx, w, assembleAt(0), op.X)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: transient initial point: %w", err)
 		}
@@ -100,9 +103,11 @@ func (s *Sim) Tran(ctx context.Context, spec TranSpec) (*TranResult, error) {
 	res.X = append(res.X, append([]float64(nil), x...))
 
 	h := spec.TStep
-	op := sys.Linearize(x, s.Opt.Gmin)
-	caps := make([]capState, 0)
-	for _, ce := range sys.Capacitances(op) {
+	// lin and capBuf are re-filled in place at every accepted step.
+	lin := sys.Linearize(x, s.Opt.Gmin)
+	capBuf := sys.Capacitances(nil, lin)
+	caps := make([]capState, 0, len(capBuf))
+	for _, ce := range capBuf {
 		caps = append(caps, capState{entry: ce, vPrev: atv(x, ce.I) - atv(x, ce.J)})
 	}
 	inds := sys.Inductors()
@@ -154,7 +159,7 @@ func (s *Sim) Tran(ctx context.Context, spec TranSpec) (*TranResult, error) {
 				}
 			}
 		}
-		xn, err := s.newton(ctx, assemble, x)
+		xn, err := s.newton(ctx, w, assemble, x)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: transient step at t=%g: %w", t, err)
 		}
@@ -177,11 +182,11 @@ func (s *Sim) Tran(ctx context.Context, spec TranSpec) (*TranResult, error) {
 		x = xn
 		// Re-linearize device capacitances at the accepted point.
 		if sys.NonlinearCount() > 0 {
-			opn := sys.Linearize(x, s.Opt.Gmin)
-			newCaps := sys.Capacitances(opn)
-			if len(newCaps) == len(caps) {
+			lin = sys.LinearizeInto(lin, x, s.Opt.Gmin)
+			capBuf = sys.Capacitances(capBuf, lin)
+			if len(capBuf) == len(caps) {
 				for i := range caps {
-					caps[i].entry.C = newCaps[i].C
+					caps[i].entry.C = capBuf[i].C
 				}
 			}
 		}

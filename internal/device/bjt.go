@@ -110,13 +110,3 @@ func (p BJTParams) Eval(vbe, vbc, tempC, gmin float64) BJTOP {
 	op.Go = -op.DIcDVbc
 	return op
 }
-
-// VCritBE and VCritBC return the junction-limiting critical voltages.
-func (p BJTParams) VCritBE(tempC float64) float64 {
-	return CritVoltage(p.IS*p.Area, p.NF*Vt(tempC))
-}
-
-// VCritBC returns the base-collector critical voltage.
-func (p BJTParams) VCritBC(tempC float64) float64 {
-	return CritVoltage(p.IS*p.Area, p.NR*Vt(tempC))
-}

@@ -39,29 +39,6 @@ func expLim(x float64) (e, de float64) {
 	return em * (1 + (x - xmax)), em
 }
 
-// PNJunctionLimit implements the classic SPICE junction voltage limiting:
-// given the previous iterate vold and the Newton proposal vnew, it returns
-// a damped update that avoids overshooting the exponential.
-func PNJunctionLimit(vnew, vold, vt, vcrit float64) float64 {
-	if vnew <= vcrit || math.Abs(vnew-vold) <= 2*vt {
-		return vnew
-	}
-	if vold > 0 {
-		arg := 1 + (vnew-vold)/vt
-		if arg > 0 {
-			return vold + vt*math.Log(arg)
-		}
-		return vcrit
-	}
-	return vt * math.Log(vnew/vt)
-}
-
-// CritVoltage returns the critical voltage used by PNJunctionLimit for a
-// junction with saturation current is at thermal voltage vt.
-func CritVoltage(is, vt float64) float64 {
-	return vt * math.Log(vt/(math.Sqrt2*is))
-}
-
 // JunctionCap returns the depletion capacitance of a junction with zero-
 // bias capacitance cj0, built-in potential vj, grading m, at bias v. Above
 // fc*vj the standard linear extrapolation avoids the singularity.

@@ -294,20 +294,6 @@ func TestMOSBodyEffect(t *testing.T) {
 	}
 }
 
-func TestPNJunctionLimit(t *testing.T) {
-	vt := Vt(27)
-	vcrit := CritVoltage(1e-14, vt)
-	// Small steps pass through unchanged.
-	if got := PNJunctionLimit(0.61, 0.6, vt, vcrit); got != 0.61 {
-		t.Errorf("small step limited: %g", got)
-	}
-	// A huge jump is damped.
-	got := PNJunctionLimit(5, 0.6, vt, vcrit)
-	if got >= 5 || got < 0.6 {
-		t.Errorf("big step not damped: %g", got)
-	}
-}
-
 func TestModelConverters(t *testing.T) {
 	c := netlist.NewCircuit("x")
 	qm := c.SetModel("qn", "npn", map[string]float64{"is": 1e-15, "bf": 200, "vaf": 80})

@@ -54,8 +54,3 @@ func (p DiodeParams) Eval(vd, tempC, gmin float64) DiodeOP {
 	op.Cd = JunctionCap(p.CJO*p.Area, p.VJ, p.M, p.FC, vd) + p.TT*gd
 	return op
 }
-
-// VCrit returns the junction-limiting critical voltage at tempC.
-func (p DiodeParams) VCrit(tempC float64) float64 {
-	return CritVoltage(p.IS*p.Area, p.N*Vt(tempC))
-}

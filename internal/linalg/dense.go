@@ -77,37 +77,48 @@ func (m *Matrix) String() string {
 }
 
 // LU holds an LU factorization with partial pivoting of a real matrix.
+// Its storage doubles as the matrix to factor (see Matrix and
+// FactorInPlace), so a caller that assembles a system every iteration can
+// stamp straight into it and factor without a copy.
 type LU struct {
 	n        int
-	lu       []float64
+	m        Matrix // the matrix before FactorInPlace, the factors after
 	piv      []int
 	sign     int
 	colScale []float64 // original per-column max magnitude (singularity test)
 	rowScale []float64 // original per-row max magnitude, indexed by original row
 }
 
-// Factor computes the LU factorization of m (m is not modified).
+// NewLU allocates a factorization workspace for n-by-n systems. Its
+// Matrix starts zeroed.
+func NewLU(n int) *LU {
+	return &LU{n: n, m: Matrix{N: n, Data: make([]float64, n*n)}, piv: make([]int, n),
+		colScale: make([]float64, n), rowScale: make([]float64, n)}
+}
+
+// Matrix returns the factorization's own storage as an n-by-n matrix.
+// Whatever it holds when FactorInPlace runs is the matrix factored; after
+// that it holds the factors, so it must be refilled (Zero and re-stamp)
+// before the next factorization.
+func (f *LU) Matrix() *Matrix { return &f.m }
+
+// Factor computes the LU factorization of m (m is not modified): it
+// copies m into a new LU's storage and factors it there.
 func Factor(m *Matrix) (*LU, error) {
-	f, err := FactorInto(nil, m)
-	if err != nil {
+	f := NewLU(m.N)
+	copy(f.m.Data, m.Data)
+	if err := f.FactorInPlace(); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// FactorInto computes the LU factorization of m, reusing f's storage when
-// it matches m's size; pass nil (or a differently sized f) to allocate.
-// On error the returned factorization's storage remains reusable but its
-// contents are invalid. m is not modified.
-func FactorInto(f *LU, m *Matrix) (*LU, error) {
-	n := m.N
-	if f == nil || f.n != n {
-		f = &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n),
-			colScale: make([]float64, n), rowScale: make([]float64, n)}
-	}
+// FactorInPlace factors the matrix held in f.Matrix(), overwriting it
+// with the factors. On error the storage remains reusable but its
+// contents are invalid.
+func (f *LU) FactorInPlace() error {
+	n, lu := f.n, f.m.Data
 	f.sign = 1
-	copy(f.lu, m.Data)
-	lu := f.lu
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -142,7 +153,7 @@ func FactorInto(f *LU, m *Matrix) (*LU, error) {
 			scale = rs
 		}
 		if !(pmax > singularTol*scale) {
-			return f, fmt.Errorf("%w (column %d)", ErrSingular, k)
+			return fmt.Errorf("%w (column %d)", ErrSingular, k)
 		}
 		if p != k {
 			rk, rp := lu[k*n:k*n+n], lu[p*n:p*n+n]
@@ -164,7 +175,7 @@ func FactorInto(f *LU, m *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Solve solves A x = b using the factorization; b is unchanged.
@@ -182,7 +193,7 @@ func (f *LU) SolveInto(x, b []float64) error {
 	if len(b) != f.n || len(x) != f.n {
 		return fmt.Errorf("linalg: rhs/solution length %d/%d, want %d", len(b), len(x), f.n)
 	}
-	n, lu := f.n, f.lu
+	n, lu := f.n, f.m.Data
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -223,7 +234,7 @@ func (f *LU) SolveInto(x, b []float64) error {
 func (f *LU) Det() float64 {
 	d := float64(f.sign)
 	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
+		d *= f.m.Data[i*f.n+i]
 	}
 	return d
 }

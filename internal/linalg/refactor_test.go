@@ -133,6 +133,68 @@ func TestFactorIntoReuse(t *testing.T) {
 	}
 }
 
+// TestFactorInPlaceReuse: stamping into an LU's own Matrix and factoring
+// in place gives bit for bit the factors and solution of Factor on a
+// separate copy, again and again on the same storage, including right
+// after a singular failure.
+func TestFactorInPlaceReuse(t *testing.T) {
+	f := NewLU(3)
+	stamp := func(m *Matrix, k float64) {
+		m.Zero()
+		m.Set(0, 0, 1e-3*k)
+		m.Set(0, 1, 2)
+		m.Set(1, 0, 3+k)
+		m.Set(1, 2, -1)
+		m.Set(2, 1, 1/k)
+		m.Set(2, 2, 5)
+	}
+	b := []float64{1, -2, 0.5}
+	for k := 1.0; k <= 4; k++ {
+		if k == 3 {
+			// All-equal rows are singular; the failure must not poison
+			// the storage for the next factorization.
+			m := f.Matrix()
+			for i := range m.Data {
+				m.Data[i] = 1
+			}
+			if err := f.FactorInPlace(); err == nil {
+				t.Fatal("singular matrix accepted")
+			}
+		}
+		ref := NewMatrix(3)
+		stamp(ref, k)
+		want, err := Factor(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp(f.Matrix(), k)
+		if err := f.FactorInPlace(); err != nil {
+			t.Fatalf("k=%g: %v", k, err)
+		}
+		for i, v := range want.m.Data {
+			if math.Float64bits(f.m.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("k=%g: factor entry %d = %v, Factor gives %v", k, i, f.m.Data[i], v)
+			}
+		}
+		if f.Det() != want.Det() {
+			t.Errorf("k=%g: det %v, Factor gives %v", k, f.Det(), want.Det())
+		}
+		x := make([]float64, 3)
+		if err := f.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		wantX, err := want.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(wantX[i]) {
+				t.Errorf("k=%g: x[%d] = %v, Factor gives %v", k, i, x[i], wantX[i])
+			}
+		}
+	}
+}
+
 // TestSolveIntoAllocationFree: the in-place solve paths, real and
 // complex, must not allocate — they run per node per frequency in the
 // all-nodes sweep.

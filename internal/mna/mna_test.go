@@ -272,8 +272,8 @@ func TestCapacitancesStableOrder(t *testing.T) {
 	ia, _ := sys.NodeOf("a")
 	x2[ia] = 0.6
 	op2 := sys.Linearize(x2, 0)
-	c1 := sys.Capacitances(op1)
-	c2 := sys.Capacitances(op2)
+	c1 := sys.Capacitances(nil, op1)
+	c2 := sys.Capacitances(nil, op2)
 	if len(c1) != len(c2) {
 		t.Fatalf("cap list length changed: %d vs %d", len(c1), len(c2))
 	}
@@ -451,7 +451,7 @@ func TestStampACControlledSourcesAndDevices(t *testing.T) {
 		t.Errorf("AC VCVS: v(e) = %v, want 3", sol[ei])
 	}
 	// Capacitance list includes every device cap with stable order.
-	caps := sys.Capacitances(op)
+	caps := sys.Capacitances(nil, op)
 	if len(caps) < 6 {
 		t.Errorf("caps = %d, want >= 6", len(caps))
 	}

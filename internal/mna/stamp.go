@@ -217,9 +217,21 @@ type mosSS struct {
 }
 
 // Linearize evaluates all devices at the converged solution x and captures
-// their small-signal parameters for AC analysis.
+// their small-signal parameters for AC analysis. The OpPoint holds its
+// own copy of x.
 func (s *System) Linearize(x []float64, gmin float64) *OpPoint {
-	op := &OpPoint{X: append([]float64(nil), x...)}
+	return s.LinearizeInto(nil, x, gmin)
+}
+
+// LinearizeInto is Linearize reusing op's storage (nil allocates): a
+// transient run re-linearizes at every accepted step, and past the first
+// step this allocates nothing. op is overwritten whole.
+func (s *System) LinearizeInto(op *OpPoint, x []float64, gmin float64) *OpPoint {
+	if op == nil {
+		op = &OpPoint{}
+	}
+	op.X = append(op.X[:0], x...)
+	op.dio, op.bjt, op.mos = op.dio[:0], op.bjt[:0], op.mos[:0]
 	temp := s.Ckt.Temp
 	for _, d := range s.dios {
 		vd := at(x, d.a) - at(x, d.k)
@@ -380,9 +392,11 @@ type CapEntry struct {
 }
 
 // Capacitances returns every capacitance in the circuit linearized at op:
-// explicit C elements plus device junction/Meyer capacitances.
-func (s *System) Capacitances(op *OpPoint) []CapEntry {
-	var out []CapEntry
+// explicit C elements plus device junction/Meyer capacitances. It appends
+// into dst[:0] (nil allocates), so a transient run that refreshes the
+// list every step reuses its storage.
+func (s *System) Capacitances(dst []CapEntry, op *OpPoint) []CapEntry {
+	out := dst[:0]
 	for _, c := range s.caps {
 		out = append(out, CapEntry{c.i, c.j, c.c})
 	}

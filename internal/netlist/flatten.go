@@ -157,8 +157,13 @@ func (f *flattener) expand(e *Element, prefix string, portMap map[string]string,
 		}
 		child[k] = v
 	}
+	// Params set directly (AddX) still win; a key ParamExprs also holds
+	// was evaluated from the card at parse time, so the evaluation above,
+	// under the current design variables, is the one that counts.
 	for k, v := range e.Params {
-		child[k] = v
+		if _, ok := e.ParamExprs[k]; !ok {
+			child[k] = v
+		}
 	}
 	// Port mapping: subckt port name -> caller node (already mapped).
 	pm := make(map[string]string, len(sub.Ports))
