@@ -728,7 +728,7 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 		err = report.CSV(&buf, rep)
 		contentType = "text/csv"
 	case "json":
-		err = report.JSON(&buf, rep)
+		body, err = report.AppendJSON(nil, rep)
 		contentType = "application/json"
 	case "annotate":
 		err = report.Annotate(&buf, t.Flat, rep)
@@ -739,7 +739,10 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 	if err != nil {
 		return nil, "", cacheHit, err
 	}
-	return buf.Bytes(), contentType, cacheHit, nil
+	if body == nil { // every format but json rendered into buf
+		body = buf.Bytes()
+	}
+	return body, contentType, cacheHit, nil
 }
 
 // Statusz is the JSON document served at GET /statusz: a human- and

@@ -11,9 +11,9 @@ import (
 
 // FuzzParseJSON feeds arbitrary bytes to ParseJSON, which reads worker
 // reports back in the shard coordinator. It may reject its input but must
-// not panic; whatever it accepts must render as text, and a JSON
-// rendering of it must parse back and re-render to the same bytes. Run
-// it with
+// not panic; whatever it accepts must render as text, its JSON rendering
+// must equal the reference encoder's byte for byte, and that rendering
+// must parse back and re-render to the same bytes. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzParseJSON$' -fuzztime 10s ./internal/report
 func FuzzParseJSON(f *testing.F) {
@@ -36,6 +36,9 @@ func FuzzParseJSON(f *testing.F) {
 		`{"loops":[{"id":1,"freq_hz":1,"nodes":["ghost"]}]}`,
 		`{"nodes":[{"node":"a","best":{"freq_hz":1,"value":-2,"type":"normal"}}],"loops":[{"id":1,"freq_hz":1,"nodes":["a"]}]}`,
 		`{"nodes":[{"node":"z","skipped":true,"skip_reason":"driven"}]}`,
+		`{"nodes":[]} trailing garbage`,
+		`{"nodes":[{"node":"a"},{"node":"a"}]}`,
+		`{"circuit":"<a&b> \"q\" \\ \u2028 \u00e9 \ud800","temp_c":1e-7,"nodes":[{"node":"\u0001","skip_reason":"x"}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -44,9 +47,15 @@ func FuzzParseJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var text, first, second bytes.Buffer
+		var text, first, second, ref bytes.Buffer
 		Text(&text, rep) //nolint:errcheck // errors are acceptable, panics are not
-		if err := JSON(&first, rep); err != nil {
+		err = JSON(&first, rep)
+		refErr := referenceJSON(&ref, rep)
+		if (err != nil) != (refErr != nil) || !bytes.Equal(first.Bytes(), ref.Bytes()) {
+			t.Fatalf("JSON (error %v) differs from the reference encoder (error %v):\n%s\n%s",
+				err, refErr, first.Bytes(), ref.Bytes())
+		}
+		if err != nil {
 			return
 		}
 		again, err := ParseJSON(bytes.NewReader(first.Bytes()))

@@ -8,6 +8,7 @@ package report
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -136,7 +137,9 @@ func CSV(w io.Writer, rep *tool.Report) error {
 	return cw.Error()
 }
 
-// jsonPeak is the JSON shape of a peak.
+// jsonPeak, jsonNode, jsonLoop and jsonReport are the document shapes
+// ParseJSON decodes into. Their field order and omitempty tags spell out
+// the schema AppendJSON writes by hand.
 type jsonPeak struct {
 	FreqHz         float64 `json:"freq_hz"`
 	Value          float64 `json:"value"`
@@ -172,51 +175,293 @@ type jsonReport struct {
 	Nodes   []jsonNode `json:"nodes"`
 }
 
-// JSON writes the report as a machine-readable document.
+// JSON writes the report as a machine-readable document: one AppendJSON
+// and one Write.
 func JSON(w io.Writer, rep *tool.Report) error {
-	out := jsonReport{Circuit: rep.CircuitTitle, TempC: rep.Temp}
-	for _, l := range rep.Loops {
-		jl := jsonLoop{
-			ID: l.ID, FreqHz: l.Freq, WorstPeak: l.WorstPeak,
-			Zeta: l.Zeta, PhaseMarginDeg: l.PhaseMarginDeg, OvershootPct: l.OvershootPct,
-		}
-		for _, np := range l.Nodes {
-			jl.Nodes = append(jl.Nodes, np.Node)
-		}
-		out.Loops = append(out.Loops, jl)
+	b, err := AppendJSON(nil, rep)
+	if err != nil {
+		return err
 	}
-	for _, n := range rep.Nodes {
-		jn := jsonNode{Node: n.Node, Skipped: n.Skipped, SkipReason: n.SkipReason}
-		if n.Best != nil {
-			jn.Best = toJSONPeak(*n.Best)
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendJSON appends the report as a machine-readable JSON document to
+// dst and returns the extended buffer. The bytes are exactly those of
+// encoding/json's Encoder with SetIndent("", "  ") over the jsonReport
+// shape: two-space indentation, a trailing newline, null for a report
+// without loops or nodes and for a loop without nodes, and the peak
+// damping trio (zeta, phase margin, overshoot) omitted when zeta is NaN
+// and each member omitted when it is zero. Floats use encoding/json's
+// format: the shortest representation that round-trips, in 'f' notation
+// unless |x| < 1e-6 or |x| >= 1e21, where it is 'e' with a two-digit
+// minimum exponent cleaned to one digit (1e-7, not 1e-07). A string of
+// printable ASCII other than `"`, `\`, `<`, `>` and `&` is copied
+// verbatim; any other string is escaped by json.Marshal (HTML-safe
+// escapes, \u2028/\u2029, U+FFFD for invalid UTF-8). A NaN or infinite
+// value fails with *json.UnsupportedValueError and returns dst with
+// nothing appended.
+func AppendJSON(dst []byte, rep *tool.Report) ([]byte, error) {
+	n0 := len(dst)
+	if dst == nil {
+		dst = make([]byte, 0, jsonSizeHint(rep))
+	}
+	w := jsonWriter{b: dst}
+	w.open('{')
+	w.key("circuit")
+	w.str(rep.CircuitTitle)
+	w.key("temp_c")
+	w.float(rep.Temp)
+	w.key("loops")
+	if len(rep.Loops) == 0 {
+		w.null()
+	} else {
+		w.open('[')
+		for i := range rep.Loops {
+			w.next()
+			w.loop(&rep.Loops[i])
 		}
-		if n.Stab != nil {
-			for _, p := range n.Stab.Peaks {
-				jn.Peaks = append(jn.Peaks, *toJSONPeak(p))
+		w.close(']')
+	}
+	w.key("nodes")
+	if len(rep.Nodes) == 0 {
+		w.null()
+	} else {
+		w.open('[')
+		for i := range rep.Nodes {
+			w.next()
+			w.node(&rep.Nodes[i])
+		}
+		w.close(']')
+	}
+	w.close('}')
+	if w.err != nil {
+		return dst[:n0], w.err
+	}
+	return append(w.b, '\n'), nil
+}
+
+// jsonSizeHint estimates the rendered size of a report from above, so
+// that AppendJSON into a nil buffer allocates once. The constants are the
+// indentation, keys and punctuation of each part at its nesting depth;
+// every float is budgeted at jsonFloatHint bytes.
+func jsonSizeHint(rep *tool.Report) int {
+	n := 64 + len(rep.CircuitTitle) + jsonFloatHint
+	for i := range rep.Loops {
+		n += 168 + 5*jsonFloatHint
+		for _, np := range rep.Loops[i].Nodes {
+			n += 12 + len(np.Node)
+		}
+	}
+	for i := range rep.Nodes {
+		nr := &rep.Nodes[i]
+		n += 32 + len(nr.Node)
+		if nr.Skipped || nr.SkipReason != "" {
+			n += 48 + len(nr.SkipReason)
+		}
+		if nr.Best != nil {
+			n += 16 + peakSizeHint(nr.Best)
+		}
+		if nr.Stab != nil {
+			n += 26
+			for j := range nr.Stab.Peaks {
+				n += peakSizeHint(&nr.Stab.Peaks[j])
 			}
 		}
-		out.Nodes = append(out.Nodes, jn)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return n
 }
 
-func toJSONPeak(p stab.Peak) *jsonPeak {
-	jp := &jsonPeak{FreqHz: p.Freq, Value: p.Value, Type: p.Type.String(), IsZero: p.IsZero}
+// jsonFloatHint covers a 17-digit mantissa with its sign and point.
+const jsonFloatHint = 20
+
+// peakSizeHint is the size of one peak object at the deepest indent.
+func peakSizeHint(p *stab.Peak) int {
+	if math.IsNaN(p.Zeta) {
+		return 128 + 2*jsonFloatHint
+	}
+	return 210 + 5*jsonFloatHint
+}
+
+// jsonWriter appends an indented JSON document. depth is the current
+// nesting level and first reports that the innermost open object or array
+// has no member yet, so the next one is written without a comma. err holds
+// the first unsupported value; the caller discards b when it is set.
+type jsonWriter struct {
+	b     []byte
+	depth int
+	first bool
+	err   error
+}
+
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.first = true
+}
+
+func (w *jsonWriter) close(c byte) {
+	w.depth--
+	if !w.first {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+	w.first = false
+}
+
+// next starts a member of the innermost object or array.
+func (w *jsonWriter) next() {
+	if !w.first {
+		w.b = append(w.b, ',')
+	}
+	w.first = false
+	w.newline()
+}
+
+func (w *jsonWriter) newline() {
+	w.b = append(w.b, '\n')
+	for i := 0; i < w.depth; i++ {
+		w.b = append(w.b, ' ', ' ')
+	}
+}
+
+// key starts an object member; k must be a plain ASCII constant.
+func (w *jsonWriter) key(k string) {
+	w.next()
+	w.b = append(w.b, '"')
+	w.b = append(w.b, k...)
+	w.b = append(w.b, '"', ':', ' ')
+}
+
+func (w *jsonWriter) null() { w.b = append(w.b, "null"...) }
+
+func (w *jsonWriter) boolean(v bool) { w.b = strconv.AppendBool(w.b, v) }
+
+func (w *jsonWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			w.b = append(w.b, q...)
+			return
+		}
+	}
+	w.b = append(w.b, '"')
+	w.b = append(w.b, s...)
+	w.b = append(w.b, '"')
+}
+
+// float mirrors encoding/json's float64 encoder.
+func (w *jsonWriter) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if w.err == nil {
+			w.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 -> e-7, as encoding/json writes it.
+		if n := len(w.b); n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+			w.b[n-2] = w.b[n-1]
+			w.b = w.b[:n-1]
+		}
+	}
+}
+
+func (w *jsonWriter) loop(l *stab.Loop) {
+	w.open('{')
+	w.key("id")
+	w.b = strconv.AppendInt(w.b, int64(l.ID), 10)
+	w.key("freq_hz")
+	w.float(l.Freq)
+	w.key("worst_peak")
+	w.float(l.WorstPeak)
+	w.key("zeta")
+	w.float(l.Zeta)
+	w.key("phase_margin_deg")
+	w.float(l.PhaseMarginDeg)
+	w.key("overshoot_pct")
+	w.float(l.OvershootPct)
+	w.key("nodes")
+	if len(l.Nodes) == 0 {
+		w.null()
+	} else {
+		w.open('[')
+		for _, np := range l.Nodes {
+			w.next()
+			w.str(np.Node)
+		}
+		w.close(']')
+	}
+	w.close('}')
+}
+
+func (w *jsonWriter) node(n *tool.NodeResult) {
+	w.open('{')
+	w.key("node")
+	w.str(n.Node)
+	if n.Skipped {
+		w.key("skipped")
+		w.boolean(true)
+	}
+	if n.SkipReason != "" {
+		w.key("skip_reason")
+		w.str(n.SkipReason)
+	}
+	if n.Best != nil {
+		w.key("best")
+		w.peak(n.Best)
+	}
+	if n.Stab != nil && len(n.Stab.Peaks) > 0 {
+		w.key("peaks")
+		w.open('[')
+		for i := range n.Stab.Peaks {
+			w.next()
+			w.peak(&n.Stab.Peaks[i])
+		}
+		w.close(']')
+	}
+	w.close('}')
+}
+
+// peak writes one peak. The damping trio is left out when zeta is NaN
+// (zero peaks, paper footnote 2), and each member when it is zero.
+func (w *jsonWriter) peak(p *stab.Peak) {
+	w.open('{')
+	w.key("freq_hz")
+	w.float(p.Freq)
+	w.key("value")
+	w.float(p.Value)
+	w.key("type")
+	w.str(p.Type.String())
+	w.key("is_zero")
+	w.boolean(p.IsZero)
 	if !math.IsNaN(p.Zeta) {
-		jp.Zeta = p.Zeta
-		jp.PhaseMarginDeg = p.PhaseMarginDeg
-		jp.OvershootPct = p.OvershootPct
+		w.nonzero("zeta", p.Zeta)
+		w.nonzero("phase_margin_deg", p.PhaseMarginDeg)
+		w.nonzero("overshoot_pct", p.OvershootPct)
 	}
-	return jp
+	w.close('}')
 }
 
-// fromJSONPeak inverts toJSONPeak. The damping trio is omitted from the
-// wire when it is NaN (zero peaks, paper footnote 2); a genuine zeta of
-// exactly 0 cannot occur for a finite peak value (depth is -1/zeta², so
-// zeta→0 means an infinite peak, and a zero zeta would print a 100%
-// overshoot, not 0), so an all-zero trio decodes back to NaN.
+// nonzero writes an omitempty float member: nothing when f is zero.
+func (w *jsonWriter) nonzero(k string, f float64) {
+	if f != 0 {
+		w.key(k)
+		w.float(f)
+	}
+}
+
+// fromJSONPeak inverts AppendJSON's peak encoding. The damping trio is
+// omitted from the wire when it is NaN (zero peaks, paper footnote 2); a
+// genuine zeta of exactly 0 cannot occur for a finite peak value (depth
+// is -1/zeta², so zeta→0 means an infinite peak, and a zero zeta would
+// print a 100% overshoot, not 0), so an all-zero trio decodes back to
+// NaN.
 func fromJSONPeak(jp jsonPeak) (stab.Peak, error) {
 	typ, err := stab.ParsePeakType(jp.Type)
 	if err != nil {
@@ -240,16 +485,33 @@ func fromJSONPeak(jp jsonPeak) (stab.Peak, error) {
 // of the JSON schema, so the parsed report carries peaks and loop
 // structure only — exactly what the text, CSV, JSON, and annotate
 // renderers consume. Loop membership is rebuilt by joining the loop's
-// node names against the nodes' dominant peaks; float values round-trip
-// exactly (encoding/json emits shortest-round-trip representations).
+// node names against the nodes' dominant peaks, so a node listed twice
+// is an error. The input must hold one document; anything after it
+// other than whitespace (JSON ends with a newline) is an error.
+//
+// A report written by JSON parses back to one that JSON writes to the
+// same bytes: AppendJSON writes each float as the shortest representation
+// that reads back as the same float64, and each string either verbatim
+// (printable ASCII without `"`, `\`, `<`, `>`, `&`) or with
+// encoding/json's escapes, which decode back to the original string when
+// it is valid UTF-8 (invalid bytes are written as U+FFFD).
 func ParseJSON(r io.Reader) (*tool.Report, error) {
 	var in jsonReport
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("report: parse json: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("report: parse json: data after the report document")
 	}
 	rep := &tool.Report{CircuitTitle: in.Circuit, Temp: in.TempC}
 	best := map[string]*stab.Peak{}
+	seen := make(map[string]bool, len(in.Nodes))
 	for _, jn := range in.Nodes {
+		if seen[jn.Node] {
+			return nil, fmt.Errorf("report: node %q is listed twice", jn.Node)
+		}
+		seen[jn.Node] = true
 		nr := tool.NodeResult{Node: jn.Node, Skipped: jn.Skipped, SkipReason: jn.SkipReason}
 		if jn.Best != nil {
 			p, err := fromJSONPeak(*jn.Best)

@@ -168,9 +168,9 @@ func TestDiagnostic(t *testing.T) {
 
 // TestParseJSONRoundTrip pins the shard coordinator's merge input
 // contract: a report rendered with JSON and read back with ParseJSON
-// must re-render to the identical JSON document. Go's encoding/json
-// emits shortest-round-trip float representations, so equality here is
-// exact byte equality, not approximate.
+// must re-render to the identical JSON document. AppendJSON writes
+// shortest-round-trip float representations, so equality here is exact
+// byte equality, not approximate.
 func TestParseJSONRoundTrip(t *testing.T) {
 	_, rep := table2Report(t)
 	var first bytes.Buffer
@@ -216,5 +216,30 @@ func TestParseJSONRejectsGarbage(t *testing.T) {
 	if _, err := ParseJSON(strings.NewReader(
 		`{"loops":[{"id":1,"freq_hz":1,"nodes":["ghost"]}]}`)); err == nil {
 		t.Error("loop referencing unknown node accepted")
+	}
+	for _, tail := range []string{" trailing garbage", "{}", "\n\n]", `{"nodes":[]}`} {
+		if _, err := ParseJSON(strings.NewReader(`{"nodes":[]}` + tail)); err == nil {
+			t.Errorf("data %q after the document accepted", tail)
+		}
+	}
+	for _, tail := range []string{"", "\n", " \t\r\n "} {
+		if _, err := ParseJSON(strings.NewReader(`{"nodes":[]}` + tail)); err != nil {
+			t.Errorf("whitespace %q after the document rejected: %v", tail, err)
+		}
+	}
+}
+
+// TestParseJSONRejectsDuplicateNode: loop membership joins node names
+// against the nodes' rows, so a node listed twice would make a loop
+// member silently take the last row's peak. The parse must fail and
+// name the node instead.
+func TestParseJSONRejectsDuplicateNode(t *testing.T) {
+	_, err := ParseJSON(strings.NewReader(`{"nodes":[
+		{"node":"out","best":{"freq_hz":1e6,"value":-9,"type":"normal","zeta":0.16}},
+		{"node":"mid"},
+		{"node":"out","best":{"freq_hz":2e6,"value":-3,"type":"normal","zeta":0.3}}],
+		"loops":[{"id":1,"freq_hz":1e6,"nodes":["out"]}]}`))
+	if err == nil || !strings.Contains(err.Error(), `"out"`) {
+		t.Errorf("duplicate node: error %v, want one naming \"out\"", err)
 	}
 }
