@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -216,7 +215,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ev.requestID, ev.run = rec.ID(), run
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	bp := lineBufs.Get().(*[]byte)
+	defer putLineBuf(bp)
 	flusher, _ := w.(http.Flusher)
 	err := RunBatch(r.Context(), s.cache, req, opts, itemTimeout, run, func(it BatchItem) {
 		ev.items++
@@ -226,7 +226,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if it.CacheHit {
 			ev.hits++
 		}
-		enc.Encode(it)
+		*bp = appendBatchItem((*bp)[:0], &it)
+		w.Write(*bp)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -470,9 +471,9 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 }
 
 // submitBatchOnce performs one POST /batch attempt, decoding the NDJSON
-// stream incrementally. A stream that dies mid-flight returns the items
-// decoded so far together with the read error, so the caller can retry
-// just the unanswered variants.
+// stream a line at a time into a pooled buffer. A stream that dies
+// mid-flight returns the items decoded so far together with the read
+// error, so the caller can retry just the unanswered variants.
 func (c *Client) submitBatchOnce(ctx context.Context, hc *http.Client, payload []byte) ([]BatchItem, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/batch",
 		bytes.NewReader(payload))
@@ -484,35 +485,15 @@ func (c *Client) submitBatchOnce(ctx context.Context, hc *http.Client, payload [
 	if err != nil {
 		return nil, fmt.Errorf("farm: %w", err)
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		se := &StatusError{StatusCode: resp.StatusCode, Message: string(bytes.TrimSpace(body))}
-		var eb ErrorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
-			se.Code = eb.Error.Code
-			se.Message = eb.Error.Message
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, se
+		return nil, statusError(resp)
 	}
-	var items []BatchItem
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var it BatchItem
-		if err := dec.Decode(&it); err != nil {
-			if errors.Is(err, io.EOF) {
-				return items, nil
-			}
-			return items, fmt.Errorf("farm: batch stream: %w", err)
-		}
-		items = append(items, it)
+	bp := lineBufs.Get().(*[]byte)
+	defer putLineBuf(bp)
+	items, err := readBatchItems(resp.Body, *bp)
+	if err != nil {
+		return items, fmt.Errorf("farm: batch stream: %w", err)
 	}
+	return items, nil
 }

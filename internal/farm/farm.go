@@ -973,6 +973,45 @@ func (e *StatusError) Retryable() bool {
 	return e.StatusCode == http.StatusTooManyRequests || e.StatusCode >= 500
 }
 
+// Bounds on what a client reads from a response it will not use: the
+// body of a non-200 answer (an error envelope is small) and the drain
+// before close. A worker that keeps sending past either bound costs the
+// connection, not the client's time.
+const (
+	maxErrorBodyBytes = 64 << 10
+	maxDrainBytes     = 64 << 10
+)
+
+// statusError builds the StatusError for a non-200 response from at
+// most maxErrorBodyBytes of its body: the ErrorBody code and message
+// when the body is one, else the trimmed text, plus the Retry-After
+// hint in seconds.
+func statusError(resp *http.Response) *StatusError {
+	// The status is the answer; a body cut short by a read error still
+	// gives the text read so far as the message.
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
+	se := &StatusError{StatusCode: resp.StatusCode, Message: string(bytes.TrimSpace(body))}
+	var eb ErrorBody
+	if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
+		se.Code = eb.Error.Code
+		se.Message = eb.Error.Message
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
+			se.RetryAfter = time.Duration(secs) * time.Second
+		}
+	}
+	return se
+}
+
+// drainClose drains up to maxDrainBytes of a response body and closes
+// it. A drained body returns its connection to the pool for the next
+// attempt; past the bound, closing drops the connection instead.
+func drainClose(body io.ReadCloser) {
+	io.CopyN(io.Discard, body, maxDrainBytes)
+	body.Close()
+}
+
 // Submit posts the job and returns the rendered report body. Shed and
 // transient failures are retried per the client's backoff settings; the
 // final failure is returned as a *StatusError (HTTP-level) or transport
@@ -1069,11 +1108,11 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 	}
 }
 
-// submitOnce performs one POST /run attempt, always draining and closing
-// the response body so the underlying connection returns to the pool for
-// the next attempt instead of leaking. A TraceHeader-marked response is
-// unwrapped: the rendered report and the worker's trace come back
-// separately.
+// submitOnce performs one POST /run attempt, always draining (up to
+// maxDrainBytes) and closing the response body so the underlying
+// connection returns to the pool for the next attempt instead of
+// leaking. A TraceHeader-marked response is unwrapped: the rendered
+// report and the worker's trace come back separately.
 func (c *Client) submitOnce(ctx context.Context, hc *http.Client, payload []byte) ([]byte, *obs.Trace, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/run",
 		bytes.NewReader(payload))
@@ -1085,27 +1124,13 @@ func (c *Client) submitOnce(ctx context.Context, hc *http.Client, payload []byte
 	if err != nil {
 		return nil, nil, fmt.Errorf("farm: %w", err)
 	}
-	body, readErr := io.ReadAll(resp.Body)
-	// Drain whatever ReadAll left behind (e.g. on a limited read error)
-	// and close: an undrained body poisons connection reuse.
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if readErr != nil {
-		return nil, nil, fmt.Errorf("farm: reading response: %w", readErr)
-	}
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{StatusCode: resp.StatusCode, Message: string(bytes.TrimSpace(body))}
-		var eb ErrorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
-			se.Code = eb.Error.Code
-			se.Message = eb.Error.Message
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, nil, se
+		return nil, nil, statusError(resp)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("farm: reading response: %w", err)
 	}
 	if resp.Header.Get(TraceHeader) != "" {
 		var env TracedResponse

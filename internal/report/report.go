@@ -192,13 +192,8 @@ func JSON(w io.Writer, rep *tool.Report) error {
 // shape: two-space indentation, a trailing newline, null for a report
 // without loops or nodes and for a loop without nodes, and the peak
 // damping trio (zeta, phase margin, overshoot) omitted when zeta is NaN
-// and each member omitted when it is zero. Floats use encoding/json's
-// format: the shortest representation that round-trips, in 'f' notation
-// unless |x| < 1e-6 or |x| >= 1e21, where it is 'e' with a two-digit
-// minimum exponent cleaned to one digit (1e-7, not 1e-07). A string of
-// printable ASCII other than `"`, `\`, `<`, `>` and `&` is copied
-// verbatim; any other string is escaped by json.Marshal (HTML-safe
-// escapes, \u2028/\u2029, U+FFFD for invalid UTF-8). A NaN or infinite
+// and each member omitted when it is zero. Floats are written by
+// AppendJSONFloat and strings by AppendJSONString. A NaN or infinite
 // value fails with *json.UnsupportedValueError and returns dst with
 // nothing appended.
 func AppendJSON(dst []byte, rep *tool.Report) ([]byte, error) {
@@ -337,39 +332,55 @@ func (w *jsonWriter) null() { w.b = append(w.b, "null"...) }
 
 func (w *jsonWriter) boolean(v bool) { w.b = strconv.AppendBool(w.b, v) }
 
-func (w *jsonWriter) str(s string) {
+func (w *jsonWriter) str(s string) { w.b = AppendJSONString(w.b, s) }
+
+func (w *jsonWriter) float(f float64) {
+	b, err := AppendJSONFloat(w.b, f)
+	w.b = b
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+}
+
+// AppendJSONString appends s as a JSON string, byte for byte as
+// encoding/json writes it with HTML escaping on. A string of printable
+// ASCII other than `"`, `\`, `<`, `>` and `&` is copied verbatim; any
+// other string is escaped by json.Marshal (HTML-safe escapes,
+// \u2028/\u2029, U+FFFD for invalid UTF-8).
+func AppendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals
-			w.b = append(w.b, q...)
-			return
+			return append(dst, q...)
 		}
 	}
-	w.b = append(w.b, '"')
-	w.b = append(w.b, s...)
-	w.b = append(w.b, '"')
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
-// float mirrors encoding/json's float64 encoder.
-func (w *jsonWriter) float(f float64) {
+// AppendJSONFloat appends f in encoding/json's float64 format: the
+// shortest representation that round-trips, in 'f' notation unless
+// |f| < 1e-6 or |f| >= 1e21, where it is 'e' with a two-digit minimum
+// exponent cleaned to one digit (1e-7, not 1e-07). A NaN or infinite f
+// fails with *json.UnsupportedValueError and returns dst unchanged.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if w.err == nil {
-			w.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
 	if format == 'e' {
 		// e-07 -> e-7, as encoding/json writes it.
-		if n := len(w.b); n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-			w.b[n-2] = w.b[n-1]
-			w.b = w.b[:n-1]
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
 		}
 	}
+	return dst, nil
 }
 
 func (w *jsonWriter) loop(l *stab.Loop) {
