@@ -37,7 +37,6 @@ import (
 	"acstab/internal/num"
 	"acstab/internal/obs"
 	"acstab/internal/report"
-	"acstab/internal/shard"
 	"acstab/internal/stab"
 	"acstab/internal/tool"
 	"acstab/internal/wave"
@@ -82,8 +81,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 		sigmas    multiFlag
 		stateIn   = fs.String("state", "", "load run setup from a saved state file")
 		stateOut  = fs.String("save-state", "", "save the run setup to a state file")
-		remote    = fs.String("remote", "", "submit the run to remote acstabd worker(s): one URL, or a comma-separated fleet for a sharded all-nodes run")
-		shards    = fs.Int("shards", 0, "split a -remote all-nodes run into this many node-range shards (0 = one per worker; sharding engages with >1 worker or an explicit count)")
+		remote    = fs.String("remote", "", "submit the run to a remote acstabd worker at this URL")
 		sets      multiFlag
 		diagFile  = fs.String("diag", "", "write a diagnostic report file on completion")
 		stats     = fs.Bool("stats", false, "print phase timings and solver counters to stderr")
@@ -97,6 +95,25 @@ func runWith(args []string, out, errOut io.Writer) error {
 	fs.Var(&sigmas, "sigma", "Monte Carlo relative sigma name=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *remote != "" {
+		if strings.Contains(*remote, ",") {
+			return fmt.Errorf("-remote takes one worker URL, got %q", *remote)
+		}
+		// A farm job is one whole analysis of the deck at its own
+		// temperature; what the wire cannot carry is refused by name
+		// rather than silently dropped.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"mc", *mcRuns > 0}, {"temps", *temps != ""}, {"sweep", *sweep != ""},
+			{"plot", *plot}, {"residual-tol", *resTol != 0},
+		} {
+			if f.set {
+				return fmt.Errorf("-%s does not run remotely; drop -remote to run it locally", f.name)
+			}
+		}
 	}
 
 	// Profiling: the CPU profile brackets everything after flag parsing
@@ -145,6 +162,9 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// overrides are the design-variable values -set and -state put over
+	// the deck's own; a farm job carries them as its variables.
+	overrides := map[string]float64{}
 	for _, s := range sets {
 		name, vs, ok := strings.Cut(s, "=")
 		if !ok {
@@ -159,6 +179,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 			return fmt.Errorf("-set: unknown design variable %q", name)
 		}
 		ckt.Params[name] = v
+		overrides[name] = v
 		// Re-evaluate element expressions with the override.
 		for _, e := range ckt.Elems {
 			if e.ValueExpr != "" {
@@ -202,8 +223,14 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
+		if *remote != "" && st.TempC != nil && *st.TempC != ckt.Temp {
+			return fmt.Errorf("-state: temp_c %g does not run remotely (the deck runs at %g); drop -remote to run it locally", *st.TempC, ckt.Temp)
+		}
 		if err := st.Apply(ckt, &opts, true); err != nil {
 			return err
+		}
+		for k, v := range st.Variables {
+			overrides[k] = v
 		}
 	}
 	if *stateOut != "" {
@@ -218,18 +245,17 @@ func runWith(args []string, out, errOut io.Writer) error {
 		}
 	}
 
-	sharded := *remote != "" && (strings.Contains(*remote, ",") || *shards > 0)
+	wireFormat := *format
+	if *annotate {
+		wireFormat = "annotate"
+	}
+	job := farmRequest(src, opts, overrides, *node, wireFormat, *timeout)
 	var runErr error
 	switch {
 	case *corners != "":
-		if sharded {
-			return fmt.Errorf("-corners takes a single -remote worker (the batch is one wire-v2 submission)")
-		}
-		runErr = runCorners(ctx, out, *remote, src, opts, *node, *format, *timeout, trace, *corners)
-	case sharded:
-		runErr = runSharded(ctx, out, *remote, *shards, src, opts, *node, *format, *timeout)
+		runErr = runCorners(ctx, out, *remote, job, opts, trace, *corners)
 	case *remote != "":
-		runErr = runRemote(ctx, out, *remote, src, opts, *node, *format, *timeout, trace)
+		runErr = runRemote(ctx, out, *remote, job, trace)
 	case *mcRuns > 0:
 		runErr = runMC(ctx, out, ckt, opts, *mcRuns, *mcSeed, sigmas)
 	default:
@@ -446,20 +472,18 @@ func runMC(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.O
 	return nil
 }
 
-// runRemote ships the job to an acstabd farm worker. A -timeout is
-// forwarded as the job's timeout_ms so the worker enforces the same
-// deadline server-side. The submission runs traced: the worker's phase
-// spans and solver counters come back over the wire and land in this
-// process's run trace, so -stats/-trace-json/-trace-chrome show the
-// remote flatten/op/sweep/stability work as if it ran locally.
-func runRemote(ctx context.Context, out io.Writer, url, src string, opts tool.Options,
-	node, format string, timeout time.Duration, trace *obs.Run) error {
-	c := &farm.Client{BaseURL: strings.TrimRight(url, "/")}
-	body, err := c.SubmitTraced(ctx, &farm.Request{
+// farmRequest is the farm job for the CLI's run setup: the deck, the
+// sweep options, and the design-variable overrides (-set values and a
+// -state file's variables). runRemote and runCorners both ship it, so a
+// worker analyzes exactly what the local run would.
+func farmRequest(src string, opts tool.Options, vars map[string]float64,
+	node, format string, timeout time.Duration) *farm.Request {
+	return &farm.Request{
 		Netlist:   src,
 		Format:    format,
 		Node:      node,
 		TimeoutMS: timeout.Milliseconds(),
+		Variables: vars,
 		Options: farm.RequestOptions{
 			FStartHz:              opts.FStart,
 			FStopHz:               opts.FStop,
@@ -470,8 +494,20 @@ func runRemote(ctx context.Context, out io.Writer, url, src string, opts tool.Op
 			LoopTol:               opts.LoopTol,
 			Workers:               opts.Workers,
 			SkipNodes:             opts.SkipNodes,
+			OnlySubckt:            opts.OnlySubckt,
 		},
-	}, trace)
+	}
+}
+
+// runRemote ships the job to an acstabd farm worker. A -timeout is
+// forwarded as the job's timeout_ms so the worker enforces the same
+// deadline server-side. The submission runs traced: the worker's phase
+// spans and solver counters come back over the wire and land in this
+// process's run trace, so -stats/-trace-json/-trace-chrome show the
+// remote flatten/op/sweep/stability work as if it ran locally.
+func runRemote(ctx context.Context, out io.Writer, url string, job *farm.Request, trace *obs.Run) error {
+	c := &farm.Client{BaseURL: strings.TrimRight(url, "/")}
+	body, err := c.SubmitTraced(ctx, job, trace)
 	if err != nil {
 		return err
 	}
@@ -479,86 +515,40 @@ func runRemote(ctx context.Context, out io.Writer, url, src string, opts tool.Op
 	return err
 }
 
-// runSharded fans the all-nodes run out over a worker fleet: the shard
-// coordinator splits the planned node list into node-range shards (one
-// per worker unless -shards says otherwise), races stragglers with
-// hedged duplicates, re-dispatches shed or failed shards, and merges the
-// per-shard reports into the same report an unsharded run would print.
-// The merged run trace (opts.Trace) carries every winning worker's
-// grafted spans, so -stats shows the whole fleet's work.
-func runSharded(ctx context.Context, out io.Writer, remotes string, shards int, src string,
-	opts tool.Options, node, format string, timeout time.Duration) error {
-	if node != "" {
-		return fmt.Errorf("-shards splits all-nodes runs; use a single -remote worker for -node")
-	}
-	var workers []string
-	for _, w := range strings.Split(remotes, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			workers = append(workers, w)
-		}
-	}
-	coord, err := shard.New(shard.Config{Workers: workers, Shards: shards, Timeout: timeout})
-	if err != nil {
-		return err
-	}
-	rep, err := coord.AllNodes(ctx, src, opts)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "text":
-		return report.Text(out, rep)
-	case "csv":
-		return report.CSV(out, rep)
-	case "json":
-		return report.JSON(out, rep)
-	default:
-		return fmt.Errorf("unknown format %q for a sharded run", format)
-	}
-}
-
 // runCorners drives a corner batch from a corners file: every corner is
-// the same circuit under different design-variable overrides, exactly
-// the workload the farm's compiled-system cache amortizes. With -remote
-// the whole batch ships as one wire-v2 submission (per-item errors and
-// retries handled by SubmitBatch); locally the corners run through the
-// same batch executor against a process-local cache, so corner 2 of an
-// unchanged variable set skips flatten/compile entirely.
-func runCorners(ctx context.Context, out io.Writer, remote, src string, opts tool.Options,
-	node, format string, timeout time.Duration, trace *obs.Run, path string) error {
+// the job's circuit under different design-variable overrides (on top of
+// the job's own), exactly the workload the farm's compiled-system cache
+// amortizes. With -remote the whole batch ships as one wire-v2
+// submission (per-item errors and retries handled by SubmitBatch);
+// locally the corners run through the same batch executor against a
+// process-local cache, so corner 2 of an unchanged variable set skips
+// flatten/compile entirely.
+func runCorners(ctx context.Context, out io.Writer, remote string, job *farm.Request,
+	opts tool.Options, trace *obs.Run, path string) error {
 	variants, err := parseCorners(path)
 	if err != nil {
 		return err
 	}
+	batch := &farm.BatchRequest{
+		Netlist:   job.Netlist,
+		Format:    job.Format,
+		Node:      job.Node,
+		TimeoutMS: job.TimeoutMS,
+		Options:   job.Options,
+		Variables: job.Variables,
+		Variants:  variants,
+	}
 	if remote != "" {
+		batch.V = farm.WireV2
 		c := &farm.Client{BaseURL: strings.TrimRight(remote, "/")}
-		results, err := c.SubmitBatch(ctx, &farm.BatchRequest{
-			V:         farm.WireV2,
-			Netlist:   src,
-			Format:    format,
-			Node:      node,
-			TimeoutMS: timeout.Milliseconds(),
-			Options: farm.RequestOptions{
-				FStartHz:              opts.FStart,
-				FStopHz:               opts.FStop,
-				PointsPerDecade:       opts.PointsPerDecade,
-				CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
-				RefinePointsPerDecade: opts.RefinePointsPerDecade,
-				RefineThreshold:       opts.RefineThreshold,
-				LoopTol:               opts.LoopTol,
-				Workers:               opts.Workers,
-				SkipNodes:             opts.SkipNodes,
-			},
-			Variants: variants,
-		})
+		results, err := c.SubmitBatch(ctx, batch)
 		for _, r := range results {
 			printCorner(out, r.Label, r.CacheHit, r.DurationMS, r.Body, r.Err)
 		}
 		return err
 	}
-	cache := farm.NewCache(0)
-	req := &farm.BatchRequest{Netlist: src, Format: format, Node: node, Variants: variants}
-	return farm.RunBatch(ctx, cache, req, opts, timeout, trace, func(it farm.BatchItem) {
+	timeout := time.Duration(job.TimeoutMS) * time.Millisecond
+	return farm.RunBatch(ctx, farm.NewCache(0), batch, opts, timeout, trace, func(it farm.BatchItem) {
 		var err error
 		if it.Error != nil {
 			err = fmt.Errorf("%s: %s", it.Error.Code, it.Error.Message)

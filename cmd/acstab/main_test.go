@@ -596,39 +596,98 @@ func TestCornersFileErrors(t *testing.T) {
 	}
 }
 
-// TestShardedCLI drives the -remote fleet + -shards path end to end: a
-// sharded all-nodes run over two local workers must print exactly what
-// the local (unsharded) run prints, in every format.
-func TestShardedCLI(t *testing.T) {
-	quiet := obs.NewEventLogger(nil)
-	srv1 := httptest.NewServer(farm.NewHandler(farm.Config{Log: quiet}))
-	defer srv1.Close()
-	srv2 := httptest.NewServer(farm.NewHandler(farm.Config{Log: quiet}))
-	defer srv2.Close()
-	fleet := srv1.URL + "," + srv2.URL
-	path := writeNetlist(t, opampNetlist)
+// overrideDeck is a tank whose damping resistor is a design variable set
+// far from the value the tests pass with -set.
+const overrideDeck = `override tank
+.param rq=10k
+R1 t 0 {rq}
+L1 t 0 25.33u
+C1 t 0 1n
+`
 
-	for _, format := range []string{"text", "json"} {
-		var local, sharded bytes.Buffer
-		if err := run([]string{"-i", path, "-format", format}, &local); err != nil {
-			t.Fatal(err)
-		}
-		if err := run([]string{"-i", path, "-format", format,
-			"-remote", fleet, "-shards", "3"}, &sharded); err != nil {
-			t.Fatal(err)
-		}
-		if sharded.String() != local.String() {
-			t.Errorf("%s: sharded output differs from local\n--- sharded ---\n%s\n--- local ---\n%s",
-				format, sharded.String(), local.String())
+// scopeDeck has one tank inside subckt instance x1 and a second tank at
+// the top level, so -subckt x1 reports one loop and an unscoped run two.
+const scopeDeck = `scoped tanks
+.subckt tank t
+R1 t 0 318
+L1 t 0 25.33u
+C1 t 0 1n
+.ends
+X1 a tank
+R2 b 0 100
+L2 b 0 2.533u
+C2 b 0 1n
+`
+
+// TestRemoteMatchesLocal: a -remote run on one worker prints exactly
+// what the local run prints, in every format, with the run setup's
+// -set, -state and -subckt carried to the worker.
+func TestRemoteMatchesLocal(t *testing.T) {
+	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
+	defer srv.Close()
+	state := filepath.Join(t.TempDir(), "setup.json")
+	var discard bytes.Buffer
+	if err := run([]string{"-i", writeNetlist(t, overrideDeck), "-set", "rq=318",
+		"-fstart", "10k", "-save-state", state}, &discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, deck string
+		args       []string
+	}{
+		{"opamp", opampNetlist, nil},
+		{"set", overrideDeck, []string{"-set", "rq=318"}},
+		{"state", overrideDeck, []string{"-state", state}},
+		{"subckt", scopeDeck, []string{"-subckt", "x1"}},
+	} {
+		path := writeNetlist(t, tc.deck)
+		for _, format := range [][]string{{"-format", "text"}, {"-format", "csv"}, {"-format", "json"}, {"-annotate"}} {
+			args := append(append([]string{"-i", path}, tc.args...), format...)
+			var local, remote bytes.Buffer
+			if err := run(args, &local); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(args, "-remote", srv.URL), &remote); err != nil {
+				t.Fatal(err)
+			}
+			if remote.String() != local.String() {
+				t.Errorf("%s %v: remote output differs from local\n--- remote ---\n%s\n--- local ---\n%s",
+					tc.name, format, remote.String(), local.String())
+			}
 		}
 	}
+}
 
-	// Guard rails: single-node mode and corner batches do not shard.
-	var out bytes.Buffer
-	if err := run([]string{"-i", path, "-node", "output", "-remote", fleet}, &out); err == nil {
-		t.Error("-node with a worker fleet should fail")
+// TestRemoteRefusals: what the farm wire cannot carry fails by name
+// instead of running something else on the worker.
+func TestRemoteRefusals(t *testing.T) {
+	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
+	defer srv.Close()
+	path := writeNetlist(t, tankNetlist)
+	hot := filepath.Join(t.TempDir(), "hot.json")
+	if err := os.WriteFile(hot, []byte(`{"version": 1, "temp_c": 85}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-i", path, "-corners", path, "-remote", fleet}, &out); err == nil {
-		t.Error("-corners with a worker fleet should fail")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mc", "4", "-sigma", "rq=0.1"}, "-mc"},
+		{[]string{"-temps", "27,85"}, "-temps"},
+		{[]string{"-sweep", "rq=100,200"}, "-sweep"},
+		{[]string{"-node", "t", "-plot"}, "-plot"},
+		{[]string{"-residual-tol", "1e-6"}, "-residual-tol"},
+		{[]string{"-state", hot}, "-state"},
+		{[]string{"-remote", srv.URL + "," + srv.URL}, "one worker URL"},
+	} {
+		args := append([]string{"-i", path, "-remote", srv.URL}, tc.args...)
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: refused run printed %q", tc.args, out.String())
+		}
 	}
 }

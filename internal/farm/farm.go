@@ -110,26 +110,21 @@ type TracedResponse struct {
 }
 
 // RequestOptions mirrors the CLI sweep flags. Workers is a tuning hint
-// clamped server-side to MaxWireWorkers. OnlyNodes is the shard
-// coordinator's partitioning handle: it restricts an all-nodes run to
-// exactly the named nodes (exact case-insensitive match, unlike the
-// substring-matched SkipNodes), so one whole analysis splits into
-// node-range shards riding the ordinary v1 wire.
+// clamped server-side to MaxWireWorkers. One job is one whole analysis:
+// the wire has no way to ask for a slice of the node list.
 type RequestOptions struct {
 	FStartHz        float64 `json:"fstart_hz,omitempty"`
 	FStopHz         float64 `json:"fstop_hz,omitempty"`
 	PointsPerDecade int     `json:"points_per_decade,omitempty"`
 	// CoarsePointsPerDecade > 0 switches the run to the two-level adaptive
 	// sweep: a coarse pass at this resolution plus targeted refinement up
-	// to RefinePointsPerDecade around detected resonances. The grids are
-	// deterministic per node, so sharded runs merge byte-identically.
+	// to RefinePointsPerDecade around detected resonances.
 	CoarsePointsPerDecade int      `json:"coarse_points_per_decade,omitempty"`
 	RefinePointsPerDecade int      `json:"refine_points_per_decade,omitempty"`
 	RefineThreshold       float64  `json:"refine_threshold,omitempty"`
 	LoopTol               float64  `json:"loop_tol,omitempty"`
 	Workers               int      `json:"workers,omitempty"`
 	SkipNodes             []string `json:"skip_nodes,omitempty"`
-	OnlyNodes             []string `json:"only_nodes,omitempty"`
 	OnlySubckt            string   `json:"only_subckt,omitempty"`
 }
 
@@ -1017,8 +1012,7 @@ func drainClose(body io.ReadCloser) {
 // final failure is returned as a *StatusError (HTTP-level) or transport
 // error. ctx bounds the whole call including backoff waits.
 func (c *Client) Submit(ctx context.Context, req *Request) ([]byte, error) {
-	body, _, err := c.submit(ctx, req, nil, false)
-	return body, err
+	return c.SubmitTraced(ctx, req, nil)
 }
 
 // SubmitTraced is Submit with distributed tracing: it asks the worker to
@@ -1027,20 +1021,6 @@ func (c *Client) Submit(ctx context.Context, req *Request) ([]byte, error) {
 // annotated with the attempt number so retried submissions stay
 // distinguishable. A nil run behaves exactly like Submit.
 func (c *Client) SubmitTraced(ctx context.Context, req *Request, run *obs.Run) ([]byte, error) {
-	body, _, err := c.submit(ctx, req, run, false)
-	return body, err
-}
-
-// SubmitCollect posts the job asking the worker for its run trace and
-// returns that trace to the caller instead of grafting it. The shard
-// coordinator uses this: it races hedged duplicate submissions of one
-// shard, and only the winning attempt's trace may be grafted into the
-// run — a submit-time graft would splice the loser in too.
-func (c *Client) SubmitCollect(ctx context.Context, req *Request) ([]byte, *obs.Trace, error) {
-	return c.submit(ctx, req, nil, true)
-}
-
-func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect bool) ([]byte, *obs.Trace, error) {
 	hc := c.HTTPClient
 	if hc == nil {
 		t := c.Timeout
@@ -1053,7 +1033,7 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 	if wire.V == 0 {
 		wire.V = WireVersion
 	}
-	if run != nil || collect {
+	if run != nil {
 		wire.CollectTrace = true
 		if wire.TraceID == "" {
 			wire.TraceID = newTraceID()
@@ -1061,7 +1041,7 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 	}
 	payload, err := json.Marshal(&wire)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	base := c.RetryBaseDelay
 	if base <= 0 {
@@ -1089,11 +1069,11 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 			if run != nil && tr != nil {
 				run.GraftRemote(*tr, attemptStart, time.Since(attemptStart), attempt+1)
 			}
-			return body, tr, nil
+			return body, nil
 		}
 		lastErr = err
 		if attempt >= retries || !retryable(err) || ctx.Err() != nil {
-			return nil, nil, lastErr
+			return nil, lastErr
 		}
 		delay := backoffDelay(base, maxDelay, attempt)
 		var se *StatusError
@@ -1103,7 +1083,7 @@ func (c *Client) submit(ctx context.Context, req *Request, run *obs.Run, collect
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("farm: %w (last attempt: %v)", ctx.Err(), lastErr)
+			return nil, fmt.Errorf("farm: %w (last attempt: %v)", ctx.Err(), lastErr)
 		}
 	}
 }

@@ -175,6 +175,15 @@ func TestHandlerErrorPaths(t *testing.T) {
 		code != http.StatusUnprocessableEntity {
 		t.Errorf("oversized netlist: status %d, body %q", code, body)
 	}
+	// A scope that leaves no node to probe is a failed run, not a panic
+	// that takes the worker down.
+	for _, o := range []RequestOptions{{OnlySubckt: "x9"}, {SkipNodes: []string{"t"}}} {
+		req, _ = json.Marshal(&Request{Netlist: tankNetlist, Options: o})
+		if code, body := postJSON(t, srv, string(req)); code != http.StatusUnprocessableEntity ||
+			!strings.Contains(body, "no node left to analyze") {
+			t.Errorf("empty node scope %+v: status %d, body %q", o, code, body)
+		}
+	}
 }
 
 // promValue extracts the value of one exposition line by exact metric name.

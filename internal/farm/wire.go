@@ -118,7 +118,6 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 		opts.Workers = max
 	}
 	opts.SkipNodes = o.SkipNodes
-	opts.OnlyNodes = o.OnlyNodes
 	opts.OnlySubckt = o.OnlySubckt
 	return opts, nil
 }

@@ -143,9 +143,9 @@ func (r *Run) StatMax(name string, v float64) {
 // ResidualDecadePrefix prefixes the trace-counter keys of the per-run
 // residual digest: ResidualDecadeKey(d) counts the frequency points whose
 // scale-relative backward error landed in [10^d, 10^(d+1)). The digest
-// rides the ordinary int64 counter map, so remote grafting and shard
-// merging sum it exactly; display layers filter the prefix out of plain
-// counter listings and reconstruct a median from it (MedianResidual).
+// rides the ordinary int64 counter map, so remote grafting sums it
+// exactly; display layers filter the prefix out of plain counter
+// listings and reconstruct a median from it (MedianResidual).
 const ResidualDecadePrefix = "ac_residual_decade_"
 
 // ResidualDecadeBuckets spans decades [-18, 0]; errors outside clamp in.
@@ -379,7 +379,7 @@ func (r *Run) GraftRemote(t Trace, reqStart time.Time, reqDur time.Duration, att
 	for k, v := range t.Counters {
 		r.counters[k] += v
 	}
-	// Float stats: "_max" keys keep the fleet-wide maximum, everything
+	// Float stats: "_max" keys keep the maximum across grafts, everything
 	// else sums — the same semantics the per-decade residual digest gets
 	// for free from the counter merge above.
 	if len(t.Stats) > 0 {

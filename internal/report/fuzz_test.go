@@ -9,8 +9,8 @@ import (
 	"acstab/internal/tool"
 )
 
-// FuzzParseJSON feeds arbitrary bytes to ParseJSON, which reads worker
-// reports back in the shard coordinator. It may reject its input but must
+// FuzzParseJSON feeds arbitrary bytes to ParseJSON, which reads JSON
+// reports back for the benchmark oracle. It may reject its input but must
 // not panic; whatever it accepts must render as text, its JSON rendering
 // must equal the reference encoder's byte for byte, and that rendering
 // must parse back and re-render to the same bytes. Run it with

@@ -489,10 +489,9 @@ func fromJSONPeak(jp jsonPeak) (stab.Peak, error) {
 }
 
 // ParseJSON reads a report previously written by JSON back into a
-// tool.Report — the shard coordinator's merge input: each worker answers
-// its node-range shard in `format: "json"` and the coordinator
-// reconstructs the partial reports before re-clustering the union of
-// peaks. Waveforms (per-node impedance and stability plots) are not part
+// tool.Report — the benchmark oracle reads every JSON report through it,
+// and FuzzParseJSON holds it to rejecting, never panicking on, bad input.
+// Waveforms (per-node impedance and stability plots) are not part
 // of the JSON schema, so the parsed report carries peaks and loop
 // structure only — exactly what the text, CSV, JSON, and annotate
 // renderers consume. Loop membership is rebuilt by joining the loop's

@@ -166,8 +166,8 @@ func TestDiagnostic(t *testing.T) {
 	}
 }
 
-// TestParseJSONRoundTrip pins the shard coordinator's merge input
-// contract: a report rendered with JSON and read back with ParseJSON
+// TestParseJSONRoundTrip pins the ParseJSON contract the benchmark
+// oracle relies on: a report rendered with JSON and read back with ParseJSON
 // must re-render to the identical JSON document. AppendJSON writes
 // shortest-round-trip float representations, so equality here is exact
 // byte equality, not approximate.
@@ -203,8 +203,8 @@ func TestParseJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseJSONRejectsGarbage covers the error paths a coordinator can
-// hit on worker-version skew.
+// TestParseJSONRejectsGarbage covers the error paths a reader hits on a
+// report from a different version.
 func TestParseJSONRejectsGarbage(t *testing.T) {
 	if _, err := ParseJSON(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")

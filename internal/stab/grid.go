@@ -8,10 +8,8 @@ package stab
 // one node's samples so far, which log-midpoints to solve next.
 //
 // The decision is a pure function of one node's own samples and the
-// options. That property is load-bearing: a sharded all-nodes run splits
-// nodes across workers, and per-node refinement guarantees each node's
-// final grid — and therefore the merged report — is byte-identical no
-// matter how the nodes were partitioned or batched.
+// options, so a node's final grid does not depend on which other nodes
+// were swept alongside it.
 
 import (
 	"math"

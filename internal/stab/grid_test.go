@@ -130,8 +130,7 @@ func TestRefinePlanFlatResponse(t *testing.T) {
 }
 
 // TestRefinePlanProperties: outputs are ascending, strictly interior to
-// existing intervals, and identical across repeated calls (determinism is
-// what keeps sharded merges byte-identical).
+// existing intervals, and identical across repeated calls.
 func TestRefinePlanProperties(t *testing.T) {
 	coarse := num.LogGridPPD(1e3, 1e9, 8)
 	tf := ratfn.SecondOrder(0.2, 2*math.Pi*2e6)

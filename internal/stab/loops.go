@@ -29,27 +29,6 @@ type Loop struct {
 	Nodes          []NodePeak
 }
 
-// MergePeaks unions per-shard peak lists into one deterministic list,
-// sorted by node name then peak frequency. A sharded all-nodes run
-// collects its shards' NodePeaks in arrival order, which varies with
-// worker timing; sorting before ClusterLoops makes the merged clustering
-// input — and with it loop membership, worst-peak attribution, and loop
-// IDs — independent of which shard answered first, so a sharded run
-// reproduces the unsharded report exactly.
-func MergePeaks(sets ...[]NodePeak) []NodePeak {
-	var out []NodePeak
-	for _, s := range sets {
-		out = append(out, s...)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Node != out[b].Node {
-			return out[a].Node < out[b].Node
-		}
-		return out[a].Peak.Freq < out[b].Peak.Freq
-	})
-	return out
-}
-
 // ClusterLoops groups node peaks into loops by natural frequency using
 // single-linkage clustering in log frequency: two peaks join the same loop
 // when their frequencies agree within relTol (e.g. 0.12 = 12%). Groups are

@@ -83,9 +83,8 @@ func (t PeakType) String() string {
 }
 
 // ParsePeakType is the inverse of String: it maps a serialized peak-type
-// name (as written by the JSON report) back to its PeakType, so a
-// coordinator can reconstruct peaks from per-shard machine-readable
-// reports.
+// name (as written by the JSON report) back to its PeakType, so
+// report.ParseJSON can reconstruct peaks from a machine-readable report.
 func ParsePeakType(s string) (PeakType, error) {
 	switch s {
 	case "normal":

@@ -7,11 +7,10 @@ package tool
 // intervals the stencil signal marks as interesting (stab.RefinePlan)
 // recovers full peak resolution at a fraction of the solve count.
 //
-// Refinement is decided per node from that node's own samples, which is
-// what keeps sharded all-nodes runs byte-identical: no matter how the
-// node list is partitioned or how nodes are grouped into sweep calls, a
-// node's final grid — and the diag-kernel values on it, which are
-// per-node independent — depends only on the node itself. Each round, all
+// Refinement is decided per node from that node's own samples: no matter
+// how nodes are grouped into sweep calls, a node's final grid — and the
+// diag-kernel values on it, which are per-node independent — depends only
+// on the node itself. Each round, all
 // nodes that want more resolution are swept together over the union of
 // their wanted frequencies, so every new frequency is stamped and
 // refactored once per round and the fixed per-sweep cost — reach-plan

@@ -47,8 +47,7 @@ type Options struct {
 	// intervals whose stability-plot signal exceeds RefineThreshold, down
 	// to RefinePointsPerDecade near detected peaks. 0 disables adaptivity
 	// (every node is swept on the dense PointsPerDecade grid). Refinement
-	// decisions are a pure function of each node's own samples, so sharded
-	// all-nodes runs merge byte-identically regardless of partitioning.
+	// decisions are a pure function of each node's own samples.
 	CoarsePointsPerDecade int
 	// RefinePointsPerDecade caps the adaptive refinement resolution. 0
 	// selects PointsPerDecade; values below CoarsePointsPerDecade or above
@@ -70,13 +69,6 @@ type Options struct {
 	// SkipNodes lists node-name substrings to exclude from all-nodes runs
 	// (e.g. supply rails).
 	SkipNodes []string
-	// OnlyNodes restricts an all-nodes run to exactly these node names
-	// (case-insensitive exact match, applied after SkipNodes/OnlySubckt).
-	// This is the shard coordinator's partitioning handle: a coordinator
-	// plans the full node list once, then ships each worker one slice of
-	// it, so the union of shard runs probes exactly the nodes one
-	// unsharded run would. Empty = no restriction.
-	OnlyNodes []string
 	// OnlySubckt restricts the all-nodes run to the nodes of one
 	// subcircuit instance (the paper's "all nodes in a circuit/
 	// sub-circuit" mode): give the instance path prefix, e.g. "x1" or
@@ -270,18 +262,8 @@ func (t *Tool) nodeList() (idx []int, names []string) {
 	if t.Opts.OnlySubckt != "" {
 		scope = t.subcktNodes(strings.ToLower(t.Opts.OnlySubckt))
 	}
-	var only map[string]bool
-	if len(t.Opts.OnlyNodes) > 0 {
-		only = make(map[string]bool, len(t.Opts.OnlyNodes))
-		for _, n := range t.Opts.OnlyNodes {
-			only[strings.ToLower(n)] = true
-		}
-	}
 	for i, name := range t.Sys.NodeNames {
 		if scope != nil && !scope[name] {
-			continue
-		}
-		if only != nil && !only[name] {
 			continue
 		}
 		skip := false
@@ -297,16 +279,6 @@ func (t *Tool) nodeList() (idx []int, names []string) {
 		}
 	}
 	return idx, names
-}
-
-// PlanNodes returns the node names an all-nodes run with this Tool's
-// options would probe, in sweep order, without running anything. The
-// shard coordinator calls it to partition one all-nodes run into
-// node-range shards whose OnlyNodes lists union back to exactly this
-// plan.
-func (t *Tool) PlanNodes() []string {
-	_, names := t.nodeList()
-	return names
 }
 
 // subcktNodes collects every node touched by elements of the given
@@ -344,6 +316,10 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	}
 	mAllNodesRuns.Inc()
 	idx, names := t.nodeList()
+	if len(idx) == 0 {
+		return nil, fmt.Errorf("tool: no node left to analyze after the OnlySubckt %q and SkipNodes %q filters",
+			t.Opts.OnlySubckt, t.Opts.SkipNodes)
+	}
 	freqs, cols, err := t.columns(ctx, op, idx)
 	if err != nil {
 		return nil, err

@@ -481,6 +481,15 @@ Rg a 0 1e6
 	if len(rep.Loops) != 1 || !num.ApproxEqual(rep.Loops[0].Freq, 1e6, 0.05, 0) {
 		t.Errorf("loops = %+v", rep.Loops)
 	}
+	// A scope with no nodes in it fails by name instead of sweeping an
+	// empty node set.
+	opts.OnlySubckt = "x9"
+	if tl, err = New(c, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tl.AllNodes(context.Background()); err == nil || !strings.Contains(err.Error(), "no node left") {
+		t.Errorf("unknown subckt instance: err = %v", err)
+	}
 }
 
 // TestAnalyzeColumnInPlace: analyzeColumn writes |Z| over the sweep's own
