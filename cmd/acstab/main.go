@@ -96,23 +96,27 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *remote != "" {
-		if strings.Contains(*remote, ",") {
-			return fmt.Errorf("-remote takes one worker URL, got %q", *remote)
+	if strings.Contains(*remote, ",") {
+		return fmt.Errorf("-remote takes one worker URL, got %q", *remote)
+	}
+	// A farm job, remote or one -corners variant, is one whole analysis of
+	// the deck at its own temperature; what it cannot carry is refused by
+	// name rather than silently dropped. Only the wire lacks -residual-tol.
+	refuse := func(what string) error {
+		if *remote != "" {
+			return fmt.Errorf("%s does not run remotely; drop -remote to run it locally", what)
 		}
-		// A farm job is one whole analysis of the deck at its own
-		// temperature; what the wire cannot carry is refused by name
-		// rather than silently dropped.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"mc", *mcRuns > 0}, {"temps", *temps != ""}, {"sweep", *sweep != ""},
-			{"plot", *plot}, {"residual-tol", *resTol != 0},
-		} {
-			if f.set {
-				return fmt.Errorf("-%s does not run remotely; drop -remote to run it locally", f.name)
-			}
+		return fmt.Errorf("%s does not run with -corners: each corner is one analysis of the deck at its own temperature", what)
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"mc", *mcRuns > 0}, {"temps", *temps != ""}, {"sweep", *sweep != ""},
+		{"plot", *plot}, {"residual-tol", *resTol != 0 && *remote != ""},
+	} {
+		if f.set && (*remote != "" || *corners != "") {
+			return refuse("-" + f.name)
 		}
 	}
 
@@ -180,14 +184,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 		}
 		ckt.Params[name] = v
 		overrides[name] = v
-		// Re-evaluate element expressions with the override.
-		for _, e := range ckt.Elems {
-			if e.ValueExpr != "" {
-				if v, err := netlist.EvalExpr(e.ValueExpr, ckt.Params); err == nil {
-					e.Value = v
-				}
-			}
-		}
 	}
 
 	opts := tool.DefaultOptions()
@@ -223,8 +219,8 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *remote != "" && st.TempC != nil && *st.TempC != ckt.Temp {
-			return fmt.Errorf("-state: temp_c %g does not run remotely (the deck runs at %g); drop -remote to run it locally", *st.TempC, ckt.Temp)
+		if (*remote != "" || *corners != "") && st.TempC != nil && *st.TempC != ckt.Temp {
+			return refuse(fmt.Sprintf("-state: temp_c %g (the deck runs at %g)", *st.TempC, ckt.Temp))
 		}
 		if err := st.Apply(ckt, &opts, true); err != nil {
 			return err

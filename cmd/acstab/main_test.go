@@ -691,3 +691,51 @@ func TestRemoteRefusals(t *testing.T) {
 		}
 	}
 }
+
+// TestCornersRefusals: a local -corners batch runs every corner at the
+// deck's own temperature through the farm, so each flag it cannot honour
+// is refused by name instead of printing 27 C reports. -residual-tol runs
+// locally, and a -state file at the deck's temperature is accepted.
+func TestCornersRefusals(t *testing.T) {
+	path := writeNetlist(t, tankNetlist)
+	corners := writeCorners(t, "nom\nhi_r rq=2k\n")
+	dir := t.TempDir()
+	hot := filepath.Join(dir, "hot.json")
+	if err := os.WriteFile(hot, []byte(`{"version": 1, "temp_c": 85}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deck := filepath.Join(dir, "deck.json")
+	if err := os.WriteFile(deck, []byte(`{"version": 1, "temp_c": 27}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mc", "4", "-sigma", "rq=0.1"}, "-mc does not run with -corners"},
+		{[]string{"-temps", "85,125"}, "-temps does not run with -corners"},
+		{[]string{"-sweep", "rq=100,200"}, "-sweep does not run with -corners"},
+		{[]string{"-node", "t", "-plot"}, "-plot does not run with -corners"},
+		{[]string{"-state", hot}, "-state: temp_c 85"},
+	} {
+		args := append([]string{"-i", path, "-corners", corners}, tc.args...)
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: refused run printed %q", tc.args, out.String())
+		}
+	}
+	for _, extra := range [][]string{{"-residual-tol", "1e-6"}, {"-state", deck}} {
+		var out bytes.Buffer
+		args := append([]string{"-i", path, "-node", "t", "-corners", corners}, extra...)
+		if err := run(args, &out); err != nil {
+			t.Errorf("%v: %v", extra, err)
+		}
+		if !strings.Contains(out.String(), "=== CORNER hi_r (") {
+			t.Errorf("%v: no corner reports in:\n%s", extra, out.String())
+		}
+	}
+}

@@ -1192,116 +1192,25 @@ func (fz *acFactorizer) flush() {
 // circuit's own AC sources as excitation. A canceled ctx aborts between
 // frequency points — within one linear solve of the cancellation.
 func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResult, error) {
-	n := s.Sys.NumUnknowns()
-	res := &ACResult{sys: s.Sys, Freqs: append([]float64(nil), freqs...)}
-	res.Sol = make([][]complex128, len(freqs))
-	if len(freqs) == 0 {
-		return res, nil
+	sol, err := s.sweep(ctx, sweepExcite, freqs, op, nil)
+	if err != nil {
+		return nil, err
 	}
-	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
-	defer fz.flush()
-	slow := newSlowTracker(s.Trace)
-	defer slow.flush(s.Trace)
-	b := make([]complex128, n)
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		omega := 2 * math.Pi * f
-		for i := range b {
-			b[i] = 0
-		}
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		slv, err := fz.at(omega, b)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
-		}
-		x := make([]complex128, n)
-		if err := slv.SolveInto(x, b); err != nil {
-			return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
-		}
-		fz.solves++
-		if _, err := fz.verify(slv, omega, f, x, b, true); err != nil {
-			return nil, err
-		}
-		fz.condSampleAt(k, len(freqs))
-		if slow != nil {
-			slow.note(f, time.Since(t0), fz.kind)
-		}
-		res.Sol[k] = x
-	}
-	return res, nil
+	return &ACResult{sys: s.Sys, Freqs: append([]float64(nil), freqs...), Sol: sol}, nil
 }
 
 // ImpedanceMatrixColumns computes driving-point impedances: for every
 // frequency it factors the AC matrix once and back-substitutes one RHS per
 // requested node (unit current injection), returning Z[nodeIdxInList][freq].
-// Every column is a full solution; driving-point sweeps go through
-// ImpedanceDiagSweep, which delegates here in dense mode. In sparse mode
-// the factorization itself is the two-phase kind: the pivot order and fill
-// pattern come from the Sim-shared symbolic analysis and each frequency
-// only refills preallocated numeric arrays, so the steady-state loop body
-// performs no allocations at all. A canceled ctx aborts between frequency
-// points — within one factorization of the cancellation.
+// Every column is a full solution, the reference ImpedanceDiagSweep's
+// kernel is tested against. In sparse mode the factorization itself is the
+// two-phase kind: the pivot order and fill pattern come from the
+// Sim-shared symbolic analysis and each frequency only refills
+// preallocated numeric arrays, so the steady-state loop body performs no
+// allocations at all. A canceled ctx aborts between frequency points —
+// within one factorization of the cancellation.
 func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
-	n := s.Sys.NumUnknowns()
-	out := make([][]complex128, len(nodeIdx))
-	for i := range out {
-		out[i] = make([]complex128, len(freqs))
-	}
-	if len(freqs) == 0 {
-		return out, nil
-	}
-	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
-	defer fz.flush()
-	slow := newSlowTracker(s.Trace)
-	defer slow.flush(s.Trace)
-	b := make([]complex128, n)
-	x := make([]complex128, n)
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		omega := 2 * math.Pi * f
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		slv, err := fz.at(omega, nil)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-		}
-		for i, idx := range nodeIdx {
-			b[idx] = 1 // 1 A injection into the node
-			err := slv.SolveInto(x, b)
-			if err != nil {
-				b[idx] = 0
-				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-			}
-			if i == 0 {
-				// Verify the frequency's first column while its injection is
-				// still stamped into b; an escalated factorization replaces
-				// slv for the remaining columns.
-				slv2, verr := fz.verify(slv, omega, f, x, b, false)
-				if verr != nil {
-					b[idx] = 0
-					return nil, verr
-				}
-				slv = slv2
-			}
-			b[idx] = 0 // b stays all-zero between solves
-			out[i][k] = x[idx]
-		}
-		fz.solves += int64(len(nodeIdx))
-		fz.condSampleAt(k, len(freqs))
-		if slow != nil {
-			slow.note(f, time.Since(t0), fz.kind)
-		}
-	}
-	return out, nil
+	return s.sweep(ctx, sweepColumns, freqs, op, nodeIdx)
 }
 
 // ImpedanceDiagSweep computes only the driving-point diagonal
@@ -1317,59 +1226,147 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // loop body is allocation-free. Frequencies that leave the refactor path
 // — a collapsed pivot falling back to a fresh factorization, or pattern
 // drift found by the sweep-start stamp pass — fall back to full
-// per-node SolveInto for that point and count against
+// per-node substitutions for that point and count against
 // acstab_ac_diag_fallbacks_total: a fresh factorization has its own pivot
 // order, which the shared plan does not describe. Dense mode has no
-// elimination DAG to exploit and delegates wholesale to
-// ImpedanceMatrixColumns.
+// elimination DAG to exploit, so there every point runs the full
+// substitutions of ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
-	if !s.useSparse() {
-		return s.ImpedanceMatrixColumns(ctx, freqs, op, nodeIdx)
-	}
-	n := s.Sys.NumUnknowns()
-	out := make([][]complex128, len(nodeIdx))
-	for i := range out {
-		out[i] = make([]complex128, len(freqs))
+	return s.sweep(ctx, sweepDiag, freqs, op, nodeIdx)
+}
+
+// sweepMode selects what the per-frequency AC loop solves at each point.
+type sweepMode int
+
+const (
+	// sweepExcite solves the circuit's own AC excitation and keeps each
+	// point's full solution vector (AC).
+	sweepExcite sweepMode = iota
+	// sweepColumns injects 1 A into each requested node in turn and keeps
+	// that node's entry of the full substitution (ImpedanceMatrixColumns).
+	sweepColumns
+	// sweepDiag reads the same entries through the reach-restricted
+	// diagonal kernel wherever the sparse refactor path holds
+	// (ImpedanceDiagSweep).
+	sweepDiag
+)
+
+// sweep is the one per-frequency AC loop behind AC,
+// ImpedanceMatrixColumns and ImpedanceDiagSweep: at each frequency it
+// factors the AC matrix once and solves what mode asks for from that
+// factorization. It returns Sol[freq] for sweepExcite and Z[node][freq]
+// otherwise. Every point's first full solve goes through the residual
+// check (verify); a kernel point only has one on every
+// defResidualProbeEvery-th frequency.
+func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
+	var out [][]complex128
+	if mode == sweepExcite {
+		out = make([][]complex128, len(freqs))
+	} else {
+		out = make([][]complex128, len(nodeIdx))
+		for i := range out {
+			out[i] = make([]complex128, len(freqs))
+		}
 	}
 	if len(freqs) == 0 {
 		return out, nil
 	}
-	sp := obs.StartPhase(s.Trace, "diag_solve")
+	if mode == sweepDiag && !s.useSparse() {
+		mode = sweepColumns
+	}
+	var sp *obs.Span
+	if mode == sweepDiag {
+		sp = obs.StartPhase(s.Trace, "diag_solve")
+	}
 	defer sp.End()
 	fz := s.newACFactorizer(2*math.Pi*freqs[0], op)
 	defer fz.flush()
 	slow := newSlowTracker(s.Trace)
 	defer slow.flush(s.Trace)
 	var plan *sparse.DiagPlan
-	if fz.sym != nil {
-		p, err := s.acShared().ensureDiagPlan(fz.sym, nodeIdx)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
+	var diag []complex128
+	if mode == sweepDiag {
+		if fz.sym != nil {
+			p, err := s.acShared().ensureDiagPlan(fz.sym, nodeIdx)
+			if err != nil {
+				return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
+			}
+			plan = p
 		}
-		plan = p
+		diag = make([]complex128, len(nodeIdx))
 	}
-	diag := make([]complex128, len(nodeIdx))
+	n := s.Sys.NumUnknowns()
 	b := make([]complex128, n)
-	x := make([]complex128, n)
+	var x []complex128
+	if mode != sweepExcite {
+		x = make([]complex128, n)
+	}
+	what := "impedance"
+	if mode == sweepExcite {
+		what = "AC"
+	}
+
+	// inject solves one unit-injection column per node of nodes on slv —
+	// 1 A into the node, b all-zero elsewhere — and keeps the node's own
+	// entry, its driving-point impedance, in out[i][k]. With check set the
+	// first column is verified while its injection is still stamped into
+	// b; an escalated factorization replaces slv for the remaining columns
+	// and is returned.
+	inject := func(slv cSolver, nodes []int, k int, omega, f float64, check bool) (cSolver, error) {
+		for i, idx := range nodes {
+			b[idx] = 1
+			if err := slv.SolveInto(x, b); err != nil {
+				b[idx] = 0
+				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+			}
+			if check && i == 0 {
+				slv2, err := fz.verify(slv, omega, f, x, b, false)
+				if err != nil {
+					b[idx] = 0
+					return nil, err
+				}
+				slv = slv2
+			}
+			b[idx] = 0
+			out[i][k] = x[idx]
+		}
+		return slv, nil
+	}
+
 	for k, f := range freqs {
 		if err := acerr.Ctx(ctx); err != nil {
 			return nil, err
 		}
 		omega := 2 * math.Pi * f
+		var rhs []complex128
+		if mode == sweepExcite {
+			clear(b)
+			rhs = b
+		}
 		var t0 time.Time
 		if slow != nil {
 			t0 = time.Now()
 		}
-		slv, err := fz.at(omega, nil)
+		slv, err := fz.at(omega, rhs)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+			return nil, fmt.Errorf("analysis: %s at %g Hz: %w", what, f, err)
 		}
-		kind := fz.kind
-		if fz.kind == solveKindRefactor && plan != nil {
-			// Refactor succeeded under the frozen pivot order, so the plan's
-			// reach sets describe exactly this factorization.
-			num := fz.num
-			if err := num.SolveDiagInto(diag, plan); err != nil {
+		// The plan's reach sets describe exactly the factorization the
+		// refill just built under the frozen pivot order, and nothing else.
+		kernel := plan != nil && fz.kind == solveKindRefactor
+		switch {
+		case mode == sweepExcite:
+			sol := make([]complex128, n)
+			if err := slv.SolveInto(sol, b); err != nil {
+				return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
+			}
+			fz.solves++
+			if _, err := fz.verify(slv, omega, f, sol, b, true); err != nil {
+				return nil, err
+			}
+			out[k] = sol
+		case kernel:
+			if err := fz.num.SolveDiagInto(diag, plan); err != nil {
 				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
 			}
 			for i := range nodeIdx {
@@ -1377,75 +1374,50 @@ func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.O
 			}
 			fz.diagSolves++
 			fz.diagRows += plan.RowsPerSolve()
-			kind = solveKindDiag
-			// Sampled residual probe: the batched kernel produces only the
-			// Z_kk values, so every defResidualProbeEvery-th frequency runs
-			// one full solve for the first node and verifies it. The kernel
-			// and the full solve perform bitwise-identical arithmetic on the
+			// Sampled residual probe: the kernel produces only the Z_kk
+			// values, so every defResidualProbeEvery-th frequency runs one
+			// full solve for the first node and verifies it. The kernel and
+			// the full solve perform bitwise-identical arithmetic on the
 			// shared factorization (both skip zero multipliers), so
 			// overwriting the kernel's value with the probe's is exact, not
 			// a perturbation.
-			if fz.resThreshold > 0 && k%defResidualProbeEvery == 0 {
-				idx0 := nodeIdx[0]
-				b[idx0] = 1
-				perr := num.SolveInto(x, b)
-				if perr != nil {
-					b[idx0] = 0
-					return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, perr)
+			if fz.resThreshold > 0 && k%defResidualProbeEvery == 0 && len(nodeIdx) > 0 {
+				slv2, err := inject(slv, nodeIdx[:1], k, omega, f, true)
+				if err != nil {
+					return nil, err
 				}
-				slv2, verr := fz.verify(num, omega, f, x, b, false)
-				b[idx0] = 0
-				if verr != nil {
-					return nil, verr
-				}
-				out[0][k] = x[idx0]
-				if slv2 != cSolver(num) {
-					// The ladder escalated to a fresh factorization:
-					// the kernel's values for this frequency came from the
-					// degraded one, so redo the whole point on the new
-					// solver with full substitutions.
-					kind = fz.kind
+				if slv2 != slv {
+					// The ladder escalated to a fresh factorization: the
+					// kernel's values came from the degraded one, so redo
+					// the whole point on the new solver.
+					kernel = false
 					fz.diagFallbacks++
-					for i, idx := range nodeIdx {
-						b[idx] = 1
-						serr := slv2.SolveInto(x, b)
-						b[idx] = 0
-						if serr != nil {
-							return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, serr)
-						}
-						out[i][k] = x[idx]
+					if _, err := inject(slv2, nodeIdx, k, omega, f, false); err != nil {
+						return nil, err
 					}
 				}
 			}
-			fz.condSampleAt(k, len(freqs))
-		} else {
-			// Fallback factorization (collapsed pivot, drift, or a failed
-			// symbolic build): its pivot order is its own, so the frozen
-			// reach sets do not apply — run the full per-node substitutions.
-			fz.diagFallbacks++
-			for i, idx := range nodeIdx {
-				b[idx] = 1 // 1 A injection into the node
-				err := slv.SolveInto(x, b)
-				if err != nil {
-					b[idx] = 0
-					return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
-				}
-				if i == 0 {
-					slv2, verr := fz.verify(slv, omega, f, x, b, false)
-					if verr != nil {
-						b[idx] = 0
-						return nil, verr
-					}
-					slv = slv2
-					kind = fz.kind
-				}
-				b[idx] = 0 // b stays all-zero between solves
-				out[i][k] = x[idx]
+		default:
+			if mode == sweepDiag {
+				// A fallback factorization (collapsed pivot, drift, or a
+				// failed symbolic build) has its own pivot order, which the
+				// frozen reach sets do not describe.
+				fz.diagFallbacks++
+			}
+			if _, err := inject(slv, nodeIdx, k, omega, f, true); err != nil {
+				return nil, err
 			}
 		}
-		fz.solves += int64(len(nodeIdx))
+		if mode != sweepExcite {
+			fz.solves += int64(len(nodeIdx))
+		}
+		fz.condSampleAt(k, len(freqs))
 		if slow != nil {
-			slow.note(f, time.Since(t0), kind)
+			tag := fz.kind
+			if kernel {
+				tag = solveKindDiag
+			}
+			slow.note(f, time.Since(t0), tag)
 		}
 	}
 	return out, nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"acstab/internal/circuits"
+	"acstab/internal/mna"
 	"acstab/internal/netlist"
 	"acstab/internal/obs"
 	"acstab/internal/sparse"
@@ -493,6 +494,25 @@ func TestImpedanceDiagTrace(t *testing.T) {
 	for i, p := range tr.SlowPoints {
 		if p.Detail != solveKindDiag {
 			t.Errorf("slow[%d] solver path = %q, want %q", i, p.Detail, solveKindDiag)
+		}
+	}
+}
+
+// TestImpedanceSweepsNoNodes: an impedance sweep over no nodes returns no
+// rows on every path. The diag kernel's residual probe used to read the
+// first node unconditionally and panicked on the refactor path.
+func TestImpedanceSweepsNoNodes(t *testing.T) {
+	s := compile(t, driftLadder(false))
+	op := mustOP(t, s)
+	for _, m := range []MatrixMode{MatrixSparse, MatrixDense} {
+		s.Opt.Matrix = m
+		for name, sweep := range map[string]func(context.Context, []float64, *mna.OpPoint, []int) ([][]complex128, error){
+			"ImpedanceDiagSweep": s.ImpedanceDiagSweep, "ImpedanceMatrixColumns": s.ImpedanceMatrixColumns,
+		} {
+			z, err := sweep(context.Background(), sweepFreqs(20), op, nil)
+			if err != nil || len(z) != 0 {
+				t.Errorf("mode %d %s: %d rows, err %v; want none, nil", m, name, len(z), err)
+			}
 		}
 	}
 }

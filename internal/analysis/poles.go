@@ -38,17 +38,29 @@ type Pole struct {
 // The dense reduction is O(n³): appropriate for the circuit sizes of this
 // repository's workloads (hundreds of unknowns).
 func (s *Sim) Poles(ctx context.Context, op *mna.OpPoint, minHz, maxHz float64) ([]Pole, error) {
+	g, c := s.pencil(op)
+	return pencilEigen(ctx, g, c, minHz, maxHz, "pole analysis")
+}
+
+// pencil recovers G and C from the AC stamp: A(ω) = G + jωC is linear in
+// ω, so G is the stamp at ω = 0 and C the difference to the one at ω = 1.
+func (s *Sim) pencil(op *mna.OpPoint) (g, c *linalg.CMatrix) {
 	n := s.Sys.NumUnknowns()
-	// Recover G and C from the AC stamp: A(ω) = G + jωC is linear in ω.
-	g := linalg.NewCMatrix(n)
+	g = linalg.NewCMatrix(n)
 	s.Sys.StampAC(g, nil, 0, op)
 	a1 := linalg.NewCMatrix(n)
 	s.Sys.StampAC(a1, nil, 1, op)
-	c := linalg.NewCMatrix(n)
+	c = linalg.NewCMatrix(n)
 	for i := range c.Data {
 		c.Data[i] = (a1.Data[i] - g.Data[i]) / complex(0, 1)
 	}
+	return g, c
+}
 
+// pencilEigen returns the finite generalized eigenvalues s of the pencil
+// (G + sC)x = 0 with |s| in [2π·minHz, 2π·maxHz], sorted by frequency.
+// Errors carry the analysis name what.
+func pencilEigen(ctx context.Context, g, c *linalg.CMatrix, minHz, maxHz float64, what string) ([]Pole, error) {
 	// Shift: real positive, away from LHP poles, scaled to the band.
 	sigma := 2 * math.Pi * math.Sqrt(math.Max(minHz, 1)*math.Max(maxHz, 1))
 	var m *linalg.CMatrix
@@ -61,11 +73,11 @@ func (s *Sim) Poles(ctx context.Context, op *mna.OpPoint, minHz, maxHz float64) 
 		sigma *= 1.7183 // nudge off an unlucky pole
 	}
 	if err != nil {
-		return nil, fmt.Errorf("analysis: pole analysis: %w", err)
+		return nil, fmt.Errorf("analysis: %s: %w", what, err)
 	}
 	mu, err := linalg.Eigenvalues(m)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: pole analysis: %w", err)
+		return nil, fmt.Errorf("analysis: %s: %w", what, err)
 	}
 	lo, hi := 2*math.Pi*minHz, 2*math.Pi*maxHz
 	var out []Pole
@@ -160,14 +172,7 @@ func (s *Sim) TransferZeros(ctx context.Context, op *mna.OpPoint, src, outNode s
 		return nil, err
 	}
 
-	g := linalg.NewCMatrix(n)
-	s.Sys.StampAC(g, nil, 0, op)
-	a1 := linalg.NewCMatrix(n)
-	s.Sys.StampAC(a1, nil, 1, op)
-	c := linalg.NewCMatrix(n)
-	for i := range c.Data {
-		c.Data[i] = (a1.Data[i] - g.Data[i]) / complex(0, 1)
-	}
+	g, c := s.pencil(op)
 
 	// Augmented pencil of size n+1.
 	m := n + 1
@@ -182,37 +187,7 @@ func (s *Sim) TransferZeros(ctx context.Context, op *mna.OpPoint, src, outNode s
 	}
 	ga.Set(n, outIdx, 1)
 
-	sigma := 2 * math.Pi * math.Sqrt(math.Max(minHz, 1)*math.Max(maxHz, 1))
-	var mm *linalg.CMatrix
-	for attempt := 0; attempt < 4; attempt++ {
-		mm, err = shiftInvert(ctx, ga, ca, complex(sigma, 0))
-		if err == nil {
-			break
-		}
-		sigma *= 1.7183
-	}
-	if err != nil {
-		return nil, fmt.Errorf("analysis: zero analysis: %w", err)
-	}
-	mu, err := linalg.Eigenvalues(mm)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: zero analysis: %w", err)
-	}
-	lo, hi := 2*math.Pi*minHz, 2*math.Pi*maxHz
-	var out []Pole
-	for _, u := range mu {
-		if cmplx.Abs(u) < 1e-300 {
-			continue
-		}
-		z := complex(sigma, 0) - 1/u
-		mag := cmplx.Abs(z)
-		if mag < lo || mag > hi {
-			continue
-		}
-		out = append(out, Pole{S: z, FreqHz: mag / (2 * math.Pi), Zeta: -real(z) / mag})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].FreqHz < out[b].FreqHz })
-	return out, nil
+	return pencilEigen(ctx, ga, ca, minHz, maxHz, "zero analysis")
 }
 
 // unitExcitation builds the AC RHS vector of the named independent source

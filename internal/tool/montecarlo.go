@@ -63,10 +63,7 @@ func MonteCarlo(ctx context.Context, ckt *netlist.Circuit, opts Options, spec MC
 			vars[name] = nominal * math.Exp(sigma*rng.NormFloat64())
 		}
 		sample := MCSample{Variables: vars}
-		rep, err := runOneCorner(ctx, ckt, opts, Corner{
-			Name:   fmt.Sprintf("mc-%d", k),
-			Params: vars,
-		})
+		rep, err := runVariant(ctx, ckt, opts, vars, nil)
 		if err != nil {
 			sample.Err = err
 			res.Failed++

@@ -74,7 +74,8 @@ func LoadState(r io.Reader) (*State, error) {
 }
 
 // Apply merges the state into run options and (when vars is true) the
-// circuit's design variables, re-evaluating dependent element values.
+// circuit's temperature and design variables; Flatten re-evaluates the
+// element values that read them.
 func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 	if s.FStart > 0 {
 		opts.FStart = s.FStart
@@ -104,11 +105,6 @@ func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 		}
 		ckt.Params[k] = v
 	}
-	for _, e := range ckt.Elems {
-		if err := reevaluate(e, ckt.Params); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -132,10 +128,7 @@ func RunParamSweep(ctx context.Context, ckt *netlist.Circuit, opts Options, para
 	out := make([]ParamSweepPoint, len(sorted))
 	for i, v := range sorted {
 		out[i].Value = v
-		rep, err := runOneCorner(ctx, ckt, opts, Corner{
-			Name:   fmt.Sprintf("%s=%g", param, v),
-			Params: map[string]float64{param: v},
-		})
+		rep, err := runVariant(ctx, ckt, opts, map[string]float64{param: v}, nil)
 		out[i].Report = rep
 		out[i].Err = err
 	}

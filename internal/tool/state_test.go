@@ -3,6 +3,7 @@ package tool
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,8 +82,35 @@ func TestStateVariableOverrideReevaluates(t *testing.T) {
 	if err := st.Apply(c, &opts, true); err != nil {
 		t.Fatal(err)
 	}
-	if c.Element("r1").Value != 2000 {
-		t.Errorf("element not re-evaluated: %g", c.Element("r1").Value)
+	flat, err := netlist.Flatten(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Element("r1").Value != 2000 {
+		t.Errorf("element not re-evaluated: %g", flat.Element("r1").Value)
+	}
+}
+
+// TestCloneForOverrideKeepsDeck: a corner, temperature, sweep or Monte
+// Carlo run analyses the same deck as the plain run — .nodeset, options
+// and models included — and its overrides never reach the caller's
+// circuit.
+func TestCloneForOverrideKeepsDeck(t *testing.T) {
+	c, err := netlist.Parse(paramTank + ".nodeset v(t)=0.5\n.option gmin=1e-12\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := cloneForOverride(c)
+	mod.Params["rval"] = 2000
+	mod.Temp = 85
+	if c.Params["rval"] != 500 || c.Temp != 27 {
+		t.Errorf("override reached the source circuit: rval=%g temp=%g", c.Params["rval"], c.Temp)
+	}
+	if !reflect.DeepEqual(mod.NodeSet, c.NodeSet) || len(mod.NodeSet) != 1 {
+		t.Errorf("nodeset = %v, want %v", mod.NodeSet, c.NodeSet)
+	}
+	if !reflect.DeepEqual(mod.Options, c.Options) || len(mod.Elems) != len(c.Elems) {
+		t.Errorf("clone dropped options or elements: %v, %d elements", mod.Options, len(mod.Elems))
 	}
 }
 

@@ -2,7 +2,7 @@ package tool
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"sort"
 
 	"acstab/internal/acerr"
@@ -10,59 +10,19 @@ import (
 	"acstab/internal/stab"
 )
 
-// Corner is a named set of design-variable overrides (the "in-tool corners
-// setup" feature from the paper's in-development list). Overrides apply to
-// the circuit's .param design variables before flattening.
-type Corner struct {
-	Name string
-	// Params overrides design variables by name.
-	Params map[string]float64
-	// Temp, if non-zero, overrides the simulation temperature (Celsius;
-	// use TempSet for an explicit 0C corner).
-	Temp    float64
-	TempSet bool
-}
-
-// CornerResult pairs a corner with its all-nodes report.
-type CornerResult struct {
-	Corner Corner
-	Report *Report
-	Err    error
-}
-
-// RunCorners executes an all-nodes analysis per corner, rebuilding the
-// circuit with the corner's design variables. Corners run independently;
-// a corner that fails carries its error rather than aborting the set.
-func RunCorners(ctx context.Context, ckt *netlist.Circuit, opts Options, corners []Corner) []CornerResult {
-	out := make([]CornerResult, len(corners))
-	for i, c := range corners {
-		out[i].Corner = c
-		rep, err := runOneCorner(ctx, ckt, opts, c)
-		out[i].Report = rep
-		out[i].Err = err
-	}
-	return out
-}
-
-func runOneCorner(ctx context.Context, ckt *netlist.Circuit, opts Options, c Corner) (*Report, error) {
+// runVariant runs an all-nodes analysis of a copy of ckt with params put
+// over its design variables and, when temp is non-nil, at *temp °C. The
+// callers check the names. Flatten re-evaluates every value, parameter and
+// source spec that reads a design variable, so the override only has to
+// reach the copy's Params.
+func runVariant(ctx context.Context, ckt *netlist.Circuit, opts Options, params map[string]float64, temp *float64) (*Report, error) {
 	if err := acerr.Ctx(ctx); err != nil {
 		return nil, err
 	}
 	mod := cloneForOverride(ckt)
-	for k, v := range c.Params {
-		if _, ok := mod.Params[k]; !ok {
-			return nil, fmt.Errorf("tool: corner %q: unknown design variable %q", c.Name, k)
-		}
-		mod.Params[k] = v
-	}
-	if c.TempSet || c.Temp != 0 {
-		mod.Temp = c.Temp
-	}
-	// Re-evaluate element values that reference design variables.
-	for _, e := range mod.Elems {
-		if err := reevaluate(e, mod.Params); err != nil {
-			return nil, fmt.Errorf("tool: corner %q: %v", c.Name, err)
-		}
+	maps.Copy(mod.Params, params)
+	if temp != nil {
+		mod.Temp = *temp
 	}
 	t, err := New(mod, opts)
 	if err != nil {
@@ -71,48 +31,13 @@ func runOneCorner(ctx context.Context, ckt *netlist.Circuit, opts Options, c Cor
 	return t.AllNodes(ctx)
 }
 
-// cloneForOverride shallow-copies the circuit with fresh params/elements
-// so overrides don't mutate the caller's netlist.
+// cloneForOverride copies the circuit with its own Params map, so
+// overrides of design variables and temperature don't mutate the caller's
+// netlist. Everything else, .nodeset included, is shared read-only.
 func cloneForOverride(ckt *netlist.Circuit) *netlist.Circuit {
-	c := netlist.NewCircuit(ckt.Title)
-	c.Temp = ckt.Temp
-	for k, v := range ckt.Params {
-		c.Params[k] = v
-	}
-	for k, v := range ckt.Options {
-		c.Options[k] = v
-	}
-	for k, v := range ckt.Models {
-		c.Models[k] = v
-	}
-	for k, v := range ckt.Subckts {
-		c.Subckts[k] = v
-	}
-	for _, e := range ckt.Elems {
-		ne := *e
-		if e.Params != nil {
-			ne.Params = map[string]float64{}
-			for k, v := range e.Params {
-				ne.Params[k] = v
-			}
-		}
-		c.Add(&ne)
-	}
-	return c
-}
-
-// reevaluate re-computes an element value from its stored expression with
-// the (possibly overridden) design variables.
-func reevaluate(e *netlist.Element, params map[string]float64) error {
-	if e.ValueExpr == "" {
-		return nil
-	}
-	v, err := netlist.EvalExpr(e.ValueExpr, params)
-	if err != nil {
-		return err
-	}
-	e.Value = v
-	return nil
+	c := *ckt
+	c.Params = maps.Clone(ckt.Params)
+	return &c
 }
 
 // TempResult pairs a temperature with its all-nodes report.
@@ -131,7 +56,7 @@ func RunTemps(ctx context.Context, ckt *netlist.Circuit, opts Options, temps []f
 	out := make([]TempResult, len(sorted))
 	for i, temp := range sorted {
 		out[i].Temp = temp
-		rep, err := runOneCorner(ctx, ckt, opts, Corner{Name: fmt.Sprintf("%gC", temp), Temp: temp, TempSet: true})
+		rep, err := runVariant(ctx, ckt, opts, nil, &temp)
 		out[i].Report = rep
 		out[i].Err = err
 	}

@@ -1,8 +1,9 @@
 // Package tool orchestrates the stability analysis the way the paper's
 // DFII tool does: "Single Node" and "All Nodes" run modes, auto-zeroing of
 // pre-existing AC stimuli, skipped-node detection, loop clustering,
-// parallel sweep execution (the "compute farm" substitute), corner and
-// temperature sweep drivers, and design-variable overrides.
+// parallel sweep execution (the "compute farm" substitute), temperature,
+// design-variable and Monte Carlo sweep drivers, and design-variable
+// overrides.
 package tool
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -459,7 +461,8 @@ func (t *Tool) workers(n int) int {
 // are computed once and reused by every worker. The first failure cancels
 // the remaining workers so a dying run releases its CPUs promptly, and the
 // root cause is reported: a real solver failure beats the secondary
-// cancellation errors it induced in sibling workers.
+// cancellation errors it induced in sibling workers. A worker that panics
+// fails the run with an error carrying the panic value and its stack.
 func (t *Tool) fanOut(ctx context.Context, n int, work func(ctx context.Context, sim *analysis.Sim, lo, hi int) error) error {
 	workers := t.workers(n)
 	if workers <= 1 {
@@ -478,6 +481,14 @@ func (t *Tool) fanOut(ctx context.Context, n int, work func(ctx context.Context,
 			defer wg.Done()
 			mWorkersBusy.Inc()
 			defer mWorkersBusy.Dec()
+			// net/http recovers only the handler goroutine, so a panic here
+			// would end a whole acstabd: it fails this run instead.
+			defer func() {
+				if p := recover(); p != nil {
+					errCh <- fmt.Errorf("tool: sweep worker panic: %v\n%s", p, debug.Stack())
+					cancel()
+				}
+			}()
 			if err := work(wctx, t.Sim.Fork(), lo, hi); err != nil {
 				errCh <- err
 				cancel()

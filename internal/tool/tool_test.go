@@ -2,11 +2,13 @@ package tool
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"acstab/internal/analysis"
 	"acstab/internal/circuits"
@@ -349,47 +351,6 @@ func TestSkipNodesFilter(t *testing.T) {
 	}
 }
 
-func TestRunCorners(t *testing.T) {
-	// Parameterized tank: rval controls damping.
-	src := `param tank
-.param rval=500
-R1 t 0 {rval}
-L1 t 0 25.33u
-C1 t 0 1n
-`
-	c, err := netlist.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.FStart, opts.FStop = 1e4, 1e8
-	res := RunCorners(context.Background(), c, opts, []Corner{
-		{Name: "nom"},
-		{Name: "light", Params: map[string]float64{"rval": 2000}},
-		{Name: "bad", Params: map[string]float64{"nosuch": 1}},
-	})
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("corner errors: %v %v", res[0].Err, res[1].Err)
-	}
-	if res[2].Err == nil {
-		t.Error("unknown design variable should fail")
-	}
-	// Higher R means lighter damping: deeper peak.
-	w0 := WorstLoop(res[0].Report)
-	w1 := WorstLoop(res[1].Report)
-	if w0 == nil || w1 == nil {
-		t.Fatal("missing loops")
-	}
-	if !(w1.WorstPeak < w0.WorstPeak) {
-		t.Errorf("light corner peak %g should be deeper than nominal %g",
-			w1.WorstPeak, w0.WorstPeak)
-	}
-	// Original circuit untouched.
-	if c.Params["rval"] != 500 {
-		t.Error("corner run mutated the source circuit")
-	}
-}
-
 func TestRunTemps(t *testing.T) {
 	// Tank with a strong positive resistor tempco: hotter -> more R ->
 	// lighter damping (deeper peak).
@@ -544,5 +505,31 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 	})
 	if want := 5.0; got > want {
 		t.Errorf("warm analyzeColumn allocated %v times, want at most %v (wave, name, NodeResult + Analyze's Result and Peaks; no plot)", got, want)
+	}
+}
+
+// TestFanOutRecoversWorkerPanic: a panic in one sweep worker fails the
+// run with an error carrying the panic value and stack, cancels its
+// siblings, and leaves the process running.
+func TestFanOutRecoversWorkerPanic(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	tl, err := New(circuits.SecondOrder(0.3, 1e6), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tl.fanOut(context.Background(), 8, func(ctx context.Context, _ *analysis.Sim, lo, hi int) error {
+		if lo == 0 {
+			panic("chunk 0 blew up")
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(10 * time.Second):
+			return errors.New("sibling worker was not canceled")
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "chunk 0 blew up") || !strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("err = %v, want the panic value and its stack", err)
 	}
 }
