@@ -40,8 +40,8 @@ var (
 	mACSymbolicReuses    = obs.GetCounter("acstab_ac_symbolic_reuses_total")
 	mACRefactorFallbacks = obs.GetCounter("acstab_ac_refactor_fallbacks_total")
 	mACPatternDrift      = obs.GetCounter("acstab_ac_pattern_drift_total")
-	// Diagonal-extraction kernel telemetry: batched reach-restricted
-	// Z_kk solves taken, rows those solves actually visited (compare
+	// Diagonal-extraction kernel telemetry: batched Z_kk solves taken,
+	// rows their compiled programs actually visited (compare
 	// against 2·n·nodes·solves for the reach-restriction win), and
 	// frequencies that had to fall back to full per-node substitutions
 	// (dense mode is not a fallback — it never enters the kernel path).
@@ -248,9 +248,9 @@ type acShared struct {
 	sym   *sparse.Symbolic
 	omega float64 // the analysis frequency sym's pivot order came from
 
-	// Cached diagonal-extraction plans: the reach sets depend only on the
-	// symbolic analysis and the injection node list, so one build serves
-	// every worker and every frequency of an all-nodes sweep. The cache
+	// Cached diagonal-extraction plans: the compiled programs depend only
+	// on the symbolic analysis and the injection node list, so one build
+	// serves every worker and every frequency of an all-nodes sweep. The cache
 	// holds several entries because an adaptive sweep alternates between
 	// the full node list (coarse pass) and per-group subsets (refinement
 	// rounds); diagSym records which symbolic the plans were derived from
@@ -259,7 +259,7 @@ type acShared struct {
 	diagPlans []diagPlanEntry
 }
 
-// diagPlanEntry is one cached (node list -> reach plan) binding.
+// diagPlanEntry is one cached (node list -> compiled plan) binding.
 type diagPlanEntry struct {
 	nodes []int
 	plan  *sparse.DiagPlan
@@ -278,7 +278,7 @@ func (sh *acShared) invalidate() {
 	sh.mu.Unlock()
 }
 
-// ensureDiagPlan returns the shared reach-set plan for the given symbolic
+// ensureDiagPlan returns the shared diagonal plan for the given symbolic
 // analysis and injection nodes, building it on first use. Workers forked
 // from one Sim hit the cache; a different node list or a rebuilt symbolic
 // replaces it.
@@ -1216,14 +1216,17 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // ImpedanceDiagSweep computes only the driving-point diagonal
 // Z_kk(ω) = (A⁻¹)_{kk} for the requested nodes, returning
 // Z[nodeIdxInList][freq] with the same shape ImpedanceMatrixColumns
-// produces. On the sparse refactor path it uses the reach-restricted
-// batched diagonal kernel: the per-node forward solve only walks the
-// injection step's reach set in the L elimination DAG and the backward
-// solve terminates as soon as component k is determined, so each
-// frequency costs O(Σ|reach(k)|) rows instead of N full substitutions.
-// The reach sets are computed once per sweep (cached on the Sim-shared
-// symbolic state, so forked workers build them once) and the steady-state
-// loop body is allocation-free. Frequencies that leave the refactor path
+// produces. On the sparse refactor path it uses the batched diagonal
+// kernel: each node runs a forward program compiled from the injection
+// step's reach in the L elimination DAG, then a backward solve that
+// terminates as soon as component k is determined. The program keeps only
+// the forward rows the backward solve reads, directly or through other
+// kept rows, and in them only the L terms whose source lies in the reach
+// (every other term subtracts an exact zero), so each frequency costs the
+// plan's RowsPerSolve rows instead of N full substitutions. The programs
+// are compiled once per sweep (cached on the Sim-shared symbolic state, so
+// forked workers build them once) and the steady-state loop body is
+// allocation-free. Frequencies that leave the refactor path
 // — a collapsed pivot falling back to a fresh factorization, or pattern
 // drift found by the sweep-start stamp pass — fall back to full
 // per-node substitutions for that point and count against
@@ -1376,11 +1379,12 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 			fz.diagRows += plan.RowsPerSolve()
 			// Sampled residual probe: the kernel produces only the Z_kk
 			// values, so every defResidualProbeEvery-th frequency runs one
-			// full solve for the first node and verifies it. The kernel and
-			// the full solve perform bitwise-identical arithmetic on the
-			// shared factorization (both skip zero multipliers), so
-			// overwriting the kernel's value with the probe's is exact, not
-			// a perturbation.
+			// full solve for the first node and verifies it. On the shared
+			// factorization the kernel's value equals the full solve's: the
+			// terms its program drops subtract exact zeros, and both skip
+			// zero multipliers in the terms they keep, in the same order.
+			// Overwriting the kernel's value with the probe's is exact, not
+			// a perturbation (at most a zero's sign changes).
 			if fz.resThreshold > 0 && k%defResidualProbeEvery == 0 && len(nodeIdx) > 0 {
 				slv2, err := inject(slv, nodeIdx[:1], k, omega, f, true)
 				if err != nil {

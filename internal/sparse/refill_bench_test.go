@@ -16,15 +16,19 @@ import (
 // refillSetup is one circuit's AC system at its operating point, recorded
 // and analyzed the way a sweep does it: the pattern, its affine recording,
 // a value array and a Numeric over the pivot order chosen at the first
-// grid frequency.
+// grid frequency, plus the node-voltage unknowns an All Nodes sweep
+// injects into.
 type refillSetup struct {
-	aff  *sparse.Affine
-	vals []complex128
-	num  *sparse.Numeric
-	grid []float64 // angular frequencies
+	aff   *sparse.Affine
+	vals  []complex128
+	sym   *sparse.Symbolic
+	num   *sparse.Numeric
+	grid  []float64 // angular frequencies
+	n     int       // unknowns
+	nodes []int
 }
 
-func newRefillSetup(b *testing.B, c *netlist.Circuit) *refillSetup {
+func newRefillSetup(b testing.TB, c *netlist.Circuit) *refillSetup {
 	b.Helper()
 	flat, err := netlist.Flatten(c)
 	if err != nil {
@@ -57,7 +61,11 @@ func newRefillSetup(b *testing.B, c *netlist.Circuit) *refillSetup {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &refillSetup{aff: aff, vals: vals, num: sym.NewNumeric(), grid: grid}
+	nodes := make([]int, len(sys.NodeNames))
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return &refillSetup{aff: aff, vals: vals, sym: sym, num: sym.NewNumeric(), grid: grid, n: sys.NumUnknowns(), nodes: nodes}
 }
 
 // BenchmarkRefill times one frequency point of the sweep's refill,
@@ -78,6 +86,46 @@ func BenchmarkRefill(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st.aff.FillInto(st.vals, st.grid[i%len(st.grid)])
 				if err := st.num.Refactor(st.vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSolveDiag times one batched Numeric.SolveDiagInto over every
+// node-voltage unknown, the All Nodes sweep's per-point kernel, on the
+// 32-loop resonator field, the Table 2 circuit and the transistor op-amp.
+// Each iteration solves on the next point's factorization of the same
+// 40-points-per-decade grid BenchmarkRefill cycles through (all refilled
+// before the timer starts). It is a quick check for kernel work, not a
+// gate.
+func BenchmarkSolveDiag(b *testing.B) {
+	for _, ckt := range []namedCircuit{
+		{"field32", circuits.ResonatorField(32, 1e5, 0.35)},
+		{"table2", circuits.FullCircuit()},
+		{"transistor", circuits.TransistorOpAmp()},
+	} {
+		st := newRefillSetup(b, ckt.c)
+		plan, err := st.sym.DiagPlan(st.nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var nums []*sparse.Numeric
+		for _, omega := range st.grid {
+			nm := st.sym.NewNumeric()
+			st.aff.FillInto(st.vals, omega)
+			if err := nm.Refactor(st.vals); err == nil {
+				nums = append(nums, nm)
+			}
+		}
+		if len(nums) == 0 {
+			b.Fatalf("%s: no grid point refactored", ckt.name)
+		}
+		dst := make([]complex128, len(st.nodes))
+		b.Run(ckt.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := nums[i%len(nums)].SolveDiagInto(dst, plan); err != nil {
 					b.Fatal(err)
 				}
 			}
