@@ -189,8 +189,6 @@ type Options struct {
 	// LoopTolerance is the relative natural-frequency tolerance for
 	// grouping nodes into loops (default 0.12).
 	LoopTolerance float64
-	// Workers sets parallel sweep workers (0 = all CPUs, 1 = serial).
-	Workers int
 	// SkipNodes excludes nodes whose names contain any of these
 	// substrings.
 	SkipNodes []string
@@ -219,7 +217,6 @@ func (o Options) toTool() tool.Options {
 	if o.LoopTolerance > 0 {
 		t.LoopTol = o.LoopTolerance
 	}
-	t.Workers = o.Workers
 	t.SkipNodes = o.SkipNodes
 	t.OnlySubckt = o.OnlySubckt
 	return t
@@ -349,7 +346,7 @@ func fromNodeResult(nr *tool.NodeResult, opts stab.Options) NodeReport {
 //
 // Errors: ErrNoConvergence if the operating point cannot be found,
 // ErrSingularMatrix on a degenerate MNA system, and ErrCanceled once
-// ctx is done — the sweep workers and the Newton loop all observe the
+// ctx is done — the sweep and the Newton loop both observe the
 // context, so cancellation aborts within one linear solve.
 func AnalyzeAllNodesContext(ctx context.Context, c *Circuit, opts Options) (*StabilityReport, error) {
 	if c == nil || c.n == nil {

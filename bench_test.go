@@ -214,28 +214,6 @@ func BenchmarkAblationDenseVsSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelSweep measures worker-pool speedup of the
-// all-nodes sweep (A3, the paper's "distributed farm" substitute).
-func BenchmarkAblationParallelSweep(b *testing.B) {
-	ckt := circuits.ResonatorField(24, 1e5, 0.35)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers-"+strconv.Itoa(workers), func(b *testing.B) {
-			opts := tool.DefaultOptions()
-			opts.Workers = workers
-			tl, err := tool.New(ckt, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tl.AllNodes(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGridResolution trades sweep density against damping-
 // estimate accuracy (A4).
 func BenchmarkAblationGridResolution(b *testing.B) {
@@ -362,13 +340,12 @@ func benchAllNodesScaling(b *testing.B, loops, coarsePPD int) {
 }
 
 // fieldTool builds the all-nodes tool the field benchmarks run: a
-// resonator field of the given loop count, default options on one worker.
+// resonator field of the given loop count, default options.
 // coarsePPD > 0 enables the adaptive two-level grid; aopts, when non-nil,
 // replaces the default solver options.
 func fieldTool(b *testing.B, loops, coarsePPD int, aopts *analysis.Options) *tool.Tool {
 	b.Helper()
 	opts := tool.DefaultOptions()
-	opts.Workers = 1
 	opts.CoarsePointsPerDecade = coarsePPD
 	opts.Analysis = aopts
 	tl, err := tool.New(circuits.ResonatorField(loops, 1e5, 0.35), opts)

@@ -68,7 +68,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 		format    = fs.String("format", "text", "all-nodes output: text, csv, json")
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
-		workers   = fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs)")
 		loopTol   = fs.Float64("loop-tol", 0.12, "relative tolerance for loop clustering")
 		resTol    = fs.Float64("residual-tol", 0, "scale-relative residual above which a solve is refined (0 = default 1e-9, negative disables the numerics observatory)")
 		skip      = fs.String("skip", "", "comma-separated node-name substrings to skip")
@@ -197,7 +196,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 	opts.CoarsePointsPerDecade = *coarsePPD
 	opts.RefinePointsPerDecade = *refinePPD
 	opts.RefineThreshold = *refineThr
-	opts.Workers = *workers
 	opts.LoopTol = *loopTol
 	if *resTol != 0 {
 		aopts := analysis.DefaultOptions()
@@ -488,7 +486,6 @@ func farmRequest(src string, opts tool.Options, vars map[string]float64,
 			RefinePointsPerDecade: opts.RefinePointsPerDecade,
 			RefineThreshold:       opts.RefineThreshold,
 			LoopTol:               opts.LoopTol,
-			Workers:               opts.Workers,
 			SkipNodes:             opts.SkipNodes,
 			OnlySubckt:            opts.OnlySubckt,
 		},

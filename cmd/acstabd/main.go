@@ -50,7 +50,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 30*time.Second,
 		"how long to wait for in-flight /run jobs on shutdown")
 	maxConc := flag.Int("max-concurrent", 0,
-		"max /run jobs in flight before shedding with 429 (0 = GOMAXPROCS)")
+		"max /run jobs and /batch requests in flight before shedding with 429 (0 = GOMAXPROCS)")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Minute,
 		"per-job deadline ceiling; a request's timeout_ms is capped at this")
 	recentRuns := flag.Int("recent-runs", obs.DefaultRecentRuns,

@@ -33,7 +33,7 @@ var (
 	mOPSolves         = obs.GetCounter("acstab_op_solves_total")
 	// Two-phase sparse solver telemetry: how often the per-frequency hot
 	// path got away with a pivot-free numeric refactorization, how often
-	// the symbolic analysis was built versus reused across workers, and
+	// the symbolic analysis was built versus reused across sweeps, and
 	// how often the guards bounced a point to a fresh factorization.
 	mACRefactorizations  = obs.GetCounter("acstab_ac_refactorizations_total")
 	mACSymbolicBuilds    = obs.GetCounter("acstab_ac_symbolic_builds_total")
@@ -211,9 +211,9 @@ func New(sys *mna.System) *Sim {
 
 // Fork returns a Sim sharing the compiled system, options, trace, the
 // cached AC symbolic analysis and its pinned frequency, for concurrent
-// sweep workers: the shared pieces are read-only or internally locked,
-// while per-worker numeric workspaces stay private to each
-// ImpedanceMatrixColumns/AC call.
+// runs over one compiled circuit: the shared pieces are read-only or
+// internally locked, while numeric workspaces stay private to each Sim
+// and each ImpedanceMatrixColumns/AC call.
 func (s *Sim) Fork() *Sim {
 	return &Sim{Sys: s.Sys, Opt: s.Opt, Trace: s.Trace, ac: s.acShared(), acOmega: s.acOmega}
 }
@@ -221,9 +221,9 @@ func (s *Sim) Fork() *Sim {
 // PinACAnalysis fixes the frequency (Hz) at which the shared sparse
 // symbolic analysis chooses its pivot order, for this Sim and the forks
 // made after the call. Unpinned, the analysis runs at the first frequency
-// of whichever sweep reaches it first, so a sweep split across workers
-// would get a pivot order — and last-bit rounding — that depends on
-// scheduling; a pinned Sim whose shared analysis was built elsewhere at
+// of whichever sweep reaches it first, so concurrent runs over one
+// compiled circuit would get a pivot order — and last-bit rounding — that
+// depends on scheduling; a pinned Sim whose shared analysis was built elsewhere at
 // another frequency rebuilds it. Pinning keeps results a function of the
 // circuit and the sweep alone.
 func (s *Sim) PinACAnalysis(freqHz float64) { s.acOmega = 2 * math.Pi * freqHz }
@@ -240,7 +240,7 @@ func (s *Sim) acShared() *acShared {
 
 // acShared holds the per-system symbolic state of the two-phase sparse AC
 // solver: the frozen stamp pattern and the pivot-order/fill analysis. One
-// instance is shared by all workers of a sweep; the mutex only guards the
+// instance is shared by every fork of a Sim; the mutex only guards the
 // build-once handoff, after which both pointers are immutable.
 type acShared struct {
 	mu    sync.Mutex
@@ -250,7 +250,7 @@ type acShared struct {
 
 	// Cached diagonal-extraction plans: the compiled programs depend only
 	// on the symbolic analysis and the injection node list, so one build
-	// serves every worker and every frequency of an all-nodes sweep. The cache
+	// serves every fork and every frequency of an all-nodes sweep. The cache
 	// holds several entries because an adaptive sweep alternates between
 	// the full node list (coarse pass) and per-group subsets (refinement
 	// rounds); diagSym records which symbolic the plans were derived from
@@ -279,7 +279,7 @@ func (sh *acShared) invalidate() {
 }
 
 // ensureDiagPlan returns the shared diagonal plan for the given symbolic
-// analysis and injection nodes, building it on first use. Workers forked
+// analysis and injection nodes, building it on first use. Sims forked
 // from one Sim hit the cache; a different node list or a rebuilt symbolic
 // replaces it.
 func (sh *acShared) ensureDiagPlan(sym *sparse.Symbolic, nodes []int) (*sparse.DiagPlan, error) {
@@ -684,7 +684,7 @@ type cSolver interface {
 
 // acFactorizer produces a ready-to-solve factorization of the AC system
 // at each frequency of a sweep. In sparse mode it reuses the Sim-shared
-// symbolic analysis and owns the per-worker numeric workspaces, stamps the
+// symbolic analysis and owns the sweep's numeric workspaces, stamps the
 // circuit once per sweep into an affine G + jωC recording, and fills every
 // point from it, so the steady-state fill+factorize+solve cycle is
 // stamp-free, pivot-free, map-free, and allocation-free. The structural
@@ -1083,8 +1083,8 @@ func (fz *acFactorizer) condSampleAt(k, n int) {
 // wall time, tagged with the solver path each point took, so "why was this
 // sweep slow" is answerable from the run trace alone. It is only allocated
 // when the Sim carries a trace — an untraced sweep pays nothing, not even
-// the clock reads. K is obs.MaxSlowPoints (8); workers flush their local
-// worst-K into the shared run, which keeps the global worst-K.
+// the clock reads. K is obs.MaxSlowPoints (8); each sweep flushes its
+// local worst-K into the shared run, which keeps the global worst-K.
 type slowTracker struct {
 	pts []obs.SlowPoint
 	min int64 // smallest wall time held once the tracker is full
@@ -1225,7 +1225,7 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // (every other term subtracts an exact zero), so each frequency costs the
 // plan's RowsPerSolve rows instead of N full substitutions. The programs
 // are compiled once per sweep (cached on the Sim-shared symbolic state, so
-// forked workers build them once) and the steady-state loop body is
+// forked Sims build them once) and the steady-state loop body is
 // allocation-free. Frequencies that leave the refactor path
 // — a collapsed pivot falling back to a fresh factorization, or pattern
 // drift found by the sweep-start stamp pass — fall back to full

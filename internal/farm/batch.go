@@ -5,9 +5,9 @@
 // variants repeated across batches (nominal corners, bisection re-runs)
 // share compiled systems — while typed per-item errors keep one bad
 // corner from failing the rest of the sweep. The whole batch occupies a
-// single admission slot: items execute sequentially, each item's sweep
-// parallelizes internally, so a 16-variant batch loads the worker like
-// one long job instead of 16 competing ones.
+// single admission slot: items execute sequentially, each on one
+// goroutine, so a 16-variant batch loads the worker like one long job
+// instead of 16 competing ones.
 
 package farm
 

@@ -165,6 +165,8 @@ func TestBatchDecodeRejections(t *testing.T) {
 			`{"v": 2, "netlist": "x", "variants": [{}], "bogus": 1}`, CodeBadJSON, ""},
 		{"removed only_nodes option",
 			`{"v": 2, "netlist": "x", "variants": [{}], "options": {"only_nodes": ["out"]}}`, CodeBadJSON, ""},
+		{"removed workers option",
+			`{"v": 2, "netlist": "x", "variants": [{}], "options": {"workers": 2}}`, CodeBadJSON, ""},
 	} {
 		code, _, body := postBatch(t, srv, tc.body)
 		if code != http.StatusBadRequest {

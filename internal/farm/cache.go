@@ -18,6 +18,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"io"
 	"math"
@@ -122,6 +123,9 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
+// errCompilePanic is what waiters see when the compile they share panics.
+var errCompilePanic = errors.New("farm: compile panicked")
+
 // Get returns the compiled circuit for key, compiling it with compile on
 // a miss. Concurrent Gets for the same key share one compile: the first
 // caller runs it, the rest block on its completion (or their own ctx).
@@ -172,19 +176,24 @@ func (c *Cache) Get(ctx context.Context, key CacheKey, compile func() (*tool.Com
 	mCacheMisses.Inc()
 	c.mu.Unlock()
 
-	comp, err := compile()
-	c.mu.Lock()
-	ent.c, ent.err = comp, err
-	if err != nil {
-		// Do not cache failures: a canceled compile or a transient error
-		// must not poison the key for later, healthier requests.
-		if cur, ok := c.byKey[key]; ok && cur == el {
-			c.removeLocked(cur)
-			mCacheEntries.Set(float64(c.ll.Len()))
+	// Publish the outcome even when compile panics, so waiters are
+	// released and the key freed instead of staying in flight forever.
+	comp, err := (*tool.Compiled)(nil), errCompilePanic
+	defer func() {
+		c.mu.Lock()
+		ent.c, ent.err = comp, err
+		if err != nil {
+			// Do not cache failures: a canceled compile or a transient
+			// error must not poison the key for later, healthier requests.
+			if cur, ok := c.byKey[key]; ok && cur == el {
+				c.removeLocked(cur)
+				mCacheEntries.Set(float64(c.ll.Len()))
+			}
 		}
-	}
-	c.mu.Unlock()
-	close(ent.ready)
+		c.mu.Unlock()
+		close(ent.ready)
+	}()
+	comp, err = compile()
 	if err != nil {
 		return nil, false, err
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"acstab/internal/netlist"
 	"acstab/internal/obs"
@@ -193,6 +194,30 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("recovery compile ran %d times", calls.Load())
+	}
+}
+
+// TestCacheCompilePanicFreesKey: a compile that panics still releases
+// its waiters and frees the key, so the next Get compiles afresh instead
+// of waiting on an entry that never becomes ready.
+func TestCacheCompilePanicFreesKey(t *testing.T) {
+	c := NewCache(4)
+	key := KeyFor(tankNetlist, nil)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("compile panic did not reach the compiling caller")
+			}
+		}()
+		c.Get(context.Background(), key, func() (*tool.Compiled, error) { panic("compile blew up") })
+	}()
+	if c.Len() != 0 {
+		t.Fatalf("panicked compile left %d cached entries", c.Len())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, hit, err := c.Get(ctx, key, compileTank(nil, nil)); err != nil || hit {
+		t.Fatalf("Get after the panic: hit=%v err=%v", hit, err)
 	}
 }
 

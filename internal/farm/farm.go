@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -109,9 +110,9 @@ type TracedResponse struct {
 	Trace *obs.Trace `json:"trace,omitempty"`
 }
 
-// RequestOptions mirrors the CLI sweep flags. Workers is a tuning hint
-// clamped server-side to MaxWireWorkers. One job is one whole analysis:
-// the wire has no way to ask for a slice of the node list.
+// RequestOptions mirrors the CLI sweep flags. One job is one whole
+// analysis on one goroutine: the wire has no way to ask for a slice of
+// the node list or for a sweep worker count.
 type RequestOptions struct {
 	FStartHz        float64 `json:"fstart_hz,omitempty"`
 	FStopHz         float64 `json:"fstop_hz,omitempty"`
@@ -123,7 +124,6 @@ type RequestOptions struct {
 	RefinePointsPerDecade int      `json:"refine_points_per_decade,omitempty"`
 	RefineThreshold       float64  `json:"refine_threshold,omitempty"`
 	LoopTol               float64  `json:"loop_tol,omitempty"`
-	Workers               int      `json:"workers,omitempty"`
 	SkipNodes             []string `json:"skip_nodes,omitempty"`
 	OnlySubckt            string   `json:"only_subckt,omitempty"`
 }
@@ -145,9 +145,9 @@ const (
 
 // Config tunes a farm worker's request path.
 type Config struct {
-	// MaxConcurrent bounds the number of /run jobs executing at once;
-	// excess requests are shed with 429 + Retry-After. 0 selects
-	// GOMAXPROCS.
+	// MaxConcurrent bounds the /run jobs and /batch requests running at
+	// once; excess requests are shed with 429 + Retry-After. 0 selects
+	// GOMAXPROCS: each job sweeps on one goroutine.
 	MaxConcurrent int
 	// MaxTimeout caps the per-request deadline and is the default for
 	// requests that do not set timeout_ms. 0 selects 5 minutes.
@@ -214,7 +214,7 @@ func Handler() http.Handler { return NewHandler(Config{}) }
 // GET /healthz reports liveness, GET /metrics serves the Prometheus
 // exposition of the process registry, and GET /statusz serves a JSON
 // status snapshot (jobs in flight, shed/abort counters, per-phase
-// latency histograms, solver counters, worker utilization). GET
+// latency histograms, solver counters, sweep utilization). GET
 // /debug/runs lists the flight recorder's recent runs and GET
 // /debug/runs/<id> serves one run's full trace. Every route is wrapped
 // in the obs request-logging middleware.
@@ -655,9 +655,15 @@ func Run(ctx context.Context, req *Request) (body []byte, contentType string, er
 // trace, which is how a warm run is recognized in the flight recorder. A
 // nil cache compiles every request from scratch. opts must come from the
 // request's Options.Normalize (the handler already has it from decode).
+// As the one place /run jobs and /batch items execute, it is also the
+// panic boundary: a panic fails the job (run_failed) with the panic value
+// and stack instead of dropping the connection mid-record.
 func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {
 	mRunsTotal.Inc()
 	defer func() {
+		if p := recover(); p != nil {
+			body, contentType, err = nil, "", fmt.Errorf("farm: job panic: %v\n%s", p, debug.Stack())
+		}
 		if err != nil {
 			mRunErrors.Inc()
 		}
@@ -744,7 +750,7 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 // machine-readable snapshot of what the worker is doing right now.
 type Statusz struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// JobsInflight counts /run jobs currently executing.
+	// JobsInflight counts the /run jobs and /batch requests running now.
 	JobsInflight float64 `json:"jobs_inflight"`
 	RunsTotal    int64   `json:"runs_total"`
 	RunErrors    int64   `json:"run_errors_total"`
@@ -800,10 +806,10 @@ type StatuszNumerics struct {
 	ResidualBreaches int64                 `json:"residual_breaches_total"`
 }
 
-// StatuszWorkers reports sweep-pool saturation.
+// StatuszWorkers reports CPU saturation by sweeps.
 type StatuszWorkers struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// SweepBusy is the number of sweep workers executing right now.
+	// SweepBusy is the number of sweeps (one goroutine each) running now.
 	SweepBusy float64 `json:"sweep_busy"`
 	// Utilization is SweepBusy / GOMAXPROCS.
 	Utilization float64 `json:"utilization"`

@@ -109,10 +109,10 @@ func TestClientDoesNotRetryRejections(t *testing.T) {
 }
 
 // TestWireVersionAndUnknownFields is the v1 DecodeRequest rejection
-// table. The removed "naive" and "only_nodes" options stay rejected as
-// unknown fields: a client still sending one gets a typed 400, not a
-// silently ignored knob (a stale node-range coordinator would otherwise
-// get a whole all-nodes run back for each of its slices).
+// table. The removed "naive", "only_nodes" and "workers" options stay
+// rejected as unknown fields: a client still sending one gets a typed 400,
+// not a silently ignored knob (a stale node-range coordinator would
+// otherwise get a whole all-nodes run back for each of its slices).
 func TestWireVersionAndUnknownFields(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -124,6 +124,7 @@ func TestWireVersionAndUnknownFields(t *testing.T) {
 		{"unknown field", `{"netlist": "x", "bogus_field": 1}`, CodeBadJSON},
 		{"removed naive option", `{"v": 1, "netlist": "x", "options": {"naive": true}}`, CodeBadJSON},
 		{"removed only_nodes option", `{"v": 1, "netlist": "x", "options": {"only_nodes": ["out"]}}`, CodeBadJSON},
+		{"removed workers option", `{"v": 1, "netlist": "x", "options": {"workers": 2}}`, CodeBadJSON},
 	} {
 		code, body := postJSON(t, srv, tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(body, `"code":"`+tc.wantCode+`"`) {

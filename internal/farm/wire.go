@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 
 	"acstab/internal/tool"
 )
@@ -106,26 +105,10 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	if o.LoopTol > 0 {
 		opts.LoopTol = o.LoopTol
 	}
-	if o.Workers < 0 {
-		return opts, &FieldError{Field: "workers", Reason: "must be >= 0 (0 = GOMAXPROCS)"}
-	}
-	opts.Workers = o.Workers
-	// The worker count is wire-supplied: without a ceiling a remote caller
-	// can demand millions of sweep goroutines per job. Sweep workers are
-	// CPU-bound, so anything beyond the CPU count only burns memory; the
-	// ask is clamped silently (it is a tuning hint, not a contract).
-	if max := MaxWireWorkers(); opts.Workers > max {
-		opts.Workers = max
-	}
 	opts.SkipNodes = o.SkipNodes
 	opts.OnlySubckt = o.OnlySubckt
 	return opts, nil
 }
-
-// MaxWireWorkers is the server-side ceiling on the wire-supplied sweep
-// worker count: GOMAXPROCS, the point beyond which additional CPU-bound
-// sweep workers stop helping. Normalize clamps larger asks to it.
-func MaxWireWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // checkFormat validates the response-format selector shared by Request
 // and BatchRequest.

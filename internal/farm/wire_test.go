@@ -15,36 +15,15 @@ func TestNormalizeDefaults(t *testing.T) {
 	if opts.FStart <= 0 || opts.FStop <= opts.FStart || opts.PointsPerDecade <= 0 {
 		t.Errorf("zero options did not take defaults: %+v", opts)
 	}
-	// Explicit values pass through (Workers: 1 is under the wire cap on
-	// any machine).
+	// Explicit values pass through.
 	opts, err = (RequestOptions{FStartHz: 10, FStopHz: 1e6, PointsPerDecade: 7,
-		Workers: 1, SkipNodes: []string{"x"}}).Normalize()
+		SkipNodes: []string{"x"}}).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.FStart != 10 || opts.FStop != 1e6 || opts.PointsPerDecade != 7 ||
-		opts.Workers != 1 || len(opts.SkipNodes) != 1 {
+		len(opts.SkipNodes) != 1 {
 		t.Errorf("explicit options mangled: %+v", opts)
-	}
-}
-
-// TestNormalizeWorkerClamp pins the server-side ceiling on wire-supplied
-// worker counts: an absurd ask must not size a worker pool.
-func TestNormalizeWorkerClamp(t *testing.T) {
-	opts, err := (RequestOptions{Workers: 1 << 20}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max := MaxWireWorkers(); opts.Workers != max {
-		t.Errorf("workers = %d, want clamped to MaxWireWorkers() = %d", opts.Workers, max)
-	}
-	// An ask at or under the cap passes through untouched.
-	opts, err = (RequestOptions{Workers: 1}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Workers != 1 {
-		t.Errorf("workers = %d, want 1 (under the cap)", opts.Workers)
 	}
 }
 
@@ -85,7 +64,6 @@ func TestNormalizeFieldErrors(t *testing.T) {
 		{"inverted range", RequestOptions{FStartHz: 1e6, FStopHz: 10}, "fstop_hz"},
 		{"negative ppd", RequestOptions{PointsPerDecade: -1}, "points_per_decade"},
 		{"negative loop_tol", RequestOptions{LoopTol: -0.1}, "loop_tol"},
-		{"negative workers", RequestOptions{Workers: -1}, "workers"},
 	} {
 		_, err := tc.in.Normalize()
 		var fe *FieldError

@@ -30,8 +30,8 @@ type chromeDoc struct {
 // it opens directly in Perfetto or chrome://tracing. Layout: the local
 // process is pid 1 and each grafted remote attempt its own pid (1+attempt),
 // every pid named by a process_name metadata event; within a pid,
-// overlapping spans (parallel sweep workers) are packed greedily into
-// thread lanes, tid 0 holding the whole-run root span. Solver counters and
+// overlapping spans (a phase and its nested sub-phases) are packed
+// greedily into thread lanes, tid 0 holding the whole-run root span. Solver counters and
 // slow points ride along as args of the root event.
 func (t Trace) WriteChromeTrace(w io.Writer) error {
 	procName := func(pid int) string {
@@ -93,8 +93,8 @@ func (t Trace) WriteChromeTrace(w io.Writer) error {
 		spans := append([]PhaseSpan(nil), byPid[pid]...)
 		sort.SliceStable(spans, func(i, j int) bool { return spans[i].StartNS < spans[j].StartNS })
 		// Greedy lane packing: each span takes the first lane that is free
-		// at its start time, so concurrent worker phases render side by
-		// side instead of overlapping in one row.
+		// at its start time, so overlapping phases render side by side
+		// instead of overlapping in one row.
 		var laneEnd []int64
 		for _, sp := range spans {
 			lane := -1

@@ -303,9 +303,9 @@ func (r *Run) Trace() Trace {
 }
 
 // AddSlowPoints merges candidate slow points into the run, keeping only
-// the worst MaxSlowPoints by wall time (worst first). Sweep workers each
-// track a local worst-K and flush it here, so the run holds the global
-// worst-K across workers.
+// the worst MaxSlowPoints by wall time (worst first). Sweeps each track a
+// local worst-K and flush it here, so the run holds the global worst-K
+// across every sweep it spans.
 func (r *Run) AddSlowPoints(pts []SlowPoint) {
 	if r == nil || len(pts) == 0 {
 		return

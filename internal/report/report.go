@@ -604,8 +604,8 @@ func Annotate(w io.Writer, ckt *netlist.Circuit, rep *tool.Report) error {
 func Diagnostic(w io.Writer, circuitTitle string, opts tool.Options, runErr error) error {
 	fmt.Fprintln(w, "acstab diagnostic report")
 	fmt.Fprintf(w, "circuit: %s\n", circuitTitle)
-	fmt.Fprintf(w, "sweep: %s .. %s, %d pts/dec, workers=%d\n",
-		hz(opts.FStart), hz(opts.FStop), opts.PointsPerDecade, opts.Workers)
+	fmt.Fprintf(w, "sweep: %s .. %s, %d pts/dec\n",
+		hz(opts.FStart), hz(opts.FStop), opts.PointsPerDecade)
 	if runErr != nil {
 		fmt.Fprintf(w, "status: FAILED\nerror: %v\n", runErr)
 	} else {

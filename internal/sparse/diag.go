@@ -33,8 +33,8 @@ import (
 //     exact zero for a unit injection, so its term subtracts an exact zero.
 //
 // A DiagPlan is immutable after Symbolic.DiagPlan and safe to share
-// read-only across sweep workers; the per-call scratch lives in each
-// worker's Numeric.
+// read-only across concurrent sweeps; the per-call scratch lives in each
+// sweep's Numeric.
 type DiagPlan struct {
 	sym *Symbolic
 	// Forward program: node i runs the rows r in [fptr[i], fptr[i+1]),

@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"acstab/internal/acerr"
-	"acstab/internal/analysis"
 	"acstab/internal/mna"
 	"acstab/internal/num"
 	"acstab/internal/obs"
@@ -222,29 +221,22 @@ func (t *Tool) refine(ctx context.Context, op *mna.OpPoint, idx []int, maxRounds
 			break
 		}
 		rounds++
-		// One sweep per worker chunk of refining nodes over the whole
-		// union, so the reach plan and workspace are built once per round
-		// per worker, not once per distinct want-list.
+		// One sweep of every refining node over the whole union, so the
+		// reach plan and workspace are built once per round, not once per
+		// distinct want-list.
 		union := unionFreqs(refiners)
 		points += int64(len(union))
 		solvePairs += int64(len(union)) * int64(len(refiners))
-		err := t.fanOut(ctx, len(refiners), func(ctx context.Context, sim *analysis.Sim, lo, hi int) error {
-			chunk := refiners[lo:hi]
-			nodes := make([]int, len(chunk))
-			for ci, r := range chunk {
-				nodes[ci] = idx[r.i]
-			}
-			sub, err := sim.ImpedanceDiagSweep(ctx, union, op, nodes)
-			if err != nil {
-				return err
-			}
-			for ci, r := range chunk {
-				grids[r.i].merge(r, subsetVals(union, sub[ci], r.want))
-			}
-			return nil
-		})
+		nodes := make([]int, len(refiners))
+		for ri, r := range refiners {
+			nodes[ri] = idx[r.i]
+		}
+		sub, err := t.sweep(ctx, union, op, nodes)
 		if err != nil {
 			return 0, err
+		}
+		for ri, r := range refiners {
+			grids[r.i].merge(r, subsetVals(union, sub[ri], r.want))
 		}
 	}
 	for i := range grids {

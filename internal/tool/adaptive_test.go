@@ -62,7 +62,6 @@ func TestAdaptiveMatchesDenseQuick(t *testing.T) {
 
 		dense := DefaultOptions()
 		dense.FStart, dense.FStop = 1e3, 1e9
-		dense.Workers = 1
 		dense.Trace = obs.StartRun("dense-quick")
 		dt, err := New(ckt, dense)
 		if err != nil {
@@ -75,7 +74,6 @@ func TestAdaptiveMatchesDenseQuick(t *testing.T) {
 
 		adaptive := dense
 		adaptive.CoarsePointsPerDecade = 8
-		adaptive.Workers = 2 // both passes split across the fan-out
 		adaptive.Trace = obs.StartRun("adaptive-quick")
 		at, err := New(ckt, adaptive)
 		if err != nil {

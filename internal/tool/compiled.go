@@ -37,7 +37,7 @@ type Compiled struct {
 
 	// base owns the shared AC symbolic cache; every Tool built from this
 	// artifact forks it, so the pattern analysis and reach-set plans are
-	// computed once and reused read-only across requests and workers.
+	// computed once and reused read-only across requests.
 	base *analysis.Sim
 
 	// op is the cached DC operating point, built on first use. opErr
@@ -114,7 +114,7 @@ func (c *Compiled) ensureOP(ctx context.Context, sim *analysis.Sim, trace *obs.R
 // NewFromCompiled returns a Tool over the shared compiled artifact:
 // flatten, MNA assembly, the symbolic analysis, and the operating point
 // are all reused, so a run goes straight to numeric refactorization and
-// the sweep. The sweep options (frequency grid, workers, clustering) are
+// the sweep. The sweep options (frequency grid, clustering) are
 // the caller's own; the compile-relevant options (AutoZeroAC, Analysis)
 // must match the ones the artifact was compiled with — a Tool that needs
 // different solver options computes its own operating point instead of

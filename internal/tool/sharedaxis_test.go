@@ -32,7 +32,6 @@ func TestSharedFrequencyAxis(t *testing.T) {
 			ckt.AddR("RBY", "by", "0", 1e3)
 			opts := tool.DefaultOptions()
 			opts.FStart, opts.FStop, opts.PointsPerDecade = 1e4, 1e8, 20
-			opts.Workers = 2 // the first pass and the refinement rounds fan out
 			opts.CoarsePointsPerDecade = tc.coarsePPD
 			ppd := opts.PointsPerDecade
 			if tc.coarsePPD > 0 {

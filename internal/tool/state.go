@@ -20,7 +20,6 @@ type State struct {
 	FStop           float64            `json:"fstop_hz"`
 	PointsPerDecade int                `json:"points_per_decade"`
 	LoopTol         float64            `json:"loop_tol"`
-	Workers         int                `json:"workers"`
 	SkipNodes       []string           `json:"skip_nodes,omitempty"`
 	TempC           *float64           `json:"temp_c,omitempty"`
 	Variables       map[string]float64 `json:"variables,omitempty"`
@@ -38,7 +37,6 @@ func CaptureState(ckt *netlist.Circuit, opts Options) *State {
 		FStop:           opts.FStop,
 		PointsPerDecade: opts.PointsPerDecade,
 		LoopTol:         opts.LoopTol,
-		Workers:         opts.Workers,
 		SkipNodes:       append([]string(nil), opts.SkipNodes...),
 	}
 	if ckt != nil {
@@ -89,7 +87,6 @@ func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
 	if s.LoopTol > 0 {
 		opts.LoopTol = s.LoopTol
 	}
-	opts.Workers = s.Workers
 	if len(s.SkipNodes) > 0 {
 		opts.SkipNodes = append([]string(nil), s.SkipNodes...)
 	}

@@ -26,7 +26,6 @@ func TestStateRoundTrip(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FStart, opts.FStop = 1e4, 1e8
 	opts.PointsPerDecade = 25
-	opts.Workers = 3
 	opts.SkipNodes = []string{"vdd"}
 
 	st := CaptureState(c, opts)
@@ -45,7 +44,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if opts2.FStart != 1e4 || opts2.FStop != 1e8 || opts2.PointsPerDecade != 25 ||
-		opts2.Workers != 3 || len(opts2.SkipNodes) != 1 {
+		len(opts2.SkipNodes) != 1 {
 		t.Errorf("options not restored: %+v", opts2)
 	}
 	if c2.Temp != 85 {
@@ -58,7 +57,8 @@ func TestStateRoundTrip(t *testing.T) {
 
 // TestStateLegacyNaiveFieldLoads pins state-file compatibility: files
 // saved while the tool still had a naive per-node sweep mode carry
-// "naive": true, and they must keep loading now that the mode is gone.
+// "naive": true, and files saved while it still had a sweep worker count
+// carry "workers"; both must keep loading now that the settings are gone.
 func TestStateLegacyNaiveFieldLoads(t *testing.T) {
 	st, err := LoadState(strings.NewReader(`{"version": 1, "fstart_hz": 1e4, "fstop_hz": 1e8,
 		"points_per_decade": 25, "loop_tol": 0.1, "workers": 2, "naive": true}`))
@@ -69,7 +69,7 @@ func TestStateLegacyNaiveFieldLoads(t *testing.T) {
 	if err := st.Apply(nil, &opts, false); err != nil {
 		t.Fatal(err)
 	}
-	if opts.FStart != 1e4 || opts.FStop != 1e8 || opts.PointsPerDecade != 25 || opts.Workers != 2 {
+	if opts.FStart != 1e4 || opts.FStop != 1e8 || opts.PointsPerDecade != 25 {
 		t.Errorf("options not restored: %+v", opts)
 	}
 }

@@ -1,21 +1,16 @@
 // Package tool orchestrates the stability analysis the way the paper's
 // DFII tool does: "Single Node" and "All Nodes" run modes, auto-zeroing of
 // pre-existing AC stimuli, skipped-node detection, loop clustering,
-// parallel sweep execution (the "compute farm" substitute), temperature,
-// design-variable and Monte Carlo sweep drivers, and design-variable
-// overrides.
+// temperature, design-variable and Monte Carlo sweep drivers, and
+// design-variable overrides. One analysis runs on one goroutine.
 package tool
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 
 	"acstab/internal/acerr"
 	"acstab/internal/analysis"
@@ -29,7 +24,7 @@ import (
 
 // Run-mode telemetry. Phase timings flow through obs.StartPhase into
 // `acstab_phase_duration_seconds{phase=...}` histograms; these counters
-// and the worker gauge cover the sweep volume and utilization.
+// and the running-sweeps gauge cover the sweep volume and utilization.
 var (
 	mAllNodesRuns    = obs.GetCounter("acstab_allnodes_runs_total")
 	mSingleNodeRuns  = obs.GetCounter("acstab_singlenode_runs_total")
@@ -62,9 +57,6 @@ type Options struct {
 	Stab            stab.Options
 	// LoopTol is the relative frequency tolerance for loop clustering.
 	LoopTol float64
-	// Workers sets the parallel sweep worker count (0 = GOMAXPROCS,
-	// 1 = serial).
-	Workers int
 	// AutoZeroAC disables pre-existing AC stimuli before the run
 	// (default true, matching the tool's feature list).
 	AutoZeroAC bool
@@ -304,12 +296,11 @@ func (t *Tool) subcktNodes(prefix string) map[string]bool {
 
 // AllNodes runs the "All Nodes" mode: every non-ground node is probed and
 // the results clustered into loops. The sweep shares one matrix
-// factorization per frequency across all nodes and distributes the work
-// over the sweep worker pool.
+// factorization per frequency across all nodes.
 //
 // A canceled (or deadline-expired) ctx aborts the run within one linear
-// solve: the operating-point Newton loop, every sweep worker, and the
-// per-node post-processing all check the context between units of work.
+// solve: the operating-point Newton loop, the sweep, and the per-node
+// post-processing all check the context between units of work.
 // The returned error wraps acerr.ErrCanceled.
 func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	op, err := t.ensureOP(ctx)
@@ -380,11 +371,11 @@ func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]flo
 		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
 	}
 	grid := num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, ppd)
-	// Every sweep of this run, on any worker, refactors under the pivot
-	// order chosen at the grid's first frequency.
+	// Every sweep of this run refactors under the pivot order chosen at
+	// the grid's first frequency.
 	t.Sim.PinACAnalysis(grid[0])
 	sp := obs.StartPhase(t.Opts.Trace, phase)
-	cols, err := t.sweepGrid(ctx, grid, op, idx)
+	cols, err := t.sweep(ctx, grid, op, idx)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
@@ -406,102 +397,10 @@ func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]flo
 	return freqs, cols, nil
 }
 
-// sweepGrid computes every node's impedance column over one frequency
-// grid, with the frequencies chunked across the worker pool; within each
-// frequency one factorization serves every injection node. A serial sweep
-// returns the solver's columns as they are; only a split sweep allocates
-// the output it stitches the chunks into.
-func (t *Tool) sweepGrid(ctx context.Context, grid []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
-	var cols [][]complex128
-	if t.workers(len(grid)) > 1 {
-		cols = make([][]complex128, len(idx))
-		for i := range cols {
-			cols[i] = make([]complex128, len(grid))
-		}
-	}
-	err := t.fanOut(ctx, len(grid), func(ctx context.Context, sim *analysis.Sim, lo, hi int) error {
-		sub, err := sim.ImpedanceDiagSweep(ctx, grid[lo:hi], op, idx)
-		if err != nil {
-			return err
-		}
-		if cols == nil {
-			cols = sub
-			return nil
-		}
-		for i := range idx {
-			copy(cols[i][lo:hi], sub[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
-// workers is the sweep worker count for n units of work: Options.Workers
-// (0 = GOMAXPROCS), capped at n.
-func (t *Tool) workers(n int) int {
-	w := t.Opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// fanOut splits [0, n) into one contiguous chunk per worker and runs work
-// on each. A single worker runs inline on t.Sim. Otherwise every chunk
-// gets its own goroutine and its own Sim fork: the sweep owns per-call
-// numeric workspaces, while Fork shares the read-only compiled system, the
-// concurrency-safe trace, and the symbolic analysis cache — and with it
-// the diag-kernel reach sets — so the pivot order, fill pattern, and plans
-// are computed once and reused by every worker. The first failure cancels
-// the remaining workers so a dying run releases its CPUs promptly, and the
-// root cause is reported: a real solver failure beats the secondary
-// cancellation errors it induced in sibling workers. A worker that panics
-// fails the run with an error carrying the panic value and its stack.
-func (t *Tool) fanOut(ctx context.Context, n int, work func(ctx context.Context, sim *analysis.Sim, lo, hi int) error) error {
-	workers := t.workers(n)
-	if workers <= 1 {
-		mWorkersBusy.Inc()
-		defer mWorkersBusy.Dec()
-		return work(ctx, t.Sim, 0, n)
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mWorkersBusy.Inc()
-			defer mWorkersBusy.Dec()
-			// net/http recovers only the handler goroutine, so a panic here
-			// would end a whole acstabd: it fails this run instead.
-			defer func() {
-				if p := recover(); p != nil {
-					errCh <- fmt.Errorf("tool: sweep worker panic: %v\n%s", p, debug.Stack())
-					cancel()
-				}
-			}()
-			if err := work(wctx, t.Sim.Fork(), lo, hi); err != nil {
-				errCh <- err
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	var firstErr error
-	for err := range errCh {
-		if firstErr == nil || (errors.Is(firstErr, acerr.ErrCanceled) && !errors.Is(err, acerr.ErrCanceled)) {
-			firstErr = err
-		}
-	}
-	return firstErr
+// sweep runs one ImpedanceDiagSweep on the calling goroutine; the
+// columns are the solver's own, adopted without a copy.
+func (t *Tool) sweep(ctx context.Context, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
+	mWorkersBusy.Inc()
+	defer mWorkersBusy.Dec()
+	return t.Sim.ImpedanceDiagSweep(ctx, freqs, op, idx)
 }

@@ -2,13 +2,12 @@ package tool
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/cmplx"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"acstab/internal/analysis"
 	"acstab/internal/circuits"
@@ -202,49 +201,64 @@ func TestAllNodesTable2(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: a farm worker runs several jobs at once, and
+// with its cache disabled each compiles its own Tool. Runs of the full
+// circuit on concurrent goroutines share no mutable state, so each
+// reports the serial run's peaks.
 func TestParallelMatchesSerial(t *testing.T) {
-	mk := func(workers int) *Report {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		tl, err := New(circuits.FullCircuit(), opts)
+	run := func() (*Report, error) {
+		tl, err := New(circuits.FullCircuit(), DefaultOptions())
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		rep, err := tl.AllNodes(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return tl.AllNodes(context.Background())
 	}
-	serial := mk(1)
-	parallel := mk(4)
-	if len(serial.Nodes) != len(parallel.Nodes) {
-		t.Fatal("node count differs")
+	serial, err := run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range serial.Nodes {
-		a, b := serial.Nodes[i], parallel.Nodes[i]
-		if a.Node != b.Node || a.Skipped != b.Skipped {
-			t.Fatalf("node %d differs: %v vs %v", i, a.Node, b.Node)
+	var reps [4]*Report
+	var errs [4]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for r, parallel := range reps {
+		if errs[r] != nil {
+			t.Fatal(errs[r])
 		}
-		if a.Best == nil != (b.Best == nil) {
-			t.Fatalf("node %s best mismatch", a.Node)
+		if len(serial.Nodes) != len(parallel.Nodes) {
+			t.Fatal("node count differs")
 		}
-		if a.Best != nil && (math.Abs(a.Best.Freq-b.Best.Freq) > 1e-6*a.Best.Freq ||
-			math.Abs(a.Best.Value-b.Best.Value) > 1e-9*math.Abs(a.Best.Value)) {
-			t.Fatalf("node %s peaks differ: %+v vs %+v", a.Node, a.Best, b.Best)
+		for i := range serial.Nodes {
+			a, b := serial.Nodes[i], parallel.Nodes[i]
+			if a.Node != b.Node || a.Skipped != b.Skipped {
+				t.Fatalf("node %d differs: %v vs %v", i, a.Node, b.Node)
+			}
+			if a.Best == nil != (b.Best == nil) {
+				t.Fatalf("node %s best mismatch", a.Node)
+			}
+			if a.Best != nil && (math.Abs(a.Best.Freq-b.Best.Freq) > 1e-6*a.Best.Freq ||
+				math.Abs(a.Best.Value-b.Best.Value) > 1e-9*math.Abs(a.Best.Value)) {
+				t.Fatalf("node %s peaks differ: %+v vs %+v", a.Node, a.Best, b.Best)
+			}
 		}
 	}
 
-	// The serial sweep hands the solver's columns straight through: it
+	// The sweep driver hands the solver's columns straight through: it
 	// allocates no more than one ImpedanceDiagSweep call plus a few
-	// constant-size objects (grid, per-node grid headers, the fan-out
-	// closure), never a second len(nodes)×len(grid) output.
+	// constant-size objects (the grid and the per-node grid headers), never
+	// a second len(nodes)×len(grid) output.
 	const slack = 8
 	if len(serial.Nodes) <= slack {
 		t.Fatalf("only %d nodes: a per-node output copy would hide inside the slack", len(serial.Nodes))
 	}
 	opts := DefaultOptions()
-	opts.Workers = 1
 	tl, err := New(circuits.FullCircuit(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -267,38 +281,68 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	if driver > sweep+slack {
-		t.Errorf("serial all-nodes sweep allocates %v times, ImpedanceDiagSweep alone %v", driver, sweep)
+		t.Errorf("all-nodes sweep allocates %v times, ImpedanceDiagSweep alone %v", driver, sweep)
 	}
 }
 
-// TestParallelBitwiseSerial: a sweep split across workers refactors every
-// chunk under the pivot order pinned at the grid's first frequency, so its
-// impedances are bitwise those of the serial sweep no matter which worker
-// reaches the shared symbolic analysis first.
+// TestParallelBitwiseSerial: concurrent runs on Tools stamped from one
+// Compiled share its symbolic analysis, and a run whose grid starts at
+// another frequency rebuilds that analysis at its own pinned frequency
+// while the others sweep. Every sweep refactors under the pivot order
+// pinned at its own run's first frequency, so each run's grids and
+// impedances are bitwise those of a serial run on a private compile, no
+// matter which run reaches the shared analysis first.
 func TestParallelBitwiseSerial(t *testing.T) {
-	run := func(workers int) *Report {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		tl, err := New(circuits.ResonatorField(8, 1e6, 0.25), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := tl.AllNodes(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	ckt := circuits.ResonatorField(8, 1e6, 0.25)
+	variants := make([]Options, 3)
+	for i := range variants {
+		variants[i] = DefaultOptions()
 	}
-	serial := run(1)
-	for _, workers := range []int{2, 3, 4, 2, 3, 4} {
-		par := run(workers)
-		for i, a := range serial.Nodes {
+	variants[1].FStart = 1e4
+	variants[2].FStart, variants[2].CoarsePointsPerDecade = 2e3, 10
+	serial := make([]*Report, len(variants))
+	for i, opts := range variants {
+		tl, err := New(ckt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial[i], err = tl.AllNodes(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c, err := Compile(ckt, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]*Report, 4*len(variants))
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for r := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl, err := NewFromCompiled(c, variants[r%len(variants)])
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			reps[r], errs[r] = tl.AllNodes(context.Background())
+		}()
+	}
+	wg.Wait()
+	for r, par := range reps {
+		if errs[r] != nil {
+			t.Fatalf("run %d: %v", r, errs[r])
+		}
+		v := r % len(variants)
+		for i, a := range serial[v].Nodes {
 			b := par.Nodes[i]
 			if a.Node != b.Node || (a.Impedance == nil) != (b.Impedance == nil) {
-				t.Fatalf("workers=%d: node %d rows differ", workers, i)
+				t.Fatalf("run %d (variant %d): node %d rows differ", r, v, i)
 			}
-			if a.Impedance != nil && !slices.Equal(a.Impedance.Y, b.Impedance.Y) {
-				t.Fatalf("workers=%d node %s: impedance differs from the serial sweep", workers, a.Node)
+			if a.Impedance != nil && (!slices.Equal(a.Impedance.X, b.Impedance.X) || !slices.Equal(a.Impedance.Y, b.Impedance.Y)) {
+				t.Fatalf("run %d (variant %d) node %s: impedance differs from the serial run", r, v, a.Node)
 			}
 		}
 	}
@@ -459,9 +503,7 @@ Rg a 0 1e6
 // Analyze's own outputs (its Result and Peaks) — no |Z| copy and no
 // stability-plot wave.
 func TestAnalyzeColumnInPlace(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 1
-	tl, err := New(circuits.SecondOrder(0.3, 1e6), opts)
+	tl, err := New(circuits.SecondOrder(0.3, 1e6), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,31 +547,5 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 	})
 	if want := 5.0; got > want {
 		t.Errorf("warm analyzeColumn allocated %v times, want at most %v (wave, name, NodeResult + Analyze's Result and Peaks; no plot)", got, want)
-	}
-}
-
-// TestFanOutRecoversWorkerPanic: a panic in one sweep worker fails the
-// run with an error carrying the panic value and stack, cancels its
-// siblings, and leaves the process running.
-func TestFanOutRecoversWorkerPanic(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	tl, err := New(circuits.SecondOrder(0.3, 1e6), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = tl.fanOut(context.Background(), 8, func(ctx context.Context, _ *analysis.Sim, lo, hi int) error {
-		if lo == 0 {
-			panic("chunk 0 blew up")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(10 * time.Second):
-			return errors.New("sibling worker was not canceled")
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "chunk 0 blew up") || !strings.Contains(err.Error(), "goroutine") {
-		t.Fatalf("err = %v, want the panic value and its stack", err)
 	}
 }

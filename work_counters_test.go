@@ -52,15 +52,14 @@ type workRun struct {
 	counters map[string]int64
 }
 
-// runWorkCase runs ckt with default options on one worker, Single Node on
-// node or All Nodes when node is empty; coarsePPD > 0 enables the adaptive
-// grid. One worker matches acbench's traced pass: the adaptive sweep's
-// diag-solve count depends on how refinement rounds split across workers.
+// runWorkCase runs ckt with default options, Single Node on node or All
+// Nodes when node is empty; coarsePPD > 0 enables the adaptive grid. The
+// counters are a function of the circuit and options alone, not of the
+// machine's CPU count.
 func runWorkCase(t *testing.T, name string, ckt *netlist.Circuit, node string, coarsePPD int) workRun {
 	t.Helper()
 	run := obs.StartRun("work-counters-" + name)
 	opts := tool.DefaultOptions()
-	opts.Workers = 1
 	opts.CoarsePointsPerDecade = coarsePPD
 	opts.Trace = run
 	tl, err := tool.New(ckt, opts)
