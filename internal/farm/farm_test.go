@@ -184,6 +184,20 @@ func TestHandlerErrorPaths(t *testing.T) {
 			t.Errorf("empty node scope %+v: status %d, body %q", o, code, body)
 		}
 	}
+	// Grids too large to afford are refused before any is allocated: an
+	// oversized resolution at decode, with the field named, and a first
+	// pass of too many (node, frequency) pairs as a failed run.
+	req, _ = json.Marshal(&Request{Netlist: tankNetlist, Options: RequestOptions{PointsPerDecade: 1e9}})
+	if code, body := postJSON(t, srv, string(req)); code != http.StatusBadRequest ||
+		!strings.Contains(body, `"field":"points_per_decade"`) {
+		t.Errorf("points_per_decade 1e9: status %d, body %q", code, body)
+	}
+	req, _ = json.Marshal(&Request{Netlist: tankNetlist, Options: RequestOptions{
+		FStartHz: 1e-300, FStopHz: 1e300, PointsPerDecade: 10000}})
+	if code, body := postJSON(t, srv, string(req)); code != http.StatusUnprocessableEntity ||
+		!strings.Contains(body, `"code":"run_failed"`) || !strings.Contains(body, "exceeds the limit") {
+		t.Errorf("6e6-point sweep: status %d, body %q", code, body)
+	}
 }
 
 // promValue extracts the value of one exposition line by exact metric name.

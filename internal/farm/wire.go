@@ -66,6 +66,10 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	if o.PointsPerDecade < 0 {
 		return opts, &FieldError{Field: "points_per_decade", Reason: "must be >= 0 (0 = server default)"}
 	}
+	if o.PointsPerDecade > tool.MaxPointsPerDecade {
+		return opts, &FieldError{Field: "points_per_decade",
+			Reason: fmt.Sprintf("must be <= %d", tool.MaxPointsPerDecade)}
+	}
 	if o.PointsPerDecade > 0 {
 		opts.PointsPerDecade = o.PointsPerDecade
 	}

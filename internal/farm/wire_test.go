@@ -5,6 +5,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"acstab/internal/circuits"
+	"acstab/internal/tool"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -24,6 +27,18 @@ func TestNormalizeDefaults(t *testing.T) {
 	if opts.FStart != 10 || opts.FStop != 1e6 || opts.PointsPerDecade != 7 ||
 		len(opts.SkipNodes) != 1 {
 		t.Errorf("explicit options mangled: %+v", opts)
+	}
+}
+
+// TestNormalizePPDCap: the points-per-decade cap is inclusive, and a
+// request at it passes the tool's own validation too.
+func TestNormalizePPDCap(t *testing.T) {
+	opts, err := (RequestOptions{PointsPerDecade: tool.MaxPointsPerDecade}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tool.New(circuits.SecondOrder(0.3, 1e6), opts); err != nil {
+		t.Errorf("tool rejects the wire's largest ppd: %v", err)
 	}
 }
 
@@ -63,6 +78,8 @@ func TestNormalizeFieldErrors(t *testing.T) {
 		{"negative fstop", RequestOptions{FStopHz: -1}, "fstop_hz"},
 		{"inverted range", RequestOptions{FStartHz: 1e6, FStopHz: 10}, "fstop_hz"},
 		{"negative ppd", RequestOptions{PointsPerDecade: -1}, "points_per_decade"},
+		{"ppd 1e9", RequestOptions{PointsPerDecade: 1e9}, "points_per_decade"},
+		{"ppd above the cap", RequestOptions{PointsPerDecade: tool.MaxPointsPerDecade + 1}, "points_per_decade"},
 		{"negative loop_tol", RequestOptions{LoopTol: -0.1}, "loop_tol"},
 	} {
 		_, err := tc.in.Normalize()

@@ -150,16 +150,27 @@ func LogSpace(a, b float64, n int) []float64 {
 
 // LogGridPPD returns a log grid from fstart to fstop with approximately
 // ppd points per decade (always including both endpoints, minimum 2 points).
+// Each call returns a fresh slice the caller owns.
 func LogGridPPD(fstart, fstop float64, ppd int) []float64 {
+	return LogSpace(fstart, fstop, LogGridLen(fstart, fstop, ppd))
+}
+
+// LogGridLen is the number of points LogGridPPD(fstart, fstop, ppd)
+// returns, computed without building the grid.
+func LogGridLen(fstart, fstop float64, ppd int) int {
 	if ppd < 1 {
 		ppd = 1
 	}
 	decades := math.Log10(fstop / fstart)
+	if math.IsInf(decades, 1) {
+		// The ratio overflowed; the difference of the logs does not.
+		decades = math.Log10(fstop) - math.Log10(fstart)
+	}
 	n := int(math.Ceil(decades*float64(ppd))) + 1
 	if n < 2 {
 		n = 2
 	}
-	return LogSpace(fstart, fstop, n)
+	return n
 }
 
 // LinSpace returns n points linearly spaced from a to b inclusive.

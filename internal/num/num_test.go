@@ -138,6 +138,34 @@ func TestLogGridPPD(t *testing.T) {
 	}
 }
 
+// TestLogGridLen: the length helper agrees with the grid it sizes, and
+// every LogGridPPD call hands back a fresh slice its caller may own.
+func TestLogGridLen(t *testing.T) {
+	for _, tc := range []struct {
+		fstart, fstop float64
+		ppd           int
+	}{
+		{1e3, 1e9, 40}, {1e3, 1e9, 10}, {1e4, 1e8, 20}, {1, 1.5, 40},
+		{1e3, 1e9, 0}, {1e3, 1e9, -3}, {1e2, 1e9, 30}, {17, 2.3e7, 7},
+	} {
+		g := LogGridPPD(tc.fstart, tc.fstop, tc.ppd)
+		if n := LogGridLen(tc.fstart, tc.fstop, tc.ppd); n != len(g) {
+			t.Errorf("LogGridLen(%g, %g, %d) = %d, LogGridPPD has %d points", tc.fstart, tc.fstop, tc.ppd, n, len(g))
+		}
+		if h := LogGridPPD(tc.fstart, tc.fstop, tc.ppd); &h[0] == &g[0] {
+			t.Errorf("LogGridPPD(%g, %g, %d) returned the same array twice", tc.fstart, tc.fstop, tc.ppd)
+		}
+	}
+}
+
+// TestLogGridLenWideRange: a range whose ratio overflows a float64 still
+// gets its full length (600 decades at 10 ppd), not the 2-point floor.
+func TestLogGridLenWideRange(t *testing.T) {
+	if n := LogGridLen(1e-300, 1e300, 10); n != 6001 {
+		t.Errorf("LogGridLen(1e-300, 1e300, 10) = %d, want 6001", n)
+	}
+}
+
 func TestLogSpacePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { LogSpace(0, 1, 3) },

@@ -130,11 +130,27 @@ func columnTFs() []ratfn.TF {
 	}
 }
 
+// requireAxisIntact fails unless ax still holds grid and its log axis is
+// the one-shot ln of grid, bit for bit.
+func requireAxisIntact(t *testing.T, ax *Axis, grid []float64) {
+	t.Helper()
+	if !ax.holds(grid) || !slices.Equal(ax.Freqs(), grid) {
+		t.Fatal("the shared axis no longer holds its grid")
+	}
+	for i, u := range logs(grid) {
+		if !sameFloat(ax.Logs()[i], u) {
+			t.Fatalf("shared log axis[%d] = %v, want %v", i, ax.Logs()[i], u)
+		}
+	}
+}
+
 // TestAnalyzerMatchesAnalyze: one warm Analyzer running column after
 // column on a shared grid returns, for each, exactly what the one-shot
 // Analyze does, from exactly the P the one-shot Plot does — on a uniform
 // grid (auto picks 5-point), an adaptive non-uniform grid (auto picks
-// 3-point), and explicit stencils 3 and 5.
+// 3-point), and explicit stencils 3 and 5. It does so both computing the
+// log axis itself and borrowing a shared Axis of the grid, which it
+// leaves as it found it.
 func TestAnalyzerMatchesAnalyze(t *testing.T) {
 	uniform := num.LogGridPPD(1e3, 1e9, 40)
 	adaptive := refinedGrid(3e4, 3e6)
@@ -152,27 +168,44 @@ func TestAnalyzerMatchesAnalyze(t *testing.T) {
 		{"uniform-3", uniform, Options{Stencil: 3, MinPeakDepth: 0.75}, 3},
 		{"uniform-5-maxpeaks", uniform, Options{Stencil: 5, MinPeakDepth: 0.75, MaxPeaks: 1}, 5},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			an := NewAnalyzer(tc.opts)
-			for pass := 0; pass < 2; pass++ {
-				for _, tf := range columnTFs() {
-					mag := magOn(tf, tc.grid)
-					got, err := an.Analyze(mag)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireWarmPlot(t, an, mag)
-					want, err := Analyze(mag, tc.opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, got, want)
+		for _, shared := range []bool{false, true} {
+			name := tc.name
+			if shared {
+				name += "/shared-axis"
+			}
+			t.Run(name, func(t *testing.T) {
+				an := NewAnalyzer(tc.opts)
+				var ax *Axis
+				if shared {
+					ax = NewAxis(tc.grid)
+					an = NewAnalyzerOn(tc.opts, ax)
 				}
-			}
-			if an.stencil != tc.stencil {
-				t.Errorf("stencil %d, want %d", an.stencil, tc.stencil)
-			}
-		})
+				for pass := 0; pass < 2; pass++ {
+					for _, tf := range columnTFs() {
+						mag := magOn(tf, tc.grid)
+						got, err := an.Analyze(mag)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireWarmPlot(t, an, mag)
+						want, err := Analyze(mag, tc.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameResult(t, got, want)
+					}
+				}
+				if an.stencil != tc.stencil {
+					t.Errorf("stencil %d, want %d", an.stencil, tc.stencil)
+				}
+				if shared {
+					requireAxisIntact(t, ax, tc.grid)
+					if an.ax != ax || an.own.u != nil {
+						t.Error("an Analyzer on a shared axis computed a log axis of its own")
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -186,7 +219,9 @@ func logs(x []float64) []float64 {
 
 // TestAnalyzerAlternatingGrids: two distinct grids of equal length,
 // alternated, each get their own axis — the cache keys on the slice's
-// identity, not its length.
+// identity, not its length. With a borrowed Axis of the first grid, that
+// grid reads the shared axis every time, the others go through the
+// Analyzer's own scratch, and the shared axis is never written.
 func TestAnalyzerAlternatingGrids(t *testing.T) {
 	a := num.LogGridPPD(1e3, 1e9, 40)
 	b := make([]float64, len(a))
@@ -194,23 +229,36 @@ func TestAnalyzerAlternatingGrids(t *testing.T) {
 		b[i] = 10 * f
 	}
 	c := slices.Clone(a) // same values as a, another array
-	an := NewAnalyzer(DefaultOptions())
 	tf := ratfn.SecondOrder(0.3, 2*math.Pi*1e6)
-	for i := 0; i < 6; i++ {
-		grid := [][]float64{a, b, c}[i%3]
-		mag := magOn(tf, grid)
-		got, err := an.Analyze(mag)
-		if err != nil {
-			t.Fatal(err)
+	for _, shared := range []bool{false, true} {
+		an := NewAnalyzer(DefaultOptions())
+		var ax *Axis
+		if shared {
+			ax = NewAxis(a)
+			an = NewAnalyzerOn(DefaultOptions(), ax)
 		}
-		requireWarmPlot(t, an, mag)
-		want, err := Analyze(mag, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 6; i++ {
+			grid := [][]float64{a, b, c}[i%3]
+			mag := magOn(tf, grid)
+			got, err := an.Analyze(mag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireWarmPlot(t, an, mag)
+			want, err := Analyze(mag, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, got, want)
+			if &an.ax.x[0] != &grid[0] {
+				t.Fatalf("shared %v, round %d: cache still keyed on the previous grid", shared, i)
+			}
+			if shared && (an.ax == ax) != (i%3 == 0) {
+				t.Fatalf("round %d: the shared axis is used for the wrong grid", i)
+			}
 		}
-		requireSameResult(t, got, want)
-		if &an.x[0] != &grid[0] {
-			t.Fatalf("round %d: cache still keyed on the previous grid", i)
+		if shared {
+			requireAxisIntact(t, ax, a)
 		}
 	}
 }
@@ -257,6 +305,8 @@ func TestAnalyzerErrors(t *testing.T) {
 // TestAnalyzerWarmAllocs pins the warm path's allocations to its output:
 // the Result and one exact-length Peaks array, or the Result alone when
 // there is no peak — no P array, plot wave, log axis, ln|T| or peak scratch.
+// An Analyzer borrowing the grid's Axis allocates no log axis at all, not
+// even on its first column.
 func TestAnalyzerWarmAllocs(t *testing.T) {
 	grid := num.LogGridPPD(1e3, 1e9, 40)
 	flat := make([]float64, len(grid))
@@ -291,6 +341,38 @@ func TestAnalyzerWarmAllocs(t *testing.T) {
 			if got > tc.want {
 				t.Errorf("warm Analyze allocated %v times, want at most %v (Result and %d peaks)", got, tc.want, len(res.Peaks))
 			}
+
+			// A first column costs the same scratch either way, except the
+			// log axis, which a borrowing Analyzer does not build.
+			ax := NewAxis(grid)
+			cold := func(mk func() *Analyzer) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := mk().Analyze(tc.mag); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			own := cold(func() *Analyzer { return NewAnalyzer(DefaultOptions()) })
+			borrowed := cold(func() *Analyzer { return NewAnalyzerOn(DefaultOptions(), ax) })
+			if borrowed >= own {
+				t.Errorf("cold Analyze allocated %v times on a shared axis and %v on its own, want fewer (no log axis)", borrowed, own)
+			}
+			shared := NewAnalyzerOn(DefaultOptions(), ax)
+			if _, err := shared.Analyze(tc.mag); err != nil {
+				t.Fatal(err)
+			}
+			if shared.own.u != nil {
+				t.Error("an Analyzer on a shared axis allocated a log axis")
+			}
+			got = testing.AllocsPerRun(20, func() {
+				if _, err := shared.Analyze(tc.mag); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.want {
+				t.Errorf("warm Analyze on a shared axis allocated %v times, want at most %v", got, tc.want)
+			}
+			requireAxisIntact(t, ax, grid)
 		})
 	}
 }

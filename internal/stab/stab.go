@@ -133,8 +133,10 @@ type Result struct {
 // waveform (|T| versus frequency on a log grid). Non-positive magnitudes
 // are clamped to the smallest positive double before taking logs.
 // The plot takes mag.X as its own X axis (shared, not copied), so neither
-// wave may have its axis modified afterwards. It is a one-shot Analyzer;
-// callers plotting many columns reuse one.
+// wave may have its axis modified afterwards: a tool run's grids are
+// read-only across runs and goroutines, not only within one run. It is a
+// one-shot Analyzer that computes its own log axis; callers plotting many
+// columns reuse one.
 func Plot(mag *wave.Wave, opts Options) (*wave.Wave, error) {
 	return NewAnalyzer(opts).Plot(mag)
 }
@@ -148,26 +150,71 @@ func Analyze(mag *wave.Wave, opts Options) (*Result, error) {
 	return NewAnalyzer(opts).Analyze(mag)
 }
 
+// Axis is a frequency grid with its log axis u = ln f precomputed, the
+// first index with a non-positive frequency (-1 if none) and whether u is
+// uniform. One built by NewAxis is immutable and may be shared by any
+// number of Analyzers on any goroutines; neither its grid nor its log
+// axis may be written by anyone who holds it.
+type Axis struct {
+	x, u    []float64
+	badX    int
+	uniform bool
+}
+
+// NewAxis computes the log axis of the grid x, which it takes without
+// copying; x must not be modified afterwards.
+func NewAxis(x []float64) *Axis {
+	ax := &Axis{}
+	ax.set(x, make([]float64, len(x)))
+	return ax
+}
+
+// Freqs is the grid. Read-only.
+func (ax *Axis) Freqs() []float64 { return ax.x }
+
+// Logs is u = ln f of every grid point. Read-only.
+func (ax *Axis) Logs() []float64 { return ax.u }
+
+// set makes x the axis, computing its log axis into u (len(x) long).
+func (ax *Axis) set(x, u []float64) {
+	ax.x, ax.u, ax.badX = x, u, -1
+	for i, f := range x {
+		if f <= 0 && ax.badX < 0 {
+			ax.badX = i
+		}
+		u[i] = math.Log(f)
+	}
+	ax.uniform = logUniform(u)
+}
+
+// holds reports whether x is the axis's own grid slice (same first element
+// and length).
+func (ax *Axis) holds(x []float64) bool {
+	n := len(x)
+	return n == len(ax.x) && n > 0 && &x[0] == &ax.x[0]
+}
+
 // Analyzer runs Plot and Analyze over many magnitude columns that share a
 // few frequency grids, as an all-nodes run's nodes share the sweep grid.
-// It caches the last grid's log axis ln(x) and the stencil chosen for it,
-// keyed by the identity of the X slice (its first element and length), and
-// reuses its ln|T|, P and peak scratch arrays: a warm Analyze computes P
-// into scratch, reads the peaks from it and allocates only the Result and
-// its exact-length Peaks. Results are bitwise identical to the one-shot
-// functions. Grids are read-only once shared (see Plot); the cache holds
-// the slice, so its array cannot be freed and reused at the same address.
-// An Analyzer is not safe for concurrent use.
+// Columns on the Axis it was built over (NewAnalyzerOn) read that axis's
+// log axis as is. For any other grid it computes the log axis into its
+// own scratch and keeps it, keyed by the identity of the X slice (its
+// first element and length), until a column on a third grid comes. It
+// also reuses its ln|T|, P and peak scratch arrays: a warm Analyze
+// computes P into scratch, reads the peaks from it and allocates only the
+// Result and its exact-length Peaks. Results are bitwise identical to the
+// one-shot functions. Grids are read-only once shared (see Plot); the
+// cache holds the slice, so its array cannot be freed and reused at the
+// same address. An Analyzer is not safe for concurrent use; the Axis it
+// borrows is, since the Analyzer never writes into it.
 type Analyzer struct {
 	opts Options
 
-	// The cached grid: x itself, u = ln(x), the first index with a
-	// non-positive frequency (-1 if none), whether u is uniform, and the
+	shared *Axis // borrowed from NewAnalyzerOn, read-only; nil if none
+	own    Axis  // the last other grid; own.u is this Analyzer's scratch
+	// ax is the axis of the last column (shared or &own) and stencil the
 	// stencil opts resolves to on it.
-	x       []float64
-	u       []float64
-	badX    int
-	uniform bool
+	ax      *Axis
 	stencil int
 
 	ln    []float64 // ln|T| scratch
@@ -180,27 +227,28 @@ func NewAnalyzer(opts Options) *Analyzer {
 	return &Analyzer{opts: opts}
 }
 
-// axis makes x the cached grid, recomputing its log axis unless x is the
-// slice cached last.
+// NewAnalyzerOn returns an Analyzer applying opts to every column whose
+// X is ax's grid slice, reading ax's log axis without recomputing or
+// writing it. Columns on other grids are handled as by NewAnalyzer.
+func NewAnalyzerOn(opts Options, ax *Axis) *Analyzer {
+	return &Analyzer{opts: opts, shared: ax}
+}
+
+// axis makes x the current grid: the borrowed axis when x is its grid,
+// else the Analyzer's own, recomputed unless x is the grid it holds.
 func (a *Analyzer) axis(x []float64) {
-	n := len(x)
-	if n == len(a.x) && n > 0 && &x[0] == &a.x[0] {
-		return
-	}
-	a.x = x
-	a.u = slices.Grow(a.u[:0], n)[:n]
-	a.badX = -1
-	for i, f := range x {
-		if f <= 0 && a.badX < 0 {
-			a.badX = i
+	if a.shared != nil && a.shared.holds(x) {
+		a.ax = a.shared
+	} else {
+		if !a.own.holds(x) {
+			a.own.set(x, slices.Grow(a.own.u[:0], len(x))[:len(x)])
 		}
-		a.u[i] = math.Log(f)
+		a.ax = &a.own
 	}
-	a.uniform = logUniform(a.u)
 	a.stencil = a.opts.Stencil
 	if a.stencil == 0 {
 		a.stencil = 3
-		if a.uniform && n >= 7 {
+		if a.ax.uniform && len(x) >= 7 {
 			a.stencil = 5
 		}
 	}
@@ -226,19 +274,19 @@ func (a *Analyzer) plot(mag *wave.Wave) ([]float64, error) {
 		return nil, fmt.Errorf("stab: need at least 5 frequency points, have %d", n)
 	}
 	a.axis(mag.X)
-	if a.badX >= 0 {
-		return nil, fmt.Errorf("stab: non-positive frequency at index %d", a.badX)
+	if a.ax.badX >= 0 {
+		return nil, fmt.Errorf("stab: non-positive frequency at index %d", a.ax.badX)
 	}
 	switch a.stencil {
 	case 3:
 	case 5:
-		if !a.uniform {
+		if !a.ax.uniform {
 			return nil, fmt.Errorf("stab: 5-point stencil needs a uniform log grid")
 		}
 	default:
 		return nil, fmt.Errorf("stab: unsupported stencil %d (want 3 or 5)", a.opts.Stencil)
 	}
-	u := a.u
+	u := a.ax.u
 	ln := slices.Grow(a.ln[:0], n)[:n]
 	a.ln = ln
 	for i := 0; i < n; i++ {
@@ -278,7 +326,7 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 		return nil, err
 	}
 	n := len(p)
-	u := a.u // the log axis of mag.X, the cached grid
+	u := a.ax.u // the log axis of mag.X
 	peaks := a.peaks[:0]
 
 	addPeak := func(i int, isMax bool) {

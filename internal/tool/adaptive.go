@@ -36,9 +36,6 @@ const (
 	// single-real-pole dip bottoms out at 0.5, so anything deeper hints at
 	// a complex pair worth resolving.
 	defRefineThreshold = 0.5
-	// maxRefinePPD rejects effectively unbounded refinement caps; the
-	// paper's workflows run 20-100 points per decade.
-	maxRefinePPD = 10000
 	// maxRefineRoundsCap bounds the bisection rounds regardless of the
 	// coarse/fine ratio (each round halves interval widths, so 20 rounds
 	// cover a 10^6 resolution ratio with room to spare).
@@ -168,7 +165,8 @@ func (g *nodeGrid) merge(r refiner, vals []complex128) {
 }
 
 // refine runs up to maxRounds bisection rounds over the first-pass samples
-// of the nodes idx, replacing each refined node's freqs[i] and cols[i],
+// of the nodes idx, all on the grid of ax, replacing each refined node's
+// freqs[i] and cols[i],
 // and returns the distinct frequencies it factored (the sum of the rounds'
 // unions). It also publishes the adaptive trace counters:
 //
@@ -176,19 +174,16 @@ func (g *nodeGrid) merge(r refiner, vals []complex128) {
 //	adaptive_refined_points (node, frequency) points added by refinement
 //	adaptive_solve_pairs    total (node, frequency) points solved
 //	adaptive_dense_pairs    what the dense uniform sweep would have solved
-func (t *Tool) refine(ctx context.Context, op *mna.OpPoint, idx []int, maxRounds int, freqs [][]float64, cols [][]complex128) (int64, error) {
+func (t *Tool) refine(ctx context.Context, op *mna.OpPoint, idx []int, maxRounds int, ax *stab.Axis, freqs [][]float64, cols [][]complex128) (int64, error) {
 	if len(idx) == 0 {
 		return 0, nil
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "refine_sweep")
 	defer sp.End()
 	// Every node starts on the one first-pass grid, so its log shadow is
-	// computed once and shared until a merge gives a node its own arrays.
-	grid := freqs[0]
-	u := make([]float64, len(grid))
-	for j, f := range grid {
-		u[j] = math.Log(f)
-	}
+	// the shared axis's until a merge gives a node its own arrays; merge
+	// only reads it.
+	grid, u := ax.Freqs(), ax.Logs()
 	grids := make([]nodeGrid, len(idx))
 	for i := range grids {
 		lnm := make([]float64, len(grid))
@@ -247,7 +242,7 @@ func (t *Tool) refine(ctx context.Context, op *mna.OpPoint, idx []int, maxRounds
 	tr.Add("adaptive_rounds", rounds)
 	tr.Add("adaptive_refined_points", refined)
 	tr.Add("adaptive_solve_pairs", solvePairs)
-	densePairs := int64(len(num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, t.Opts.PointsPerDecade))) * int64(len(idx))
+	densePairs := int64(num.LogGridLen(t.Opts.FStart, t.Opts.FStop, t.Opts.PointsPerDecade)) * int64(len(idx))
 	tr.Add("adaptive_dense_pairs", densePairs)
 	mAdaptiveRounds.Add(rounds)
 	mAdaptiveRefined.Add(refined)

@@ -17,6 +17,7 @@ package tool
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"acstab/internal/analysis"
@@ -139,11 +140,15 @@ func NewFromCompiled(c *Compiled, opts Options) (*Tool, error) {
 // withRunDefaults validates the per-run options and fills the documented
 // defaults, the shared gate of New and NewFromCompiled.
 func withRunDefaults(opts Options) (Options, error) {
-	if opts.FStart <= 0 || opts.FStop <= opts.FStart {
+	if !(opts.FStart > 0) || !(opts.FStop > opts.FStart) || math.IsInf(opts.FStop, 1) {
 		return opts, fmt.Errorf("tool: bad frequency range [%g, %g]", opts.FStart, opts.FStop)
 	}
 	if opts.PointsPerDecade <= 0 {
 		opts.PointsPerDecade = 40
+	}
+	if opts.PointsPerDecade > MaxPointsPerDecade {
+		return opts, fmt.Errorf("tool: points per decade %d exceeds the cap %d",
+			opts.PointsPerDecade, MaxPointsPerDecade)
 	}
 	if opts.LoopTol <= 0 {
 		opts.LoopTol = 0.12
@@ -165,9 +170,9 @@ func withRunDefaults(opts Options) (Options, error) {
 			return opts, fmt.Errorf("tool: refine points per decade (%d) below the coarse resolution (%d)",
 				opts.RefinePointsPerDecade, opts.CoarsePointsPerDecade)
 		}
-		if opts.RefinePointsPerDecade > maxRefinePPD {
+		if opts.RefinePointsPerDecade > MaxPointsPerDecade {
 			return opts, fmt.Errorf("tool: refine points per decade %d exceeds the cap %d (unbounded refinement is rejected)",
-				opts.RefinePointsPerDecade, maxRefinePPD)
+				opts.RefinePointsPerDecade, MaxPointsPerDecade)
 		}
 		if opts.RefineThreshold == 0 {
 			opts.RefineThreshold = defRefineThreshold

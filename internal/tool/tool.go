@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"acstab/internal/acerr"
 	"acstab/internal/analysis"
@@ -35,9 +36,22 @@ var (
 	mAdaptiveRefined = obs.GetCounter("acstab_adaptive_refined_points_total")
 )
 
+// Grid-size limits. Options come from untrusted wire requests too, so a
+// run refuses a grid it cannot afford before allocating any of it.
+const (
+	// MaxPointsPerDecade caps PointsPerDecade and RefinePointsPerDecade;
+	// the paper's workflows run 20-100 points per decade.
+	MaxPointsPerDecade = 10000
+	// maxSweepEntries caps the first-pass sweep's (node, frequency)
+	// pairs, about 64 MiB of impedance columns.
+	maxSweepEntries = 1 << 22
+)
+
 // Options configures a stability run.
 type Options struct {
-	FStart, FStop   float64 // sweep range in Hz
+	FStart, FStop float64 // sweep range in Hz
+	// PointsPerDecade is the uniform grid's resolution (0 selects 40;
+	// above MaxPointsPerDecade is rejected).
 	PointsPerDecade int
 	// CoarsePointsPerDecade enables the two-level adaptive sweep: a coarse
 	// uniform pass at this resolution, then recursive bisection of the
@@ -48,7 +62,7 @@ type Options struct {
 	CoarsePointsPerDecade int
 	// RefinePointsPerDecade caps the adaptive refinement resolution. 0
 	// selects PointsPerDecade; values below CoarsePointsPerDecade or above
-	// maxRefinePPD are rejected.
+	// MaxPointsPerDecade are rejected.
 	RefinePointsPerDecade int
 	// RefineThreshold is the |P| level above which an interval counts as
 	// resonant and is refined. 0 selects the default (0.5, the single-
@@ -195,13 +209,13 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 		return nil, err
 	}
 	mSingleNodeRuns.Inc()
-	freqs, cols, err := t.columns(ctx, op, []int{idx})
+	ax, freqs, cols, err := t.columns(ctx, op, []int{idx})
 	if err != nil {
 		return nil, err
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	defer sp.End()
-	return t.analyzeColumn(stab.NewAnalyzer(t.Opts.Stab), strings.ToLower(node), freqs[0], cols[0])
+	return t.analyzeColumn(stab.NewAnalyzerOn(t.Opts.Stab, ax), strings.ToLower(node), freqs[0], cols[0])
 }
 
 // analyzeColumn converts one impedance column into a NodeResult, using
@@ -209,9 +223,10 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 // Z is overwritten with |Z|, and col becomes the Impedance wave's
 // samples, so the caller must not read the complex impedances again.
 // The result's Impedance wave, and a stability plot stab.Plot builds from
-// it, take freqs as their X axis without copying it: a node's grid is
-// shared with every other node swept on it and is read-only from here on,
-// which also lets an reuse the grid's log axis from node to node.
+// it, take freqs as their X axis without copying it. A first-pass grid is
+// shared with every node, run and goroutine of the process that sweeps
+// the same range (see firstPassAxis), and a refined grid with the Analyzer
+// that caches its log axis, so every grid is read-only from here on.
 func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, col []complex128) (*NodeResult, error) {
 	res := &NodeResult{Node: node}
 	maxMag := 0.0
@@ -313,7 +328,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("tool: no node left to analyze after the OnlySubckt %q and SkipNodes %q filters",
 			t.Opts.OnlySubckt, t.Opts.SkipNodes)
 	}
-	freqs, cols, err := t.columns(ctx, op, idx)
+	ax, freqs, cols, err := t.columns(ctx, op, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +341,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	peaks := make([]stab.NodePeak, 0, len(names))
-	an := stab.NewAnalyzer(t.Opts.Stab)
+	an := stab.NewAnalyzerOn(t.Opts.Stab, ax)
 	for i, name := range names {
 		if err := acerr.Ctx(ctx); err != nil {
 			sp.End()
@@ -356,21 +371,30 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 // first pass sweeps every node over the user's grid — PointsPerDecade, or
 // CoarsePointsPerDecade when adaptive grids are on — and then
 // maxRefineRounds() refinement rounds (0 unless adaptive) bisect each
-// node's resonant intervals. It returns each node's frequency grid and
-// impedance column; without refinement every node's grid aliases the one
-// first-pass slice.
+// node's resonant intervals. It returns the first-pass grid's shared axis
+// and each node's frequency grid and impedance column; without
+// refinement every node's grid aliases the axis's one grid, which is
+// read-only for every run and goroutine that holds it.
+//
+// A first pass of more than maxSweepEntries (node, frequency) pairs is
+// refused before anything is allocated.
 //
 // It publishes the sweep volume: sweep_nodes, and sweep_freq_points, the
 // distinct frequencies factored (the first-pass grid plus each refinement
 // round's union).
-func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]float64, [][]complex128, error) {
-	mSweepNodes.Add(int64(len(idx)))
-	t.Opts.Trace.Add("sweep_nodes", int64(len(idx)))
+func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) (*stab.Axis, [][]float64, [][]complex128, error) {
 	ppd, phase := t.Opts.PointsPerDecade, "sweep"
 	if t.adaptive() {
 		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
 	}
-	grid := num.LogGridPPD(t.Opts.FStart, t.Opts.FStop, ppd)
+	if n := num.LogGridLen(t.Opts.FStart, t.Opts.FStop, ppd); int64(n)*int64(len(idx)) > maxSweepEntries {
+		return nil, nil, nil, fmt.Errorf("tool: sweep of %d nodes x %d frequencies exceeds the limit of %d points",
+			len(idx), n, maxSweepEntries)
+	}
+	mSweepNodes.Add(int64(len(idx)))
+	t.Opts.Trace.Add("sweep_nodes", int64(len(idx)))
+	ax := firstPassAxis(t.Opts.FStart, t.Opts.FStop, ppd)
+	grid := ax.Freqs()
 	// Every sweep of this run refactors under the pivot order chosen at
 	// the grid's first frequency.
 	t.Sim.PinACAnalysis(grid[0])
@@ -378,7 +402,7 @@ func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]flo
 	cols, err := t.sweep(ctx, grid, op, idx)
 	sp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	freqs := make([][]float64, len(idx))
 	for i := range freqs {
@@ -386,15 +410,41 @@ func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) ([][]flo
 	}
 	points := int64(len(grid))
 	if rounds := t.maxRefineRounds(); rounds > 0 {
-		refined, err := t.refine(ctx, op, idx, rounds, freqs, cols)
+		refined, err := t.refine(ctx, op, idx, rounds, ax, freqs, cols)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		points += refined
 	}
 	mSweepPoints.Add(points)
 	t.Opts.Trace.Add("sweep_freq_points", points)
-	return freqs, cols, nil
+	return ax, freqs, cols, nil
+}
+
+// axisMemo is one first-pass grid, keyed by the options that build it.
+type axisMemo struct {
+	fstart, fstop float64
+	ppd           int
+	axis          *stab.Axis
+}
+
+// lastAxis memoizes the most recent first-pass axis for the life of the
+// process. Runs differ in their options far less often than they repeat
+// them (every corner, batch variant, temperature and Monte Carlo sample
+// sweeps the same grid), so one entry serves them all without a size
+// policy. The entry is immutable; a miss builds a new one and replaces it.
+var lastAxis atomic.Pointer[axisMemo]
+
+// firstPassAxis returns the shared, read-only axis of
+// num.LogGridPPD(fstart, fstop, ppd), building it only when the memo
+// holds another grid.
+func firstPassAxis(fstart, fstop float64, ppd int) *stab.Axis {
+	if m := lastAxis.Load(); m != nil && m.fstart == fstart && m.fstop == fstop && m.ppd == ppd {
+		return m.axis
+	}
+	ax := stab.NewAxis(num.LogGridPPD(fstart, fstop, ppd))
+	lastAxis.Store(&axisMemo{fstart: fstart, fstop: fstop, ppd: ppd, axis: ax})
+	return ax
 }
 
 // sweep runs one ImpedanceDiagSweep on the calling goroutine; the

@@ -276,7 +276,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, err := tl.columns(ctx, op, idx); err != nil {
+		if _, _, _, err := tl.columns(ctx, op, idx); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -513,13 +513,13 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := tl.Sys.NodeOf("t")
-	freqs, cols, err := tl.columns(ctx, op, []int{k})
+	ax, freqs, cols, err := tl.columns(ctx, op, []int{k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := cols[0]
 	z := slices.Clone(col)
-	an := stab.NewAnalyzer(tl.Opts.Stab)
+	an := stab.NewAnalyzerOn(tl.Opts.Stab, ax)
 	nr, err := tl.analyzeColumn(an, "t", freqs[0], col)
 	if err != nil {
 		t.Fatal(err)
@@ -547,5 +547,52 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 	})
 	if want := 5.0; got > want {
 		t.Errorf("warm analyzeColumn allocated %v times, want at most %v (wave, name, NodeResult + Analyze's Result and Peaks; no plot)", got, want)
+	}
+}
+
+// TestFirstPassAxisAllocs pins the shared first-pass axis: a memo hit
+// allocates nothing, and a warm sweep driver run allocates what one
+// ImpedanceDiagSweep does plus the per-node grid headers, with no grid and
+// no log axis of its own. An Analyzer over the shared axis allocates no
+// log axis either (stab's TestAnalyzerWarmAllocs).
+func TestFirstPassAxisAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	tl, err := New(circuits.SecondOrder(0.3, 1e6), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	op, err := tl.ensureOP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := tl.Sys.NodeOf("t")
+	idx := []int{k}
+	ax, _, _, err := tl.columns(ctx, op, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if firstPassAxis(opts.FStart, opts.FStop, opts.PointsPerDecade) != ax {
+			t.Fatal("memo miss on the options just swept")
+		}
+	}); got != 0 {
+		t.Errorf("a first-pass axis memo hit allocated %v times, want 0", got)
+	}
+	sweep := testing.AllocsPerRun(5, func() {
+		if _, err := tl.Sim.ImpedanceDiagSweep(ctx, ax.Freqs(), op, idx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	driver := testing.AllocsPerRun(5, func() {
+		if _, _, _, err := tl.columns(ctx, op, idx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The driver adds the per-node grid headers (and one more under the
+	// race detector). A memo miss would add four: the grid, its log axis,
+	// the Axis and the memo entry.
+	if driver > sweep+2 {
+		t.Errorf("sweep driver allocated %v times, ImpedanceDiagSweep alone %v: want at most two more", driver, sweep)
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"acstab/internal/analysis"
+	"acstab/internal/circuits"
 	"acstab/internal/mna"
 	"acstab/internal/netlist"
 	"acstab/internal/num"
@@ -92,5 +95,79 @@ func TestMethodVsExactPolesQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGridLimits: options that would ask for an unaffordable grid are
+// refused, and a first pass of more (node, frequency) pairs than
+// maxSweepEntries fails before any grid or column is allocated and
+// without replacing the process-wide axis. Only refused sizes are tried.
+func TestGridLimits(t *testing.T) {
+	base := DefaultOptions()
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"ppd 1e9", func(o *Options) { o.PointsPerDecade = 1e9 }},
+		{"ppd above the cap", func(o *Options) { o.PointsPerDecade = MaxPointsPerDecade + 1 }},
+		{"NaN fstart", func(o *Options) { o.FStart = math.NaN() }},
+		{"NaN fstop", func(o *Options) { o.FStop = math.NaN() }},
+		{"infinite fstop", func(o *Options) { o.FStop = math.Inf(1) }},
+	} {
+		opts := base
+		tc.edit(&opts)
+		if _, err := New(circuits.SecondOrder(0.3, 1e6), opts); err == nil {
+			t.Errorf("%s: New accepted %+v", tc.name, opts)
+		}
+	}
+	opts := base
+	opts.PointsPerDecade = MaxPointsPerDecade
+	if _, err := New(circuits.SecondOrder(0.3, 1e6), opts); err != nil {
+		t.Errorf("ppd at the cap: %v", err)
+	}
+
+	ctx := context.Background()
+	wide := base
+	wide.FStart, wide.FStop, wide.PointsPerDecade = 1e-300, 1e300, MaxPointsPerDecade
+	dense := base
+	dense.PointsPerDecade = MaxPointsPerDecade
+	for _, tc := range []struct {
+		name string
+		ckt  *netlist.Circuit
+		opts Options
+		run  func(*Tool) error
+	}{
+		// 6e6 frequencies on one node.
+		{"single node, wide range", circuits.SecondOrder(0.3, 1e6), wide, func(tl *Tool) error {
+			_, err := tl.SingleNode(ctx, "t")
+			return err
+		}},
+		// 81 nodes x 60001 frequencies.
+		{"all nodes, dense grid", circuits.RCLadder(80), dense, func(tl *Tool) error {
+			_, err := tl.AllNodes(ctx)
+			return err
+		}},
+	} {
+		tl, err := New(tc.ckt, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tl.ensureOP(ctx); err != nil {
+			t.Fatal(err)
+		}
+		memo := lastAxis.Load()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = tc.run(tl)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("%s: err = %v, want the sweep-size refusal", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: the refused run allocated %d bytes", tc.name, grew)
+		}
+		if lastAxis.Load() != memo {
+			t.Errorf("%s: the refused run replaced the shared axis", tc.name)
+		}
 	}
 }
