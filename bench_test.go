@@ -486,7 +486,7 @@ func BenchmarkAdaptiveGrid(b *testing.B) {
 
 // BenchmarkWarmBatch times one 16-variant corner round as a wire-v2 batch
 // against a worker whose compile cache is warm. It fails unless the batch
-// is faster than sixteen wire-v1 submissions to a cacheless worker (how a
+// is faster than sixteen one-variant batches to a cacheless worker (how a
 // corner sweep ran before the cache: flatten, compile and symbolic
 // analysis per corner, plus a round trip each), measured as the median
 // interleaved wall-time ratio, and unless the cache served the batch.
@@ -513,9 +513,13 @@ C1 t 0 1n
 	coldClient := &farm.Client{BaseURL: cold.URL}
 	sequential := func() {
 		for _, v := range variants {
-			if _, err := coldClient.Submit(context.Background(), &farm.Request{
-				Netlist: tank, Node: "t", Variables: v.Variables,
-			}); err != nil {
+			results, err := coldClient.SubmitBatch(context.Background(), &farm.BatchRequest{
+				Netlist: tank, Node: "t", Variants: []farm.Variant{v},
+			})
+			if err == nil {
+				err = results[0].Err
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -541,7 +545,7 @@ C1 t 0 1n
 	ratios := interleavedRatios(b, wallTime, sequential, batch)
 	r := ratios[len(ratios)/2]
 	if r >= 1 {
-		b.Errorf("warm 16-variant batch takes %.2fx the wall time of 16 sequential v1 submissions, want < 1", r)
+		b.Errorf("warm 16-variant batch takes %.2fx the wall time of 16 sequential one-variant batches, want < 1", r)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -468,11 +468,12 @@ func runMC(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.O
 
 // farmRequest is the farm job for the CLI's run setup: the deck, the
 // sweep options, and the design-variable overrides (-set values and a
-// -state file's variables). runRemote and runCorners both ship it, so a
-// worker analyzes exactly what the local run would.
+// -state file's variables), as a batch of one empty variant. runRemote
+// ships it as it is and runCorners swaps in the corners, so a worker
+// analyzes exactly what the local run would.
 func farmRequest(src string, opts tool.Options, vars map[string]float64,
-	node, format string, timeout time.Duration) *farm.Request {
-	return &farm.Request{
+	node, format string, timeout time.Duration) *farm.BatchRequest {
+	return &farm.BatchRequest{
 		Netlist:   src,
 		Format:    format,
 		Node:      node,
@@ -489,59 +490,55 @@ func farmRequest(src string, opts tool.Options, vars map[string]float64,
 			SkipNodes:             opts.SkipNodes,
 			OnlySubckt:            opts.OnlySubckt,
 		},
+		Variants: []farm.Variant{{}},
 	}
 }
 
-// runRemote ships the job to an acstabd farm worker. A -timeout is
-// forwarded as the job's timeout_ms so the worker enforces the same
-// deadline server-side. The submission runs traced: the worker's phase
-// spans and solver counters come back over the wire and land in this
-// process's run trace, so -stats/-trace-json/-trace-chrome show the
-// remote flatten/op/sweep/stability work as if it ran locally.
-func runRemote(ctx context.Context, out io.Writer, url string, job *farm.Request, trace *obs.Run) error {
+// runRemote ships the job to an acstabd farm worker as a one-variant
+// batch and prints its report, or returns the item's typed error. A
+// -timeout is forwarded as the job's timeout_ms so the worker enforces
+// the same deadline server-side. The submission runs traced: the
+// worker's phase spans and solver counters come back over the wire and
+// land in this process's run trace, so -stats/-trace-json/-trace-chrome
+// show the remote flatten/op/sweep/stability work as if it ran locally.
+func runRemote(ctx context.Context, out io.Writer, url string, job *farm.BatchRequest, trace *obs.Run) error {
 	c := &farm.Client{BaseURL: strings.TrimRight(url, "/")}
-	body, err := c.SubmitTraced(ctx, job, trace)
+	results, err := c.SubmitBatchTraced(ctx, job, trace)
 	if err != nil {
 		return err
 	}
-	_, err = out.Write(body)
+	if err := results[0].Err; err != nil {
+		return err
+	}
+	_, err = out.Write(results[0].Body)
 	return err
 }
 
 // runCorners drives a corner batch from a corners file: every corner is
 // the job's circuit under different design-variable overrides (on top of
 // the job's own), exactly the workload the farm's compiled-system cache
-// amortizes. With -remote the whole batch ships as one wire-v2
-// submission (per-item errors and retries handled by SubmitBatch);
-// locally the corners run through the same batch executor against a
-// process-local cache, so corner 2 of an unchanged variable set skips
-// flatten/compile entirely.
-func runCorners(ctx context.Context, out io.Writer, remote string, job *farm.Request,
+// amortizes. With -remote the whole batch ships as one traced submission
+// (per-item errors and retries handled by the client, each corner's
+// worker trace grafted into this run's); locally the corners run through
+// the same batch executor against a process-local cache, so corner 2 of
+// an unchanged variable set skips flatten/compile entirely.
+func runCorners(ctx context.Context, out io.Writer, remote string, job *farm.BatchRequest,
 	opts tool.Options, trace *obs.Run, path string) error {
 	variants, err := parseCorners(path)
 	if err != nil {
 		return err
 	}
-	batch := &farm.BatchRequest{
-		Netlist:   job.Netlist,
-		Format:    job.Format,
-		Node:      job.Node,
-		TimeoutMS: job.TimeoutMS,
-		Options:   job.Options,
-		Variables: job.Variables,
-		Variants:  variants,
-	}
+	job.Variants = variants
 	if remote != "" {
-		batch.V = farm.WireV2
 		c := &farm.Client{BaseURL: strings.TrimRight(remote, "/")}
-		results, err := c.SubmitBatch(ctx, batch)
+		results, err := c.SubmitBatchTraced(ctx, job, trace)
 		for _, r := range results {
 			printCorner(out, r.Label, r.CacheHit, r.DurationMS, r.Body, r.Err)
 		}
 		return err
 	}
 	timeout := time.Duration(job.TimeoutMS) * time.Millisecond
-	return farm.RunBatch(ctx, farm.NewCache(0), batch, opts, timeout, trace, func(it farm.BatchItem) {
+	return farm.RunBatch(ctx, farm.NewCache(0), job, opts, timeout, trace, func(it farm.BatchItem) {
 		var err error
 		if it.Error != nil {
 			err = fmt.Errorf("%s: %s", it.Error.Code, it.Error.Message)

@@ -578,6 +578,53 @@ func TestCornersRemote(t *testing.T) {
 	}
 }
 
+// TestCornersRemoteStats: a remote corner batch runs traced, so -stats
+// and -trace-json show every corner's worker phases and solver counters
+// grafted into the client's run, tagged with the attempt that ran them.
+func TestCornersRemoteStats(t *testing.T) {
+	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
+	defer srv.Close()
+	path := writeNetlist(t, tankNetlist)
+	corners := writeCorners(t, "nom\nhi_r rq=2k\n")
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
+	var out, errOut bytes.Buffer
+	if err := runWith([]string{"-i", path, "-remote", srv.URL, "-corners", corners,
+		"-stats", "-trace-json", traceFile}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "=== CORNER hi_r (") {
+		t.Errorf("remote corner batch output:\n%s", out.String())
+	}
+	for _, want := range []string{"phase sweep", "phase stability", "phase farm_submit", "ac_factorizations"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("-stats missing %q:\n%s", want, errOut.String())
+		}
+	}
+	b, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr obs.Trace
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatal(err)
+	}
+	sweeps := 0
+	for _, p := range tr.Phases {
+		if p.Phase == "sweep" {
+			sweeps++
+			if p.Attempt != 1 {
+				t.Errorf("worker sweep span attempt = %d, want 1", p.Attempt)
+			}
+		}
+	}
+	if sweeps != 2 {
+		t.Errorf("merged trace holds %d worker sweep spans, want one per corner (2)", sweeps)
+	}
+	if tr.Counters["ac_factorizations"] <= 0 || tr.Counters["sweep_nodes"] <= 0 {
+		t.Errorf("worker counters not merged: %v", tr.Counters)
+	}
+}
+
 func TestCornersFileErrors(t *testing.T) {
 	path := writeNetlist(t, tankNetlist)
 	var out bytes.Buffer

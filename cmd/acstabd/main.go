@@ -1,23 +1,25 @@
 // Command acstabd is a stability-analysis farm worker: the remote
 // simulation capability the paper lists under future development. It
-// serves POST /run (netlist + options JSON in, rendered report out),
-// POST /batch (wire v2: one netlist + N variants in, an NDJSON stream of
-// per-variant results out, amortized by the worker's content-addressed
-// compile cache — size it with -cache-entries),
-// GET /healthz, GET /metrics (Prometheus text exposition), GET /statusz
-// (JSON status snapshot with build identity, numerical health and cache
-// state), and GET /debug/runs (flight recorder: the last -recent-runs
-// run records with their traces and outcomes, filterable with ?outcome=
-// and ?n=). With -pprof it additionally exposes the net/http/pprof
-// handlers under /debug/pprof/. Point any number of acstab clients — or
-// a load balancer — at a fleet of workers.
+// serves POST /batch (wire v2: one netlist + options + N variants in, an
+// NDJSON stream of per-variant reports out, amortized by the worker's
+// content-addressed compile cache — size it with -cache-entries; a
+// single job is a one-variant batch, and the retired POST /run answers
+// 410 naming /batch), GET /healthz, GET /metrics (Prometheus text
+// exposition), GET /statusz (JSON status snapshot with build identity,
+// numerical health and cache state), and GET /debug/runs (flight
+// recorder: the last -recent-runs run records with their traces and
+// outcomes, filterable with ?outcome= and ?n=). With -pprof it
+// additionally exposes the net/http/pprof handlers under /debug/pprof/.
+// Point any number of acstab clients — or a load balancer — at a fleet
+// of workers.
 //
-// All logging is wide events: one canonical JSON object per /run request
-// on stderr, and structured lifecycle events (listening, drain_start,
-// drain_end, final_metrics) instead of free-form log lines.
+// All logging is wide events on stderr: one canonical JSON object per
+// /batch request plus one per variant, and structured lifecycle events
+// (listening, drain_start, drain_end, final_metrics) instead of
+// free-form log lines.
 //
 // On SIGINT/SIGTERM the worker stops accepting connections, drains
-// in-flight /run jobs for up to -drain-timeout, and emits a final
+// in-flight batches for up to -drain-timeout, and emits a final
 // metrics snapshot event before exiting.
 //
 // Usage:
@@ -48,9 +50,9 @@ func main() {
 	listen := flag.String("listen", ":8080", "listen address")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	drain := flag.Duration("drain-timeout", 30*time.Second,
-		"how long to wait for in-flight /run jobs on shutdown")
+		"how long to wait for in-flight /batch requests on shutdown")
 	maxConc := flag.Int("max-concurrent", 0,
-		"max /run jobs and /batch requests in flight before shedding with 429 (0 = GOMAXPROCS)")
+		"max /batch requests in flight before shedding with 429 (0 = GOMAXPROCS)")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Minute,
 		"per-job deadline ceiling; a request's timeout_ms is capped at this")
 	recentRuns := flag.Int("recent-runs", obs.DefaultRecentRuns,

@@ -1,13 +1,14 @@
-// batch.go is wire format v2: one netlist submitted with N variant
-// entries (design-variable overrides with corner labels), answered as a
-// stream of NDJSON BatchItem results. The batch shape matches how the
-// compile cache earns its keep — all variants share the netlist, and
-// variants repeated across batches (nominal corners, bisection re-runs)
-// share compiled systems — while typed per-item errors keep one bad
-// corner from failing the rest of the sweep. The whole batch occupies a
-// single admission slot: items execute sequentially, each on one
-// goroutine, so a 16-variant batch loads the worker like one long job
-// instead of 16 competing ones.
+// batch.go is the farm's job wire (format v2): one netlist submitted
+// with N variant entries (design-variable overrides with corner labels),
+// answered as a stream of NDJSON BatchItem results; a single job is a
+// one-variant batch. The batch shape matches how the compile cache earns
+// its keep — all variants share the netlist, and variants repeated
+// across batches (nominal corners, bisection re-runs) share compiled
+// systems — while typed per-item errors keep one bad corner from failing
+// the rest of the sweep. The whole batch occupies a single admission
+// slot: items execute sequentially, each on one goroutine, so a
+// 16-variant batch loads the worker like one long job instead of 16
+// competing ones.
 
 package farm
 
@@ -20,6 +21,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"acstab/internal/obs"
@@ -30,7 +32,7 @@ import (
 const MaxBatchVariants = 256
 
 // BatchRequest is one wire-v2 batch job: a netlist plus N variants to
-// run it under.
+// run it under (one empty variant for a plain job).
 type BatchRequest struct {
 	// V is the wire-format version and must be WireV2.
 	V int `json:"v"`
@@ -54,6 +56,10 @@ type BatchRequest struct {
 	Variants []Variant `json:"variants"`
 	// TraceID is the client's correlation ID for the whole batch.
 	TraceID string `json:"trace_id,omitempty"`
+	// CollectTrace asks the worker to run each item under its own run
+	// trace and return it as the item line's trace member, for the client
+	// to graft into the caller's trace.
+	CollectTrace bool `json:"collect_trace,omitempty"`
 }
 
 // Variant is one entry of a batch: a corner label plus the variable
@@ -86,6 +92,9 @@ type BatchItem struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// DurationMS is the item's wall time on the worker.
 	DurationMS float64 `json:"duration_ms"`
+	// Trace is the item's run trace on the worker, sent only when the
+	// batch asked for collect_trace.
+	Trace *obs.Trace `json:"trace,omitempty"`
 }
 
 // mergeVars overlays variant variables on the batch-level base set.
@@ -113,30 +122,34 @@ func mergeVars(base, over map[string]float64) map[string]float64 {
 // client hung up, the process is draining) aborts the loop, returning
 // its error. itemTimeout bounds each variant (0 = unbounded beyond ctx);
 // cache may be nil to compile every variant from scratch; run (nil ok)
-// collects the batch's phase spans and solver counters.
+// collects the batch's phase spans and solver counters. With
+// req.CollectTrace each item runs under a trace of its own, which the
+// item carries and run takes in as local spans.
 func RunBatch(ctx context.Context, cache *Cache, req *BatchRequest, opts tool.Options, itemTimeout time.Duration, run *obs.Run, emit func(BatchItem)) error {
-	if len(req.Netlist) > MaxNetlistBytes {
-		return fmt.Errorf("farm: netlist larger than %d bytes", MaxNetlistBytes)
-	}
 	for i, v := range req.Variants {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		item := BatchItem{Index: i, Label: v.Label}
-		r := &Request{
-			Netlist:   req.Netlist,
-			Format:    req.Format,
-			Node:      req.Node,
-			Variables: mergeVars(req.Variables, v.Variables),
-		}
 		ictx, cancel := ctx, context.CancelFunc(func() {})
 		if itemTimeout > 0 {
 			ictx, cancel = context.WithTimeout(ctx, itemTimeout)
 		}
+		irun := run
+		if req.CollectTrace {
+			irun = obs.StartRun("farm/item")
+		}
 		start := time.Now()
-		body, contentType, hit, err := runCached(ictx, cache, r, opts, run)
+		body, contentType, hit, err := runCached(ictx, cache, req, mergeVars(req.Variables, v.Variables), opts, irun)
 		cancel()
-		item.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
+		dur := time.Since(start)
+		item.DurationMS = float64(dur) / float64(time.Millisecond)
+		if req.CollectTrace {
+			irun.Finish()
+			tr := irun.Trace()
+			item.Trace = &tr
+			run.GraftRemote(tr, start, dur, 0)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -157,7 +170,9 @@ func RunBatch(ctx context.Context, cache *Cache, req *BatchRequest, opts tool.Op
 // so the client renders corner 1 while corner 2 sweeps. Item failures
 // are typed per-item errors inline in the stream; once streaming starts
 // the HTTP status is committed, so a mid-batch abort surfaces as a
-// truncated stream (the client re-submits the missing variants).
+// truncated stream (the client re-submits the missing variants). The
+// flight-recorder record takes the first failed item's outcome, so a
+// one-variant batch killed by its deadline is found by ?outcome=deadline.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ev := &batchEvent{}
@@ -169,6 +184,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
 		return
 	}
+	// Admission control: shed instead of queueing so latency stays
+	// bounded and the load balancer can route around a busy worker.
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -177,6 +194,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rec := s.rec.Begin("batch", "", nil)
 		rec.Finish("shed")
 		ev.requestID, ev.outcome, ev.status = rec.ID(), "shed", http.StatusTooManyRequests
+		ev.retryAfter = s.cfg.RetryAfter
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		writeErr(w, http.StatusTooManyRequests, CodeOverloaded,
@@ -210,6 +228,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Every batch runs under its own run trace, recorded in the flight
+	// recorder while in flight — a hung batch is diagnosable from its
+	// partial trace at GET /debug/runs/<id>.
 	run := obs.StartRun("farm/batch")
 	rec := s.rec.Begin("batch", req.TraceID, run)
 	ev.requestID, ev.run = rec.ID(), run
@@ -218,10 +239,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bp := lineBufs.Get().(*[]byte)
 	defer putLineBuf(bp)
 	flusher, _ := w.(http.Flusher)
+	outcome := "ok"
 	err := RunBatch(r.Context(), s.cache, req, opts, itemTimeout, run, func(it BatchItem) {
 		ev.items++
 		if it.Error != nil {
 			ev.itemErrs++
+			if outcome == "ok" {
+				outcome = runOutcome(it.Error.Code)
+			}
 		}
 		if it.CacheHit {
 			ev.hits++
@@ -240,28 +265,36 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ev.outcome, ev.status, ev.errMsg = "canceled", 499, err.Error()
 		return
 	}
-	rec.Finish("ok")
-	ev.outcome, ev.status = "ok", http.StatusOK
+	rec.Finish(outcome)
+	ev.outcome, ev.status = outcome, http.StatusOK
 }
 
-// batchEvent accumulates the one canonical wide event a /batch request
-// emits, mirroring runEvent for the batch endpoint.
+// batchEvent accumulates the fields of the one canonical wide event a
+// /batch request emits: whatever path the request takes — served, shed,
+// rejected, aborted — exactly one "batch" event with the full context
+// leaves the worker, correlated with the flight recorder by request_id
+// and with the caller by trace_id.
 type batchEvent struct {
-	requestID string
-	traceID   string
-	outcome   string
-	status    int
-	errMsg    string
-	run       *obs.Run
-	req       *BatchRequest
-	items     int
-	itemErrs  int
-	hits      int
+	requestID  string
+	traceID    string
+	outcome    string
+	status     int
+	errMsg     string
+	run        *obs.Run
+	req        *BatchRequest
+	retryAfter time.Duration
+	items      int
+	itemErrs   int
+	hits       int
 }
 
-// emitBatchEvent writes the batch's canonical wide event: identity,
-// outcome, item/error/cache-hit counts, and the batch-wide solver
-// counter deltas.
+// emitBatchEvent writes the batch's canonical wide event: identity
+// (request_id, trace_id), outcome and HTTP status, wall time, the
+// item/error/cache-hit counts, the sweep volume and result shape (nodes,
+// frequency points, peaks, loops), and the batch's solver-counter deltas
+// from its run trace (factorizations, refactorizations, fallbacks,
+// pattern drift, diag rows visited, ...) so fleet-level log queries like
+// "which batches fell off the refactor fast path" need no metric join.
 func (s *server) emitBatchEvent(ev *batchEvent, dur time.Duration) {
 	attrs := []slog.Attr{
 		slog.String("request_id", ev.requestID),
@@ -279,15 +312,63 @@ func (s *server) emitBatchEvent(ev *batchEvent, dur time.Duration) {
 		attrs = append(attrs,
 			slog.Int("netlist_bytes", len(ev.req.Netlist)),
 			slog.Int("variants", len(ev.req.Variants)))
+		if ev.req.Node != "" {
+			attrs = append(attrs, slog.String("node", ev.req.Node))
+		}
+		if ev.req.Format != "" {
+			attrs = append(attrs, slog.String("format", ev.req.Format))
+		}
+	}
+	if ev.retryAfter > 0 {
+		attrs = append(attrs,
+			slog.Float64("retry_after_s", ev.retryAfter.Seconds()),
+			slog.Int("max_concurrent", s.cfg.MaxConcurrent))
 	}
 	if ev.errMsg != "" {
 		attrs = append(attrs, slog.String("error", ev.errMsg))
 	}
 	if ev.run != nil {
-		tc := ev.run.Trace().Counters
+		tr := ev.run.Trace()
+		tc := tr.Counters
 		attrs = append(attrs,
 			slog.Int64("nodes", tc["sweep_nodes"]),
-			slog.Int64("freq_points", tc["sweep_freq_points"]))
+			slog.Int64("freq_points", tc["sweep_freq_points"]),
+			slog.Int64("peaks", tc["peaks"]),
+			slog.Int64("loops", tc["loops"]))
+		solver := map[string]any{}
+		for k, v := range tc {
+			switch {
+			case k == "sweep_nodes" || k == "sweep_freq_points" || k == "peaks" || k == "loops":
+			case strings.HasPrefix(k, obs.ResidualDecadePrefix):
+				// The per-decade residual digest is summarized by the
+				// numerics block below, not listed raw.
+			default:
+				solver[k] = v
+			}
+		}
+		// Numerical health: one solver.numerics block per batch so "which
+		// batches were degraded" is a log query, not a metric join.
+		if tc["ac_residual_points"] > 0 {
+			num := map[string]any{
+				"points":       tc["ac_residual_points"],
+				"refinements":  tc["ac_refinements"],
+				"breaches":     tc["ac_residual_breaches"],
+				"max_residual": tr.Stats["numerics_residual_max"],
+			}
+			if med, ok := obs.MedianResidual(tc); ok {
+				num["median_residual"] = med
+			}
+			if g := tr.Stats["numerics_pivot_growth_max"]; g > 0 {
+				num["pivot_growth_max"] = g
+			}
+			if ce := tr.Stats["numerics_cond_est_max"]; ce > 0 {
+				num["cond_estimate"] = ce
+			}
+			solver["numerics"] = num
+		}
+		if len(solver) > 0 {
+			attrs = append(attrs, slog.Any("solver", solver))
+		}
 	}
 	s.log.Event("batch", attrs...)
 }
@@ -362,8 +443,18 @@ func (e *ItemError) Error() string {
 // are never re-run. Each result's Attempts counts the submissions that
 // included it. The returned error is the final batch-level failure, nil
 // when every variant got an answer (possibly a per-item error: check
-// each result's Err).
+// each result's Err). ctx bounds the whole call including backoff waits.
 func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchResult, error) {
+	return c.SubmitBatchTraced(ctx, req, nil)
+}
+
+// SubmitBatchTraced is SubmitBatch with distributed tracing: it asks the
+// worker to collect each item's run trace and grafts every returned item
+// trace into run, anchored inside the request window of the attempt that
+// answered it (clock-skew safe) and annotated with that attempt's number,
+// so retried submissions stay distinguishable. A nil run behaves exactly
+// like SubmitBatch.
+func (c *Client) SubmitBatchTraced(ctx context.Context, req *BatchRequest, run *obs.Run) ([]BatchResult, error) {
 	hc := c.HTTPClient
 	if hc == nil {
 		t := c.Timeout
@@ -394,11 +485,17 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 		results[i] = BatchResult{Index: i, Label: v.Label}
 		pending[i] = i
 	}
+	wire := *req
+	wire.V = WireV2
+	if run != nil {
+		wire.CollectTrace = true
+		if wire.TraceID == "" {
+			wire.TraceID = newTraceID()
+		}
+	}
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		wire := *req
-		wire.V = WireV2
 		wire.Variants = make([]Variant, len(pending))
 		for wi, orig := range pending {
 			wire.Variants[wi] = req.Variants[orig]
@@ -408,7 +505,11 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 		if err != nil {
 			return results, err
 		}
+		attemptStart := time.Now()
+		sp := obs.StartPhase(run, "farm_submit")
 		items, err := c.submitBatchOnce(ctx, hc, payload)
+		sp.End()
+		attemptDur := time.Since(attemptStart)
 		// Fold whatever arrived — even a failed attempt may have streamed
 		// some items before dying, and those stay answered.
 		answered := make([]bool, len(pending))
@@ -423,6 +524,9 @@ func (c *Client) SubmitBatch(ctx context.Context, req *BatchRequest) ([]BatchRes
 			res.Err = nil
 			if it.Error != nil {
 				res.Err = &ItemError{Detail: *it.Error}
+			}
+			if it.Trace != nil {
+				run.GraftRemote(*it.Trace, attemptStart, attemptDur, attempt+1)
 			}
 			answered[it.Index] = true
 		}

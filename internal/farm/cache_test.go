@@ -351,8 +351,8 @@ func TestCacheCountersScripted(t *testing.T) {
 	hits0, miss0 := mCacheHits.Value(), mCacheMisses.Value()
 	submit := func(vars string) {
 		t.Helper()
-		body := `{"netlist": ` + mustQuote(tankNetlist) + vars + `}`
-		if code, resp := postJSON(t, srv, body); code != 200 {
+		body := `{"v": 2, "variants": [{}], "netlist": ` + mustQuote(tankNetlist) + vars + `}`
+		if code, _, resp := postBatch(t, srv, body); code != 200 || firstItem(t, resp).Error != nil {
 			t.Fatalf("run: status %d body %q", code, resp)
 		}
 	}
@@ -376,26 +376,23 @@ func mustQuote(s string) string {
 // TestWarmResubmissionSkipsCompile is the acceptance criterion for the
 // compile cache: re-submitting an identical circuit must skip the
 // flatten/MNA-compile/operating-point work entirely — their phase spans
-// are absent from the second run's trace — and count a cache hit.
+// are absent from the second item's trace — and count a cache hit.
 func TestWarmResubmissionSkipsCompile(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
 	traced := func() *obs.Trace {
 		t.Helper()
-		req := `{"netlist": ` + mustQuote(tankNetlist) + `, "collect_trace": true}`
-		code, body := postJSON(t, srv, req)
+		req := oneJob(t, BatchRequest{Netlist: tankNetlist, CollectTrace: true})
+		code, _, body := postBatch(t, srv, req)
 		if code != 200 {
 			t.Fatalf("traced run: status %d body %q", code, body)
 		}
-		var env TracedResponse
-		if err := json.Unmarshal([]byte(body), &env); err != nil {
-			t.Fatal(err)
+		it := firstItem(t, body)
+		if it.Error != nil || it.Trace == nil {
+			t.Fatalf("traced item: error %+v, trace %v", it.Error, it.Trace)
 		}
-		if env.Trace == nil {
-			t.Fatal("no trace in envelope")
-		}
-		return env.Trace
+		return it.Trace
 	}
 	phases := func(tr *obs.Trace) map[string]bool {
 		out := map[string]bool{}

@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -32,28 +33,28 @@ func decodeEvents(t *testing.T, sink *bytes.Buffer, name string) []map[string]an
 }
 
 // TestRunEmitsExactlyOneWideEvent is the canonical-event contract: one
-// /run request produces exactly one "run" event — no separate middleware
-// line — carrying the outcome, wall time, sweep volume, and solver-counter
-// deltas, correlated with the flight recorder by trace_id.
+// one-variant /batch request produces exactly one "batch" event plus one
+// "batch_item" event — no separate middleware line — the batch event
+// carrying the outcome, wall time, sweep volume, result shape and
+// solver-counter deltas, correlated with the flight recorder by trace_id.
 func TestRunEmitsExactlyOneWideEvent(t *testing.T) {
 	var sink bytes.Buffer
 	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(&sink)}))
 	defer srv.Close()
 
-	code, _ := postJSON(t, srv,
-		`{"netlist":"`+strings.ReplaceAll(tankNetlist, "\n", `\n`)+`","trace_id":"tr-wide-1"}`)
+	code, _, _ := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: tankNetlist, TraceID: "tr-wide-1"}))
 	if code != 200 {
 		t.Fatalf("run failed with %d", code)
 	}
 
 	all := decodeEvents(t, &sink, "")
-	if len(all) != 1 {
-		t.Fatalf("one /run request must produce exactly one event, got %d: %v", len(all), all)
+	if len(all) != 2 || all[0]["event"] != "batch_item" || all[1]["event"] != "batch" {
+		t.Fatalf("one one-variant /batch request must produce one batch_item and one batch event, got %d: %v", len(all), all)
 	}
-	ev := all[0]
-	if ev["event"] != "run" {
-		t.Fatalf("event name %v, want run", ev["event"])
+	if all[0]["outcome"] != "ok" || all[0]["request_id"] != all[1]["request_id"] {
+		t.Errorf("batch_item event = %v", all[0])
 	}
+	ev := all[1]
 	if ev["outcome"] != "ok" || ev["status"] != float64(200) {
 		t.Errorf("outcome/status = %v/%v", ev["outcome"], ev["status"])
 	}
@@ -72,6 +73,9 @@ func TestRunEmitsExactlyOneWideEvent(t *testing.T) {
 	}
 	if _, ok := ev["peaks"].(float64); !ok {
 		t.Errorf("peaks missing: %v", ev)
+	}
+	if _, ok := ev["loops"].(float64); !ok {
+		t.Errorf("loops missing: %v", ev)
 	}
 	// Solver-counter deltas for this run, nested under "solver".
 	solver, ok := ev["solver"].(map[string]any)
@@ -111,25 +115,29 @@ func TestRunWideEventOnErrorPaths(t *testing.T) {
 	defer srv.Close()
 
 	// Malformed body: still exactly one canonical event, outcome bad_json.
-	if code, _ := postJSON(t, srv, "{not json"); code != 400 {
+	if code, _, _ := postBatch(t, srv, "{not json"); code != 400 {
 		t.Fatalf("bad JSON should 400, got %d", code)
 	}
-	// Broken netlist: a run-level failure.
-	if code, _ := postJSON(t, srv, `{"netlist":"broken\nZZ\n"}`); code != 422 {
-		t.Fatalf("broken netlist should 422, got %d", code)
+	// Broken netlist: a failed item in a served batch.
+	if code, _, _ := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: "broken\nZZ\n"})); code != 200 {
+		t.Fatalf("broken netlist should stream its item error, got %d", code)
 	}
 
-	runs := decodeEvents(t, &sink, "run")
-	if len(runs) != 2 {
-		t.Fatalf("2 requests must produce 2 run events, got %d", len(runs))
+	batches := decodeEvents(t, &sink, "batch")
+	if len(batches) != 2 {
+		t.Fatalf("2 requests must produce 2 batch events, got %d", len(batches))
 	}
-	if runs[0]["outcome"] != CodeBadJSON {
-		t.Errorf("first outcome = %v, want %s", runs[0]["outcome"], CodeBadJSON)
+	if batches[0]["outcome"] != CodeBadJSON || batches[0]["error"] == nil {
+		t.Errorf("first outcome = %v, want %s with its error", batches[0]["outcome"], CodeBadJSON)
 	}
-	if runs[1]["outcome"] == "ok" || runs[1]["error"] == nil {
-		t.Errorf("failed run event lacks outcome/error: %v", runs[1])
+	if batches[1]["outcome"] != CodeRunFailed {
+		t.Errorf("failed batch event outcome = %v, want %s: %v", batches[1]["outcome"], CodeRunFailed, batches[1])
 	}
-	for _, ev := range runs {
+	items := decodeEvents(t, &sink, "batch_item")
+	if len(items) != 1 || items[0]["outcome"] == "ok" || items[0]["error"] == nil {
+		t.Errorf("failed item event lacks outcome/error: %v", items)
+	}
+	for _, ev := range batches {
 		if ev["request_id"] == nil || ev["request_id"] == "" {
 			t.Errorf("error event lacks request_id: %v", ev)
 		}
@@ -146,12 +154,22 @@ func TestMiddlewareEventsForNonRunRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	// The retired /run is an ordinary route now: its 410 is logged by
+	// the middleware like any other answer.
+	resp, err = srv.Client().Post(srv.URL+"/run", "application/json", strings.NewReader(`{"netlist":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	https := decodeEvents(t, &sink, "http")
-	if len(https) != 1 {
-		t.Fatalf("got %d http events, want 1", len(https))
+	if len(https) != 2 {
+		t.Fatalf("got %d http events, want 2", len(https))
 	}
 	if https[0]["path"] != "/healthz" || https[0]["status"] != float64(200) {
 		t.Errorf("http event = %v", https[0])
+	}
+	if https[1]["path"] != "/run" || https[1]["status"] != float64(http.StatusGone) {
+		t.Errorf("/run http event = %v", https[1])
 	}
 }
 
@@ -159,14 +177,14 @@ func TestDebugRunsFilters(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
 
-	good := `{"netlist":"` + strings.ReplaceAll(tankNetlist, "\n", `\n`) + `"}`
+	good := oneJob(t, BatchRequest{Netlist: tankNetlist})
 	for i := 0; i < 2; i++ {
-		if code, body := postJSON(t, srv, good); code != 200 {
+		if code, _, body := postBatch(t, srv, good); code != 200 || firstItem(t, body).Error != nil {
 			t.Fatalf("run %d failed: %d %s", i, code, body)
 		}
 	}
-	if code, _ := postJSON(t, srv, `{"netlist":"broken\nZZ\n"}`); code != 422 {
-		t.Fatal("broken netlist should 422")
+	if _, _, body := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: "broken\nZZ\n"})); firstItem(t, body).Error == nil {
+		t.Fatal("broken netlist should fail its item")
 	}
 
 	list := func(query string) []obs.RunSummary {
@@ -214,7 +232,7 @@ func TestDebugRunsFilters(t *testing.T) {
 
 // TestNumericsSameNumbersAcrossSurfaces is the numerics consistency
 // check: one run must quote the same health numbers from every surface
-// that reports them — the run's wide event, the worker's /statusz and
+// that reports them — the batch's wide event, the worker's /statusz and
 // the /debug/runs flight recorder. Metrics are process-global, so the
 // /statusz comparison is a delta around the run.
 func TestNumericsSameNumbersAcrossSurfaces(t *testing.T) {
@@ -243,8 +261,8 @@ func TestNumericsSameNumbersAcrossSurfaces(t *testing.T) {
 	}
 
 	pointsBefore, refineBefore, _ := numCount()
-	body := `{"netlist":"` + strings.ReplaceAll(tankNetlist, "\n", `\n`) + `","trace_id":"tr-numerics-1"}`
-	if code, out := postJSON(t, srv, body); code != 200 {
+	body := oneJob(t, BatchRequest{Netlist: tankNetlist, TraceID: "tr-numerics-1"})
+	if code, _, out := postBatch(t, srv, body); code != 200 || firstItem(t, out).Error != nil {
 		t.Fatalf("run failed with %d: %s", code, out)
 	}
 	pointsAfter, refineAfter, ok := numCount()
@@ -257,16 +275,16 @@ func TestNumericsSameNumbersAcrossSurfaces(t *testing.T) {
 		t.Fatalf("statusz residual count delta = %d, want > 0", deltaPoints)
 	}
 
-	// Surface 1: the run's wide event.
+	// Surface 1: the batch's wide event.
 	var numerics map[string]any
-	for _, ev := range decodeEvents(t, &sink, "run") {
+	for _, ev := range decodeEvents(t, &sink, "batch") {
 		if ev["trace_id"] == "tr-numerics-1" {
 			solver, _ := ev["solver"].(map[string]any)
 			numerics, _ = solver["numerics"].(map[string]any)
 		}
 	}
 	if numerics == nil {
-		t.Fatal("run wide event carries no solver.numerics block")
+		t.Fatal("batch wide event carries no solver.numerics block")
 	}
 	evPoints := int64(numerics["points"].(float64))
 	evRefine := int64(numerics["refinements"].(float64))

@@ -1,14 +1,15 @@
 // Package farm implements the remote-simulation capability the paper
 // lists as future work ("remote server simulation and distributed
 // computer farm run control"): an HTTP job server that accepts a netlist
-// plus run options and returns the rendered all-nodes stability report,
-// and the matching client. A fleet of acstabd processes behind any HTTP
-// load balancer is the modern equivalent of the compute-farm dispatch the
-// authors planned.
+// plus run options and N design-variable variants and streams back one
+// rendered stability report per variant, and the matching client. A
+// single job is a one-variant batch. A fleet of acstabd processes behind
+// any HTTP load balancer is the modern equivalent of the compute-farm
+// dispatch the authors planned.
 //
 // The request path is built to degrade gracefully under overload: a
-// server-side concurrency limiter sheds excess jobs with 429 + a
-// Retry-After hint while in-flight jobs run to completion, every job
+// server-side concurrency limiter sheds excess batches with 429 + a
+// Retry-After hint while in-flight batches run to completion, every item
 // carries a deadline (the request's timeout_ms capped by the server
 // maximum), and a client disconnect cancels the solve mid-sweep through
 // the request context. The Client retries shed and transient failures
@@ -24,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -55,61 +55,6 @@ var (
 	mDeadline = obs.GetCounter("acstab_farm_deadline_exceeded_total")
 )
 
-// WireVersion is the farm protocol version this worker speaks. Requests
-// may omit the field (legacy clients) or send this value; anything else
-// is rejected up front so a future incompatible format fails loudly
-// instead of mis-running.
-const WireVersion = 1
-
-// Request is one remote stability job.
-type Request struct {
-	// V is the wire-format version (WireVersion; 0 is accepted as
-	// legacy shorthand for version 1).
-	V int `json:"v,omitempty"`
-	// Netlist is the circuit source text.
-	Netlist string `json:"netlist"`
-	// Format selects the response rendering: text (default), csv, json,
-	// annotate.
-	Format string `json:"format,omitempty"`
-	// Node switches to single-node mode when non-empty.
-	Node string `json:"node,omitempty"`
-	// TimeoutMS is the job deadline in milliseconds, measured from the
-	// moment the worker admits the job. The server caps it at its
-	// -request-timeout; 0 means "server default".
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Options carries the sweep setup (zero values take server defaults).
-	Options RequestOptions `json:"options"`
-	// Variables override design variables before the run.
-	Variables map[string]float64 `json:"variables,omitempty"`
-	// TraceID is the client's correlation ID. The worker stores it in its
-	// flight-recorder record so a farm-wide search can find this job.
-	TraceID string `json:"trace_id,omitempty"`
-	// CollectTrace asks the worker to return the job's run trace: the
-	// response becomes a TracedResponse envelope (signaled by the
-	// TraceHeader response header) instead of the raw rendered report.
-	CollectTrace bool `json:"collect_trace,omitempty"`
-}
-
-// TraceHeader marks a response whose body is a TracedResponse envelope
-// rather than the raw rendered report.
-const TraceHeader = "X-Acstab-Trace"
-
-// TracedResponse is the response envelope for CollectTrace jobs: the
-// rendered report plus the worker-side run trace, which the client grafts
-// into the caller's trace.
-type TracedResponse struct {
-	V int `json:"v"`
-	// RequestID is the worker's flight-recorder ID for this job; quote it
-	// when asking "what happened to my run" against GET /debug/runs.
-	RequestID string `json:"request_id,omitempty"`
-	// ContentType is the media type of Body.
-	ContentType string `json:"content_type"`
-	// Body is the rendered report (base64 in JSON).
-	Body []byte `json:"body"`
-	// Trace is the worker's run trace for this job.
-	Trace *obs.Trace `json:"trace,omitempty"`
-}
-
 // RequestOptions mirrors the CLI sweep flags. One job is one whole
 // analysis on one goroutine: the wire has no way to ask for a slice of
 // the node list or for a sweep worker count.
@@ -131,26 +76,23 @@ type RequestOptions struct {
 // MaxNetlistBytes bounds the decoded netlist size.
 const MaxNetlistBytes = 4 << 20
 
-// maxRunRequestBytes and maxBatchRequestBytes bound the raw request
-// bodies. JSON string escaping can inflate a netlist to roughly twice its
-// size on the wire (every newline becomes \n), so the body budget is
-// double the netlist budget plus headroom for options (and, for batches,
-// the variant list). A body exceeding its budget is answered 413
-// payload_too_large — never silently truncated into a confusing
-// bad_json rejection.
-const (
-	maxRunRequestBytes   = 2*MaxNetlistBytes + 64<<10
-	maxBatchRequestBytes = 2*MaxNetlistBytes + 1<<20
-)
+// maxBatchRequestBytes bounds the raw request body. JSON string escaping
+// can inflate a netlist to roughly twice its size on the wire (every
+// newline becomes \n), so the body budget is double the netlist budget
+// plus headroom for the options and the variant list. A body exceeding
+// its budget is answered 413 payload_too_large — never silently
+// truncated into a confusing bad_json rejection.
+const maxBatchRequestBytes = 2*MaxNetlistBytes + 1<<20
 
 // Config tunes a farm worker's request path.
 type Config struct {
-	// MaxConcurrent bounds the /run jobs and /batch requests running at
-	// once; excess requests are shed with 429 + Retry-After. 0 selects
-	// GOMAXPROCS: each job sweeps on one goroutine.
+	// MaxConcurrent bounds the /batch requests running at once; excess
+	// requests are shed with 429 + Retry-After. 0 selects GOMAXPROCS: a
+	// batch runs its items one after another, each sweeping on one
+	// goroutine.
 	MaxConcurrent int
-	// MaxTimeout caps the per-request deadline and is the default for
-	// requests that do not set timeout_ms. 0 selects 5 minutes.
+	// MaxTimeout caps the per-item deadline and is the default for
+	// batches that do not set timeout_ms. 0 selects 5 minutes.
 	MaxTimeout time.Duration
 	// RetryAfter is the hint returned with 429 responses. 0 selects 1s.
 	RetryAfter time.Duration
@@ -158,9 +100,9 @@ type Config struct {
 	// worker keeps the last RecentRuns run records (trace, outcome, wall
 	// time). 0 selects obs.DefaultRecentRuns.
 	RecentRuns int
-	// Log is the wide-event sink: one canonical JSON event per /run
-	// request (plus "http" events for the other routes). Nil selects
-	// obs.StderrEvents.
+	// Log is the wide-event sink: one canonical "batch" event per /batch
+	// request plus one "batch_item" event per variant, and "http" events
+	// for the other routes. Nil selects obs.StderrEvents.
 	Log *obs.EventLogger
 	// CacheEntries bounds the content-addressed compiled-system cache. 0
 	// selects DefaultCacheEntries; negative disables caching (every
@@ -200,18 +142,19 @@ type server struct {
 	log   *obs.EventLogger
 	build obs.BuildInfo
 	start time.Time
-	// cache is the content-addressed compiled-system cache shared by /run
-	// and /batch; nil when caching is disabled.
+	// cache is the content-addressed compiled-system cache shared by
+	// every /batch request; nil when caching is disabled.
 	cache *Cache
 }
 
 // Handler returns a farm worker handler with default Config.
 func Handler() http.Handler { return NewHandler(Config{}) }
 
-// NewHandler returns the HTTP handler of a farm worker: POST /run
-// executes a job under the concurrency limiter and per-request deadline,
-// POST /batch executes a wire-v2 variant batch streaming NDJSON results,
-// GET /healthz reports liveness, GET /metrics serves the Prometheus
+// NewHandler returns the HTTP handler of a farm worker: POST /batch
+// executes a wire-v2 variant batch under the concurrency limiter and
+// per-item deadlines, streaming NDJSON results (a single job is a
+// one-variant batch; the retired /run answers 410 naming /batch), GET
+// /healthz reports liveness, GET /metrics serves the Prometheus
 // exposition of the process registry, and GET /statusz serves a JSON
 // status snapshot (jobs in flight, shed/abort counters, per-phase
 // latency histograms, solver counters, sweep utilization). GET
@@ -232,7 +175,7 @@ func NewHandler(cfg Config) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", handleHealthz)
-	mux.HandleFunc("/run", s.handleRun)
+	mux.HandleFunc("/run", handleRunRemoved)
 	mux.HandleFunc("/batch", s.handleBatch)
 	mux.Handle("/metrics", obs.MetricsHandler())
 	mux.HandleFunc("/statusz", s.handleStatusz)
@@ -248,6 +191,14 @@ func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
+}
+
+// handleRunRemoved answers the retired wire-v1 endpoint with a typed
+// 410 naming its replacement, so a stale client fails loudly instead of
+// getting a 404 page or, worse, a silently different job.
+func handleRunRemoved(w http.ResponseWriter, r *http.Request) {
+	writeErr(w, http.StatusGone, CodeUnsupportedVersion,
+		"wire v1 (POST /run) is removed: send the job to POST /batch as a one-variant wire-v2 batch")
 }
 
 // ErrorBody is the structured JSON document returned for 4xx/5xx.
@@ -314,198 +265,6 @@ func writeWireErr(w http.ResponseWriter, we *WireError) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(we.Status)
 	json.NewEncoder(w).Encode(ErrorBody{Error: we.Detail})
-}
-
-// runEvent accumulates the fields of the one canonical wide event a /run
-// request emits: whatever path the request takes — served, shed, rejected,
-// aborted — exactly one "run" event with the full context leaves the
-// worker, correlated with the flight recorder by request_id and with the
-// caller by trace_id.
-type runEvent struct {
-	requestID  string
-	traceID    string
-	outcome    string
-	status     int
-	errMsg     string
-	run        *obs.Run
-	req        *Request
-	retryAfter time.Duration
-	cacheHit   bool
-}
-
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ev := &runEvent{}
-	defer func() { s.emitRunEvent(ev, time.Since(start)) }()
-	if r.Method != http.MethodPost {
-		ev.outcome, ev.status = CodeMethodNotAllowed, http.StatusMethodNotAllowed
-		writeErr(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	// Admission control: shed instead of queueing so latency stays
-	// bounded and the load balancer can route around a busy worker.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		mShed.Inc()
-		rec := s.rec.Begin("run", "", nil)
-		rec.Finish("shed")
-		ev.requestID, ev.outcome, ev.status = rec.ID(), "shed", http.StatusTooManyRequests
-		ev.retryAfter = s.cfg.RetryAfter
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		writeErr(w, http.StatusTooManyRequests, CodeOverloaded,
-			fmt.Sprintf("worker at capacity (%d jobs in flight)", s.cfg.MaxConcurrent))
-		return
-	}
-	mJobsInflight.Inc()
-	defer mJobsInflight.Dec()
-	body, we := readBody(r, maxRunRequestBytes)
-	if we != nil {
-		rec := s.rec.Begin("run", "", nil)
-		rec.Finish(we.Detail.Code)
-		ev.requestID, ev.outcome, ev.status, ev.errMsg = rec.ID(), we.Detail.Code, we.Status, we.Detail.Message
-		writeWireErr(w, we)
-		return
-	}
-	req, opts, we := DecodeRequest(body)
-	if we != nil {
-		rec := s.rec.Begin("run", "", nil)
-		rec.Finish(we.Detail.Code)
-		ev.requestID, ev.outcome, ev.status, ev.errMsg = rec.ID(), we.Detail.Code, we.Status, we.Detail.Message
-		writeWireErr(w, we)
-		return
-	}
-	ev.req, ev.traceID = req, req.TraceID
-
-	// Per-request deadline: client ask capped by the server maximum;
-	// the context also dies when the client disconnects, so an
-	// abandoned job stops burning CPU within one linear solve.
-	timeout := s.cfg.MaxTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Every job runs under its own run trace, recorded in the flight
-	// recorder while in flight — a hung run is diagnosable from its
-	// partial trace at GET /debug/runs/<id>.
-	run := obs.StartRun("farm/run")
-	rec := s.rec.Begin("run", req.TraceID, run)
-	ev.requestID, ev.run = rec.ID(), run
-	out, contentType, hit, err := runCached(ctx, s.cache, req, opts, run)
-	ev.cacheHit = hit
-	run.Finish()
-	if err != nil {
-		status, code := classifyRunError(r, err)
-		rec.Finish(runOutcome(code))
-		ev.outcome, ev.status, ev.errMsg = runOutcome(code), status, err.Error()
-		writeErr(w, status, code, err.Error())
-		return
-	}
-	rec.Finish("ok")
-	ev.outcome, ev.status = "ok", http.StatusOK
-	if req.CollectTrace {
-		tr := run.Trace()
-		w.Header().Set(TraceHeader, "1")
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(TracedResponse{
-			V:           WireVersion,
-			RequestID:   rec.ID(),
-			ContentType: contentType,
-			Body:        out,
-			Trace:       &tr,
-		})
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.Write(out)
-}
-
-// emitRunEvent writes the request's canonical wide event: identity
-// (request_id, trace_id), outcome and HTTP status, wall time, the sweep
-// volume and result shape (nodes, frequency points, peaks, loops), and
-// the per-run solver-counter deltas from the run trace (factorizations,
-// refactorizations, fallbacks, pattern drift, diag rows visited, ...) so
-// fleet-level log queries like "which runs fell off the refactor fast
-// path" need no metric join.
-func (s *server) emitRunEvent(ev *runEvent, dur time.Duration) {
-	attrs := []slog.Attr{
-		slog.String("request_id", ev.requestID),
-		slog.String("outcome", ev.outcome),
-		slog.Int("status", ev.status),
-		slog.Float64("duration_ms", float64(dur)/float64(time.Millisecond)),
-	}
-	if ev.traceID != "" {
-		attrs = append(attrs, slog.String("trace_id", ev.traceID))
-	}
-	if ev.req != nil {
-		attrs = append(attrs,
-			slog.Int("netlist_bytes", len(ev.req.Netlist)),
-			slog.Bool("cache_hit", ev.cacheHit))
-		if ev.req.Node != "" {
-			attrs = append(attrs, slog.String("node", ev.req.Node))
-		}
-		if ev.req.Format != "" {
-			attrs = append(attrs, slog.String("format", ev.req.Format))
-		}
-	}
-	if ev.retryAfter > 0 {
-		attrs = append(attrs,
-			slog.Float64("retry_after_s", ev.retryAfter.Seconds()),
-			slog.Int("max_concurrent", s.cfg.MaxConcurrent))
-	}
-	if ev.errMsg != "" {
-		attrs = append(attrs, slog.String("error", ev.errMsg))
-	}
-	if ev.run != nil {
-		tr := ev.run.Trace()
-		tc := tr.Counters
-		attrs = append(attrs,
-			slog.Int64("nodes", tc["sweep_nodes"]),
-			slog.Int64("freq_points", tc["sweep_freq_points"]),
-			slog.Int64("peaks", tc["peaks"]),
-			slog.Int64("loops", tc["loops"]))
-		solver := map[string]any{}
-		for k, v := range tc {
-			switch {
-			case k == "sweep_nodes" || k == "sweep_freq_points" || k == "peaks" || k == "loops":
-			case strings.HasPrefix(k, obs.ResidualDecadePrefix):
-				// The per-decade residual digest is summarized by the
-				// numerics block below, not listed raw.
-			default:
-				solver[k] = v
-			}
-		}
-		// Numerical health: one solver.numerics block per run so "which
-		// runs were degraded" is a log query, not a metric join.
-		if tc["ac_residual_points"] > 0 {
-			num := map[string]any{
-				"points":       tc["ac_residual_points"],
-				"refinements":  tc["ac_refinements"],
-				"breaches":     tc["ac_residual_breaches"],
-				"max_residual": tr.Stats["numerics_residual_max"],
-			}
-			if med, ok := obs.MedianResidual(tc); ok {
-				num["median_residual"] = med
-			}
-			if g := tr.Stats["numerics_pivot_growth_max"]; g > 0 {
-				num["pivot_growth_max"] = g
-			}
-			if ce := tr.Stats["numerics_cond_est_max"]; ce > 0 {
-				num["cond_estimate"] = ce
-			}
-			solver["numerics"] = num
-		}
-		if len(solver) > 0 {
-			attrs = append(attrs, slog.Any("solver", solver))
-		}
-	}
-	s.log.Event("run", attrs...)
 }
 
 // runOutcome maps an error code to the flight-recorder outcome word.
@@ -595,22 +354,9 @@ func outcomeMatches(outcome, filter string) bool {
 	return outcome == filter
 }
 
-// classifyRunError maps a job failure to its HTTP status and error code,
-// counting aborts of the disconnect kind.
-func classifyRunError(r *http.Request, err error) (int, string) {
-	if errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) && r.Context().Err() != nil {
-		// The client hung up; nobody reads this response, but the
-		// status keeps the request log and metrics honest. 499 is the
-		// de-facto "client closed request" code.
-		mCanceled.Inc()
-		return 499, CodeClientClosed
-	}
-	return errorCode(err)
-}
-
-// errorCode maps a job failure to its HTTP status and error code without
-// reference to the carrying request — the shared classification for /run
-// responses and per-item batch errors. Deadline aborts are counted here.
+// errorCode maps a job failure to the HTTP status it stands for and the
+// error code of its per-item batch error. Deadline aborts are counted
+// here.
 func errorCode(err error) (int, string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -629,23 +375,6 @@ func errorCode(err error) (int, string) {
 	}
 }
 
-// Run executes one job locally (tests and the CLI's local corner driver
-// call this; the server goes through runCached with its cache). A
-// canceled or deadline-expired ctx aborts the solve within one linear
-// solve with an error wrapping acerr.ErrCanceled plus the context's own
-// error.
-func Run(ctx context.Context, req *Request) (body []byte, contentType string, err error) {
-	if err := checkFormat(req.Format); err != nil {
-		return nil, "", err
-	}
-	opts, err := req.Options.Normalize()
-	if err != nil {
-		return nil, "", err
-	}
-	body, contentType, _, err = runCached(ctx, nil, req, opts, nil)
-	return body, contentType, err
-}
-
 // runCached executes one job against the compiled-system cache: the
 // (netlist, variables) content address is looked up and only a miss pays
 // for parse → flatten → MNA compile (single-flight: concurrent identical
@@ -653,12 +382,13 @@ func Run(ctx context.Context, req *Request) (body []byte, contentType string, er
 // goes straight to numeric refactorization and the sweep — the parse,
 // flatten, mna_assembly, and op phase spans are absent from the run
 // trace, which is how a warm run is recognized in the flight recorder. A
-// nil cache compiles every request from scratch. opts must come from the
-// request's Options.Normalize (the handler already has it from decode).
-// As the one place /run jobs and /batch items execute, it is also the
-// panic boundary: a panic fails the job (run_failed) with the panic value
-// and stack instead of dropping the connection mid-record.
-func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {
+// nil cache compiles every request from scratch. The job is req's
+// netlist, node and format under the design variables vars; opts must
+// come from req's Options.Normalize (the handler already has it from
+// decode). As the one place batch items execute, it is also the panic
+// boundary: a panic fails the item (run_failed) with the panic value and
+// stack instead of dropping the connection mid-record.
+func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[string]float64, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {
 	mRunsTotal.Inc()
 	defer func() {
 		if p := recover(); p != nil {
@@ -668,9 +398,6 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 			mRunErrors.Inc()
 		}
 	}()
-	if len(req.Netlist) > MaxNetlistBytes {
-		return nil, "", false, fmt.Errorf("farm: netlist larger than %d bytes", MaxNetlistBytes)
-	}
 	opts.Trace = run
 
 	compile := func() (*tool.Compiled, error) {
@@ -680,7 +407,7 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 		if err != nil {
 			return nil, err
 		}
-		for k, v := range req.Variables {
+		for k, v := range vars {
 			if _, ok := ckt.Params[k]; !ok {
 				return nil, fmt.Errorf("farm: unknown design variable %q", k)
 			}
@@ -691,7 +418,7 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 
 	var c *tool.Compiled
 	if cache != nil {
-		c, cacheHit, err = cache.Get(ctx, KeyFor(req.Netlist, req.Variables), compile)
+		c, cacheHit, err = cache.Get(ctx, KeyFor(req.Netlist, vars), compile)
 	} else {
 		c, err = compile()
 	}
@@ -750,7 +477,7 @@ func runCached(ctx context.Context, cache *Cache, req *Request, opts tool.Option
 // machine-readable snapshot of what the worker is doing right now.
 type Statusz struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// JobsInflight counts the /run jobs and /batch requests running now.
+	// JobsInflight counts the /batch requests running now.
 	JobsInflight float64 `json:"jobs_inflight"`
 	RunsTotal    int64   `json:"runs_total"`
 	RunErrors    int64   `json:"run_errors_total"`
@@ -924,7 +651,7 @@ func singleNodeJSON(nr *tool.NodeResult) singleNodeResult {
 	return out
 }
 
-// Client submits jobs to a farm worker, retrying shed (429) and
+// Client submits batches to a farm worker, retrying shed (429) and
 // transient (5xx, transport) failures with exponential backoff and
 // jitter.
 type Client struct {
@@ -1011,121 +738,6 @@ func statusError(resp *http.Response) *StatusError {
 func drainClose(body io.ReadCloser) {
 	io.CopyN(io.Discard, body, maxDrainBytes)
 	body.Close()
-}
-
-// Submit posts the job and returns the rendered report body. Shed and
-// transient failures are retried per the client's backoff settings; the
-// final failure is returned as a *StatusError (HTTP-level) or transport
-// error. ctx bounds the whole call including backoff waits.
-func (c *Client) Submit(ctx context.Context, req *Request) ([]byte, error) {
-	return c.SubmitTraced(ctx, req, nil)
-}
-
-// SubmitTraced is Submit with distributed tracing: it asks the worker to
-// collect its run trace and grafts the returned remote spans into run,
-// anchored inside this client's request window (clock-skew safe) and
-// annotated with the attempt number so retried submissions stay
-// distinguishable. A nil run behaves exactly like Submit.
-func (c *Client) SubmitTraced(ctx context.Context, req *Request, run *obs.Run) ([]byte, error) {
-	hc := c.HTTPClient
-	if hc == nil {
-		t := c.Timeout
-		if t <= 0 {
-			t = 5 * time.Minute
-		}
-		hc = &http.Client{Timeout: t}
-	}
-	wire := *req
-	if wire.V == 0 {
-		wire.V = WireVersion
-	}
-	if run != nil {
-		wire.CollectTrace = true
-		if wire.TraceID == "" {
-			wire.TraceID = newTraceID()
-		}
-	}
-	payload, err := json.Marshal(&wire)
-	if err != nil {
-		return nil, err
-	}
-	base := c.RetryBaseDelay
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	maxDelay := c.MaxRetryDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-	retries := c.MaxRetries
-	if retries == 0 {
-		retries = 3
-	}
-	if retries < 0 {
-		retries = 0
-	}
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		attemptStart := time.Now()
-		sp := obs.StartPhase(run, "farm_submit")
-		body, tr, err := c.submitOnce(ctx, hc, payload)
-		sp.End()
-		if err == nil {
-			if run != nil && tr != nil {
-				run.GraftRemote(*tr, attemptStart, time.Since(attemptStart), attempt+1)
-			}
-			return body, nil
-		}
-		lastErr = err
-		if attempt >= retries || !retryable(err) || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		delay := backoffDelay(base, maxDelay, attempt)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > delay {
-			delay = se.RetryAfter
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("farm: %w (last attempt: %v)", ctx.Err(), lastErr)
-		}
-	}
-}
-
-// submitOnce performs one POST /run attempt, always draining (up to
-// maxDrainBytes) and closing the response body so the underlying
-// connection returns to the pool for the next attempt instead of
-// leaking. A TraceHeader-marked response is unwrapped: the rendered
-// report and the worker's trace come back separately.
-func (c *Client) submitOnce(ctx context.Context, hc *http.Client, payload []byte) ([]byte, *obs.Trace, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/run",
-		bytes.NewReader(payload))
-	if err != nil {
-		return nil, nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(hreq)
-	if err != nil {
-		return nil, nil, fmt.Errorf("farm: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, statusError(resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("farm: reading response: %w", err)
-	}
-	if resp.Header.Get(TraceHeader) != "" {
-		var env TracedResponse
-		if err := json.Unmarshal(body, &env); err != nil {
-			return nil, nil, fmt.Errorf("farm: bad traced-response envelope: %w", err)
-		}
-		return env.Body, env.Trace, nil
-	}
-	return body, nil, nil
 }
 
 // newTraceID returns a random 64-bit hex correlation ID.

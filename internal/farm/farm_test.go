@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,8 +21,56 @@ L1 t 0 25.33u
 C1 t 0 1n
 `
 
+// runJob runs req the way the worker runs a one-variant batch, without
+// the HTTP layer: wire encode and decode (with its validation), then
+// RunBatch. It returns the item's report and content type, or the
+// rejection or the item's typed error.
+func runJob(t *testing.T, req BatchRequest) ([]byte, string, error) {
+	t.Helper()
+	dec, opts, we := DecodeBatchRequest([]byte(oneJob(t, req)))
+	if we != nil {
+		return nil, "", we
+	}
+	var item BatchItem
+	if err := RunBatch(context.Background(), nil, dec, opts, 0, nil, func(it BatchItem) { item = it }); err != nil {
+		t.Fatal(err)
+	}
+	if item.Error != nil {
+		return nil, "", &ItemError{Detail: *item.Error}
+	}
+	return item.Body, item.ContentType, nil
+}
+
+// mustJSON marshals a request body for the raw-HTTP tests.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// oneJob is the wire body of a one-variant batch: req with the version
+// and a single empty variant filled in.
+func oneJob(t *testing.T, req BatchRequest) string {
+	t.Helper()
+	req.V, req.Variants = WireV2, []Variant{{}}
+	return mustJSON(t, &req)
+}
+
+// firstItem decodes the first line of a batch response body.
+func firstItem(t *testing.T, body string) BatchItem {
+	t.Helper()
+	items := decodeItems(t, body)
+	if len(items) == 0 {
+		t.Fatalf("no item in batch response %q", body)
+	}
+	return items[0]
+}
+
 func TestRunAllNodesText(t *testing.T) {
-	body, ct, err := Run(context.Background(), &Request{Netlist: tankNetlist})
+	body, ct, err := runJob(t, BatchRequest{Netlist: tankNetlist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +84,7 @@ func TestRunAllNodesText(t *testing.T) {
 
 func TestRunFormats(t *testing.T) {
 	for _, f := range []string{"csv", "json", "annotate"} {
-		body, _, err := Run(context.Background(), &Request{Netlist: tankNetlist, Format: f})
+		body, _, err := runJob(t, BatchRequest{Netlist: tankNetlist, Format: f})
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -43,13 +92,13 @@ func TestRunFormats(t *testing.T) {
 			t.Errorf("%s: empty body", f)
 		}
 	}
-	if _, _, err := Run(context.Background(), &Request{Netlist: tankNetlist, Format: "bogus"}); err == nil {
+	if _, _, err := runJob(t, BatchRequest{Netlist: tankNetlist, Format: "bogus"}); err == nil {
 		t.Error("bad format should fail")
 	}
 }
 
 func TestRunSingleNode(t *testing.T) {
-	body, ct, err := Run(context.Background(), &Request{Netlist: tankNetlist, Node: "t"})
+	body, ct, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +121,11 @@ func TestRunSingleNode(t *testing.T) {
 }
 
 func TestRunVariables(t *testing.T) {
-	a, _, err := Run(context.Background(), &Request{Netlist: tankNetlist, Node: "t"})
+	a, _, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Run(context.Background(), &Request{Netlist: tankNetlist, Node: "t",
+	b, _, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t",
 		Variables: map[string]float64{"rq": 1000}})
 	if err != nil {
 		t.Fatal(err)
@@ -84,17 +133,17 @@ func TestRunVariables(t *testing.T) {
 	if string(a) == string(b) {
 		t.Error("variable override had no effect")
 	}
-	if _, _, err := Run(context.Background(), &Request{Netlist: tankNetlist,
+	if _, _, err := runJob(t, BatchRequest{Netlist: tankNetlist,
 		Variables: map[string]float64{"nosuch": 1}}); err == nil {
 		t.Error("unknown variable should fail")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, _, err := Run(context.Background(), &Request{Netlist: "broken\nZZ\n"}); err == nil {
+	if _, _, err := runJob(t, BatchRequest{Netlist: "broken\nZZ\n"}); err == nil {
 		t.Error("bad netlist should fail")
 	}
-	if _, _, err := Run(context.Background(), &Request{Netlist: strings.Repeat("x", MaxNetlistBytes+1)}); err == nil {
+	if _, _, err := runJob(t, BatchRequest{Netlist: strings.Repeat("x", MaxNetlistBytes+1)}); err == nil {
 		t.Error("oversized netlist should fail")
 	}
 }
@@ -104,16 +153,18 @@ func TestHTTPEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL}
-	body, err := c.Submit(context.Background(), &Request{Netlist: tankNetlist})
-	if err != nil {
-		t.Fatal(err)
+	results, err := c.SubmitBatch(context.Background(), &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}})
+	if err != nil || results[0].Err != nil {
+		t.Fatal(err, results[0].Err)
 	}
-	if !strings.Contains(string(body), "Loop at 1 MHz") {
-		t.Errorf("remote report:\n%s", body)
+	if !strings.Contains(string(results[0].Body), "Loop at 1 MHz") {
+		t.Errorf("remote report:\n%s", results[0].Body)
 	}
-	// Errors propagate with status text.
-	if _, err := c.Submit(context.Background(), &Request{Netlist: "broken\nZZ\n"}); err == nil {
-		t.Error("remote error should surface")
+	// Errors propagate as the item's typed error.
+	results, err = c.SubmitBatch(context.Background(), &BatchRequest{Netlist: "broken\nZZ\n", Variants: []Variant{{}}})
+	var ie *ItemError
+	if err != nil || !errors.As(results[0].Err, &ie) {
+		t.Errorf("remote error should surface as an item error: %v, %v", err, results[0].Err)
 	}
 	// Health endpoint.
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
@@ -124,10 +175,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Errorf("healthz content type %q", ct)
 	}
 	resp.Body.Close()
-	// Method checks: /run is POST-only, /healthz is GET-only.
-	resp, err = srv.Client().Get(srv.URL + "/run")
+	// Method checks: /batch is POST-only, /healthz is GET-only.
+	resp, err = srv.Client().Get(srv.URL + "/batch")
 	if err != nil || resp.StatusCode != 405 {
-		t.Fatalf("GET /run should 405, got %v %v", resp.Status, err)
+		t.Fatalf("GET /batch should 405, got %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
 	resp, err = srv.Client().Post(srv.URL+"/healthz", "text/plain", strings.NewReader("x"))
@@ -137,65 +188,50 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 }
 
-// postJSON posts a raw body to /run and returns status and body text.
-func postJSON(t *testing.T, srv *httptest.Server, body string) (int, string) {
-	t.Helper()
-	resp, err := srv.Client().Post(srv.URL+"/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(b)
-}
-
 func TestHandlerErrorPaths(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
 	// Malformed JSON body.
-	if code, body := postJSON(t, srv, "{not json"); code != http.StatusBadRequest {
+	if code, _, body := postBatch(t, srv, "{not json"); code != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, body %q", code, body)
 	}
 	// Unknown format is rejected at decode time with a typed field error.
-	req, _ := json.Marshal(&Request{Netlist: tankNetlist, Format: "yaml"})
-	if code, body := postJSON(t, srv, string(req)); code != http.StatusBadRequest ||
+	req := oneJob(t, BatchRequest{Netlist: tankNetlist, Format: "yaml"})
+	if code, _, body := postBatch(t, srv, req); code != http.StatusBadRequest ||
 		!strings.Contains(body, `"code":"bad_option"`) ||
 		!strings.Contains(body, `"field":"format"`) {
 		t.Errorf("unknown format: status %d, body %q", code, body)
 	}
-	// Oversized netlist: the declared size exceeds MaxNetlistBytes. The
-	// handler's read limit truncates the body first, so the request dies
-	// as either a 400 (truncated JSON) or a 422 (size check in Run).
-	big, _ := json.Marshal(&Request{Netlist: strings.Repeat("x", MaxNetlistBytes+1)})
-	if code, body := postJSON(t, srv, string(big)); code != http.StatusBadRequest &&
-		code != http.StatusUnprocessableEntity {
+	// Oversized netlist: the decoded netlist exceeds MaxNetlistBytes
+	// though the body fits the read budget, a typed 400 naming the field.
+	big := oneJob(t, BatchRequest{Netlist: strings.Repeat("x", MaxNetlistBytes+1)})
+	if code, _, body := postBatch(t, srv, big); code != http.StatusBadRequest ||
+		!strings.Contains(body, `"field":"netlist"`) {
 		t.Errorf("oversized netlist: status %d, body %q", code, body)
 	}
-	// A scope that leaves no node to probe is a failed run, not a panic
+	// A scope that leaves no node to probe is a failed item, not a panic
 	// that takes the worker down.
 	for _, o := range []RequestOptions{{OnlySubckt: "x9"}, {SkipNodes: []string{"t"}}} {
-		req, _ = json.Marshal(&Request{Netlist: tankNetlist, Options: o})
-		if code, body := postJSON(t, srv, string(req)); code != http.StatusUnprocessableEntity ||
-			!strings.Contains(body, "no node left to analyze") {
+		code, _, body := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: tankNetlist, Options: o}))
+		if it := firstItem(t, body); code != http.StatusOK || it.Error == nil ||
+			!strings.Contains(it.Error.Message, "no node left to analyze") {
 			t.Errorf("empty node scope %+v: status %d, body %q", o, code, body)
 		}
 	}
 	// Grids too large to afford are refused before any is allocated: an
 	// oversized resolution at decode, with the field named, and a first
-	// pass of too many (node, frequency) pairs as a failed run.
-	req, _ = json.Marshal(&Request{Netlist: tankNetlist, Options: RequestOptions{PointsPerDecade: 1e9}})
-	if code, body := postJSON(t, srv, string(req)); code != http.StatusBadRequest ||
+	// pass of too many (node, frequency) pairs as a failed item.
+	req = oneJob(t, BatchRequest{Netlist: tankNetlist, Options: RequestOptions{PointsPerDecade: 1e9}})
+	if code, _, body := postBatch(t, srv, req); code != http.StatusBadRequest ||
 		!strings.Contains(body, `"field":"points_per_decade"`) {
 		t.Errorf("points_per_decade 1e9: status %d, body %q", code, body)
 	}
-	req, _ = json.Marshal(&Request{Netlist: tankNetlist, Options: RequestOptions{
+	req = oneJob(t, BatchRequest{Netlist: tankNetlist, Options: RequestOptions{
 		FStartHz: 1e-300, FStopHz: 1e300, PointsPerDecade: 10000}})
-	if code, body := postJSON(t, srv, string(req)); code != http.StatusUnprocessableEntity ||
-		!strings.Contains(body, `"code":"run_failed"`) || !strings.Contains(body, "exceeds the limit") {
+	code, _, body := postBatch(t, srv, req)
+	if it := firstItem(t, body); code != http.StatusOK || it.Error == nil ||
+		it.Error.Code != CodeRunFailed || !strings.Contains(it.Error.Message, "exceeds the limit") {
 		t.Errorf("6e6-point sweep: status %d, body %q", code, body)
 	}
 }
@@ -242,7 +278,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// One real job, then assert the counters moved.
 	c := &Client{BaseURL: srv.URL}
-	if _, err := c.Submit(context.Background(), &Request{Netlist: tankNetlist}); err != nil {
+	if _, err := c.SubmitBatch(context.Background(), &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}}); err != nil {
 		t.Fatal(err)
 	}
 	text := read("/metrics")
@@ -255,11 +291,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if fact, ok := promValue(t, text, "acstab_ac_factorizations_total"); !ok || fact <= fact0 {
 		t.Errorf("ac_factorizations_total = %g, want > %g", fact, fact0)
 	}
-	// Request counter and latency histogram for the POST /run we just made.
-	if v, ok := promValue(t, text, `acstab_http_requests_total{path="/run",code="200"}`); !ok || v < 1 {
-		t.Errorf("run request counter = %g (ok=%v)", v, ok)
+	// Request counter and latency histogram for the POST /batch we just made.
+	if v, ok := promValue(t, text, `acstab_http_requests_total{path="/batch",code="200"}`); !ok || v < 1 {
+		t.Errorf("batch request counter = %g (ok=%v)", v, ok)
 	}
-	if !strings.Contains(text, `acstab_http_request_duration_seconds_bucket{path="/run",le="+Inf"}`) {
+	if !strings.Contains(text, `acstab_http_request_duration_seconds_bucket{path="/batch",le="+Inf"}`) {
 		t.Errorf("missing latency histogram buckets:\n%s", text)
 	}
 	// Per-phase sweep timings.
@@ -276,7 +312,7 @@ func TestStatuszEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL}
-	if _, err := c.Submit(context.Background(), &Request{Netlist: tankNetlist}); err != nil {
+	if _, err := c.SubmitBatch(context.Background(), &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := srv.Client().Get(srv.URL + "/statusz")

@@ -3,11 +3,16 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
-// wireSeeds are request bodies from the wire tests: accepted jobs,
-// each typed rejection, and trailing data after a valid document.
+// wireSeeds are request bodies from the wire tests: bodies written for
+// the retired v1 (/run) wire, which must now get typed rejections,
+// accepted batches, each typed rejection, trailing data after a valid
+// document, and traced batches.
 var wireSeeds = []string{
 	`{"netlist": "x"}`,
 	`{"netlist":"farm tank\nR1 t 0 318\nL1 t 0 25.33u\nC1 t 0 1n\n"}`,
@@ -28,14 +33,17 @@ var wireSeeds = []string{
 	`{"netlist": "x"}{"v":99}`,
 	`{"v": 2, "netlist": "x", "variants": [{}]} junk`,
 	`{"v": 2, "netlist": "x", "variants": [{}]}{"v":99}`,
+	`{"v": 2, "netlist": "x", "variants": [{}], "collect_trace": true}`,
+	`{"v": 2, "netlist": "x", "variants": [{"label": "a"}, {}], "trace_id": "tr-1", "collect_trace": false}`,
+	`{"v": 2, "netlist": "x", "variants": [{}], "collect_trace": "yes"}`,
 }
 
-// checkDecode is the shared fuzz property of the wire decoders: any body
-// may be rejected, but only with a typed 4xx, and an accepted body must
+// checkDecode is the fuzz property of the wire decoder: any body may be
+// rejected, but only with a typed 4xx, and an accepted body must
 // re-encode to a body the decoder accepts again, with a stable encoding
 // from then on.
-func checkDecode[R any](t *testing.T, data []byte, decode func([]byte) (*R, *WireError)) {
-	req, we := decode(data)
+func checkDecode(t *testing.T, data []byte) {
+	req, _, we := DecodeBatchRequest(data)
 	if we != nil {
 		if req != nil {
 			t.Fatalf("rejection %v came with a request", we)
@@ -52,7 +60,7 @@ func checkDecode[R any](t *testing.T, data []byte, decode func([]byte) (*R, *Wir
 	if err != nil {
 		t.Fatalf("accepted request does not encode: %v", err)
 	}
-	again, we := decode(first)
+	again, _, we := DecodeBatchRequest(first)
 	if we != nil {
 		t.Fatalf("re-encoded request rejected: %v\n%s", we, first)
 	}
@@ -65,8 +73,11 @@ func checkDecode[R any](t *testing.T, data []byte, decode func([]byte) (*R, *Wir
 	}
 }
 
-// FuzzDecodeRequest feeds arbitrary bodies to DecodeRequest, the /run
-// endpoint's decoder. Run it with
+// FuzzDecodeRequest feeds arbitrary bodies to both places a single-job
+// request can land: the retired /run must answer every body with a typed
+// 410 naming /batch, and the /batch decoder, besides the shared property,
+// must accept a body only as an explicit v2 batch carrying variants, so a
+// body written for the v1 wire is never run as something else. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/farm
 func FuzzDecodeRequest(f *testing.F) {
@@ -74,10 +85,18 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecode(t, data, func(b []byte) (*Request, *WireError) {
-			req, _, we := DecodeRequest(b)
-			return req, we
-		})
+		rec := httptest.NewRecorder()
+		handleRunRemoved(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(data)))
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusGone ||
+			eb.Error.Code != CodeUnsupportedVersion || !strings.Contains(eb.Error.Message, "/batch") {
+			t.Fatalf("/run: status %d, body %q (%v), want 410 %s naming /batch",
+				rec.Code, rec.Body.String(), err, CodeUnsupportedVersion)
+		}
+		checkDecode(t, data)
+		if req, _, we := DecodeBatchRequest(data); we == nil && (req.V != WireV2 || len(req.Variants) == 0) {
+			t.Fatalf("accepted a body that is not a v2 batch with variants: v=%d, %d variants", req.V, len(req.Variants))
+		}
 	})
 }
 
@@ -89,10 +108,5 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	for _, s := range wireSeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecode(t, data, func(b []byte) (*BatchRequest, *WireError) {
-			req, _, we := DecodeBatchRequest(b)
-			return req, we
-		})
-	})
+	f.Fuzz(checkDecode)
 }

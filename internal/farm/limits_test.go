@@ -21,33 +21,32 @@ func oversizedBody(limit int64) string {
 	return string(b)
 }
 
-// TestRunPayloadTooLarge pins the /run oversize behavior: a body past
-// the read budget answers 413 payload_too_large. Before the explicit
-// check, io.LimitReader silently truncated the document and the decoder
-// blamed the client's JSON (bad_json 400) — pointing at the wrong bug.
+// TestRunPayloadTooLarge pins the netlist budget inside the body
+// budget: a job whose body fits the read limit but whose decoded netlist
+// exceeds MaxNetlistBytes is a typed 400 naming the netlist, recorded
+// with that outcome — not a batch the worker aborts after committing a
+// 200 (which the client would take for a truncated stream and resubmit).
 func TestRunPayloadTooLarge(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/run", "application/json",
-		strings.NewReader(oversizedBody(maxRunRequestBytes)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
+	code, _, body := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: strings.Repeat("x", MaxNetlistBytes+1)}))
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", code, body)
 	}
 	var eb ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+	if err := json.Unmarshal([]byte(body), &eb); err != nil {
 		t.Fatal(err)
 	}
-	if eb.Error.Code != CodePayloadTooLarge {
-		t.Errorf("code %q, want %q", eb.Error.Code, CodePayloadTooLarge)
+	if eb.Error.Code != CodeBadOption || eb.Error.Field != "netlist" {
+		t.Errorf("error %+v, want %s on field netlist", eb.Error, CodeBadOption)
 	}
 }
 
-// TestBatchPayloadTooLarge is the same contract on the v2 endpoint.
+// TestBatchPayloadTooLarge pins the /batch oversize behavior: a body past
+// the read budget answers 413 payload_too_large. Before the explicit
+// check, io.LimitReader silently truncated the document and the decoder
+// blamed the client's JSON (bad_json 400) — pointing at the wrong bug.
 func TestBatchPayloadTooLarge(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
@@ -88,22 +87,20 @@ func TestRunUnderLimitStillServed(t *testing.T) {
 
 	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
-	payload, _ := json.Marshal(&Request{V: 1, Netlist: sb.String()})
-	resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(string(payload)))
-	if err != nil {
-		t.Fatal(err)
+	code, _, body := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: sb.String()}))
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200 (escaped body must fit the budget): %.200s", code, body)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 (escaped body must fit the budget)", resp.StatusCode)
+	if it := firstItem(t, body); it.Error != nil {
+		t.Errorf("item failed: %+v", it.Error)
 	}
 }
 
 // TestBatchShedAccounted pins the accounting of a /batch request shed at
-// admission: like a /run shed it answers 429, bumps the shed counter,
-// leaves a "shed" record in the flight recorder and emits exactly one
-// "batch" wide event with that outcome, so a worker shedding every batch
-// does not look idle.
+// admission: it answers 429, bumps the shed counter, leaves a "shed"
+// record in the flight recorder and emits exactly one "batch" wide event
+// with that outcome, the retry hint and the concurrency ceiling, so a
+// worker shedding every batch does not look idle.
 func TestBatchShedAccounted(t *testing.T) {
 	var sink bytes.Buffer
 	s := &server{cfg: Config{MaxConcurrent: 1, RetryAfter: time.Second}.withDefaults(),
@@ -133,6 +130,9 @@ func TestBatchShedAccounted(t *testing.T) {
 	}
 	if evs[0]["outcome"] != "shed" || evs[0]["status"] != float64(http.StatusTooManyRequests) {
 		t.Errorf("batch event outcome/status = %v/%v, want shed/429", evs[0]["outcome"], evs[0]["status"])
+	}
+	if evs[0]["retry_after_s"] != float64(1) || evs[0]["max_concurrent"] != float64(1) {
+		t.Errorf("batch event retry_after_s/max_concurrent = %v/%v, want 1/1", evs[0]["retry_after_s"], evs[0]["max_concurrent"])
 	}
 	if evs[0]["request_id"] != runs[0].ID {
 		t.Errorf("event request_id %v does not match recorder id %s", evs[0]["request_id"], runs[0].ID)

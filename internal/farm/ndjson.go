@@ -1,8 +1,9 @@
 // ndjson.go writes and reads the lines of a /batch response stream
-// without reflection. The worker appends each BatchItem by hand, byte
-// for byte as json.Encoder would write it; the client reads the stream
-// a line at a time, base64-decodes the large body member straight out
-// of the line and leaves the small remainder to json.Unmarshal.
+// without reflection on the untraced path. The worker appends each
+// BatchItem by hand, byte for byte as json.Encoder would write it; the
+// client reads the stream a line at a time, base64-decodes the large
+// body member straight out of the line and leaves the small remainder to
+// json.Unmarshal.
 
 package farm
 
@@ -45,8 +46,10 @@ func putLineBuf(bp *[]byte) {
 // json.NewEncoder(w).Encode(it) writes. Members keep BatchItem's field
 // order and omitempty rules, strings are HTML-escaped, duration_ms uses
 // encoding/json's float format, the body is padded standard base64, and
-// the line ends in a newline. A non-finite DurationMS (time.Since never
-// yields one) appends nothing, as Encode wrote nothing for it.
+// the line ends in a newline. The trace member of a traced item is the
+// one part left to encoding/json. A non-finite DurationMS (time.Since
+// never yields one) or a trace that does not encode appends nothing, as
+// Encode wrote nothing for them.
 func appendBatchItem(dst []byte, it *BatchItem) []byte {
 	n0 := len(dst)
 	dst = append(dst, `{"index":`...)
@@ -82,6 +85,13 @@ func appendBatchItem(dst []byte, it *BatchItem) []byte {
 	dst, err := report.AppendJSONFloat(dst, it.DurationMS)
 	if err != nil {
 		return dst[:n0]
+	}
+	if it.Trace != nil {
+		tr, err := json.Marshal(it.Trace)
+		if err != nil {
+			return dst[:n0]
+		}
+		dst = append(append(dst, `,"trace":`...), tr...)
 	}
 	return append(dst, '}', '\n')
 }

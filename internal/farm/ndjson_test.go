@@ -15,6 +15,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"acstab/internal/obs"
 )
 
 // batchItemCases are the items whose lines the worker's encoder must
@@ -32,6 +34,14 @@ var batchItemCases = []BatchItem{
 	{Index: 9, Error: &ErrorDetail{Code: CodeBadOption, Field: "fstop_hz", Message: "fstop_hz must exceed fstart_hz"}, CacheHit: true, DurationMS: 1e21},
 	{Index: 10, Error: &ErrorDetail{}, DurationMS: 1e-6},
 	{Index: -1, Label: "neg", ContentType: "text/csv", Body: []byte("a,b\n1,2\n"), DurationMS: 123456789.125},
+	{Index: 11, Label: "traced <&>", ContentType: "text/plain; charset=utf-8", Body: []byte("Loop at 1 MHz\n"), DurationMS: 3.5,
+		Trace: &obs.Trace{Name: "farm/item", DurationNS: 3500000,
+			Phases:     []obs.PhaseSpan{{Phase: "parse", DurationNS: 1000}, {Phase: "sweep", StartNS: 2000, DurationNS: 3000000}},
+			Counters:   map[string]int64{"ac_solves": 241, "sweep_nodes": 1, obs.ResidualDecadeKey(-15): 241},
+			SlowPoints: []obs.SlowPoint{{FreqHz: 1e6, WallNS: 900, Detail: "refactor"}, {FreqHz: 2e6, WallNS: 10, Residual: 1e-15}},
+			Stats:      map[string]float64{"numerics_residual_max": 2.5e-15}}},
+	{Index: 12, Error: &ErrorDetail{Code: CodeDeadlineExceeded, Message: "context deadline exceeded"}, DurationMS: 1,
+		Trace: &obs.Trace{Name: "farm/item", Phases: []obs.PhaseSpan{}}},
 }
 
 func encoderLine(t testing.TB, it *BatchItem) ([]byte, error) {
@@ -134,6 +144,10 @@ var batchLineSeeds = []string{
 	`{"label":"\\","body":"QUJD"}`,
 	`{"error":{"code":"x","message":"m"},"body":"QUJD","index":01}`,
 	`{"index":0,"body":"QUJD","error":null,"cache_hit":false,"duration_ms":1e400}`,
+	`{"index":0,"body":"QUJD","duration_ms":1,"trace":{"name":"w","duration_ns":-5,"phases":[{"phase":"sweep","start_ns":9223372036854775807,"duration_ns":1}],"counters":{"x":-1},"stats":{"a_max":1e300,"b":-1},"slow_points":[{"freq_hz":1,"wall_ns":2}],"dropped_spans":3}}`,
+	`{"index":0,"trace":{"body":"eHl6"},"body":"QUJD"}`,
+	`{"index":0,"trace":null}`,
+	`{"index":0,"trace":[]}`,
 	`null`,
 	`[]`,
 	`{}`,
@@ -142,7 +156,8 @@ var batchLineSeeds = []string{
 }
 
 // FuzzDecodeBatchItem holds the batch line decoder to json.Unmarshal on
-// arbitrary lines. Run it with
+// arbitrary lines, and any trace a line carries must graft into a run
+// the way the client grafts it. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeBatchItem$' -fuzztime 10s ./internal/farm
 func FuzzDecodeBatchItem(f *testing.F) {
@@ -154,6 +169,10 @@ func FuzzDecodeBatchItem(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		checkDecodeBatchItem(t, line)
+		var it BatchItem
+		if decodeBatchItem(line, &it) == nil && it.Trace != nil {
+			obs.StartRun("client").GraftRemote(*it.Trace, time.Now(), time.Millisecond, 1)
+		}
 	})
 }
 
@@ -309,30 +328,22 @@ func TestClientBoundsFailedResponse(t *testing.T) {
 	failing := endlessWorker(http.StatusInternalServerError, "")
 	defer failing.Close()
 	c := &Client{BaseURL: failing.URL, MaxRetries: -1}
-	for name, call := range map[string]func(ctx context.Context) error{
-		"run": func(ctx context.Context) error {
-			_, err := c.Submit(ctx, &Request{Netlist: tankNetlist})
-			return err
-		},
-		"batch": func(ctx context.Context) error {
-			_, err := c.SubmitBatch(ctx, &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}})
-			return err
-		},
-	} {
-		err := returnsSoon(t, name, call)
-		var se *StatusError
-		if !errors.As(err, &se) || se.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("%s: err = %v, want a 500 StatusError", name, err)
-		}
-		if len(se.Message) != maxErrorBodyBytes {
-			t.Errorf("%s: message of %d bytes, want %d", name, len(se.Message), maxErrorBodyBytes)
-		}
+	err := returnsSoon(t, "batch", func(ctx context.Context) error {
+		_, err := c.SubmitBatch(ctx, &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}})
+		return err
+	})
+	var se *StatusError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want a 500 StatusError", err)
+	}
+	if len(se.Message) != maxErrorBodyBytes {
+		t.Errorf("message of %d bytes, want %d", len(se.Message), maxErrorBodyBytes)
 	}
 
 	streaming := endlessWorker(http.StatusOK, "{nope\n")
 	defer streaming.Close()
 	c = &Client{BaseURL: streaming.URL, MaxRetries: -1}
-	err := returnsSoon(t, "batch stream", func(ctx context.Context) error {
+	err = returnsSoon(t, "batch stream", func(ctx context.Context) error {
 		_, err := c.SubmitBatch(ctx, &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}})
 		return err
 	})

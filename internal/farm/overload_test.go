@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"acstab/internal/obs"
 )
 
 // ladderNetlist builds an n-stage RC ladder — a deck whose all-nodes run
@@ -32,9 +35,9 @@ func TestShedWhenSaturated(t *testing.T) {
 	s.sem <- struct{}{} // one job "in flight"
 
 	shed0 := mShed.Value()
-	payload, _ := json.Marshal(&Request{V: 1, Netlist: tankNetlist})
+	payload := oneJob(t, BatchRequest{Netlist: tankNetlist})
 	rec := httptest.NewRecorder()
-	s.handleRun(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(string(payload))))
+	s.handleBatch(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(payload)))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated worker: status %d, want 429", rec.Code)
 	}
@@ -52,8 +55,8 @@ func TestShedWhenSaturated(t *testing.T) {
 	// Once the in-flight job releases its slot, the same request runs.
 	<-s.sem
 	rec = httptest.NewRecorder()
-	s.handleRun(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(string(payload))))
-	if rec.Code != http.StatusOK {
+	s.handleBatch(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(payload)))
+	if rec.Code != http.StatusOK || firstItem(t, rec.Body.String()).Error != nil {
 		t.Fatalf("after drain: status %d, body %s", rec.Code, rec.Body.String())
 	}
 }
@@ -66,17 +69,17 @@ func TestClientRetriesShedThenSucceeds(t *testing.T) {
 			writeErr(w, http.StatusTooManyRequests, CodeOverloaded, "busy")
 			return
 		}
-		w.Write([]byte("ok"))
+		w.Write(appendBatchItem(nil, &BatchItem{Body: []byte("ok")}))
 	}))
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL, RetryBaseDelay: time.Millisecond, MaxRetryDelay: 5 * time.Millisecond}
-	body, err := c.Submit(context.Background(), &Request{Netlist: tankNetlist})
+	results, err := c.SubmitBatch(context.Background(), &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}})
 	if err != nil {
 		t.Fatalf("submit after two sheds: %v", err)
 	}
-	if string(body) != "ok" {
-		t.Errorf("body = %q", body)
+	if string(results[0].Body) != "ok" || results[0].Attempts != 3 {
+		t.Errorf("result = %+v, want body ok after 3 attempts", results[0])
 	}
 	if n := hits.Load(); n != 3 {
 		t.Errorf("server saw %d attempts, want 3 (two 429s then success)", n)
@@ -92,7 +95,7 @@ func TestClientDoesNotRetryRejections(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL, RetryBaseDelay: time.Millisecond}
-	_, err := c.Submit(context.Background(), &Request{Netlist: "x"})
+	_, err := c.SubmitBatch(context.Background(), &BatchRequest{Netlist: "x", Variants: []Variant{{}}})
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StatusError", err)
@@ -108,11 +111,12 @@ func TestClientDoesNotRetryRejections(t *testing.T) {
 	}
 }
 
-// TestWireVersionAndUnknownFields is the v1 DecodeRequest rejection
-// table. The removed "naive", "only_nodes" and "workers" options stay
-// rejected as unknown fields: a client still sending one gets a typed 400,
-// not a silently ignored knob (a stale node-range coordinator would
-// otherwise get a whole all-nodes run back for each of its slices).
+// TestWireVersionAndUnknownFields: bodies written for the retired v1
+// wire get typed 400s at /batch, and /run itself answers a typed 410
+// naming /batch. The removed "naive", "only_nodes" and "workers" options
+// stay rejected as unknown fields: a client still sending one gets a
+// typed 400, not a silently ignored knob (a stale node-range coordinator
+// would otherwise get a whole all-nodes run back for each of its slices).
 func TestWireVersionAndUnknownFields(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -120,35 +124,67 @@ func TestWireVersionAndUnknownFields(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, wantCode string
 	}{
-		{"future version", `{"v": 2, "netlist": "x"}`, CodeUnsupportedVersion},
+		{"v1 job", `{"v": 1, "netlist": "x"}`, CodeUnsupportedVersion},
+		{"legacy job without a version", `{"netlist": "x"}`, CodeUnsupportedVersion},
+		{"v2 without variants", `{"v": 2, "netlist": "x"}`, CodeBadOption},
 		{"unknown field", `{"netlist": "x", "bogus_field": 1}`, CodeBadJSON},
 		{"removed naive option", `{"v": 1, "netlist": "x", "options": {"naive": true}}`, CodeBadJSON},
 		{"removed only_nodes option", `{"v": 1, "netlist": "x", "options": {"only_nodes": ["out"]}}`, CodeBadJSON},
 		{"removed workers option", `{"v": 1, "netlist": "x", "options": {"workers": 2}}`, CodeBadJSON},
 	} {
-		code, body := postJSON(t, srv, tc.body)
+		code, _, body := postBatch(t, srv, tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(body, `"code":"`+tc.wantCode+`"`) {
 			t.Errorf("%s: status %d, body %q, want 400 %s", tc.name, code, body, tc.wantCode)
 		}
 	}
+	// Every v1 fuzz seed (a body without variants) is rejected, typed.
+	for _, seed := range wireSeeds {
+		if strings.Contains(seed, "variants") {
+			continue
+		}
+		if req, _, we := DecodeBatchRequest([]byte(seed)); we == nil || req != nil || we.Status/100 != 4 || we.Detail.Code == "" {
+			t.Errorf("v1 body %s: got %+v, want a typed 4xx rejection", seed, we)
+		}
+	}
+	for _, method := range []string{http.MethodPost, http.MethodGet} {
+		req, _ := http.NewRequest(method, srv.URL+"/run", strings.NewReader(`{"netlist": "x"}`))
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusGone || eb.Error.Code != CodeUnsupportedVersion ||
+			!strings.Contains(eb.Error.Message, "/batch") {
+			t.Errorf("%s /run: status %d, body %+v (%v), want 410 %s naming /batch",
+				method, resp.StatusCode, eb, err, CodeUnsupportedVersion)
+		}
+	}
 }
 
+// TestDeadlineExceededSurfacesInMetrics: a job that blows its own
+// deadline fails its item with deadline_exceeded (the code whose HTTP
+// status is 504), counted once. The item error is final: the client does
+// not resubmit a job that would blow its deadline again.
 func TestDeadlineExceededSurfacesInMetrics(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
 	deadline0, _ := promValue(t, getText(t, srv, "/metrics"), "acstab_farm_deadline_exceeded_total")
 
-	// MaxRetries < 0 disables retries: a job that blew its own deadline
-	// would blow it again.
-	c := &Client{BaseURL: srv.URL, MaxRetries: -1}
-	_, err := c.Submit(context.Background(), &Request{Netlist: ladderNetlist(120), TimeoutMS: 1})
-	var se *StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *StatusError", err)
+	c := &Client{BaseURL: srv.URL} // default retries
+	results, err := c.SubmitBatch(context.Background(), &BatchRequest{
+		Netlist: ladderNetlist(120), TimeoutMS: 1, Variants: []Variant{{}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if se.StatusCode != http.StatusGatewayTimeout || se.Code != CodeDeadlineExceeded {
-		t.Fatalf("StatusError = %+v, want 504 %s", se, CodeDeadlineExceeded)
+	var ie *ItemError
+	if !errors.As(results[0].Err, &ie) || ie.Detail.Code != CodeDeadlineExceeded {
+		t.Fatalf("item err = %v, want %s", results[0].Err, CodeDeadlineExceeded)
+	}
+	if results[0].Attempts != 1 {
+		t.Errorf("attempts = %d, want 1: a blown deadline is not resubmitted", results[0].Attempts)
 	}
 
 	deadline1, ok := promValue(t, getText(t, srv, "/metrics"), "acstab_farm_deadline_exceeded_total")
@@ -169,17 +205,29 @@ func TestDeadlineExceededSurfacesInMetrics(t *testing.T) {
 	}
 }
 
+// TestClassifyClientDisconnect: a batch whose client has hung up is
+// aborted, counted as canceled, and recorded with the canceled outcome
+// and the de-facto 499 "client closed request" status on its event.
 func TestClassifyClientDisconnect(t *testing.T) {
+	var sink bytes.Buffer
+	s := &server{cfg: Config{}.withDefaults(), start: time.Now(),
+		rec: obs.NewRecorder(4), log: obs.NewEventLogger(&sink)}
+	s.sem = make(chan struct{}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := httptest.NewRequest(http.MethodPost, "/run", nil).WithContext(ctx)
+	r := httptest.NewRequest(http.MethodPost, "/batch",
+		strings.NewReader(oneJob(t, BatchRequest{Netlist: tankNetlist}))).WithContext(ctx)
 	cancel0 := mCanceled.Value()
-	status, code := classifyRunError(r, fmt.Errorf("wrap: %w", context.Canceled))
-	if status != 499 || code != CodeClientClosed {
-		t.Errorf("classify = %d %s, want 499 %s", status, code, CodeClientClosed)
-	}
+	s.handleBatch(httptest.NewRecorder(), r)
 	if mCanceled.Value() != cancel0+1 {
 		t.Error("canceled counter did not move")
+	}
+	if runs := s.rec.List(); len(runs) != 1 || runs[0].Outcome != "canceled" {
+		t.Errorf("flight recorder = %+v, want one canceled record", runs)
+	}
+	evs := decodeEvents(t, &sink, "batch")
+	if len(evs) != 1 || evs[0]["outcome"] != "canceled" || evs[0]["status"] != float64(499) {
+		t.Errorf("batch events = %v, want one canceled 499", evs)
 	}
 }
 

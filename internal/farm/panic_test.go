@@ -15,10 +15,11 @@ import (
 )
 
 // TestJobPanicFailsRun: a panic inside a farm job — here a corrupt
-// compiled artifact served from the cache — fails that /run job with
-// run_failed, the panic value and the stack, finishes its flight-recorder
-// record instead of leaving it running, and leaves the worker serving.
-// A /batch item that panics fails alone with the same code.
+// compiled artifact served from the cache — fails that one-variant
+// batch's item with run_failed, the panic value and the stack, finishes
+// its flight-recorder record instead of leaving it running, and leaves
+// the worker serving. In a longer batch the item that panics fails alone
+// with the same code.
 func TestJobPanicFailsRun(t *testing.T) {
 	s := &server{cfg: Config{}.withDefaults(), start: time.Now(),
 		rec: obs.NewRecorder(4), log: obs.NewEventLogger(io.Discard), cache: NewCache(4)}
@@ -28,17 +29,14 @@ func TestJobPanicFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payload, _ := json.Marshal(&Request{V: 1, Netlist: tankNetlist})
 	rec := httptest.NewRecorder()
-	s.handleRun(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(string(payload))))
-	var eb ErrorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
-		t.Fatalf("status %d body %q: %v", rec.Code, rec.Body.String(), err)
+	s.handleBatch(rec, httptest.NewRequest(http.MethodPost, "/batch",
+		strings.NewReader(oneJob(t, BatchRequest{Netlist: tankNetlist}))))
+	it := firstItem(t, rec.Body.String())
+	if rec.Code != http.StatusOK || it.Error == nil || it.Error.Code != CodeRunFailed {
+		t.Fatalf("status %d item error %+v, want 200 with a %s item", rec.Code, it.Error, CodeRunFailed)
 	}
-	if rec.Code != http.StatusUnprocessableEntity || eb.Error.Code != CodeRunFailed {
-		t.Errorf("status %d code %q, want 422 %s", rec.Code, eb.Error.Code, CodeRunFailed)
-	}
-	if msg := eb.Error.Message; !strings.Contains(msg, "job panic: runtime error") || !strings.Contains(msg, "goroutine ") {
+	if msg := it.Error.Message; !strings.Contains(msg, "job panic: runtime error") || !strings.Contains(msg, "goroutine ") {
 		t.Errorf("message %q, want the panic value and its stack", msg)
 	}
 

@@ -23,12 +23,12 @@ func TestTracePropagation(t *testing.T) {
 
 	run := obs.StartRun("client")
 	c := &Client{BaseURL: srv.URL}
-	body, err := c.SubmitTraced(context.Background(), &Request{Netlist: tankNetlist}, run)
+	results, err := c.SubmitBatchTraced(context.Background(), &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}}, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run.Finish()
-	if !strings.Contains(string(body), "Loop at 1 MHz") {
+	if body := results[0].Body; !strings.Contains(string(body), "Loop at 1 MHz") {
 		t.Errorf("traced report body:\n%s", body)
 	}
 
@@ -71,7 +71,7 @@ func TestTracePropagationRetryAttempts(t *testing.T) {
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
-		resp, err := http.Post(worker.URL+"/run", "application/json", strings.NewReader(string(body)))
+		resp, err := http.Post(worker.URL+"/batch", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			w.WriteHeader(http.StatusBadGateway)
 			return
@@ -89,7 +89,7 @@ func TestTracePropagationRetryAttempts(t *testing.T) {
 
 	run := obs.StartRun("client")
 	c := &Client{BaseURL: front.URL, RetryBaseDelay: time.Millisecond}
-	if _, err := c.SubmitTraced(context.Background(), &Request{Netlist: tankNetlist}, run); err != nil {
+	if _, err := c.SubmitBatchTraced(context.Background(), &BatchRequest{Netlist: tankNetlist, Variants: []Variant{{}}}, run); err != nil {
 		t.Fatal(err)
 	}
 	run.Finish()
@@ -115,22 +115,67 @@ func TestTracePropagationRetryAttempts(t *testing.T) {
 	}
 }
 
-// TestUntracedResponseIsRaw: Submit without a run must not flip the
-// envelope on — the body stays the raw rendered report.
+// TestUntracedResponseIsRaw: a batch that does not ask for traces gets
+// none — its item lines carry no trace member — while a traced batch's
+// every item line carries its own trace and the batch's flight-recorder
+// record holds the spans and counters of all its items.
 func TestUntracedResponseIsRaw(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewHandler(Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
-	resp, err := srv.Client().Post(srv.URL+"/run", "application/json",
-		strings.NewReader(`{"netlist":"farm tank\nR1 t 0 318\nL1 t 0 25.33u\nC1 t 0 1n\n"}`))
+	variants := []Variant{{Label: "a"}, {Label: "b", Variables: map[string]float64{"rq": 1000}}}
+	_, ct, body := postBatch(t, srv, mustJSON(t, &BatchRequest{V: WireV2, Netlist: tankNetlist, Variants: variants}))
+	if ct != "application/x-ndjson" || strings.Contains(body, `"trace"`) {
+		t.Errorf("untraced batch: content type %q, body %q", ct, body)
+	}
+
+	_, _, body = postBatch(t, srv, mustJSON(t, &BatchRequest{V: WireV2, Netlist: tankNetlist,
+		Variants: variants, CollectTrace: true, TraceID: "tr-items"}))
+	sweeps, solves := 0, int64(0)
+	for _, it := range decodeItems(t, body) {
+		if it.Error != nil || it.Trace == nil {
+			t.Fatalf("traced item %d: error %+v, trace %v", it.Index, it.Error, it.Trace)
+		}
+		for _, sp := range it.Trace.Phases {
+			if sp.Phase == "sweep" {
+				sweeps++
+			}
+		}
+		solves += it.Trace.Counters["ac_solves"]
+	}
+	if sweeps != 2 || solves == 0 {
+		t.Errorf("item traces hold %d sweep spans and %d solves, want 2 and > 0", sweeps, solves)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/debug/runs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if h := resp.Header.Get(TraceHeader); h != "" {
-		t.Errorf("untraced response carries %s=%q", TraceHeader, h)
+	var list struct {
+		Runs []obs.RunSummary `json:"runs"`
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q, want the raw text report", ct)
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || len(list.Runs) != 2 || list.Runs[0].TraceID != "tr-items" {
+		t.Fatalf("runs = %+v (%v), want the traced batch first", list.Runs, err)
+	}
+	resp, err = srv.Client().Get(srv.URL + "/debug/runs/" + list.Runs[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var det obs.RunDetail
+	err = json.NewDecoder(resp.Body).Decode(&det)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recSweeps := 0
+	for _, sp := range det.Trace.Phases {
+		if sp.Phase == "sweep" {
+			recSweeps++
+		}
+	}
+	if recSweeps != 2 || det.Trace.Counters["ac_solves"] != solves {
+		t.Errorf("record holds %d sweep spans and %d solves, want 2 and %d",
+			recSweeps, det.Trace.Counters["ac_solves"], solves)
 	}
 }
 
@@ -142,8 +187,8 @@ func TestDebugRunsEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL}
-	if _, err := c.SubmitTraced(context.Background(), &Request{
-		Netlist: tankNetlist, TraceID: "trace-xyz",
+	if _, err := c.SubmitBatchTraced(context.Background(), &BatchRequest{
+		Netlist: tankNetlist, TraceID: "trace-xyz", Variants: []Variant{{}},
 	}, obs.StartRun("client")); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +251,7 @@ func TestDebugRunsRingBound(t *testing.T) {
 
 	c := &Client{BaseURL: srv.URL}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Submit(context.Background(), &Request{Netlist: tankNetlist, Node: "t"}); err != nil {
+		if _, err := c.SubmitBatch(context.Background(), &BatchRequest{Netlist: tankNetlist, Node: "t", Variants: []Variant{{}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,11 +277,12 @@ func TestDebugRunsDeadlineOutcome(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Config{}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, MaxRetries: -1}
-	if _, err := c.Submit(context.Background(), &Request{
-		Netlist: ladderNetlist(120), TimeoutMS: 1,
-	}); err == nil {
-		t.Fatal("1ms deadline should kill the job")
+	c := &Client{BaseURL: srv.URL}
+	results, err := c.SubmitBatch(context.Background(), &BatchRequest{
+		Netlist: ladderNetlist(120), TimeoutMS: 1, Variants: []Variant{{}},
+	})
+	if err != nil || results[0].Err == nil {
+		t.Fatalf("1ms deadline should kill the job: %v, %v", err, results[0].Err)
 	}
 	resp, err := srv.Client().Get(srv.URL + "/debug/runs")
 	if err != nil {

@@ -1,12 +1,7 @@
-// wire.go is the farm's request decode layer, shared by the v1 (/run)
-// and v2 (/batch) endpoints. Historically the /run handler grew three
-// ad-hoc validation paths — the wire-version check, unknown-field
-// rejection, and options defaulting scattered through the run path — so
-// the worker's defaults and the CLI's could drift apart. DecodeRequest
-// and DecodeBatchRequest now funnel both endpoints through one strict
-// decoder and one RequestOptions.Normalize, and every rejection carries a
-// typed code (plus the offending field for bad_option) that clients can
-// dispatch on.
+// wire.go is the farm's request decode layer: one strict decoder and
+// one RequestOptions.Normalize, so the worker's defaults and the CLI's
+// cannot drift apart, and every rejection carries a typed code (plus the
+// offending field for bad_option) that clients can dispatch on.
 
 package farm
 
@@ -20,9 +15,10 @@ import (
 	"acstab/internal/tool"
 )
 
-// WireV2 is the batch wire-format version: one netlist, N variants,
-// streamed NDJSON BatchItem results. BatchRequests must declare it
-// explicitly — there is no legacy shorthand to stay compatible with.
+// WireV2 is the wire-format version the worker speaks: one netlist, N
+// variants, streamed NDJSON BatchItem results. BatchRequests must declare
+// it explicitly, so a body written for the retired v1 (/run) wire fails
+// loudly instead of mis-running.
 const WireV2 = 2
 
 // FieldError is a request-option rejection tied to one wire field. The
@@ -43,8 +39,8 @@ func (e *FieldError) Error() string {
 // Normalize maps the wire options to tool.Options: zero values take the
 // documented server defaults, set values are validated, and any rejection
 // comes back as a *FieldError naming the offending wire field. This is
-// the single defaulting path — the v1 and v2 endpoints, the local Run
-// helper, and the CLI all agree because they all call it.
+// the single defaulting path — the worker and the CLI agree because they
+// both call it.
 func (o RequestOptions) Normalize() (tool.Options, error) {
 	opts := tool.DefaultOptions()
 	if o.FStartHz < 0 {
@@ -114,8 +110,7 @@ func (o RequestOptions) Normalize() (tool.Options, error) {
 	return opts, nil
 }
 
-// checkFormat validates the response-format selector shared by Request
-// and BatchRequest.
+// checkFormat validates a BatchRequest's response-format selector.
 func checkFormat(format string) error {
 	switch format {
 	case "", "text", "csv", "json", "annotate":
@@ -166,34 +161,11 @@ func decodeStrict(body []byte, into any) *WireError {
 	return nil
 }
 
-// DecodeRequest parses and validates a v1 job: strict JSON decode,
-// wire-version check, format check, and options normalization. It
+// DecodeBatchRequest parses and validates a batch: strict JSON decode,
+// explicit wire-version check (batches must say v=2), netlist size and
+// variant count bounds, format check, and options normalization. It
 // returns the request together with the normalized tool options, or a
 // WireError carrying the HTTP status and structured error detail.
-func DecodeRequest(body []byte) (*Request, tool.Options, *WireError) {
-	var req Request
-	if we := decodeStrict(body, &req); we != nil {
-		return nil, tool.Options{}, we
-	}
-	if req.V != 0 && req.V != WireVersion {
-		return nil, tool.Options{}, &WireError{Status: http.StatusBadRequest,
-			Detail: ErrorDetail{Code: CodeUnsupportedVersion,
-				Message: fmt.Sprintf("unsupported wire version %d (worker speaks %d and %d)", req.V, WireVersion, WireV2)}}
-	}
-	if err := checkFormat(req.Format); err != nil {
-		return nil, tool.Options{}, wireErrorFrom(err)
-	}
-	opts, err := req.Options.Normalize()
-	if err != nil {
-		return nil, tool.Options{}, wireErrorFrom(err)
-	}
-	return &req, opts, nil
-}
-
-// DecodeBatchRequest parses and validates a v2 batch: strict JSON
-// decode, explicit wire-version check (batches must say v=2), variant
-// count bounds, format check, and options normalization through the same
-// Normalize path the v1 endpoint uses.
 func DecodeBatchRequest(body []byte) (*BatchRequest, tool.Options, *WireError) {
 	var req BatchRequest
 	if we := decodeStrict(body, &req); we != nil {
@@ -203,6 +175,11 @@ func DecodeBatchRequest(body []byte) (*BatchRequest, tool.Options, *WireError) {
 		return nil, tool.Options{}, &WireError{Status: http.StatusBadRequest,
 			Detail: ErrorDetail{Code: CodeUnsupportedVersion,
 				Message: fmt.Sprintf("batch requests require wire version %d (got %d)", WireV2, req.V)}}
+	}
+	if len(req.Netlist) > MaxNetlistBytes {
+		return nil, tool.Options{}, &WireError{Status: http.StatusBadRequest,
+			Detail: ErrorDetail{Code: CodeBadOption, Field: "netlist",
+				Message: fmt.Sprintf("netlist larger than %d bytes", MaxNetlistBytes)}}
 	}
 	if len(req.Variants) == 0 {
 		return nil, tool.Options{}, &WireError{Status: http.StatusBadRequest,

@@ -100,40 +100,25 @@ func TestNormalizeFieldErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsTrailingData: both wire decoders take exactly one JSON
+// TestDecodeRejectsTrailingData: the wire decoder takes exactly one JSON
 // document per body. Trailing whitespace is fine; trailing junk or a
 // second document is a 400 bad_json.
 func TestDecodeRejectsTrailingData(t *testing.T) {
-	decoders := []struct {
-		name string
-		doc  string
-		dec  func([]byte) *WireError
-	}{
-		{"DecodeRequest", `{"netlist": "x"}`, func(b []byte) *WireError {
-			_, _, we := DecodeRequest(b)
-			return we
-		}},
-		{"DecodeBatchRequest", `{"v": 2, "netlist": "x", "variants": [{}]}`, func(b []byte) *WireError {
-			_, _, we := DecodeBatchRequest(b)
-			return we
-		}},
-	}
-	for _, d := range decoders {
-		for _, tail := range []string{"", "\n", " \t\r\n"} {
-			if we := d.dec([]byte(d.doc + tail)); we != nil {
-				t.Errorf("%s: body with tail %q rejected: %v", d.name, tail, we)
-			}
+	const doc = `{"v": 2, "netlist": "x", "variants": [{}]}`
+	for _, tail := range []string{"", "\n", " \t\r\n"} {
+		if _, _, we := DecodeBatchRequest([]byte(doc + tail)); we != nil {
+			t.Errorf("body with tail %q rejected: %v", tail, we)
 		}
-		for _, tail := range []string{" junk", `{"v":99}`, d.doc, "]", "0", `"x"`} {
-			we := d.dec([]byte(d.doc + tail))
-			if we == nil {
-				t.Errorf("%s: trailing %q accepted", d.name, tail)
-				continue
-			}
-			if we.Status != http.StatusBadRequest || we.Detail.Code != CodeBadJSON {
-				t.Errorf("%s: trailing %q: status %d code %q, want 400 %s",
-					d.name, tail, we.Status, we.Detail.Code, CodeBadJSON)
-			}
+	}
+	for _, tail := range []string{" junk", `{"v":99}`, doc, "]", "0", `"x"`} {
+		_, _, we := DecodeBatchRequest([]byte(doc + tail))
+		if we == nil {
+			t.Errorf("trailing %q accepted", tail)
+			continue
+		}
+		if we.Status != http.StatusBadRequest || we.Detail.Code != CodeBadJSON {
+			t.Errorf("trailing %q: status %d code %q, want 400 %s",
+				tail, we.Status, we.Detail.Code, CodeBadJSON)
 		}
 	}
 }

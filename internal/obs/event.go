@@ -10,7 +10,7 @@ import (
 )
 
 // EventLogger emits wide events: one self-contained structured JSON
-// object per notable occurrence (a /run request, a drain, a final
+// object per notable occurrence (a /batch request, a drain, a final
 // metrics snapshot) instead of many small free-form log lines. The
 // canonical-event discipline is what makes log analysis a filter rather
 // than a join — every field a question might need is on the one event,

@@ -54,9 +54,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// labelPath normalizes the metric path label: known routes pass through,
-// everything else collapses to "other" so hostile or random URLs cannot
-// grow the metric space without bound.
+// labelPath normalizes the metric path label: known routes pass through
+// (the retired /run stays one, so stale clients show up in the request
+// counts), everything else collapses to "other" so hostile or random
+// URLs cannot grow the metric space without bound.
 func labelPath(p string) string {
 	switch {
 	case p == "/run", p == "/batch", p == "/healthz", p == "/metrics", p == "/statusz":
@@ -73,10 +74,10 @@ func labelPath(p string) string {
 // Middleware wraps an HTTP handler with request observability: a request
 // counter and latency histogram per (path, status), request/response byte
 // counters, an in-flight gauge, and one "http" wide event per request
-// carrying a process-unique request ID. Requests to /run and /batch are
-// metered but not logged here — those handlers emit the single canonical
-// "run"/"batch" wide event for them, and one request must produce exactly
-// one event. A nil log selects StderrEvents.
+// carrying a process-unique request ID. Requests to /batch are metered
+// but not logged here — that handler emits the single canonical "batch"
+// wide event for them, and one request must produce exactly one event. A
+// nil log selects StderrEvents.
 func Middleware(next http.Handler, log *EventLogger) http.Handler {
 	if log == nil {
 		log = StderrEvents
@@ -102,7 +103,7 @@ func Middleware(next http.Handler, log *EventLogger) http.Handler {
 			bytesIn.Add(r.ContentLength)
 		}
 		bytesOut.Add(sw.bytes)
-		if path == "/run" || path == "/batch" {
+		if path == "/batch" {
 			return
 		}
 		log.Event("http",

@@ -16,8 +16,10 @@ type NodePeak struct {
 // is the structure of the paper's Table 2 ("Loop at 3.3 MHz", ...).
 type Loop struct {
 	ID int
-	// Freq is the representative natural frequency (geometric mean of the
-	// members').
+	// Freq is the natural frequency of the deepest member peak, the one
+	// WorstPeak and the damping figures come from: the oscillation
+	// frequency is read at the peak's location, not averaged over the
+	// members.
 	Freq float64
 	// WorstPeak is the deepest (most negative) member peak: the loop's
 	// performance index.
@@ -63,17 +65,15 @@ func ClusterLoops(peaks []NodePeak, relTol float64) []Loop {
 
 func makeLoop(group []NodePeak) Loop {
 	l := Loop{WorstPeak: math.Inf(1)}
-	logSum := 0.0
 	for _, np := range group {
-		logSum += math.Log(np.Peak.Freq)
 		if np.Peak.Value < l.WorstPeak {
+			l.Freq = np.Peak.Freq
 			l.WorstPeak = np.Peak.Value
 			l.Zeta = np.Peak.Zeta
 			l.PhaseMarginDeg = np.Peak.PhaseMarginDeg
 			l.OvershootPct = np.Peak.OvershootPct
 		}
 	}
-	l.Freq = math.Exp(logSum / float64(len(group)))
 	l.Nodes = append(l.Nodes, group...)
 	sort.Slice(l.Nodes, func(a, b int) bool { return l.Nodes[a].Node < l.Nodes[b].Node })
 	return l

@@ -380,6 +380,28 @@ func TestClusterLoopsSingleAndEmpty(t *testing.T) {
 	}
 }
 
+// TestLoopFreqFromDeepestMember: a loop's fn is read at its deepest
+// member's peak, like its zeta, not averaged with shallow members that
+// single linkage pulled in beside it.
+func TestLoopFreqFromDeepestMember(t *testing.T) {
+	mk := func(node string, f, v float64) NodePeak {
+		return NodePeak{Node: node, Peak: Peak{Freq: f, Value: v, Zeta: sos.ZetaFromIndex(v)}}
+	}
+	loops := ClusterLoops([]NodePeak{
+		mk("shallow1", 1.08e6, -0.6),
+		mk("deep", 1e6, -20),
+		mk("shallow2", 1.15e6, -0.5),
+	}, 0.12)
+	if len(loops) != 1 || len(loops[0].Nodes) != 3 {
+		t.Fatalf("loops = %+v, want one 3-member loop", loops)
+	}
+	l := loops[0]
+	if l.Freq != 1e6 || l.WorstPeak != -20 || l.Zeta != sos.ZetaFromIndex(-20) {
+		t.Errorf("loop fn %g, worst peak %g, zeta %g; want the deep member's 1e6, -20, %g",
+			l.Freq, l.WorstPeak, l.Zeta, sos.ZetaFromIndex(-20))
+	}
+}
+
 // Property: clustering is independent of input order and every input node
 // appears exactly once.
 func TestClusterLoopsInvariantsQuick(t *testing.T) {
