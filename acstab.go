@@ -29,7 +29,8 @@
 // Every analysis entry point has a Context variant
 // (AnalyzeNodeContext, AnalyzeAllNodesContext, ACSweepContext,
 // TransientContext, PolesContext). A canceled or deadline-expired
-// context aborts the run within one linear solve; the returned error
+// context aborts the run within one unit of work (a Newton iteration, a
+// frequency point or a pair of them, a timestep); the returned error
 // wraps ErrCanceled plus the context's own error, so
 // errors.Is(err, context.DeadlineExceeded) still distinguishes a
 // deadline from an explicit cancel.
@@ -299,7 +300,8 @@ type StabilityReport struct {
 // Errors: ErrUnknownNode if the node does not exist, ErrNoConvergence
 // if the operating point cannot be found, ErrSingularMatrix on a
 // degenerate MNA system, and ErrCanceled once ctx is done (the run
-// aborts within one linear solve).
+// aborts within one unit of work: at most two frequency points of the
+// sweep).
 func AnalyzeNodeContext(ctx context.Context, c *Circuit, node string, opts Options) (*NodeReport, error) {
 	if c == nil || c.n == nil {
 		return nil, fmt.Errorf("acstab: empty circuit (use NewCircuit or ParseNetlist)")
@@ -347,7 +349,8 @@ func fromNodeResult(nr *tool.NodeResult, opts stab.Options) NodeReport {
 // Errors: ErrNoConvergence if the operating point cannot be found,
 // ErrSingularMatrix on a degenerate MNA system, and ErrCanceled once
 // ctx is done — the sweep and the Newton loop both observe the
-// context, so cancellation aborts within one linear solve.
+// context, so cancellation aborts within one unit of work (at most two
+// frequency points of the sweep).
 func AnalyzeAllNodesContext(ctx context.Context, c *Circuit, opts Options) (*StabilityReport, error) {
 	if c == nil || c.n == nil {
 		return nil, fmt.Errorf("acstab: empty circuit (use NewCircuit or ParseNetlist)")

@@ -59,8 +59,8 @@ func TestAnalyzeAllNodesCancelMidRun(t *testing.T) {
 	if !errors.Is(err, acstab.ErrCanceled) {
 		t.Fatalf("mid-run cancel: err = %v, want ErrCanceled", err)
 	}
-	// The run must stop within one linear solve of the cancellation, not
-	// finish the sweep. Full runs on this ladder take far longer than the
+	// The run must stop within one unit of work (at most two frequency
+	// points) of the cancellation, not finish the sweep. Full runs on this ladder take far longer than the
 	// generous bound here.
 	if elapsed > 5*time.Second {
 		t.Errorf("canceled run took %s, want prompt abort", elapsed)

@@ -172,6 +172,10 @@ type acWorkspace struct {
 	num  *sparse.Numeric
 	vals *sparse.Vals
 	aff  *sparse.Affine
+	// num2 and vals2 are the second lane of the pair kernels (see
+	// Sim.sweep), allocated by second on a diag sweep's first pair.
+	num2  *sparse.Numeric
+	vals2 []complex128
 }
 
 // newWorkspace allocates the numeric state for sym, adopting b's value
@@ -185,6 +189,15 @@ func newWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic, b *symbolicBuild) *
 		ws.vals, ws.aff = pat.NewVals(), pat.NewAffine()
 	}
 	return ws
+}
+
+// second returns the workspace's second refactor-path lane, allocating
+// it on first use.
+func (ws *acWorkspace) second() (*sparse.Numeric, []complex128) {
+	if ws.num2 == nil {
+		ws.num2, ws.vals2 = ws.sym.NewNumeric(), make([]complex128, len(ws.vals.Values()))
+	}
+	return ws.num2, ws.vals2
 }
 
 // acquireWorkspace hands out the Sim's cached workspace for one sweep
@@ -721,8 +734,14 @@ type acFactorizer struct {
 
 	// ws is the Sim-cached workspace backing num/vals when this sweep
 	// won the CAS handoff; flush releases it. Nil when another sweep held
-	// it and this factorizer allocated privately.
-	ws *acWorkspace
+	// it and this factorizer allocated privately. work is the workspace
+	// in use either way.
+	ws   *acWorkspace
+	work *acWorkspace
+	// cnum is the refactor-path Numeric whose values cvals holds, which
+	// the condition estimate reads: num, or the second lane after a
+	// pair's second point.
+	cnum *sparse.Numeric
 
 	// Dense path.
 	dm  *linalg.CMatrix
@@ -814,6 +833,7 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 			} else {
 				ws = newWorkspace(pat, sym, build)
 			}
+			fz.work = ws
 			fz.num, fz.vals, fz.aff = ws.num, ws.vals, ws.aff
 			if build == nil {
 				fz.recordAffine()
@@ -873,16 +893,7 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 			copy(b, fz.aff.RHS())
 		}
 		if err := fz.num.Refactor(fz.vals.Values()); err == nil {
-			fz.refactors++
-			fz.kind = solveKindRefactor
-			fz.cpat, fz.cvals = fz.pat, fz.vals.Values()
-			if fz.resThreshold > 0 {
-				g := fz.num.PivotGrowth()
-				fz.growthHist.Observe(g)
-				if g > fz.growthMax {
-					fz.growthMax = g
-				}
-			}
+			fz.refactored(fz.num, fz.vals.Values())
 			return fz.num, nil
 		} else {
 			// Collapsed pivot under the frozen order; retry this single
@@ -893,6 +904,36 @@ func (fz *acFactorizer) at(omega float64, b []complex128) (cSolver, error) {
 		}
 	}
 	return fz.fullAt(omega, b)
+}
+
+// refactored records a successful refactor-path refill of num from vals:
+// the counter, the solver-path tag, the matrix the residual check and the
+// condition estimate read, and the pivot-growth tally.
+func (fz *acFactorizer) refactored(num *sparse.Numeric, vals []complex128) {
+	fz.refactors++
+	fz.kind = solveKindRefactor
+	fz.cpat, fz.cvals, fz.cnum = fz.pat, vals, num
+	if fz.resThreshold > 0 {
+		g := num.PivotGrowth()
+		fz.growthHist.Observe(g)
+		if g > fz.growthMax {
+			fz.growthMax = g
+		}
+	}
+}
+
+// pairAt refills the refactor path at two frequencies in one pass
+// (sparse.RefactorPair): omegaA into num from vals, omegaB into the
+// workspace's second lane, which it returns. ok is false when either
+// lane's pivot collapsed; neither lane is usable then, and the caller
+// runs both points through at, which finds the collapse again and falls
+// back for that point alone. A successful pair still needs refactored
+// for each lane, in grid order.
+func (fz *acFactorizer) pairAt(omegaA, omegaB float64) (num2 *sparse.Numeric, vals2 []complex128, ok bool) {
+	num2, vals2 = fz.work.second()
+	fz.aff.FillInto(fz.vals.Values(), omegaA)
+	fz.aff.FillInto(vals2, omegaB)
+	return num2, vals2, sparse.RefactorPair(fz.num, num2, fz.vals.Values(), vals2) == nil
 }
 
 // fullAt runs a fresh two-phase factorization of the point at omega:
@@ -1069,7 +1110,7 @@ func (fz *acFactorizer) condSampleAt(k, n int) {
 		buf := make([]complex128, 2*nn)
 		fz.cv, fz.cz = buf[:nn:nn], buf[nn:]
 	}
-	est, err := fz.num.CondEst1(fz.vals.Values(), fz.cv, fz.cz)
+	est, err := fz.cnum.CondEst1(fz.cvals, fz.cv, fz.cz)
 	if err != nil || est <= 0 {
 		return
 	}
@@ -1234,6 +1275,16 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // order, which the shared plan does not describe. Dense mode has no
 // elimination DAG to exploit, so there every point runs the full
 // substitutions of ImpedanceMatrixColumns.
+//
+// On the refactor path the sweep takes grid points two at a time: one
+// interleaved pass refills both (sparse.RefactorPair) and one extracts
+// both diagonals (sparse.SolveDiagPair), then each point's own steps run
+// in grid order. The results, counters and residual probes are those of
+// a sweep refilling one point at a time. An odd last point, and both
+// points of a pair whose refill collapsed, run on their own. A canceled
+// ctx aborts between pairs — within two frequency points of the
+// cancellation — and a traced sweep's slow-point capture notes each point
+// of a pair with half the pair's wall time.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	return s.sweep(ctx, sweepDiag, freqs, op, nodeIdx)
 }
@@ -1260,7 +1311,9 @@ const (
 // factorization. It returns Sol[freq] for sweepExcite and Z[node][freq]
 // otherwise. Every point's first full solve goes through the residual
 // check (verify); a kernel point only has one on every
-// defResidualProbeEvery-th frequency.
+// defResidualProbeEvery-th frequency. On the diag kernel's path it
+// refills and extracts two grid points per pass (see ImpedanceDiagSweep)
+// and then runs each point's steps as for one point.
 func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	var out [][]complex128
 	if mode == sweepExcite {
@@ -1287,16 +1340,16 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 	slow := newSlowTracker(s.Trace)
 	defer slow.flush(s.Trace)
 	var plan *sparse.DiagPlan
-	var diag []complex128
-	if mode == sweepDiag {
-		if fz.sym != nil {
-			p, err := s.acShared().ensureDiagPlan(fz.sym, nodeIdx)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
-			}
-			plan = p
+	var diag, diag2 []complex128 // the pair's two lanes; diag alone off pairs
+	if mode == sweepDiag && fz.sym != nil {
+		p, err := s.acShared().ensureDiagPlan(fz.sym, nodeIdx)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: diag sweep plan: %w", err)
 		}
-		diag = make([]complex128, len(nodeIdx))
+		plan = p
+		nn := len(nodeIdx)
+		buf := make([]complex128, 2*nn)
+		diag, diag2 = buf[:nn:nn], buf[nn:]
 	}
 	n := s.Sys.NumUnknowns()
 	b := make([]complex128, n)
@@ -1336,44 +1389,31 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 		return slv, nil
 	}
 
-	for k, f := range freqs {
-		if err := acerr.Ctx(ctx); err != nil {
-			return nil, err
-		}
+	// finish runs grid point k's per-point steps on slv, the factorization
+	// the point's refill left in fz. dk holds the point's diag kernel
+	// entries and dkErr the kernel's error, dk nil when the kernel did not
+	// run. It returns the point's slow-point tag.
+	finish := func(k int, slv cSolver, dk []complex128, dkErr error) (string, error) {
+		f := freqs[k]
 		omega := 2 * math.Pi * f
-		var rhs []complex128
-		if mode == sweepExcite {
-			clear(b)
-			rhs = b
-		}
-		var t0 time.Time
-		if slow != nil {
-			t0 = time.Now()
-		}
-		slv, err := fz.at(omega, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s at %g Hz: %w", what, f, err)
-		}
-		// The plan's reach sets describe exactly the factorization the
-		// refill just built under the frozen pivot order, and nothing else.
-		kernel := plan != nil && fz.kind == solveKindRefactor
+		kernel := dk != nil
 		switch {
 		case mode == sweepExcite:
 			sol := make([]complex128, n)
 			if err := slv.SolveInto(sol, b); err != nil {
-				return nil, fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
+				return "", fmt.Errorf("analysis: AC at %g Hz: %w", f, err)
 			}
 			fz.solves++
 			if _, err := fz.verify(slv, omega, f, sol, b, true); err != nil {
-				return nil, err
+				return "", err
 			}
 			out[k] = sol
 		case kernel:
-			if err := fz.num.SolveDiagInto(diag, plan); err != nil {
-				return nil, fmt.Errorf("analysis: impedance at %g Hz: %w", f, err)
+			if dkErr != nil {
+				return "", fmt.Errorf("analysis: impedance at %g Hz: %w", f, dkErr)
 			}
 			for i := range nodeIdx {
-				out[i][k] = diag[i]
+				out[i][k] = dk[i]
 			}
 			fz.diagSolves++
 			fz.diagRows += plan.RowsPerSolve()
@@ -1388,7 +1428,7 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 			if fz.resThreshold > 0 && k%defResidualProbeEvery == 0 && len(nodeIdx) > 0 {
 				slv2, err := inject(slv, nodeIdx[:1], k, omega, f, true)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				if slv2 != slv {
 					// The ladder escalated to a fresh factorization: the
@@ -1397,7 +1437,7 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 					kernel = false
 					fz.diagFallbacks++
 					if _, err := inject(slv2, nodeIdx, k, omega, f, false); err != nil {
-						return nil, err
+						return "", err
 					}
 				}
 			}
@@ -1409,20 +1449,83 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 				fz.diagFallbacks++
 			}
 			if _, err := inject(slv, nodeIdx, k, omega, f, true); err != nil {
-				return nil, err
+				return "", err
 			}
 		}
 		if mode != sweepExcite {
 			fz.solves += int64(len(nodeIdx))
 		}
 		fz.condSampleAt(k, len(freqs))
+		if kernel {
+			return solveKindDiag, nil
+		}
+		return fz.kind, nil
+	}
+
+	// solo counts the points left to run on their own after a pair whose
+	// refill collapsed.
+	solo := 0
+	for k := 0; k < len(freqs); {
+		if err := acerr.Ctx(ctx); err != nil {
+			return nil, err
+		}
+		var t0 time.Time
 		if slow != nil {
-			tag := fz.kind
-			if kernel {
-				tag = solveKindDiag
+			t0 = time.Now()
+		}
+		// On the diag kernel's path, refill and extract grid points k and
+		// k+1 in one pass, then run each point's steps in grid order.
+		if plan != nil && solo == 0 && k+1 < len(freqs) {
+			if num2, vals2, ok := fz.pairAt(2*math.Pi*freqs[k], 2*math.Pi*freqs[k+1]); ok {
+				errA, errB := sparse.SolveDiagPair(fz.num, num2, diag, diag2, plan)
+				fz.refactored(fz.num, fz.vals.Values())
+				tagA, err := finish(k, fz.num, diag, errA)
+				if err != nil {
+					return nil, err
+				}
+				fz.refactored(num2, vals2)
+				tagB, err := finish(k+1, num2, diag2, errB)
+				if err != nil {
+					return nil, err
+				}
+				if slow != nil {
+					half := time.Since(t0) / 2
+					slow.note(freqs[k], half, tagA)
+					slow.note(freqs[k+1], half, tagB)
+				}
+				k += 2
+				continue
 			}
+			solo = 2
+		}
+		if solo > 0 {
+			solo--
+		}
+		f := freqs[k]
+		var rhs []complex128
+		if mode == sweepExcite {
+			clear(b)
+			rhs = b
+		}
+		slv, err := fz.at(2*math.Pi*f, rhs)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %s at %g Hz: %w", what, f, err)
+		}
+		// The plan's reach sets describe exactly the factorization the
+		// refill just built under the frozen pivot order, and nothing else.
+		var dk []complex128
+		var dkErr error
+		if plan != nil && fz.kind == solveKindRefactor {
+			dk, dkErr = diag, fz.num.SolveDiagInto(diag, plan)
+		}
+		tag, err := finish(k, slv, dk, dkErr)
+		if err != nil {
+			return nil, err
+		}
+		if slow != nil {
 			slow.note(f, time.Since(t0), tag)
 		}
+		k++
 	}
 	return out, nil
 }

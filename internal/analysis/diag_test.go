@@ -2,12 +2,15 @@ package analysis
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"acstab/internal/acerr"
 	"acstab/internal/circuits"
 	"acstab/internal/mna"
 	"acstab/internal/netlist"
@@ -513,6 +516,119 @@ func TestImpedanceSweepsNoNodes(t *testing.T) {
 			if err != nil || len(z) != 0 {
 				t.Errorf("mode %d %s: %d rows, err %v; want none, nil", m, name, len(z), err)
 			}
+		}
+	}
+}
+
+// TestDiagPairCollapseFallback: the diag sweep refills neighbouring grid
+// points in pairs, and a pair whose refill collapses runs both its points
+// on their own. Under the one-point-fallback island's doctored pivot
+// order, the collapsing point sits in the first lane of a pair, in the
+// second, and at the odd tail point. Every point's values must equal the
+// full substitutions of ImpedanceMatrixColumns (== lets a zero's sign
+// differ), and the counters and slow-point tags must be those of one
+// fallback among refactored diag points: exactly what a sweep refilling
+// one point at a time reports.
+func TestDiagPairCollapseFallback(t *testing.T) {
+	ctx := context.Background()
+	island := func() *Sim {
+		c := fallbackIslandCircuit(8)
+		c.AddC("CZ2", "zp", "zq", 1e-15)
+		s := compile(t, c)
+		s.Opt.Matrix = MatrixSparse
+		pat, sym := marginalPivotSymbolic(t, s, 2*math.Pi*1e9)
+		installSymbolic(s, pat, sym)
+		return s
+	}
+	for _, tc := range []struct {
+		name     string
+		freqs    []float64
+		collapse int
+	}{
+		{"first lane", []float64{0.01, 1e7, 1e8, 1e9}, 0},
+		{"second lane", []float64{1e7, 0.01, 1e8, 1e9}, 1},
+		{"tail", []float64{1e7, 1e8, 1e9, 2e9, 0.01}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := island()
+			idx := allNodeIdx(ref)
+			want, err := ref.ImpedanceMatrixColumns(ctx, tc.freqs, mustOP(t, ref), idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := island()
+			op := mustOP(t, s)
+			run := obs.StartRun("pair-collapse")
+			s.Trace = run
+			got, err := s.ImpedanceDiagSweep(ctx, tc.freqs, op, idx)
+			run.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range idx {
+				for k := range tc.freqs {
+					if got[i][k] != want[i][k] {
+						t.Fatalf("node %d at %g Hz: diag sweep %v, full substitution %v", i, tc.freqs[k], got[i][k], want[i][k])
+					}
+				}
+			}
+			// Point 0 runs the sampled residual probe and the fallback point
+			// its own residual check; both are one point in the first case.
+			n, checked := int64(len(tc.freqs)), int64(2)
+			if tc.collapse == 0 {
+				checked = 1
+			}
+			tr := run.Trace()
+			for key, v := range map[string]int64{
+				"ac_refactorizations":   n - 1,
+				"ac_refactor_fallbacks": 1,
+				"ac_factorizations":     1,
+				"ac_diag_solves":        n - 1,
+				"ac_diag_fallbacks":     1,
+				"ac_residual_points":    checked,
+				"ac_solves":             n * int64(len(idx)),
+			} {
+				if tr.Counters[key] != v {
+					t.Errorf("%s = %d, want %d", key, tr.Counters[key], v)
+				}
+			}
+			tags := map[float64]string{}
+			for _, p := range tr.SlowPoints {
+				if p.Detail != "residual" {
+					tags[p.FreqHz] = p.Detail
+				}
+			}
+			for k, f := range tc.freqs {
+				want := solveKindDiag
+				if k == tc.collapse {
+					want = solveKindRefactorFallback
+				}
+				if tags[f] != want {
+					t.Errorf("%g Hz solver path = %q, want %q", f, tags[f], want)
+				}
+			}
+		})
+	}
+}
+
+// TestDiagPairNonFiniteLane: a point whose driving-point impedance
+// overflows fails the sweep with its own frequency in the error, whether
+// it is the first or the second point of its pair. Node t hangs on a
+// 1e-306 F capacitor alone: its admittance is finite and passes the
+// refill's guard at every frequency, but below about 1e-3 Hz its
+// reciprocal overflows.
+func TestDiagPairNonFiniteLane(t *testing.T) {
+	c := netlist.NewCircuit("overflowing node")
+	c.AddC("CT", "t", "0", 1e-306)
+	c.AddR("RA", "a", "0", 1e3)
+	c.AddC("CA", "a", "0", 1e-12)
+	for _, freqs := range [][]float64{{1e-6, 1e9}, {1e9, 1e-6}} {
+		s := compile(t, c)
+		s.Opt.Matrix = MatrixSparse
+		op := s.Sys.Linearize(make([]float64, s.Sys.NumUnknowns()), s.Opt.Gmin)
+		_, err := s.ImpedanceDiagSweep(context.Background(), freqs, op, allNodeIdx(s))
+		if !errors.Is(err, acerr.ErrSingularMatrix) || !strings.Contains(err.Error(), "impedance at 1e-06 Hz") {
+			t.Errorf("sweep over %g Hz: error %v, want a singular-matrix error at 1e-06 Hz", freqs, err)
 		}
 	}
 }

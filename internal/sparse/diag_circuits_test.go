@@ -1,12 +1,14 @@
 package sparse_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"acstab/internal/circuits"
 	"acstab/internal/netlist"
 	"acstab/internal/sos"
+	"acstab/internal/sparse"
 )
 
 // namedCircuit is one benchmark circuit and the name a failure reports.
@@ -76,6 +78,83 @@ func TestSolveDiagBitIdenticalOnCircuits(t *testing.T) {
 		}
 		if refilled == 0 {
 			t.Errorf("%s: no grid point refactored", ckt.name)
+		}
+	}
+}
+
+// firstBitDiff returns the first index where a and b differ in any bit,
+// or -1 when they are identical.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestPairKernelsBitIdenticalOnCircuits: at every pair of neighbouring
+// points (k, k+1) of the default grid, on every circuit the benchmark
+// draws from, RefactorPair and SolveDiagPair leave each lane bit for bit
+// where Refactor and SolveDiagInto leave a Numeric refilled at that point
+// alone: L multipliers, U entries, reciprocal pivots, PivotGrowth and
+// every Z_kk. A pair fails exactly where either point's own refill does.
+func TestPairKernelsBitIdenticalOnCircuits(t *testing.T) {
+	for _, ckt := range kernelCircuits() {
+		st := newRefillSetup(t, ckt.c)
+		plan, err := st.sym.DiagPlan(st.nodes)
+		if err != nil {
+			t.Fatalf("%s: %v", ckt.name, err)
+		}
+		nn := len(st.nodes)
+		single := [2]*sparse.Numeric{st.sym.NewNumeric(), st.sym.NewNumeric()}
+		pair := [2]*sparse.Numeric{st.num, st.sym.NewNumeric()}
+		vals := [2][]complex128{st.vals, make([]complex128, len(st.vals))}
+		want := [2][]complex128{make([]complex128, nn), make([]complex128, nn)}
+		got := [2][]complex128{make([]complex128, nn), make([]complex128, nn)}
+		paired := 0
+		for k := 0; k+1 < len(st.grid); k++ {
+			var singleErr [2]error
+			for l := range 2 {
+				st.aff.FillInto(vals[l], st.grid[k+l])
+				singleErr[l] = single[l].Refactor(vals[l])
+			}
+			err := sparse.RefactorPair(pair[0], pair[1], vals[0], vals[1])
+			if wantOK := singleErr[0] == nil && singleErr[1] == nil; (err == nil) != wantOK {
+				t.Errorf("%s at ω=%g,%g: pair refill error %v, single refills %v, %v",
+					ckt.name, st.grid[k], st.grid[k+1], err, singleErr[0], singleErr[1])
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			paired++
+			var pairErr [2]error
+			pairErr[0], pairErr[1] = sparse.SolveDiagPair(pair[0], pair[1], got[0], got[1], plan)
+			for l := range 2 {
+				omega := st.grid[k+l]
+				if err := single[l].SolveDiagInto(want[l], plan); (err == nil) != (pairErr[l] == nil) {
+					t.Fatalf("%s lane %d at ω=%g: pair diag error %v, single %v", ckt.name, l, omega, pairErr[l], err)
+				}
+				wl, wu, wd := single[l].Factors()
+				gl, gu, gd := pair[l].Factors()
+				for _, f := range []struct {
+					name      string
+					want, got []complex128
+				}{{"lval", wl, gl}, {"uval", wu, gu}, {"udinv", wd, gd}, {"Z_kk", want[l], got[l]}} {
+					if i := firstBitDiff(f.want, f.got); i >= 0 {
+						t.Fatalf("%s lane %d at ω=%g: %s[%d] = %v, single-point kernel %v",
+							ckt.name, l, omega, f.name, i, f.got[i], f.want[i])
+					}
+				}
+				if g, w := pair[l].PivotGrowth(), single[l].PivotGrowth(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s lane %d at ω=%g: PivotGrowth %v, single-point refill %v", ckt.name, l, omega, g, w)
+				}
+			}
+		}
+		if paired == 0 {
+			t.Errorf("%s: no pair of grid points refactored", ckt.name)
 		}
 	}
 }

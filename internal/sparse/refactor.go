@@ -476,10 +476,16 @@ func abs2(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
 // tol2 the squared tolerance. decided is false when either square leaves
 // the safe range; the row then needs absGuard.
 func sqGuard(ad2, scale2, tol2 float64) (decided, ok bool) {
-	if !(ad2 >= safeSq2Min && ad2 <= safeSq2Max && scale2 >= safeSq2Min && scale2 <= safeSq2Max) {
+	if !sqSafe(ad2, scale2) {
 		return false, false
 	}
 	return true, ad2 > tol2*scale2
+}
+
+// sqSafe reports whether both squares lie in the range where comparing
+// them decides as comparing moduli does (see safeSq2Min).
+func sqSafe(ad2, scale2 float64) bool {
+	return ad2 >= safeSq2Min && ad2 <= safeSq2Max && scale2 >= safeSq2Min && scale2 <= safeSq2Max
 }
 
 // absGuard is the guard on moduli, for the rows sqGuard cannot decide: d

@@ -154,6 +154,40 @@ func TestRefactorAllocationFree(t *testing.T) {
 	}
 }
 
+// TestPairKernelsAllocationFree is the same contract for the sweep's
+// two-lane kernels: refilling and extracting two points with RefactorPair
+// and SolveDiagPair must not allocate at all.
+func TestPairKernelsAllocationFree(t *testing.T) {
+	const n = 32
+	pat, va := compile(n, ladderStamp(n, 1e6))
+	_, vb := compile(n, ladderStamp(n, 2e6))
+	sym, err := pat.Analyze(va.Values())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sym.NewNumeric(), sym.NewNumeric()
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	plan, err := sym.DiagPlan(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, db := make([]complex128, n), make([]complex128, n)
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := RefactorPair(a, b, va.Values(), vb.Values()); err != nil {
+			t.Fatal(err)
+		}
+		if errA, errB := SolveDiagPair(a, b, da, db, plan); errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state pair refill+diag-solve allocated %v times per run, want 0", allocs)
+	}
+}
+
 // TestDriftDetection: a stamp pass that deviates from the recorded stream
 // (extra call, missing call, or different position order) must be flagged.
 func TestDriftDetection(t *testing.T) {
@@ -215,10 +249,26 @@ func TestRefactorSingularFallback(t *testing.T) {
 		t.Fatalf("error %v does not wrap ErrSingularMatrix", err)
 	}
 
-	// The workspace invariant must survive the error: a good refactor
-	// right after still agrees with a from-scratch dense factorization.
+	// A pair fails when either lane collapses, and leaves both scatter
+	// rows all zero.
 	vals.Begin()
 	replay(vals, calls)
+	other := sym.NewNumeric()
+	for _, lanes := range [][2][]complex128{{dead, vals.Values()}, {vals.Values(), dead}} {
+		if err := RefactorPair(num, other, lanes[0], lanes[1]); !errors.Is(err, acerr.ErrSingularMatrix) {
+			t.Fatalf("pair refill with one dead lane: error %v, want one wrapping ErrSingularMatrix", err)
+		}
+		for _, nm := range []*Numeric{num, other} {
+			for i, v := range nm.w {
+				if v != 0 {
+					t.Fatalf("scatter entry %d = %v after a collapsed pair", i, v)
+				}
+			}
+		}
+	}
+
+	// The workspace invariant must survive the error: a good refactor
+	// right after still agrees with a from-scratch dense factorization.
 	if err := num.Refactor(vals.Values()); err != nil {
 		t.Fatalf("refactor after singular failure: %v", err)
 	}

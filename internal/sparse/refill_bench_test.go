@@ -71,8 +71,9 @@ func newRefillSetup(b testing.TB, c *netlist.Circuit) *refillSetup {
 // BenchmarkRefill times one frequency point of the sweep's refill,
 // Affine.FillInto then Numeric.Refactor, cycling through a
 // 40-points-per-decade grid from 1 kHz to 1 GHz, on the 32-loop resonator
-// field (64 unknowns) and on the Table 2 circuit. It is a quick check for
-// kernel work, not a gate.
+// field (64 unknowns) and on the Table 2 circuit. Each circuit's "pair"
+// arm refills two neighbouring points per iteration with RefactorPair and
+// also reports ns/point. It is a quick check for kernel work, not a gate.
 func BenchmarkRefill(b *testing.B) {
 	for _, ckt := range []struct {
 		name string
@@ -90,6 +91,18 @@ func BenchmarkRefill(b *testing.B) {
 				}
 			}
 		})
+		num2, vals2 := st.sym.NewNumeric(), make([]complex128, len(st.vals))
+		b.Run(ckt.name+"-pair", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k := (2 * i) % (len(st.grid) - 1)
+				st.aff.FillInto(st.vals, st.grid[k])
+				st.aff.FillInto(vals2, st.grid[k+1])
+				if err := sparse.RefactorPair(st.num, num2, st.vals, vals2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/point")
+		})
 	}
 }
 
@@ -99,7 +112,8 @@ func BenchmarkRefill(b *testing.B) {
 // Each iteration solves on the next point's factorization of the same
 // 40-points-per-decade grid BenchmarkRefill cycles through (all refilled
 // before the timer starts). It is a quick check for kernel work, not a
-// gate.
+// gate. Each circuit's "pair" arm runs SolveDiagPair on two neighbouring
+// points' factorizations per iteration and also reports ns/point.
 func BenchmarkSolveDiag(b *testing.B) {
 	for _, ckt := range []namedCircuit{
 		{"field32", circuits.ResonatorField(32, 1e5, 0.35)},
@@ -129,6 +143,16 @@ func BenchmarkSolveDiag(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+		dst2 := make([]complex128, len(st.nodes))
+		b.Run(ckt.name+"-pair", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k := (2 * i) % (len(nums) - 1)
+				if errA, errB := sparse.SolveDiagPair(nums[k], nums[k+1], dst, dst2, plan); errA != nil || errB != nil {
+					b.Fatal(errA, errB)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/point")
 		})
 	}
 }

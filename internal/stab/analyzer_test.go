@@ -1,6 +1,7 @@
 package stab
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -416,5 +417,49 @@ func TestPlotOnDemandMatchesScratch(t *testing.T) {
 				t.Errorf("warm Plot allocated %v times, want at most 3 (wave, name, samples)", got)
 			}
 		})
+	}
+}
+
+// TestAnalyzerRelease: Release hands an Analyzer's scratch to the next
+// NewAnalyzerOn, whose columns must not disturb the results the first
+// one handed out; a released Analyzer grows fresh scratch and still
+// reads the one-shot Analyze's peaks.
+func TestAnalyzerRelease(t *testing.T) {
+	grid := num.LogGridPPD(1e3, 1e9, 40)
+	ax := NewAxis(grid)
+	tfs := columnTFs()
+	fingerprint := func(res *Result) string {
+		return fmt.Sprintf("%v", res.Peaks)
+	}
+	first := NewAnalyzerOn(DefaultOptions(), ax)
+	res, err := first.Analyze(magOn(tfs[1], grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(res)
+	first.Release()
+	second := NewAnalyzerOn(DefaultOptions(), ax)
+	for _, tf := range tfs {
+		if _, err := second.Analyze(magOn(tf, grid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second.Release()
+	if got := fingerprint(res); got != want {
+		t.Errorf("a released Analyzer's result changed under the next one's columns:\n got %s\nwant %s", got, want)
+	}
+	for _, tf := range tfs {
+		mag := magOn(tf, grid)
+		got, err := first.Analyze(mag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Analyze(mag, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(got) != fingerprint(ref) {
+			t.Errorf("released Analyzer read %v, one-shot Analyze %v", got.Peaks, ref.Peaks)
+		}
 	}
 }

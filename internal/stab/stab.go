@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"acstab/internal/num"
 	"acstab/internal/sos"
@@ -39,9 +40,10 @@ type Options struct {
 	// classified MinMax (numerical extremum, not a resonance). The bound
 	// comes from the real-pole analysis: an isolated real pole dips to
 	// -0.5 and two coincident real poles (zeta = 1) reach exactly -1.
-	// Zero or negative disables the filter — every extremum is kept —
-	// so the default (0.75) only applies through DefaultOptions, not to
-	// an explicitly zeroed Options value.
+	// Zero or negative disables the filter — every extremum above the
+	// rounding floor (see noiseFloorC) is kept — so the default (0.75)
+	// only applies through DefaultOptions, not to an explicitly zeroed
+	// Options value.
 	MinPeakDepth float64
 	// MaxPeaks bounds how many peaks are reported per node (deepest first
 	// within each sign). 0 = unlimited.
@@ -202,7 +204,9 @@ func (ax *Axis) holds(x []float64) bool {
 // first element and length), until a column on a third grid comes. It
 // also reuses its ln|T|, P and peak scratch arrays: a warm Analyze
 // computes P into scratch, reads the peaks from it and allocates only the
-// Result and its exact-length Peaks. Results are bitwise identical to the
+// Result and its exact-length Peaks. An Analyzer from NewAnalyzerOn takes
+// that scratch from a process-wide pool, and Release hands it back for
+// the next run's Analyzer. Results are bitwise identical to the
 // one-shot functions. Grids are read-only once shared (see Plot); the
 // cache holds the slice, so its array cannot be freed and reused at the
 // same address. An Analyzer is not safe for concurrent use; the Axis it
@@ -217,10 +221,22 @@ type Analyzer struct {
 	ax      *Axis
 	stencil int
 
-	ln    []float64 // ln|T| scratch
-	p     []float64 // P scratch
-	peaks []Peak    // peak scratch, copied out at exact length
+	analyzerScratch
+	box *analyzerScratch // the pool entry the scratch came in, if any
 }
+
+// analyzerScratch is an Analyzer's per-column scratch. No Result aliases
+// it: peaks are copied out at exact length.
+type analyzerScratch struct {
+	ln    []float64 // ln|T|
+	p     []float64 // P
+	peaks []Peak
+}
+
+// scratchPool hands scratch from one run's Analyzer to the next
+// (NewAnalyzerOn, Release), so a run on the grid the previous one swept
+// allocates none.
+var scratchPool sync.Pool
 
 // NewAnalyzer returns an Analyzer applying opts to every column.
 func NewAnalyzer(opts Options) *Analyzer {
@@ -229,9 +245,27 @@ func NewAnalyzer(opts Options) *Analyzer {
 
 // NewAnalyzerOn returns an Analyzer applying opts to every column whose
 // X is ax's grid slice, reading ax's log axis without recomputing or
-// writing it. Columns on other grids are handled as by NewAnalyzer.
+// writing it. Columns on other grids are handled as by NewAnalyzer. Its
+// scratch comes from a pool; call Release once its last column is done.
 func NewAnalyzerOn(opts Options, ax *Axis) *Analyzer {
-	return &Analyzer{opts: opts, shared: ax}
+	a := &Analyzer{opts: opts, shared: ax}
+	if sc, ok := scratchPool.Get().(*analyzerScratch); ok {
+		a.analyzerScratch, a.box = *sc, sc
+	}
+	return a
+}
+
+// Release hands the Analyzer's scratch to the pool NewAnalyzerOn takes
+// from. Results never alias it, so they stay valid; the Analyzer stays
+// usable too, and grows fresh scratch if it is used again.
+func (a *Analyzer) Release() {
+	box := a.box
+	if box == nil {
+		box = new(analyzerScratch)
+	}
+	*box = a.analyzerScratch
+	a.analyzerScratch, a.box = analyzerScratch{}, nil
+	scratchPool.Put(box)
 }
 
 // axis makes x the current grid: the borrowed axis when x is its grid,
@@ -330,6 +364,9 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 	peaks := a.peaks[:0]
 
 	addPeak := func(i int, isMax bool) {
+		if math.Abs(p[i]) < a.noiseFloor(i) {
+			return
+		}
 		val := p[i]
 		freq := mag.X[i]
 		// Parabolic refinement in (u, P) through the three samples around
@@ -411,6 +448,38 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// noiseFloorC scales the stability plot's rounding floor (noiseFloor).
+// At 40 points per decade it puts the floor near 1e-11 on the 32-loop
+// resonator field, where the roundoff extrema of out-of-band resonators
+// read |P| 2.9e-13 to 5.5e-13 and the smallest real spectator peak 0.2.
+const noiseFloorC = 16
+
+// noiseFloor is the rounding floor of P at sample i of the last plot: a
+// |P| below it is what rounding ln|T| to double precision alone can
+// produce. Each ln|T| sample carries an error of about ε·|ln|T||, and the
+// stencil sums the samples with its weights, so the floor is
+// noiseFloorC·ε·max|ln|T|| over the stencil's window times the sum of the
+// stencil's absolute weights: 64/(12h²) for the 5-point stencil and
+// 4/(h0·h1) for the 3-point one.
+func (a *Analyzer) noiseFloor(i int) float64 {
+	u, ln := a.ax.u, a.ln
+	lo, hi := i-1, i+1
+	var w float64
+	if a.stencil == 5 && i >= 2 && i < len(ln)-2 {
+		lo, hi = i-2, i+2
+		h := u[1] - u[0]
+		w = 64 / (12 * h * h)
+	} else {
+		w = 4 / ((u[i] - u[i-1]) * (u[i+1] - u[i]))
+	}
+	m := 0.0
+	for _, v := range ln[lo : hi+1] {
+		m = max(m, math.Abs(v))
+	}
+	const eps = 0x1p-52
+	return noiseFloorC * eps * m * w
 }
 
 // byFreq orders peaks by ascending frequency and byDepth by descending

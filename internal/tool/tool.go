@@ -194,8 +194,9 @@ const drivenThreshold = 1e-9
 // SingleNode runs the "Single Node" mode: inject at the named node,
 // compute the stability plot, peaks, and phase-margin estimate. A node
 // the circuit does not have yields an error wrapping
-// acerr.ErrUnknownNode; a canceled ctx aborts the sweep within one
-// linear solve with an error wrapping acerr.ErrCanceled.
+// acerr.ErrUnknownNode; a canceled ctx aborts the sweep within one sweep
+// step (two frequency points on the diag kernel's pairs, one elsewhere)
+// with an error wrapping acerr.ErrCanceled.
 func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error) {
 	idx, ok := t.Sys.NodeOf(strings.ToLower(node))
 	if !ok {
@@ -215,7 +216,9 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	defer sp.End()
-	return t.analyzeColumn(stab.NewAnalyzerOn(t.Opts.Stab, ax), strings.ToLower(node), freqs[0], cols[0])
+	an := stab.NewAnalyzerOn(t.Opts.Stab, ax)
+	defer an.Release()
+	return t.analyzeColumn(an, strings.ToLower(node), freqs[0], cols[0])
 }
 
 // analyzeColumn converts one impedance column into a NodeResult, using
@@ -313,10 +316,11 @@ func (t *Tool) subcktNodes(prefix string) map[string]bool {
 // the results clustered into loops. The sweep shares one matrix
 // factorization per frequency across all nodes.
 //
-// A canceled (or deadline-expired) ctx aborts the run within one linear
-// solve: the operating-point Newton loop, the sweep, and the per-node
-// post-processing all check the context between units of work.
-// The returned error wraps acerr.ErrCanceled.
+// A canceled (or deadline-expired) ctx aborts the run within one unit of
+// work: the operating-point Newton loop, the sweep, and the per-node
+// post-processing all check the context between units. The sweep's unit
+// is a pair of frequency points on the diag kernel path and one point
+// elsewhere. The returned error wraps acerr.ErrCanceled.
 func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	op, err := t.ensureOP(ctx)
 	if err != nil {
@@ -342,6 +346,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	peaks := make([]stab.NodePeak, 0, len(names))
 	an := stab.NewAnalyzerOn(t.Opts.Stab, ax)
+	defer an.Release()
 	for i, name := range names {
 		if err := acerr.Ctx(ctx); err != nil {
 			sp.End()

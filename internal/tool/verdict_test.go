@@ -291,3 +291,49 @@ func TestVerdictRatchet(t *testing.T) {
 		}
 	}
 }
+
+// TestFieldNoiseFloor: on the 32-loop resonator field, the nodes of the
+// out-of-band resonators read roundoff extrema (|P| about 5e-13) that
+// used to become loops of their own (29 loops for 14 pairs at ζ 0.35, 28
+// at ζ 0.08). Under the stability plot's rounding floor, All Nodes finds
+// every in-band pair and reports no loop without a pair behind it: each
+// pair has a loop within 2% of its fn and each loop a pair within 2%.
+func TestFieldNoiseFloor(t *testing.T) {
+	ctx := context.Background()
+	for _, zeta := range []float64{0.35, 0.08} {
+		tl, err := New(circuits.ResonatorField(32, 1e5, zeta), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tl.AllNodes(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := tl.ensureOP(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poles, err := tl.Sim.Poles(ctx, op, tl.Opts.FStart, tl.Opts.FStop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := analysis.ComplexPolePairs(poles, 1e-6)
+		if len(pairs) != 14 {
+			t.Fatalf("zeta %g: %d in-band pairs, want 14", zeta, len(pairs))
+		}
+		within := func(f, ref float64) bool { return math.Abs(f-ref) <= verdictFnTol*ref }
+		for _, p := range pairs {
+			if !slices.ContainsFunc(rep.Loops, func(l stab.Loop) bool { return within(l.Freq, p.FreqHz) }) {
+				t.Errorf("zeta %g: pair %s has no loop within 2%%", zeta, hz(p.FreqHz))
+			}
+		}
+		for _, l := range rep.Loops {
+			if !slices.ContainsFunc(pairs, func(p analysis.Pole) bool { return within(l.Freq, p.FreqHz) }) {
+				t.Errorf("zeta %g: loop %s zeta %.3g (%d members) has no pair within 2%%", zeta, hz(l.Freq), l.Zeta, len(l.Nodes))
+			}
+		}
+		if len(rep.Loops) != len(pairs) {
+			t.Errorf("zeta %g: %d loops for %d pairs", zeta, len(rep.Loops), len(pairs))
+		}
+	}
+}
