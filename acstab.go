@@ -180,7 +180,9 @@ func (c *Circuit) SetModel(name, typ string, params map[string]float64) {
 	c.n.SetModel(name, typ, params)
 }
 
-// Options configures a stability run.
+// Options configures a stability run. A zero field takes its default; a
+// negative one, or a range whose stop is not above its start, is an
+// error.
 type Options struct {
 	// FStart and FStop bound the frequency sweep in Hz (default 1 kHz to
 	// 1 GHz).
@@ -201,23 +203,17 @@ type Options struct {
 
 // DefaultOptions returns the documented defaults.
 func DefaultOptions() Options {
-	return Options{FStart: 1e3, FStop: 1e9, PointsPerDecade: 40, LoopTolerance: 0.12}
+	t := tool.DefaultOptions()
+	return Options{FStart: t.FStart, FStop: t.FStop, PointsPerDecade: t.PointsPerDecade, LoopTolerance: t.LoopTol}
 }
 
+// toTool maps the options onto the tool's; tool.Options.Resolve fills the
+// zero values and refuses bad ones.
 func (o Options) toTool() tool.Options {
 	t := tool.DefaultOptions()
-	if o.FStart > 0 {
-		t.FStart = o.FStart
-	}
-	if o.FStop > 0 {
-		t.FStop = o.FStop
-	}
-	if o.PointsPerDecade > 0 {
-		t.PointsPerDecade = o.PointsPerDecade
-	}
-	if o.LoopTolerance > 0 {
-		t.LoopTol = o.LoopTolerance
-	}
+	t.FStart, t.FStop = o.FStart, o.FStop
+	t.PointsPerDecade = o.PointsPerDecade
+	t.LoopTol = o.LoopTolerance
 	t.SkipNodes = o.SkipNodes
 	t.OnlySubckt = o.OnlySubckt
 	return t

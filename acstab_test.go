@@ -232,6 +232,12 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.3, 1e6), "t", acstab.Options{FStart: 10, FStop: 1}); err == nil {
 		t.Error("expected range error")
 	}
+	// Negative values are errors, as on the farm wire, not defaults.
+	for _, opts := range []acstab.Options{{PointsPerDecade: -1}, {LoopTolerance: -0.1}} {
+		if _, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.3, 1e6), "t", opts); err == nil {
+			t.Errorf("%+v: expected a bad-option error", opts)
+		}
+	}
 	if _, err := acstab.AnalyzeNodeContext(context.Background(), tank(0.3, 1e6), "nosuch", acstab.DefaultOptions()); err == nil {
 		t.Error("expected node error")
 	}

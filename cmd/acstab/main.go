@@ -56,19 +56,20 @@ func run(args []string, out io.Writer) error {
 
 func runWith(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("acstab", flag.ContinueOnError)
+	def := tool.DefaultOptions()
 	var (
 		input     = fs.String("i", "", "input netlist file (default: stdin)")
 		node      = fs.String("node", "", "single-node mode: analyze this node")
-		fstart    = fs.String("fstart", "1k", "sweep start frequency")
-		fstop     = fs.String("fstop", "1g", "sweep stop frequency")
-		ppd       = fs.Int("ppd", 40, "points per decade")
+		fstart    = fs.String("fstart", num.FormatValue(def.FStart), "sweep start frequency")
+		fstop     = fs.String("fstop", num.FormatValue(def.FStop), "sweep stop frequency")
+		ppd       = fs.Int("ppd", def.PointsPerDecade, "points per decade")
 		coarsePPD = fs.Int("coarse-ppd", 0, "adaptive sweep: coarse pass resolution in points per decade (0 = adaptive off, dense uniform grid)")
 		refinePPD = fs.Int("refine-ppd", 0, "adaptive sweep: refinement resolution cap in points per decade (0 = -ppd)")
 		refineThr = fs.Float64("refine-threshold", 0, "adaptive sweep: |P| level that marks an interval resonant (0 = default 0.5)")
 		format    = fs.String("format", "text", "all-nodes output: text, csv, json")
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
-		loopTol   = fs.Float64("loop-tol", 0.12, "relative tolerance for loop clustering")
+		loopTol   = fs.Float64("loop-tol", def.LoopTol, "relative tolerance for loop clustering")
 		resTol    = fs.Float64("residual-tol", 0, "scale-relative residual above which a solve is refined (0 = default 1e-9, negative disables the numerics observatory)")
 		skip      = fs.String("skip", "", "comma-separated node-name substrings to skip")
 		subckt    = fs.String("subckt", "", "restrict all-nodes mode to one subcircuit instance (e.g. x1)")
@@ -185,7 +186,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 		overrides[name] = v
 	}
 
-	opts := tool.DefaultOptions()
+	opts := def
 	if opts.FStart, err = num.ParseValue(*fstart); err != nil {
 		return fmt.Errorf("-fstart: %v", err)
 	}
@@ -212,7 +213,8 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-state: %v", err)
 		}
-		st, err := tool.LoadState(f)
+		// The file's setup keys win over the flags; absent keys keep them.
+		st, err := tool.LoadState(f, opts)
 		f.Close()
 		if err != nil {
 			return err
@@ -220,14 +222,19 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if (*remote != "" || *corners != "") && st.TempC != nil && *st.TempC != ckt.Temp {
 			return refuse(fmt.Sprintf("-state: temp_c %g (the deck runs at %g)", *st.TempC, ckt.Temp))
 		}
-		if err := st.Apply(ckt, &opts, true); err != nil {
+		if err := st.Apply(ckt); err != nil {
 			return err
 		}
+		opts = st.Options
 		for k, v := range st.Variables {
 			overrides[k] = v
 		}
 	}
-	if *stateOut != "" {
+	// One validation for every path: a local run, a -corners batch and a
+	// -remote job accept and refuse the same setups. A refused setup is
+	// the run's error, so -stats, the traces and -diag still report it.
+	var runErr error
+	if opts, runErr = opts.Resolve(); runErr == nil && *stateOut != "" {
 		f, err := os.Create(*stateOut)
 		if err != nil {
 			return fmt.Errorf("-save-state: %v", err)
@@ -243,9 +250,21 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if *annotate {
 		wireFormat = "annotate"
 	}
-	job := farmRequest(src, opts, overrides, *node, wireFormat, *timeout)
-	var runErr error
+	// The farm job for this run setup: the deck, the options and the
+	// design-variable overrides, as a batch of one empty variant.
+	// runRemote ships it as it is and runCorners swaps in the corners, so
+	// a worker analyzes exactly what the local run would.
+	job := &farm.BatchRequest{
+		Netlist:   src,
+		Format:    wireFormat,
+		Node:      *node,
+		TimeoutMS: timeout.Milliseconds(),
+		Options:   opts,
+		Variables: overrides,
+		Variants:  []farm.Variant{{}},
+	}
 	switch {
+	case runErr != nil:
 	case *corners != "":
 		runErr = runCorners(ctx, out, *remote, job, opts, trace, *corners)
 	case *remote != "":
@@ -464,34 +483,6 @@ func runMC(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.O
 			p5, p50, p95, res.Failed, runs)
 	}
 	return nil
-}
-
-// farmRequest is the farm job for the CLI's run setup: the deck, the
-// sweep options, and the design-variable overrides (-set values and a
-// -state file's variables), as a batch of one empty variant. runRemote
-// ships it as it is and runCorners swaps in the corners, so a worker
-// analyzes exactly what the local run would.
-func farmRequest(src string, opts tool.Options, vars map[string]float64,
-	node, format string, timeout time.Duration) *farm.BatchRequest {
-	return &farm.BatchRequest{
-		Netlist:   src,
-		Format:    format,
-		Node:      node,
-		TimeoutMS: timeout.Milliseconds(),
-		Variables: vars,
-		Options: farm.RequestOptions{
-			FStartHz:              opts.FStart,
-			FStopHz:               opts.FStop,
-			PointsPerDecade:       opts.PointsPerDecade,
-			CoarsePointsPerDecade: opts.CoarsePointsPerDecade,
-			RefinePointsPerDecade: opts.RefinePointsPerDecade,
-			RefineThreshold:       opts.RefineThreshold,
-			LoopTol:               opts.LoopTol,
-			SkipNodes:             opts.SkipNodes,
-			OnlySubckt:            opts.OnlySubckt,
-		},
-		Variants: []farm.Variant{{}},
-	}
 }
 
 // runRemote ships the job to an acstabd farm worker as a one-variant

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -12,6 +14,7 @@ import (
 
 	"acstab/internal/farm"
 	"acstab/internal/obs"
+	"acstab/internal/tool"
 )
 
 // opampNetlist is the paper's Fig. 1 op-amp buffer (the examples/opamp
@@ -186,6 +189,16 @@ func TestDiagnosticFile(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "status: ok") {
 		t.Errorf("diagnostic:\n%s", b)
+	}
+	// A refused run setup is reported in the diagnostic file too.
+	if err := run([]string{"-i", path, "-loop-tol", "-1", "-diag", diag}, &out); err == nil {
+		t.Fatal("negative -loop-tol accepted")
+	}
+	if b, err = os.ReadFile(diag); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), "status: FAILED") || !strings.Contains(string(b), "option loop_tol") {
+		t.Errorf("diagnostic of a refused setup:\n%s", b)
 	}
 }
 
@@ -784,5 +797,149 @@ func TestCornersRefusals(t *testing.T) {
 		if !strings.Contains(out.String(), "=== CORNER hi_r (") {
 			t.Errorf("%v: no corner reports in:\n%s", extra, out.String())
 		}
+	}
+}
+
+// TestSetupRefusalsAgree: a local run, a local -corners batch and a
+// -remote job validate the run setup through the same tool.Options.Resolve,
+// so each refuses a bad setup naming the same option for the same
+// reason, and the worker's decoder refuses it the same way when a client
+// sends it unchecked.
+func TestSetupRefusalsAgree(t *testing.T) {
+	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
+	defer srv.Close()
+	path := writeNetlist(t, tankNetlist)
+	corners := writeCorners(t, "nom\nhi_r rq=2k\n")
+	for _, tc := range []struct {
+		args  []string
+		opts  tool.Options // the same setup on the wire
+		field string
+	}{
+		{[]string{"-refine-ppd", "80"}, tool.Options{RefinePointsPerDecade: 80}, "refine_points_per_decade"},
+		{[]string{"-refine-threshold", "2"}, tool.Options{RefineThreshold: 2}, "refine_threshold"},
+		{[]string{"-loop-tol", "-1"}, tool.Options{LoopTol: -1}, "loop_tol"},
+		{[]string{"-coarse-ppd", "10", "-refine-ppd", "20000"},
+			tool.Options{CoarsePointsPerDecade: 10, RefinePointsPerDecade: 20000}, "refine_points_per_decade"},
+		{[]string{"-ppd", "20000"}, tool.Options{PointsPerDecade: 20000}, "points_per_decade"},
+		{[]string{"-fstart", "1g", "-fstop", "1k"}, tool.Options{FStart: 1e9, FStop: 1e3}, "fstop_hz"},
+	} {
+		var reasons []string
+		for _, extra := range [][]string{nil, {"-corners", corners}, {"-remote", srv.URL}} {
+			args := append(append([]string{"-i", path}, tc.args...), extra...)
+			var out bytes.Buffer
+			err := run(args, &out)
+			var fe *tool.FieldError
+			if !errors.As(err, &fe) || fe.Field != tc.field {
+				t.Errorf("%v: err = %v, want a refusal of %s", args, err, tc.field)
+				continue
+			}
+			if out.Len() != 0 {
+				t.Errorf("%v: refused run printed %q", args, out.String())
+			}
+			reasons = append(reasons, fe.Error())
+		}
+		c := &farm.Client{BaseURL: srv.URL}
+		_, err := c.SubmitBatch(context.Background(), &farm.BatchRequest{
+			Netlist: tankNetlist, Options: tc.opts, Variants: []farm.Variant{{}}})
+		var se *farm.StatusError
+		if !errors.As(err, &se) || se.Code != "bad_option" {
+			t.Errorf("%v on the wire: err = %v, want 400 bad_option", tc.args, err)
+			continue
+		}
+		reasons = append(reasons, se.Message)
+		for _, r := range reasons[1:] {
+			if r != reasons[0] {
+				t.Errorf("%v: refusals differ: %q", tc.args, reasons)
+				break
+			}
+		}
+	}
+}
+
+// stageDeck puts two internal nodes in subckt instance x1 beside a
+// top-level tank, so -subckt and -skip both change what a run reports.
+const stageDeck = `scoped ladder
+.subckt stage t
+R0 t m 10
+R1 m 0 318
+L1 m 0 25.33u
+C1 m 0 1n
+.ends
+X1 a stage
+R2 b 0 100
+L2 b 0 2.533u
+C2 b 0 1n
+`
+
+// TestSaveStateRoundTrip: -save-state captures every run-setup flag, so a
+// run from the state file alone prints the bytes the flags run printed.
+func TestSaveStateRoundTrip(t *testing.T) {
+	path := writeNetlist(t, stageDeck)
+	state := filepath.Join(t.TempDir(), "setup.json")
+	var withFlags, fromState, plain bytes.Buffer
+	if err := run([]string{"-i", path, "-format", "json", "-coarse-ppd", "10", "-refine-ppd", "320",
+		"-refine-threshold", "0.6", "-subckt", "x1", "-skip", "a", "-save-state", state}, &withFlags); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"coarse_points_per_decade": 10`, `"refine_points_per_decade": 320`,
+		`"refine_threshold": 0.6`, `"only_subckt": "x1"`, `"skip_nodes"`} {
+		if !strings.Contains(string(b), key) {
+			t.Errorf("state file lacks %s:\n%s", key, b)
+		}
+	}
+	if err := run([]string{"-i", path, "-format", "json", "-state", state}, &fromState); err != nil {
+		t.Fatal(err)
+	}
+	if fromState.String() != withFlags.String() {
+		t.Errorf("-state run differs from the flags run\n--- state ---\n%s\n--- flags ---\n%s",
+			fromState.String(), withFlags.String())
+	}
+	if err := run([]string{"-i", path, "-format", "json"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() == withFlags.String() {
+		t.Error("the setup flags did not change the report")
+	}
+}
+
+// TestCornersResidualTolSharesOP: a corner batch with -residual-tol
+// compiles its artifacts with those solver options, so a repeated corner
+// reuses the cached operating point exactly as it does without the flag.
+func TestCornersResidualTolSharesOP(t *testing.T) {
+	path := writeNetlist(t, tankNetlist)
+	corners := writeCorners(t, "nom\nhi_r rq=2k\nnom_again\n")
+	opSpans := func(extra ...string) int {
+		traceFile := filepath.Join(t.TempDir(), "trace.json")
+		args := append([]string{"-i", path, "-corners", corners, "-trace-json", traceFile}, extra...)
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "=== CORNER nom_again (cache hit") {
+			t.Fatalf("%v: repeated corner missed the cache:\n%s", extra, out.String())
+		}
+		b, err := os.ReadFile(traceFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr obs.Trace
+		if err := json.Unmarshal(b, &tr); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, p := range tr.Phases {
+			if p.Phase == "op" {
+				n++
+			}
+		}
+		return n
+	}
+	plain, tol := opSpans(), opSpans("-residual-tol", "1e-8")
+	if plain != 2 || tol != plain {
+		t.Errorf("op spans: %d without -residual-tol, %d with it; want 2 for both", plain, tol)
 	}
 }

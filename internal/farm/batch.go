@@ -47,8 +47,10 @@ type BatchRequest struct {
 	// server maximum; 0 means "server default". The batch as a whole is
 	// bounded by the client connection, not by a server-side deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Options carries the sweep setup shared by every variant.
-	Options RequestOptions `json:"options"`
+	// Options carries the run setup shared by every variant. One job is
+	// one whole analysis on one goroutine: the wire has no way to ask for
+	// a slice of the node list or for a sweep worker count.
+	Options tool.Options `json:"options"`
 	// Variables are base design-variable overrides applied to every
 	// variant (a variant's own variables win on conflict).
 	Variables map[string]float64 `json:"variables,omitempty"`

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"acstab/internal/tool"
 )
 
 // postBatch posts a raw body to /batch and returns status, content type,
@@ -334,7 +336,7 @@ func TestRunBatchLocal(t *testing.T) {
 			{Label: "nom2"},
 		},
 	}
-	opts, err := req.Options.Normalize()
+	opts, err := tool.DefaultOptions().Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,24 +55,6 @@ var (
 	mDeadline = obs.GetCounter("acstab_farm_deadline_exceeded_total")
 )
 
-// RequestOptions mirrors the CLI sweep flags. One job is one whole
-// analysis on one goroutine: the wire has no way to ask for a slice of
-// the node list or for a sweep worker count.
-type RequestOptions struct {
-	FStartHz        float64 `json:"fstart_hz,omitempty"`
-	FStopHz         float64 `json:"fstop_hz,omitempty"`
-	PointsPerDecade int     `json:"points_per_decade,omitempty"`
-	// CoarsePointsPerDecade > 0 switches the run to the two-level adaptive
-	// sweep: a coarse pass at this resolution plus targeted refinement up
-	// to RefinePointsPerDecade around detected resonances.
-	CoarsePointsPerDecade int      `json:"coarse_points_per_decade,omitempty"`
-	RefinePointsPerDecade int      `json:"refine_points_per_decade,omitempty"`
-	RefineThreshold       float64  `json:"refine_threshold,omitempty"`
-	LoopTol               float64  `json:"loop_tol,omitempty"`
-	SkipNodes             []string `json:"skip_nodes,omitempty"`
-	OnlySubckt            string   `json:"only_subckt,omitempty"`
-}
-
 // MaxNetlistBytes bounds the decoded netlist size.
 const MaxNetlistBytes = 4 << 20
 
@@ -384,8 +366,8 @@ func errorCode(err error) (int, string) {
 // trace, which is how a warm run is recognized in the flight recorder. A
 // nil cache compiles every request from scratch. The job is req's
 // netlist, node and format under the design variables vars; opts must
-// come from req's Options.Normalize (the handler already has it from
-// decode). As the one place batch items execute, it is also the panic
+// be req's Options after tool.Options.Resolve (the handler already has
+// them from decode). As the one place batch items execute, it is also the panic
 // boundary: a panic fails the item (run_failed) with the panic value and
 // stack instead of dropping the connection mid-record.
 func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[string]float64, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {

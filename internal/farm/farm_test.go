@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"acstab/internal/tool"
 )
 
 const tankNetlist = `farm tank
@@ -212,7 +214,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 	}
 	// A scope that leaves no node to probe is a failed item, not a panic
 	// that takes the worker down.
-	for _, o := range []RequestOptions{{OnlySubckt: "x9"}, {SkipNodes: []string{"t"}}} {
+	for _, o := range []tool.Options{{OnlySubckt: "x9"}, {SkipNodes: []string{"t"}}} {
 		code, _, body := postBatch(t, srv, oneJob(t, BatchRequest{Netlist: tankNetlist, Options: o}))
 		if it := firstItem(t, body); code != http.StatusOK || it.Error == nil ||
 			!strings.Contains(it.Error.Message, "no node left to analyze") {
@@ -222,13 +224,13 @@ func TestHandlerErrorPaths(t *testing.T) {
 	// Grids too large to afford are refused before any is allocated: an
 	// oversized resolution at decode, with the field named, and a first
 	// pass of too many (node, frequency) pairs as a failed item.
-	req = oneJob(t, BatchRequest{Netlist: tankNetlist, Options: RequestOptions{PointsPerDecade: 1e9}})
+	req = oneJob(t, BatchRequest{Netlist: tankNetlist, Options: tool.Options{PointsPerDecade: 1e9}})
 	if code, _, body := postBatch(t, srv, req); code != http.StatusBadRequest ||
 		!strings.Contains(body, `"field":"points_per_decade"`) {
 		t.Errorf("points_per_decade 1e9: status %d, body %q", code, body)
 	}
-	req = oneJob(t, BatchRequest{Netlist: tankNetlist, Options: RequestOptions{
-		FStartHz: 1e-300, FStopHz: 1e300, PointsPerDecade: 10000}})
+	req = oneJob(t, BatchRequest{Netlist: tankNetlist, Options: tool.Options{
+		FStart: 1e-300, FStop: 1e300, PointsPerDecade: 10000}})
 	code, _, body := postBatch(t, srv, req)
 	if it := firstItem(t, body); code != http.StatusOK || it.Error == nil ||
 		it.Error.Code != CodeRunFailed || !strings.Contains(it.Error.Message, "exceeds the limit") {

@@ -27,6 +27,7 @@ var wireSeeds = []string{
 	`{"v": 2, "netlist": "x", "variants": [{}]}`,
 	`{"v": 2, "netlist": "x", "variants": []}`,
 	`{"v": 2, "netlist": "x", "variants": [{}], "options": {"fstart_hz": 10, "fstop_hz": 1}}`,
+	`{"v": 2, "netlist": "x", "variants": [{}], "options": {"fstart_hz": 0, "coarse_points_per_decade": 8}}`,
 	`{"v": 2, "netlist": "x", "format": "yaml", "variants": [{}]}`,
 	`{"v": 2, "netlist": "x", "variants": [{}], "bogus": 1}`,
 	`{"netlist": "x"} junk`,

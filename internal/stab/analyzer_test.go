@@ -167,7 +167,7 @@ func TestAnalyzerMatchesAnalyze(t *testing.T) {
 		{"uniform-auto", uniform, DefaultOptions(), 5},
 		{"adaptive-auto", adaptive, DefaultOptions(), 3},
 		{"uniform-3", uniform, Options{Stencil: 3, MinPeakDepth: 0.75}, 3},
-		{"uniform-5-maxpeaks", uniform, Options{Stencil: 5, MinPeakDepth: 0.75, MaxPeaks: 1}, 5},
+		{"uniform-5-maxpeaks", uniform, Options{Stencil: 5, MinPeakDepth: 0.75}, 5},
 	} {
 		for _, shared := range []bool{false, true} {
 			name := tc.name

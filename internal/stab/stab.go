@@ -45,9 +45,6 @@ type Options struct {
 	// only applies through DefaultOptions, not to an explicitly zeroed
 	// Options value.
 	MinPeakDepth float64
-	// MaxPeaks bounds how many peaks are reported per node (deepest first
-	// within each sign). 0 = unlimited.
-	MaxPeaks int
 }
 
 // DefaultOptions returns the defaults documented in DESIGN.md.
@@ -427,12 +424,6 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 	}
 	a.peaks = peaks
 	slices.SortFunc(peaks, byFreq)
-	if opts.MaxPeaks > 0 && len(peaks) > opts.MaxPeaks {
-		// Keep the deepest |Value| peaks.
-		slices.SortFunc(peaks, byDepth)
-		peaks = peaks[:opts.MaxPeaks]
-		slices.SortFunc(peaks, byFreq)
-	}
 	res := &Result{}
 	if len(peaks) > 0 {
 		res.Peaks = make([]Peak, len(peaks))
@@ -482,25 +473,14 @@ func (a *Analyzer) noiseFloor(i int) float64 {
 	return noiseFloorC * eps * m * w
 }
 
-// byFreq orders peaks by ascending frequency and byDepth by descending
-// |Value|. Each is negative exactly where the strict "less" comparison is
-// true, so slices.SortFunc visits the same comparisons as sort.Slice.
+// byFreq orders peaks by ascending frequency. It is negative exactly
+// where the strict "less" comparison is true, so slices.SortFunc visits
+// the same comparisons as sort.Slice.
 func byFreq(a, b Peak) int {
 	switch {
 	case a.Freq < b.Freq:
 		return -1
 	case a.Freq > b.Freq:
-		return 1
-	}
-	return 0
-}
-
-func byDepth(a, b Peak) int {
-	da, db := math.Abs(a.Value), math.Abs(b.Value)
-	switch {
-	case da > db:
-		return -1
-	case da < db:
 		return 1
 	}
 	return 0

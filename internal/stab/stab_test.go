@@ -442,37 +442,6 @@ func TestClusterLoopsInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestMaxPeaksOption(t *testing.T) {
-	// Three pole pairs: MaxPeaks=2 keeps the two deepest.
-	t1 := ratfn.SecondOrder(0.15, 2*math.Pi*1e5)
-	t2 := ratfn.SecondOrder(0.35, 2*math.Pi*2e6)
-	t3 := ratfn.SecondOrder(0.55, 2*math.Pi*4e7)
-	mag := magWave(t1.Mul(t2).Mul(t3), 1e3, 1e9, 40)
-	full, err := Analyze(mag, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited, err := Analyze(mag, Options{MaxPeaks: 2, MinPeakDepth: 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited.Peaks) != 2 {
-		t.Fatalf("peaks = %d, want 2", len(limited.Peaks))
-	}
-	if len(full.Peaks) <= 2 {
-		t.Fatalf("full analysis should see more than 2 peaks, got %d", len(full.Peaks))
-	}
-	// The kept peaks are the deepest two (the zeta=0.15 and 0.35 pairs),
-	// still sorted by frequency.
-	if !num.ApproxEqual(limited.Peaks[0].Freq, 1e5, 0.05, 0) ||
-		!num.ApproxEqual(limited.Peaks[1].Freq, 2e6, 0.05, 0) {
-		t.Errorf("kept peaks: %+v", limited.Peaks)
-	}
-	if limited.Peaks[0].Freq > limited.Peaks[1].Freq {
-		t.Error("limited peaks not sorted by frequency")
-	}
-}
-
 func TestZeroMinPeakDepthDisablesFilter(t *testing.T) {
 	// An overdamped pair dips only ~ -0.3, which the default filter
 	// classifies MinMax. An explicit zero threshold must disable the

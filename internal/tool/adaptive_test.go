@@ -2,6 +2,7 @@ package tool
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -215,34 +216,40 @@ func TestAdaptiveSingleNode(t *testing.T) {
 	}
 }
 
-// TestAdaptiveOptionValidation pins the satellite flag-validation
+// TestAdaptiveOptionValidation pins the adaptive-option validation
 // contract: negative grid knobs, refine caps below the coarse resolution
-// or above the unbounded-refinement guard are all rejected at Tool
-// construction.
+// or above the unbounded-refinement guard, and refinement knobs without
+// a coarse pass are all rejected at Tool construction, with a
+// *FieldError naming the option.
 func TestAdaptiveOptionValidation(t *testing.T) {
 	base := DefaultOptions()
 	cases := []struct {
-		name string
-		mut  func(*Options)
+		name  string
+		mut   func(*Options)
+		field string
 	}{
-		{"negative coarse", func(o *Options) { o.CoarsePointsPerDecade = -1 }},
-		{"negative refine", func(o *Options) { o.RefinePointsPerDecade = -4 }},
-		{"negative threshold", func(o *Options) { o.RefineThreshold = -0.5 }},
+		{"negative coarse", func(o *Options) { o.CoarsePointsPerDecade = -1 }, "coarse_points_per_decade"},
+		{"negative refine", func(o *Options) { o.RefinePointsPerDecade = -4 }, "refine_points_per_decade"},
+		{"negative threshold", func(o *Options) { o.RefineThreshold = -0.5 }, "refine_threshold"},
 		{"refine below coarse", func(o *Options) {
 			o.CoarsePointsPerDecade = 8
 			o.RefinePointsPerDecade = 4
-		}},
+		}, "refine_points_per_decade"},
 		{"unbounded refine", func(o *Options) {
 			o.CoarsePointsPerDecade = 8
 			o.RefinePointsPerDecade = 20000
-		}},
+		}, "refine_points_per_decade"},
+		{"refine without coarse", func(o *Options) { o.RefinePointsPerDecade = 80 }, "refine_points_per_decade"},
+		{"threshold without coarse", func(o *Options) { o.RefineThreshold = 2 }, "refine_threshold"},
 	}
 	ckt, _, _ := randomTankLadder(rand.New(rand.NewSource(1)), 1)
 	for _, tc := range cases {
 		opts := base
 		tc.mut(&opts)
-		if _, err := New(ckt, opts); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		_, err := New(ckt, opts)
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: err = %v, want a *FieldError on %s", tc.name, err, tc.field)
 		}
 	}
 	// The happy path fills the documented defaults.

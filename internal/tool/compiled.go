@@ -17,7 +17,6 @@ package tool
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"acstab/internal/analysis"
@@ -115,68 +114,25 @@ func (c *Compiled) ensureOP(ctx context.Context, sim *analysis.Sim, trace *obs.R
 // NewFromCompiled returns a Tool over the shared compiled artifact:
 // flatten, MNA assembly, the symbolic analysis, and the operating point
 // are all reused, so a run goes straight to numeric refactorization and
-// the sweep. The sweep options (frequency grid, clustering) are
-// the caller's own; the compile-relevant options (AutoZeroAC, Analysis)
-// must match the ones the artifact was compiled with — a Tool that needs
-// different solver options computes its own operating point instead of
-// reusing the shared one.
+// the sweep. The sweep options (frequency grid, clustering) are the
+// caller's own; the solver options belong to the artifact, so a non-nil
+// opts.Analysis that differs from the one it was compiled with is
+// refused.
 func NewFromCompiled(c *Compiled, opts Options) (*Tool, error) {
-	opts, err := withRunDefaults(opts)
+	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	sim := c.base.Fork()
-	sim.Trace = opts.Trace
-	t := &Tool{Ckt: c.Flat, Flat: c.Flat, Sys: c.Sys, Sim: sim, Opts: opts, shared: c}
-	if opts.Analysis != nil {
-		sim.Opt = *opts.Analysis
-		// Different solver options may converge to a different operating
-		// point; do not share the cached one.
-		t.shared = nil
+	if opts.Analysis != nil && *opts.Analysis != c.base.Opt {
+		return nil, fmt.Errorf("tool: solver options differ from the ones the circuit was compiled with")
 	}
-	return t, nil
+	return c.newTool(opts), nil
 }
 
-// withRunDefaults validates the per-run options and fills the documented
-// defaults, the shared gate of New and NewFromCompiled.
-func withRunDefaults(opts Options) (Options, error) {
-	if !(opts.FStart > 0) || !(opts.FStop > opts.FStart) || math.IsInf(opts.FStop, 1) {
-		return opts, fmt.Errorf("tool: bad frequency range [%g, %g]", opts.FStart, opts.FStop)
-	}
-	if opts.PointsPerDecade <= 0 {
-		opts.PointsPerDecade = 40
-	}
-	if opts.PointsPerDecade > MaxPointsPerDecade {
-		return opts, fmt.Errorf("tool: points per decade %d exceeds the cap %d",
-			opts.PointsPerDecade, MaxPointsPerDecade)
-	}
-	if opts.LoopTol <= 0 {
-		opts.LoopTol = 0.12
-	}
-	if opts.CoarsePointsPerDecade < 0 {
-		return opts, fmt.Errorf("tool: coarse points per decade must be >= 0 (0 = adaptive off), got %d", opts.CoarsePointsPerDecade)
-	}
-	if opts.RefinePointsPerDecade < 0 {
-		return opts, fmt.Errorf("tool: refine points per decade must be >= 0 (0 = points per decade), got %d", opts.RefinePointsPerDecade)
-	}
-	if opts.RefineThreshold < 0 {
-		return opts, fmt.Errorf("tool: refine threshold must be >= 0 (0 = default %g), got %g", defRefineThreshold, opts.RefineThreshold)
-	}
-	if opts.CoarsePointsPerDecade > 0 {
-		if opts.RefinePointsPerDecade == 0 {
-			opts.RefinePointsPerDecade = opts.PointsPerDecade
-		}
-		if opts.RefinePointsPerDecade < opts.CoarsePointsPerDecade {
-			return opts, fmt.Errorf("tool: refine points per decade (%d) below the coarse resolution (%d)",
-				opts.RefinePointsPerDecade, opts.CoarsePointsPerDecade)
-		}
-		if opts.RefinePointsPerDecade > MaxPointsPerDecade {
-			return opts, fmt.Errorf("tool: refine points per decade %d exceeds the cap %d (unbounded refinement is rejected)",
-				opts.RefinePointsPerDecade, MaxPointsPerDecade)
-		}
-		if opts.RefineThreshold == 0 {
-			opts.RefineThreshold = defRefineThreshold
-		}
-	}
-	return opts, nil
+// newTool returns a Tool over the artifact for resolved options, with a
+// fork of the base Sim tracing into opts.Trace.
+func (c *Compiled) newTool(opts Options) *Tool {
+	sim := c.base.Fork()
+	sim.Trace = opts.Trace
+	return &Tool{Ckt: c.Flat, Flat: c.Flat, Sys: c.Sys, Sim: sim, Opts: opts, shared: c}
 }

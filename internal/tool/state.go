@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"acstab/internal/netlist"
@@ -12,17 +13,14 @@ import (
 
 // State is a saved tool configuration — the offline substitute for loading
 // a saved Analog Artist "state" that the paper lists as planned work. It
-// captures the sweep setup and the design-variable values so a run can be
-// reproduced later or shared.
+// captures the whole run setup, under the same keys as the farm wire's
+// options, and the design-variable values, so a run can be reproduced
+// later or shared.
 type State struct {
-	Version         int                `json:"version"`
-	FStart          float64            `json:"fstart_hz"`
-	FStop           float64            `json:"fstop_hz"`
-	PointsPerDecade int                `json:"points_per_decade"`
-	LoopTol         float64            `json:"loop_tol"`
-	SkipNodes       []string           `json:"skip_nodes,omitempty"`
-	TempC           *float64           `json:"temp_c,omitempty"`
-	Variables       map[string]float64 `json:"variables,omitempty"`
+	Version int `json:"version"`
+	Options
+	TempC     *float64           `json:"temp_c,omitempty"`
+	Variables map[string]float64 `json:"variables,omitempty"`
 }
 
 // stateVersion is bumped on incompatible changes.
@@ -31,14 +29,7 @@ const stateVersion = 1
 // CaptureState snapshots the run options and the circuit's design
 // variables.
 func CaptureState(ckt *netlist.Circuit, opts Options) *State {
-	s := &State{
-		Version:         stateVersion,
-		FStart:          opts.FStart,
-		FStop:           opts.FStop,
-		PointsPerDecade: opts.PointsPerDecade,
-		LoopTol:         opts.LoopTol,
-		SkipNodes:       append([]string(nil), opts.SkipNodes...),
-	}
+	s := &State{Version: stateVersion, Options: opts}
 	if ckt != nil {
 		t := ckt.Temp
 		s.TempC = &t
@@ -59,9 +50,13 @@ func (s *State) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// LoadState reads a saved state.
-func LoadState(r io.Reader) (*State, error) {
-	var s State
+// LoadState reads a saved state over the run options base: the setup
+// keys the file has win, the ones it lacks keep base's values. Keys the
+// tool no longer has (a sweep worker count, the naive sweep mode) are
+// ignored.
+func LoadState(r io.Reader, base Options) (*State, error) {
+	s := State{Options: base}
+	s.SkipNodes = slices.Clone(base.SkipNodes)
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("tool: bad state file: %w", err)
 	}
@@ -71,28 +66,9 @@ func LoadState(r io.Reader) (*State, error) {
 	return &s, nil
 }
 
-// Apply merges the state into run options and (when vars is true) the
-// circuit's temperature and design variables; Flatten re-evaluates the
-// element values that read them.
-func (s *State) Apply(ckt *netlist.Circuit, opts *Options, vars bool) error {
-	if s.FStart > 0 {
-		opts.FStart = s.FStart
-	}
-	if s.FStop > 0 {
-		opts.FStop = s.FStop
-	}
-	if s.PointsPerDecade > 0 {
-		opts.PointsPerDecade = s.PointsPerDecade
-	}
-	if s.LoopTol > 0 {
-		opts.LoopTol = s.LoopTol
-	}
-	if len(s.SkipNodes) > 0 {
-		opts.SkipNodes = append([]string(nil), s.SkipNodes...)
-	}
-	if ckt == nil || !vars {
-		return nil
-	}
+// Apply sets the circuit's temperature and design variables from the
+// state; Flatten re-evaluates the element values that read them.
+func (s *State) Apply(ckt *netlist.Circuit) error {
 	if s.TempC != nil {
 		ckt.Temp = *s.TempC
 	}

@@ -26,26 +26,32 @@ func TestStateRoundTrip(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FStart, opts.FStop = 1e4, 1e8
 	opts.PointsPerDecade = 25
+	opts.CoarsePointsPerDecade, opts.RefinePointsPerDecade, opts.RefineThreshold = 10, 320, 0.6
 	opts.SkipNodes = []string{"vdd"}
+	opts.OnlySubckt = "x1"
 
 	st := CaptureState(c, opts)
 	var buf bytes.Buffer
 	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadState(&buf)
+	// Every setup key of the file wins over the base options.
+	base := DefaultOptions()
+	base.SkipNodes = []string{"gnd", "vss"}
+	loaded, err := LoadState(&buf, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(loaded.Options, opts) {
+		t.Errorf("options not restored:\n got %+v\nwant %+v", loaded.Options, opts)
+	}
+	if base.SkipNodes[0] != "gnd" {
+		t.Errorf("loading reused the base's skip list: %v", base.SkipNodes)
+	}
 
 	c2, _ := netlist.Parse(paramTank)
-	opts2 := DefaultOptions()
-	if err := loaded.Apply(c2, &opts2, true); err != nil {
+	if err := loaded.Apply(c2); err != nil {
 		t.Fatal(err)
-	}
-	if opts2.FStart != 1e4 || opts2.FStop != 1e8 || opts2.PointsPerDecade != 25 ||
-		len(opts2.SkipNodes) != 1 {
-		t.Errorf("options not restored: %+v", opts2)
 	}
 	if c2.Temp != 85 {
 		t.Errorf("temp not restored: %g", c2.Temp)
@@ -59,17 +65,18 @@ func TestStateRoundTrip(t *testing.T) {
 // saved while the tool still had a naive per-node sweep mode carry
 // "naive": true, and files saved while it still had a sweep worker count
 // carry "workers"; both must keep loading now that the settings are gone.
+// Keys such an old file lacks keep the base options' values.
 func TestStateLegacyNaiveFieldLoads(t *testing.T) {
+	base := DefaultOptions()
+	base.OnlySubckt = "x1"
 	st, err := LoadState(strings.NewReader(`{"version": 1, "fstart_hz": 1e4, "fstop_hz": 1e8,
-		"points_per_decade": 25, "loop_tol": 0.1, "workers": 2, "naive": true}`))
+		"points_per_decade": 25, "loop_tol": 0.1, "workers": 2, "naive": true}`), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	if err := st.Apply(nil, &opts, false); err != nil {
-		t.Fatal(err)
-	}
-	if opts.FStart != 1e4 || opts.FStop != 1e8 || opts.PointsPerDecade != 25 {
+	opts := st.Options
+	if opts.FStart != 1e4 || opts.FStop != 1e8 || opts.PointsPerDecade != 25 || opts.LoopTol != 0.1 ||
+		opts.OnlySubckt != "x1" {
 		t.Errorf("options not restored: %+v", opts)
 	}
 }
@@ -78,8 +85,7 @@ func TestStateVariableOverrideReevaluates(t *testing.T) {
 	c, _ := netlist.Parse(paramTank)
 	st := CaptureState(c, DefaultOptions())
 	st.Variables["rval"] = 2000
-	opts := DefaultOptions()
-	if err := st.Apply(c, &opts, true); err != nil {
+	if err := st.Apply(c); err != nil {
 		t.Fatal(err)
 	}
 	flat, err := netlist.Flatten(c)
@@ -115,17 +121,16 @@ func TestCloneForOverrideKeepsDeck(t *testing.T) {
 }
 
 func TestStateErrors(t *testing.T) {
-	if _, err := LoadState(strings.NewReader("not json")); err == nil {
+	if _, err := LoadState(strings.NewReader("not json"), DefaultOptions()); err == nil {
 		t.Error("bad json should fail")
 	}
-	if _, err := LoadState(strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, err := LoadState(strings.NewReader(`{"version": 99}`), DefaultOptions()); err == nil {
 		t.Error("wrong version should fail")
 	}
 	c, _ := netlist.Parse(paramTank)
 	st := CaptureState(c, DefaultOptions())
 	st.Variables["bogus"] = 1
-	opts := DefaultOptions()
-	if err := st.Apply(c, &opts, true); err == nil {
+	if err := st.Apply(c); err == nil {
 		t.Error("unknown variable should fail")
 	}
 }

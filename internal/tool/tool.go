@@ -39,56 +39,59 @@ var (
 // Grid-size limits. Options come from untrusted wire requests too, so a
 // run refuses a grid it cannot afford before allocating any of it.
 const (
-	// MaxPointsPerDecade caps PointsPerDecade and RefinePointsPerDecade;
-	// the paper's workflows run 20-100 points per decade.
+	// MaxPointsPerDecade caps PointsPerDecade, CoarsePointsPerDecade and
+	// RefinePointsPerDecade; the paper's workflows run 20-100 points per
+	// decade.
 	MaxPointsPerDecade = 10000
 	// maxSweepEntries caps the first-pass sweep's (node, frequency)
 	// pairs, about 64 MiB of impedance columns.
 	maxSweepEntries = 1 << 22
 )
 
-// Options configures a stability run.
+// Options configures a stability run. It is also the run setup's one
+// serialized form: the JSON keys of its user-settable fields are the farm
+// wire's "options" object and a saved State's setup keys. Stab,
+// AutoZeroAC, Analysis and Trace belong to the process and never travel.
+// Resolve validates it and fills its zero values with the defaults.
 type Options struct {
-	FStart, FStop float64 // sweep range in Hz
-	// PointsPerDecade is the uniform grid's resolution (0 selects 40;
-	// above MaxPointsPerDecade is rejected).
-	PointsPerDecade int
+	FStart float64 `json:"fstart_hz,omitempty"` // sweep range in Hz
+	FStop  float64 `json:"fstop_hz,omitempty"`
+	// PointsPerDecade is the uniform grid's resolution.
+	PointsPerDecade int `json:"points_per_decade,omitempty"`
 	// CoarsePointsPerDecade enables the two-level adaptive sweep: a coarse
 	// uniform pass at this resolution, then recursive bisection of the
 	// intervals whose stability-plot signal exceeds RefineThreshold, down
 	// to RefinePointsPerDecade near detected peaks. 0 disables adaptivity
 	// (every node is swept on the dense PointsPerDecade grid). Refinement
 	// decisions are a pure function of each node's own samples.
-	CoarsePointsPerDecade int
-	// RefinePointsPerDecade caps the adaptive refinement resolution. 0
-	// selects PointsPerDecade; values below CoarsePointsPerDecade or above
-	// MaxPointsPerDecade are rejected.
-	RefinePointsPerDecade int
+	CoarsePointsPerDecade int `json:"coarse_points_per_decade,omitempty"`
+	// RefinePointsPerDecade caps the adaptive refinement resolution (0
+	// selects PointsPerDecade).
+	RefinePointsPerDecade int `json:"refine_points_per_decade,omitempty"`
 	// RefineThreshold is the |P| level above which an interval counts as
-	// resonant and is refined. 0 selects the default (0.5, the single-
-	// real-pole bound); negative is rejected.
-	RefineThreshold float64
-	Stab            stab.Options
+	// resonant and is refined (0 selects 0.5, the single-real-pole bound).
+	RefineThreshold float64      `json:"refine_threshold,omitempty"`
+	Stab            stab.Options `json:"-"`
 	// LoopTol is the relative frequency tolerance for loop clustering.
-	LoopTol float64
+	LoopTol float64 `json:"loop_tol,omitempty"`
 	// AutoZeroAC disables pre-existing AC stimuli before the run
 	// (default true, matching the tool's feature list).
-	AutoZeroAC bool
+	AutoZeroAC bool `json:"-"`
 	// SkipNodes lists node-name substrings to exclude from all-nodes runs
 	// (e.g. supply rails).
-	SkipNodes []string
+	SkipNodes []string `json:"skip_nodes,omitempty"`
 	// OnlySubckt restricts the all-nodes run to the nodes of one
 	// subcircuit instance (the paper's "all nodes in a circuit/
 	// sub-circuit" mode): give the instance path prefix, e.g. "x1" or
 	// "x1.x2". Ports shared with the parent are included.
-	OnlySubckt string
-	// Analysis overrides the solver options.
-	Analysis *analysis.Options
+	OnlySubckt string `json:"only_subckt,omitempty"`
+	// Analysis overrides the solver options. They are compiled into a
+	// Compiled artifact, so a Tool over one must not ask for others.
+	Analysis *analysis.Options `json:"-"`
 	// Trace, when non-nil, collects per-phase spans and solver counters
 	// for this run (acstab -stats / -trace-json, farm run traces). It is
-	// excluded from serialized reports and never mutated structurally by
-	// the tool, so one trace may span several Tool instances (corner and
-	// temperature sweeps).
+	// never mutated structurally by the tool, so one trace may span
+	// several Tool instances (corner and temperature sweeps).
 	Trace *obs.Run `json:"-"`
 }
 
@@ -102,6 +105,99 @@ func DefaultOptions() Options {
 		LoopTol:         0.12,
 		AutoZeroAC:      true,
 	}
+}
+
+// FieldError is a run-setup rejection tied to one option. The farm worker
+// answers it as {"error":{"code":"bad_option","field":...}}, so a client
+// can point at the exact knob instead of re-reading a prose message.
+type FieldError struct {
+	// Field is the option's JSON key, as the wire and state files spell it.
+	Field string
+	// Reason says what is wrong with the value.
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *FieldError) Error() string {
+	return fmt.Sprintf("option %s: %s", e.Field, e.Reason)
+}
+
+// Resolve validates the run setup and fills its defaults. It is the one
+// gate every run passes: New, NewFromCompiled, the farm's request decoder
+// and the CLI all call it, so a local run, a corner batch and a remote
+// run accept and refuse the same setups. A zero field takes its default:
+// DefaultOptions' value, or on adaptive runs PointsPerDecade for
+// RefinePointsPerDecade and 0.5 for RefineThreshold. A rejection is a
+// *FieldError naming the option's JSON key. Resolve is idempotent.
+func (o Options) Resolve() (Options, error) {
+	def := DefaultOptions()
+	bad := func(field, format string, args ...any) (Options, error) {
+		return o, &FieldError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	if !(o.FStart >= 0) {
+		return bad("fstart_hz", "must be >= 0 (0 = default %g)", def.FStart)
+	}
+	if o.FStart == 0 {
+		o.FStart = def.FStart
+	}
+	if !(o.FStop >= 0) || math.IsInf(o.FStop, 1) {
+		return bad("fstop_hz", "must be >= 0 and finite (0 = default %g)", def.FStop)
+	}
+	if o.FStop == 0 {
+		o.FStop = def.FStop
+	}
+	if !(o.FStop > o.FStart) {
+		return bad("fstop_hz", "sweep stop %g Hz not above start %g Hz", o.FStop, o.FStart)
+	}
+	if o.PointsPerDecade < 0 {
+		return bad("points_per_decade", "must be >= 0 (0 = default %d)", def.PointsPerDecade)
+	}
+	if o.PointsPerDecade > MaxPointsPerDecade {
+		return bad("points_per_decade", "must be <= %d", MaxPointsPerDecade)
+	}
+	if o.PointsPerDecade == 0 {
+		o.PointsPerDecade = def.PointsPerDecade
+	}
+	if o.CoarsePointsPerDecade < 0 {
+		return bad("coarse_points_per_decade", "must be >= 0 (0 = adaptive off)")
+	}
+	if o.CoarsePointsPerDecade > MaxPointsPerDecade {
+		return bad("coarse_points_per_decade", "must be <= %d", MaxPointsPerDecade)
+	}
+	adaptive := o.CoarsePointsPerDecade > 0
+	if o.RefinePointsPerDecade < 0 {
+		return bad("refine_points_per_decade", "must be >= 0 (0 = points_per_decade)")
+	}
+	if o.RefinePointsPerDecade > 0 && !adaptive {
+		return bad("refine_points_per_decade", "requires coarse_points_per_decade > 0 (adaptive sweeps only)")
+	}
+	if !(o.RefineThreshold >= 0) {
+		return bad("refine_threshold", "must be >= 0 (0 = default %g)", defRefineThreshold)
+	}
+	if o.RefineThreshold > 0 && !adaptive {
+		return bad("refine_threshold", "requires coarse_points_per_decade > 0 (adaptive sweeps only)")
+	}
+	if adaptive {
+		if o.RefinePointsPerDecade == 0 {
+			o.RefinePointsPerDecade = o.PointsPerDecade
+		}
+		if o.RefinePointsPerDecade < o.CoarsePointsPerDecade {
+			return bad("refine_points_per_decade", "must be >= coarse_points_per_decade (%d)", o.CoarsePointsPerDecade)
+		}
+		if o.RefinePointsPerDecade > MaxPointsPerDecade {
+			return bad("refine_points_per_decade", "must be <= %d", MaxPointsPerDecade)
+		}
+		if o.RefineThreshold == 0 {
+			o.RefineThreshold = defRefineThreshold
+		}
+	}
+	if !(o.LoopTol >= 0) {
+		return bad("loop_tol", "must be >= 0 (0 = default %g)", def.LoopTol)
+	}
+	if o.LoopTol == 0 {
+		o.LoopTol = def.LoopTol
+	}
+	return o, nil
 }
 
 // NodeResult is the stability analysis of one node.
@@ -139,9 +235,9 @@ type Tool struct {
 	Sim  *analysis.Sim
 	Opts Options
 	op   *mna.OpPoint
-	// shared is the compiled artifact this Tool was built from (nil for
-	// tools compiled directly by New). When set, the operating point is
-	// computed once on the artifact and reused by every Tool sharing it.
+	// shared is the compiled artifact this Tool was built from. The
+	// operating point is computed once on it and reused by every Tool
+	// sharing it.
 	shared *Compiled
 }
 
@@ -149,7 +245,7 @@ type Tool struct {
 // original circuit is not modified: auto-zeroing operates on the
 // flattened copy.
 func New(ckt *netlist.Circuit, opts Options) (*Tool, error) {
-	opts, err := withRunDefaults(opts)
+	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -157,33 +253,21 @@ func New(ckt *netlist.Circuit, opts Options) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := c.base.Fork()
-	sim.Trace = opts.Trace
-	return &Tool{Ckt: ckt, Flat: c.Flat, Sys: c.Sys, Sim: sim, Opts: opts, shared: c}, nil
+	t := c.newTool(opts)
+	t.Ckt = ckt
+	return t, nil
 }
 
-// ensureOP computes and caches the operating point. Tools built over a
-// shared compiled artifact store the point on the artifact, so corners
-// and batch variants of one circuit pay for Newton once.
+// ensureOP returns the operating point, stored on the compiled artifact
+// so corners and batch variants of one circuit pay for Newton once.
 func (t *Tool) ensureOP(ctx context.Context) (*mna.OpPoint, error) {
-	if t.op != nil {
-		return t.op, nil
-	}
-	if t.shared != nil {
+	if t.op == nil {
 		op, err := t.shared.ensureOP(ctx, t.Sim, t.Opts.Trace)
 		if err != nil {
 			return nil, err
 		}
 		t.op = op
-		return t.op, nil
 	}
-	sp := obs.StartPhase(t.Opts.Trace, "op")
-	op, err := t.Sim.OP(ctx)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("tool: operating point: %w", err)
-	}
-	t.op = op
 	return t.op, nil
 }
 

@@ -596,3 +596,43 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 		t.Errorf("sweep driver allocated %v times, ImpedanceDiagSweep alone %v: want at most two more", driver, sweep)
 	}
 }
+
+// TestNewFromCompiledSolverOptions: solver options belong to the compiled
+// artifact. A Tool may restate them or leave them nil, and then shares
+// the artifact's operating point; other solver options are refused
+// instead of forking a private one.
+func TestNewFromCompiledSolverOptions(t *testing.T) {
+	aopts := analysis.DefaultOptions()
+	aopts.ResidualThreshold = 1e-8
+	opts := DefaultOptions()
+	opts.Analysis = &aopts
+	c, err := Compile(circuits.SecondOrder(0.3, 1e6), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := aopts
+	for _, a := range []*analysis.Options{nil, &same} {
+		o := DefaultOptions()
+		o.Analysis = a
+		tl, err := NewFromCompiled(c, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.Sim.Opt != aopts {
+			t.Errorf("analysis %v: tool solves with %+v, want the artifact's %+v", a, tl.Sim.Opt, aopts)
+		}
+		op, err := tl.ensureOP(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op != c.op {
+			t.Errorf("analysis %v: tool did not share the artifact's operating point", a)
+		}
+	}
+	other := analysis.DefaultOptions()
+	o := DefaultOptions()
+	o.Analysis = &other
+	if _, err := NewFromCompiled(c, o); err == nil {
+		t.Error("NewFromCompiled accepted solver options the artifact was not compiled with")
+	}
+}
