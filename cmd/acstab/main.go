@@ -8,7 +8,9 @@
 //	acstab -i circuit.cir -node out -plot      # single node with ASCII plot
 //	acstab -i circuit.cir -format csv          # CSV report
 //	acstab -i circuit.cir -annotate            # annotated netlist (Fig. 5)
-//	acstab -i circuit.cir -temps 27,85,125     # temperature sweep
+//	acstab -i circuit.cir -temps 27,85,125     # temperature sweep (one report per temperature)
+//	acstab -i circuit.cir -sweep rload=1k,2k   # design-variable sweep (worst loop per value)
+//	acstab -i circuit.cir -mc 50 -sigma rq=0.1 # Monte Carlo (worst loop per sample)
 //	acstab -i circuit.cir -set rload=2k        # design-variable override
 //	acstab -i circuit.cir -corners pvt.corners # corner batch (one report per line of the file)
 //	acstab -i circuit.cir -stats               # phase timings + solver counters
@@ -16,10 +18,16 @@
 //	acstab -i circuit.cir -trace-chrome t.json # Chrome trace-event timeline (Perfetto)
 //	acstab -i circuit.cir -cpuprofile cpu.pb   # pprof CPU profile of the run
 //	acstab -i circuit.cir -memprofile mem.pb   # heap profile at run end
+//
+// -temps, -sweep, -mc and -corners each run the deck as a batch of
+// variants through the farm's batch executor, in this process or, with
+// -remote, on an acstabd worker; the two print the same bytes.
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +36,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
@@ -73,10 +82,10 @@ func runWith(args []string, out, errOut io.Writer) error {
 		resTol    = fs.Float64("residual-tol", 0, "scale-relative residual above which a solve is refined (0 = default 1e-9, negative disables the numerics observatory)")
 		skip      = fs.String("skip", "", "comma-separated node-name substrings to skip")
 		subckt    = fs.String("subckt", "", "restrict all-nodes mode to one subcircuit instance (e.g. x1)")
-		temps     = fs.String("temps", "", "comma-separated temperatures (C) for a sweep")
-		sweep     = fs.String("sweep", "", "design-variable sweep: name=v1,v2,v3")
-		corners   = fs.String("corners", "", "corners file: one corner per line, 'label name=value ...'; runs the whole batch (local, or one wire-v2 submission with -remote)")
-		mcRuns    = fs.Int("mc", 0, "Monte Carlo runs (with -sigma)")
+		temps     = fs.String("temps", "", "temperature sweep: comma-separated temperatures (C), one report each in -format (a batch, local or with -remote)")
+		sweep     = fs.String("sweep", "", "design-variable sweep: name=v1,v2,v3, the worst loop at each value (a batch, local or with -remote)")
+		corners   = fs.String("corners", "", "corners file: one corner per line, 'label name=value ...', one report each in -format (a batch, local or with -remote)")
+		mcRuns    = fs.Int("mc", 0, "Monte Carlo runs (with -sigma), the worst loop of each (a batch, local or with -remote)")
 		mcSeed    = fs.Int64("mc-seed", 1, "Monte Carlo seed")
 		sigmas    multiFlag
 		stateIn   = fs.String("state", "", "load run setup from a saved state file")
@@ -99,25 +108,37 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if strings.Contains(*remote, ",") {
 		return fmt.Errorf("-remote takes one worker URL, got %q", *remote)
 	}
-	// A farm job, remote or one -corners variant, is one whole analysis of
-	// the deck at its own temperature; what it cannot carry is refused by
-	// name rather than silently dropped. Only the wire lacks -residual-tol.
-	refuse := func(what string) error {
-		if *remote != "" {
-			return fmt.Errorf("%s does not run remotely; drop -remote to run it locally", what)
-		}
-		return fmt.Errorf("%s does not run with -corners: each corner is one analysis of the deck at its own temperature", what)
-	}
+	// A variant source runs the deck as a batch of farm jobs; one at most.
+	source := ""
 	for _, f := range []struct {
 		name string
-		set  bool
-	}{
-		{"mc", *mcRuns > 0}, {"temps", *temps != ""}, {"sweep", *sweep != ""},
-		{"plot", *plot}, {"residual-tol", *resTol != 0 && *remote != ""},
-	} {
-		if f.set && (*remote != "" || *corners != "") {
-			return refuse("-" + f.name)
+		on   bool
+	}{{"-corners", *corners != ""}, {"-temps", *temps != ""}, {"-sweep", *sweep != ""}, {"-mc", *mcRuns > 0}} {
+		if f.on && source != "" {
+			return fmt.Errorf("%s and %s are two variant sources; give one", source, f.name)
 		}
+		if f.on {
+			source = f.name
+		}
+	}
+	// A farm job, remote or one variant of a batch, is one whole analysis
+	// rendered as a report; a flag it cannot honour is refused by name
+	// rather than silently dropped. Only the wire lacks -residual-tol, and
+	// the -sweep and -mc tables read every node's report.
+	var refusal error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case refusal != nil:
+		case *remote != "" && (f.Name == "plot" || f.Name == "residual-tol"):
+			refusal = fmt.Errorf("-%s does not run remotely; drop -remote to run it locally", f.Name)
+		case source != "" && f.Name == "plot":
+			refusal = fmt.Errorf("-plot does not run with %s: each variant is one report, not a plot", source)
+		case (source == "-sweep" || source == "-mc") && (f.Name == "node" || f.Name == "format" || f.Name == "annotate"):
+			refusal = fmt.Errorf("-%s does not run with %s: its table reads the all-nodes report", f.Name, source)
+		}
+	})
+	if refusal != nil {
+		return refusal
 	}
 
 	// Profiling: the CPU profile brackets everything after flag parsing
@@ -167,8 +188,10 @@ func runWith(args []string, out, errOut io.Writer) error {
 		return err
 	}
 	// overrides are the design-variable values -set and -state put over
-	// the deck's own; a farm job carries them as its variables.
+	// the deck's own, and tempC a -state temperature; a farm job carries
+	// them as its variables and its variants' temp_c.
 	overrides := map[string]float64{}
+	var tempC *float64
 	for _, s := range sets {
 		name, vs, ok := strings.Cut(s, "=")
 		if !ok {
@@ -219,9 +242,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if (*remote != "" || *corners != "") && st.TempC != nil && *st.TempC != ckt.Temp {
-			return refuse(fmt.Sprintf("-state: temp_c %g (the deck runs at %g)", *st.TempC, ckt.Temp))
-		}
 		if err := st.Apply(ckt); err != nil {
 			return err
 		}
@@ -229,12 +249,20 @@ func runWith(args []string, out, errOut io.Writer) error {
 		for k, v := range st.Variables {
 			overrides[k] = v
 		}
+		tempC = st.TempC
 	}
-	// One validation for every path: a local run, a -corners batch and a
-	// -remote job accept and refuse the same setups. A refused setup is
-	// the run's error, so -stats, the traces and -diag still report it.
+	wireFormat := *format
+	if *annotate {
+		wireFormat = "annotate"
+	}
+	// One validation for every path: a local run, a batch and a -remote
+	// job accept and refuse the same setups and formats. A refused setup
+	// is the run's error, so -stats, the traces and -diag still report it.
 	var runErr error
-	if opts, runErr = opts.Resolve(); runErr == nil && *stateOut != "" {
+	if opts, runErr = opts.Resolve(); runErr == nil {
+		runErr = report.CheckFormat(wireFormat)
+	}
+	if runErr == nil && *stateOut != "" {
 		f, err := os.Create(*stateOut)
 		if err != nil {
 			return fmt.Errorf("-save-state: %v", err)
@@ -246,14 +274,10 @@ func runWith(args []string, out, errOut io.Writer) error {
 		}
 	}
 
-	wireFormat := *format
-	if *annotate {
-		wireFormat = "annotate"
-	}
 	// The farm job for this run setup: the deck, the options and the
-	// design-variable overrides, as a batch of one empty variant.
-	// runRemote ships it as it is and runCorners swaps in the corners, so
-	// a worker analyzes exactly what the local run would.
+	// design-variable overrides. A variant source fills in its variants;
+	// a plain -remote run ships one, so a worker analyzes exactly what
+	// the local run would.
 	job := &farm.BatchRequest{
 		Netlist:   src,
 		Format:    wireFormat,
@@ -261,18 +285,29 @@ func runWith(args []string, out, errOut io.Writer) error {
 		TimeoutMS: timeout.Milliseconds(),
 		Options:   opts,
 		Variables: overrides,
-		Variants:  []farm.Variant{{}},
 	}
+	b := batch{remote: *remote, job: job, tempC: tempC, trace: trace}
 	switch {
 	case runErr != nil:
 	case *corners != "":
-		runErr = runCorners(ctx, out, *remote, job, opts, trace, *corners)
-	case *remote != "":
-		runErr = runRemote(ctx, out, *remote, job, trace)
+		runErr = runCorners(ctx, out, b, *corners)
+	case *temps != "":
+		runErr = runTemps(ctx, out, b, *temps)
+	case *sweep != "":
+		runErr = runSweep(ctx, out, b, ckt, *sweep)
 	case *mcRuns > 0:
-		runErr = runMC(ctx, out, ckt, opts, *mcRuns, *mcSeed, sigmas)
+		runErr = runMC(ctx, out, b, ckt, *mcRuns, *mcSeed, sigmas)
+	case *remote != "":
+		var itemErr error
+		if runErr = b.run(ctx, []farm.Variant{{}}, func(r farm.BatchResult) {
+			if itemErr = r.Err; itemErr == nil {
+				_, itemErr = out.Write(r.Body)
+			}
+		}); runErr == nil {
+			runErr = itemErr
+		}
 	default:
-		runErr = dispatch(ctx, out, ckt, opts, *node, *format, *annotate, *plot, *temps, *sweep)
+		runErr = dispatch(ctx, out, ckt, opts, *node, wireFormat, *plot)
 	}
 	trace.Finish()
 	if *stats {
@@ -320,13 +355,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 }
 
 func dispatch(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.Options,
-	node, format string, annotate, plot bool, temps, sweep string) error {
-	if temps != "" {
-		return runTemps(ctx, out, ckt, opts, temps)
-	}
-	if sweep != "" {
-		return runSweep(ctx, out, ckt, opts, sweep)
-	}
+	node, format string, plot bool) error {
 	t, err := tool.New(ckt, opts)
 	if err != nil {
 		return err
@@ -338,19 +367,12 @@ func dispatch(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts too
 	if err != nil {
 		return err
 	}
-	if annotate {
-		return report.Annotate(out, t.Flat, rep)
+	body, _, err := report.Render(format, t.Flat, rep)
+	if err != nil {
+		return err
 	}
-	switch format {
-	case "text":
-		return report.Text(out, rep)
-	case "csv":
-		return report.CSV(out, rep)
-	case "json":
-		return report.JSON(out, rep)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
+	_, err = out.Write(body)
+	return err
 }
 
 func runSingle(ctx context.Context, out io.Writer, t *tool.Tool, node string, plot bool) error {
@@ -389,69 +411,146 @@ func runSingle(ctx context.Context, out io.Writer, t *tool.Tool, node string, pl
 	return nil
 }
 
-// runSweep executes a design-variable sweep and prints the worst loop at
-// each point (the trend is the interesting output of a sweep).
-func runSweep(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.Options, sweep string) error {
-	name, list, ok := strings.Cut(sweep, "=")
-	if !ok {
-		return fmt.Errorf("-sweep wants name=v1,v2,..., got %q", sweep)
+// batch runs variants of a farm job: on the worker at remote, or in
+// this process through the farm's batch executor against a
+// process-local compile cache, so a repeated variable set skips flatten
+// and compile. Either way each variant is one whole analysis with the
+// job's per-item deadline and panic boundary, and fails alone.
+type batch struct {
+	remote string
+	job    *farm.BatchRequest
+	tempC  *float64 // a -state temperature, for variants that set none
+	trace  *obs.Run
+}
+
+// run runs the variants and hands each answered one's result to emit in
+// order; a failed variant's Err is its *farm.ItemError, which reads the
+// same locally and remotely. A remote batch runs traced, so the worker's
+// phase spans and solver counters land in this run's trace. run returns
+// the batch-level failure: the context ended, or the worker refused the
+// job or stopped answering.
+func (b batch) run(ctx context.Context, variants []farm.Variant, emit func(farm.BatchResult)) error {
+	for i := range variants {
+		if variants[i].TempC == nil {
+			variants[i].TempC = b.tempC
+		}
 	}
+	b.job.Variants = variants
+	if b.remote != "" {
+		c := &farm.Client{BaseURL: strings.TrimRight(b.remote, "/")}
+		results, err := c.SubmitBatchTraced(ctx, b.job, b.trace)
+		for _, r := range results {
+			if err == nil || !errors.Is(r.Err, err) { // err marks the unanswered ones
+				emit(r)
+			}
+		}
+		return err
+	}
+	timeout := time.Duration(b.job.TimeoutMS) * time.Millisecond
+	return farm.RunBatch(ctx, farm.NewCache(0), b.job, b.job.Options, timeout, b.trace, func(it farm.BatchItem) {
+		r := farm.BatchResult{Index: it.Index, Label: it.Label, Body: it.Body, CacheHit: it.CacheHit, DurationMS: it.DurationMS}
+		if it.Error != nil {
+			r.Err = &farm.ItemError{Detail: *it.Error}
+		}
+		emit(r)
+	})
+}
+
+// parseValues parses a comma-separated value list (SI suffixes
+// accepted) for flag and returns it sorted.
+func parseValues(flag, list string) ([]float64, error) {
 	var vals []float64
 	for _, s := range strings.Split(list, ",") {
 		v, err := num.ParseValue(strings.TrimSpace(s))
 		if err != nil {
-			return fmt.Errorf("-sweep: %v", err)
+			return nil, fmt.Errorf("%s: %v", flag, err)
 		}
 		vals = append(vals, v)
 	}
-	points, err := tool.RunParamSweep(ctx, ckt, opts, strings.ToLower(name), vals)
+	sort.Float64s(vals)
+	return vals, nil
+}
+
+// worstLoop reads a -sweep or -mc variant's JSON report and returns its
+// deepest loop, nil when it has none.
+func worstLoop(r farm.BatchResult) (*stab.Loop, error) {
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	rep, err := report.ParseJSON(bytes.NewReader(r.Body))
+	if err != nil {
+		return nil, err
+	}
+	return tool.WorstLoop(rep), nil
+}
+
+// runTemps runs the deck at each temperature, coldest first (the
+// paper's "in-tool sweeps (TEMP etc)"), and prints each report in the
+// run's format under a === TEMP === banner.
+func runTemps(ctx context.Context, out io.Writer, b batch, temps string) error {
+	list, err := parseValues("-temps", temps)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%-14s %-14s %-16s %-10s %-12s %s\n",
-		name, "worst peak", "natural freq", "zeta", "PM deg", "overshoot %")
-	for _, p := range points {
-		if p.Err != nil {
-			fmt.Fprintf(out, "%-14g failed: %v\n", p.Value, p.Err)
-			continue
-		}
-		w := tool.WorstLoop(p.Report)
-		if w == nil {
-			fmt.Fprintf(out, "%-14g (no resonant loops)\n", p.Value)
-			continue
-		}
-		fmt.Fprintf(out, "%-14g %-14.3f %-16.4g %-10.3f %-12.1f %.1f\n",
-			p.Value, w.WorstPeak, w.Freq, w.Zeta, w.PhaseMarginDeg, w.OvershootPct)
+	variants := make([]farm.Variant, len(list))
+	for i := range list {
+		variants[i] = farm.Variant{Label: fmt.Sprintf("%g C", list[i]), TempC: &list[i]}
 	}
-	return nil
-}
-
-func runTemps(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.Options, temps string) error {
-	var list []float64
-	for _, s := range strings.Split(temps, ",") {
-		v, err := num.ParseValue(strings.TrimSpace(s))
-		if err != nil {
-			return fmt.Errorf("-temps: %v", err)
-		}
-		list = append(list, v)
-	}
-	results := tool.RunTemps(ctx, ckt, opts, list)
-	for _, r := range results {
-		fmt.Fprintf(out, "=== TEMP %g C ===\n", r.Temp)
+	return b.run(ctx, variants, func(r farm.BatchResult) {
+		fmt.Fprintf(out, "=== TEMP %g C ===\n", list[r.Index])
 		if r.Err != nil {
 			fmt.Fprintf(out, "failed: %v\n", r.Err)
-			continue
+		} else {
+			fmt.Fprintf(out, "%s\n", r.Body)
 		}
-		if err := report.Text(out, r.Report); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	return nil
+	})
 }
 
-// runMC runs a Monte Carlo mismatch study over the design variables.
-func runMC(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.Options, runs int, seed int64, sigmas multiFlag) error {
+// runSweep runs a design-variable sweep, smallest value first (the
+// paper's in-tool sweeps generalized beyond temperature), and prints the
+// worst loop at each value: the trend is the interesting output of a
+// sweep.
+func runSweep(ctx context.Context, out io.Writer, b batch, ckt *netlist.Circuit, sweep string) error {
+	name, list, ok := strings.Cut(sweep, "=")
+	if !ok {
+		return fmt.Errorf("-sweep wants name=v1,v2,..., got %q", sweep)
+	}
+	vals, err := parseValues("-sweep", list)
+	if err != nil {
+		return err
+	}
+	param := strings.ToLower(name)
+	if _, ok := ckt.Params[param]; !ok {
+		return fmt.Errorf("tool: unknown design variable %q", param)
+	}
+	variants := make([]farm.Variant, len(vals))
+	for i, v := range vals {
+		variants[i] = farm.Variant{Label: fmt.Sprintf("%s=%g", param, v), Variables: map[string]float64{param: v}}
+	}
+	// The header waits for the first answer, so a refused batch prints
+	// only its error.
+	header := fmt.Sprintf("%-14s %-14s %-16s %-10s %-12s %s\n",
+		name, "worst peak", "natural freq", "zeta", "PM deg", "overshoot %")
+	b.job.Format = "json"
+	return b.run(ctx, variants, func(r farm.BatchResult) {
+		io.WriteString(out, header)
+		header = ""
+		v := vals[r.Index]
+		switch w, err := worstLoop(r); {
+		case err != nil:
+			fmt.Fprintf(out, "%-14g failed: %v\n", v, err)
+		case w == nil:
+			fmt.Fprintf(out, "%-14g (no resonant loops)\n", v)
+		default:
+			fmt.Fprintf(out, "%-14g %-14.3f %-16.4g %-10.3f %-12.1f %.1f\n",
+				v, w.WorstPeak, w.Freq, w.Zeta, w.PhaseMarginDeg, w.OvershootPct)
+		}
+	})
+}
+
+// runMC runs a Monte Carlo mismatch study over the design variables and
+// prints the worst loop of each sample and the phase-margin quantiles.
+func runMC(ctx context.Context, out io.Writer, b batch, ckt *netlist.Circuit, runs int, seed int64, sigmas multiFlag) error {
 	spec := tool.MCSpec{Runs: runs, Seed: seed, Sigma: map[string]float64{}}
 	for _, s := range sigmas {
 		name, vs, ok := strings.Cut(s, "=")
@@ -464,94 +563,67 @@ func runMC(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts tool.O
 		}
 		spec.Sigma[strings.ToLower(name)] = v
 	}
-	res, err := tool.MonteCarlo(ctx, ckt, opts, spec)
+	draws, err := tool.MonteCarlo(ckt, spec)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%-6s %-14s %-16s %-10s\n", "run", "worst peak", "natural freq", "PM deg")
-	for i, sm := range res.Samples {
-		if sm.Err != nil {
-			fmt.Fprintf(out, "%-6d failed: %v\n", i, sm.Err)
-			continue
+	variants := make([]farm.Variant, len(draws))
+	for i, vars := range draws {
+		variants[i] = farm.Variant{Label: fmt.Sprintf("mc%d", i), Variables: vars}
+	}
+	header := fmt.Sprintf("%-6s %-14s %-16s %-10s\n", "run", "worst peak", "natural freq", "PM deg")
+	var pms []float64 // of the samples with a resonant loop
+	failed := 0
+	b.job.Format = "json"
+	err = b.run(ctx, variants, func(r farm.BatchResult) {
+		io.WriteString(out, header)
+		header = ""
+		w, err := worstLoop(r)
+		if err != nil {
+			failed++
+			fmt.Fprintf(out, "%-6d failed: %v\n", r.Index, err)
+			return
 		}
-		fmt.Fprintf(out, "%-6d %-14.3f %-16.4g %-10.1f\n", i, sm.WorstPeak, sm.FreqHz, sm.PMDeg)
-	}
-	if p5, ok := res.PMQuantile(0.05); ok {
-		p50, _ := res.PMQuantile(0.50)
-		p95, _ := res.PMQuantile(0.95)
+		var l stab.Loop
+		if w != nil {
+			l = *w
+		}
+		if l.Freq > 0 {
+			pms = append(pms, l.PhaseMarginDeg)
+		}
+		fmt.Fprintf(out, "%-6d %-14.3f %-16.4g %-10.1f\n", r.Index, l.WorstPeak, l.Freq, l.PhaseMarginDeg)
+	})
+	if err == nil && len(pms) > 0 {
+		sort.Float64s(pms)
+		q := func(p float64) float64 { return pms[int(p*float64(len(pms)-1))] }
 		fmt.Fprintf(out, "phase margin quantiles: p5=%.1f p50=%.1f p95=%.1f (deg), %d/%d runs failed\n",
-			p5, p50, p95, res.Failed, runs)
+			q(0.05), q(0.50), q(0.95), failed, runs)
 	}
-	return nil
-}
-
-// runRemote ships the job to an acstabd farm worker as a one-variant
-// batch and prints its report, or returns the item's typed error. A
-// -timeout is forwarded as the job's timeout_ms so the worker enforces
-// the same deadline server-side. The submission runs traced: the
-// worker's phase spans and solver counters come back over the wire and
-// land in this process's run trace, so -stats/-trace-json/-trace-chrome
-// show the remote flatten/op/sweep/stability work as if it ran locally.
-func runRemote(ctx context.Context, out io.Writer, url string, job *farm.BatchRequest, trace *obs.Run) error {
-	c := &farm.Client{BaseURL: strings.TrimRight(url, "/")}
-	results, err := c.SubmitBatchTraced(ctx, job, trace)
-	if err != nil {
-		return err
-	}
-	if err := results[0].Err; err != nil {
-		return err
-	}
-	_, err = out.Write(results[0].Body)
 	return err
 }
 
-// runCorners drives a corner batch from a corners file: every corner is
+// runCorners runs a corner batch from a corners file: every corner is
 // the job's circuit under different design-variable overrides (on top of
 // the job's own), exactly the workload the farm's compiled-system cache
-// amortizes. With -remote the whole batch ships as one traced submission
-// (per-item errors and retries handled by the client, each corner's
-// worker trace grafted into this run's); locally the corners run through
-// the same batch executor against a process-local cache, so corner 2 of
-// an unchanged variable set skips flatten/compile entirely.
-func runCorners(ctx context.Context, out io.Writer, remote string, job *farm.BatchRequest,
-	opts tool.Options, trace *obs.Run, path string) error {
+// amortizes. Each prints its report under a === CORNER === banner,
+// mirroring the temperature sweep.
+func runCorners(ctx context.Context, out io.Writer, b batch, path string) error {
 	variants, err := parseCorners(path)
 	if err != nil {
 		return err
 	}
-	job.Variants = variants
-	if remote != "" {
-		c := &farm.Client{BaseURL: strings.TrimRight(remote, "/")}
-		results, err := c.SubmitBatchTraced(ctx, job, trace)
-		for _, r := range results {
-			printCorner(out, r.Label, r.CacheHit, r.DurationMS, r.Body, r.Err)
+	return b.run(ctx, variants, func(r farm.BatchResult) {
+		how := "compiled"
+		if r.CacheHit {
+			how = "cache hit"
 		}
-		return err
-	}
-	timeout := time.Duration(job.TimeoutMS) * time.Millisecond
-	return farm.RunBatch(ctx, farm.NewCache(0), job, opts, timeout, trace, func(it farm.BatchItem) {
-		var err error
-		if it.Error != nil {
-			err = fmt.Errorf("%s: %s", it.Error.Code, it.Error.Message)
+		fmt.Fprintf(out, "=== CORNER %s (%s, %.1f ms) ===\n", r.Label, how, r.DurationMS)
+		if r.Err != nil {
+			fmt.Fprintf(out, "failed: %v\n\n", r.Err)
+		} else {
+			fmt.Fprintf(out, "%s\n", r.Body)
 		}
-		printCorner(out, it.Label, it.CacheHit, it.DurationMS, it.Body, err)
 	})
-}
-
-// printCorner renders one corner's banner and report, mirroring the
-// temperature sweep's === section === style.
-func printCorner(out io.Writer, label string, hit bool, durMS float64, body []byte, err error) {
-	how := "compiled"
-	if hit {
-		how = "cache hit"
-	}
-	fmt.Fprintf(out, "=== CORNER %s (%s, %.1f ms) ===\n", label, how, durMS)
-	if err != nil {
-		fmt.Fprintf(out, "failed: %v\n\n", err)
-		return
-	}
-	out.Write(body)
-	fmt.Fprintln(out)
 }
 
 // parseCorners reads a corners file: one corner per line; blank lines and

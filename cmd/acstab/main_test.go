@@ -6,14 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"acstab/internal/farm"
 	"acstab/internal/obs"
+	"acstab/internal/report"
 	"acstab/internal/tool"
 )
 
@@ -176,6 +179,165 @@ C1 t 0 1n
 	}
 }
 
+// TestTempsSortedAndApplied: -temps runs the deck at each temperature,
+// coldest first, and each report is that temperature's analysis: the
+// resistor's tempco lightens the damping as it heats, deepening the peak.
+func TestTempsSortedAndApplied(t *testing.T) {
+	path := writeNetlist(t, tempcoDeck)
+	var out bytes.Buffer
+	if err := run([]string{"-i", path, "-temps", "125,-40,27", "-format", "json",
+		"-fstart", "10k", "-fstop", "100meg"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	sections := strings.Split(out.String(), "=== TEMP ")[1:]
+	if len(sections) != 3 {
+		t.Fatalf("%d sections, want 3:\n%s", len(sections), out.String())
+	}
+	var peaks []float64
+	for i, want := range []float64{-40, 27, 125} {
+		banner, body, _ := strings.Cut(sections[i], " C ===\n")
+		rep, err := report.ParseJSON(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("section %q: %v", banner, err)
+		}
+		if banner != fmt.Sprint(want) || rep.Temp != want {
+			t.Fatalf("section %d is %q at %g C, want %g C", i, banner, rep.Temp, want)
+		}
+		w := tool.WorstLoop(rep)
+		if w == nil {
+			t.Fatalf("%g C: no loop", want)
+		}
+		peaks = append(peaks, w.WorstPeak)
+	}
+	if !(peaks[2] < peaks[1] && peaks[1] < peaks[0]) {
+		t.Errorf("peaks %v at -40, 27, 125 C: want deeper when hotter", peaks)
+	}
+}
+
+// tableRows returns the whitespace-separated fields of a -sweep or -mc
+// table's rows, the header and a quantile line left out.
+func tableRows(out string) [][]string {
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
+		if !strings.HasPrefix(line, "phase margin quantiles") {
+			rows = append(rows, strings.Fields(line))
+		}
+	}
+	return rows
+}
+
+// TestSweepSortedAndMonotone: -sweep runs one analysis per value,
+// smallest first, and the worst loop follows the damping resistor; an
+// unknown variable is refused before anything runs.
+func TestSweepSortedAndMonotone(t *testing.T) {
+	path := writeNetlist(t, overrideDeck)
+	var out bytes.Buffer
+	if err := run([]string{"-i", path, "-sweep", "rq=2000,500,1000", "-fstart", "10k", "-fstop", "100meg"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows(out.String())
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3:\n%s", len(rows), out.String())
+	}
+	var peaks []float64
+	for i, want := range []string{"500", "1000", "2000"} {
+		if rows[i][0] != want {
+			t.Fatalf("row %d is rq=%s, want %s:\n%s", i, rows[i][0], want, out.String())
+		}
+		p, err := strconv.ParseFloat(rows[i][1], 64)
+		if err != nil {
+			t.Fatalf("row %v: %v", rows[i], err)
+		}
+		peaks = append(peaks, p)
+	}
+	// Larger R -> lighter damping -> deeper peak: strictly decreasing.
+	if !(peaks[0] > peaks[1] && peaks[1] > peaks[2]) {
+		t.Errorf("peaks not monotone with rq: %v", peaks)
+	}
+	out.Reset()
+	if err := run([]string{"-i", path, "-sweep", "nosuch=1,2"}, &out); err == nil ||
+		!strings.Contains(err.Error(), `unknown design variable "nosuch"`) || out.Len() != 0 {
+		t.Errorf("unknown sweep variable: err = %v, output %q", err, out.String())
+	}
+}
+
+// TestMonteCarloSpread: every sample of a two-sigma Monte Carlo run
+// finds the loop, the draws spread its frequency and phase margin, and
+// the phase-margin quantiles come out ordered.
+func TestMonteCarloSpread(t *testing.T) {
+	path := writeNetlist(t, mcDeck)
+	var out bytes.Buffer
+	if err := run([]string{"-i", path, "-mc", "20", "-mc-seed", "42", "-sigma", "rq=0.2", "-sigma", "cq=0.05",
+		"-fstart", "10k", "-fstop", "100meg"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows(out.String())
+	if len(rows) != 20 {
+		t.Fatalf("%d rows, want 20:\n%s", len(rows), out.String())
+	}
+	minF, maxF := math.Inf(1), math.Inf(-1)
+	minPM, maxPM := math.Inf(1), math.Inf(-1)
+	for _, r := range rows {
+		if len(r) != 4 {
+			t.Fatalf("row %v: want run, peak, frequency, phase margin", r)
+		}
+		f, _ := strconv.ParseFloat(r[2], 64)
+		pm, _ := strconv.ParseFloat(r[3], 64)
+		if f == 0 {
+			t.Fatalf("sample missed the loop: %v", r)
+		}
+		minF, maxF = math.Min(minF, f), math.Max(maxF, f)
+		minPM, maxPM = math.Min(minPM, pm), math.Max(maxPM, pm)
+	}
+	if minF < 0.8e6 || maxF > 1.25e6 {
+		t.Errorf("frequency spread [%g, %g] implausible", minF, maxF)
+	}
+	if maxPM-minPM < 2 {
+		t.Errorf("20%% resistor sigma should spread PM; got [%g, %g]", minPM, maxPM)
+	}
+	var p5, p50, p95 float64
+	var failed, runs int
+	last := out.String()[strings.LastIndex(out.String(), "phase margin quantiles"):]
+	if _, err := fmt.Sscanf(last, "phase margin quantiles: p5=%g p50=%g p95=%g (deg), %d/%d runs failed",
+		&p5, &p50, &p95, &failed, &runs); err != nil || failed != 0 || runs != 20 || !(p5 <= p50 && p50 <= p95) {
+		t.Errorf("quantile line %q (%v): want p5 <= p50 <= p95 and 0/20 failed", last, err)
+	}
+}
+
+// TestVariantsKeepDeck: every variant source analyses the deck the plain
+// run does — its .temp, .nodeset and .option cards included — so a
+// variant that overrides nothing prints the plain run's report.
+func TestVariantsKeepDeck(t *testing.T) {
+	path := writeNetlist(t, `kept deck
+.param rq=318
+.temp 85
+R1 t 0 {rq} tc1=2m
+L1 t 0 25.33u
+C1 t 0 1n
+.nodeset v(t)=0.5
+.option gmin=1e-12
+`)
+	var plain, temps, corner bytes.Buffer
+	if err := run([]string{"-i", path}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.String(), "temperature: 85 C") {
+		t.Fatalf("plain run ignores .temp:\n%s", plain.String())
+	}
+	if err := run([]string{"-i", path, "-temps", "85"}, &temps); err != nil {
+		t.Fatal(err)
+	}
+	if want := "=== TEMP 85 C ===\n" + plain.String() + "\n"; temps.String() != want {
+		t.Errorf("-temps 85:\n%s\nwant:\n%s", temps.String(), want)
+	}
+	if err := run([]string{"-i", path, "-corners", writeCorners(t, "nom\n")}, &corner); err != nil {
+		t.Fatal(err)
+	}
+	if _, body, _ := strings.Cut(corner.String(), "===\n"); body != plain.String()+"\n" {
+		t.Errorf("-corners nom:\n%s\nwant the plain report:\n%s", corner.String(), plain.String())
+	}
+}
+
 func TestDiagnosticFile(t *testing.T) {
 	path := writeNetlist(t, tankNetlist)
 	diag := filepath.Join(t.TempDir(), "diag.txt")
@@ -315,6 +477,16 @@ func TestMonteCarloFlag(t *testing.T) {
 	}
 	if err := run([]string{"-i", path, "-mc", "2"}, &out); err == nil {
 		t.Error("MC without sigma should fail")
+	}
+	// Without a resonant loop in any sample there is no phase margin to
+	// take quantiles of.
+	out.Reset()
+	flat := writeNetlist(t, "resistor\n.param r=1k\nR1 a 0 {r}\nR2 a b 2k\nR3 b 0 {r}\n")
+	if err := run([]string{"-i", flat, "-mc", "3", "-sigma", "r=0.1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if rows := tableRows(out.String()); len(rows) != 3 || strings.Contains(out.String(), "quantiles") {
+		t.Errorf("loop-free MC output:\n%s", out.String())
 	}
 }
 
@@ -679,9 +851,26 @@ L2 b 0 2.533u
 C2 b 0 1n
 `
 
+// tempcoDeck is a tank whose damping resistor has a temperature
+// coefficient, so every temperature reports a different peak.
+const tempcoDeck = `temp tank
+R1 t 0 318 tc1=2m
+L1 t 0 25.33u
+C1 t 0 1n
+`
+
+// mcDeck is a tank with two design variables for Monte Carlo runs.
+const mcDeck = `mc tank
+.param rq=400 cq=1n
+R1 t 0 {rq}
+L1 t 0 25.33u
+C1 t 0 {cq}
+`
+
 // TestRemoteMatchesLocal: a -remote run on one worker prints exactly
 // what the local run prints, in every format, with the run setup's
-// -set, -state and -subckt carried to the worker.
+// -set, -state (its temperature too) and -subckt carried to the worker,
+// and -temps, -sweep and -mc batches print the same tables.
 func TestRemoteMatchesLocal(t *testing.T) {
 	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
@@ -691,17 +880,27 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		"-fstart", "10k", "-save-state", state}, &discard); err != nil {
 		t.Fatal(err)
 	}
+	hot := filepath.Join(t.TempDir(), "hot.json")
+	if err := os.WriteFile(hot, []byte(`{"version": 1, "temp_c": 85}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	formats := [][]string{{"-format", "text"}, {"-format", "csv"}, {"-format", "json"}, {"-annotate"}}
 	for _, tc := range []struct {
 		name, deck string
 		args       []string
+		formats    [][]string
 	}{
-		{"opamp", opampNetlist, nil},
-		{"set", overrideDeck, []string{"-set", "rq=318"}},
-		{"state", overrideDeck, []string{"-state", state}},
-		{"subckt", scopeDeck, []string{"-subckt", "x1"}},
+		{"opamp", opampNetlist, nil, formats},
+		{"set", overrideDeck, []string{"-set", "rq=318"}, formats},
+		{"state", overrideDeck, []string{"-state", state}, formats},
+		{"hot state", tempcoDeck, []string{"-state", hot}, formats},
+		{"subckt", scopeDeck, []string{"-subckt", "x1"}, formats},
+		{"temps", tempcoDeck, []string{"-temps", "125,-40,27"}, formats},
+		{"sweep", overrideDeck, []string{"-sweep", "rq=2k,318,1k"}, [][]string{nil}},
+		{"mc", mcDeck, []string{"-mc", "4", "-sigma", "rq=0.2", "-sigma", "cq=0.05"}, [][]string{nil}},
 	} {
 		path := writeNetlist(t, tc.deck)
-		for _, format := range [][]string{{"-format", "text"}, {"-format", "csv"}, {"-format", "json"}, {"-annotate"}} {
+		for _, format := range tc.formats {
 			args := append(append([]string{"-i", path}, tc.args...), format...)
 			var local, remote bytes.Buffer
 			if err := run(args, &local); err != nil {
@@ -719,26 +918,22 @@ func TestRemoteMatchesLocal(t *testing.T) {
 }
 
 // TestRemoteRefusals: what the farm wire cannot carry fails by name
-// instead of running something else on the worker.
+// instead of running something else on the worker, and so do two
+// variant sources and the table flags that need the all-nodes report.
 func TestRemoteRefusals(t *testing.T) {
 	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
 	path := writeNetlist(t, tankNetlist)
-	hot := filepath.Join(t.TempDir(), "hot.json")
-	if err := os.WriteFile(hot, []byte(`{"version": 1, "temp_c": 85}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-mc", "4", "-sigma", "rq=0.1"}, "-mc"},
-		{[]string{"-temps", "27,85"}, "-temps"},
-		{[]string{"-sweep", "rq=100,200"}, "-sweep"},
 		{[]string{"-node", "t", "-plot"}, "-plot"},
 		{[]string{"-residual-tol", "1e-6"}, "-residual-tol"},
-		{[]string{"-state", hot}, "-state"},
 		{[]string{"-remote", srv.URL + "," + srv.URL}, "one worker URL"},
+		{[]string{"-temps", "27,85", "-sweep", "rq=100,200"}, "-temps and -sweep are two variant sources"},
+		{[]string{"-sweep", "rq=100,200", "-node", "t"}, "-node does not run with -sweep"},
+		{[]string{"-mc", "4", "-sigma", "rq=0.1", "-format", "csv"}, "-format does not run with -mc"},
 	} {
 		args := append([]string{"-i", path, "-remote", srv.URL}, tc.args...)
 		var out bytes.Buffer
@@ -752,10 +947,10 @@ func TestRemoteRefusals(t *testing.T) {
 	}
 }
 
-// TestCornersRefusals: a local -corners batch runs every corner at the
-// deck's own temperature through the farm, so each flag it cannot honour
-// is refused by name instead of printing 27 C reports. -residual-tol runs
-// locally, and a -state file at the deck's temperature is accepted.
+// TestCornersRefusals: a local -corners batch is one variant source, so
+// a second one is refused by name, and so is -plot, which a batch item
+// cannot draw. -residual-tol runs locally, and a -state file runs every
+// corner at its temperature.
 func TestCornersRefusals(t *testing.T) {
 	path := writeNetlist(t, tankNetlist)
 	corners := writeCorners(t, "nom\nhi_r rq=2k\n")
@@ -764,19 +959,14 @@ func TestCornersRefusals(t *testing.T) {
 	if err := os.WriteFile(hot, []byte(`{"version": 1, "temp_c": 85}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	deck := filepath.Join(dir, "deck.json")
-	if err := os.WriteFile(deck, []byte(`{"version": 1, "temp_c": 27}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-mc", "4", "-sigma", "rq=0.1"}, "-mc does not run with -corners"},
-		{[]string{"-temps", "85,125"}, "-temps does not run with -corners"},
-		{[]string{"-sweep", "rq=100,200"}, "-sweep does not run with -corners"},
+		{[]string{"-mc", "4", "-sigma", "rq=0.1"}, "-corners and -mc are two variant sources"},
+		{[]string{"-temps", "85,125"}, "-corners and -temps are two variant sources"},
+		{[]string{"-sweep", "rq=100,200"}, "-corners and -sweep are two variant sources"},
 		{[]string{"-node", "t", "-plot"}, "-plot does not run with -corners"},
-		{[]string{"-state", hot}, "-state: temp_c 85"},
 	} {
 		args := append([]string{"-i", path, "-corners", corners}, tc.args...)
 		var out bytes.Buffer
@@ -788,9 +978,9 @@ func TestCornersRefusals(t *testing.T) {
 			t.Errorf("%v: refused run printed %q", tc.args, out.String())
 		}
 	}
-	for _, extra := range [][]string{{"-residual-tol", "1e-6"}, {"-state", deck}} {
+	for _, extra := range [][]string{{"-residual-tol", "1e-6"}, {"-state", hot}} {
 		var out bytes.Buffer
-		args := append([]string{"-i", path, "-node", "t", "-corners", corners}, extra...)
+		args := append([]string{"-i", path, "-corners", corners}, extra...)
 		if err := run(args, &out); err != nil {
 			t.Errorf("%v: %v", extra, err)
 		}
@@ -798,13 +988,19 @@ func TestCornersRefusals(t *testing.T) {
 			t.Errorf("%v: no corner reports in:\n%s", extra, out.String())
 		}
 	}
+	var out bytes.Buffer
+	if err := run([]string{"-i", path, "-corners", corners, "-state", hot}, &out); err != nil ||
+		strings.Count(out.String(), "temperature: 85 C") != 2 {
+		t.Errorf("-state temp_c 85: %v, want both corners at 85 C in:\n%s", err, out.String())
+	}
 }
 
 // TestSetupRefusalsAgree: a local run, a local -corners batch and a
-// -remote job validate the run setup through the same tool.Options.Resolve,
-// so each refuses a bad setup naming the same option for the same
-// reason, and the worker's decoder refuses it the same way when a client
-// sends it unchecked.
+// -remote job validate the run setup through the same tool.Options.Resolve
+// and the format through the same report.CheckFormat, so each refuses a
+// bad setup naming the same option for the same reason, and the
+// worker's decoder refuses it the same way when a client sends it
+// unchecked.
 func TestSetupRefusalsAgree(t *testing.T) {
 	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
@@ -822,6 +1018,7 @@ func TestSetupRefusalsAgree(t *testing.T) {
 			tool.Options{CoarsePointsPerDecade: 10, RefinePointsPerDecade: 20000}, "refine_points_per_decade"},
 		{[]string{"-ppd", "20000"}, tool.Options{PointsPerDecade: 20000}, "points_per_decade"},
 		{[]string{"-fstart", "1g", "-fstop", "1k"}, tool.Options{FStart: 1e9, FStop: 1e3}, "fstop_hz"},
+		{[]string{"-format", "xml"}, tool.Options{}, "format"},
 	} {
 		var reasons []string
 		for _, extra := range [][]string{nil, {"-corners", corners}, {"-remote", srv.URL}} {
@@ -839,8 +1036,12 @@ func TestSetupRefusalsAgree(t *testing.T) {
 			reasons = append(reasons, fe.Error())
 		}
 		c := &farm.Client{BaseURL: srv.URL}
+		var format string
+		if tc.field == "format" {
+			format = tc.args[1]
+		}
 		_, err := c.SubmitBatch(context.Background(), &farm.BatchRequest{
-			Netlist: tankNetlist, Options: tc.opts, Variants: []farm.Variant{{}}})
+			Netlist: tankNetlist, Format: format, Options: tc.opts, Variants: []farm.Variant{{}}})
 		var se *farm.StatusError
 		if !errors.As(err, &se) || se.Code != "bad_option" {
 			t.Errorf("%v on the wire: err = %v, want 400 bad_option", tc.args, err)

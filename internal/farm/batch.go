@@ -65,7 +65,7 @@ type BatchRequest struct {
 }
 
 // Variant is one entry of a batch: a corner label plus the variable
-// overrides that distinguish it.
+// overrides and temperature that distinguish it.
 type Variant struct {
 	// Label tags the item in responses and logs (e.g. "ss_-40C"); it has
 	// no effect on execution.
@@ -73,6 +73,9 @@ type Variant struct {
 	// Variables override design variables for this variant, on top of the
 	// batch-level Variables.
 	Variables map[string]float64 `json:"variables,omitempty"`
+	// TempC, when set, runs this variant at that temperature in °C
+	// instead of the deck's own (.temp, else 27).
+	TempC *float64 `json:"temp_c,omitempty"`
 }
 
 // BatchItem is one streamed result line of a batch response. Exactly one
@@ -142,7 +145,7 @@ func RunBatch(ctx context.Context, cache *Cache, req *BatchRequest, opts tool.Op
 			irun = obs.StartRun("farm/item")
 		}
 		start := time.Now()
-		body, contentType, hit, err := runCached(ictx, cache, req, mergeVars(req.Variables, v.Variables), opts, irun)
+		body, contentType, hit, err := runCached(ictx, cache, req, mergeVars(req.Variables, v.Variables), v.TempC, opts, irun)
 		cancel()
 		dur := time.Since(start)
 		item.DurationMS = float64(dur) / float64(time.Millisecond)

@@ -360,3 +360,45 @@ func TestRunBatchLocal(t *testing.T) {
 		t.Fatalf("canceled RunBatch: %v", err)
 	}
 }
+
+// TestTempVariantsKeepOwnCacheEntries: two variants differing only in
+// temp_c compile apart (the temperature is part of the cache key) and
+// report their own temperatures, a repeated temperature hits, and a
+// variant without temp_c runs at the deck's own temperature.
+func TestTempVariantsKeepOwnCacheEntries(t *testing.T) {
+	t27, t85 := 27.0, 85.0
+	req := &BatchRequest{
+		Netlist: "tempco tank\nR1 t 0 318 tc1=2m\nL1 t 0 25.33u\nC1 t 0 1n\n",
+		Format:  "json",
+		Variants: []Variant{
+			{Label: "cold", TempC: &t27},
+			{Label: "hot", TempC: &t85},
+			{Label: "hot again", TempC: &t85},
+			{Label: "deck"},
+		},
+	}
+	opts, err := tool.DefaultOptions().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []BatchItem
+	if err := RunBatch(context.Background(), NewCache(0), req, opts, 0, nil, func(it BatchItem) {
+		got = append(got, it)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, wantHit := range []bool{false, false, true, false} {
+		if got[i].Error != nil || got[i].CacheHit != wantHit {
+			t.Fatalf("item %d (%s): cache hit %v, error %v; want hit %v", i, got[i].Label, got[i].CacheHit, got[i].Error, wantHit)
+		}
+	}
+	if !strings.Contains(string(got[0].Body), `"temp_c": 27`) || !strings.Contains(string(got[1].Body), `"temp_c": 85`) {
+		t.Errorf("reports do not carry their temperatures:\n%s\n%s", got[0].Body, got[1].Body)
+	}
+	if string(got[1].Body) == string(got[0].Body) {
+		t.Error("the 85 C variant reported the 27 C analysis")
+	}
+	if string(got[3].Body) != string(got[0].Body) {
+		t.Errorf("the variant without temp_c differs from the deck's 27 C:\n%s\nvs\n%s", got[3].Body, got[0].Body)
+	}
+}

@@ -44,17 +44,21 @@ var (
 const DefaultCacheEntries = 64
 
 // CacheKey is the content address of one compiled circuit: the FNV-1a
-// hash of the netlist source and the design-variable overrides. The
-// variables are part of the key because netlist.Flatten evaluates
-// parameter expressions — two requests differing only in a variable
-// produce different compiled systems.
+// hash of the netlist source, the design-variable overrides and the
+// temperature override. The overrides are part of the key because
+// netlist.Flatten evaluates parameter expressions and temperature
+// coefficients — two requests differing only in a variable or the
+// temperature produce different compiled systems.
 type CacheKey uint64
 
-// KeyFor computes the content address of a (netlist, variables) pair.
-// Variables hash in sorted order with separator bytes, so map iteration
-// order cannot split one circuit across several cache entries and
-// "r=1, q=2" cannot collide with "r=12, q=".
-func KeyFor(netlist string, vars map[string]float64) CacheKey {
+// KeyFor computes the content address of a (netlist, variables,
+// temperature) triple; tempC is nil when the deck's own temperature
+// applies. Variables hash in sorted order with separator bytes, so map
+// iteration order cannot split one circuit across several cache entries
+// and "r=1, q=2" cannot collide with "r=12, q=". A temperature hashes
+// after them behind a 0x01 byte, which no parsed design-variable name
+// starts with; a nil one adds nothing, so such keys are unchanged.
+func KeyFor(netlist string, vars map[string]float64, tempC *float64) CacheKey {
 	h := fnv.New64a()
 	io.WriteString(h, netlist)
 	h.Write([]byte{0})
@@ -70,6 +74,11 @@ func KeyFor(netlist string, vars map[string]float64) CacheKey {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(vars[k]))
 		h.Write(buf[:])
 		h.Write([]byte{0})
+	}
+	if tempC != nil {
+		h.Write([]byte{1})
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(*tempC))
+		h.Write(buf[:])
 	}
 	return CacheKey(h.Sum64())
 }

@@ -33,38 +33,53 @@ func compileTank(calls *atomic.Int32, vars map[string]float64) func() (*tool.Com
 }
 
 func TestKeyFor(t *testing.T) {
-	base := KeyFor(tankNetlist, nil)
-	if KeyFor(tankNetlist, nil) != base {
+	base := KeyFor(tankNetlist, nil, nil)
+	if KeyFor(tankNetlist, nil, nil) != base {
 		t.Error("same inputs should produce the same key")
 	}
-	if KeyFor(tankNetlist, map[string]float64{}) != base {
+	if KeyFor(tankNetlist, map[string]float64{}, nil) != base {
 		t.Error("nil and empty variable maps should key identically")
 	}
-	if KeyFor(tankNetlist+"\n* comment", nil) == base {
+	if KeyFor(tankNetlist+"\n* comment", nil, nil) == base {
 		t.Error("different netlists should produce different keys")
 	}
-	if KeyFor(tankNetlist, map[string]float64{"rq": 1000}) == base {
+	if KeyFor(tankNetlist, map[string]float64{"rq": 1000}, nil) == base {
 		t.Error("a variable override must change the key")
 	}
-	if KeyFor(tankNetlist, map[string]float64{"rq": 1000}) ==
-		KeyFor(tankNetlist, map[string]float64{"rq": 1001}) {
+	if KeyFor(tankNetlist, map[string]float64{"rq": 1000}, nil) ==
+		KeyFor(tankNetlist, map[string]float64{"rq": 1001}, nil) {
 		t.Error("different variable values should produce different keys")
 	}
 	// The variable separator bytes must keep adjacent name/value pairs
 	// from gluing together ambiguously.
-	if KeyFor(tankNetlist, map[string]float64{"ab": 1, "c": 2}) ==
-		KeyFor(tankNetlist, map[string]float64{"a": 1, "bc": 2}) {
+	if KeyFor(tankNetlist, map[string]float64{"ab": 1, "c": 2}, nil) ==
+		KeyFor(tankNetlist, map[string]float64{"a": 1, "bc": 2}, nil) {
 		t.Error("variable name boundaries must be unambiguous")
 	}
 	// Two-variable maps hash in sorted order regardless of insertion order;
 	// build them in both orders and spot-check stability over many rounds
 	// (map iteration order is randomized per run).
-	want := KeyFor(tankNetlist, map[string]float64{"a": 1, "b": 2})
+	want := KeyFor(tankNetlist, map[string]float64{"a": 1, "b": 2}, nil)
 	for i := 0; i < 32; i++ {
 		m := map[string]float64{"b": 2, "a": 1}
-		if KeyFor(tankNetlist, m) != want {
+		if KeyFor(tankNetlist, m, nil) != want {
 			t.Fatal("key depends on map iteration order")
 		}
+	}
+	// A variant without a temperature keys exactly as before temperatures
+	// were part of the key, so a warm worker's entries stay addressable.
+	if got := KeyFor(tankNetlist, nil, nil); got != 0x9fdb0e3f802106a0 {
+		t.Errorf("KeyFor(tank, nil, nil) = %#x, want the pinned 0x9fdb0e3f802106a0", uint64(got))
+	}
+	if got := KeyFor(tankNetlist, map[string]float64{"rq": 1000, "cq": 2e-9}, nil); got != 0x84638c7a557b4ccd {
+		t.Errorf("KeyFor(tank, rq cq, nil) = %#x, want the pinned 0x84638c7a557b4ccd", uint64(got))
+	}
+	t27, t85 := 27.0, 85.0
+	if KeyFor(tankNetlist, nil, &t27) == base || KeyFor(tankNetlist, nil, &t27) == KeyFor(tankNetlist, nil, &t85) {
+		t.Error("a temperature must change the key, and two temperatures must key apart")
+	}
+	if t85b := 85.0; KeyFor(tankNetlist, nil, &t85b) != KeyFor(tankNetlist, nil, &t85) {
+		t.Error("equal temperatures behind different pointers should key identically")
 	}
 }
 
@@ -77,9 +92,9 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	ctx := context.Background()
 
 	var callsA, callsB, callsC atomic.Int32
-	keyA := KeyFor(tankNetlist, nil)
-	keyB := KeyFor(tankNetlist, map[string]float64{"rq": 500})
-	keyC := KeyFor(tankNetlist, map[string]float64{"rq": 700})
+	keyA := KeyFor(tankNetlist, nil, nil)
+	keyB := KeyFor(tankNetlist, map[string]float64{"rq": 500}, nil)
+	keyC := KeyFor(tankNetlist, map[string]float64{"rq": 700}, nil)
 
 	get := func(key CacheKey, calls *atomic.Int32, vars map[string]float64) bool {
 		t.Helper()
@@ -115,7 +130,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache(8)
-	key := KeyFor(tankNetlist, nil)
+	key := KeyFor(tankNetlist, nil, nil)
 	hits0, miss0 := mCacheHits.Value(), mCacheMisses.Value()
 
 	var calls atomic.Int32
@@ -173,7 +188,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(4)
-	key := KeyFor("bogus", nil)
+	key := KeyFor("bogus", nil, nil)
 	boom := func() (*tool.Compiled, error) {
 		ckt, err := netlist.Parse("broken\nZZ\n")
 		if err != nil {
@@ -202,7 +217,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // of waiting on an entry that never becomes ready.
 func TestCacheCompilePanicFreesKey(t *testing.T) {
 	c := NewCache(4)
-	key := KeyFor(tankNetlist, nil)
+	key := KeyFor(tankNetlist, nil, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -224,7 +239,7 @@ func TestCacheCompilePanicFreesKey(t *testing.T) {
 func TestCacheChecksumInvalidation(t *testing.T) {
 	c := NewCache(4)
 	ctx := context.Background()
-	key := KeyFor(tankNetlist, nil)
+	key := KeyFor(tankNetlist, nil, nil)
 	var calls atomic.Int32
 
 	// The default options sweep on the sparse path, so the first sweep
@@ -303,7 +318,7 @@ func TestCacheParamVariantsRevalidate(t *testing.T) {
 	var sig0 uint64
 	for v := 0; v < variants; v++ {
 		vars := map[string]float64{"rq": 300 + float64(v)}
-		key := KeyFor(tankNetlist, vars)
+		key := KeyFor(tankNetlist, vars, nil)
 		var calls atomic.Int32
 		comp, hit, err := c.Get(ctx, key, compileTank(&calls, vars))
 		if err != nil || hit {

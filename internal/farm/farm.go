@@ -358,19 +358,20 @@ func errorCode(err error) (int, string) {
 }
 
 // runCached executes one job against the compiled-system cache: the
-// (netlist, variables) content address is looked up and only a miss pays
-// for parse → flatten → MNA compile (single-flight: concurrent identical
-// submissions share one compile). A hit forks the cached artifact and
-// goes straight to numeric refactorization and the sweep — the parse,
-// flatten, mna_assembly, and op phase spans are absent from the run
-// trace, which is how a warm run is recognized in the flight recorder. A
-// nil cache compiles every request from scratch. The job is req's
-// netlist, node and format under the design variables vars; opts must
-// be req's Options after tool.Options.Resolve (the handler already has
-// them from decode). As the one place batch items execute, it is also the panic
-// boundary: a panic fails the item (run_failed) with the panic value and
-// stack instead of dropping the connection mid-record.
-func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[string]float64, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {
+// (netlist, variables, temperature) content address is looked up and
+// only a miss pays for parse → flatten → MNA compile (single-flight:
+// concurrent identical submissions share one compile). A hit forks the
+// cached artifact and goes straight to numeric refactorization and the
+// sweep — the parse, flatten, mna_assembly, and op phase spans are
+// absent from the run trace, which is how a warm run is recognized in
+// the flight recorder. A nil cache compiles every request from scratch.
+// The job is req's netlist, node and format under the design variables
+// vars, at tempC °C when tempC is non-nil; opts must be req's Options
+// after tool.Options.Resolve (the handler already has them from decode).
+// As the one place batch items execute, it is also the panic boundary: a
+// panic fails the item (run_failed) with the panic value and stack
+// instead of dropping the connection mid-record.
+func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[string]float64, tempC *float64, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {
 	mRunsTotal.Inc()
 	defer func() {
 		if p := recover(); p != nil {
@@ -395,12 +396,15 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 			}
 			ckt.Params[k] = v
 		}
+		if tempC != nil {
+			ckt.Temp = *tempC
+		}
 		return tool.Compile(ckt, opts)
 	}
 
 	var c *tool.Compiled
 	if cache != nil {
-		c, cacheHit, err = cache.Get(ctx, KeyFor(req.Netlist, vars), compile)
+		c, cacheHit, err = cache.Get(ctx, KeyFor(req.Netlist, vars, tempC), compile)
 	} else {
 		c, err = compile()
 	}
@@ -412,12 +416,12 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 		return nil, "", false, err
 	}
 
-	var buf bytes.Buffer
 	if req.Node != "" {
 		nr, err := t.SingleNode(ctx, req.Node)
 		if err != nil {
 			return nil, "", cacheHit, err
 		}
+		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(singleNodeJSON(nr)); err != nil {
@@ -430,27 +434,9 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 	if err != nil {
 		return nil, "", cacheHit, err
 	}
-	switch req.Format {
-	case "", "text":
-		err = report.Text(&buf, rep)
-		contentType = "text/plain; charset=utf-8"
-	case "csv":
-		err = report.CSV(&buf, rep)
-		contentType = "text/csv"
-	case "json":
-		body, err = report.AppendJSON(nil, rep)
-		contentType = "application/json"
-	case "annotate":
-		err = report.Annotate(&buf, t.Flat, rep)
-		contentType = "text/plain; charset=utf-8"
-	default:
-		return nil, "", cacheHit, fmt.Errorf("farm: unknown format %q", req.Format)
-	}
+	body, contentType, err = report.Render(req.Format, t.Flat, rep)
 	if err != nil {
 		return nil, "", cacheHit, err
-	}
-	if body == nil { // every format but json rendered into buf
-		body = buf.Bytes()
 	}
 	return body, contentType, cacheHit, nil
 }

@@ -12,7 +12,7 @@ import (
 // wireSeeds are request bodies from the wire tests: bodies written for
 // the retired v1 (/run) wire, which must now get typed rejections,
 // accepted batches, each typed rejection, trailing data after a valid
-// document, and traced batches.
+// document, traced batches, and variants with a temperature.
 var wireSeeds = []string{
 	`{"netlist": "x"}`,
 	`{"netlist":"farm tank\nR1 t 0 318\nL1 t 0 25.33u\nC1 t 0 1n\n"}`,
@@ -37,6 +37,7 @@ var wireSeeds = []string{
 	`{"v": 2, "netlist": "x", "variants": [{}], "collect_trace": true}`,
 	`{"v": 2, "netlist": "x", "variants": [{"label": "a"}, {}], "trace_id": "tr-1", "collect_trace": false}`,
 	`{"v": 2, "netlist": "x", "variants": [{}], "collect_trace": "yes"}`,
+	`{"v": 2, "netlist": "x", "variants": [{"label": "hot", "temp_c": 85}, {"temp_c": -40, "variables": {"rq": 1}}]}`,
 }
 
 // checkDecode is the fuzz property of the wire decoder: any body may be

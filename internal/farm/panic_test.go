@@ -25,7 +25,7 @@ func TestJobPanicFailsRun(t *testing.T) {
 		rec: obs.NewRecorder(4), log: obs.NewEventLogger(io.Discard), cache: NewCache(4)}
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
 	corrupt := func() (*tool.Compiled, error) { return &tool.Compiled{}, nil }
-	if _, _, err := s.cache.Get(context.Background(), KeyFor(tankNetlist, nil), corrupt); err != nil {
+	if _, _, err := s.cache.Get(context.Background(), KeyFor(tankNetlist, nil, nil), corrupt); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 
+	"acstab/internal/report"
 	"acstab/internal/tool"
 )
 
@@ -21,16 +22,6 @@ import (
 // it explicitly, so a body written for the retired v1 (/run) wire fails
 // loudly instead of mis-running.
 const WireV2 = 2
-
-// checkFormat validates a BatchRequest's response-format selector.
-func checkFormat(format string) error {
-	switch format {
-	case "", "text", "csv", "json", "annotate":
-		return nil
-	}
-	return &tool.FieldError{Field: "format",
-		Reason: fmt.Sprintf("unknown format %q (text, csv, json, annotate)", format)}
-}
 
 // WireError is a request rejection produced during decode: the HTTP
 // status to answer with plus the structured error detail for the body.
@@ -104,7 +95,7 @@ func DecodeBatchRequest(body []byte) (*BatchRequest, tool.Options, *WireError) {
 			Detail: ErrorDetail{Code: CodeBadOption, Field: "variants",
 				Message: fmt.Sprintf("batch of %d variants exceeds the %d-variant limit", len(req.Variants), MaxBatchVariants)}}
 	}
-	if err := checkFormat(req.Format); err != nil {
+	if err := report.CheckFormat(req.Format); err != nil {
 		return nil, tool.Options{}, wireErrorFrom(err)
 	}
 	// The request keeps the resolved options, so it re-encodes to a body

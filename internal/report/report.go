@@ -6,6 +6,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -20,6 +21,45 @@ import (
 	"acstab/internal/stab"
 	"acstab/internal/tool"
 )
+
+// CheckFormat checks the name of a report format: text, csv, json,
+// annotate (the annotated netlist), or "" for text. A rejection is a
+// *tool.FieldError on "format", the farm wire's key for it, so the CLI
+// and the worker refuse a format with the same words.
+func CheckFormat(format string) error {
+	switch format {
+	case "", "text", "csv", "json", "annotate":
+		return nil
+	}
+	return &tool.FieldError{Field: "format",
+		Reason: fmt.Sprintf("unknown format %q (text, csv, json, annotate)", format)}
+}
+
+// Render renders an all-nodes report in a format CheckFormat accepts and
+// returns the bytes with their media type. flat is the flattened circuit
+// that annotate prints. json is one AppendJSON into a buffer sized for
+// the report.
+func Render(format string, flat *netlist.Circuit, rep *tool.Report) ([]byte, string, error) {
+	if format == "json" {
+		b, err := AppendJSON(nil, rep)
+		return b, "application/json", err
+	}
+	var buf bytes.Buffer
+	var err error
+	contentType := "text/plain; charset=utf-8"
+	switch format {
+	case "", "text":
+		err = Text(&buf, rep)
+	case "csv":
+		err = CSV(&buf, rep)
+		contentType = "text/csv"
+	case "annotate":
+		err = Annotate(&buf, flat, rep)
+	default:
+		return nil, "", CheckFormat(format)
+	}
+	return buf.Bytes(), contentType, err
+}
 
 // Text writes the all-nodes report in the paper's Table 2 layout: loops
 // sorted by natural frequency, nodes within each loop, stability peak

@@ -134,5 +134,5 @@ func NewFromCompiled(c *Compiled, opts Options) (*Tool, error) {
 func (c *Compiled) newTool(opts Options) *Tool {
 	sim := c.base.Fork()
 	sim.Trace = opts.Trace
-	return &Tool{Ckt: c.Flat, Flat: c.Flat, Sys: c.Sys, Sim: sim, Opts: opts, shared: c}
+	return &Tool{Flat: c.Flat, Sys: c.Sys, Sim: sim, Opts: opts, shared: c}
 }

@@ -1,8 +1,7 @@
 package tool
 
 import (
-	"context"
-	"math"
+	"reflect"
 	"testing"
 
 	"acstab/internal/netlist"
@@ -22,85 +21,59 @@ C1 t 0 {cq}
 	return c
 }
 
-func TestMonteCarloBasics(t *testing.T) {
-	c := mcCircuit(t)
-	opts := DefaultOptions()
-	opts.FStart, opts.FStop = 1e4, 1e8
-	res, err := MonteCarlo(context.Background(), c, opts, MCSpec{
-		Runs: 20, Seed: 42,
-		Sigma: map[string]float64{"rq": 0.2, "cq": 0.05},
-	})
+func TestMonteCarloDeterministic(t *testing.T) {
+	spec := MCSpec{Runs: 5, Seed: 7, Sigma: map[string]float64{"rq": 0.1}}
+	a, err := MonteCarlo(mcCircuit(t), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != 20 || res.Failed != 0 {
-		t.Fatalf("samples=%d failed=%d", len(res.Samples), res.Failed)
+	b, err := MonteCarlo(mcCircuit(t), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every draw finds the loop; frequencies spread around 1 MHz.
-	var minF, maxF = math.Inf(1), math.Inf(-1)
-	var minPM, maxPM = math.Inf(1), math.Inf(-1)
-	for _, s := range res.Samples {
-		if s.FreqHz == 0 {
-			t.Fatalf("sample missed the loop: %+v", s)
+	if len(a) != 5 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("draws differ between two runs of one spec:\n%v\n%v", a, b)
+	}
+	for i, vars := range a {
+		if len(vars) != 1 || vars["rq"] <= 0 || vars["rq"] == 400 {
+			t.Errorf("draw %d = %v, want one rq varied around 400", i, vars)
 		}
-		minF = math.Min(minF, s.FreqHz)
-		maxF = math.Max(maxF, s.FreqHz)
-		minPM = math.Min(minPM, s.PMDeg)
-		maxPM = math.Max(maxPM, s.PMDeg)
-	}
-	if minF < 0.8e6 || maxF > 1.25e6 {
-		t.Errorf("frequency spread [%g, %g] implausible", minF, maxF)
-	}
-	if maxPM-minPM < 2 {
-		t.Errorf("20%% resistor sigma should spread PM; got [%g, %g]", minPM, maxPM)
-	}
-	// Quantiles ordered.
-	p5, ok5 := res.PMQuantile(0.05)
-	p95, ok95 := res.PMQuantile(0.95)
-	if !ok5 || !ok95 || p5 > p95 {
-		t.Errorf("quantiles: %g (%v) vs %g (%v)", p5, ok5, p95, ok95)
-	}
-	// Nominal untouched.
-	if c.Params["rq"] != 400 {
-		t.Error("MonteCarlo mutated the circuit")
 	}
 }
 
-func TestMonteCarloDeterministic(t *testing.T) {
+// TestMonteCarloDrawsReproducible: with two or more sigmas the draws take
+// the variables in sorted-name order, not map order, so one spec always
+// draws the same samples.
+func TestMonteCarloDrawsReproducible(t *testing.T) {
 	c := mcCircuit(t)
-	opts := DefaultOptions()
-	opts.FStart, opts.FStop = 1e4, 1e8
-	spec := MCSpec{Runs: 5, Seed: 7, Sigma: map[string]float64{"rq": 0.1}}
-	a, err := MonteCarlo(context.Background(), c, opts, spec)
+	spec := MCSpec{Runs: 3, Seed: 1, Sigma: map[string]float64{"rq": 0.2, "cq": 0.05}}
+	want, err := MonteCarlo(c, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(context.Background(), mcCircuit(t), opts, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Samples {
-		if a.Samples[i].WorstPeak != b.Samples[i].WorstPeak {
-			t.Fatalf("run %d differs: %g vs %g", i,
-				a.Samples[i].WorstPeak, b.Samples[i].WorstPeak)
+	for i := 0; i < 20; i++ {
+		got, err := MonteCarlo(c, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("draw %d: %v, want %v", i, got, want)
+		}
+	}
+	if c.Params["rq"] != 400 || c.Params["cq"] != 1e-9 {
+		t.Errorf("MonteCarlo changed the circuit: %v", c.Params)
 	}
 }
 
 func TestMonteCarloErrors(t *testing.T) {
 	c := mcCircuit(t)
-	opts := DefaultOptions()
-	if _, err := MonteCarlo(context.Background(), c, opts, MCSpec{Runs: 0, Sigma: map[string]float64{"rq": 0.1}}); err == nil {
+	if _, err := MonteCarlo(c, MCSpec{Runs: 0, Sigma: map[string]float64{"rq": 0.1}}); err == nil {
 		t.Error("zero runs should fail")
 	}
-	if _, err := MonteCarlo(context.Background(), c, opts, MCSpec{Runs: 1}); err == nil {
+	if _, err := MonteCarlo(c, MCSpec{Runs: 1}); err == nil {
 		t.Error("empty sigma should fail")
 	}
-	if _, err := MonteCarlo(context.Background(), c, opts, MCSpec{Runs: 1, Sigma: map[string]float64{"zz": 0.1}}); err == nil {
+	if _, err := MonteCarlo(c, MCSpec{Runs: 1, Sigma: map[string]float64{"zz": 0.1}}); err == nil {
 		t.Error("unknown variable should fail")
-	}
-	empty := &MCResult{}
-	if _, ok := empty.PMQuantile(0.5); ok {
-		t.Error("empty result has no quantile")
 	}
 }

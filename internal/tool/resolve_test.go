@@ -1,12 +1,14 @@
 package tool
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"acstab/internal/circuits"
+	"acstab/internal/stab"
 )
 
 func TestResolveDefaults(t *testing.T) {
@@ -132,6 +134,47 @@ func TestResolveRejectsNonFinite(t *testing.T) {
 		var fe *FieldError
 		if !errors.As(err, &fe) || fe.Field != tc.field {
 			t.Errorf("%+v: err = %v, want a *FieldError on %s", tc.in, err, tc.field)
+		}
+	}
+}
+
+// TestResolveZeroStabIsDefault: a zero Stab resolves to
+// stab.DefaultOptions(), so a Tool built from an Options literal runs
+// the min/max peak filter exactly as DefaultOptions does.
+func TestResolveZeroStabIsDefault(t *testing.T) {
+	opts, err := (Options{}).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Stab != stab.DefaultOptions() {
+		t.Errorf("zero Stab resolved to %+v, want %+v", opts.Stab, stab.DefaultOptions())
+	}
+	off := Options{Stab: stab.Options{MinPeakDepth: -1}}
+	if opts, err = off.Resolve(); err != nil || opts.Stab != off.Stab {
+		t.Errorf("a set Stab resolved to %+v (%v), want it kept", opts.Stab, err)
+	}
+	ckt := circuits.RCLadder(20)
+	def := DefaultOptions()
+	def.AutoZeroAC = false
+	reports := map[string]*Report{}
+	for name, o := range map[string]Options{"literal": {}, "default": def} {
+		tl, err := New(ckt, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[name], err = tl.AllNodes(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lit, want := reports["literal"], reports["default"]
+	if len(lit.Loops) != len(want.Loops) || len(lit.Nodes) != len(want.Nodes) {
+		t.Fatalf("literal options: %d loops over %d nodes, DefaultOptions: %d over %d",
+			len(lit.Loops), len(lit.Nodes), len(want.Loops), len(want.Nodes))
+	}
+	for i, n := range lit.Nodes {
+		w := want.Nodes[i]
+		if (n.Best == nil) != (w.Best == nil) || n.Best != nil && (n.Best.Type != w.Best.Type || n.Best.Value != w.Best.Value) {
+			t.Errorf("node %s: literal options give %+v, DefaultOptions %+v", n.Node, n.Best, w.Best)
 		}
 	}
 }

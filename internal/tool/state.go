@@ -1,12 +1,10 @@
 package tool
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"acstab/internal/netlist"
 )
@@ -79,31 +77,4 @@ func (s *State) Apply(ckt *netlist.Circuit) error {
 		ckt.Params[k] = v
 	}
 	return nil
-}
-
-// ParamSweepPoint is one step of a design-variable sweep.
-type ParamSweepPoint struct {
-	Value  float64
-	Report *Report
-	Err    error
-}
-
-// RunParamSweep sweeps one design variable across the given values,
-// running an all-nodes analysis at each point (the paper's "in-tool
-// sweeps" feature generalized beyond temperature). The source circuit is
-// not modified.
-func RunParamSweep(ctx context.Context, ckt *netlist.Circuit, opts Options, param string, values []float64) ([]ParamSweepPoint, error) {
-	if _, ok := ckt.Params[param]; !ok {
-		return nil, fmt.Errorf("tool: unknown design variable %q", param)
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	out := make([]ParamSweepPoint, len(sorted))
-	for i, v := range sorted {
-		out[i].Value = v
-		rep, err := runVariant(ctx, ckt, opts, map[string]float64{param: v}, nil)
-		out[i].Report = rep
-		out[i].Err = err
-	}
-	return out, nil
 }

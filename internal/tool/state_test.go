@@ -2,7 +2,6 @@ package tool
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,29 +96,6 @@ func TestStateVariableOverrideReevaluates(t *testing.T) {
 	}
 }
 
-// TestCloneForOverrideKeepsDeck: a corner, temperature, sweep or Monte
-// Carlo run analyses the same deck as the plain run — .nodeset, options
-// and models included — and its overrides never reach the caller's
-// circuit.
-func TestCloneForOverrideKeepsDeck(t *testing.T) {
-	c, err := netlist.Parse(paramTank + ".nodeset v(t)=0.5\n.option gmin=1e-12\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := cloneForOverride(c)
-	mod.Params["rval"] = 2000
-	mod.Temp = 85
-	if c.Params["rval"] != 500 || c.Temp != 27 {
-		t.Errorf("override reached the source circuit: rval=%g temp=%g", c.Params["rval"], c.Temp)
-	}
-	if !reflect.DeepEqual(mod.NodeSet, c.NodeSet) || len(mod.NodeSet) != 1 {
-		t.Errorf("nodeset = %v, want %v", mod.NodeSet, c.NodeSet)
-	}
-	if !reflect.DeepEqual(mod.Options, c.Options) || len(mod.Elems) != len(c.Elems) {
-		t.Errorf("clone dropped options or elements: %v, %d elements", mod.Options, len(mod.Elems))
-	}
-}
-
 func TestStateErrors(t *testing.T) {
 	if _, err := LoadState(strings.NewReader("not json"), DefaultOptions()); err == nil {
 		t.Error("bad json should fail")
@@ -132,42 +108,5 @@ func TestStateErrors(t *testing.T) {
 	st.Variables["bogus"] = 1
 	if err := st.Apply(c); err == nil {
 		t.Error("unknown variable should fail")
-	}
-}
-
-func TestRunParamSweep(t *testing.T) {
-	c, err := netlist.Parse(paramTank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.FStart, opts.FStop = 1e4, 1e8
-	points, err := RunParamSweep(context.Background(), c, opts, "rval", []float64{2000, 500, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 || points[0].Value != 500 || points[2].Value != 2000 {
-		t.Fatalf("points not sorted: %+v", points)
-	}
-	var peaks []float64
-	for _, p := range points {
-		if p.Err != nil {
-			t.Fatalf("%g: %v", p.Value, p.Err)
-		}
-		w := WorstLoop(p.Report)
-		if w == nil {
-			t.Fatalf("%g: no loop", p.Value)
-		}
-		peaks = append(peaks, w.WorstPeak)
-	}
-	// Larger R -> lighter damping -> deeper peak: strictly decreasing.
-	if !(peaks[0] > peaks[1] && peaks[1] > peaks[2]) {
-		t.Errorf("peaks not monotone with rval: %v", peaks)
-	}
-	if _, err := RunParamSweep(context.Background(), c, opts, "nosuch", []float64{1}); err == nil {
-		t.Error("unknown param should fail")
-	}
-	if c.Params["rval"] != 500 {
-		t.Error("sweep mutated source circuit")
 	}
 }

@@ -1,8 +1,9 @@
 // Package tool orchestrates the stability analysis the way the paper's
 // DFII tool does: "Single Node" and "All Nodes" run modes, auto-zeroing of
-// pre-existing AC stimuli, skipped-node detection, loop clustering,
-// temperature, design-variable and Monte Carlo sweep drivers, and
-// design-variable overrides. One analysis runs on one goroutine.
+// pre-existing AC stimuli, skipped-node detection, loop clustering, and
+// the Monte Carlo draws of design variables. One analysis runs on one
+// goroutine; several (temperatures, sweeps, corners, Monte Carlo samples)
+// run as a farm batch.
 package tool
 
 import (
@@ -75,7 +76,11 @@ type Options struct {
 	// LoopTol is the relative frequency tolerance for loop clustering.
 	LoopTol float64 `json:"loop_tol,omitempty"`
 	// AutoZeroAC disables pre-existing AC stimuli before the run
-	// (default true, matching the tool's feature list).
+	// (default true, matching the tool's feature list). Resolve leaves it
+	// as it is, so a zero Options keeps the deck's AC stimuli: the
+	// benchmark's traced walk reads it to zero the sources the way
+	// Compile does, and a caller that wants them zeroed starts from
+	// DefaultOptions.
 	AutoZeroAC bool `json:"-"`
 	// SkipNodes lists node-name substrings to exclude from all-nodes runs
 	// (e.g. supply rails).
@@ -127,7 +132,10 @@ func (e *FieldError) Error() string {
 // and the CLI all call it, so a local run, a corner batch and a remote
 // run accept and refuse the same setups. A zero field takes its default:
 // DefaultOptions' value, or on adaptive runs PointsPerDecade for
-// RefinePointsPerDecade and 0.5 for RefineThreshold. A rejection is a
+// RefinePointsPerDecade and 0.5 for RefineThreshold. A zero Stab as a
+// whole takes stab.DefaultOptions(), so a run turns the min/max peak
+// filter off with a negative MinPeakDepth. AutoZeroAC is not defaulted
+// (see its comment). A rejection is a
 // *FieldError naming the option's JSON key. Resolve is idempotent.
 func (o Options) Resolve() (Options, error) {
 	def := DefaultOptions()
@@ -197,6 +205,9 @@ func (o Options) Resolve() (Options, error) {
 	if o.LoopTol == 0 {
 		o.LoopTol = def.LoopTol
 	}
+	if o.Stab == (stab.Options{}) {
+		o.Stab = def.Stab
+	}
 	return o, nil
 }
 
@@ -227,9 +238,20 @@ type Report struct {
 	Loops []stab.Loop
 }
 
+// WorstLoop returns the loop with the deepest peak in a report, or nil.
+func WorstLoop(rep *Report) *stab.Loop {
+	var worst *stab.Loop
+	for i := range rep.Loops {
+		l := &rep.Loops[i]
+		if worst == nil || l.WorstPeak < worst.WorstPeak {
+			worst = l
+		}
+	}
+	return worst
+}
+
 // Tool runs stability analyses over one circuit.
 type Tool struct {
-	Ckt  *netlist.Circuit // original (hierarchical) circuit
 	Flat *netlist.Circuit
 	Sys  *mna.System
 	Sim  *analysis.Sim
@@ -253,9 +275,7 @@ func New(ckt *netlist.Circuit, opts Options) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := c.newTool(opts)
-	t.Ckt = ckt
-	return t, nil
+	return c.newTool(opts), nil
 }
 
 // ensureOP returns the operating point, stored on the compiled artifact

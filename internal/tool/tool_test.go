@@ -395,33 +395,6 @@ func TestSkipNodesFilter(t *testing.T) {
 	}
 }
 
-func TestRunTemps(t *testing.T) {
-	// Tank with a strong positive resistor tempco: hotter -> more R ->
-	// lighter damping (deeper peak).
-	c := circuits.SecondOrder(0.4, 1e6)
-	c.Element("r1").Params = map[string]float64{"tc1": 5e-3}
-	opts := DefaultOptions()
-	opts.FStart, opts.FStop = 1e4, 1e8
-	res := RunTemps(context.Background(), c, opts, []float64{125, -40, 27})
-	for _, r := range res {
-		if r.Err != nil {
-			t.Fatalf("temp %g: %v", r.Temp, r.Err)
-		}
-	}
-	// Results sorted by temperature.
-	if res[0].Temp != -40 || res[2].Temp != 125 {
-		t.Fatalf("temps not sorted: %v %v %v", res[0].Temp, res[1].Temp, res[2].Temp)
-	}
-	cold := WorstLoop(res[0].Report)
-	hot := WorstLoop(res[2].Report)
-	if cold == nil || hot == nil {
-		t.Fatal("missing loops")
-	}
-	if !(hot.WorstPeak < cold.WorstPeak) {
-		t.Errorf("hot peak %g should be deeper than cold %g", hot.WorstPeak, cold.WorstPeak)
-	}
-}
-
 func TestReportLoopStructure(t *testing.T) {
 	tl, err := New(circuits.ResonatorField(3, 1e6, 0.3), DefaultOptions())
 	if err != nil {
