@@ -155,18 +155,11 @@ type Sim struct {
 	// acOmega, when nonzero, pins the angular frequency the shared
 	// symbolic analysis chooses its pivot order at (see PinACAnalysis).
 	acOmega float64
-
-	// ws caches this Sim's numeric workspaces (Numeric, Vals) across sweep
-	// calls: an adaptive run issues several refinement sweeps on the same
-	// Sim, and each would otherwise reallocate the factor arrays. The busy
-	// flag hands the workspace to at most one concurrent sweep; others
-	// allocate privately. Forks start empty.
-	ws     *acWorkspace
-	wsBusy atomic.Bool
 }
 
-// acWorkspace is the reusable per-Sim numeric state of the sparse AC
-// path. Everything in it is rebuilt when the symbolic analysis changes.
+// acWorkspace is the reusable numeric state of the sparse AC path, one
+// per acShared (see acShared.ws). Everything in it is rebuilt when the
+// symbolic analysis changes.
 type acWorkspace struct {
 	sym  *sparse.Symbolic
 	num  *sparse.Numeric
@@ -200,21 +193,22 @@ func (ws *acWorkspace) second() (*sparse.Numeric, []complex128) {
 	return ws.num2, ws.vals2
 }
 
-// acquireWorkspace hands out the Sim's cached workspace for one sweep
+// acquireWorkspace hands out the shared cached workspace for one sweep
 // (release via releaseWorkspace), rebuilding it if the symbolic analysis
-// moved. Returns nil when another sweep on this Sim holds it.
-func (s *Sim) acquireWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic, b *symbolicBuild) *acWorkspace {
-	if !s.wsBusy.CompareAndSwap(false, true) {
+// moved. Returns nil when another sweep on this Sim or one of its forks
+// holds it.
+func (sh *acShared) acquireWorkspace(pat *sparse.Pattern, sym *sparse.Symbolic, b *symbolicBuild) *acWorkspace {
+	if !sh.wsBusy.CompareAndSwap(false, true) {
 		return nil
 	}
-	if s.ws == nil || s.ws.sym != sym {
-		s.ws = newWorkspace(pat, sym, b)
+	if sh.ws == nil || sh.ws.sym != sym {
+		sh.ws = newWorkspace(pat, sym, b)
 	}
-	return s.ws
+	return sh.ws
 }
 
-func (s *Sim) releaseWorkspace() {
-	s.wsBusy.Store(false)
+func (sh *acShared) releaseWorkspace() {
+	sh.wsBusy.Store(false)
 }
 
 // New returns a simulator over the compiled system with default options.
@@ -225,8 +219,10 @@ func New(sys *mna.System) *Sim {
 // Fork returns a Sim sharing the compiled system, options, trace, the
 // cached AC symbolic analysis and its pinned frequency, for concurrent
 // runs over one compiled circuit: the shared pieces are read-only or
-// internally locked, while numeric workspaces stay private to each Sim
-// and each ImpedanceMatrixColumns/AC call.
+// internally locked. Forks also share one cached numeric workspace,
+// handed to one sweep at a time by a CAS on its busy flag; a sweep that
+// loses the hand-off (a concurrent run on another fork) allocates a
+// private workspace for its own duration instead.
 func (s *Sim) Fork() *Sim {
 	return &Sim{Sys: s.Sys, Opt: s.Opt, Trace: s.Trace, ac: s.acShared(), acOmega: s.acOmega}
 }
@@ -270,6 +266,16 @@ type acShared struct {
 	// (a drift-triggered rebuild must not reuse stale plans).
 	diagSym   *sparse.Symbolic
 	diagPlans []diagPlanEntry
+
+	// ws caches the numeric workspace (Numeric, Vals and the pair kernels'
+	// second lane) across sweeps of this Sim and all its forks: an
+	// adaptive run issues several refinement sweeps, and every batch item
+	// over one cached circuit runs on a fresh fork; each would otherwise
+	// reallocate the factor arrays. The busy flag hands the workspace to
+	// at most one sweep at a time, outside mu; ws is only read or written
+	// by the sweep holding the flag.
+	ws     *acWorkspace
+	wsBusy atomic.Bool
 }
 
 // diagPlanEntry is one cached (node list -> compiled plan) binding.
@@ -430,9 +436,9 @@ type assembleFn func(a mna.RealAdder, b []float64, x []float64)
 // 2e7 V and then ~3e9 V moves, global damping keeps the supply and input
 // nodes near 0 V, and n1m walks down 1 V per iteration until MaxIter.
 // Stopping at 5 hands that circuit to gmin stepping 194 iterations
-// sooner. Gmin and source stepping restart from the nodeset guess, never
-// from the abandoned iterate, so the operating point they produce is
-// unchanged.
+// sooner. Gmin and source stepping restart from the nodeset guess (source
+// stepping from its scaled copy), never from the abandoned iterate, so
+// the operating point they produce is unchanged.
 const divergeRun = 5
 
 // newtonWork is the storage every Newton run of one operating point, DC
@@ -587,9 +593,15 @@ func (s *Sim) op(ctx context.Context, w *newtonWork) (*mna.OpPoint, error) {
 			return s.Sys.Linearize(xn, s.Opt.Gmin), nil
 		}
 	}
-	// Source stepping.
+	// Source stepping. The nodeset hints are voltages at the full supply,
+	// so the first step starts from them scaled to its own supply; later
+	// steps warm-start from the step before.
+	const firstScale = 0.05
+	for i := range zero {
+		zero[i] *= firstScale
+	}
 	x = zero
-	for scale := 0.05; ; scale += 0.05 {
+	for scale := firstScale; ; scale += 0.05 {
 		if scale > 1 {
 			scale = 1
 		}
@@ -732,7 +744,7 @@ type acFactorizer struct {
 	// pattern drift with solveKindPatternDrift.
 	drifted bool
 
-	// ws is the Sim-cached workspace backing num/vals when this sweep
+	// ws is the shared cached workspace backing num/vals when this sweep
 	// won the CAS handoff; flush releases it. Nil when another sweep held
 	// it and this factorizer allocated privately. work is the workspace
 	// in use either way.
@@ -827,7 +839,7 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 	if fz.sparse {
 		if pat, sym, build, err := s.ensureSymbolic(omega0, op); err == nil {
 			fz.pat, fz.sym = pat, sym
-			ws := s.acquireWorkspace(pat, sym, build)
+			ws := s.acShared().acquireWorkspace(pat, sym, build)
 			if ws != nil {
 				fz.ws = ws
 			} else {
@@ -1225,7 +1237,7 @@ func (fz *acFactorizer) flush() {
 	fz.diagSolves, fz.diagRows, fz.diagFallbacks = 0, 0, 0
 	if fz.ws != nil {
 		fz.ws = nil
-		fz.s.releaseWorkspace()
+		fz.s.acShared().releaseWorkspace()
 	}
 }
 
@@ -1249,7 +1261,8 @@ func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResu
 // Sim-shared symbolic analysis and each frequency only refills
 // preallocated numeric arrays, so the steady-state loop body performs no
 // allocations at all. A canceled ctx aborts between frequency points —
-// within one factorization of the cancellation.
+// within one factorization of the cancellation. The caller owns the
+// columns; one done with them may hand them back with ReleaseColumns.
 func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	return s.sweep(ctx, sweepColumns, freqs, op, nodeIdx)
 }
@@ -1284,9 +1297,53 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // points of a pair whose refill collapsed, run on their own. A canceled
 // ctx aborts between pairs — within two frequency points of the
 // cancellation — and a traced sweep's slow-point capture notes each point
-// of a pair with half the pair's wall time.
+// of a pair with half the pair's wall time. The caller owns the columns,
+// as with ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
 	return s.sweep(ctx, sweepDiag, freqs, op, nodeIdx)
+}
+
+// columnPool recycles the impedance sweeps' column sets (node ×
+// frequency) across runs: a warm batch item sweeps the same grid over the
+// same node count as the one before it, and its columns are most of what
+// it allocates. Each entry is a *[][]complex128 whose columns all have
+// the same length.
+var columnPool sync.Pool
+
+// takeColumns returns a column set of nodes columns of points entries
+// each: a pooled one of exactly that shape, else a new one carved from
+// one array. A pooled set holds the values of its previous sweep, which
+// the sweep overwrites entry by entry. A pooled set of another shape is
+// dropped, not put back: the pool hands out its most recent entry first,
+// so a set put back would be the next sweep's first pick again, and every
+// run after a change of grid or node count would miss.
+func takeColumns(nodes, points int) [][]complex128 {
+	if z, _ := columnPool.Get().(*[][]complex128); z != nil && len(*z) == nodes && len((*z)[0]) == points {
+		return *z
+	}
+	buf := make([]complex128, nodes*points)
+	z := make([][]complex128, nodes)
+	for i := range z {
+		z[i] = buf[i*points : (i+1)*points : (i+1)*points]
+	}
+	return z
+}
+
+// ReleaseColumns hands a column set that ImpedanceDiagSweep or
+// ImpedanceMatrixColumns returned back to the sweeps, to be overwritten
+// by a later sweep of the same shape. The caller must hold the only
+// reference to the set and to each of its columns, and must not touch
+// them afterwards. A set whose columns differ in length is dropped.
+func ReleaseColumns(z [][]complex128) {
+	if len(z) == 0 || len(z[0]) == 0 {
+		return
+	}
+	for _, col := range z {
+		if len(col) != len(z[0]) {
+			return
+		}
+	}
+	columnPool.Put(&z)
 }
 
 // sweepMode selects what the per-frequency AC loop solves at each point.
@@ -1319,10 +1376,7 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 	if mode == sweepExcite {
 		out = make([][]complex128, len(freqs))
 	} else {
-		out = make([][]complex128, len(nodeIdx))
-		for i := range out {
-			out[i] = make([]complex128, len(freqs))
-		}
+		out = takeColumns(len(nodeIdx), len(freqs))
 	}
 	if len(freqs) == 0 {
 		return out, nil

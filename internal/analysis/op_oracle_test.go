@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,10 +18,26 @@ import (
 
 // refOP is Sim.OP's homotopy ladder run on refNewtonRun: plain Newton from
 // the nodeset guess, then gmin stepping 1e-2 → 1e-13 with a final
-// unshunted solve, then source stepping in 5% steps. It returns the
-// operating point's solution and every Newton run it made, in order.
+// unshunted solve, then source stepping in 5% steps from the guess scaled
+// to the first step's 5% supply. It returns the operating point's
+// solution and every Newton run it made, in order.
 func refOP(s *Sim) ([]float64, []refRun, error) {
 	x0 := nodesetGuess(s)
+	return refOPFrom(s, x0, scaled(x0, 0.05))
+}
+
+// scaled returns k·x.
+func scaled(x []float64, k float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = k * v
+	}
+	return out
+}
+
+// refOPFrom is refOP with the plain and gmin stages starting from x0 and
+// source stepping from xsrc.
+func refOPFrom(s *Sim, x0, xsrc []float64) ([]float64, []refRun, error) {
 	stamp := func(gshunt, srcScale float64) assembleFn {
 		return func(a mna.RealAdder, b []float64, x []float64) {
 			s.Sys.StampDC(a, b, x, mna.DCOptions{Gmin: s.Opt.Gmin, SrcScale: srcScale, GminToGround: gshunt})
@@ -49,7 +66,7 @@ func refOP(s *Sim) ([]float64, []refRun, error) {
 			return r.x, runs, nil
 		}
 	}
-	x = x0
+	x = xsrc
 	for scale := 0.05; ; scale += 0.05 {
 		if scale > 1 {
 			scale = 1
@@ -155,5 +172,69 @@ func TestOpAmpPlainNewtonFailsFast(t *testing.T) {
 	}
 	if iters := run.Trace().Counters["newton_iterations"]; iters > 10 {
 		t.Errorf("plain Newton took %d iterations to give up, want <= 10", iters)
+	}
+}
+
+// TestSourceSteppingScalesNodeset: the .nodeset hints are voltages at the
+// full supply, and source stepping's first step runs at 5% of it, so that
+// step starts from the hints scaled by 0.05. TransistorBias at 85 °C,
+// whose first step failed from the full hints, now solves to the
+// operating point it reaches with no nodeset at all, to 6 digits. The
+// plain and gmin stages still start from the unscaled hints: the deck
+// each of them solves gives the bits of the reference ladder started
+// from the unscaled hints, and not those of one whose every stage starts
+// from the scaled hints.
+func TestSourceSteppingScalesNodeset(t *testing.T) {
+	hot := func() *netlist.Circuit {
+		c := circuits.TransistorBias()
+		c.Temp = 85
+		return c
+	}
+	s := compile(t, hot())
+	op := mustOP(t, s)
+	free := hot()
+	clear(free.NodeSet)
+	sf := compile(t, free)
+	ref := mustOP(t, sf)
+	for _, node := range []string{"x", "nb", "out"} {
+		got, want := v(t, s, op, node), v(t, sf, ref, node)
+		if math.Abs(got-want) > 1e-6*math.Abs(want) {
+			t.Errorf("85 C bias: v(%s) = %.7g from the nodeset, %.7g without it", node, got, want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		ckt   *netlist.Circuit
+		stage string
+	}{
+		{"transistor-bias", circuits.TransistorBias(), "plain"},
+		{"transistor-opamp", circuits.TransistorOpAmp(), "gmin"},
+	} {
+		s := compile(t, tc.ckt)
+		want, runs, err := refOP(s)
+		if err != nil {
+			t.Fatalf("%s: reference OP: %v", tc.name, err)
+		}
+		stage := "source"
+		switch {
+		case len(runs) == 1:
+			stage = "plain"
+		case len(runs) <= 14 && runs[len(runs)-1].err == nil:
+			stage = "gmin"
+		}
+		if stage != tc.stage {
+			t.Fatalf("%s: solved by the %s stage after %d Newton runs, want the %s stage", tc.name, stage, len(runs), tc.stage)
+		}
+		sameBits := func(a, b []float64) bool {
+			return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		}
+		if !sameBits(mustOP(t, s).X, want) {
+			t.Errorf("%s: OP differs from the reference %s stage started from the unscaled nodeset", tc.name, tc.stage)
+		}
+		xs := scaled(nodesetGuess(s), 0.05)
+		if other, _, err := refOPFrom(s, xs, xs); err == nil && sameBits(other, want) {
+			t.Errorf("%s: the %s stage gives the same bits from the scaled nodeset; the check cannot tell the starts apart", tc.name, tc.stage)
+		}
 	}
 }

@@ -434,6 +434,9 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 	if err != nil {
 		return nil, "", cacheHit, err
 	}
+	// The rendered body is all the item keeps; the next item of the
+	// batch reuses the report's impedance columns.
+	defer rep.Release()
 	body, contentType, err = report.Render(req.Format, t.Flat, rep)
 	if err != nil {
 		return nil, "", cacheHit, err

@@ -1,0 +1,168 @@
+package farm
+
+import (
+	"context"
+	"runtime"
+	"sync"
+	"testing"
+
+	"acstab/internal/circuits"
+	"acstab/internal/netlist"
+	"acstab/internal/tool"
+)
+
+// table2Decks returns the Table 2 deck and a second deck of the same
+// node count, Miller capacitor C1 cut from 8 to 2 pF.
+func table2Decks() (a, b string) {
+	c := circuits.FullCircuit()
+	a = netlist.Format(c)
+	c.Element("C1").Value = 2e-12
+	return a, netlist.Format(c)
+}
+
+// runItems runs req through RunBatch and returns each item's body,
+// failing on any item error.
+func runItems(t *testing.T, cache *Cache, req *BatchRequest, opts tool.Options) [][]byte {
+	t.Helper()
+	var bodies [][]byte
+	if err := RunBatch(context.Background(), cache, req, opts, 0, nil, func(it BatchItem) {
+		if it.Error != nil {
+			t.Errorf("item %d: %s", it.Index, it.Error.Message)
+		}
+		bodies = append(bodies, it.Body)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return bodies
+}
+
+// TestWarmBatchesRecycleColumns: a batch item releases its report's
+// impedance columns once rendered, and the next item of the same node
+// count and grid sweeps into them; forks of one cached circuit share one
+// numeric workspace. Warm batches that alternate two such decks, so every
+// item sweeps into the columns the other deck's item left, and two
+// concurrent batches on one cached circuit, one of which loses the
+// workspace hand-off whenever both sweep at once, give the bodies of
+// batches compiled from scratch, byte for byte. A released report keeps
+// no Impedance wave.
+func TestWarmBatchesRecycleColumns(t *testing.T) {
+	a, b := table2Decks()
+	opts, err := tool.DefaultOptions().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive := opts
+	adaptive.CoarsePointsPerDecade = 10
+	if adaptive, err = adaptive.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		opts tool.Options
+	}{{"default", opts}, {"adaptive", adaptive}} {
+		batch := func(deck string) *BatchRequest {
+			return &BatchRequest{Netlist: deck, Format: "json", Options: mode.opts,
+				Variants: []Variant{{Label: "v0"}, {Label: "v1"}}}
+		}
+		want := map[string][]byte{}
+		for _, deck := range []string{a, b} {
+			want[deck] = runItems(t, nil, batch(deck), mode.opts)[0]
+		}
+		if string(want[a]) == string(want[b]) {
+			t.Fatalf("%s: the two decks report the same bytes; the test cannot tell them apart", mode.name)
+		}
+
+		cache := NewCache(0)
+		for round := 0; round < 4; round++ {
+			for _, deck := range []string{a, b} {
+				for i, body := range runItems(t, cache, batch(deck), mode.opts) {
+					if string(body) != string(want[deck]) {
+						t.Fatalf("%s: round %d item %d differs from the cacheless batch", mode.name, round, i)
+					}
+				}
+			}
+		}
+
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 4; round++ {
+					for i, body := range runItems(t, cache, batch(a), mode.opts) {
+						if string(body) != string(want[a]) {
+							t.Errorf("%s: concurrent round %d item %d differs from the cacheless batch", mode.name, round, i)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	ckt, err := netlist.Parse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := tool.New(ckt, tool.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tl.AllNodes(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Release()
+	for _, nr := range rep.Nodes {
+		if nr.Impedance != nil {
+			t.Errorf("node %s keeps its Impedance wave after Release", nr.Node)
+		}
+	}
+}
+
+// TestWarmItemAllocsFlat: a warm batch item sweeps into the columns the
+// item before it released, so what it allocates does not grow with the
+// grid. A cache-hit Table 2 item at 320 points per decade (1921 points,
+// 16 nodes: 480 KiB of columns) allocates at most 16 KiB more than one at
+// 40 points per decade (241 points). Without recycling the columns alone
+// grow by 420 KiB. The column pool is per P, so the measurement runs at
+// GOMAXPROCS 1, where consecutive items always meet the same pool, and
+// not under -race, whose pools drop entries at random.
+func TestWarmItemAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	deck, _ := table2Decks()
+	req := &BatchRequest{Netlist: deck, Variants: []Variant{{}}}
+	cache := NewCache(0)
+	perItem := func(ppd int) float64 {
+		o := tool.DefaultOptions()
+		o.PointsPerDecade = ppd
+		opts, err := o.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		item := func() {
+			if _, _, _, err := runCached(context.Background(), cache, req, nil, nil, opts, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			item()
+		}
+		const n = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			item()
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	}
+	coarse, fine := perItem(40), perItem(320)
+	t.Logf("warm Table 2 item: %.1f KiB at 40 points per decade, %.1f KiB at 320", coarse/1024, fine/1024)
+	if fine > coarse+16<<10 {
+		t.Errorf("a warm item at 320 points per decade allocates %.1f KiB, more than %.1f KiB at 40 plus 16 KiB", fine/1024, coarse/1024)
+	}
+}

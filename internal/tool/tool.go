@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -236,6 +237,23 @@ type Report struct {
 	Nodes        []NodeResult
 	// Loops groups the nodes with resonant peaks by natural frequency.
 	Loops []stab.Loop
+
+	// cols is the first-pass sweep's column set, which the nodes'
+	// Impedance waves hold as their samples; Release recycles it.
+	cols [][]complex128
+}
+
+// Release drops every node's Impedance wave and hands the report's
+// impedance columns back to the sweeps, for a later run over the same
+// node count and grid to reuse. Everything else in the report stays
+// valid, and a second call does nothing. Call it only when nothing reads
+// the waves any more: a batch item calls it once its report is rendered.
+func (r *Report) Release() {
+	for i := range r.Nodes {
+		r.Nodes[i].Impedance = nil
+	}
+	analysis.ReleaseColumns(r.cols)
+	r.cols = nil
 }
 
 // WorstLoop returns the loop with the deepest peak in a report, or nil.
@@ -314,7 +332,7 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 		return nil, err
 	}
 	mSingleNodeRuns.Inc()
-	ax, freqs, cols, err := t.columns(ctx, op, []int{idx})
+	ax, freqs, cols, _, err := t.columns(ctx, op, []int{idx})
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +454,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("tool: no node left to analyze after the OnlySubckt %q and SkipNodes %q filters",
 			t.Opts.OnlySubckt, t.Opts.SkipNodes)
 	}
-	ax, freqs, cols, err := t.columns(ctx, op, idx)
+	ax, freqs, cols, first, err := t.columns(ctx, op, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -446,6 +464,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 		Temp:         t.Flat.Temp,
 		Options:      t.Opts,
 		Nodes:        make([]NodeResult, 0, len(names)),
+		cols:         first,
 	}
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
 	peaks := make([]stab.NodePeak, 0, len(names))
@@ -483,7 +502,10 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 // node's resonant intervals. It returns the first-pass grid's shared axis
 // and each node's frequency grid and impedance column; without
 // refinement every node's grid aliases the axis's one grid, which is
-// read-only for every run and goroutine that holds it.
+// read-only for every run and goroutine that holds it. first is the
+// first pass's column set, whole: refinement replaces refined nodes'
+// columns in cols but not in first, so first holds only arrays the
+// caller's results reference or nothing does.
 //
 // A first pass of more than maxSweepEntries (node, frequency) pairs is
 // refused before anything is allocated.
@@ -491,43 +513,45 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 // It publishes the sweep volume: sweep_nodes, and sweep_freq_points, the
 // distinct frequencies factored (the first-pass grid plus each refinement
 // round's union).
-func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) (*stab.Axis, [][]float64, [][]complex128, error) {
+func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) (ax *stab.Axis, freqs [][]float64, cols, first [][]complex128, err error) {
 	ppd, phase := t.Opts.PointsPerDecade, "sweep"
 	if t.adaptive() {
 		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
 	}
 	if n := num.LogGridLen(t.Opts.FStart, t.Opts.FStop, ppd); int64(n)*int64(len(idx)) > maxSweepEntries {
-		return nil, nil, nil, fmt.Errorf("tool: sweep of %d nodes x %d frequencies exceeds the limit of %d points",
+		return nil, nil, nil, nil, fmt.Errorf("tool: sweep of %d nodes x %d frequencies exceeds the limit of %d points",
 			len(idx), n, maxSweepEntries)
 	}
 	mSweepNodes.Add(int64(len(idx)))
 	t.Opts.Trace.Add("sweep_nodes", int64(len(idx)))
-	ax := firstPassAxis(t.Opts.FStart, t.Opts.FStop, ppd)
+	ax = firstPassAxis(t.Opts.FStart, t.Opts.FStop, ppd)
 	grid := ax.Freqs()
 	// Every sweep of this run refactors under the pivot order chosen at
 	// the grid's first frequency.
 	t.Sim.PinACAnalysis(grid[0])
 	sp := obs.StartPhase(t.Opts.Trace, phase)
-	cols, err := t.sweep(ctx, grid, op, idx)
+	first, err = t.sweep(ctx, grid, op, idx)
 	sp.End()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	freqs := make([][]float64, len(idx))
+	cols = first
+	freqs = make([][]float64, len(idx))
 	for i := range freqs {
 		freqs[i] = grid
 	}
 	points := int64(len(grid))
 	if rounds := t.maxRefineRounds(); rounds > 0 {
+		cols = slices.Clone(first)
 		refined, err := t.refine(ctx, op, idx, rounds, ax, freqs, cols)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		points += refined
 	}
 	mSweepPoints.Add(points)
 	t.Opts.Trace.Add("sweep_freq_points", points)
-	return ax, freqs, cols, nil
+	return ax, freqs, cols, first, nil
 }
 
 // axisMemo is one first-pass grid, keyed by the options that build it.

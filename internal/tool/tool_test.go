@@ -276,7 +276,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, _, err := tl.columns(ctx, op, idx); err != nil {
+		if _, _, _, _, err := tl.columns(ctx, op, idx); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -486,7 +486,7 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := tl.Sys.NodeOf("t")
-	ax, freqs, cols, err := tl.columns(ctx, op, []int{k})
+	ax, freqs, cols, _, err := tl.columns(ctx, op, []int{k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 	}
 	k, _ := tl.Sys.NodeOf("t")
 	idx := []int{k}
-	ax, _, _, err := tl.columns(ctx, op, idx)
+	ax, _, _, _, err := tl.columns(ctx, op, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, _, err := tl.columns(ctx, op, idx); err != nil {
+		if _, _, _, _, err := tl.columns(ctx, op, idx); err != nil {
 			t.Fatal(err)
 		}
 	})

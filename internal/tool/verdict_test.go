@@ -76,6 +76,16 @@ func verdictCases() []verdictCase {
 	for _, z := range []float64{0.35, 0.08, 0.02} {
 		cs = append(cs, verdictCase{fmt.Sprintf("field32-z%g", z), func() *netlist.Circuit { return circuits.ResonatorField(32, 1e5, z) }})
 	}
+	// The Fig. 1 buffer, and with its Miller capacitor cut from 8 pF
+	// towards an RHP pair at 0.1 pF.
+	cs = append(cs, verdictCase{"opamp-buffer", func() *netlist.Circuit { return circuits.OpAmpBuffer(circuits.OpAmpDefaults()) }})
+	for _, c1 := range []float64{2e-12, 1e-12, 0.5e-12, 0.1e-12} {
+		cs = append(cs, verdictCase{fmt.Sprintf("opamp-buffer-c1-%gp", c1*1e12), func() *netlist.Circuit {
+			p := circuits.OpAmpDefaults()
+			p.C1 = c1
+			return circuits.OpAmpBuffer(p)
+		}})
+	}
 	return append(cs,
 		verdictCase{"rhp-tank-rc", func() *netlist.Circuit { return tankRC(true) }},
 		verdictCase{"tank-rc", func() *netlist.Circuit { return tankRC(false) }},
@@ -85,6 +95,8 @@ func verdictCases() []verdictCase {
 		verdictCase{"bias-cell", func() *netlist.Circuit { return circuits.BiasCircuit(circuits.BiasDefaults()) }},
 		verdictCase{"transistor-opamp", circuits.TransistorOpAmp},
 		verdictCase{"transistor-bias", circuits.TransistorBias},
+		verdictCase{"snubbed-bias-1k-10p", func() *netlist.Circuit { return circuits.SnubbedBias(1e3, 10e-12) }},
+		verdictCase{"snubbed-bias-100-1n", func() *netlist.Circuit { return circuits.SnubbedBias(100, 1e-9) }},
 		verdictCase{"transistor-bias-85c", func() *netlist.Circuit {
 			c := circuits.TransistorBias()
 			c.Temp = 85
