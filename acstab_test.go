@@ -3,6 +3,8 @@ package acstab_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -102,7 +104,23 @@ func TestAnalyzeAllNodesAndReports(t *testing.T) {
 		!strings.Contains(ann.String(), "* node") {
 		t.Error("report formats incomplete")
 	}
+	// Every writer returns its io.Writer's error.
+	for name, write := range map[string]func(io.Writer) error{
+		"text": rep.WriteText, "csv": rep.WriteCSV, "json": rep.WriteJSON, "annotate": rep.WriteAnnotatedNetlist,
+	} {
+		if err := write(failWriter{}); !errors.Is(err, errFull) {
+			t.Errorf("Write %s into a failing writer: error %v, want %v", name, err, errFull)
+		}
+	}
 }
+
+// errFull is failWriter's write error.
+var errFull = errors.New("disk full")
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errFull }
 
 func TestParseNetlistAndOP(t *testing.T) {
 	c, err := acstab.ParseNetlist(`divider

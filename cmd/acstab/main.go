@@ -346,9 +346,12 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("diagnostic file: %v", err)
 		}
-		defer f.Close()
-		if derr := report.Diagnostic(f, ckt.Title, opts, runErr); derr != nil {
-			return derr
+		derr := report.Diagnostic(f, ckt.Title, opts, runErr)
+		if cerr := f.Close(); derr == nil {
+			derr = cerr
+		}
+		if derr != nil {
+			return fmt.Errorf("diagnostic file: %v", derr)
 		}
 	}
 	return runErr
@@ -367,7 +370,7 @@ func dispatch(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts too
 	if err != nil {
 		return err
 	}
-	body, _, err := report.Render(format, t.Flat, rep)
+	body, _, err := report.Render(nil, format, t.Flat, rep)
 	if err != nil {
 		return err
 	}
@@ -425,10 +428,11 @@ type batch struct {
 
 // run runs the variants and hands each answered one's result to emit in
 // order; a failed variant's Err is its *farm.ItemError, which reads the
-// same locally and remotely. A remote batch runs traced, so the worker's
-// phase spans and solver counters land in this run's trace. run returns
-// the batch-level failure: the context ended, or the worker refused the
-// job or stopped answering.
+// same locally and remotely. A local result's Body is lent by
+// farm.RunBatch and valid only until emit returns. A remote batch runs
+// traced, so the worker's phase spans and solver counters land in this
+// run's trace. run returns the batch-level failure: the context ended,
+// or the worker refused the job or stopped answering.
 func (b batch) run(ctx context.Context, variants []farm.Variant, emit func(farm.BatchResult)) error {
 	for i := range variants {
 		if variants[i].TempC == nil {

@@ -88,7 +88,10 @@ type BatchItem struct {
 	Label string `json:"label,omitempty"`
 	// ContentType is the media type of Body.
 	ContentType string `json:"content_type,omitempty"`
-	// Body is the rendered report (base64 in JSON).
+	// Body is the rendered report (base64 in JSON). An item emitted by
+	// RunBatch lends it: Body is valid only until emit returns, after
+	// which the next item renders into the same memory. A caller that
+	// keeps a body past emit copies it.
 	Body []byte `json:"body,omitempty"`
 	// Error is the item's typed failure, nil on success.
 	Error *ErrorDetail `json:"error,omitempty"`
@@ -130,7 +133,15 @@ func mergeVars(base, over map[string]float64) map[string]float64 {
 // collects the batch's phase spans and solver counters. With
 // req.CollectTrace each item runs under a trace of its own, which the
 // item carries and run takes in as local spans.
+//
+// Every item renders its report into one buffer, borrowed from the line
+// buffer pool for the whole batch and returned when RunBatch does, so a
+// warm item allocates no report body. An emitted item's Body is
+// therefore valid only until emit returns; emit must consume it (encode
+// it onto the wire, print it, parse it) or copy it.
 func RunBatch(ctx context.Context, cache *Cache, req *BatchRequest, opts tool.Options, itemTimeout time.Duration, run *obs.Run, emit func(BatchItem)) error {
+	bp := lineBufs.Get().(*[]byte)
+	defer putLineBuf(bp)
 	for i, v := range req.Variants {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -145,8 +156,11 @@ func RunBatch(ctx context.Context, cache *Cache, req *BatchRequest, opts tool.Op
 			irun = obs.StartRun("farm/item")
 		}
 		start := time.Now()
-		body, contentType, hit, err := runCached(ictx, cache, req, mergeVars(req.Variables, v.Variables), v.TempC, opts, irun)
+		body, contentType, hit, err := runCached(ictx, cache, req, mergeVars(req.Variables, v.Variables), v.TempC, opts, irun, (*bp)[:0])
 		cancel()
+		if cap(body) > cap(*bp) {
+			*bp = body[:0] // the render outgrew the buffer: lend the grown one
+		}
 		dur := time.Since(start)
 		item.DurationMS = float64(dur) / float64(time.Millisecond)
 		if req.CollectTrace {

@@ -342,6 +342,7 @@ func TestRunBatchLocal(t *testing.T) {
 	}
 	var got []BatchItem
 	if err := RunBatch(context.Background(), cache, req, opts, 0, nil, func(it BatchItem) {
+		it.Body = bytes.Clone(it.Body) // lent until emit returns
 		got = append(got, it)
 	}); err != nil {
 		t.Fatal(err)
@@ -383,6 +384,7 @@ func TestTempVariantsKeepOwnCacheEntries(t *testing.T) {
 	}
 	var got []BatchItem
 	if err := RunBatch(context.Background(), NewCache(0), req, opts, 0, nil, func(it BatchItem) {
+		it.Body = bytes.Clone(it.Body) // lent until emit returns
 		got = append(got, it)
 	}); err != nil {
 		t.Fatal(err)

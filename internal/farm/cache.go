@@ -17,10 +17,7 @@ package farm
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -59,28 +56,52 @@ type CacheKey uint64
 // after them behind a 0x01 byte, which no parsed design-variable name
 // starts with; a nil one adds nothing, so such keys are unchanged.
 func KeyFor(netlist string, vars map[string]float64, tempC *float64) CacheKey {
-	h := fnv.New64a()
-	io.WriteString(h, netlist)
-	h.Write([]byte{0})
+	h := fnv1a(fnvOffset64)
+	h.addString(netlist)
+	h.addByte(0)
 	names := make([]string, 0, len(vars))
 	for k := range vars {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	var buf [8]byte
 	for _, k := range names {
-		io.WriteString(h, k)
-		h.Write([]byte{'='})
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(vars[k]))
-		h.Write(buf[:])
-		h.Write([]byte{0})
+		h.addString(k)
+		h.addByte('=')
+		h.addUint64(math.Float64bits(vars[k]))
+		h.addByte(0)
 	}
 	if tempC != nil {
-		h.Write([]byte{1})
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(*tempC))
-		h.Write(buf[:])
+		h.addByte(1)
+		h.addUint64(math.Float64bits(*tempC))
 	}
-	return CacheKey(h.Sum64())
+	return CacheKey(h)
+}
+
+// fnv1a is a running 64-bit FNV-1a hash, the one hash/fnv's New64a
+// computes, fed strings in place instead of through an io.Writer (which
+// would copy the netlist to bytes for every key).
+type fnv1a uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func (h *fnv1a) addByte(c byte) {
+	*h = (*h ^ fnv1a(c)) * fnvPrime64
+}
+
+func (h *fnv1a) addString(s string) {
+	for i := 0; i < len(s); i++ {
+		h.addByte(s[i])
+	}
+}
+
+// addUint64 hashes v's eight bytes in little-endian order.
+func (h *fnv1a) addUint64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.addByte(byte(v >> (8 * i)))
+	}
 }
 
 // cacheEntry is one compiled circuit, possibly still compiling. ready is

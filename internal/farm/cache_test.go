@@ -2,8 +2,13 @@ package farm
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
+	"io"
+	"math"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,6 +85,49 @@ func TestKeyFor(t *testing.T) {
 	}
 	if t85b := 85.0; KeyFor(tankNetlist, nil, &t85b) != KeyFor(tankNetlist, nil, &t85) {
 		t.Error("equal temperatures behind different pointers should key identically")
+	}
+}
+
+// referenceKeyFor is KeyFor through hash/fnv's New64a, as it was written
+// before KeyFor hashed in place: KeyFor must give the same keys.
+func referenceKeyFor(netlist string, vars map[string]float64, tempC *float64) CacheKey {
+	h := fnv.New64a()
+	io.WriteString(h, netlist)
+	h.Write([]byte{0})
+	names := make([]string, 0, len(vars))
+	for k := range vars {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	var buf [8]byte
+	for _, k := range names {
+		io.WriteString(h, k)
+		h.Write([]byte{'='})
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(vars[k]))
+		h.Write(buf[:])
+		h.Write([]byte{0})
+	}
+	if tempC != nil {
+		h.Write([]byte{1})
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(*tempC))
+		h.Write(buf[:])
+	}
+	return CacheKey(h.Sum64())
+}
+
+// TestKeyForMatchesFNV: KeyFor's in-place FNV-1a gives hash/fnv's keys
+// for empty and non-ASCII netlists, variables with every byte value in
+// their floats, and temperatures.
+func TestKeyForMatchesFNV(t *testing.T) {
+	t85, tneg := 85.0, math.Copysign(0, -1)
+	for _, netlist := range []string{"", tankNetlist, "réseau \xff\x00\x01"} {
+		for _, vars := range []map[string]float64{nil, {"rq": 1000}, {"a": math.NaN(), "bc": -math.MaxFloat64, "é": 5e-324}} {
+			for _, tempC := range []*float64{nil, &t85, &tneg} {
+				if got, want := KeyFor(netlist, vars, tempC), referenceKeyFor(netlist, vars, tempC); got != want {
+					t.Errorf("KeyFor(%q, %v, %v) = %#x, hash/fnv gives %#x", netlist, vars, tempC, uint64(got), uint64(want))
+				}
+			}
+		}
 	}
 }
 

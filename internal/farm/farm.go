@@ -368,10 +368,13 @@ func errorCode(err error) (int, string) {
 // The job is req's netlist, node and format under the design variables
 // vars, at tempC °C when tempC is non-nil; opts must be req's Options
 // after tool.Options.Resolve (the handler already has them from decode).
+// An all-nodes report is rendered by appending to dst, which the caller
+// lends (RunBatch lends one buffer to every item of a batch); body is
+// the extended buffer, or a fresh one for a single-node job.
 // As the one place batch items execute, it is also the panic boundary: a
 // panic fails the item (run_failed) with the panic value and stack
 // instead of dropping the connection mid-record.
-func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[string]float64, tempC *float64, opts tool.Options, run *obs.Run) (body []byte, contentType string, cacheHit bool, err error) {
+func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[string]float64, tempC *float64, opts tool.Options, run *obs.Run, dst []byte) (body []byte, contentType string, cacheHit bool, err error) {
 	mRunsTotal.Inc()
 	defer func() {
 		if p := recover(); p != nil {
@@ -437,7 +440,7 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 	// The rendered body is all the item keeps; the next item of the
 	// batch reuses the report's impedance columns.
 	defer rep.Release()
-	body, contentType, err = report.Render(req.Format, t.Flat, rep)
+	body, contentType, err = report.Render(dst, req.Format, t.Flat, rep)
 	if err != nil {
 		return nil, "", cacheHit, err
 	}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,7 +35,10 @@ func runJob(t *testing.T, req BatchRequest) ([]byte, string, error) {
 		return nil, "", we
 	}
 	var item BatchItem
-	if err := RunBatch(context.Background(), nil, dec, opts, 0, nil, func(it BatchItem) { item = it }); err != nil {
+	if err := RunBatch(context.Background(), nil, dec, opts, 0, nil, func(it BatchItem) {
+		it.Body = bytes.Clone(it.Body) // lent until emit returns
+		item = it
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if item.Error != nil {

@@ -20,10 +20,11 @@ import (
 	"acstab/internal/report"
 )
 
-// lineBufs recycles the line buffers of both ends of /batch: the
-// worker's item encoder and the client's stream reader. A request
-// borrows one for its whole stream. The starting size holds the line of
-// a Table 2 JSON report (about 23 KB).
+// lineBufs recycles the line buffers of both ends of /batch, the
+// worker's item encoder and the client's stream reader, and the render
+// buffer RunBatch lends its items. Each borrows one for its whole
+// stream or batch. The starting size holds the line of a Table 2 JSON
+// report (about 23 KB).
 var lineBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 64<<10)
 	return &b

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -55,7 +56,10 @@ func TestJobPanicFailsRun(t *testing.T) {
 	var items []BatchItem
 	err := RunBatch(context.Background(), s.cache, &BatchRequest{V: WireV2, Netlist: tankNetlist,
 		Variants: []Variant{{Label: "corrupt"}, {Label: "fresh", Variables: map[string]float64{"rq": 1000}}}},
-		tool.DefaultOptions(), 0, nil, func(it BatchItem) { items = append(items, it) })
+		tool.DefaultOptions(), 0, nil, func(it BatchItem) {
+			it.Body = bytes.Clone(it.Body) // lent until emit returns
+			items = append(items, it)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"sync"
@@ -20,8 +21,9 @@ func table2Decks() (a, b string) {
 	return a, netlist.Format(c)
 }
 
-// runItems runs req through RunBatch and returns each item's body,
-// failing on any item error.
+// runItems runs req through RunBatch and returns a copy of each item's
+// body, which RunBatch lends only until emit returns, failing on any
+// item error.
 func runItems(t *testing.T, cache *Cache, req *BatchRequest, opts tool.Options) [][]byte {
 	t.Helper()
 	var bodies [][]byte
@@ -29,7 +31,7 @@ func runItems(t *testing.T, cache *Cache, req *BatchRequest, opts tool.Options) 
 		if it.Error != nil {
 			t.Errorf("item %d: %s", it.Index, it.Error.Message)
 		}
-		bodies = append(bodies, it.Body)
+		bodies = append(bodies, bytes.Clone(it.Body))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,8 @@ func TestWarmBatchesRecycleColumns(t *testing.T) {
 // 40 points per decade (241 points). Without recycling the columns alone
 // grow by 420 KiB. The column pool is per P, so the measurement runs at
 // GOMAXPROCS 1, where consecutive items always meet the same pool, and
-// not under -race, whose pools drop entries at random.
+// not under -race, whose pools drop entries at random. Each item renders
+// into one lent buffer, as RunBatch's items do.
 func TestWarmItemAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -136,6 +139,7 @@ func TestWarmItemAllocsFlat(t *testing.T) {
 	deck, _ := table2Decks()
 	req := &BatchRequest{Netlist: deck, Variants: []Variant{{}}}
 	cache := NewCache(0)
+	var buf []byte
 	perItem := func(ppd int) float64 {
 		o := tool.DefaultOptions()
 		o.PointsPerDecade = ppd
@@ -144,9 +148,11 @@ func TestWarmItemAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		item := func() {
-			if _, _, _, err := runCached(context.Background(), cache, req, nil, nil, opts, nil); err != nil {
+			body, _, _, err := runCached(context.Background(), cache, req, nil, nil, opts, nil, buf[:0])
+			if err != nil {
 				t.Fatal(err)
 			}
+			buf = body
 		}
 		for i := 0; i < 3; i++ {
 			item()
@@ -164,5 +170,46 @@ func TestWarmItemAllocsFlat(t *testing.T) {
 	t.Logf("warm Table 2 item: %.1f KiB at 40 points per decade, %.1f KiB at 320", coarse/1024, fine/1024)
 	if fine > coarse+16<<10 {
 		t.Errorf("a warm item at 320 points per decade allocates %.1f KiB, more than %.1f KiB at 40 plus 16 KiB", fine/1024, coarse/1024)
+	}
+}
+
+// TestWarmJSONItemAllocsUnderBody: RunBatch lends every item of a batch
+// one render buffer, so a warm cache-hit JSON item allocates fewer bytes
+// on the worker than the report it renders. Without the lend each item
+// allocated at least its whole body. Measured like TestWarmItemAllocsFlat,
+// at GOMAXPROCS 1 and not under -race.
+func TestWarmJSONItemAllocsUnderBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	deck, _ := table2Decks()
+	opts, err := tool.DefaultOptions().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	req := &BatchRequest{Netlist: deck, Format: "json", Options: opts, Variants: make([]Variant, n)}
+	cache := NewCache(0)
+	bodyLen := 0
+	batch := func(warm bool) {
+		if err := RunBatch(context.Background(), cache, req, opts, 0, nil, func(it BatchItem) {
+			if it.Error != nil || (warm && !it.CacheHit) {
+				t.Fatalf("item %d: cache hit %v, error %v", it.Index, it.CacheHit, it.Error)
+			}
+			bodyLen = len(it.Body)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch(false)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	batch(true)
+	runtime.ReadMemStats(&m1)
+	perItem := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	t.Logf("warm Table 2 JSON item: %.1f KiB allocated, %.1f KiB body", perItem/1024, float64(bodyLen)/1024)
+	if perItem >= float64(bodyLen) {
+		t.Errorf("a warm JSON item allocates %.1f KiB, not less than its %.1f KiB body", perItem/1024, float64(bodyLen)/1024)
 	}
 }

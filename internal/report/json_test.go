@@ -53,17 +53,20 @@ func sameAsReference(t *testing.T, name string, rep *tool.Report) {
 	}
 }
 
-// TestJSONMatchesReference pins AppendJSON to the bytes of the reflection
-// encoder it replaced, on real reports of every seed circuit and on
-// synthetic reports built to reach the escape and float-format edges.
-func TestJSONMatchesReference(t *testing.T) {
+// seedCircuit is a circuits builder's deck and the options it is
+// analyzed under.
+type seedCircuit struct {
+	name string
+	ckt  *netlist.Circuit
+	opts tool.Options
+}
+
+// seedCircuits returns a deck from every circuits builder, and Table 2
+// once more under the adaptive sweep.
+func seedCircuits() []seedCircuit {
 	adaptive := tool.DefaultOptions()
 	adaptive.CoarsePointsPerDecade = 8
-	for _, c := range []struct {
-		name string
-		ckt  *netlist.Circuit
-		opts tool.Options
-	}{
+	return []seedCircuit{
 		{"second-order", circuits.SecondOrder(0.186, 3.16e6), tool.DefaultOptions()},
 		{"opamp-buffer", circuits.OpAmpBuffer(circuits.OpAmpDefaults()), tool.DefaultOptions()},
 		{"opamp-open-loop", circuits.OpAmpOpenLoop(circuits.OpAmpDefaults()), tool.DefaultOptions()},
@@ -75,7 +78,14 @@ func TestJSONMatchesReference(t *testing.T) {
 		{"transistor-bias", circuits.TransistorBias(), tool.DefaultOptions()},
 		{"snubbed-bias", circuits.SnubbedBias(100, 1e-9), tool.DefaultOptions()},
 		{"table2-adaptive", circuits.FullCircuit(), adaptive},
-	} {
+	}
+}
+
+// TestJSONMatchesReference pins AppendJSON to the bytes of the reflection
+// encoder it replaced, on real reports of every seed circuit and on
+// synthetic reports built to reach the escape and float-format edges.
+func TestJSONMatchesReference(t *testing.T) {
+	for _, c := range seedCircuits() {
 		sameAsReference(t, c.name, allNodesReport(t, c.ckt, c.opts))
 	}
 

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"acstab/internal/netlist"
 	"acstab/internal/stab"
@@ -35,77 +36,176 @@ func CheckFormat(format string) error {
 		Reason: fmt.Sprintf("unknown format %q (text, csv, json, annotate)", format)}
 }
 
-// Render renders an all-nodes report in a format CheckFormat accepts and
-// returns the bytes with their media type. flat is the flattened circuit
-// that annotate prints. json is one AppendJSON into a buffer sized for
-// the report.
-func Render(format string, flat *netlist.Circuit, rep *tool.Report) ([]byte, string, error) {
-	if format == "json" {
-		b, err := AppendJSON(nil, rep)
-		return b, "application/json", err
-	}
-	var buf bytes.Buffer
-	var err error
-	contentType := "text/plain; charset=utf-8"
+// Render appends an all-nodes report in a format CheckFormat accepts to
+// dst and returns the extended buffer with the report's media type. flat
+// is the flattened circuit that annotate prints. text, json and annotate
+// append straight to dst; csv writes through a bytes.Buffer over it. On
+// an error the returned buffer is cut back to dst's length, keeping any
+// capacity it grew, so a caller that lends dst can keep lending it.
+func Render(dst []byte, format string, flat *netlist.Circuit, rep *tool.Report) ([]byte, string, error) {
 	switch format {
 	case "", "text":
-		err = Text(&buf, rep)
-	case "csv":
-		err = CSV(&buf, rep)
-		contentType = "text/csv"
+		return AppendText(dst, rep), "text/plain; charset=utf-8", nil
+	case "json":
+		b, err := AppendJSON(dst, rep)
+		return b, "application/json", err
 	case "annotate":
-		err = Annotate(&buf, flat, rep)
-	default:
-		return nil, "", CheckFormat(format)
+		return appendAnnotate(dst, flat, rep), "text/plain; charset=utf-8", nil
+	case "csv":
+		n0 := len(dst)
+		buf := bytes.NewBuffer(dst)
+		if err := CSV(buf, rep); err != nil {
+			return buf.Bytes()[:n0], "", err
+		}
+		return buf.Bytes(), "text/csv", nil
 	}
-	return buf.Bytes(), contentType, err
+	return dst, "", CheckFormat(format)
 }
 
-// Text writes the all-nodes report in the paper's Table 2 layout: loops
-// sorted by natural frequency, nodes within each loop, stability peak
-// magnitude and natural frequency per node, with special-case notices and
-// the loop-level damping/phase-margin/overshoot estimate.
+// Text writes the all-nodes report in the paper's Table 2 layout: one
+// AppendText into a buffer sized for the report and one Write, whose
+// error it returns.
 func Text(w io.Writer, rep *tool.Report) error {
-	fmt.Fprintf(w, "AC-Stability All-Nodes Report\n")
-	fmt.Fprintf(w, "circuit: %s\n", rep.CircuitTitle)
-	fmt.Fprintf(w, "temperature: %g C, sweep %s .. %s, %d pts/dec\n",
-		rep.Temp, hz(rep.Options.FStart), hz(rep.Options.FStop), rep.Options.PointsPerDecade)
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %-14s %-18s %s\n", "Node", "Stability Peak", "Natural Frequency", "Notes")
-	fmt.Fprintln(w, strings.Repeat("-", 64))
+	_, err := w.Write(AppendText(nil, rep))
+	return err
+}
 
-	inLoop := map[string]bool{}
-	for _, l := range rep.Loops {
-		fmt.Fprintf(w, "Loop at %s   (zeta %.2f, phase margin %.0f deg, overshoot %.0f%%)\n",
-			hz(l.Freq), l.Zeta, l.PhaseMarginDeg, l.OvershootPct)
-		for _, np := range l.Nodes {
-			inLoop[np.Node] = true
-			fmt.Fprintf(w, "%-12s %-14.6f %-18s %s\n",
-				np.Node, math.Abs(np.Peak.Value), sci(np.Peak.Freq), notice(np.Peak))
+// Column widths of the text report's node rows.
+const (
+	nodeCol = 12
+	peakCol = 14
+	freqCol = 18
+)
+
+// AppendText appends the all-nodes report in the paper's Table 2 layout
+// to dst and returns the extended buffer: loops sorted by natural
+// frequency, nodes within each loop, stability peak magnitude and
+// natural frequency per node, with special-case notices and the
+// loop-level damping/phase-margin/overshoot estimate. The bytes are
+// those of the fmt layout "%-12s %-14.6f %-18s %s\n" for node rows
+// (padded by rune count, never cut), %.2f and %.0f in loop headers and
+// %g for the temperature. A nil dst is allocated once, sized for the
+// report.
+func AppendText(dst []byte, rep *tool.Report) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, textSizeHint(rep))
+	}
+	dst = append(dst, "AC-Stability All-Nodes Report\ncircuit: "...)
+	dst = append(dst, rep.CircuitTitle...)
+	dst = append(dst, "\ntemperature: "...)
+	dst = strconv.AppendFloat(dst, rep.Temp, 'g', -1, 64)
+	dst = append(dst, " C, sweep "...)
+	dst = appendHz(dst, rep.Options.FStart)
+	dst = append(dst, " .. "...)
+	dst = appendHz(dst, rep.Options.FStop)
+	dst = append(dst, ", "...)
+	dst = strconv.AppendInt(dst, int64(rep.Options.PointsPerDecade), 10)
+	dst = append(dst, " pts/dec\n\n"...)
+	dst = appendRow(dst, "Node", "Stability Peak", "Natural Frequency")
+	dst = append(dst, "Notes\n"...)
+	dst = append(dst, rule...)
+
+	inLoop := make(map[string]bool, len(rep.Nodes))
+	for i := range rep.Loops {
+		l := &rep.Loops[i]
+		dst = append(dst, "Loop at "...)
+		dst = appendHz(dst, l.Freq)
+		dst = append(dst, "   (zeta "...)
+		dst = strconv.AppendFloat(dst, l.Zeta, 'f', 2, 64)
+		dst = append(dst, ", phase margin "...)
+		dst = strconv.AppendFloat(dst, l.PhaseMarginDeg, 'f', 0, 64)
+		dst = append(dst, " deg, overshoot "...)
+		dst = strconv.AppendFloat(dst, l.OvershootPct, 'f', 0, 64)
+		dst = append(dst, "%)\n"...)
+		for j := range l.Nodes {
+			inLoop[l.Nodes[j].Node] = true
+			dst = appendPeakRow(dst, l.Nodes[j].Node, &l.Nodes[j].Peak)
 		}
 	}
 	// Nodes without a resonant peak or skipped.
-	var rest []tool.NodeResult
-	for _, n := range rep.Nodes {
-		if !inLoop[n.Node] {
-			rest = append(rest, n)
+	header := false
+	for i := range rep.Nodes {
+		n := &rep.Nodes[i]
+		if inLoop[n.Node] {
+			continue
+		}
+		if !header {
+			dst = append(dst, "Nodes without resonant peaks\n"...)
+			header = true
+		}
+		switch {
+		case n.Skipped:
+			dst = appendRow(dst, n.Node, "-", "-")
+			dst = append(dst, "skipped: "...)
+			dst = append(dst, n.SkipReason...)
+			dst = append(dst, '\n')
+		case n.Best == nil:
+			dst = appendRow(dst, n.Node, "-", "-")
+			dst = append(dst, "no negative peak\n"...)
+		default:
+			dst = appendPeakRow(dst, n.Node, n.Best)
 		}
 	}
-	if len(rest) > 0 {
-		fmt.Fprintln(w, "Nodes without resonant peaks")
-		for _, n := range rest {
-			switch {
-			case n.Skipped:
-				fmt.Fprintf(w, "%-12s %-14s %-18s skipped: %s\n", n.Node, "-", "-", n.SkipReason)
-			case n.Best == nil:
-				fmt.Fprintf(w, "%-12s %-14s %-18s no negative peak\n", n.Node, "-", "-")
-			default:
-				fmt.Fprintf(w, "%-12s %-14.6f %-18s %s\n",
-					n.Node, math.Abs(n.Best.Value), sci(n.Best.Freq), notice(*n.Best))
-			}
+	return dst
+}
+
+// rule is the line under the text report's column headings.
+var rule = strings.Repeat("-", 64) + "\n"
+
+// textSizeHint estimates the text report's size from above, so that
+// AppendText into a nil buffer allocates once: the header, each loop's
+// header, and a row per loop member and per node, each budgeted for its
+// padded columns, the longest notice and its own strings.
+func textSizeHint(rep *tool.Report) int {
+	n := 256 + len(rep.CircuitTitle)
+	for i := range rep.Loops {
+		n += 96
+		for _, np := range rep.Loops[i].Nodes {
+			n += textRowHint + len(np.Node)
 		}
 	}
-	return nil
+	for i := range rep.Nodes {
+		n += textRowHint + len(rep.Nodes[i].Node) + len(rep.Nodes[i].SkipReason)
+	}
+	return n
+}
+
+// textRowHint covers a node row's padded columns, separators and its
+// longest notice.
+const textRowHint = nodeCol + peakCol + freqCol + 48
+
+// appendRow appends the first three columns of a node row.
+func appendRow(dst []byte, node, peak, freq string) []byte {
+	n := len(dst)
+	dst = column(append(dst, node...), n, nodeCol)
+	n = len(dst)
+	dst = column(append(dst, peak...), n, peakCol)
+	n = len(dst)
+	return column(append(dst, freq...), n, freqCol)
+}
+
+// appendPeakRow appends the node row of peak p: |value| to six
+// decimals, the natural frequency in the paper's E notation and p's
+// notice.
+func appendPeakRow(dst []byte, node string, p *stab.Peak) []byte {
+	n := len(dst)
+	dst = column(append(dst, node...), n, nodeCol)
+	n = len(dst)
+	dst = column(strconv.AppendFloat(dst, math.Abs(p.Value), 'f', 6, 64), n, peakCol)
+	n = len(dst)
+	dst = column(appendSci(dst, p.Freq), n, freqCol)
+	dst = append(dst, notice(*p)...)
+	return append(dst, '\n')
+}
+
+// column pads the field written since dst[from] with spaces to width
+// runes, as fmt's %-<width>s does, and appends the space that separates
+// it from the next column.
+func column(dst []byte, from, width int) []byte {
+	for n := utf8.RuneCount(dst[from:]); n < width; n++ {
+		dst = append(dst, ' ')
+	}
+	return append(dst, ' ')
 }
 
 // notice renders the special-case annotation of a peak, mirroring the
@@ -120,28 +220,38 @@ func notice(p stab.Peak) string {
 	return ""
 }
 
-// sci formats a frequency like the paper's Table 2 ("3.16E+06").
-func sci(f float64) string {
-	return strings.ToUpper(strconv.FormatFloat(f, 'E', 2, 64))
+// appendSci appends a frequency like the paper's Table 2 ("3.16E+06"),
+// upper case throughout ("NAN", "+INF").
+func appendSci(dst []byte, f float64) []byte {
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, f, 'E', 2, 64)
+	for i := n; i < len(dst); i++ {
+		if c := dst[i]; 'a' <= c && c <= 'z' {
+			dst[i] = c - 'a' + 'A'
+		}
+	}
+	return dst
 }
 
-// hz formats a frequency with engineering units for headers.
-func hz(f float64) string {
+// appendHz appends a frequency with engineering units for headers, to
+// three significant digits.
+func appendHz(dst []byte, f float64) []byte {
+	unit := " Hz"
 	switch {
 	case f >= 1e9:
-		return fmt.Sprintf("%.3g GHz", f/1e9)
+		f, unit = f/1e9, " GHz"
 	case f >= 1e6:
-		return fmt.Sprintf("%.3g MHz", f/1e6)
+		f, unit = f/1e6, " MHz"
 	case f >= 1e3:
-		return fmt.Sprintf("%.3g kHz", f/1e3)
+		f, unit = f/1e3, " kHz"
 	}
-	return fmt.Sprintf("%.3g Hz", f)
+	return append(strconv.AppendFloat(dst, f, 'g', 3, 64), unit...)
 }
 
-// CSV writes one row per node with loop assignment.
+// CSV writes one row per node with loop assignment. It returns the
+// first write error, the one the final flush meets included.
 func CSV(w io.Writer, rep *tool.Report) error {
 	cw := csv.NewWriter(w)
-	defer cw.Flush()
 	if err := cw.Write([]string{
 		"node", "loop_id", "loop_freq_hz", "peak", "natural_freq_hz",
 		"zeta", "phase_margin_deg", "overshoot_pct", "peak_type", "skipped",
@@ -174,6 +284,7 @@ func CSV(w io.Writer, rep *tool.Report) error {
 			return err
 		}
 	}
+	cw.Flush()
 	return cw.Error()
 }
 
@@ -603,8 +714,15 @@ func ParseJSON(r io.Reader) (*tool.Report, error) {
 
 // Annotate writes the flattened netlist with per-node stability results as
 // comments next to each element — the text substitute for annotating
-// results onto the schematic (paper Fig. 5).
+// results onto the schematic (paper Fig. 5) — in one Write, whose error
+// it returns.
 func Annotate(w io.Writer, ckt *netlist.Circuit, rep *tool.Report) error {
+	_, err := w.Write(appendAnnotate(nil, ckt, rep))
+	return err
+}
+
+// appendAnnotate appends Annotate's document to dst.
+func appendAnnotate(dst []byte, ckt *netlist.Circuit, rep *tool.Report) []byte {
 	best := map[string]*stab.Peak{}
 	for i := range rep.Nodes {
 		n := &rep.Nodes[i]
@@ -612,8 +730,8 @@ func Annotate(w io.Writer, ckt *netlist.Circuit, rep *tool.Report) error {
 			best[n.Node] = n.Best
 		}
 	}
-	fmt.Fprintf(w, "* %s\n", ckt.Title)
-	fmt.Fprintf(w, "* annotated with stability peaks (|peak| @ natural frequency)\n")
+	dst = fmt.Appendf(dst, "* %s\n", ckt.Title)
+	dst = append(dst, "* annotated with stability peaks (|peak| @ natural frequency)\n"...)
 	seen := map[string]bool{}
 	var nodes []string
 	for _, e := range ckt.Elems {
@@ -627,30 +745,34 @@ func Annotate(w io.Writer, ckt *netlist.Circuit, rep *tool.Report) error {
 	sort.Strings(nodes)
 	for _, n := range nodes {
 		if p, ok := best[n]; ok {
-			fmt.Fprintf(w, "* node %-12s peak %8.3f @ %s %s\n",
-				n, math.Abs(p.Value), sci(p.Freq), notice(*p))
+			dst = fmt.Appendf(dst, "* node %-12s peak %8.3f @ ", n, math.Abs(p.Value))
+			dst = append(appendSci(dst, p.Freq), ' ')
+			dst = append(dst, notice(*p)...)
+			dst = append(dst, '\n')
 		} else {
-			fmt.Fprintf(w, "* node %-12s (no resonant peak)\n", n)
+			dst = fmt.Appendf(dst, "* node %-12s (no resonant peak)\n", n)
 		}
 	}
-	fmt.Fprintln(w, "*")
-	fmt.Fprint(w, netlist.Format(ckt))
-	return nil
+	dst = append(dst, "*\n"...)
+	return append(dst, netlist.Format(ckt)...)
 }
 
 // Diagnostic writes a support-report file describing a failed (or
 // successful) run — the offline substitute for the original tool's
-// automatic error-reporting e-mails.
+// automatic error-reporting e-mails — in one Write, whose error it
+// returns.
 func Diagnostic(w io.Writer, circuitTitle string, opts tool.Options, runErr error) error {
-	fmt.Fprintln(w, "acstab diagnostic report")
-	fmt.Fprintf(w, "circuit: %s\n", circuitTitle)
-	fmt.Fprintf(w, "sweep: %s .. %s, %d pts/dec\n",
-		hz(opts.FStart), hz(opts.FStop), opts.PointsPerDecade)
+	b := fmt.Appendf(nil, "acstab diagnostic report\ncircuit: %s\nsweep: ", circuitTitle)
+	b = appendHz(b, opts.FStart)
+	b = append(b, " .. "...)
+	b = appendHz(b, opts.FStop)
+	b = fmt.Appendf(b, ", %d pts/dec\n", opts.PointsPerDecade)
 	if runErr != nil {
-		fmt.Fprintf(w, "status: FAILED\nerror: %v\n", runErr)
+		b = fmt.Appendf(b, "status: FAILED\nerror: %v\n", runErr)
 	} else {
-		fmt.Fprintln(w, "status: ok")
+		b = append(b, "status: ok\n"...)
 	}
-	fmt.Fprintln(w, "attach this file when reporting tool issues.")
-	return nil
+	b = append(b, "attach this file when reporting tool issues.\n"...)
+	_, err := w.Write(b)
+	return err
 }

@@ -2,7 +2,8 @@ package stab
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // NodePeak associates a circuit node with its dominant stability peak.
@@ -34,7 +35,8 @@ type Loop struct {
 // ClusterLoops groups node peaks into loops by natural frequency using
 // single-linkage clustering in log frequency: two peaks join the same loop
 // when their frequencies agree within relTol (e.g. 0.12 = 12%). Groups are
-// returned sorted by frequency, nodes within a group sorted by name.
+// returned sorted by frequency, nodes within a group sorted by name. peaks
+// is left as it is; the loops' Nodes share one sorted copy of it.
 func ClusterLoops(peaks []NodePeak, relTol float64) []Loop {
 	if relTol <= 0 {
 		relTol = 0.12
@@ -43,7 +45,7 @@ func ClusterLoops(peaks []NodePeak, relTol float64) []Loop {
 		return nil
 	}
 	sorted := append([]NodePeak(nil), peaks...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Peak.Freq < sorted[b].Peak.Freq })
+	slices.SortFunc(sorted, func(a, b NodePeak) int { return byFreq(a.Peak, b.Peak) })
 	gap := math.Log(1 + relTol)
 
 	var loops []Loop
@@ -63,6 +65,8 @@ func ClusterLoops(peaks []NodePeak, relTol float64) []Loop {
 	return loops
 }
 
+// makeLoop makes the loop of group, which it sorts by node name in place
+// and keeps as the loop's Nodes.
 func makeLoop(group []NodePeak) Loop {
 	l := Loop{WorstPeak: math.Inf(1)}
 	for _, np := range group {
@@ -74,7 +78,11 @@ func makeLoop(group []NodePeak) Loop {
 			l.OvershootPct = np.Peak.OvershootPct
 		}
 	}
-	l.Nodes = append(l.Nodes, group...)
-	sort.Slice(l.Nodes, func(a, b int) bool { return l.Nodes[a].Node < l.Nodes[b].Node })
+	slices.SortFunc(group, byNode)
+	l.Nodes = group[:len(group):len(group)]
 	return l
 }
+
+// byNode orders node peaks by node name; like byFreq, it is negative
+// exactly where sort.Slice's "less" was true.
+func byNode(a, b NodePeak) int { return strings.Compare(a.Node, b.Node) }

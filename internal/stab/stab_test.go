@@ -3,6 +3,7 @@ package stab
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -402,8 +403,9 @@ func TestLoopFreqFromDeepestMember(t *testing.T) {
 	}
 }
 
-// Property: clustering is independent of input order and every input node
-// appears exactly once.
+// Property: clustering is independent of input order, every input node
+// appears exactly once, each loop lists its nodes by name, and the input
+// is left as it was.
 func TestClusterLoopsInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -415,10 +417,17 @@ func TestClusterLoopsInvariantsQuick(t *testing.T) {
 				Peak: Peak{Freq: math.Pow(10, 4+5*r.Float64()), Value: -1 - 20*r.Float64()},
 			}
 		}
+		in := append([]NodePeak(nil), peaks...)
 		loops := ClusterLoops(peaks, 0.12)
+		if !slices.Equal(peaks, in) {
+			return false
+		}
 		count := 0
 		for _, l := range loops {
 			count += len(l.Nodes)
+			if !slices.IsSortedFunc(l.Nodes, byNode) {
+				return false
+			}
 		}
 		if count != n {
 			return false

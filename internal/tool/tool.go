@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -396,6 +395,8 @@ func (t *Tool) nodeList() (idx []int, names []string) {
 	if t.Opts.OnlySubckt != "" {
 		scope = t.subcktNodes(strings.ToLower(t.Opts.OnlySubckt))
 	}
+	idx = make([]int, 0, len(t.Sys.NodeNames))
+	names = make([]string, 0, len(t.Sys.NodeNames))
 	for i, name := range t.Sys.NodeNames {
 		if scope != nil && !scope[name] {
 			continue
@@ -485,7 +486,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 			peaks = append(peaks, stab.NodePeak{Node: name, Peak: *nr.Best})
 		}
 	}
-	sort.Slice(rep.Nodes, func(a, b int) bool { return rep.Nodes[a].Node < rep.Nodes[b].Node })
+	slices.SortFunc(rep.Nodes, func(a, b NodeResult) int { return strings.Compare(a.Node, b.Node) })
 	sp.End()
 	sp = obs.StartPhase(t.Opts.Trace, "loop_clustering")
 	rep.Loops = stab.ClusterLoops(peaks, t.Opts.LoopTol)
