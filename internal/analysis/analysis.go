@@ -169,6 +169,16 @@ type acWorkspace struct {
 	// Sim.sweep), allocated by second on a diag sweep's first pair.
 	num2  *sparse.Numeric
 	vals2 []complex128
+	// fz is the factorizer of the sweep holding the workspace, which
+	// keeps its scratch from one sweep to the next (see factorizer).
+	fz acFactorizer
+}
+
+// factorizer returns the workspace's factorizer, reset for a new sweep
+// but for its scratch buffers.
+func (ws *acWorkspace) factorizer() *acFactorizer {
+	ws.fz = acFactorizer{sweepScratch: ws.fz.sweepScratch}
+	return &ws.fz
 }
 
 // newWorkspace allocates the numeric state for sym, adopting b's value
@@ -764,8 +774,8 @@ type acFactorizer struct {
 	// condition samples).
 	resThreshold float64
 	condBudget   int
-	r, d         []complex128 // residual + refinement-correction scratch, lazy
-	cv, cz       []complex128 // condition-estimate scratch, lazy
+
+	sweepScratch
 
 	refactors int64
 	fulls     int64
@@ -785,7 +795,6 @@ type acFactorizer struct {
 	resMax       float64
 	growthMax    float64
 	condMax      float64
-	health       []obs.SlowPoint
 
 	// Diagonal-kernel tallies (ImpedanceDiagSweep only): batched
 	// SolveDiagInto calls, rows those calls visited, and frequencies
@@ -804,6 +813,28 @@ type acFactorizer struct {
 	kind string
 }
 
+// sweepScratch is a sweep's solve scratch. A factorizer in a workspace
+// keeps it from one sweep to the next, so only a sweep on a workspace of
+// its own, or on the dense path, allocates it. Every buffer holds what
+// the last sweep left in it.
+type sweepScratch struct {
+	b, x   []complex128 // right-hand side and solution
+	diag   []complex128 // the diag kernel's two lanes
+	r, d   []complex128 // residual + refinement-correction scratch, lazy
+	cv, cz []complex128 // condition-estimate scratch, lazy
+	// health holds the worst-residual points of a traced sweep, for its
+	// slow-point capture; nil until a traced sweep needs it.
+	health []obs.SlowPoint
+}
+
+// scratch returns n entries of *buf, reallocating it when it is shorter.
+func scratch(buf *[]complex128, n int) []complex128 {
+	if cap(*buf) < n {
+		*buf = make([]complex128, n)
+	}
+	return (*buf)[:n]
+}
+
 // Solver-path tags reported in slow-point captures.
 const (
 	solveKindDense            = "dense"
@@ -820,12 +851,36 @@ const (
 	solveKindResidualEscalation = "residual_escalation"
 )
 
-// newACFactorizer prepares the per-sweep solver state. A failed symbolic
-// build is not fatal: the sweep degrades to one fresh factorization per
-// frequency and each point reports its own error.
+// newACFactorizer prepares the per-sweep solver state: the factorizer of
+// the shared workspace when the sweep wins it, else one of its own. A
+// failed symbolic build is not fatal: the sweep degrades to one fresh
+// factorization per frequency and each point reports its own error.
 func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
-	fz := &acFactorizer{s: s, op: op, sparse: s.useSparse(),
-		growthHist: mACPivotGrowth.Tally(), residualHist: mACResidual.Tally()}
+	useSparse := s.useSparse()
+	var fz *acFactorizer
+	recordAffine := false
+	if useSparse {
+		if pat, sym, build, err := s.ensureSymbolic(omega0, op); err == nil {
+			ws := s.acShared().acquireWorkspace(pat, sym, build)
+			shared := ws != nil
+			if !shared {
+				ws = newWorkspace(pat, sym, build)
+			}
+			fz = ws.factorizer()
+			if shared {
+				fz.ws = ws
+			}
+			fz.work = ws
+			fz.pat, fz.sym = pat, sym
+			fz.num, fz.vals, fz.aff = ws.num, ws.vals, ws.aff
+			recordAffine = build == nil
+		}
+	}
+	if fz == nil {
+		fz = new(acFactorizer)
+	}
+	fz.s, fz.op, fz.sparse = s, op, useSparse
+	fz.growthHist, fz.residualHist = mACPivotGrowth.Tally(), mACResidual.Tally()
 	switch {
 	case s.Opt.ResidualThreshold > 0:
 		fz.resThreshold = s.Opt.ResidualThreshold
@@ -834,24 +889,15 @@ func (s *Sim) newACFactorizer(omega0 float64, op *mna.OpPoint) *acFactorizer {
 	}
 	if fz.resThreshold > 0 {
 		fz.condBudget = defCondSamples
-		fz.health = make([]obs.SlowPoint, 0, obs.MaxHealthPoints)
-	}
-	if fz.sparse {
-		if pat, sym, build, err := s.ensureSymbolic(omega0, op); err == nil {
-			fz.pat, fz.sym = pat, sym
-			ws := s.acShared().acquireWorkspace(pat, sym, build)
-			if ws != nil {
-				fz.ws = ws
-			} else {
-				ws = newWorkspace(pat, sym, build)
-			}
-			fz.work = ws
-			fz.num, fz.vals, fz.aff = ws.num, ws.vals, ws.aff
-			if build == nil {
-				fz.recordAffine()
-			}
+		if s.Trace != nil && fz.health == nil {
+			fz.health = make([]obs.SlowPoint, 0, obs.MaxHealthPoints)
 		}
-	} else {
+	}
+	fz.health = fz.health[:0]
+	if recordAffine {
+		fz.recordAffine()
+	}
+	if !useSparse {
 		fz.dm = linalg.NewCMatrix(s.Sys.NumUnknowns())
 	}
 	return fz
@@ -1080,7 +1126,7 @@ func (fz *acFactorizer) observeResidual(eta, freqHz float64) {
 		}
 	}
 	fz.resDecades[d-obs.ResidualDecadeMin]++
-	if eta <= 0 {
+	if eta <= 0 || fz.s.Trace == nil {
 		return
 	}
 	// Keep the worst obs.MaxHealthPoints by residual.
@@ -1220,7 +1266,7 @@ func (fz *acFactorizer) flush() {
 		tr.Add("ac_refinements", fz.refines)
 		tr.Add("ac_residual_breaches", fz.breaches)
 		for i, c := range fz.resDecades {
-			if c != 0 {
+			if c != 0 && tr != nil {
 				tr.Add(obs.ResidualDecadeKey(obs.ResidualDecadeMin+i), c)
 			}
 		}
@@ -1402,14 +1448,15 @@ func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mn
 		}
 		plan = p
 		nn := len(nodeIdx)
-		buf := make([]complex128, 2*nn)
+		buf := scratch(&fz.diag, 2*nn)
 		diag, diag2 = buf[:nn:nn], buf[nn:]
 	}
 	n := s.Sys.NumUnknowns()
-	b := make([]complex128, n)
+	b := scratch(&fz.b, n)
+	clear(b)
 	var x []complex128
 	if mode != sweepExcite {
-		x = make([]complex128, n)
+		x = scratch(&fz.x, n)
 	}
 	what := "impedance"
 	if mode == sweepExcite {

@@ -460,6 +460,55 @@ func TestImpedanceDiagSweepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSweepScratchCarriesNoState: a sweep that wins the shared workspace
+// reuses the scratch the sweep before it left there. An impedance sweep
+// right after an AC sweep, which leaves the circuit's own excitation in
+// the right-hand side, on the same Sim or a fork of it, gives the bits of
+// one on a fresh Sim.
+func TestSweepScratchCarriesNoState(t *testing.T) {
+	ctx := context.Background()
+	s := compile(t, circuits.FullCircuit()) // its AC source is not zeroed
+	op := mustOP(t, s)
+	idx := allNodeIdx(s)
+	freqs := sweepFreqs(40)
+	fresh := New(s.Sys)
+	wantDiag, err := fresh.ImpedanceDiagSweep(ctx, freqs, op, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCols, err := fresh.ImpedanceMatrixColumns(ctx, freqs, op, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(name string, got, want [][]complex128) {
+		t.Helper()
+		for i := range want {
+			for k := range want[i] {
+				if got[i][k] != want[i][k] {
+					t.Fatalf("%s: node %d at %g Hz = %v, want %v", name, i, freqs[k], got[i][k], want[i][k])
+				}
+			}
+		}
+	}
+	for _, sim := range []*Sim{s, s.Fork()} {
+		if _, err := s.AC(ctx, freqs, op); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.ImpedanceDiagSweep(ctx, freqs, op, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("diag sweep after AC", got, wantDiag)
+		if _, err := s.AC(ctx, freqs, op); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = sim.ImpedanceMatrixColumns(ctx, freqs, op, idx); err != nil {
+			t.Fatal(err)
+		}
+		same("column sweep after AC", got, wantCols)
+	}
+}
+
 // TestImpedanceDiagTrace: a traced diag sweep carries the diag_solve phase
 // span, the diag counters, and slow points tagged with the "diag" solver
 // path.

@@ -368,9 +368,9 @@ func errorCode(err error) (int, string) {
 // The job is req's netlist, node and format under the design variables
 // vars, at tempC °C when tempC is non-nil; opts must be req's Options
 // after tool.Options.Resolve (the handler already has them from decode).
-// An all-nodes report is rendered by appending to dst, which the caller
-// lends (RunBatch lends one buffer to every item of a batch); body is
-// the extended buffer, or a fresh one for a single-node job.
+// The body, an all-nodes report or a single node's result, is appended
+// to dst, which the caller lends (RunBatch lends one buffer to every
+// item of a batch); body is the extended buffer.
 // As the one place batch items execute, it is also the panic boundary: a
 // panic fails the item (run_failed) with the panic value and stack
 // instead of dropping the connection mid-record.
@@ -424,13 +424,11 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 		if err != nil {
 			return nil, "", cacheHit, err
 		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(singleNodeJSON(nr)); err != nil {
+		body, err := appendSingleNodeJSON(dst, nr)
+		if err != nil {
 			return nil, "", cacheHit, err
 		}
-		return buf.Bytes(), "application/json", cacheHit, nil
+		return body, "application/json", cacheHit, nil
 	}
 
 	rep, err := t.AllNodes(ctx)
@@ -602,27 +600,49 @@ func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(st)
 }
 
-type singleNodeResult struct {
-	Node       string  `json:"node"`
-	Skipped    bool    `json:"skipped,omitempty"`
-	SkipReason string  `json:"skip_reason,omitempty"`
-	PeakValue  float64 `json:"peak,omitempty"`
-	FreqHz     float64 `json:"natural_freq_hz,omitempty"`
-	Zeta       float64 `json:"zeta,omitempty"`
-	PMDeg      float64 `json:"phase_margin_deg,omitempty"`
-	Overshoot  float64 `json:"overshoot_pct,omitempty"`
-}
-
-func singleNodeJSON(nr *tool.NodeResult) singleNodeResult {
-	out := singleNodeResult{Node: nr.Node, Skipped: nr.Skipped, SkipReason: nr.SkipReason}
-	if nr.Best != nil {
-		out.PeakValue = nr.Best.Value
-		out.FreqHz = nr.Best.Freq
-		out.Zeta = nr.Best.Zeta
-		out.PMDeg = nr.Best.PhaseMarginDeg
-		out.Overshoot = nr.Best.OvershootPct
+// appendSingleNodeJSON appends a single-node job's body to dst: the
+// bytes encoding/json's Encoder with SetIndent("", "  ") writes for the
+// object {node, skipped, skip_reason, peak, natural_freq_hz, zeta,
+// phase_margin_deg, overshoot_pct}, where every member but node is
+// omitted when it is false, empty or zero (-0 too), and the five figures
+// are those of the node's best peak, zero when it has none. A NaN or
+// infinite figure fails with *json.UnsupportedValueError and returns dst
+// with nothing appended.
+func appendSingleNodeJSON(dst []byte, nr *tool.NodeResult) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, "{\n  \"node\": "...)
+	dst = report.AppendJSONString(dst, nr.Node)
+	if nr.Skipped {
+		dst = append(dst, ",\n  \"skipped\": true"...)
 	}
-	return out
+	if nr.SkipReason != "" {
+		dst = append(dst, ",\n  \"skip_reason\": "...)
+		dst = report.AppendJSONString(dst, nr.SkipReason)
+	}
+	if b := nr.Best; b != nil {
+		for _, m := range [...]struct {
+			key string
+			v   float64
+		}{
+			{"peak", b.Value},
+			{"natural_freq_hz", b.Freq},
+			{"zeta", b.Zeta},
+			{"phase_margin_deg", b.PhaseMarginDeg},
+			{"overshoot_pct", b.OvershootPct},
+		} {
+			if m.v == 0 {
+				continue
+			}
+			dst = append(dst, ",\n  \""...)
+			dst = append(dst, m.key...)
+			dst = append(dst, "\": "...)
+			var err error
+			if dst, err = report.AppendJSONFloat(dst, m.v); err != nil {
+				return dst[:n0], err
+			}
+		}
+	}
+	return append(dst, "\n}\n"...), nil
 }
 
 // Client submits batches to a farm worker, retrying shed (429) and

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"acstab/internal/circuits"
 	"acstab/internal/netlist"
+	"acstab/internal/report"
 	"acstab/internal/tool"
 )
 
@@ -39,14 +41,18 @@ func runItems(t *testing.T, cache *Cache, req *BatchRequest, opts tool.Options) 
 }
 
 // TestWarmBatchesRecycleColumns: a batch item releases its report's
-// impedance columns once rendered, and the next item of the same node
-// count and grid sweeps into them; forks of one cached circuit share one
-// numeric workspace. Warm batches that alternate two such decks, so every
-// item sweeps into the columns the other deck's item left, and two
+// impedance columns and run store once rendered, and the next item of
+// the same node count and grid sweeps into those columns and writes its
+// report over that store; forks of one cached circuit share one numeric
+// workspace and its sweep scratch. Warm batches that alternate two such
+// decks, so every item sweeps into the columns the other deck's item
+// left, and two
 // concurrent batches on one cached circuit, one of which loses the
 // workspace hand-off whenever both sweep at once, give the bodies of
 // batches compiled from scratch, byte for byte. A released report keeps
-// no Impedance wave.
+// nothing: no node and no loop. Released twice, it puts its run store back
+// once, so two later reports never share one; they report the bytes of
+// the run before the release.
 func TestWarmBatchesRecycleColumns(t *testing.T) {
 	a, b := table2Decks()
 	opts, err := tool.DefaultOptions().Resolve()
@@ -110,14 +116,42 @@ func TestWarmBatchesRecycleColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tl.AllNodes(context.Background())
+	ctx := context.Background()
+	rep, err := tl.AllNodes(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := report.AppendJSON(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.Release()
-	for _, nr := range rep.Nodes {
-		if nr.Impedance != nil {
-			t.Errorf("node %s keeps its Impedance wave after Release", nr.Node)
+	if rep.Nodes != nil || rep.Loops != nil {
+		t.Errorf("a released report keeps %d nodes and %d loops, want none", len(rep.Nodes), len(rep.Loops))
+	}
+	// A second Release must not put the run store back again: two later
+	// runs would then write into one store.
+	rep.Release()
+	r1, err := tl.AllNodes(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := tl.AllNodes(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := slices.IndexFunc(r1.Nodes, func(nr tool.NodeResult) bool { return nr.Stab != nil })
+	if &r1.Nodes[0] == &r2.Nodes[0] || k < 0 || r1.Nodes[k].Stab == r2.Nodes[k].Stab ||
+		&r1.Loops[0] == &r2.Loops[0] || &r1.Loops[0].Nodes[0] == &r2.Loops[0].Nodes[0] {
+		t.Error("two unreleased reports share a run store")
+	}
+	for i, r := range []*tool.Report{r1, r2} {
+		got, err := report.AppendJSON(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("run %d after the release reports other bytes than the run before it", i+1)
 		}
 	}
 }
@@ -173,15 +207,12 @@ func TestWarmItemAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestWarmJSONItemAllocsUnderBody: RunBatch lends every item of a batch
-// one render buffer, so a warm cache-hit JSON item allocates fewer bytes
-// on the worker than the report it renders. Without the lend each item
-// allocated at least its whole body. Measured like TestWarmItemAllocsFlat,
-// at GOMAXPROCS 1 and not under -race.
-func TestWarmJSONItemAllocsUnderBody(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under -race")
-	}
+// warmJSONItemAllocs runs a 16-variant Table 2 JSON batch cold, then
+// again warm, and returns what each warm cache-hit item allocated on
+// average (bytes and allocations) and the length of its body. Measured
+// at GOMAXPROCS 1, where consecutive items meet the same per-P pools.
+func warmJSONItemAllocs(t *testing.T) (bytesPer, allocsPer float64, bodyLen int) {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	deck, _ := table2Decks()
 	opts, err := tool.DefaultOptions().Resolve()
@@ -191,7 +222,6 @@ func TestWarmJSONItemAllocsUnderBody(t *testing.T) {
 	const n = 16
 	req := &BatchRequest{Netlist: deck, Format: "json", Options: opts, Variants: make([]Variant, n)}
 	cache := NewCache(0)
-	bodyLen := 0
 	batch := func(warm bool) {
 		if err := RunBatch(context.Background(), cache, req, opts, 0, nil, func(it BatchItem) {
 			if it.Error != nil || (warm && !it.CacheHit) {
@@ -207,9 +237,67 @@ func TestWarmJSONItemAllocsUnderBody(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	batch(true)
 	runtime.ReadMemStats(&m1)
-	perItem := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / n, float64(m1.Mallocs-m0.Mallocs) / n, bodyLen
+}
+
+// TestWarmJSONItemAllocsUnderBody: RunBatch lends every item of a batch
+// one render buffer, so a warm cache-hit JSON item allocates fewer bytes
+// on the worker than the report it renders. Without the lend each item
+// allocated at least its whole body. Not measured under -race.
+func TestWarmJSONItemAllocsUnderBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	perItem, _, bodyLen := warmJSONItemAllocs(t)
 	t.Logf("warm Table 2 JSON item: %.1f KiB allocated, %.1f KiB body", perItem/1024, float64(bodyLen)/1024)
 	if perItem >= float64(bodyLen) {
 		t.Errorf("a warm JSON item allocates %.1f KiB, not less than its %.1f KiB body", perItem/1024, float64(bodyLen)/1024)
+	}
+}
+
+// TestWarmJSONItemAllocsPinned pins what a warm cache-hit Table 2 JSON
+// item allocates on the worker once its columns, render buffer, run
+// store and sweep scratch are recycled: at most 4 KiB in 25 allocations.
+// Not measured under -race.
+func TestWarmJSONItemAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	bytesPer, allocsPer, _ := warmJSONItemAllocs(t)
+	t.Logf("warm Table 2 JSON item: %.2f KiB in %.1f allocations", bytesPer/1024, allocsPer)
+	if bytesPer > 4<<10 || allocsPer > 25 {
+		t.Errorf("a warm JSON item allocates %.2f KiB in %.1f allocations, want at most 4 KiB in 25", bytesPer/1024, allocsPer)
+	}
+}
+
+// TestReleasedRunAllocs pins what an all-nodes run allocates on the
+// storage the run before it released: the Report, the Analyzer and the
+// column set's pool box, and nothing per node or per point. The nodes,
+// their waves, results and peaks, the loops and the sweep's scratch are
+// all written over. Measured at GOMAXPROCS 1 and not under -race, like
+// TestWarmItemAllocsFlat.
+func TestReleasedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	deck, _ := table2Decks()
+	ckt, err := netlist.Parse(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := tool.New(ckt, tool.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		rep, err := tl.AllNodes(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Release()
+	})
+	if got > 3 {
+		t.Errorf("an all-nodes run on released storage allocated %v times, want at most 3 (Report, Analyzer, column pool box)", got)
 	}
 }

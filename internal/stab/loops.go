@@ -38,24 +38,31 @@ type Loop struct {
 // returned sorted by frequency, nodes within a group sorted by name. peaks
 // is left as it is; the loops' Nodes share one sorted copy of it.
 func ClusterLoops(peaks []NodePeak, relTol float64) []Loop {
+	return ClusterLoopsInto(nil, slices.Clone(peaks), relTol)
+}
+
+// ClusterLoopsInto is ClusterLoops over storage the caller provides: it
+// sorts peaks in place and keeps it as the loops' Nodes, and writes the
+// loops over dst's array, growing it as append does. It returns nil when
+// there is no peak.
+func ClusterLoopsInto(dst []Loop, peaks []NodePeak, relTol float64) []Loop {
 	if relTol <= 0 {
 		relTol = 0.12
 	}
 	if len(peaks) == 0 {
 		return nil
 	}
-	sorted := append([]NodePeak(nil), peaks...)
-	slices.SortFunc(sorted, func(a, b NodePeak) int { return byFreq(a.Peak, b.Peak) })
+	slices.SortFunc(peaks, func(a, b NodePeak) int { return byFreq(a.Peak, b.Peak) })
 	gap := math.Log(1 + relTol)
 
-	var loops []Loop
+	loops := dst[:0]
 	start := 0
-	for i := 1; i <= len(sorted); i++ {
-		if i < len(sorted) &&
-			math.Log(sorted[i].Peak.Freq)-math.Log(sorted[i-1].Peak.Freq) <= gap {
+	for i := 1; i <= len(peaks); i++ {
+		if i < len(peaks) &&
+			math.Log(peaks[i].Peak.Freq)-math.Log(peaks[i-1].Peak.Freq) <= gap {
 			continue
 		}
-		group := sorted[start:i]
+		group := peaks[start:i]
 		loops = append(loops, makeLoop(group))
 		start = i
 	}

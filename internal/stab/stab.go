@@ -201,7 +201,8 @@ func (ax *Axis) holds(x []float64) bool {
 // first element and length), until a column on a third grid comes. It
 // also reuses its ln|T|, P and peak scratch arrays: a warm Analyze
 // computes P into scratch, reads the peaks from it and allocates only the
-// Result and its exact-length Peaks. An Analyzer from NewAnalyzerOn takes
+// Result and its exact-length Peaks, and a warm AnalyzeInto into a peak
+// store with room allocates nothing. An Analyzer from NewAnalyzerOn takes
 // that scratch from a process-wide pool, and Release hands it back for
 // the next run's Analyzer. Results are bitwise identical to the
 // one-shot functions. Grids are read-only once shared (see Plot); the
@@ -223,7 +224,7 @@ type Analyzer struct {
 }
 
 // analyzerScratch is an Analyzer's per-column scratch. No Result aliases
-// it: peaks are copied out at exact length.
+// it: peaks are copied out into the Result's own storage.
 type analyzerScratch struct {
 	ln    []float64 // ln|T|
 	p     []float64 // P
@@ -346,15 +347,28 @@ func (a *Analyzer) plot(mag *wave.Wave) ([]float64, error) {
 
 // Analyze is the package-level Analyze under the Analyzer's options.
 func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
+	res := new(Result)
+	if err := a.AnalyzeInto(res, mag, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// AnalyzeInto is Analyze writing into storage the caller provides: the
+// result overwrites *res, and its peaks are carved from ps (a nil ps
+// allocates them at exact length, as Analyze does). On error *res is the
+// zero Result.
+func (a *Analyzer) AnalyzeInto(res *Result, mag *wave.Wave, ps *PeakStore) error {
+	*res = Result{}
 	opts := a.opts
 	switch opts.Stencil {
 	case 0, 3, 5:
 	default:
-		return nil, fmt.Errorf("stab: unsupported stencil %d (want 0, 3 or 5)", opts.Stencil)
+		return fmt.Errorf("stab: unsupported stencil %d (want 0, 3 or 5)", opts.Stencil)
 	}
 	p, err := a.plot(mag)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := len(p)
 	u := a.ax.u // the log axis of mag.X
@@ -424,9 +438,8 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 	}
 	a.peaks = peaks
 	slices.SortFunc(peaks, byFreq)
-	res := &Result{}
 	if len(peaks) > 0 {
-		res.Peaks = make([]Peak, len(peaks))
+		res.Peaks = ps.take(len(peaks))
 		copy(res.Peaks, peaks)
 	}
 	for i := range res.Peaks {
@@ -438,7 +451,41 @@ func (a *Analyzer) Analyze(mag *wave.Wave) (*Result, error) {
 			res.Dominant = pk
 		}
 	}
-	return res, nil
+	return nil
+}
+
+// PeakStore is storage that AnalyzeInto carves the peaks of many Results
+// from, for a caller that analyzes similar columns run after run. A run
+// carves from one block; peaks the block has no room left for get an
+// exact-length slice of their own, and Reset starts the next run on a
+// block that holds everything the last one took. The zero value has no
+// block, so a run that is never reset allocates each Result's peaks at
+// exact length, as Analyze does.
+type PeakStore struct {
+	block []Peak
+	taken int // peaks handed out since the last Reset
+}
+
+// take returns storage for n peaks; a nil store allocates it.
+func (s *PeakStore) take(n int) []Peak {
+	if s == nil {
+		return make([]Peak, n)
+	}
+	s.taken += n
+	if l := len(s.block); cap(s.block)-l >= n {
+		s.block = s.block[:l+n]
+		return s.block[l : l+n : l+n]
+	}
+	return make([]Peak, n)
+}
+
+// Reset hands the store's block to a new run. Nothing may read the peaks
+// of a Result carved from it before the call any more.
+func (s *PeakStore) Reset() {
+	if cap(s.block) < s.taken {
+		s.block = make([]Peak, 0, s.taken)
+	}
+	s.block, s.taken = s.block[:0], 0
 }
 
 // noiseFloorC scales the stability plot's rounding floor (noiseFloor).

@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"acstab/internal/acerr"
@@ -237,22 +238,77 @@ type Report struct {
 	// Loops groups the nodes with resonant peaks by natural frequency.
 	Loops []stab.Loop
 
-	// cols is the first-pass sweep's column set, which the nodes'
-	// Impedance waves hold as their samples; Release recycles it.
-	cols [][]complex128
+	// store is the run store Nodes and Loops live in; Release recycles
+	// it.
+	store *runStore
 }
 
-// Release drops every node's Impedance wave and hands the report's
-// impedance columns back to the sweeps, for a later run over the same
-// node count and grid to reuse. Everything else in the report stays
-// valid, and a second call does nothing. Call it only when nothing reads
-// the waves any more: a batch item calls it once its report is rendered.
+// Release hands the report's storage back for a later run to write
+// over: its impedance columns to the sweeps, and its run store (Nodes,
+// their Impedance waves, stability results and peaks, Loops and the
+// loops' member lists) to the next AllNodes. Nothing in the report may be
+// read after Release: it sets Nodes and Loops to nil, so a stale reader
+// sees an empty report, not another run's data. A second call does
+// nothing. A batch item calls it once its report is rendered.
 func (r *Report) Release() {
-	for i := range r.Nodes {
-		r.Nodes[i].Impedance = nil
+	r.Nodes, r.Loops = nil, nil
+	if st := r.store; st != nil {
+		analysis.ReleaseColumns(st.cols)
+		st.cols = nil
+		storePool.Put(st)
+		r.store = nil
 	}
-	analysis.ReleaseColumns(r.cols)
-	r.cols = nil
+}
+
+// runStore is the storage of one all-nodes run: the node list, the nodes'
+// grid headers, the NodeResults with their Impedance waves, stability
+// results and peaks, the node peaks the loops are clustered from (and
+// whose sorted array holds the loops' member lists), and the loops. A
+// fresh store allocates each part at the run's exact size, as the run's
+// own allocations would; Report.Release puts the store in storePool, and
+// the next AllNodes over as many nodes writes over it without allocating.
+// cols is the first-pass sweep's column set, which the waves hold as
+// their samples until Release hands it back to the sweeps.
+type runStore struct {
+	cols      [][]complex128
+	idx       []int
+	names     []string
+	freqs     [][]float64
+	nodes     []NodeResult
+	cells     []nodeCell
+	peaks     stab.PeakStore
+	nodePeaks []stab.NodePeak
+	loops     []stab.Loop
+}
+
+// nodeCell is the storage of one node's Impedance wave and stability
+// result.
+type nodeCell struct {
+	zw wave.Wave
+	sr stab.Result
+}
+
+// storePool recycles released reports' run stores across runs, like the
+// sweeps' column pool does their columns.
+var storePool sync.Pool
+
+// takeStore returns a released run store, or a fresh one.
+func takeStore() *runStore {
+	if st, ok := storePool.Get().(*runStore); ok {
+		st.peaks.Reset()
+		return st
+	}
+	return new(runStore)
+}
+
+// waveName returns the Impedance wave name of node, "z(node)", reusing
+// the name of the cell's last wave when it was node's. Every name a cell
+// holds was made here.
+func (c *nodeCell) waveName(node string) string {
+	if n := c.zw.Name; n != "" && n[2:len(n)-1] == node {
+		return n
+	}
+	return "z(" + node + ")"
 }
 
 // WorstLoop returns the loop with the deepest peak in a report, or nil.
@@ -331,7 +387,7 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 		return nil, err
 	}
 	mSingleNodeRuns.Inc()
-	ax, freqs, cols, _, err := t.columns(ctx, op, []int{idx})
+	ax, freqs, cols, _, err := t.columns(ctx, op, []int{idx}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -339,11 +395,20 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 	defer sp.End()
 	an := stab.NewAnalyzerOn(t.Opts.Stab, ax)
 	defer an.Release()
-	return t.analyzeColumn(an, strings.ToLower(node), freqs[0], cols[0])
+	box := new(struct {
+		nr   NodeResult
+		cell nodeCell
+	})
+	if err := analyzeColumn(an, &box.nr, &box.cell, nil, strings.ToLower(node), freqs[0], cols[0]); err != nil {
+		return nil, err
+	}
+	return &box.nr, nil
 }
 
-// analyzeColumn converts one impedance column into a NodeResult, using
-// an, which carries the run's stability options. It consumes col: each
+// analyzeColumn converts one impedance column into *nr, the analysis of
+// node, using an, which carries the run's stability options. The result's
+// Impedance wave and stability result live in *cell, and its peaks are
+// carved from ps (nil: allocated at exact length). It consumes col: each
 // Z is overwritten with |Z|, and col becomes the Impedance wave's
 // samples, so the caller must not read the complex impedances again.
 // The result's Impedance wave, and a stability plot stab.Plot builds from
@@ -351,8 +416,8 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 // shared with every node, run and goroutine of the process that sweeps
 // the same range (see firstPassAxis), and a refined grid with the Analyzer
 // that caches its log axis, so every grid is read-only from here on.
-func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, col []complex128) (*NodeResult, error) {
-	res := &NodeResult{Node: node}
+func analyzeColumn(an *stab.Analyzer, nr *NodeResult, cell *nodeCell, ps *stab.PeakStore, node string, freqs []float64, col []complex128) error {
+	*nr = NodeResult{Node: node}
 	maxMag := 0.0
 	for i, z := range col {
 		m := math.Hypot(real(z), imag(z))
@@ -362,41 +427,43 @@ func (t *Tool) analyzeColumn(an *stab.Analyzer, node string, freqs []float64, co
 		}
 	}
 	if maxMag < drivenThreshold {
-		res.Skipped = true
-		res.SkipReason = "driven node (zero driving-point impedance)"
-		return res, nil
+		nr.Skipped = true
+		nr.SkipReason = "driven node (zero driving-point impedance)"
+		return nil
 	}
-	zw := wave.New("z("+node+")", freqs, col)
+	cell.zw = wave.Make(cell.waveName(node), freqs, col)
+	zw := &cell.zw
 	zw.XUnit = "Hz"
 	zw.YUnit = "Ohm"
 	zw.LogX = true
-	res.Impedance = zw
-	sr, err := an.Analyze(zw)
-	if err != nil {
-		return nil, fmt.Errorf("tool: node %s: %w", node, err)
+	nr.Impedance = zw
+	sr := &cell.sr
+	if err := an.AnalyzeInto(sr, zw, ps); err != nil {
+		return fmt.Errorf("tool: node %s: %w", node, err)
 	}
-	res.Stab = sr
+	nr.Stab = sr
 	for i := range sr.Peaks {
 		p := &sr.Peaks[i]
 		if p.IsZero {
 			continue
 		}
-		if res.Best == nil || p.Value < res.Best.Value {
-			res.Best = p
+		if nr.Best == nil || p.Value < nr.Best.Value {
+			nr.Best = p
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // nodeList returns the node indices and names included in an all-nodes
-// run after applying the OnlySubckt and SkipNodes filters.
-func (t *Tool) nodeList() (idx []int, names []string) {
+// run after applying the OnlySubckt and SkipNodes filters, written over
+// the arrays of idx and names, which it grows to hold every node.
+func (t *Tool) nodeList(idx []int, names []string) ([]int, []string) {
 	var scope map[string]bool
 	if t.Opts.OnlySubckt != "" {
 		scope = t.subcktNodes(strings.ToLower(t.Opts.OnlySubckt))
 	}
-	idx = make([]int, 0, len(t.Sys.NodeNames))
-	names = make([]string, 0, len(t.Sys.NodeNames))
+	idx = slices.Grow(idx[:0], len(t.Sys.NodeNames))
+	names = slices.Grow(names[:0], len(t.Sys.NodeNames))
 	for i, name := range t.Sys.NodeNames {
 		if scope != nil && !scope[name] {
 			continue
@@ -437,7 +504,8 @@ func (t *Tool) subcktNodes(prefix string) map[string]bool {
 
 // AllNodes runs the "All Nodes" mode: every non-ground node is probed and
 // the results clustered into loops. The sweep shares one matrix
-// factorization per frequency across all nodes.
+// factorization per frequency across all nodes. The report lives in a
+// run store: a fresh one, or the one a released report handed back.
 //
 // A canceled (or deadline-expired) ctx aborts the run within one unit of
 // work: the operating-point Newton loop, the sweep, and the per-node
@@ -450,25 +518,37 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	mAllNodesRuns.Inc()
-	idx, names := t.nodeList()
+	st := takeStore()
+	rep, err := t.allNodes(ctx, op, st)
+	if err != nil {
+		// Nothing references the store of a run that failed.
+		st.cols = nil
+		storePool.Put(st)
+		return nil, err
+	}
+	return rep, nil
+}
+
+// allNodes is AllNodes on the run store st.
+func (t *Tool) allNodes(ctx context.Context, op *mna.OpPoint, st *runStore) (*Report, error) {
+	idx, names := t.nodeList(st.idx, st.names)
+	st.idx, st.names = idx, names
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("tool: no node left to analyze after the OnlySubckt %q and SkipNodes %q filters",
 			t.Opts.OnlySubckt, t.Opts.SkipNodes)
 	}
-	ax, freqs, cols, first, err := t.columns(ctx, op, idx)
+	ax, freqs, cols, first, err := t.columns(ctx, op, idx, st.freqs)
 	if err != nil {
 		return nil, err
 	}
+	st.freqs, st.cols = freqs, first
 
-	rep := &Report{
-		CircuitTitle: t.Flat.Title,
-		Temp:         t.Flat.Temp,
-		Options:      t.Opts,
-		Nodes:        make([]NodeResult, 0, len(names)),
-		cols:         first,
-	}
+	n := len(names)
+	st.nodes = slices.Grow(st.nodes[:0], n)[:n]
+	// Resliced over its old array, each cell keeps its last wave's name.
+	st.cells = slices.Grow(st.cells[:0], n)[:n]
+	st.nodePeaks = slices.Grow(st.nodePeaks[:0], n)
 	sp := obs.StartPhase(t.Opts.Trace, "stability")
-	peaks := make([]stab.NodePeak, 0, len(names))
 	an := stab.NewAnalyzerOn(t.Opts.Stab, ax)
 	defer an.Release()
 	for i, name := range names {
@@ -476,24 +556,33 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 			sp.End()
 			return nil, err
 		}
-		nr, err := t.analyzeColumn(an, name, freqs[i], cols[i])
-		if err != nil {
+		nr := &st.nodes[i]
+		if err := analyzeColumn(an, nr, &st.cells[i], &st.peaks, name, freqs[i], cols[i]); err != nil {
 			sp.End()
 			return nil, err
 		}
-		rep.Nodes = append(rep.Nodes, *nr)
 		if !nr.Skipped && nr.Best != nil {
-			peaks = append(peaks, stab.NodePeak{Node: name, Peak: *nr.Best})
+			st.nodePeaks = append(st.nodePeaks, stab.NodePeak{Node: name, Peak: *nr.Best})
 		}
 	}
-	slices.SortFunc(rep.Nodes, func(a, b NodeResult) int { return strings.Compare(a.Node, b.Node) })
+	slices.SortFunc(st.nodes, func(a, b NodeResult) int { return strings.Compare(a.Node, b.Node) })
 	sp.End()
 	sp = obs.StartPhase(t.Opts.Trace, "loop_clustering")
-	rep.Loops = stab.ClusterLoops(peaks, t.Opts.LoopTol)
+	loops := stab.ClusterLoopsInto(st.loops, st.nodePeaks, t.Opts.LoopTol)
+	if loops != nil {
+		st.loops = loops
+	}
 	sp.End()
-	t.Opts.Trace.Add("peaks", int64(len(peaks)))
-	t.Opts.Trace.Add("loops", int64(len(rep.Loops)))
-	return rep, nil
+	t.Opts.Trace.Add("peaks", int64(len(st.nodePeaks)))
+	t.Opts.Trace.Add("loops", int64(len(loops)))
+	return &Report{
+		CircuitTitle: t.Flat.Title,
+		Temp:         t.Flat.Temp,
+		Options:      t.Opts,
+		Nodes:        st.nodes[:n:n],
+		Loops:        loops,
+		store:        st,
+	}, nil
 }
 
 // columns is the one sweep driver behind SingleNode and AllNodes. Its
@@ -501,9 +590,10 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 // CoarsePointsPerDecade when adaptive grids are on — and then
 // maxRefineRounds() refinement rounds (0 unless adaptive) bisect each
 // node's resonant intervals. It returns the first-pass grid's shared axis
-// and each node's frequency grid and impedance column; without
-// refinement every node's grid aliases the axis's one grid, which is
-// read-only for every run and goroutine that holds it. first is the
+// and each node's frequency grid (written over buf's array when it has
+// room) and impedance column; without refinement every node's grid
+// aliases the axis's one grid, which is read-only for every run and
+// goroutine that holds it. first is the
 // first pass's column set, whole: refinement replaces refined nodes'
 // columns in cols but not in first, so first holds only arrays the
 // caller's results reference or nothing does.
@@ -514,7 +604,7 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 // It publishes the sweep volume: sweep_nodes, and sweep_freq_points, the
 // distinct frequencies factored (the first-pass grid plus each refinement
 // round's union).
-func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) (ax *stab.Axis, freqs [][]float64, cols, first [][]complex128, err error) {
+func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int, buf [][]float64) (ax *stab.Axis, freqs [][]float64, cols, first [][]complex128, err error) {
 	ppd, phase := t.Opts.PointsPerDecade, "sweep"
 	if t.adaptive() {
 		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
@@ -537,7 +627,7 @@ func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int) (ax *sta
 		return nil, nil, nil, nil, err
 	}
 	cols = first
-	freqs = make([][]float64, len(idx))
+	freqs = slices.Grow(buf[:0], len(idx))[:len(idx)]
 	for i := range freqs {
 		freqs[i] = grid
 	}

@@ -2,6 +2,7 @@ package tool
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"slices"
@@ -268,7 +269,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, _ := tl.nodeList()
+	idx, _ := tl.nodeList(nil, nil)
 	grid := num.LogGridPPD(opts.FStart, opts.FStop, opts.PointsPerDecade)
 	sweep := testing.AllocsPerRun(5, func() {
 		if _, err := tl.Sim.ImpedanceDiagSweep(ctx, grid, op, idx); err != nil {
@@ -276,7 +277,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, _, _, err := tl.columns(ctx, op, idx); err != nil {
+		if _, _, _, _, err := tl.columns(ctx, op, idx, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -471,9 +472,9 @@ Rg a 0 1e6
 }
 
 // TestAnalyzeColumnInPlace: analyzeColumn writes |Z| over the sweep's own
-// column and hands that slice to the impedance wave, so the only
-// allocations on a warm analyzer are the wave, its name, the result and
-// Analyze's own outputs (its Result and Peaks) — no |Z| copy and no
+// column and hands that slice to the impedance wave, which lives in the
+// caller's slot with the stability result, so a warm analyzer writing
+// over a slot it filled before allocates nothing — no |Z| copy and no
 // stability-plot wave.
 func TestAnalyzeColumnInPlace(t *testing.T) {
 	tl, err := New(circuits.SecondOrder(0.3, 1e6), DefaultOptions())
@@ -486,18 +487,20 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := tl.Sys.NodeOf("t")
-	ax, freqs, cols, _, err := tl.columns(ctx, op, []int{k})
+	ax, freqs, cols, _, err := tl.columns(ctx, op, []int{k}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := cols[0]
 	z := slices.Clone(col)
 	an := stab.NewAnalyzerOn(tl.Opts.Stab, ax)
-	nr, err := tl.analyzeColumn(an, "t", freqs[0], col)
-	if err != nil {
+	var nr NodeResult
+	var cell nodeCell
+	var ps stab.PeakStore
+	if err := analyzeColumn(an, &nr, &cell, &ps, "t", freqs[0], col); err != nil {
 		t.Fatal(err)
 	}
-	if nr.Skipped || nr.Impedance == nil {
+	if nr.Skipped || nr.Impedance != &cell.zw || nr.Stab != &cell.sr || nr.Impedance.Name != "z(t)" {
 		t.Fatalf("result: %+v", nr)
 	}
 	y := nr.Impedance.Y
@@ -513,13 +516,79 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 
 	// |Z| is real and non-negative, so re-running over the consumed column
 	// reproduces it and the warm path can be measured on the same slice.
+	// A slot analyzed before, with its peak store reset, is written over
+	// without allocating: the wave, its name, the result and the peaks all
+	// reuse the last call's storage.
 	got := testing.AllocsPerRun(20, func() {
-		if _, err := tl.analyzeColumn(an, "t", freqs[0], col); err != nil {
+		ps.Reset()
+		if err := analyzeColumn(an, &nr, &cell, &ps, "t", freqs[0], col); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if want := 5.0; got > want {
-		t.Errorf("warm analyzeColumn allocated %v times, want at most %v (wave, name, NodeResult + Analyze's Result and Peaks; no plot)", got, want)
+	if got != 0 {
+		t.Errorf("warm analyzeColumn allocated %v times, want 0 (no plot, and the slot's wave, name, result and peaks reused)", got)
+	}
+}
+
+// reportPrint renders everything a report says, and the name of each
+// node's Impedance wave, as text.
+func reportPrint(rep *Report) string {
+	var b strings.Builder
+	for _, nr := range rep.Nodes {
+		fmt.Fprintf(&b, "%s %v %q", nr.Node, nr.Skipped, nr.SkipReason)
+		if nr.Impedance != nil {
+			fmt.Fprintf(&b, " %s %d", nr.Impedance.Name, nr.Impedance.Len())
+		}
+		if nr.Stab != nil {
+			fmt.Fprintf(&b, " %v", nr.Stab.Peaks)
+		}
+		if nr.Best != nil {
+			fmt.Fprintf(&b, " best %v", *nr.Best)
+		}
+		b.WriteByte('\n')
+	}
+	for _, l := range rep.Loops {
+		fmt.Fprintf(&b, "loop %d %v %v %v\n", l.ID, l.Freq, l.WorstPeak, l.Nodes)
+	}
+	return b.String()
+}
+
+// TestRunStoreRecycledAcrossCircuits: the next all-nodes run writes over
+// a released report's run store even when its circuit has other nodes,
+// more or fewer of them. Each report reads as the circuit's first one
+// did, every Impedance wave is named after its own node, and a released
+// report reads empty.
+func TestRunStoreRecycledAcrossCircuits(t *testing.T) {
+	ckts := []*netlist.Circuit{
+		circuits.FullCircuit(),
+		circuits.BiasCircuit(circuits.BiasDefaults()),
+		circuits.ResonatorField(8, 1e6, 0.25),
+	}
+	want := make([]string, len(ckts))
+	for round, i := range []int{0, 1, 2, 0, 2, 1, 0} {
+		tl, err := New(ckts[i], DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tl.AllNodes(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := reportPrint(rep)
+		if want[i] == "" {
+			want[i] = got
+		} else if got != want[i] {
+			t.Errorf("round %d: circuit %d reports\n%s\nwant\n%s", round, i, got, want[i])
+		}
+		for _, nr := range rep.Nodes {
+			if nr.Impedance != nil && nr.Impedance.Name != "z("+nr.Node+")" {
+				t.Errorf("round %d: node %s has the wave %s", round, nr.Node, nr.Impedance.Name)
+			}
+		}
+		rep.Release()
+		if rep.Nodes != nil || rep.Loops != nil {
+			t.Errorf("round %d: a released report keeps %d nodes and %d loops", round, len(rep.Nodes), len(rep.Loops))
+		}
 	}
 }
 
@@ -541,7 +610,7 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 	}
 	k, _ := tl.Sys.NodeOf("t")
 	idx := []int{k}
-	ax, _, _, _, err := tl.columns(ctx, op, idx)
+	ax, _, _, _, err := tl.columns(ctx, op, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +627,7 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, _, _, err := tl.columns(ctx, op, idx); err != nil {
+		if _, _, _, _, err := tl.columns(ctx, op, idx, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -27,6 +27,13 @@ type Wave struct {
 // New creates a waveform from x and complex y samples (slices are taken
 // over, not copied). It panics if lengths differ or x is not increasing.
 func New(name string, x []float64, y []complex128) *Wave {
+	w := Make(name, x, y)
+	return &w
+}
+
+// Make is New returning the waveform by value, for callers that keep it
+// in storage of their own.
+func Make(name string, x []float64, y []complex128) Wave {
 	if len(x) != len(y) {
 		panic("wave: x/y length mismatch")
 	}
@@ -35,7 +42,7 @@ func New(name string, x []float64, y []complex128) *Wave {
 			panic(fmt.Sprintf("wave: x not strictly increasing at %d", i))
 		}
 	}
-	return &Wave{Name: name, X: x, Y: y}
+	return Wave{Name: name, X: x, Y: y}
 }
 
 // NewReal creates a real-valued waveform.
