@@ -75,7 +75,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 		coarsePPD = fs.Int("coarse-ppd", 0, "adaptive sweep: coarse pass resolution in points per decade (0 = adaptive off, dense uniform grid)")
 		refinePPD = fs.Int("refine-ppd", 0, "adaptive sweep: refinement resolution cap in points per decade (0 = -ppd)")
 		refineThr = fs.Float64("refine-threshold", 0, "adaptive sweep: |P| level that marks an interval resonant (0 = default 0.5)")
-		format    = fs.String("format", "text", "all-nodes output: text, csv, json")
+		format    = fs.String("format", "text", "output: text, csv, json (single-node mode: text, json)")
 		annotate  = fs.Bool("annotate", false, "print the annotated netlist instead of the report")
 		plot      = fs.Bool("plot", false, "render ASCII plots (single-node mode)")
 		loopTol   = fs.Float64("loop-tol", def.LoopTol, "relative tolerance for loop clustering")
@@ -260,7 +260,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 	// is the run's error, so -stats, the traces and -diag still report it.
 	var runErr error
 	if opts, runErr = opts.Resolve(); runErr == nil {
-		runErr = report.CheckFormat(wireFormat)
+		runErr = report.CheckFormat(wireFormat, *node != "")
 	}
 	if runErr == nil && *stateOut != "" {
 		f, err := os.Create(*stateOut)
@@ -364,7 +364,7 @@ func dispatch(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts too
 		return err
 	}
 	if node != "" {
-		return runSingle(ctx, out, t, node, plot)
+		return runSingle(ctx, out, t, node, format, plot)
 	}
 	rep, err := t.AllNodes(ctx)
 	if err != nil {
@@ -378,16 +378,15 @@ func dispatch(ctx context.Context, out io.Writer, ckt *netlist.Circuit, opts too
 	return err
 }
 
-func runSingle(ctx context.Context, out io.Writer, t *tool.Tool, node string, plot bool) error {
+// runSingle runs the single-node mode and prints the node's result in
+// format, the bytes a farm single-node item renders, after its stability
+// plot when plot is set and the node was not skipped.
+func runSingle(ctx context.Context, out io.Writer, t *tool.Tool, node, format string, plot bool) error {
 	nr, err := t.SingleNode(ctx, node)
 	if err != nil {
 		return err
 	}
-	if nr.Skipped {
-		fmt.Fprintf(out, "node %s skipped: %s\n", nr.Node, nr.SkipReason)
-		return nil
-	}
-	if plot {
+	if plot && !nr.Skipped {
 		p, err := stab.Plot(nr.Impedance, t.Opts.Stab)
 		if err != nil {
 			return err
@@ -399,19 +398,12 @@ func runSingle(ctx context.Context, out io.Writer, t *tool.Tool, node string, pl
 			return err
 		}
 	}
-	fmt.Fprintf(out, "node %s: %d peak(s)\n", nr.Node, len(nr.Stab.Peaks))
-	for _, p := range nr.Stab.Peaks {
-		kind := "pole"
-		if p.IsZero {
-			kind = "zero"
-		}
-		fmt.Fprintf(out, "  %-4s peak %9.3f at %.4g Hz (%s)\n", kind, p.Value, p.Freq, p.Type)
+	body, _, err := report.RenderNode(nil, format, nr)
+	if err != nil {
+		return err
 	}
-	if nr.Best != nil && !nr.Best.IsZero {
-		fmt.Fprintf(out, "dominant: peak %.3f at %.4g Hz -> zeta %.3f, phase margin %.1f deg, overshoot %.1f%%\n",
-			nr.Best.Value, nr.Best.Freq, nr.Best.Zeta, nr.Best.PhaseMarginDeg, nr.Best.OvershootPct)
-	}
-	return nil
+	_, err = out.Write(body)
+	return err
 }
 
 // batch runs variants of a farm job: on the worker at remote, or in

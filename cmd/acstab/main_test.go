@@ -870,7 +870,8 @@ C1 t 0 {cq}
 // TestRemoteMatchesLocal: a -remote run on one worker prints exactly
 // what the local run prints, in every format, with the run setup's
 // -set, -state (its temperature too) and -subckt carried to the worker,
-// and -temps, -sweep and -mc batches print the same tables.
+// and -temps, -sweep and -mc batches print the same tables. A -node run
+// prints the same bytes in text and json, alone or per temperature.
 func TestRemoteMatchesLocal(t *testing.T) {
 	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
@@ -885,6 +886,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	formats := [][]string{{"-format", "text"}, {"-format", "csv"}, {"-format", "json"}, {"-annotate"}}
+	nodeFormats := [][]string{{"-format", "text"}, {"-format", "json"}}
 	for _, tc := range []struct {
 		name, deck string
 		args       []string
@@ -896,6 +898,8 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		{"hot state", tempcoDeck, []string{"-state", hot}, formats},
 		{"subckt", scopeDeck, []string{"-subckt", "x1"}, formats},
 		{"temps", tempcoDeck, []string{"-temps", "125,-40,27"}, formats},
+		{"node", overrideDeck, []string{"-node", "t", "-set", "rq=318"}, nodeFormats},
+		{"temps node", tempcoDeck, []string{"-temps", "125,-40,27", "-node", "t"}, nodeFormats},
 		{"sweep", overrideDeck, []string{"-sweep", "rq=2k,318,1k"}, [][]string{nil}},
 		{"mc", mcDeck, []string{"-mc", "4", "-sigma", "rq=0.2", "-sigma", "cq=0.05"}, [][]string{nil}},
 	} {
@@ -1000,7 +1004,8 @@ func TestCornersRefusals(t *testing.T) {
 // and the format through the same report.CheckFormat, so each refuses a
 // bad setup naming the same option for the same reason, and the
 // worker's decoder refuses it the same way when a client sends it
-// unchecked.
+// unchecked. csv and annotate have no single-node form, so -node refuses
+// them on every path.
 func TestSetupRefusalsAgree(t *testing.T) {
 	srv := httptest.NewServer(farm.NewHandler(farm.Config{Log: obs.NewEventLogger(nil)}))
 	defer srv.Close()
@@ -1019,6 +1024,8 @@ func TestSetupRefusalsAgree(t *testing.T) {
 		{[]string{"-ppd", "20000"}, tool.Options{PointsPerDecade: 20000}, "points_per_decade"},
 		{[]string{"-fstart", "1g", "-fstop", "1k"}, tool.Options{FStart: 1e9, FStop: 1e3}, "fstop_hz"},
 		{[]string{"-format", "xml"}, tool.Options{}, "format"},
+		{[]string{"-format", "csv", "-node", "t"}, tool.Options{}, "format"},
+		{[]string{"-annotate", "-node", "t"}, tool.Options{}, "format"},
 	} {
 		var reasons []string
 		for _, extra := range [][]string{nil, {"-corners", corners}, {"-remote", srv.URL}} {
@@ -1036,12 +1043,19 @@ func TestSetupRefusalsAgree(t *testing.T) {
 			reasons = append(reasons, fe.Error())
 		}
 		c := &farm.Client{BaseURL: srv.URL}
-		var format string
-		if tc.field == "format" {
-			format = tc.args[1]
+		var format, node string
+		for i, a := range tc.args {
+			switch a {
+			case "-format":
+				format = tc.args[i+1]
+			case "-annotate":
+				format = "annotate"
+			case "-node":
+				node = tc.args[i+1]
+			}
 		}
 		_, err := c.SubmitBatch(context.Background(), &farm.BatchRequest{
-			Netlist: tankNetlist, Format: format, Options: tc.opts, Variants: []farm.Variant{{}}})
+			Netlist: tankNetlist, Format: format, Node: node, Options: tc.opts, Variants: []farm.Variant{{}}})
 		var se *farm.StatusError
 		if !errors.As(err, &se) || se.Code != "bad_option" {
 			t.Errorf("%v on the wire: err = %v, want 400 bad_option", tc.args, err)

@@ -1291,7 +1291,7 @@ func (fz *acFactorizer) flush() {
 // circuit's own AC sources as excitation. A canceled ctx aborts between
 // frequency points — within one linear solve of the cancellation.
 func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResult, error) {
-	sol, err := s.sweep(ctx, sweepExcite, freqs, op, nil)
+	sol, err := s.sweep(ctx, sweepExcite, nil, freqs, op, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1308,9 +1308,9 @@ func (s *Sim) AC(ctx context.Context, freqs []float64, op *mna.OpPoint) (*ACResu
 // preallocated numeric arrays, so the steady-state loop body performs no
 // allocations at all. A canceled ctx aborts between frequency points —
 // within one factorization of the cancellation. The caller owns the
-// columns; one done with them may hand them back with ReleaseColumns.
+// columns, which are carved from one array.
 func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
-	return s.sweep(ctx, sweepColumns, freqs, op, nodeIdx)
+	return s.sweep(ctx, sweepColumns, nil, freqs, op, nodeIdx)
 }
 
 // ImpedanceDiagSweep computes only the driving-point diagonal
@@ -1346,50 +1346,15 @@ func (s *Sim) ImpedanceMatrixColumns(ctx context.Context, freqs []float64, op *m
 // of a pair with half the pair's wall time. The caller owns the columns,
 // as with ImpedanceMatrixColumns.
 func (s *Sim) ImpedanceDiagSweep(ctx context.Context, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
-	return s.sweep(ctx, sweepDiag, freqs, op, nodeIdx)
+	return s.ImpedanceDiagSweepInto(ctx, nil, freqs, op, nodeIdx)
 }
 
-// columnPool recycles the impedance sweeps' column sets (node ×
-// frequency) across runs: a warm batch item sweeps the same grid over the
-// same node count as the one before it, and its columns are most of what
-// it allocates. Each entry is a *[][]complex128 whose columns all have
-// the same length.
-var columnPool sync.Pool
-
-// takeColumns returns a column set of nodes columns of points entries
-// each: a pooled one of exactly that shape, else a new one carved from
-// one array. A pooled set holds the values of its previous sweep, which
-// the sweep overwrites entry by entry. A pooled set of another shape is
-// dropped, not put back: the pool hands out its most recent entry first,
-// so a set put back would be the next sweep's first pick again, and every
-// run after a change of grid or node count would miss.
-func takeColumns(nodes, points int) [][]complex128 {
-	if z, _ := columnPool.Get().(*[][]complex128); z != nil && len(*z) == nodes && len((*z)[0]) == points {
-		return *z
-	}
-	buf := make([]complex128, nodes*points)
-	z := make([][]complex128, nodes)
-	for i := range z {
-		z[i] = buf[i*points : (i+1)*points : (i+1)*points]
-	}
-	return z
-}
-
-// ReleaseColumns hands a column set that ImpedanceDiagSweep or
-// ImpedanceMatrixColumns returned back to the sweeps, to be overwritten
-// by a later sweep of the same shape. The caller must hold the only
-// reference to the set and to each of its columns, and must not touch
-// them afterwards. A set whose columns differ in length is dropped.
-func ReleaseColumns(z [][]complex128) {
-	if len(z) == 0 || len(z[0]) == 0 {
-		return
-	}
-	for _, col := range z {
-		if len(col) != len(z[0]) {
-			return
-		}
-	}
-	columnPool.Put(&z)
+// ImpedanceDiagSweepInto is ImpedanceDiagSweep writing into z, a column
+// set the caller owns: len(nodeIdx) columns of len(freqs) entries each,
+// every entry of which the sweep overwrites. A nil z gets a new set, as
+// ImpedanceDiagSweep returns. It returns z, or the new set.
+func (s *Sim) ImpedanceDiagSweepInto(ctx context.Context, z [][]complex128, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
+	return s.sweep(ctx, sweepDiag, z, freqs, op, nodeIdx)
 }
 
 // sweepMode selects what the per-frequency AC loop solves at each point.
@@ -1416,13 +1381,21 @@ const (
 // check (verify); a kernel point only has one on every
 // defResidualProbeEvery-th frequency. On the diag kernel's path it
 // refills and extracts two grid points per pass (see ImpedanceDiagSweep)
-// and then runs each point's steps as for one point.
-func (s *Sim) sweep(ctx context.Context, mode sweepMode, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
-	var out [][]complex128
-	if mode == sweepExcite {
+// and then runs each point's steps as for one point. The impedance modes
+// write into z (see ImpedanceDiagSweepInto); a nil z gets a new set of
+// len(nodeIdx) columns carved from one array, each capped at its length.
+func (s *Sim) sweep(ctx context.Context, mode sweepMode, z [][]complex128, freqs []float64, op *mna.OpPoint, nodeIdx []int) ([][]complex128, error) {
+	out := z
+	switch {
+	case mode == sweepExcite:
 		out = make([][]complex128, len(freqs))
-	} else {
-		out = takeColumns(len(nodeIdx), len(freqs))
+	case out == nil:
+		points := len(freqs)
+		buf := make([]complex128, len(nodeIdx)*points)
+		out = make([][]complex128, len(nodeIdx))
+		for i := range out {
+			out[i] = buf[i*points : (i+1)*points : (i+1)*points]
+		}
 	}
 	if len(freqs) == 0 {
 		return out, nil

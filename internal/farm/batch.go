@@ -39,7 +39,7 @@ type BatchRequest struct {
 	// Netlist is the circuit source text shared by every variant.
 	Netlist string `json:"netlist"`
 	// Format selects the per-item rendering: text (default), csv, json,
-	// annotate.
+	// annotate; a single-node item renders text or json.
 	Format string `json:"format,omitempty"`
 	// Node switches every item to single-node mode when non-empty.
 	Node string `json:"node,omitempty"`

@@ -54,6 +54,7 @@ func TestBatchEndpointStreamsItemsInOrder(t *testing.T) {
 	req, _ := json.Marshal(&BatchRequest{
 		V:       WireV2,
 		Netlist: tankNetlist,
+		Format:  "json",
 		Node:    "t",
 		Variants: []Variant{
 			{Label: "nom"},

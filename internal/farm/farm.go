@@ -424,11 +424,8 @@ func runCached(ctx context.Context, cache *Cache, req *BatchRequest, vars map[st
 		if err != nil {
 			return nil, "", cacheHit, err
 		}
-		body, err := appendSingleNodeJSON(dst, nr)
-		if err != nil {
-			return nil, "", cacheHit, err
-		}
-		return body, "application/json", cacheHit, nil
+		body, contentType, err = report.RenderNode(dst, req.Format, nr)
+		return body, contentType, cacheHit, err
 	}
 
 	rep, err := t.AllNodes(ctx)
@@ -598,51 +595,6 @@ func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st.DebugRunsURL = "/debug/runs"
 	st.Build = s.build
 	enc.Encode(st)
-}
-
-// appendSingleNodeJSON appends a single-node job's body to dst: the
-// bytes encoding/json's Encoder with SetIndent("", "  ") writes for the
-// object {node, skipped, skip_reason, peak, natural_freq_hz, zeta,
-// phase_margin_deg, overshoot_pct}, where every member but node is
-// omitted when it is false, empty or zero (-0 too), and the five figures
-// are those of the node's best peak, zero when it has none. A NaN or
-// infinite figure fails with *json.UnsupportedValueError and returns dst
-// with nothing appended.
-func appendSingleNodeJSON(dst []byte, nr *tool.NodeResult) ([]byte, error) {
-	n0 := len(dst)
-	dst = append(dst, "{\n  \"node\": "...)
-	dst = report.AppendJSONString(dst, nr.Node)
-	if nr.Skipped {
-		dst = append(dst, ",\n  \"skipped\": true"...)
-	}
-	if nr.SkipReason != "" {
-		dst = append(dst, ",\n  \"skip_reason\": "...)
-		dst = report.AppendJSONString(dst, nr.SkipReason)
-	}
-	if b := nr.Best; b != nil {
-		for _, m := range [...]struct {
-			key string
-			v   float64
-		}{
-			{"peak", b.Value},
-			{"natural_freq_hz", b.Freq},
-			{"zeta", b.Zeta},
-			{"phase_margin_deg", b.PhaseMarginDeg},
-			{"overshoot_pct", b.OvershootPct},
-		} {
-			if m.v == 0 {
-				continue
-			}
-			dst = append(dst, ",\n  \""...)
-			dst = append(dst, m.key...)
-			dst = append(dst, "\": "...)
-			var err error
-			if dst, err = report.AppendJSONFloat(dst, m.v); err != nil {
-				return dst[:n0], err
-			}
-		}
-	}
-	return append(dst, "\n}\n"...), nil
 }
 
 // Client submits batches to a farm worker, retrying shed (429) and

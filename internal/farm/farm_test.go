@@ -14,8 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"acstab/internal/netlist"
-	"acstab/internal/stab"
 	"acstab/internal/tool"
 )
 
@@ -105,8 +103,17 @@ func TestRunFormats(t *testing.T) {
 	}
 }
 
+// TestRunSingleNode: a single-node job renders in the job's format: text
+// by default, json on request.
 func TestRunSingleNode(t *testing.T) {
-	body, ct, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t"})
+	text, ct, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct != "text/plain; charset=utf-8" || !strings.HasPrefix(string(text), "node t: ") {
+		t.Errorf("default format: content type %q, body\n%s", ct, text)
+	}
+	body, ct, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t", Format: "json"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,109 +132,6 @@ func TestRunSingleNode(t *testing.T) {
 	if res.Node != "t" || math.Abs(res.Zeta-0.25) > 0.02 ||
 		math.Abs(res.FreqHz-1e6) > 0.05e6 {
 		t.Errorf("result: %+v", res)
-	}
-}
-
-// singleNodeOracle is the single-node body as the worker encoded it with
-// encoding/json, the oracle appendSingleNodeJSON is held to.
-func singleNodeOracle(nr *tool.NodeResult) ([]byte, error) {
-	type singleNodeResult struct {
-		Node       string  `json:"node"`
-		Skipped    bool    `json:"skipped,omitempty"`
-		SkipReason string  `json:"skip_reason,omitempty"`
-		PeakValue  float64 `json:"peak,omitempty"`
-		FreqHz     float64 `json:"natural_freq_hz,omitempty"`
-		Zeta       float64 `json:"zeta,omitempty"`
-		PMDeg      float64 `json:"phase_margin_deg,omitempty"`
-		Overshoot  float64 `json:"overshoot_pct,omitempty"`
-	}
-	out := singleNodeResult{Node: nr.Node, Skipped: nr.Skipped, SkipReason: nr.SkipReason}
-	if nr.Best != nil {
-		out.PeakValue = nr.Best.Value
-		out.FreqHz = nr.Best.Freq
-		out.Zeta = nr.Best.Zeta
-		out.PMDeg = nr.Best.PhaseMarginDeg
-		out.Overshoot = nr.Best.OvershootPct
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// TestSingleNodeJSONMatchesEncoder: a single-node body appended to the
-// lent buffer is byte for byte what encoding/json wrote, for skipped
-// nodes, nodes without a best peak, zero, -0, tiny and huge figures, and
-// names JSON must escape; a NaN or infinite figure fails with the
-// encoder's error and appends nothing. A real single-node job's body
-// matches too.
-func TestSingleNodeJSONMatchesEncoder(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	peak := func(v, f, z, pm, os float64) *stab.Peak {
-		return &stab.Peak{Value: v, Freq: f, Zeta: z, PhaseMarginDeg: pm, OvershootPct: os}
-	}
-	cases := []tool.NodeResult{
-		{Node: "out"},
-		{Node: "vdd", Skipped: true, SkipReason: "driven node (zero driving-point impedance)"},
-		{Node: "x1.n<&>\"q\"", Skipped: true},
-		{Node: "n\u2028\xff", SkipReason: "why"},
-		{Node: "t", Best: peak(-16.3, 1.0e6, 0.2477, 28.4, 44.7)},
-		{Node: "t", Best: peak(0, negZero, 0, negZero, 0)},
-		{Node: "t", Best: peak(-1e-7, 1e21, 5e-324, 1.7976931348623157e308, -0.5)},
-		{Node: "t", Best: peak(-3, 123456789.125, 0.5773502691896258, 52, 16.3)},
-	}
-	for i := range cases {
-		nr := &cases[i]
-		want, err := singleNodeOracle(nr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := appendSingleNodeJSON([]byte("lent"), nr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "lent"+string(want) {
-			t.Errorf("case %d: got\n%s\nwant\n%s", i, got, want)
-		}
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		nr := &tool.NodeResult{Node: "t", Best: peak(-2, 1e6, bad, 40, 20)}
-		_, werr := singleNodeOracle(nr)
-		got, err := appendSingleNodeJSON([]byte("lent"), nr)
-		if err == nil || werr == nil || err.Error() != werr.Error() || string(got) != "lent" {
-			t.Errorf("figure %v: got %q, %v; want \"lent\", %v", bad, got, err, werr)
-		}
-	}
-
-	opts, err := tool.DefaultOptions().Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt, err := netlist.Parse(tankNetlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl, err := tool.New(ckt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr, err := tl.SingleNode(context.Background(), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := singleNodeOracle(nr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _, err := runJob(t, BatchRequest{Netlist: tankNetlist, Node: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != string(want) {
-		t.Errorf("single-node job body\n%s\nwant\n%s", body, want)
 	}
 }
 

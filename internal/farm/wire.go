@@ -95,7 +95,7 @@ func DecodeBatchRequest(body []byte) (*BatchRequest, tool.Options, *WireError) {
 			Detail: ErrorDetail{Code: CodeBadOption, Field: "variants",
 				Message: fmt.Sprintf("batch of %d variants exceeds the %d-variant limit", len(req.Variants), MaxBatchVariants)}}
 	}
-	if err := report.CheckFormat(req.Format); err != nil {
+	if err := report.CheckFormat(req.Format, req.Node != ""); err != nil {
 		return nil, tool.Options{}, wireErrorFrom(err)
 	}
 	// The request keeps the resolved options, so it re-encodes to a body

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // defBuckets are the default upper bounds: log-scale from 1µs to 1000s
@@ -123,11 +122,6 @@ func (t *Tally) Flush() {
 	h.count.Add(t.n)
 	h.addSum(t.sum)
 	*t = Tally{h: h}
-}
-
-// ObserveDuration records the seconds elapsed since start.
-func (h *Histogram) ObserveDuration(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.

@@ -56,11 +56,6 @@ func (t TF) MagAt(w float64) float64 {
 	return cmplx.Abs(t.Eval(complex(0, w)))
 }
 
-// PhaseAt returns the phase of T(jw) in radians, principal value.
-func (t TF) PhaseAt(w float64) float64 {
-	return cmplx.Phase(t.Eval(complex(0, w)))
-}
-
 // Mul returns the product transfer function t*u.
 func (t TF) Mul(u TF) TF {
 	return TF{

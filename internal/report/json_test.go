@@ -196,3 +196,101 @@ func BenchmarkReportJSON(b *testing.B) {
 		})
 	}
 }
+
+// singleNodeOracle is the single-node body as the worker encoded it with
+// encoding/json, the oracle appendNodeJSON is held to.
+func singleNodeOracle(nr *tool.NodeResult) ([]byte, error) {
+	type singleNodeResult struct {
+		Node       string  `json:"node"`
+		Skipped    bool    `json:"skipped,omitempty"`
+		SkipReason string  `json:"skip_reason,omitempty"`
+		PeakValue  float64 `json:"peak,omitempty"`
+		FreqHz     float64 `json:"natural_freq_hz,omitempty"`
+		Zeta       float64 `json:"zeta,omitempty"`
+		PMDeg      float64 `json:"phase_margin_deg,omitempty"`
+		Overshoot  float64 `json:"overshoot_pct,omitempty"`
+	}
+	out := singleNodeResult{Node: nr.Node, Skipped: nr.Skipped, SkipReason: nr.SkipReason}
+	if nr.Best != nil {
+		out.PeakValue = nr.Best.Value
+		out.FreqHz = nr.Best.Freq
+		out.Zeta = nr.Best.Zeta
+		out.PMDeg = nr.Best.PhaseMarginDeg
+		out.Overshoot = nr.Best.OvershootPct
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// TestSingleNodeJSONMatchesEncoder: a single-node JSON body appended to
+// a lent buffer is byte for byte what encoding/json wrote, for skipped
+// nodes, nodes without a best peak, zero, -0, tiny and huge figures, and
+// names JSON must escape; a NaN or infinite figure fails with the
+// encoder's error and appends nothing. A real single-node run's body
+// matches too.
+func TestSingleNodeJSONMatchesEncoder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	peak := func(v, f, z, pm, os float64) *stab.Peak {
+		return &stab.Peak{Value: v, Freq: f, Zeta: z, PhaseMarginDeg: pm, OvershootPct: os}
+	}
+	cases := []tool.NodeResult{
+		{Node: "out"},
+		{Node: "vdd", Skipped: true, SkipReason: "driven node (zero driving-point impedance)"},
+		{Node: "x1.n<&>\"q\"", Skipped: true},
+		{Node: "n\u2028\xff", SkipReason: "why"},
+		{Node: "t", Best: peak(-16.3, 1.0e6, 0.2477, 28.4, 44.7)},
+		{Node: "t", Best: peak(0, negZero, 0, negZero, 0)},
+		{Node: "t", Best: peak(-1e-7, 1e21, 5e-324, 1.7976931348623157e308, -0.5)},
+		{Node: "t", Best: peak(-3, 123456789.125, 0.5773502691896258, 52, 16.3)},
+	}
+	for i := range cases {
+		nr := &cases[i]
+		want, err := singleNodeOracle(nr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := RenderNode([]byte("lent"), "json", nr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "lent"+string(want) {
+			t.Errorf("case %d: got\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nr := &tool.NodeResult{Node: "t", Best: peak(-2, 1e6, bad, 40, 20)}
+		_, werr := singleNodeOracle(nr)
+		got, _, err := RenderNode([]byte("lent"), "json", nr)
+		if err == nil || werr == nil || err.Error() != werr.Error() || string(got) != "lent" {
+			t.Errorf("figure %v: got %q, %v; want \"lent\", %v", bad, got, err, werr)
+		}
+	}
+
+	tl, err := tool.New(circuits.SecondOrder(0.25, 1e6), tool.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr, err := tl.SingleNode(context.Background(), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr.Best == nil {
+		t.Fatal("the second-order section shows no peak")
+	}
+	want, err := singleNodeOracle(nr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := RenderNode(nil, "json", nr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != string(want) {
+		t.Errorf("single-node body\n%s\nwant\n%s", body, want)
+	}
+}

@@ -24,13 +24,20 @@ import (
 )
 
 // CheckFormat checks the name of a report format: text, csv, json,
-// annotate (the annotated netlist), or "" for text. A rejection is a
+// annotate (the annotated netlist), or "" for text. A single-node run
+// renders text or json only (see RenderNode). A rejection is a
 // *tool.FieldError on "format", the farm wire's key for it, so the CLI
 // and the worker refuse a format with the same words.
-func CheckFormat(format string) error {
+func CheckFormat(format string, singleNode bool) error {
 	switch format {
-	case "", "text", "csv", "json", "annotate":
+	case "", "text", "json":
 		return nil
+	case "csv", "annotate":
+		if !singleNode {
+			return nil
+		}
+		return &tool.FieldError{Field: "format",
+			Reason: fmt.Sprintf("format %q has no single-node form (text, json)", format)}
 	}
 	return &tool.FieldError{Field: "format",
 		Reason: fmt.Sprintf("unknown format %q (text, csv, json, annotate)", format)}
@@ -59,7 +66,63 @@ func Render(dst []byte, format string, flat *netlist.Circuit, rep *tool.Report) 
 		}
 		return buf.Bytes(), "text/csv", nil
 	}
-	return dst, "", CheckFormat(format)
+	return dst, "", CheckFormat(format, false)
+}
+
+// RenderNode appends a single-node result to dst, like Render: text (or
+// "") is the node's peak list and its dominant peak's estimate; json is
+// the bytes encoding/json's Encoder with SetIndent("", "  ") writes for
+// {node, skipped, skip_reason, peak, natural_freq_hz, zeta,
+// phase_margin_deg, overshoot_pct}, each member but node omitted when
+// false, empty or zero (-0 too), the figures the best peak's. A NaN or
+// infinite figure fails with *json.UnsupportedValueError.
+func RenderNode(dst []byte, format string, nr *tool.NodeResult) ([]byte, string, error) {
+	switch format {
+	case "", "text":
+		return appendNodeText(dst, nr), "text/plain; charset=utf-8", nil
+	case "json":
+		b, err := appendNodeJSON(dst, nr)
+		return b, "application/json", err
+	}
+	return dst, "", CheckFormat(format, true)
+}
+
+// appendNodeText appends a single node's text summary to dst.
+func appendNodeText(dst []byte, nr *tool.NodeResult) []byte {
+	if nr.Skipped {
+		return fmt.Appendf(dst, "node %s skipped: %s\n", nr.Node, nr.SkipReason)
+	}
+	dst = fmt.Appendf(dst, "node %s: %d peak(s)\n", nr.Node, len(nr.Stab.Peaks))
+	for _, p := range nr.Stab.Peaks {
+		kind := "pole"
+		if p.IsZero {
+			kind = "zero"
+		}
+		dst = fmt.Appendf(dst, "  %-4s peak %9.3f at %.4g Hz (%s)\n", kind, p.Value, p.Freq, p.Type)
+	}
+	if b := nr.Best; b != nil && !b.IsZero {
+		dst = fmt.Appendf(dst, "dominant: peak %.3f at %.4g Hz -> zeta %.3f, phase margin %.1f deg, overshoot %.1f%%\n",
+			b.Value, b.Freq, b.Zeta, b.PhaseMarginDeg, b.OvershootPct)
+	}
+	return dst
+}
+
+// appendNodeJSON appends a single node's JSON object (see RenderNode).
+func appendNodeJSON(dst []byte, nr *tool.NodeResult) ([]byte, error) {
+	w := jsonWriter{b: dst}
+	w.nodeHead(nr)
+	if b := nr.Best; b != nil {
+		w.nonzero("peak", b.Value)
+		w.nonzero("natural_freq_hz", b.Freq)
+		w.nonzero("zeta", b.Zeta)
+		w.nonzero("phase_margin_deg", b.PhaseMarginDeg)
+		w.nonzero("overshoot_pct", b.OvershootPct)
+	}
+	w.close('}')
+	if w.err != nil {
+		return dst, w.err
+	}
+	return append(w.b, '\n'), nil
 }
 
 // Text writes the all-nodes report in the paper's Table 2 layout: one
@@ -563,17 +626,7 @@ func (w *jsonWriter) loop(l *stab.Loop) {
 }
 
 func (w *jsonWriter) node(n *tool.NodeResult) {
-	w.open('{')
-	w.key("node")
-	w.str(n.Node)
-	if n.Skipped {
-		w.key("skipped")
-		w.boolean(true)
-	}
-	if n.SkipReason != "" {
-		w.key("skip_reason")
-		w.str(n.SkipReason)
-	}
+	w.nodeHead(n)
 	if n.Best != nil {
 		w.key("best")
 		w.peak(n.Best)
@@ -588,6 +641,22 @@ func (w *jsonWriter) node(n *tool.NodeResult) {
 		w.close(']')
 	}
 	w.close('}')
+}
+
+// nodeHead opens a node's object with its name and skip members, which
+// a report's node and a single-node body share.
+func (w *jsonWriter) nodeHead(n *tool.NodeResult) {
+	w.open('{')
+	w.key("node")
+	w.str(n.Node)
+	if n.Skipped {
+		w.key("skipped")
+		w.boolean(true)
+	}
+	if n.SkipReason != "" {
+		w.key("skip_reason")
+		w.str(n.SkipReason)
+	}
 }
 
 // peak writes one peak. The damping trio is left out when zeta is NaN

@@ -226,7 +226,7 @@ func (t *Tool) refine(ctx context.Context, op *mna.OpPoint, idx []int, maxRounds
 		for ri, r := range refiners {
 			nodes[ri] = idx[r.i]
 		}
-		sub, err := t.sweep(ctx, union, op, nodes)
+		sub, err := t.sweep(ctx, nil, union, op, nodes)
 		if err != nil {
 			return 0, err
 		}

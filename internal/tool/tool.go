@@ -243,33 +243,31 @@ type Report struct {
 	store *runStore
 }
 
-// Release hands the report's storage back for a later run to write
-// over: its impedance columns to the sweeps, and its run store (Nodes,
+// Release hands the report's run store (its impedance columns, Nodes,
 // their Impedance waves, stability results and peaks, Loops and the
-// loops' member lists) to the next AllNodes. Nothing in the report may be
-// read after Release: it sets Nodes and Loops to nil, so a stale reader
-// sees an empty report, not another run's data. A second call does
-// nothing. A batch item calls it once its report is rendered.
+// loops' member lists) to the next AllNodes to write over. Nothing in
+// the report may be read after Release: it sets Nodes and Loops to nil,
+// so a stale reader sees an empty report, not another run's data. A
+// second call does nothing. A batch item calls it once its report is
+// rendered.
 func (r *Report) Release() {
 	r.Nodes, r.Loops = nil, nil
-	if st := r.store; st != nil {
-		analysis.ReleaseColumns(st.cols)
-		st.cols = nil
-		storePool.Put(st)
+	if r.store != nil {
+		storePool.Put(r.store)
 		r.store = nil
 	}
 }
 
-// runStore is the storage of one all-nodes run: the node list, the nodes'
-// grid headers, the NodeResults with their Impedance waves, stability
-// results and peaks, the node peaks the loops are clustered from (and
-// whose sorted array holds the loops' member lists), and the loops. A
-// fresh store allocates each part at the run's exact size, as the run's
-// own allocations would; Report.Release puts the store in storePool, and
-// the next AllNodes over as many nodes writes over it without allocating.
-// cols is the first-pass sweep's column set, which the waves hold as
-// their samples until Release hands it back to the sweeps.
+// runStore is the storage of one all-nodes run: the first-pass sweep's
+// columns (cols, carved from zbuf), the node list, the nodes' grid
+// headers, the NodeResults with their Impedance waves, stability results
+// and peaks, the node peaks the loops are clustered from (and whose
+// sorted array holds the loops' member lists), and the loops. A fresh
+// store allocates each part at the run's exact size, as the run's own
+// allocations would; Report.Release puts the store in storePool, and the
+// next AllNodes that fits in it writes over it without allocating.
 type runStore struct {
+	zbuf      []complex128
 	cols      [][]complex128
 	idx       []int
 	names     []string
@@ -288,8 +286,7 @@ type nodeCell struct {
 	sr stab.Result
 }
 
-// storePool recycles released reports' run stores across runs, like the
-// sweeps' column pool does their columns.
+// storePool recycles released reports' run stores across runs.
 var storePool sync.Pool
 
 // takeStore returns a released run store, or a fresh one.
@@ -299,6 +296,24 @@ func takeStore() *runStore {
 		return st
 	}
 	return new(runStore)
+}
+
+// columnSet carves nodes columns of points entries, each capped at its
+// length, from zbuf and cols, first replacing either with an exact-size
+// one when it lacks the room.
+func (st *runStore) columnSet(nodes, points int) [][]complex128 {
+	if cap(st.zbuf) < nodes*points {
+		clear(st.cols[:cap(st.cols)]) // drop the old array
+		st.zbuf = make([]complex128, nodes*points)
+	}
+	if cap(st.cols) < nodes {
+		st.cols = make([][]complex128, nodes)
+	}
+	st.cols = st.cols[:nodes]
+	for i := range st.cols {
+		st.cols[i] = st.zbuf[i*points : (i+1)*points : (i+1)*points]
+	}
+	return st.cols
 }
 
 // waveName returns the Impedance wave name of node, "z(node)", reusing
@@ -387,7 +402,7 @@ func (t *Tool) SingleNode(ctx context.Context, node string) (*NodeResult, error)
 		return nil, err
 	}
 	mSingleNodeRuns.Inc()
-	ax, freqs, cols, _, err := t.columns(ctx, op, []int{idx}, nil)
+	ax, freqs, cols, err := t.columns(ctx, op, []int{idx}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -522,7 +537,6 @@ func (t *Tool) AllNodes(ctx context.Context) (*Report, error) {
 	rep, err := t.allNodes(ctx, op, st)
 	if err != nil {
 		// Nothing references the store of a run that failed.
-		st.cols = nil
 		storePool.Put(st)
 		return nil, err
 	}
@@ -537,11 +551,11 @@ func (t *Tool) allNodes(ctx context.Context, op *mna.OpPoint, st *runStore) (*Re
 		return nil, fmt.Errorf("tool: no node left to analyze after the OnlySubckt %q and SkipNodes %q filters",
 			t.Opts.OnlySubckt, t.Opts.SkipNodes)
 	}
-	ax, freqs, cols, first, err := t.columns(ctx, op, idx, st.freqs)
+	ax, freqs, cols, err := t.columns(ctx, op, idx, st)
 	if err != nil {
 		return nil, err
 	}
-	st.freqs, st.cols = freqs, first
+	st.freqs = freqs
 
 	n := len(names)
 	st.nodes = slices.Grow(st.nodes[:0], n)[:n]
@@ -590,13 +604,12 @@ func (t *Tool) allNodes(ctx context.Context, op *mna.OpPoint, st *runStore) (*Re
 // CoarsePointsPerDecade when adaptive grids are on — and then
 // maxRefineRounds() refinement rounds (0 unless adaptive) bisect each
 // node's resonant intervals. It returns the first-pass grid's shared axis
-// and each node's frequency grid (written over buf's array when it has
-// room) and impedance column; without refinement every node's grid
-// aliases the axis's one grid, which is read-only for every run and
-// goroutine that holds it. first is the
-// first pass's column set, whole: refinement replaces refined nodes'
-// columns in cols but not in first, so first holds only arrays the
-// caller's results reference or nothing does.
+// and each node's frequency grid and impedance column; without
+// refinement every node's grid aliases the axis's one grid, which is
+// read-only for every run and goroutine that holds it. The first pass
+// sweeps into st's columns and writes the grid headers over st's (nil
+// st: new ones); refinement replaces refined nodes' columns in a copy of
+// the column header, so st's set stays whole.
 //
 // A first pass of more than maxSweepEntries (node, frequency) pairs is
 // refused before anything is allocated.
@@ -604,45 +617,48 @@ func (t *Tool) allNodes(ctx context.Context, op *mna.OpPoint, st *runStore) (*Re
 // It publishes the sweep volume: sweep_nodes, and sweep_freq_points, the
 // distinct frequencies factored (the first-pass grid plus each refinement
 // round's union).
-func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int, buf [][]float64) (ax *stab.Axis, freqs [][]float64, cols, first [][]complex128, err error) {
+func (t *Tool) columns(ctx context.Context, op *mna.OpPoint, idx []int, st *runStore) (ax *stab.Axis, freqs [][]float64, cols [][]complex128, err error) {
 	ppd, phase := t.Opts.PointsPerDecade, "sweep"
 	if t.adaptive() {
 		ppd, phase = t.Opts.CoarsePointsPerDecade, "coarse_sweep"
 	}
 	if n := num.LogGridLen(t.Opts.FStart, t.Opts.FStop, ppd); int64(n)*int64(len(idx)) > maxSweepEntries {
-		return nil, nil, nil, nil, fmt.Errorf("tool: sweep of %d nodes x %d frequencies exceeds the limit of %d points",
+		return nil, nil, nil, fmt.Errorf("tool: sweep of %d nodes x %d frequencies exceeds the limit of %d points",
 			len(idx), n, maxSweepEntries)
 	}
 	mSweepNodes.Add(int64(len(idx)))
 	t.Opts.Trace.Add("sweep_nodes", int64(len(idx)))
 	ax = firstPassAxis(t.Opts.FStart, t.Opts.FStop, ppd)
 	grid := ax.Freqs()
+	var z [][]complex128
+	if st != nil {
+		z, freqs = st.columnSet(len(idx), len(grid)), st.freqs
+	}
 	// Every sweep of this run refactors under the pivot order chosen at
 	// the grid's first frequency.
 	t.Sim.PinACAnalysis(grid[0])
 	sp := obs.StartPhase(t.Opts.Trace, phase)
-	first, err = t.sweep(ctx, grid, op, idx)
+	cols, err = t.sweep(ctx, z, grid, op, idx)
 	sp.End()
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	cols = first
-	freqs = slices.Grow(buf[:0], len(idx))[:len(idx)]
+	freqs = slices.Grow(freqs[:0], len(idx))[:len(idx)]
 	for i := range freqs {
 		freqs[i] = grid
 	}
 	points := int64(len(grid))
 	if rounds := t.maxRefineRounds(); rounds > 0 {
-		cols = slices.Clone(first)
+		cols = slices.Clone(cols)
 		refined, err := t.refine(ctx, op, idx, rounds, ax, freqs, cols)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		points += refined
 	}
 	mSweepPoints.Add(points)
 	t.Opts.Trace.Add("sweep_freq_points", points)
-	return ax, freqs, cols, first, nil
+	return ax, freqs, cols, nil
 }
 
 // axisMemo is one first-pass grid, keyed by the options that build it.
@@ -671,10 +687,9 @@ func firstPassAxis(fstart, fstop float64, ppd int) *stab.Axis {
 	return ax
 }
 
-// sweep runs one ImpedanceDiagSweep on the calling goroutine; the
-// columns are the solver's own, adopted without a copy.
-func (t *Tool) sweep(ctx context.Context, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
+// sweep runs one ImpedanceDiagSweepInto z on the calling goroutine.
+func (t *Tool) sweep(ctx context.Context, z [][]complex128, freqs []float64, op *mna.OpPoint, idx []int) ([][]complex128, error) {
 	mWorkersBusy.Inc()
 	defer mWorkersBusy.Dec()
-	return t.Sim.ImpedanceDiagSweep(ctx, freqs, op, idx)
+	return t.Sim.ImpedanceDiagSweepInto(ctx, z, freqs, op, idx)
 }

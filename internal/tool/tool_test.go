@@ -277,7 +277,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, _, _, err := tl.columns(ctx, op, idx, nil); err != nil {
+		if _, _, _, err := tl.columns(ctx, op, idx, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -487,7 +487,7 @@ func TestAnalyzeColumnInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := tl.Sys.NodeOf("t")
-	ax, freqs, cols, _, err := tl.columns(ctx, op, []int{k}, nil)
+	ax, freqs, cols, err := tl.columns(ctx, op, []int{k}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 	}
 	k, _ := tl.Sys.NodeOf("t")
 	idx := []int{k}
-	ax, _, _, _, err := tl.columns(ctx, op, idx, nil)
+	ax, _, _, err := tl.columns(ctx, op, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +627,7 @@ func TestFirstPassAxisAllocs(t *testing.T) {
 		}
 	})
 	driver := testing.AllocsPerRun(5, func() {
-		if _, _, _, _, err := tl.columns(ctx, op, idx, nil); err != nil {
+		if _, _, _, err := tl.columns(ctx, op, idx, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
